@@ -53,7 +53,10 @@ val min_valid_mc_samples : int
 
 val csr_min_size : int
 (** Below this many unknowns the csr backend's per-topology symbolic
-    analysis outweighs any per-sample gain; C007 warns. *)
+    analysis outweighs any per-sample gain; C007 warns.  The dense backend
+    is also faster per sample on the shipped 11-unknown testbenches, so
+    the real crossover lies higher; this threshold stays until one is
+    measured. *)
 
 val check : ?checkpoint_dir:string -> ?resume:bool -> view -> Diagnostic.t list
 

@@ -814,8 +814,8 @@ let krawczyk circuit layout ~lin ~moses ~k ~spec ~slice ~x0 =
    stiffest low-frequency systems; 1e-5 covers it with margin *)
 let ac_slop_rel = 1e-5
 
-(* interval G/C/rhs mirroring Mna.assemble_ac, with the MOS small-signal
-   parameters taken from the interval operating points *)
+(* interval G/C/rhs mirroring the stamps of Mna.assemble_ac_into, with the
+   MOS small-signal parameters taken from the interval operating points *)
 let assemble_ac_intervals circuit layout ~iops =
   let n = Mna.size layout in
   let g = imat n in

@@ -1,6 +1,5 @@
-(* Complex matrices are stored as two flat float arrays (re, im): cheaper than
-   an array of boxed Complex.t records, and the AC sweep allocates one of
-   these per frequency point. *)
+(* Complex matrices are stored as two flat row-major float arrays (re, im):
+   cheaper than an array of boxed Complex.t records. *)
 
 type t = { rows : int; cols : int; re : float array; im : float array }
 
@@ -29,16 +28,13 @@ let add_to m i j (z : Complex.t) =
   m.re.(k) <- m.re.(k) +. z.re;
   m.im.(k) <- m.im.(k) +. z.im
 
-let of_real ?(imag_scale = 1.) g c =
-  if Mat.rows g <> Mat.rows c || Mat.cols g <> Mat.cols c then
+let of_real ?(imag_scale = 1.) (g : Mat.t) (c : Mat.t) =
+  if g.rows <> c.rows || g.cols <> c.cols then
     invalid_arg "Cmat.of_real: shape mismatch";
-  let m = create (Mat.rows g) (Mat.cols g) in
-  for i = 0 to m.rows - 1 do
-    for j = 0 to m.cols - 1 do
-      let k = idx m i j in
-      m.re.(k) <- Mat.get g i j;
-      m.im.(k) <- imag_scale *. Mat.get c i j
-    done
+  let m = create g.rows g.cols in
+  for k = 0 to Array.length m.re - 1 do
+    m.re.(k) <- g.data.(k);
+    m.im.(k) <- imag_scale *. c.data.(k)
   done;
   m
 
@@ -54,63 +50,86 @@ let mul_vec m v =
       done;
       { Complex.re = !re; im = !im })
 
-let mag2 m k = (m.re.(k) *. m.re.(k)) +. (m.im.(k) *. m.im.(k))
+let[@inline] mag2 re im p = (re.(p) *. re.(p)) +. (im.(p) *. im.(p))
 
-let solve m0 b =
+type work = { a : t; xr : float array; xi : float array; nz : int array }
+
+let work n =
+  { a = create n n; xr = Array.make n 0.; xi = Array.make n 0.; nz = Array.make n 0 }
+
+(* Gaussian elimination with partial pivoting on a copy of [m0] in [w.a],
+   eliminating into the RHS as it goes (single-RHS forward pass), then back
+   substitution.  Entry (i, j) is re/im.(i*n + j).  [skip_zeros]: see
+   Lu.factor_into; the same argument holds per real and imaginary part. *)
+let solve_with w ~skip_zeros m0 b =
   let n = m0.rows in
   if m0.cols <> n then invalid_arg "Cmat.solve: matrix not square";
   if Array.length b <> n then invalid_arg "Cmat.solve: dimension mismatch";
-  let m = { m0 with re = Array.copy m0.re; im = Array.copy m0.im } in
-  let xr = Array.init n (fun i -> b.(i).Complex.re) in
-  let xi = Array.init n (fun i -> b.(i).Complex.im) in
-  let swap_rows a c =
-    if a <> c then begin
-      for j = 0 to n - 1 do
-        let ka = idx m a j and kc = idx m c j in
-        let tr = m.re.(ka) and ti = m.im.(ka) in
-        m.re.(ka) <- m.re.(kc);
-        m.im.(ka) <- m.im.(kc);
-        m.re.(kc) <- tr;
-        m.im.(kc) <- ti
-      done;
-      let tr = xr.(a) and ti = xi.(a) in
-      xr.(a) <- xr.(c);
-      xi.(a) <- xi.(c);
-      xr.(c) <- tr;
-      xi.(c) <- ti
-    end
-  in
-  (* Gaussian elimination with partial pivoting, eliminating into the RHS as
-     we go (single-RHS forward pass). *)
+  if w.a.rows <> n then invalid_arg "Cmat.solve_with: workspace size";
+  let re = w.a.re and im = w.a.im and xr = w.xr and xi = w.xi and nz = w.nz in
+  Array.blit m0.re 0 re 0 (n * n);
+  Array.blit m0.im 0 im 0 (n * n);
+  for i = 0 to n - 1 do
+    xr.(i) <- b.(i).Complex.re;
+    xi.(i) <- b.(i).Complex.im
+  done;
   for k = 0 to n - 1 do
-    let best = ref k and best_mag = ref (mag2 m (idx m k k)) in
+    let rk = k * n in
+    let best = ref k and best_mag = ref (mag2 re im (rk + k)) in
     for i = k + 1 to n - 1 do
-      let mag = mag2 m (idx m i k) in
+      let mag = mag2 re im ((i * n) + k) in
       if mag > !best_mag then begin
         best := i;
         best_mag := mag
       end
     done;
     if !best_mag < 1e-280 then raise (Lu.Singular k);
-    swap_rows k !best;
-    let kp = idx m k k in
-    let pr = m.re.(kp) and pi = m.im.(kp) in
+    if !best <> k then begin
+      let rb = !best * n in
+      for j = 0 to n - 1 do
+        let tr = re.(rk + j) and ti = im.(rk + j) in
+        re.(rk + j) <- re.(rb + j);
+        im.(rk + j) <- im.(rb + j);
+        re.(rb + j) <- tr;
+        im.(rb + j) <- ti
+      done;
+      let tr = xr.(k) and ti = xi.(k) in
+      xr.(k) <- xr.(!best);
+      xi.(k) <- xi.(!best);
+      xr.(!best) <- tr;
+      xi.(!best) <- ti
+    end;
+    let pr = re.(rk + k) and pi = im.(rk + k) in
     let pmag = (pr *. pr) +. (pi *. pi) in
+    let nnz = ref 0 in
+    for j = k + 1 to n - 1 do
+      if (not skip_zeros) || re.(rk + j) <> 0. || im.(rk + j) <> 0. then begin
+        nz.(!nnz) <- j;
+        incr nnz
+      end
+    done;
     for i = k + 1 to n - 1 do
-      let ki = idx m i k in
-      let ar = m.re.(ki) and ai = m.im.(ki) in
+      let ri = i * n in
+      let ar = re.(ri + k) and ai = im.(ri + k) in
       if ar <> 0. || ai <> 0. then begin
         (* factor = a / pivot *)
         let fr = ((ar *. pr) +. (ai *. pi)) /. pmag in
         let fi = ((ai *. pr) -. (ar *. pi)) /. pmag in
-        m.re.(ki) <- 0.;
-        m.im.(ki) <- 0.;
-        for j = k + 1 to n - 1 do
-          let kj = idx m k j and ij = idx m i j in
-          let ur = m.re.(kj) and ui = m.im.(kj) in
-          m.re.(ij) <- m.re.(ij) -. ((fr *. ur) -. (fi *. ui));
-          m.im.(ij) <- m.im.(ij) -. ((fr *. ui) +. (fi *. ur))
-        done;
+        re.(ri + k) <- 0.;
+        im.(ri + k) <- 0.;
+        if Float.is_finite fr && Float.is_finite fi then
+          for t = 0 to !nnz - 1 do
+            let j = nz.(t) in
+            let ur = re.(rk + j) and ui = im.(rk + j) in
+            re.(ri + j) <- re.(ri + j) -. ((fr *. ur) -. (fi *. ui));
+            im.(ri + j) <- im.(ri + j) -. ((fr *. ui) +. (fi *. ur))
+          done
+        else
+          for j = k + 1 to n - 1 do
+            let ur = re.(rk + j) and ui = im.(rk + j) in
+            re.(ri + j) <- re.(ri + j) -. ((fr *. ur) -. (fi *. ui));
+            im.(ri + j) <- im.(ri + j) -. ((fr *. ui) +. (fi *. ur))
+          done;
         xr.(i) <- xr.(i) -. ((fr *. xr.(k)) -. (fi *. xi.(k)));
         xi.(i) <- xi.(i) -. ((fr *. xi.(k)) +. (fi *. xr.(k)))
       end
@@ -118,16 +137,19 @@ let solve m0 b =
   done;
   (* back substitution *)
   for i = n - 1 downto 0 do
+    let ri = i * n in
     let sr = ref xr.(i) and si = ref xi.(i) in
     for j = i + 1 to n - 1 do
-      let kj = idx m i j in
-      sr := !sr -. ((m.re.(kj) *. xr.(j)) -. (m.im.(kj) *. xi.(j)));
-      si := !si -. ((m.re.(kj) *. xi.(j)) +. (m.im.(kj) *. xr.(j)))
+      sr := !sr -. ((re.(ri + j) *. xr.(j)) -. (im.(ri + j) *. xi.(j)));
+      si := !si -. ((re.(ri + j) *. xi.(j)) +. (im.(ri + j) *. xr.(j)))
     done;
-    let kp = idx m i i in
-    let pr = m.re.(kp) and pi = m.im.(kp) in
+    let pr = re.(ri + i) and pi = im.(ri + i) in
     let pmag = (pr *. pr) +. (pi *. pi) in
     xr.(i) <- ((!sr *. pr) +. (!si *. pi)) /. pmag;
     xi.(i) <- ((!si *. pr) -. (!sr *. pi)) /. pmag
   done;
   Array.init n (fun i -> { Complex.re = xr.(i); im = xi.(i) })
+
+let solve m b =
+  let skip_zeros = not (Vec.has_neg_zero m.re || Vec.has_neg_zero m.im) in
+  solve_with (work m.rows) ~skip_zeros m b

@@ -1,7 +1,9 @@
 (** Complex dense matrices and LU solves, for small-signal AC analysis where
     the MNA system is [G + jwC]. *)
 
-type t
+type t = private { rows : int; cols : int; re : float array; im : float array }
+(** Entry [(i, j)] is [{re = re.(i * cols + j); im = im.(i * cols + j)}];
+    private for the same reason as {!Mat.t}. *)
 
 val create : int -> int -> t
 (** Zero matrix. *)
@@ -22,6 +24,24 @@ val of_real : ?imag_scale:float -> Mat.t -> Mat.t -> t
 val mul_vec : t -> Complex.t array -> Complex.t array
 
 val solve : t -> Complex.t array -> Complex.t array
-(** In-place-free LU solve with partial pivoting (by magnitude).
+(** [solve m b] is [x] with [m x = b], by Gaussian elimination with partial
+    pivoting (by magnitude) on a copy of [m] that eliminates into a copy of
+    [b] as it goes, then back substitution.  Neither [m] nor [b] is
+    modified; each call redoes the whole elimination.
     @raise Invalid_argument on shape mismatch.
     @raise Lu.Singular when a pivot vanishes. *)
+
+type work
+(** Scratch for {!solve_with}: a working copy of an [n]x[n] matrix and of
+    one right-hand side. *)
+
+val work : int -> work
+
+val solve_with : work -> skip_zeros:bool -> t -> Complex.t array -> Complex.t array
+(** [solve_with w ~skip_zeros m b] is [solve m b] computed in [w]'s buffers
+    instead of fresh ones, with the same floating-point operations.  With
+    [skip_zeros] the matrix update skips the columns of each pivot row that
+    are exactly zero in both parts; that is bit-identical to the full update
+    only when neither part of [m] has a -0 entry (see
+    {!Lu.factor_into}).
+    @raise Invalid_argument as {!solve}, or if [w] is not [m]'s size. *)

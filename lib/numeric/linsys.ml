@@ -1,10 +1,20 @@
 (* Solver-agnostic linear-system seam: see linsys.mli for the contract.
 
    The Dense backend must stay byte-identical to the historical direct
-   Mat/Lu/Cmat call sequence — reset is Mat.fill 0 (indistinguishable from
-   a fresh Mat.create), solve is Lu.solve (Lu.factor m) b, and the complex
-   factor is Cmat.of_real ~imag_scale:omega followed by Cmat.solve per
-   right-hand side.  Do not "optimise" these closures. *)
+   Mat/Lu/Cmat call sequence (reset is Mat.fill 0, solve is
+   Lu.solve (Lu.factor m) b, the complex factor is
+   Cmat.of_real ~imag_scale:omega then Cmat.solve per right-hand side):
+   the same floating-point operations in the same order on every entry
+   that can change.  Within that contract it reuses buffers (the real
+   workspace factors into one Lu buffer; the complex one fills one G + jwC
+   buffer per factor and each solve eliminates a copy of it) and skips the
+   exactly-zero columns of each pivot row in the matrix update.  Skipping
+   is exact because m -. (f *. 0.) is m for a finite multiplier f unless m
+   is -0, and no matrix entry here is -0: Mat.fill 0., +. onto +0 and exact
+   cancellation only produce +0, so G and C hold none, and omega *. C holds
+   none when omega > 0 and no product underflows, which [pencil] checks.
+   Right-hand sides and back substitution are never skipped: a source of
+   value 0 can put a -0 there. *)
 
 module Pattern = struct
   (* [strong] rows hold the entries assembled to a nonzero value by every
@@ -91,30 +101,54 @@ module Dense_backend = struct
 
   let compile p = Pattern.size p
 
+  (* wrapped in 3-ary closures below: a partial application would put a
+     currying wrapper in front of every stamp *)
+  let add_to (m : Mat.t) i j x =
+    let d = m.data and k = (i * m.cols) + j in
+    d.(k) <- d.(k) +. x
+
   let real n =
     let m = Mat.create n n in
+    let f = Lu.create n in
     {
       rn = n;
       reset = (fun () -> Mat.fill m 0.);
-      add = Mat.add_to m;
-      solve = (fun b -> Lu.solve (Lu.factor m) b);
+      add = (fun i j x -> add_to m i j x);
+      solve =
+        (fun b ->
+          Lu.factor_into f ~skip_zeros:true m;
+          Lu.solve f b);
     }
+
+  (* [a] <- g + j omega c, as Cmat.of_real; true when [a] is -0-free *)
+  let pencil (a : Cmat.t) ~omega (g : Mat.t) (c : Mat.t) =
+    let re = a.re and im = a.im and gd = g.data and cd = c.data in
+    let exact = ref (omega > 0.) in
+    for k = 0 to Array.length re - 1 do
+      re.(k) <- gd.(k);
+      let v = omega *. cd.(k) in
+      im.(k) <- v;
+      if v = 0. && cd.(k) <> 0. then exact := false
+    done;
+    !exact
 
   let complex n =
     let g = Mat.create n n in
     let c = Mat.create n n in
+    let a = Cmat.create n n in
+    let w = Cmat.work n in
     {
       cn = n;
       creset =
         (fun () ->
           Mat.fill g 0.;
           Mat.fill c 0.);
-      add_g = Mat.add_to g;
-      add_c = Mat.add_to c;
+      add_g = (fun i j x -> add_to g i j x);
+      add_c = (fun i j x -> add_to c i j x);
       factor =
         (fun ~omega ->
-          let m = Cmat.of_real ~imag_scale:omega g c in
-          fun rhs -> Cmat.solve m rhs);
+          let skip_zeros = pencil a ~omega g c in
+          fun rhs -> Cmat.solve_with w ~skip_zeros a rhs);
     }
 end
 

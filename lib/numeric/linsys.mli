@@ -6,10 +6,11 @@
     ({!type-real} for DC/transient Newton systems, {!type-complex_sys} for
     AC systems of the form [G + jwC]).  Two backends exist:
 
-    - [Dense] wraps {!Mat}/{!Lu}/{!Cmat} with exactly the operation
-      sequence the engines used before this seam existed, so results are
-      byte-identical to the historical dense path (it ignores the pattern
-      beyond its size).
+    - [Dense] wraps {!Mat}/{!Lu}/{!Cmat} with the floating-point
+      operations the engines performed before this seam existed, so
+      results are byte-identical to the historical dense path (it ignores
+      the pattern beyond its size).  Its workspaces reuse their buffers
+      across factorisations.
     - [Csr] uses {!Csr}: fill-reducing ordering and symbolic factorisation
       computed once per topology at [compile] time; per-sample work only
       refactors numeric values over the cached fill pattern.
@@ -73,7 +74,9 @@ type complex_sys = {
   add_c : int -> int -> float -> unit;  (** accumulate into C *)
   factor : omega:float -> Complex.t array -> Complex.t array;
       (** factor [G + j*omega*C] once; the returned solver may be applied
-          to many right-hand sides. @raise Lu.Singular on breakdown *)
+          to many right-hand sides, and is valid until the next [factor]
+          on the same workspace, which may overwrite the buffers it reads.
+          @raise Lu.Singular on breakdown *)
 }
 (** Mutable workspace for one complex system of the form [G + jwC]. *)
 

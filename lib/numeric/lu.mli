@@ -12,6 +12,20 @@ val factor : Mat.t -> t
     @raise Invalid_argument if [m] is not square.
     @raise Singular if a pivot column is numerically zero. *)
 
+val create : int -> t
+(** [create n] is a factorisation buffer for [n]x[n] matrices, to be filled
+    by {!factor_into}; until then it holds no usable factorisation. *)
+
+val factor_into : t -> skip_zeros:bool -> Mat.t -> unit
+(** [factor_into f ~skip_zeros m] factors [m] into [f]'s buffers, replacing
+    the factorisation [f] held, with the same floating-point operations as
+    {!factor}.  With [skip_zeros] the matrix update skips the exactly-zero
+    columns of each pivot row; that is bit-identical to the full update
+    only when [m] has no -0 entry, which holds for any matrix built by
+    {!Mat.create} or [Mat.fill m 0.] and {!Mat.add_to}.
+    @raise Invalid_argument if [m] is not the size of [f].
+    @raise Singular as {!factor}; [f] then holds no usable factorisation. *)
+
 val solve : t -> Vec.t -> Vec.t
 (** [solve f b] returns [x] with [m x = b]. *)
 

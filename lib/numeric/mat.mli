@@ -1,6 +1,9 @@
 (** Dense row-major float matrices. *)
 
-type t
+type t = private { rows : int; cols : int; data : float array }
+(** Entry [(i, j)] is [data.(i * cols + j)].  The record is private so the
+    numeric kernels ({!Lu}, {!Cmat}, {!Linsys}) can index [data] directly
+    instead of calling {!get}/{!set} per entry; the array stays mutable. *)
 
 val create : int -> int -> t
 (** [create rows cols] is a zero matrix. *)

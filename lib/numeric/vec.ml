@@ -50,6 +50,8 @@ let max_abs_diff a b =
   done;
   !m
 
+let has_neg_zero v = Array.exists (fun x -> x = 0. && Float.sign_bit x) v
+
 let map = Array.map
 
 let mapi = Array.mapi

@@ -41,6 +41,9 @@ val norm_inf : t -> float
 val max_abs_diff : t -> t -> float
 (** [max_abs_diff a b] is [norm_inf (sub a b)] without the allocation. *)
 
+val has_neg_zero : t -> bool
+(** Whether some entry is [-0.]. *)
+
 val map : (float -> float) -> t -> t
 
 val mapi : (int -> float -> float) -> t -> t

@@ -1,4 +1,3 @@
-module Cmat = Yield_numeric.Cmat
 module Linsys = Yield_numeric.Linsys
 module Fault = Yield_resilience.Fault
 
@@ -18,18 +17,6 @@ let precheck circuit =
   match Topology.ac_issues circuit with
   | [] -> ()
   | issue :: _ -> raise (Singular (Topology.issue_to_string issue))
-
-let system circuit (op : Dcop.t) =
-  precheck circuit;
-  let ops name = Dcop.mos_op op name in
-  Mna.assemble_ac circuit op.Dcop.layout ~ops
-
-let solve_pieces (g, c, rhs) ~freq =
-  let omega = 2. *. Float.pi *. freq in
-  let m = Cmat.of_real ~imag_scale:omega g c in
-  Cmat.solve m rhs
-
-let solve_at circuit op ~freq = solve_pieces (system circuit op) ~freq
 
 let transfer ?sys circuit op ~out ~freqs =
   if Fault.fire fp_solve then

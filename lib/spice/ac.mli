@@ -6,13 +6,10 @@ type bode = {
 }
 
 exception Singular of string
-(** Raised by {!solve_at} and {!transfer} when {!Topology.ac_issues} finds a
-    structural singularity — a node [G + jwC] cannot constrain at any
-    frequency, or a loop of voltage sources — before anything is
-    assembled.  Mirrors the {!Dcop.solve} pre-check. *)
-
-val solve_at : Circuit.t -> Dcop.t -> freq:float -> Complex.t array
-(** Full small-signal solution vector at one frequency. *)
+(** Raised by {!transfer} when {!Topology.ac_issues} finds a structural
+    singularity — a node [G + jwC] cannot constrain at any frequency, or a
+    loop of voltage sources — before anything is assembled.  Mirrors the
+    {!Dcop.solve} pre-check. *)
 
 val transfer :
   ?sys:Mna.sys -> Circuit.t -> Dcop.t -> out:Device.node ->

@@ -68,11 +68,6 @@ let stamp_gm_into add op_node on_node cp cn g =
   entry on_node cp (-1.);
   entry on_node cn 1.
 
-let stamp_g m a b g = stamp_g_into (Mat.add_to m) a b g
-
-let stamp_gm m op_node on_node cp cn g =
-  stamp_gm_into (Mat.add_to m) op_node on_node cp cn g
-
 let inject rhs node value =
   if node <> Device.ground then rhs.(node - 1) <- rhs.(node - 1) +. value
 
@@ -99,13 +94,8 @@ let mos_linearise ~model ~w ~l ~d ~g ~s ~b x =
 
 let stamp_conductance_into = stamp_g_into
 
-let stamp_conductance = stamp_g
-
 let stamp_transconductance_into add ~out_p ~out_n ~in_p ~in_n g =
   stamp_gm_into add out_p out_n in_p in_n g
-
-let stamp_transconductance m ~out_p ~out_n ~in_p ~in_n g =
-  stamp_gm m out_p out_n in_p in_n g
 
 let stamp_branch_into add l ~name ~npos ~nneg =
   let br = Hashtbl.find l.branches name in
@@ -117,9 +107,6 @@ let stamp_branch_into add l ~name ~npos ~nneg =
     add (nneg - 1) br (-1.);
     add br (nneg - 1) (-1.)
   end
-
-let stamp_branch m l ~name ~npos ~nneg =
-  stamp_branch_into (Mat.add_to m) l ~name ~npos ~nneg
 
 let stamp_mosfet_dc_into add rhs ~x ~d ~g:gate ~s ~b ~model ~w ~l =
   let op, ids_eff = mos_linearise ~model ~w ~l ~d ~g:gate ~s ~b x in
@@ -138,9 +125,6 @@ let stamp_mosfet_dc_into add rhs ~x ~d ~g:gate ~s ~b ~model ~w ~l =
   inject rhs d ieq;
   inject rhs s (-.ieq);
   op
-
-let stamp_mosfet_dc mat rhs ~x ~d ~g ~s ~b ~model ~w ~l =
-  stamp_mosfet_dc_into (Mat.add_to mat) rhs ~x ~d ~g ~s ~b ~model ~w ~l
 
 (* ---------- structural pattern, built once per topology ---------- *)
 
@@ -262,7 +246,10 @@ let mos_operating_points ?models circuit ~x =
     (Circuit.devices circuit);
   List.rev !acc
 
-let assemble_ac_core add_g add_c rhs circuit l ~ops =
+let assemble_ac_into (cs : Linsys.complex_sys) circuit l ~ops =
+  cs.Linsys.creset ();
+  let add_g = cs.Linsys.add_g and add_c = cs.Linsys.add_c in
+  let rhs = Array.make l.size Complex.zero in
   let stamp_device dev =
     match dev with
     | Device.Resistor { n1; n2; ohms; _ } -> stamp_g_into add_g n1 n2 (1. /. ohms)
@@ -293,17 +280,5 @@ let assemble_ac_core add_g add_c rhs circuit l ~ops =
   (* small leak keeps floating nodes (e.g. pure-capacitive) solvable *)
   for i = 0 to l.n_nodes - 1 do
     add_g i i 1e-12
-  done
-
-let assemble_ac circuit l ~ops =
-  let g = Mat.create l.size l.size in
-  let c = Mat.create l.size l.size in
-  let rhs = Array.make l.size Complex.zero in
-  assemble_ac_core (Mat.add_to g) (Mat.add_to c) rhs circuit l ~ops;
-  (g, c, rhs)
-
-let assemble_ac_into (cs : Linsys.complex_sys) circuit l ~ops =
-  cs.Linsys.creset ();
-  let rhs = Array.make l.size Complex.zero in
-  assemble_ac_core cs.Linsys.add_g cs.Linsys.add_c rhs circuit l ~ops;
+  done;
   rhs

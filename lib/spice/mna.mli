@@ -95,59 +95,36 @@ val mos_operating_points :
     (PMOS currents and voltages reported NMOS-normalised, as produced by
     {!Mosfet.eval} on the flipped bias). *)
 
-val assemble_ac :
-  Circuit.t -> layout -> ops:(string -> Mosfet.op) ->
-  Yield_numeric.Mat.t * Yield_numeric.Mat.t * Complex.t array
-(** Small-signal system pieces: [(g, c, rhs)] with the full system
-    [ (g + jw c) x = rhs ], where [rhs] carries the AC magnitudes of the
-    independent sources.  [ops] maps MOSFET names to their DC operating
-    points. *)
-
 val assemble_ac_into :
   Yield_numeric.Linsys.complex_sys ->
   Circuit.t -> layout -> ops:(string -> Mosfet.op) -> Complex.t array
-(** Same stamps through a {!Yield_numeric.Linsys.complex_sys} workspace
-    (resetting it first); returns the right-hand side. *)
+(** Small-signal system [ (G + jw C) x = rhs ] stamped through a
+    {!Yield_numeric.Linsys.complex_sys} workspace (resetting it first);
+    returns [rhs], which carries the AC magnitudes of the independent
+    sources.  [ops] maps MOSFET names to their DC operating points. *)
 
 (** {1 Low-level stamping primitives, shared with the transient engine}
 
-    Each exists in two forms: stamping into a dense matrix, and the
-    [_into] form stamping through a generic [add row col value]
-    accumulator (a {!Yield_numeric.Linsys} workspace). *)
-
-val stamp_conductance : Yield_numeric.Mat.t -> Device.node -> Device.node -> float -> unit
-(** Two-terminal conductance between two nodes (ground rows skipped). *)
+    Each stamps through a generic [add row col value] accumulator (a
+    {!Yield_numeric.Linsys} workspace); ground rows and columns are
+    skipped. *)
 
 val stamp_conductance_into :
   (int -> int -> float -> unit) -> Device.node -> Device.node -> float -> unit
-
-val stamp_transconductance :
-  Yield_numeric.Mat.t -> out_p:Device.node -> out_n:Device.node ->
-  in_p:Device.node -> in_n:Device.node -> float -> unit
-(** Current [g * v(in_p, in_n)] leaving [out_p], entering [out_n]. *)
+(** Two-terminal conductance between two nodes. *)
 
 val stamp_transconductance_into :
   (int -> int -> float -> unit) -> out_p:Device.node -> out_n:Device.node ->
   in_p:Device.node -> in_n:Device.node -> float -> unit
-
-val stamp_branch :
-  Yield_numeric.Mat.t -> layout -> name:string -> npos:Device.node ->
-  nneg:Device.node -> unit
-(** Voltage-source branch rows/columns (without the RHS value). *)
+(** Current [g * v(in_p, in_n)] leaving [out_p], entering [out_n]. *)
 
 val stamp_branch_into :
   (int -> int -> float -> unit) -> layout -> name:string ->
   npos:Device.node -> nneg:Device.node -> unit
+(** Voltage-source branch rows/columns (without the RHS value). *)
 
 val inject : Yield_numeric.Vec.t -> Device.node -> float -> unit
 (** Add a current injection into a node's KCL right-hand side. *)
-
-val stamp_mosfet_dc :
-  Yield_numeric.Mat.t -> Yield_numeric.Vec.t -> x:Yield_numeric.Vec.t ->
-  d:Device.node -> g:Device.node -> s:Device.node -> b:Device.node ->
-  model:Mosfet.model -> w:float -> l:float -> Mosfet.op
-(** Newton-linearised MOSFET stamp around the guess [x]; returns the
-    normalised operating point used. *)
 
 val stamp_mosfet_dc_into :
   (int -> int -> float -> unit) -> Yield_numeric.Vec.t ->

@@ -34,8 +34,8 @@ val ac_issues : Circuit.t -> issue list
 (** The same analysis with the AC edge set (capacitors conduct; the MOS
     gate and bulk couple capacitively into the channel): nodes the
     small-signal matrix [G + jwC] cannot constrain at any frequency, plus
-    voltage-source loops.  {!Ac.transfer} and {!Ac.solve_at} consult this
-    before assembling anything, mirroring the {!Dcop.solve} pre-check. *)
+    voltage-source loops.  {!Ac.transfer} consults this before assembling
+    anything, mirroring the {!Dcop.solve} pre-check. *)
 
 val dangling_nodes : Circuit.t -> (string * string) list
 (** Nodes referenced by exactly one device terminal, as

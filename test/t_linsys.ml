@@ -1,7 +1,9 @@
 (* Tests for the solver-agnostic Linsys seam: dense/csr kernel equivalence
-   on random sparse systems, circuit-level dense<->csr equivalence (DC, AC,
-   transient), symbolic-cache reuse, and byte-identity of the
-   Variation.overrides patching path against full circuit rebuilds. *)
+   on random sparse systems, bit-exactness of the dense backend against a
+   copy of the previous dense kernels, circuit-level dense<->csr
+   equivalence (DC, AC, transient), symbolic-cache reuse, and
+   byte-identity of the Variation.overrides patching path against full
+   circuit rebuilds. *)
 
 module Vec = Yield_numeric.Vec
 module Mat = Yield_numeric.Mat
@@ -171,6 +173,451 @@ let test_dense_of_size_matches_mat () =
   Alcotest.(check bool) "byte-identical to Mat/Lu" true
     (Array.for_all2 (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) expect got)
 
+(* ---------- bit-exact reference for the dense backend ---------- *)
+
+(* The dense kernels as they were before they indexed flat arrays, reused
+   buffers and skipped zero columns: Lu.factor/Lu.solve and
+   Cmat.of_real/Cmat.solve, over their own matrix type so that nothing
+   here depends on the code under test.  The dense backend must reproduce
+   them bit for bit. *)
+module Ref = struct
+  type mat = { rows : int; cols : int; data : float array }
+
+  let create rows cols = { rows; cols; data = Array.make (rows * cols) 0. }
+  let get m i j = m.data.((i * m.cols) + j)
+  let set m i j x = m.data.((i * m.cols) + j) <- x
+
+  let add_to m i j x =
+    let k = (i * m.cols) + j in
+    m.data.(k) <- m.data.(k) +. x
+
+  let fill m = Array.fill m.data 0 (Array.length m.data) 0.
+
+  let factor m =
+    let n = m.rows in
+    let lu = { m with data = Array.copy m.data } in
+    let perm = Array.init n (fun i -> i) in
+    for k = 0 to n - 1 do
+      let best = ref k and best_mag = ref (Float.abs (get lu k k)) in
+      for i = k + 1 to n - 1 do
+        let mag = Float.abs (get lu i k) in
+        if mag > !best_mag then begin
+          best := i;
+          best_mag := mag
+        end
+      done;
+      if !best_mag < 1e-300 then raise (Lu.Singular k);
+      if !best <> k then begin
+        let tmp = perm.(k) in
+        perm.(k) <- perm.(!best);
+        perm.(!best) <- tmp;
+        for j = 0 to n - 1 do
+          let a = get lu k j and b = get lu !best j in
+          set lu k j b;
+          set lu !best j a
+        done
+      end;
+      let pivot = get lu k k in
+      for i = k + 1 to n - 1 do
+        let factor = get lu i k /. pivot in
+        set lu i k factor;
+        if factor <> 0. then
+          for j = k + 1 to n - 1 do
+            set lu i j (get lu i j -. (factor *. get lu k j))
+          done
+      done
+    done;
+    (lu, perm)
+
+  let solve (lu, perm) b =
+    let n = lu.rows in
+    let x = Array.init n (fun i -> b.(perm.(i))) in
+    for i = 1 to n - 1 do
+      let acc = ref x.(i) in
+      for j = 0 to i - 1 do
+        acc := !acc -. (get lu i j *. x.(j))
+      done;
+      x.(i) <- !acc
+    done;
+    for i = n - 1 downto 0 do
+      let acc = ref x.(i) in
+      for j = i + 1 to n - 1 do
+        acc := !acc -. (get lu i j *. x.(j))
+      done;
+      x.(i) <- !acc /. get lu i i
+    done;
+    x
+
+  type cmat = { n : int; re : float array; im : float array }
+
+  let of_real ~imag_scale g c =
+    let m = { n = g.rows; re = Array.make (g.rows * g.cols) 0.; im = Array.make (g.rows * g.cols) 0. } in
+    for i = 0 to g.rows - 1 do
+      for j = 0 to g.cols - 1 do
+        let k = (i * m.n) + j in
+        m.re.(k) <- get g i j;
+        m.im.(k) <- imag_scale *. get c i j
+      done
+    done;
+    m
+
+  let csolve m0 b =
+    let n = m0.n in
+    let idx i j = (i * n) + j in
+    let m = { m0 with re = Array.copy m0.re; im = Array.copy m0.im } in
+    let mag2 k = (m.re.(k) *. m.re.(k)) +. (m.im.(k) *. m.im.(k)) in
+    let xr = Array.init n (fun i -> b.(i).Complex.re) in
+    let xi = Array.init n (fun i -> b.(i).Complex.im) in
+    let swap_rows a c =
+      if a <> c then begin
+        for j = 0 to n - 1 do
+          let ka = idx a j and kc = idx c j in
+          let tr = m.re.(ka) and ti = m.im.(ka) in
+          m.re.(ka) <- m.re.(kc);
+          m.im.(ka) <- m.im.(kc);
+          m.re.(kc) <- tr;
+          m.im.(kc) <- ti
+        done;
+        let tr = xr.(a) and ti = xi.(a) in
+        xr.(a) <- xr.(c);
+        xi.(a) <- xi.(c);
+        xr.(c) <- tr;
+        xi.(c) <- ti
+      end
+    in
+    for k = 0 to n - 1 do
+      let best = ref k and best_mag = ref (mag2 (idx k k)) in
+      for i = k + 1 to n - 1 do
+        let mag = mag2 (idx i k) in
+        if mag > !best_mag then begin
+          best := i;
+          best_mag := mag
+        end
+      done;
+      if !best_mag < 1e-280 then raise (Lu.Singular k);
+      swap_rows k !best;
+      let kp = idx k k in
+      let pr = m.re.(kp) and pi = m.im.(kp) in
+      let pmag = (pr *. pr) +. (pi *. pi) in
+      for i = k + 1 to n - 1 do
+        let ki = idx i k in
+        let ar = m.re.(ki) and ai = m.im.(ki) in
+        if ar <> 0. || ai <> 0. then begin
+          let fr = ((ar *. pr) +. (ai *. pi)) /. pmag in
+          let fi = ((ai *. pr) -. (ar *. pi)) /. pmag in
+          m.re.(ki) <- 0.;
+          m.im.(ki) <- 0.;
+          for j = k + 1 to n - 1 do
+            let kj = idx k j and ij = idx i j in
+            let ur = m.re.(kj) and ui = m.im.(kj) in
+            m.re.(ij) <- m.re.(ij) -. ((fr *. ur) -. (fi *. ui));
+            m.im.(ij) <- m.im.(ij) -. ((fr *. ui) +. (fi *. ur))
+          done;
+          xr.(i) <- xr.(i) -. ((fr *. xr.(k)) -. (fi *. xi.(k)));
+          xi.(i) <- xi.(i) -. ((fr *. xi.(k)) +. (fi *. xr.(k)))
+        end
+      done
+    done;
+    for i = n - 1 downto 0 do
+      let sr = ref xr.(i) and si = ref xi.(i) in
+      for j = i + 1 to n - 1 do
+        let kj = idx i j in
+        sr := !sr -. ((m.re.(kj) *. xr.(j)) -. (m.im.(kj) *. xi.(j)));
+        si := !si -. ((m.re.(kj) *. xi.(j)) +. (m.im.(kj) *. xr.(j)))
+      done;
+      let kp = idx i i in
+      let pr = m.re.(kp) and pi = m.im.(kp) in
+      let pmag = (pr *. pr) +. (pi *. pi) in
+      xr.(i) <- ((!sr *. pr) +. (!si *. pi)) /. pmag;
+      xi.(i) <- ((!si *. pr) -. (!sr *. pi)) /. pmag
+    done;
+    Array.init n (fun i -> { Complex.re = xr.(i); im = xi.(i) })
+
+  (* the parent's Dense_backend workspaces over the reference kernels *)
+  let real n =
+    let m = create n n in
+    {
+      Linsys.rn = n;
+      reset = (fun () -> fill m);
+      add = add_to m;
+      solve = (fun b -> solve (factor m) b);
+    }
+
+  let complex n =
+    let g = create n n and c = create n n in
+    {
+      Linsys.cn = n;
+      creset =
+        (fun () ->
+          fill g;
+          fill c);
+      add_g = add_to g;
+      add_c = add_to c;
+      factor =
+        (fun ~omega ->
+          let m = of_real ~imag_scale:omega g c in
+          fun rhs -> csolve m rhs);
+    }
+end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* a solve's outcome: the solution's bit patterns, or the singular column *)
+let outcome f = match f () with x -> Ok x | exception Lu.Singular k -> Error k
+
+let check_real_outcome what expect got =
+  match (expect, got) with
+  | Ok e, Ok g ->
+      Array.iteri
+        (fun i e ->
+          if not (same_bits e g.(i)) then
+            Alcotest.failf "%s: x.(%d) = %h, reference %h" what i g.(i) e)
+        e
+  | Error k, Error k' when k = k' -> ()
+  | _ -> Alcotest.failf "%s: outcome differs from the reference" what
+
+let check_complex_outcome what expect got =
+  let parts = Result.map (Array.map (fun z -> [| z.Complex.re; z.Complex.im |])) in
+  let flat = Result.map (fun a -> Array.concat (Array.to_list a)) in
+  check_real_outcome what (flat (parts expect)) (flat (parts got))
+
+(* Random sparse system entries as a list of (i, j, v) accumulations: a
+   transversal of sizeable values (some of them off the diagonal, forcing
+   row swaps), random extras, and entries added twice with opposite signs,
+   which assemble to an exact zero. *)
+let random_adds st n =
+  let perm = Array.init n (fun i -> i) in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- t
+  done;
+  let adds = ref [] in
+  let add i j v = adds := (i, j, v) :: !adds in
+  for j = 0 to n - 1 do
+    add perm.(j) j (1. +. Random.State.float st 3.)
+  done;
+  for _ = 1 to Random.State.int st (n * n) do
+    let i = Random.State.int st n and j = Random.State.int st n in
+    match Random.State.int st 4 with
+    | 0 ->
+        let v = Random.State.float st 2. in
+        add i j v;
+        add i j (-.v)
+    | 1 -> add i j 0.
+    | _ -> add i j (Random.State.float st 4. -. 2.)
+  done;
+  List.rev !adds
+
+(* one NaN or one Inf accumulated somewhere, on top of the finite system *)
+let poison st n adds = function
+  | `None -> adds
+  | `Nan -> adds @ [ (Random.State.int st n, Random.State.int st n, Float.nan) ]
+  | `Inf -> adds @ [ (Random.State.int st n, Random.State.int st n, Float.infinity) ]
+
+(* right-hand sides with exact zeros and -0 entries, which the kernels
+   must never skip; an all-zero one gives an all-zero solution whose signs
+   depend on the sign of every zero met on the way *)
+let random_rhs st n =
+  let all_zero = Random.State.int st 3 = 0 in
+  Array.init n (fun _ ->
+      match Random.State.int st 4 with
+      | 0 -> 0.
+      | 1 -> -0.
+      | _ -> if all_zero then 0. else Random.State.float st 4. -. 2.)
+
+let poisons = [ `None; `Nan; `Inf ]
+
+let test_dense_real_bit_exact () =
+  for seed = 1 to 300 do
+    let st = Random.State.make [| seed; 31 |] in
+    let n = 1 + Random.State.int st 12 in
+    List.iter
+      (fun p ->
+        let adds = poison st n (random_adds st n) p in
+        let dense = Linsys.real (Linsys.dense_of_size n) in
+        let reference = Ref.real n in
+        (* a second assembly into the same workspace must not see the
+           first one's factorisation *)
+        for round = 1 to 2 do
+          let adds = if round = 1 then adds else List.rev adds in
+          List.iter
+            (fun sys ->
+              sys.Linsys.reset ();
+              List.iter (fun (i, j, v) -> sys.Linsys.add i j v) adds)
+            [ dense; reference ];
+          for r = 1 to 3 do
+            let b = random_rhs st n in
+            check_real_outcome
+              (Printf.sprintf "seed %d n %d round %d rhs %d" seed n round r)
+              (outcome (fun () -> reference.Linsys.solve b))
+              (outcome (fun () -> dense.Linsys.solve b))
+          done
+        done)
+      poisons
+  done
+
+let test_public_real_bit_exact () =
+  (* Lu.factor on arbitrary matrices, -0 entries included, with several
+     right-hand sides per factorisation *)
+  for seed = 1 to 200 do
+    let st = Random.State.make [| seed; 37 |] in
+    let n = 1 + Random.State.int st 10 in
+    let adds = poison st n (random_adds st n) (List.nth poisons (seed mod 3)) in
+    let m = Mat.create n n and r = Ref.create n n in
+    List.iter
+      (fun (i, j, v) ->
+        Mat.add_to m i j v;
+        Ref.add_to r i j v)
+      adds;
+    if seed mod 2 = 0 then
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          if Mat.get m i j = 0. && Random.State.bool st then begin
+            Mat.set m i j (-0.);
+            Ref.set r i j (-0.)
+          end
+        done
+      done;
+    match (outcome (fun () -> Ref.factor r), outcome (fun () -> Lu.factor m)) with
+    | Ok fr, Ok f ->
+        for rhs = 1 to 3 do
+          let b = random_rhs st n in
+          let what = Printf.sprintf "seed %d n %d rhs %d" seed n rhs in
+          let expect = Ok (Ref.solve fr b) in
+          check_real_outcome what expect (Ok (Lu.solve f b));
+          let b' = Array.copy b in
+          Lu.solve_in_place f b';
+          check_real_outcome (what ^ " in place") expect (Ok b')
+        done
+    | Error k, Error k' when k = k' -> ()
+    | _ -> Alcotest.failf "seed %d: factor outcome differs from the reference" seed
+  done
+
+(* omegas beyond the sweep's: 0 and negative scales put -0 into omega *. C,
+   5e-324 underflows its products to -0, and Inf / NaN poison every entry *)
+let omegas =
+  [ 2. *. Float.pi *. 1e6; 1.; 2. *. Float.pi *. 1e9; 0.; -3.; 5e-324; Float.infinity; Float.nan ]
+
+let random_complex_rhs st n =
+  let re = random_rhs st n and im = random_rhs st n in
+  Array.init n (fun i -> { Complex.re = re.(i); im = im.(i) })
+
+let test_dense_complex_bit_exact () =
+  for seed = 1 to 150 do
+    let st = Random.State.make [| seed; 41 |] in
+    let n = 1 + Random.State.int st 10 in
+    List.iter
+      (fun p ->
+        let g_adds = poison st n (random_adds st n) p in
+        let c_adds =
+          List.filter_map
+            (fun (i, j, v) ->
+              if Random.State.bool st then Some (i, j, v *. 1e-9) else None)
+            (random_adds st n)
+        in
+        let dense = Linsys.complex (Linsys.dense_of_size n) in
+        let reference = Ref.complex n in
+        List.iter
+          (fun cs ->
+            cs.Linsys.creset ();
+            List.iter (fun (i, j, v) -> cs.Linsys.add_g i j v) g_adds;
+            List.iter (fun (i, j, v) -> cs.Linsys.add_c i j v) c_adds)
+          [ dense; reference ];
+        List.iter
+          (fun omega ->
+            let sd = dense.Linsys.factor ~omega in
+            let sr = reference.Linsys.factor ~omega in
+            for r = 1 to 3 do
+              let b = random_complex_rhs st n in
+              check_complex_outcome
+                (Printf.sprintf "seed %d n %d omega %g rhs %d" seed n omega r)
+                (outcome (fun () -> sr b))
+                (outcome (fun () -> sd b))
+            done)
+          omegas)
+      poisons
+  done
+
+let test_public_complex_bit_exact () =
+  (* Cmat.of_real + Cmat.solve on arbitrary matrices, -0 entries included *)
+  for seed = 1 to 150 do
+    let st = Random.State.make [| seed; 43 |] in
+    let n = 1 + Random.State.int st 9 in
+    let g = Mat.create n n and c = Mat.create n n in
+    let rg = Ref.create n n and rc = Ref.create n n in
+    List.iter
+      (fun (i, j, v) ->
+        Mat.add_to g i j v;
+        Ref.add_to rg i j v)
+      (poison st n (random_adds st n) (List.nth poisons (seed mod 3)));
+    List.iter
+      (fun (i, j, v) ->
+        Mat.add_to c i j (v *. 1e-9);
+        Ref.add_to rc i j (v *. 1e-9))
+      (random_adds st n);
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if Mat.get g i j = 0. && Random.State.int st 3 = 0 then begin
+          Mat.set g i j (-0.);
+          Ref.set rg i j (-0.)
+        end
+      done
+    done;
+    List.iter
+      (fun omega ->
+        let m = Cmat.of_real ~imag_scale:omega g c in
+        let rm = Ref.of_real ~imag_scale:omega rg rc in
+        for r = 1 to 2 do
+          let b = random_complex_rhs st n in
+          check_complex_outcome
+            (Printf.sprintf "seed %d n %d omega %g rhs %d" seed n omega r)
+            (outcome (fun () -> Ref.csolve rm b))
+            (outcome (fun () -> Cmat.solve m b))
+        done)
+      omegas
+  done
+
+(* Hand-built systems where skipping a zero column would flip the sign of
+   a -0 entry and, with zero right-hand sides, of a solution entry: a -0
+   in the matrix passed to Lu.factor, and -0 entries that omega *. C
+   creates when a product underflows.  Every right-hand side over
+   {-1, -0, +0, 1}^3 is tried. *)
+let signed_zero_rhs =
+  let v = [| -1.; -0.; 0.; 1. |] in
+  List.init 64 (fun k -> [| v.(k land 3); v.((k lsr 2) land 3); v.(k lsr 4) |])
+
+let test_signed_zero_fixtures () =
+  let rows = [| [| 1.; 0.; 0. |]; [| -1.; -0.; 1. |]; [| 0.; 1.; 0. |] |] in
+  let m = Mat.of_arrays rows and r = Ref.create 3 3 in
+  Array.iteri (fun i row -> Array.iteri (fun j v -> Ref.set r i j v) row) rows;
+  let f = Lu.factor m and fr = Ref.factor r in
+  List.iter
+    (fun b -> check_real_outcome "Lu.factor with a -0 entry" (Ok (Ref.solve fr b)) (Ok (Lu.solve f b)))
+    signed_zero_rhs;
+  let g = [ (0, 0, 1.); (1, 0, -1.); (1, 1, 2.); (2, 2, 1.) ] in
+  let c = [ (0, 0, -0.3); (1, 0, -0.3); (1, 2, -0.3) ] in
+  let dense = Linsys.complex (Linsys.dense_of_size 3) and reference = Ref.complex 3 in
+  List.iter
+    (fun cs ->
+      cs.Linsys.creset ();
+      List.iter (fun (i, j, v) -> cs.Linsys.add_g i j v) g;
+      List.iter (fun (i, j, v) -> cs.Linsys.add_c i j v) c)
+    [ dense; reference ];
+  let omega = 5e-324 in
+  let sd = dense.Linsys.factor ~omega and sr = reference.Linsys.factor ~omega in
+  List.iter
+    (fun re ->
+      List.iter
+        (fun im ->
+          let b = Array.init 3 (fun i -> { Complex.re = re.(i); im = im.(i) }) in
+          check_complex_outcome "omega *. C underflowing to -0"
+            (outcome (fun () -> sr b))
+            (outcome (fun () -> sd b)))
+        signed_zero_rhs)
+    signed_zero_rhs
+
 (* ---------- circuit-level dense <-> csr equivalence ---------- *)
 
 module Circuit = Yield_spice.Circuit
@@ -235,6 +682,93 @@ let test_circuit_dc_ac_dense_csr () =
               (Dcop.error_to_string err)
         | Ok _ -> assert false)
   done
+
+(* The DC Newton systems a damped Newton run visits from the initial guess,
+   and the AC pencil at every sweep frequency, each solved by a
+   [dense_of_size] workspace and by the reference, through the same Mna
+   assembly. *)
+let check_circuit_bit_exact name circuit =
+  let layout = Mna.layout circuit in
+  let n = Mna.size layout in
+  let dense = Linsys.real (Linsys.dense_of_size n) in
+  let reference = Ref.real n in
+  let x = Array.make n 0. in
+  for it = 1 to 40 do
+    let rhs = Mna.assemble_dc_into dense circuit layout ~x ~source_scale:1. ~gmin:1e-12 in
+    let rhs' =
+      Mna.assemble_dc_into reference circuit layout ~x ~source_scale:1. ~gmin:1e-12
+    in
+    let xd = outcome (fun () -> dense.Linsys.solve rhs) in
+    check_real_outcome
+      (Printf.sprintf "%s newton %d" name it)
+      (outcome (fun () -> reference.Linsys.solve rhs'))
+      xd;
+    match xd with
+    | Ok x_new ->
+        Array.iteri
+          (fun k xk ->
+            let dk = xk -. x.(k) in
+            x.(k) <-
+              (x.(k) +. if k < Mna.n_nodes layout then Float.max (-0.5) (Float.min 0.5 dk) else dk))
+          x_new
+    | Error _ -> Alcotest.failf "%s: singular Newton system" name
+  done;
+  let op =
+    match Dcop.solve circuit with
+    | Ok op -> op
+    | Error e -> Alcotest.failf "%s: %s" name (Dcop.error_to_string e)
+  in
+  let ops = Dcop.mos_op op in
+  let cs = Linsys.complex (Linsys.dense_of_size n) in
+  let cref = Ref.complex n in
+  let rhs = Mna.assemble_ac_into cs circuit layout ~ops in
+  let rhs' = Mna.assemble_ac_into cref circuit layout ~ops in
+  let freqs = Gtb.freqs_of Gtb.default_conditions in
+  Alcotest.(check int) "sweep points" 81 (Array.length freqs);
+  Array.iter
+    (fun freq ->
+      let omega = 2. *. Float.pi *. freq in
+      check_complex_outcome
+        (Printf.sprintf "%s ac %g Hz" name freq)
+        (outcome (fun () -> cref.Linsys.factor ~omega rhs'))
+        (outcome (fun () -> cs.Linsys.factor ~omega rhs)))
+    freqs
+
+let test_circuits_dense_bit_exact () =
+  check_circuit_bit_exact "ota" (fst (Ota_tb.build Yield_circuits.Ota.default_params));
+  check_circuit_bit_exact "miller"
+    (fst (Miller_tb.build Yield_circuits.Miller.default_params))
+
+let test_complex_refactor_bit_exact () =
+  (* Noise.output_noise's pattern: factor, several solves, factor again at
+     another frequency on the same workspace, several more solves *)
+  let circuit, _ = Miller_tb.build Yield_circuits.Miller.default_params in
+  let op =
+    match Dcop.solve circuit with
+    | Ok op -> op
+    | Error e -> Alcotest.fail (Dcop.error_to_string e)
+  in
+  let layout = Mna.layout circuit in
+  let n = Mna.size layout in
+  let cs = Linsys.complex (Linsys.dense_of_size n) in
+  let cref = Ref.complex n in
+  ignore (Mna.assemble_ac_into cs circuit layout ~ops:(Dcop.mos_op op));
+  ignore (Mna.assemble_ac_into cref circuit layout ~ops:(Dcop.mos_op op));
+  let unit_rhs k =
+    Array.init n (fun i -> if i = k then { Complex.re = 1.; im = 0. } else Complex.zero)
+  in
+  List.iter
+    (fun freq ->
+      let omega = 2. *. Float.pi *. freq in
+      let solve = cs.Linsys.factor ~omega in
+      let solve_ref = cref.Linsys.factor ~omega in
+      for k = 0 to n - 1 do
+        check_complex_outcome
+          (Printf.sprintf "%g Hz, rhs e%d" freq k)
+          (outcome (fun () -> solve_ref (unit_rhs k)))
+          (outcome (fun () -> solve (unit_rhs k)))
+      done)
+    [ 1e3; 1e7; 1e3 ]
 
 let test_circuit_tran_dense_csr () =
   (* an RC low-pass driven by a pulse plus a MOS follower: exercises the
@@ -370,11 +904,25 @@ let suites =
         Alcotest.test_case "backend names" `Quick test_backend_names;
         Alcotest.test_case "dense_of_size = Mat/Lu" `Quick
           test_dense_of_size_matches_mat;
+        Alcotest.test_case "dense real bit-exact vs reference" `Quick
+          test_dense_real_bit_exact;
+        Alcotest.test_case "Lu bit-exact vs reference" `Quick
+          test_public_real_bit_exact;
+        Alcotest.test_case "dense complex bit-exact vs reference" `Quick
+          test_dense_complex_bit_exact;
+        Alcotest.test_case "Cmat bit-exact vs reference" `Quick
+          test_public_complex_bit_exact;
+        Alcotest.test_case "signed-zero fixtures bit-exact" `Quick
+          test_signed_zero_fixtures;
       ] );
     ( "linsys.circuit",
       [
         Alcotest.test_case "dc+ac dense = csr (miller)" `Quick
           test_circuit_dc_ac_dense_csr;
+        Alcotest.test_case "dc+ac dense bit-exact (ota, miller)" `Quick
+          test_circuits_dense_bit_exact;
+        Alcotest.test_case "complex refactor bit-exact" `Quick
+          test_complex_refactor_bit_exact;
         Alcotest.test_case "transient dense = csr" `Quick
           test_circuit_tran_dense_csr;
         Alcotest.test_case "session pattern cache" `Quick
