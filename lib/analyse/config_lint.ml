@@ -112,9 +112,7 @@ let solver_checks v =
             diag ~code:"C007" ~severity:Diagnostic.Warning ~subject:v.solver
               (Printf.sprintf
                  "solver=csr on a %d-unknown system (below %d): symbolic \
-                  analysis overhead will dominate — dense is faster here \
-                  (it is faster per sample even on the shipped 11-unknown \
-                  testbenches)"
+                  analysis overhead will dominate — dense is faster here"
                  n csr_min_size);
           ]
       | Some _ | None -> []

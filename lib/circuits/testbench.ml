@@ -47,11 +47,22 @@ type step_perf = {
   final_error_v : float;
 }
 
+(* Measure.unity_gain_freq, phase_margin_deg and f3db in one pass: the
+   magnitudes and the unwrapped phase are computed once and measured with
+   the same Measure primitives, so the result is bit-identical *)
 let perf_of_bode conditions b =
   let gain_db = Measure.dc_gain_db b in
-  match (Measure.unity_gain_freq b, Measure.phase_margin_deg b) with
-  | Some fu, Some pm when Float.is_finite gain_db ->
-      let f3db = Option.value (Measure.f3db b) ~default:nan in
+  let xs = b.Ac.freqs in
+  let mags = Measure.magnitudes_db b in
+  match Measure.crossing ~xs ~ys:mags ~level:0. () with
+  | Some fu when Float.is_finite gain_db ->
+      let phases = Measure.phases_deg_unwrapped b in
+      let pm = 180. +. Measure.interp_at ~xs ~ys:phases fu ~log_x:true in
+      let f3db =
+        Option.value
+          (Measure.crossing ~xs ~ys:mags ~level:(gain_db -. 3.) ())
+          ~default:nan
+      in
       let gain_lin = 10. ** (gain_db /. 20.) in
       let rout_est = gain_lin /. (2. *. Float.pi *. fu *. conditions.load_cap) in
       Some

@@ -102,8 +102,11 @@ module Dense_backend = struct
   let compile p = Pattern.size p
 
   (* wrapped in 3-ary closures below: a partial application would put a
-     currying wrapper in front of every stamp *)
+     currying wrapper in front of every stamp.  A column outside [0, n)
+     would alias an entry of a neighbouring row, so it is refused here; a
+     row outside it puts the flat index out of the array's bounds. *)
   let add_to (m : Mat.t) i j x =
+    if j < 0 || j >= m.cols then invalid_arg "Linsys: entry outside the system";
     let d = m.data and k = (i * m.cols) + j in
     d.(k) <- d.(k) +. x
 
@@ -162,13 +165,14 @@ module Csr_backend = struct
       ~strong_rows:(Pattern.strong_rows p)
       ~n:(Pattern.size p) (Pattern.rows p)
 
+  (* 3-ary stamp closures, as in Dense_backend *)
   let real sym =
     let w = Csr.rwork sym in
     {
       rn = Csr.size sym;
       reset = (fun () -> Csr.rreset w);
-      add = Csr.radd w;
-      solve = Csr.rsolve w;
+      add = (fun i j x -> Csr.radd w i j x);
+      solve = (fun b -> Csr.rsolve w b);
     }
 
   let complex sym =
@@ -176,8 +180,8 @@ module Csr_backend = struct
     {
       cn = Csr.size sym;
       creset = (fun () -> Csr.creset w);
-      add_g = Csr.cadd_g w;
-      add_c = Csr.cadd_c w;
+      add_g = (fun i j x -> Csr.cadd_g w i j x);
+      add_c = (fun i j x -> Csr.cadd_c w i j x);
       factor = (fun ~omega -> Csr.cfactor w ~omega);
     }
 end

@@ -13,7 +13,11 @@
       across factorisations.
     - [Csr] uses {!Csr}: fill-reducing ordering and symbolic factorisation
       computed once per topology at [compile] time; per-sample work only
-      refactors numeric values over the cached fill pattern.
+      refactors numeric values over the cached fill pattern, in buffers
+      its workspaces own.
+
+    On either backend a stamp outside the [n]x[n] system raises
+    [Invalid_argument]; it never lands on another entry.
 
     Compiled systems are immutable and safe to share across domains;
     {!val-real} / {!val-complex} allocate the mutable per-worker numeric

@@ -98,7 +98,12 @@ let initial_guess circuit layout =
   x
 
 let solve ?(options = default_options) ?x0_jitter ?sys ?models circuit =
-  match Topology.dc_issues circuit with
+  let issues =
+    match sys with
+    | Some s -> Mna.sys_dc_issues s
+    | None -> Topology.dc_issues circuit
+  in
+  match issues with
   | issue :: _ ->
       (* structurally singular: no gmin or homotopy can make the answer
          meaningful, so fail as Permanent before factoring anything *)

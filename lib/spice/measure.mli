@@ -37,3 +37,9 @@ val crossing :
   float option
 (** First downward crossing of [ys] through [level], interpolated on [xs]
     (log-spaced interpolation when [log_x]); exposed for tests and reuse. *)
+
+val interp_at : xs:float array -> ys:float array -> float -> log_x:bool -> float
+(** [interp_at ~xs ~ys x ~log_x]: [ys] interpolated at [x] (on a log axis
+    when [log_x]), clamped to the sampled range.  With {!crossing} it lets
+    a caller measure magnitudes and phases it computed once, with the
+    same floating-point operations as {!phase_margin_deg} and {!gain_at}. *)

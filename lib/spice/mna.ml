@@ -172,16 +172,29 @@ let pattern circuit l =
     (Circuit.devices circuit);
   Linsys.Pattern.build bld
 
-type sys = { sys_layout : layout; compiled : Linsys.t }
+(* the structural prechecks depend on the topology alone, like the
+   pattern, so they run here once instead of in every solve *)
+type sys = {
+  sys_layout : layout;
+  compiled : Linsys.t;
+  dc_issues : Topology.issue list;
+  ac_issues : Topology.issue list;
+}
 
 let sys ?(backend = Linsys.Dense) circuit =
   let l = layout circuit in
-  { sys_layout = l; compiled = Linsys.compile backend (pattern circuit l) }
-
-let dense_sys_of_layout l =
-  { sys_layout = l; compiled = Linsys.dense_of_size l.size }
+  {
+    sys_layout = l;
+    compiled = Linsys.compile backend (pattern circuit l);
+    dc_issues = Topology.dc_issues circuit;
+    ac_issues = Topology.ac_issues circuit;
+  }
 
 let sys_layout s = s.sys_layout
+
+let sys_dc_issues s = s.dc_issues
+
+let sys_ac_issues s = s.ac_issues
 
 let sys_real s = Linsys.real s.compiled
 

@@ -38,9 +38,13 @@ val model_override : models option -> int -> Mosfet.model -> Mosfet.model
 
     A [sys] pairs a layout with a compiled {!Yield_numeric.Linsys} system:
     the structural pattern is built and symbolically analysed once per
-    topology, then every sample only re-assembles numeric values.  A [sys]
-    is immutable and safe to share across domains; the per-worker numeric
-    workspaces come from {!sys_real} / {!sys_complex}. *)
+    topology, then every sample only re-assembles numeric values.  It also
+    carries its topology's structural issues ({!Topology.dc_issues} and
+    {!Topology.ac_issues}), computed once when it is built, which
+    {!Dcop.solve} and {!Ac.transfer} read instead of re-running the
+    checks per call.  A [sys] is immutable and safe to share across
+    domains; the per-worker numeric workspaces come from {!sys_real} /
+    {!sys_complex}. *)
 
 type sys
 
@@ -50,15 +54,20 @@ val pattern : Circuit.t -> layout -> Yield_numeric.Linsys.Pattern.t
     symbolic factorisation serves them all. *)
 
 val sys : ?backend:Yield_numeric.Linsys.backend -> Circuit.t -> sys
-(** Build the layout, the pattern, and compile it.  [backend] defaults to
-    [Dense].  Valid for every circuit sharing this topology (any
-    [Circuit.map_devices] image: same nodes, same device order). *)
-
-val dense_sys_of_layout : layout -> sys
-(** Pattern-less dense session for legacy single-shot call sites; behaves
-    exactly like the historical direct [Mat]/[Lu]/[Cmat] path. *)
+(** Build the layout, the pattern, and compile it, and run the structural
+    checks.  [backend] defaults to [Dense].  Valid for every circuit
+    sharing this topology (any [Circuit.map_devices] image: same nodes,
+    same device order, same device kinds).  A structurally singular
+    circuit still gets a dense [sys] (its solves report the issues); the
+    csr backend may refuse its pattern with {!Yield_numeric.Lu.Singular}. *)
 
 val sys_layout : sys -> layout
+
+val sys_dc_issues : sys -> Topology.issue list
+(** {!Topology.dc_issues} of the circuit the [sys] was built from. *)
+
+val sys_ac_issues : sys -> Topology.issue list
+(** {!Topology.ac_issues} of the circuit the [sys] was built from. *)
 
 val sys_real : sys -> Yield_numeric.Linsys.real
 (** Allocate a mutable real workspace (call once per worker). *)

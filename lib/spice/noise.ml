@@ -87,11 +87,13 @@ let collect_sources ?models flicker circuit (op : Dcop.t) =
 
 let output_noise ?(flicker = default_flicker) ?sys ?models circuit op ~out
     ~freqs =
-  let s =
-    match sys with Some s -> s | None -> Mna.dense_sys_of_layout op.Dcop.layout
+  let layout, cs =
+    match sys with
+    | Some s -> (Mna.sys_layout s, Mna.sys_complex s)
+    | None ->
+        let l = op.Dcop.layout in
+        (l, Linsys.complex (Linsys.dense_of_size (Mna.size l)))
   in
-  let layout = Mna.sys_layout s in
-  let cs = Mna.sys_complex s in
   let ops name = Dcop.mos_op op name in
   let _ = Mna.assemble_ac_into cs circuit layout ~ops in
   let sources = collect_sources ?models flicker circuit op in

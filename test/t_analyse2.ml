@@ -13,6 +13,7 @@ module Circuit = Yield_spice.Circuit
 module Device = Yield_spice.Device
 module Dcop = Yield_spice.Dcop
 module Ac = Yield_spice.Ac
+module Mna = Yield_spice.Mna
 module Topology = Yield_spice.Topology
 module Netlist = Yield_spice.Netlist
 module Verilog_a = Yield_behavioural.Verilog_a
@@ -146,6 +147,45 @@ let test_ac_transfer_singular () =
   | exception Ac.Singular msg ->
       Alcotest.(check bool) "names the node" true (contains ~sub:"out" msg)
   | _ -> Alcotest.fail "AC-singular circuit accepted"
+
+(* A sys runs the structural checks once, when it is built; solves through
+   it must still refuse what the per-call checks refuse.  Only a dense sys
+   is built here: its pattern does not depend on the issues. *)
+let test_sys_cached_prechecks () =
+  let no_dc = Circuit.create () in
+  Circuit.add_vsource no_dc ~name:"V1" ~ac:1. "in" "0" 1.;
+  Circuit.add_capacitor no_dc ~name:"C1" "in" "mid" 1e-9;
+  Circuit.add_capacitor no_dc ~name:"C2" "mid" "0" 1e-9;
+  let sys = Mna.sys no_dc in
+  let names = List.map Topology.issue_to_string in
+  Alcotest.(check (list string)) "cached DC issues"
+    (names (Topology.dc_issues no_dc)) (names (Mna.sys_dc_issues sys));
+  Alcotest.(check (list string)) "cached AC issues" [] (names (Mna.sys_ac_issues sys));
+  (match Dcop.solve ~sys no_dc with
+  | Error (Dcop.Singular_system msg) ->
+      Alcotest.(check bool) "names the node" true (contains ~sub:"mid" msg)
+  | Error e -> Alcotest.failf "wrong error: %s" (Dcop.error_to_string e)
+  | Ok _ -> Alcotest.fail "DC-singular circuit solved through a sys");
+  (* the operating point of a healthy divider: the check fires before
+     anything of it is read *)
+  let good = Circuit.create () in
+  Circuit.add_vsource good ~name:"V1" ~ac:1. "in" "0" 1.;
+  Circuit.add_resistor good ~name:"R1" "in" "out" 1e3;
+  Circuit.add_resistor good ~name:"R2" "out" "0" 1e3;
+  let op =
+    match Dcop.solve good with
+    | Ok op -> op
+    | Error _ -> Alcotest.fail "divider should solve"
+  in
+  let no_ac = Circuit.create () in
+  Circuit.add_vsource no_ac ~name:"V1" ~ac:1. "in" "0" 1.;
+  Circuit.add_resistor no_ac ~name:"R1" "in" "0" 1e3;
+  Circuit.add_isource no_ac ~name:"I1" "out" "0" 1e-6;
+  let sys = Mna.sys no_ac in
+  match Ac.transfer ~sys no_ac op ~out:(Circuit.node no_ac "out") ~freqs:[| 10. |] with
+  | exception Ac.Singular msg ->
+      Alcotest.(check bool) "names the node" true (contains ~sub:"out" msg)
+  | _ -> Alcotest.fail "AC-singular circuit accepted through a sys"
 
 (* ---------- AC / transient analysis-card lint ---------- *)
 
@@ -479,6 +519,8 @@ let suites =
         Alcotest.test_case "AC vs DC issue sets" `Quick test_ac_vs_dc_issues;
         Alcotest.test_case "transfer pre-check raises Singular" `Quick
           test_ac_transfer_singular;
+        Alcotest.test_case "sys-cached prechecks fire" `Quick
+          test_sys_cached_prechecks;
       ] );
     ( "analyse.ac_tran",
       [

@@ -143,6 +143,82 @@ let test_objectives_order () =
 
 (* --- filter --- *)
 
+(* perf_of_bode measures the sweep in one pass; it must agree bit for bit
+   with the Measure functions it replaces, each of which recomputes the
+   magnitudes (and phase_margin_deg the unity crossing) on its own *)
+let test_perf_of_bode_one_pass () =
+  let module Gtb = Yield_circuits.Testbench in
+  let module Ac = Yield_spice.Ac in
+  let conditions = Gtb.default_conditions in
+  let three_pass b =
+    let gain_db = Measure.dc_gain_db b in
+    match (Measure.unity_gain_freq b, Measure.phase_margin_deg b) with
+    | Some fu, Some pm when Float.is_finite gain_db ->
+        let f3db = Option.value (Measure.f3db b) ~default:nan in
+        let gain_lin = 10. ** (gain_db /. 20.) in
+        Some
+          [|
+            gain_db;
+            pm;
+            fu;
+            f3db;
+            gain_lin /. (2. *. Float.pi *. fu *. conditions.Gtb.load_cap);
+          |]
+    | _ -> None
+  in
+  let fields (p : Gtb.perf) =
+    [| p.gain_db; p.phase_margin_deg; p.unity_gain_hz; p.f3db_hz; p.rout_est |]
+  in
+  let freqs = Gtb.freqs_of conditions in
+  (* a two-pole response of DC gain [a0], and poles [p1] and [p2] Hz *)
+  let two_pole a0 p1 p2 =
+    {
+      Ac.freqs;
+      response =
+        Array.map
+          (fun f ->
+            let pole p = Complex.div Complex.one { Complex.re = 1.; im = f /. p } in
+            Complex.mul { Complex.re = a0; im = 0. } (Complex.mul (pole p1) (pole p2)))
+          freqs;
+    }
+  in
+  let constant z = { Ac.freqs; response = Array.map (fun _ -> z) freqs } in
+  let circuit_bodes =
+    List.filter_map Fun.id
+      [
+        Tb.bode Ota.default_params;
+        Tb.bode { Ota.default_params with Ota.w1 = 2. *. Ota.default_params.Ota.w1 };
+        Tb.bode { Ota.default_params with Ota.l2 = 3. *. Ota.default_params.Ota.l2 };
+      ]
+  in
+  let bodes =
+    circuit_bodes
+    @ [
+        two_pole 1e3 1e3 1e7;
+        two_pole 1e4 10. 1e5;
+        two_pole 1.2 1e6 1e8;
+        (* no unity crossing, a zero response (gain -inf), NaN *)
+        two_pole 0.5 1e3 1e7;
+        constant Complex.zero;
+        constant { Complex.re = nan; im = 0. };
+      ]
+  in
+  Alcotest.(check int) "circuit bodes" 3 (List.length circuit_bodes);
+  List.iteri
+    (fun k b ->
+      match (three_pass b, Gtb.perf_of_bode conditions b) with
+      | None, None -> ()
+      | Some expect, Some got ->
+          Array.iteri
+            (fun i e ->
+              Alcotest.(check int64)
+                (Printf.sprintf "bode %d field %d" k i)
+                (Int64.bits_of_float e)
+                (Int64.bits_of_float (fields got).(i)))
+            expect
+      | _ -> Alcotest.failf "bode %d: outcome differs" k)
+    bodes
+
 let amp = { Filter.gain_db = 53.; rout = 2.5e6 }
 
 let test_gm_of_amp () =
@@ -215,6 +291,8 @@ let suites =
         Alcotest.test_case "feasibility" `Quick test_feasibility_constraint;
         Alcotest.test_case "sampled evaluation" `Quick test_evaluate_sampled_differs;
         Alcotest.test_case "objectives order" `Quick test_objectives_order;
+        Alcotest.test_case "perf_of_bode in one pass" `Quick
+          test_perf_of_bode_one_pass;
       ] );
     ( "circuits.filter",
       [

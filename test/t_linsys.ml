@@ -9,6 +9,7 @@ module Vec = Yield_numeric.Vec
 module Mat = Yield_numeric.Mat
 module Lu = Yield_numeric.Lu
 module Cmat = Yield_numeric.Cmat
+module Csr = Yield_numeric.Csr
 module Linsys = Yield_numeric.Linsys
 
 (* ---------- random sparse systems ---------- *)
@@ -618,6 +619,243 @@ let test_signed_zero_fixtures () =
         signed_zero_rhs)
     signed_zero_rhs
 
+(* ---------- bit-exact reference for the csr kernels ---------- *)
+
+(* Csr against Csr_ref, the previous csr kernels (Hashtbl slot lookup,
+   fresh scratch per call), on one pattern: the first [strong] entries of
+   [adds] are strong pattern entries, a random part of the rest weak, as
+   capacitor-only MNA positions are. *)
+let csr_pair st n ~strong adds =
+  let b = Linsys.Pattern.builder n in
+  List.iteri
+    (fun k (i, j, _) ->
+      if k < strong || Random.State.int st 3 > 0 then Linsys.Pattern.add b i j
+      else Linsys.Pattern.add_weak b i j)
+    adds;
+  let p = Linsys.Pattern.build b in
+  let rows = Linsys.Pattern.rows p and strong_rows = Linsys.Pattern.strong_rows p in
+  (Csr.analyse ~strong_rows ~n rows, Csr_ref.analyse ~strong_rows ~n rows)
+
+(* [poison] on an entry of [adds], which keeps it inside a csr pattern *)
+let poison_entry st adds p =
+  let i, j, _ = List.nth adds (Random.State.int st (List.length adds)) in
+  match p with
+  | `None -> adds
+  | `Nan -> adds @ [ (i, j, Float.nan) ]
+  | `Inf -> adds @ [ (i, j, Float.infinity) ]
+
+let test_csr_real_bit_exact () =
+  for seed = 1 to 300 do
+    let st = Random.State.make [| seed; 47 |] in
+    let n = 1 + Random.State.int st 12 in
+    let adds = random_adds st n in
+    let sym, rsym = csr_pair st n ~strong:n adds in
+    let w = Csr.rwork sym and rw = Csr_ref.rwork rsym in
+    (* several assemblies in a row on one workspace: none may see an
+       earlier one's factors or scratch *)
+    List.iteri
+      (fun round p ->
+        let adds = poison_entry st (if round mod 2 = 0 then adds else List.rev adds) p in
+        Csr.rreset w;
+        Csr_ref.rreset rw;
+        List.iter
+          (fun (i, j, v) ->
+            Csr.radd w i j v;
+            Csr_ref.radd rw i j v)
+          adds;
+        for r = 1 to 3 do
+          let b = random_rhs st n in
+          check_real_outcome
+            (Printf.sprintf "seed %d n %d round %d rhs %d" seed n round r)
+            (outcome (fun () -> Csr_ref.rsolve rw b))
+            (outcome (fun () -> Csr.rsolve w b))
+        done)
+      (poisons @ [ `None ])
+  done
+
+let test_csr_complex_bit_exact () =
+  for seed = 1 to 150 do
+    let st = Random.State.make [| seed; 53 |] in
+    let n = 1 + Random.State.int st 10 in
+    let g_adds = random_adds st n in
+    let c_adds =
+      List.filter_map
+        (fun (i, j, v) -> if Random.State.bool st then Some (i, j, v *. 1e-9) else None)
+        (random_adds st n)
+    in
+    let sym, rsym = csr_pair st n ~strong:n (g_adds @ c_adds) in
+    let w = Csr.cwork sym and rw = Csr_ref.cwork rsym in
+    List.iter
+      (fun p ->
+        Csr.creset w;
+        Csr_ref.creset rw;
+        List.iter
+          (fun (i, j, v) ->
+            Csr.cadd_g w i j v;
+            Csr_ref.cadd_g rw i j v)
+          (poison_entry st g_adds p);
+        List.iter
+          (fun (i, j, v) ->
+            Csr.cadd_c w i j v;
+            Csr_ref.cadd_c rw i j v)
+          c_adds;
+        (* one factorisation per omega on the same workspace, several
+           right-hand sides per factorisation *)
+        List.iter
+          (fun omega ->
+            let solve = outcome (fun () -> Csr.cfactor w ~omega) in
+            let solve_ref = outcome (fun () -> Csr_ref.cfactor rw ~omega) in
+            for r = 1 to 3 do
+              let b = random_complex_rhs st n in
+              let run = function Ok f -> outcome (fun () -> f b) | Error k -> Error k in
+              check_complex_outcome
+                (Printf.sprintf "seed %d n %d omega %g rhs %d" seed n omega r)
+                (run solve_ref) (run solve)
+            done)
+          omegas)
+      poisons
+  done
+
+(* A pivot that cancels to an exact zero halfway through the factorisation
+   (rows 0 and 1 are proportional), then the same workspace refactors a
+   regular system: the abandoned factorisation must leave nothing behind. *)
+let test_csr_singular_then_regular () =
+  let n = 3 in
+  let full = List.concat (List.init n (fun i -> List.init n (fun j -> (i, j, 0.)))) in
+  let st = Random.State.make [| 59 |] in
+  let sym, rsym = csr_pair st n ~strong:(n * n) full in
+  let singular = [ (0, 0, 1.); (0, 1, 2.); (1, 0, 2.); (1, 1, 4.); (2, 2, 1.) ] in
+  let regular =
+    [ (0, 0, 4.); (0, 1, 1.); (0, 2, -1.); (1, 0, 2.); (1, 1, 5.); (2, 1, 1.); (2, 2, 3.) ]
+  in
+  let w = Csr.rwork sym and rw = Csr_ref.rwork rsym in
+  let cw = Csr.cwork sym and crw = Csr_ref.cwork rsym in
+  List.iter
+    (fun (what, adds, expect_singular) ->
+      Csr.rreset w;
+      Csr_ref.rreset rw;
+      Csr.creset cw;
+      Csr_ref.creset crw;
+      List.iter
+        (fun (i, j, v) ->
+          Csr.radd w i j v;
+          Csr_ref.radd rw i j v;
+          Csr.cadd_g cw i j v;
+          Csr_ref.cadd_g crw i j v;
+          Csr.cadd_c cw i j (v *. 1e-9);
+          Csr_ref.cadd_c crw i j (v *. 1e-9))
+        adds;
+      let b = [| 1.; -0.; 2. |] in
+      let got = outcome (fun () -> Csr.rsolve w b) in
+      check_real_outcome what (outcome (fun () -> Csr_ref.rsolve rw b)) got;
+      (match got with
+      | Error k when expect_singular && k > 0 -> ()
+      | Ok _ when not expect_singular -> ()
+      | _ -> Alcotest.failf "%s: unexpected real outcome" what);
+      let cb = Array.map (fun re -> { Complex.re; im = -.re }) b in
+      let solve w f = outcome (fun () -> f w ~omega:1e6 cb) in
+      let cgot = solve cw Csr.cfactor in
+      check_complex_outcome (what ^ " complex") (solve crw Csr_ref.cfactor) cgot;
+      match cgot with
+      | Error k when expect_singular && k > 0 -> ()
+      | Ok _ when not expect_singular -> ()
+      | _ -> Alcotest.failf "%s: unexpected complex outcome" what)
+    [ ("regular", regular, false); ("singular", singular, true); ("regular again", regular, false) ]
+
+(* The scratch lives in the workspaces: a solve allocates its result, and a
+   factorisation its solver closure, nothing else.  A tridiagonal pattern
+   keeps every buffer small enough for the minor heap, where an
+   allocation would show. *)
+let test_csr_solves_allocate_only_results () =
+  let n = 40 in
+  let entries =
+    List.concat
+      (List.init n (fun i ->
+           List.filter_map
+             (fun j ->
+               if j < 0 || j >= n then None
+               else Some (i, j, if i = j then 4. else -1.))
+             [ i - 1; i; i + 1 ]))
+  in
+  let st = Random.State.make [| 61 |] in
+  let sym, _ = csr_pair st n ~strong:(List.length entries) entries in
+  let w = Csr.rwork sym and cw = Csr.cwork sym in
+  List.iter
+    (fun (i, j, v) ->
+      Csr.radd w i j v;
+      Csr.cadd_g cw i j v;
+      Csr.cadd_c cw i j (v *. 1e-9))
+    entries;
+  let b = Array.init n float_of_int in
+  let cb = Array.map (fun re -> { Complex.re; im = 1. }) b in
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  (* results: a float array of n, and an array of n boxed complex
+     numbers; a closure takes at most 8 words (header, code pointer,
+     closure info, the captured workspace and omega, and some room for
+     the compiler's layout), while one scratch vector takes n + 1 = 41 *)
+  let real_result = float_of_int (n + 1) in
+  let complex_result = float_of_int (n + 1 + (3 * n)) in
+  let closure = 8. in
+  for _ = 1 to 3 do
+    let rw = words (fun () -> Csr.rsolve w b) in
+    if rw > real_result then
+      Alcotest.failf "rsolve allocated %g words, its result is %g" rw real_result;
+    let fw = words (fun () -> Csr.cfactor cw ~omega:1e6) in
+    if fw > closure then
+      Alcotest.failf "cfactor allocated %g words, a closure at most %g" fw closure;
+    let solve = Csr.cfactor cw ~omega:1e6 in
+    let sw = words (fun () -> solve cb) in
+    if sw > complex_result then
+      Alcotest.failf "a cfactor solve allocated %g words, its result is %g" sw
+        complex_result
+  done
+
+(* A stamp outside [0, n) must raise on either backend, never alias the
+   entry that i * n + j happens to name. *)
+let test_out_of_range_stamps () =
+  let n = 3 in
+  let b = Linsys.Pattern.builder n in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      Linsys.Pattern.add b i j
+    done
+  done;
+  let pat = Linsys.Pattern.build b in
+  let bad = [ (0, -1); (1, -1); (0, n); (1, n); (0, n + 1); (n, 0); (n, n - 1); (-1, 0) ] in
+  List.iter
+    (fun backend ->
+      let c = Linsys.compile backend pat in
+      let rs = Linsys.real c and cs = Linsys.complex c in
+      let stamps =
+        [ ("add", rs.Linsys.add); ("add_g", cs.Linsys.add_g); ("add_c", cs.Linsys.add_c) ]
+      in
+      List.iter
+        (fun (what, add) ->
+          List.iter
+            (fun (i, j) ->
+              match add i j 1. with
+              | exception Invalid_argument _ -> ()
+              | () ->
+                  Alcotest.failf "%s %s (%d, %d) accepted" (Linsys.name c) what i j)
+            bad)
+        stamps;
+      (* the refused stamps changed nothing: the identity still solves to
+         the right-hand side *)
+      rs.Linsys.reset ();
+      for i = 0 to n - 1 do
+        rs.Linsys.add i i 1.
+      done;
+      List.iter
+        (fun (i, j) -> try rs.Linsys.add i j 1. with Invalid_argument _ -> ())
+        bad;
+      let x = rs.Linsys.solve [| 1.; 2.; 3. |] in
+      Alcotest.(check (array (float 0.))) (Linsys.name c ^ " solve") [| 1.; 2.; 3. |] x)
+    [ Linsys.Dense; Linsys.Csr ]
+
 (* ---------- circuit-level dense <-> csr equivalence ---------- *)
 
 module Circuit = Yield_spice.Circuit
@@ -914,6 +1152,16 @@ let suites =
           test_public_complex_bit_exact;
         Alcotest.test_case "signed-zero fixtures bit-exact" `Quick
           test_signed_zero_fixtures;
+        Alcotest.test_case "csr real bit-exact vs reference" `Quick
+          test_csr_real_bit_exact;
+        Alcotest.test_case "csr complex bit-exact vs reference" `Quick
+          test_csr_complex_bit_exact;
+        Alcotest.test_case "csr singular then regular" `Quick
+          test_csr_singular_then_regular;
+        Alcotest.test_case "csr solves allocate only results" `Quick
+          test_csr_solves_allocate_only_results;
+        Alcotest.test_case "out-of-range stamps raise" `Quick
+          test_out_of_range_stamps;
       ] );
     ( "linsys.circuit",
       [
