@@ -889,14 +889,14 @@ let export_va_cmd =
 
 (* ---------- netlist ---------- *)
 
-let run_analysis circuit op analysis =
+let run_analysis ~sys circuit op analysis =
   match analysis with
   | Netlist.Op -> Format.printf "%a@." (Dcop.pp circuit) op
   | Netlist.Ac_analysis { per_decade; f_lo; f_hi; out } ->
       let freqs =
         Yield_spice.Ac.default_freqs ~per_decade ~f_lo ~f_hi ()
       in
-      let bode = Yield_spice.Ac.transfer_by_name circuit op ~out ~freqs in
+      let bode = Yield_spice.Ac.transfer_by_name ~sys circuit op ~out ~freqs in
       let mags = Yield_spice.Measure.magnitudes_db bode in
       let phases = Yield_spice.Measure.phases_deg_unwrapped bode in
       Printf.printf "* ac analysis: v(%s)\n" out;
@@ -905,7 +905,11 @@ let run_analysis circuit op analysis =
         (fun i f -> Printf.printf "%-12.5g %-12.4f %-12.3f\n" f mags.(i) phases.(i))
         freqs
   | Netlist.Tran_analysis { dt; t_stop; out } -> begin
-      match Yield_spice.Tran.run (Yield_spice.Tran.options ~t_stop ~dt ()) circuit with
+      match
+        Yield_spice.Tran.run ~sys
+          (Yield_spice.Tran.options ~t_stop ~dt ())
+          circuit
+      with
       | Error e -> prerr_endline (Yield_spice.Tran.error_to_string e)
       | Ok result ->
           let v = Yield_spice.Tran.voltage_by_name result circuit out in
@@ -920,7 +924,7 @@ let run_analysis circuit op analysis =
         Stdlib.max 2 (1 + int_of_float (Float.round ((stop -. start) /. step)))
       in
       let values = Yield_numeric.Vec.linspace start stop n in
-      match Yield_spice.Dcsweep.run circuit ~source ~values with
+      match Yield_spice.Dcsweep.run ~sys circuit ~source ~values with
       | Error e -> prerr_endline (Dcop.error_to_string e)
       | Ok sweep ->
           let v = Yield_spice.Dcsweep.voltage_by_name sweep circuit out in
@@ -960,7 +964,10 @@ let netlist_run ~print path =
             span.Netlist_ast.start_col message;
           1
       | circuit, analyses -> begin
-          match Dcop.solve circuit with
+          (* the operating point and every analysis card solve in one
+             session of the netlist's topology *)
+          let sys = Yield_spice.Mna.sys circuit in
+          match Dcop.solve ~sys circuit with
           | Error e ->
               prerr_endline (Dcop.error_to_string e);
               1
@@ -968,7 +975,7 @@ let netlist_run ~print path =
               (* the operating point is always reported; analysis cards run
                  in order afterwards *)
               if analyses = [] then Format.printf "%a@." (Dcop.pp circuit) op
-              else List.iter (run_analysis circuit op) analyses;
+              else List.iter (run_analysis ~sys circuit op) analyses;
               0
         end
     end

@@ -101,27 +101,16 @@ let ci_mul a b =
 
 (* ---------- interval EKV (mirrors Mosfet.eval bit-for-bit at endpoints) ---------- *)
 
-(* local mirrors of Mosfet's private helpers; the monotone interval images
-   below evaluate exactly these floats at the endpoints *)
-let softplus x = if x > 40. then x else if x < -40. then exp x else log (1. +. exp x)
+(* the monotone interval images of Mosfet's own helpers, so they evaluate
+   exactly the floats Mosfet.eval does at the endpoints.  All are monotone
+   non-decreasing; 8 ulps covers two chained libm calls plus the inner
+   divisions/multiplications *)
+let i_sigmoid = I.monotone_incr ~ulps:8 Mosfet.sigmoid
 
-let sigmoid x =
-  if x > 40. then 1. else if x < -40. then exp x else 1. /. (1. +. exp (-.x))
-
-let ekv_f x =
-  let s = softplus (x /. 2.) in
-  s *. s
-
-let ekv_f' x = softplus (x /. 2.) *. sigmoid (x /. 2.)
-
-(* all maps below are monotone non-decreasing; 8 ulps covers two chained
-   libm calls plus the inner divisions/multiplications *)
-let i_sigmoid = I.monotone_incr ~ulps:8 sigmoid
-
-let i_ekv_f = I.monotone_incr ~ulps:8 ekv_f
+let i_ekv_f = I.monotone_incr ~ulps:8 Mosfet.ekv_f
 
 (* F' is a product of two positive non-decreasing factors, so monotone too *)
-let i_ekv_f' = I.monotone_incr ~ulps:8 ekv_f'
+let i_ekv_f' = I.monotone_incr ~ulps:8 Mosfet.ekv_f'
 
 let i_sqrt = I.monotone_incr ~ulps:2 sqrt
 
@@ -321,7 +310,8 @@ type mos_entry = {
   e_imodel : imodel;
 }
 
-let mos_entries ~k ~spec ~slice circuit =
+(* one entry per MOSFET, its parameter box given by [imodel] *)
+let mos_entries ~imodel circuit =
   Array.to_list (Circuit.devices circuit)
   |> List.filter_map (fun dev ->
          match dev with
@@ -336,7 +326,7 @@ let mos_entries ~k ~spec ~slice circuit =
                  e_model = model;
                  e_w = w;
                  e_l = l;
-                 e_imodel = imodel_of ~k ~spec ~slice model ~w ~l;
+                 e_imodel = imodel model ~w ~l;
                }
          | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
          | Device.Isource _ | Device.Vccs _ ->
@@ -443,35 +433,16 @@ let residual ~lin:(a0, b0) ~moses x =
    on the true solutions the Krawczyk box bounds *)
 let dc_pad = 1e-6
 
-(* entries whose parameter boxes are the (already slice-centred) model
-   points: evaluating the residual with these at the Newton solution x0
+(* a parameter box that is the (already slice-centred) model point:
+   evaluating the residual with such entries at the Newton solution x0
    yields F(x0, p_mid), which is rounding-noise wide *)
-let point_entries circuit =
-  Array.to_list (Circuit.devices circuit)
-  |> List.filter_map (fun dev ->
-         match dev with
-         | Device.Mosfet { name; d; g; s; b; model; w; l } ->
-             Some
-               {
-                 e_name = name;
-                 e_d = d;
-                 e_g = g;
-                 e_s = s;
-                 e_b = b;
-                 e_model = model;
-                 e_w = w;
-                 e_l = l;
-                 e_imodel =
-                   {
-                     base = model;
-                     m_vth0 = ipt model.Mosfet.vth0;
-                     m_kp = ipt model.Mosfet.kp;
-                     m_lambda0 = ipt model.Mosfet.lambda0;
-                   };
-               }
-         | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
-         | Device.Isource _ | Device.Vccs _ ->
-             None)
+let point_imodel (model : Mosfet.model) ~w:_ ~l:_ =
+  {
+    base = model;
+    m_vth0 = ipt model.Mosfet.vth0;
+    m_kp = ipt model.Mosfet.kp;
+    m_lambda0 = ipt model.Mosfet.lambda0;
+  }
 
 (* One independent direction of the parameter box: [a_delta] is its centred
    range and [a_dev] the enclosure of d ids_eff / d axis for each MOS
@@ -616,7 +587,7 @@ let krawczyk circuit layout ~lin ~moses ~k ~spec ~slice ~x0 =
   let yat i node = if node = Device.ground then 0. else yv i (node - 1) in
   let ydiff i (e : mos_entry) = I.sub (ipt (yat i e.e_d)) (ipt (yat i e.e_s)) in
   let x0i = Array.map ipt x0 in
-  let pts = point_entries circuit in
+  let pts = mos_entries ~imodel:point_imodel circuit in
   let f0mid = residual ~lin ~moses:pts x0i in
   let yf0mid =
     Array.init n (fun i ->
@@ -1265,16 +1236,20 @@ let analyse_circuit ?(k_sigma = 3.) ?(spec = Variation.default_spec) ~window
     }
   in
   try
-    let layout = Mna.layout circuit in
+    (* every slice's shifted circuit shares this topology: one session *)
+    let sys = Mna.sys circuit in
+    let layout = Mna.sys_layout sys in
     let lin = assemble_linear_dc circuit layout ~gmin:1e-12 in
     let need_n = has_polarity circuit Mosfet.Nmos in
     let need_p = has_polarity circuit Mosfet.Pmos in
     (* verify one slice: Newton at the slice's re-centred models, then the
        parametric Krawczyk over the slice's parameter sub-box *)
     let verify slice =
-      let moses = mos_entries ~k:k_sigma ~spec ~slice circuit in
+      let moses =
+        mos_entries ~imodel:(imodel_of ~k:k_sigma ~spec ~slice) circuit
+      in
       let shifted = shift_circuit circuit slice in
-      match Dcop.solve_with_retry shifted with
+      match Dcop.solve_with_retry ~sys shifted with
       | Error e -> Error ("per-slice DC solve failed: " ^ Dcop.error_to_string e)
       | Ok sol -> (
           match

@@ -1,4 +1,6 @@
 module type S = sig
+  val name : string
+
   type params
 
   val param_ranges : Yield_ga.Genome.range array

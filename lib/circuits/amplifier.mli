@@ -4,6 +4,10 @@
     (a two-stage Miller-compensated OTA) both satisfy it. *)
 
 module type S = sig
+  val name : string
+  (** The topology's name, as [yieldlab flow --topology] spells it.  It
+      tells one amplifier's flow checkpoints from another's. *)
+
   type params
 
   val param_ranges : Yield_ga.Genome.range array

@@ -1,4 +1,5 @@
 module Circuit = Yield_spice.Circuit
+module Mna = Yield_spice.Mna
 module Dcop = Yield_spice.Dcop
 module Ac = Yield_spice.Ac
 module Measure = Yield_spice.Measure
@@ -61,9 +62,10 @@ let default_freqs = lazy (Ac.default_freqs ~per_decade:20 ~f_lo:1e3 ~f_hi:1e8 ()
 
 let response_of_circuit ?freqs circuit ~out =
   let freqs = match freqs with Some f -> f | None -> Lazy.force default_freqs in
-  match Dcop.solve circuit with
+  let sys = Mna.sys circuit in
+  match Dcop.solve ~sys circuit with
   | Error _ -> None
-  | Ok op -> Some (Ac.transfer_by_name circuit op ~out ~freqs)
+  | Ok op -> Some (Ac.transfer_by_name ~sys circuit op ~out ~freqs)
 
 let response ?freqs amp caps =
   let circuit, out = build amp caps in

@@ -15,6 +15,8 @@ type params = {
 
 let param_names = [| "w1"; "l1"; "w2"; "l2"; "w3"; "l3"; "w4"; "l4" |]
 
+let name = "miller"
+
 let param_ranges =
   Array.map
     (fun name ->

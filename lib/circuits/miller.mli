@@ -31,6 +31,9 @@ val param_ranges : Yield_ga.Genome.range array
 
 val param_names : string array
 
+val name : string
+(** ["miller"] *)
+
 val params_of_array : float array -> params
 
 val params_to_array : params -> float array

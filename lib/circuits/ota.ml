@@ -23,6 +23,8 @@ let l_max = 4e-6
 
 let param_names = [| "w1"; "l1"; "w2"; "l2"; "w3"; "l3"; "w4"; "l4" |]
 
+let name = "ota"
+
 let param_ranges =
   Array.map
     (fun name ->

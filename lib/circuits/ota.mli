@@ -46,6 +46,9 @@ val params_to_array : params -> float array
 
 val param_names : string array
 
+val name : string
+(** ["ota"] *)
+
 val default_params : params
 (** A sensible mid-range starting design. *)
 

@@ -39,15 +39,18 @@ val bode : ?conditions:conditions -> Ota.params -> Yield_spice.Ac.bode option
 
 val bode_of_circuit :
   ?conditions:conditions -> Yield_spice.Circuit.t -> Yield_spice.Ac.bode option
-(** Run the sweep on an externally perturbed copy of the testbench (the
-    Monte Carlo path). *)
+(** Run the sweep on an externally perturbed copy of the testbench.  The
+    circuit must have the testbench's topology (a {!build} output or a
+    [Circuit.map_devices] image of one): it solves in the cached dense
+    session every open-loop evaluation shares. *)
 
 val perf_of_bode : conditions -> Yield_spice.Ac.bode -> perf option
 (** [None] when the response has no unity crossing. *)
 
 val evaluate : ?conditions:conditions -> Ota.params -> perf option
-(** DC + AC + extraction in one call; [None] on any failure.  This is the
-    objective function handed to the optimiser. *)
+(** DC + AC + extraction in one call, in the cached dense session; [None]
+    on any failure.  This is the objective function handed to the
+    optimiser. *)
 
 val evaluate_sampled :
   ?conditions:conditions ->
@@ -56,7 +59,9 @@ val evaluate_sampled :
   Ota.params ->
   perf option
 (** Like {!evaluate} but with one Monte Carlo draw of process variation and
-    mismatch applied to every transistor. *)
+    mismatch applied to every transistor.  A session sample: the draw
+    patches device models through {!Yield_process.Variation.overrides}
+    instead of rebuilding the circuit. *)
 
 val evaluate_with_draw :
   ?conditions:conditions ->

@@ -120,36 +120,15 @@ module Make (A : Amplifier.S) = struct
   let build ?(conditions = default_conditions) params =
     (build_variant conditions params Differential, "out")
 
-  let bode_of_circuit ?(conditions = default_conditions) circuit =
-    match Dcop.solve_with_retry circuit with
-    | Error _ -> None
-    | Ok op ->
-        Some (Ac.transfer_by_name circuit op ~out:"out" ~freqs:(freqs_of conditions))
-
-  let bode ?(conditions = default_conditions) params =
-    let circuit, _ = build ~conditions params in
-    bode_of_circuit ~conditions circuit
-
-  let evaluate ?(conditions = default_conditions) params =
-    match bode ~conditions params with
-    | None -> None
-    | Some b -> perf_of_bode conditions b
-
-  let evaluate_sampled ?(conditions = default_conditions) ~spec ~rng params =
-    let circuit, _ = build ~conditions params in
-    let perturbed = Variation.perturb_circuit spec rng circuit in
-    match bode_of_circuit ~conditions perturbed with
-    | None -> None
-    | Some b -> perf_of_bode conditions b
-
-  (* ---------- batch-first sessions ----------
+  (* ---------- sessions ----------
 
      All open-loop testbenches of one amplifier share a single topology
      (same nodes, same device order) whatever the params or conditions, so
-     the structural pattern + symbolic factorisation is compiled once per
-     backend and cached for the lifetime of the functor instantiation.
-     Compiled sessions are immutable, so sharing across domains is safe;
-     the cache itself is a CAS list (a lost race costs one extra compile). *)
+     the solver session is compiled once per backend and cached for the
+     lifetime of the functor instantiation: every open-loop evaluation,
+     nominal or sampled, solves in it.  Compiled sessions are immutable,
+     so sharing across domains is safe; the cache itself is a CAS list (a
+     lost race costs one extra compile). *)
 
   type session = {
     s_conditions : conditions;
@@ -186,37 +165,57 @@ module Make (A : Amplifier.S) = struct
 
   let session_solver_name s = Mna.sys_solver_name s.s_sys
 
-  let evaluate_in_session s ~spec ~rng =
-    let models = Variation.overrides spec rng s.s_circuit in
-    match Dcop.solve_with_retry ~sys:s.s_sys ~models s.s_circuit with
+  (* DC + AC of one open-loop circuit (or of the session circuit under
+     per-sample [models]) in [sys] *)
+  let open_loop_bode ~sys ?models conditions circuit =
+    match Dcop.solve_with_retry ~sys ?models circuit with
     | Error _ -> None
     | Ok op ->
-        let b =
-          Ac.transfer_by_name ~sys:s.s_sys s.s_circuit op ~out:"out"
-            ~freqs:(freqs_of s.s_conditions)
-        in
-        perf_of_bode s.s_conditions b
+        Some
+          (Ac.transfer_by_name ~sys circuit op ~out:"out"
+             ~freqs:(freqs_of conditions))
 
-  let evaluate_with_draw ?(conditions = default_conditions) ~spec ~draw params =
+  let bode_of_circuit ?(conditions = default_conditions) circuit =
+    open_loop_bode ~sys:(cached_sys Linsys.Dense circuit) conditions circuit
+
+  let bode ?(conditions = default_conditions) params =
     let circuit, _ = build ~conditions params in
+    bode_of_circuit ~conditions circuit
+
+  let evaluate ?(conditions = default_conditions) params =
+    match bode ~conditions params with
+    | None -> None
+    | Some b -> perf_of_bode conditions b
+
+  let sample s models =
+    match open_loop_bode ~sys:s.s_sys ~models s.s_conditions s.s_circuit with
+    | None -> None
+    | Some b -> perf_of_bode s.s_conditions b
+
+  let evaluate_in_session s ~spec ~rng =
+    sample s (Variation.overrides spec rng s.s_circuit)
+
+  let evaluate_sampled ?conditions ~spec ~rng params =
+    evaluate_in_session (session ?conditions params) ~spec ~rng
+
+  let evaluate_with_draw ?conditions ~spec ~draw params =
+    let s = session ?conditions params in
     let no_mismatch =
       { spec with Variation.mismatch = Variation.zero_spec.Variation.mismatch }
     in
     (* the rng is only consulted for mismatch, which is zeroed *)
     let rng = Yield_stats.Rng.create 0 in
-    let perturbed =
-      Variation.perturb_circuit_with_draw no_mismatch draw rng circuit
-    in
-    match bode_of_circuit ~conditions perturbed with
-    | None -> None
-    | Some b -> perf_of_bode conditions b
+    sample s (Variation.overrides_with_draw no_mismatch draw rng s.s_circuit)
 
+  (* the common-mode variant rewires CBIG, so each variant gets its own
+     session *)
   let low_freq_gain_db conditions circuit =
-    match Dcop.solve_with_retry circuit with
+    let sys = Mna.sys circuit in
+    match Dcop.solve_with_retry ~sys circuit with
     | Error _ -> None
     | Ok op ->
         let freqs = [| conditions.f_lo |] in
-        let b = Ac.transfer_by_name circuit op ~out:"out" ~freqs in
+        let b = Ac.transfer_by_name ~sys circuit op ~out:"out" ~freqs in
         Some (Measure.dc_gain_db b)
 
   let cmrr_db ?(conditions = default_conditions) params =
@@ -235,13 +234,16 @@ module Make (A : Amplifier.S) = struct
 
   let input_referred_noise ?(conditions = default_conditions) ?flicker params =
     let circuit, _ = build ~conditions params in
-    match Dcop.solve_with_retry circuit with
+    let sys = cached_sys Linsys.Dense circuit in
+    match Dcop.solve_with_retry ~sys circuit with
     | Error _ -> None
     | Ok op -> begin
         let freqs = freqs_of conditions in
-        let b = Ac.transfer_by_name circuit op ~out:"out" ~freqs in
+        let b = Ac.transfer_by_name ~sys circuit op ~out:"out" ~freqs in
         let out_node = Circuit.node circuit "out" in
-        let points = Noise.output_noise ?flicker circuit op ~out:out_node ~freqs in
+        let points =
+          Noise.output_noise ?flicker ~sys circuit op ~out:out_node ~freqs
+        in
         let input = Noise.input_referred points ~gain:b in
         match Measure.unity_gain_freq b with
         | None -> None

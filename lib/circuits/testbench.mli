@@ -62,30 +62,32 @@ module Make (A : Amplifier.S) : sig
   val bode_of_circuit :
     ?conditions:conditions -> Yield_spice.Circuit.t ->
     Yield_spice.Ac.bode option
-  (** Run the sweep on an externally perturbed copy of the testbench (the
-      Monte Carlo path). *)
+  (** Run the sweep on an externally perturbed copy of the testbench.  The
+      circuit must have the testbench's topology (a {!build} output or a
+      [Circuit.map_devices] image of one): it solves in the functor's
+      cached dense session. *)
 
   val bode : ?conditions:conditions -> A.params -> Yield_spice.Ac.bode option
 
   val evaluate : ?conditions:conditions -> A.params -> perf option
-  (** DC + AC + extraction; [None] on any failure.  The optimiser's
-      objective function. *)
+  (** DC + AC + extraction in the cached dense session; [None] on any
+      failure.  The optimiser's objective function. *)
 
   val evaluate_sampled :
     ?conditions:conditions -> spec:Yield_process.Variation.spec ->
     rng:Yield_stats.Rng.t -> A.params -> perf option
   (** One Monte Carlo draw of process variation and mismatch applied to
-      every transistor.  Rebuilds the testbench per call; the batch-first
-      Monte Carlo loop uses {!session} + {!evaluate_in_session} instead,
-      which is bit-identical under the default dense solver. *)
+      every transistor: {!evaluate_in_session} on a fresh dense {!session}
+      of these params.  It patches device models per sample and does not
+      rebuild the circuit. *)
 
   type session
   (** One testbench instantiation pinned to a front point: the built
       circuit plus a compiled {!Yield_spice.Mna.sys} solver session.  The
-      structural pattern / symbolic factorisation is compiled once per
-      solver backend and cached for the functor's lifetime (every variant
-      of one amplifier shares a topology); sessions are immutable and safe
-      to share across domains. *)
+      session is compiled once per solver backend and cached for the
+      functor's lifetime (every open-loop testbench of one amplifier shares
+      a topology); sessions are immutable and safe to share across
+      domains. *)
 
   val session :
     ?conditions:conditions -> ?solver:Yield_numeric.Linsys.backend ->
@@ -104,15 +106,17 @@ module Make (A : Amplifier.S) : sig
     rng:Yield_stats.Rng.t -> perf option
   (** One Monte Carlo sample through the session: draws
       {!Yield_process.Variation.overrides} and patches device models
-      per-sample instead of rebuilding the circuit.  Consumes the same
-      random deviates as {!evaluate_sampled} and, under the dense solver,
-      returns bit-identical results. *)
+      per-sample instead of rebuilding the circuit.  Under the dense
+      solver it is bit-identical to solving a
+      {!Yield_process.Variation.perturb_circuit} rebuild at equal RNG
+      state. *)
 
   val evaluate_with_draw :
     ?conditions:conditions -> spec:Yield_process.Variation.spec ->
     draw:Yield_process.Variation.global_draw -> A.params -> perf option
   (** Deterministic evaluation under a specific global draw, mismatch
-      disabled (sensitivity analysis hook). *)
+      disabled (sensitivity analysis hook): a dense session sample through
+      {!Yield_process.Variation.overrides_with_draw}. *)
 
   val cmrr_db : ?conditions:conditions -> A.params -> float option
   (** Low-frequency common-mode rejection: differential gain over the gain

@@ -245,6 +245,13 @@ let store_stage ckpt ~key to_json v =
 module Make (A : Yield_circuits.Amplifier.S) = struct
   module T = Gtb.Make (A)
 
+  (* the amplifier joins the fingerprint, so one topology's checkpoint
+     never resumes as another's; the paper's OTA keeps the bare config
+     fingerprint, so its existing checkpoints stay resumable *)
+  let fingerprint config =
+    let base = Config.fingerprint config in
+    if A.name = Ota.name then base else base ^ ";amplifier=" ^ A.name
+
   (* the preflight stage: everything that can doom the run and is knowable
      before the first simulation — config cross-field checks, a checkpoint
      fingerprint dry-run, and a netlist lint of the amplifier's own
@@ -266,7 +273,7 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
             jobs = config.Config.jobs;
             solver = config.Config.solver;
             system_size = Some (Mna.size (Mna.layout circuit));
-            fingerprint = Config.fingerprint config;
+            fingerprint = fingerprint config;
           }
         in
         let config_diags = Config_lint.check ?checkpoint_dir ~resume view in
@@ -316,7 +323,7 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
       | None -> None
       | Some dir ->
           let c = Checkpoint.create ~dir in
-          (match Checkpoint.check_fingerprint c (Config.fingerprint config) with
+          (match Checkpoint.check_fingerprint c (fingerprint config) with
           | Ok `Fresh -> ()
           | Ok `Resumable when resume -> log ("flow: resuming from " ^ dir)
           | Ok `Resumable ->

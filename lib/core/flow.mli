@@ -81,7 +81,9 @@ val run :
     uninterrupted run, because the checkpoints carry the RNG stream states
     and hex-exact floats.  Without [resume], stale stage state under the
     same directory is discarded.  A directory recorded under a different
-    {!Config.fingerprint} is refused.
+    fingerprint is refused: {!Config.fingerprint}, plus the amplifier's
+    {!Yield_circuits.Amplifier.S.name} for any topology but the OTA, so
+    one topology's checkpoint never resumes as another's.
 
     A front point whose Monte Carlo batch yields fewer than
     {!Yield_analyse.Config_lint.min_valid_mc_samples} valid samples is

@@ -85,22 +85,7 @@ type complex_sys = {
   factor : omega:float -> Complex.t array -> Complex.t array;
 }
 
-module type S = sig
-  type compiled
-
-  val name : string
-  val compile : Pattern.t -> compiled
-  val real : compiled -> real
-  val complex : compiled -> complex_sys
-end
-
 module Dense_backend = struct
-  type compiled = int
-
-  let name = "dense"
-
-  let compile p = Pattern.size p
-
   (* wrapped in 3-ary closures below: a partial application would put a
      currying wrapper in front of every stamp.  A column outside [0, n)
      would alias an entry of a neighbouring row, so it is refused here; a
@@ -156,15 +141,6 @@ module Dense_backend = struct
 end
 
 module Csr_backend = struct
-  type compiled = Csr.symbolic
-
-  let name = "csr"
-
-  let compile p =
-    Csr.analyse
-      ~strong_rows:(Pattern.strong_rows p)
-      ~n:(Pattern.size p) (Pattern.rows p)
-
   (* 3-ary stamp closures, as in Dense_backend *)
   let real sym =
     let w = Csr.rwork sym in
@@ -198,26 +174,28 @@ let backend_of_string s =
 
 let backend_names = [ "dense"; "csr" ]
 
-let backend_module : backend -> (module S) = function
-  | Dense -> (module Dense_backend)
-  | Csr -> (module Csr_backend)
-
-type t =
-  | Compiled : (module S with type compiled = 'a) * 'a * int -> t
+(* a dense system needs only its size: the backend ignores structure *)
+type t = Dense_sys of int | Csr_sys of Csr.symbolic
 
 let compile backend pattern =
-  let n = Pattern.size pattern in
   match backend with
-  | Dense ->
-      Compiled ((module Dense_backend), Dense_backend.compile pattern, n)
-  | Csr -> Compiled ((module Csr_backend), Csr_backend.compile pattern, n)
+  | Dense -> Dense_sys (Pattern.size pattern)
+  | Csr ->
+      Csr_sys
+        (Csr.analyse
+           ~strong_rows:(Pattern.strong_rows pattern)
+           ~n:(Pattern.size pattern) (Pattern.rows pattern))
 
-let dense_of_size n = Compiled ((module Dense_backend), n, n)
+let dense_of_size n = Dense_sys n
 
-let real (Compiled ((module B), c, _)) = B.real c
+let real = function
+  | Dense_sys n -> Dense_backend.real n
+  | Csr_sys sym -> Csr_backend.real sym
 
-let complex (Compiled ((module B), c, _)) = B.complex c
+let complex = function
+  | Dense_sys n -> Dense_backend.complex n
+  | Csr_sys sym -> Csr_backend.complex sym
 
-let name (Compiled ((module B), _, _)) = B.name
+let name = function Dense_sys _ -> "dense" | Csr_sys _ -> "csr"
 
-let size (Compiled (_, _, n)) = n
+let size = function Dense_sys n -> n | Csr_sys sym -> Csr.size sym

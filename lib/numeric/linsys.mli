@@ -1,20 +1,21 @@
 (** Solver-agnostic linear-system seam.
 
-    Simulation engines describe the structural nonzeros of their MNA system
-    once per topology as a {!Pattern.t}, compile it against a {!backend},
-    and then assemble + solve through small records of closures
-    ({!type-real} for DC/transient Newton systems, {!type-complex_sys} for
-    AC systems of the form [G + jwC]).  Two backends exist:
+    Simulation engines size their MNA system once per topology, compile it
+    against a {!backend}, and then assemble + solve through small records
+    of closures ({!type-real} for DC/transient Newton systems,
+    {!type-complex_sys} for AC systems of the form [G + jwC]).  Two
+    backends exist:
 
     - [Dense] wraps {!Mat}/{!Lu}/{!Cmat} with the floating-point
       operations the engines performed before this seam existed, so
-      results are byte-identical to the historical dense path (it ignores
-      the pattern beyond its size).  Its workspaces reuse their buffers
-      across factorisations.
-    - [Csr] uses {!Csr}: fill-reducing ordering and symbolic factorisation
-      computed once per topology at [compile] time; per-sample work only
-      refactors numeric values over the cached fill pattern, in buffers
-      its workspaces own.
+      results are byte-identical to the historical dense path.  It needs
+      only the system size, never a structural pattern.  Its workspaces
+      reuse their buffers across factorisations.
+    - [Csr] uses {!Csr}: the structural nonzeros, described as a
+      {!Pattern.t}, get a fill-reducing ordering and symbolic
+      factorisation once per topology at [compile] time; per-sample work
+      only refactors numeric values over the cached fill pattern, in
+      buffers its workspaces own.
 
     On either backend a stamp outside the [n]x[n] system raises
     [Invalid_argument]; it never lands on another entry.
@@ -84,17 +85,6 @@ type complex_sys = {
 }
 (** Mutable workspace for one complex system of the form [G + jwC]. *)
 
-(** A linear-solver backend as a first-class module. *)
-module type S = sig
-  type compiled
-  (** Immutable per-topology state; safe to share across domains. *)
-
-  val name : string
-  val compile : Pattern.t -> compiled
-  val real : compiled -> real
-  val complex : compiled -> complex_sys
-end
-
 type backend = Dense | Csr
 
 val backend_name : backend -> string
@@ -102,16 +92,17 @@ val backend_of_string : string -> backend option
 val backend_names : string list
 (** Valid [--solver] names, in display order. *)
 
-val backend_module : backend -> (module S)
-
 type t
-(** A pattern compiled against a backend.  Immutable and domain-shareable;
-    call {!val-real} / {!val-complex} per worker for numeric workspaces. *)
+(** A compiled system: a size for [Dense], a symbolic factorisation for
+    [Csr].  Immutable and domain-shareable; call {!val-real} /
+    {!val-complex} per worker for numeric workspaces. *)
 
 val compile : backend -> Pattern.t -> t
+(** [Dense] reads only the pattern's size. *)
+
 val dense_of_size : int -> t
-(** Dense compiled system for an [n]x[n] pattern-less legacy call site;
-    equivalent to compiling a [Dense] backend (which ignores structure). *)
+(** The dense system of an [n]x[n] matrix; what [compile Dense] gives for
+    any pattern of that size, without building one. *)
 
 val real : t -> real
 val complex : t -> complex_sys

@@ -9,37 +9,22 @@ exception Singular of string
    downstream maps to a failed (not crashed) evaluation *)
 let fp_solve = Fault.point "ac.solve"
 
-(* mirror of the Dcop.solve structural pre-check: a node the AC matrix
-   cannot constrain at any frequency makes [G + jwC] singular independent
-   of device values, so fail loudly instead of returning the gmin-shaped
-   garbage a nearly-singular factorisation would produce.  A session
-   carries its topology's issues; without one they are found per call. *)
-let precheck ?sys circuit =
-  let issues =
-    match sys with
-    | Some s -> Mna.sys_ac_issues s
-    | None -> Topology.ac_issues circuit
-  in
-  match issues with
-  | [] -> ()
-  | issue :: _ -> raise (Singular (Topology.issue_to_string issue))
-
 let transfer ?sys circuit op ~out ~freqs =
   if Fault.fire fp_solve then
     { freqs; response = Array.map (fun _ -> Complex.{ re = nan; im = nan }) freqs }
   else begin
-    precheck ?sys circuit;
-    (* one code path for both solvers: without a session, a pattern-less
-       dense workspace reproduces the historical of_real+solve sequence *)
-    let layout, cs =
-      match sys with
-      | Some s -> (Mna.sys_layout s, Mna.sys_complex s)
-      | None ->
-          let l = op.Dcop.layout in
-          (l, Linsys.complex (Linsys.dense_of_size (Mna.size l)))
-    in
+    let sys = Mna.default_sys sys circuit in
+    (* mirror of the Dcop.solve structural pre-check: a node the AC matrix
+       cannot constrain at any frequency makes [G + jwC] singular
+       independent of device values, so fail loudly instead of returning
+       the gmin-shaped garbage a nearly-singular factorisation would
+       produce *)
+    (match Mna.sys_ac_issues sys with
+    | [] -> ()
+    | issue :: _ -> raise (Singular (Topology.issue_to_string issue)));
+    let cs = Mna.sys_complex sys in
     let ops name = Dcop.mos_op op name in
-    let rhs = Mna.assemble_ac_into cs circuit layout ~ops in
+    let rhs = Mna.assemble_ac_into cs circuit (Mna.sys_layout sys) ~ops in
     let response =
       Array.map
         (fun freq ->

@@ -98,29 +98,18 @@ let initial_guess circuit layout =
   x
 
 let solve ?(options = default_options) ?x0_jitter ?sys ?models circuit =
-  let issues =
-    match sys with
-    | Some s -> Mna.sys_dc_issues s
-    | None -> Topology.dc_issues circuit
-  in
-  match issues with
+  let sys = Mna.default_sys sys circuit in
+  match Mna.sys_dc_issues sys with
   | issue :: _ ->
       (* structurally singular: no gmin or homotopy can make the answer
          meaningful, so fail as Permanent before factoring anything *)
       Metrics.incr c_convergence_failures;
       Error (Singular_system (Topology.issue_to_string issue))
   | [] ->
-  let layout =
-    match sys with Some s -> Mna.sys_layout s | None -> Mna.layout circuit
-  in
-  (* per-call numeric workspace: the compiled session (if any) is shared
-     across domains, the mutable assembly/factor state is not *)
-  let rs =
-    match sys with
-    | Some s -> Mna.sys_real s
-    | None -> Linsys.real (Linsys.dense_of_size (Mna.size layout))
-  in
-  let newton = newton rs ?models in
+  let layout = Mna.sys_layout sys in
+  (* per-call numeric workspace: the compiled session is shared across
+     domains, the mutable assembly/factor state is not *)
+  let newton = newton (Mna.sys_real sys) ?models in
   let x0 = initial_guess circuit layout in
   (match x0_jitter with
   | None -> ()
@@ -216,6 +205,7 @@ let classify_error = function
 let retry_policy = Retry.policy "dcop.solve"
 
 let solve_with_retry ?options ?budget_s ?sys ?models circuit =
+  let sys = Mna.default_sys sys circuit in
   let deadline_s =
     Option.map (fun b -> Yield_obs.Clock.now_s () +. b) budget_s
   in
@@ -231,7 +221,7 @@ let solve_with_retry ?options ?budget_s ?sys ?models circuit =
           Some (fun _k -> Rng.normal rng ~mean:0. ~sigma:0.05)
         end
       in
-      solve ?options ?x0_jitter ?sys ?models circuit)
+      solve ?options ?x0_jitter ~sys ?models circuit)
 
 let voltage t node = Mna.voltage t.x node
 

@@ -44,12 +44,11 @@ val solve :
     [No_convergence], while [dcop.newton] and [dcop.gmin] fail one homotopy
     stage each, forcing the gmin-stepping / source-stepping fallbacks.
 
-    [sys] supplies a pre-compiled {!Mna.sys} solver session (layout +
-    cached structural pattern) for the circuit's topology — the batch-first
-    Monte Carlo path compiles it once per front point; without it a
-    pattern-less dense session reproduces the historical path
-    byte-for-byte.  [models] patches per-device MOSFET models for this
-    sample (see {!Mna.models}). *)
+    [sys] is the {!Mna.sys} solver session of the circuit's topology —
+    callers that solve one topology many times build it once and pass it
+    to every call; without it the call builds a dense one for itself.
+    [models] patches per-device MOSFET models for this sample (see
+    {!Mna.models}). *)
 
 val solve_with_retry :
   ?options:options -> ?budget_s:float -> ?sys:Mna.sys -> ?models:Mna.models ->

@@ -24,9 +24,9 @@ let validate_source circuit ~source =
 let run ?options ?sys ?models circuit ~source ~values =
   if Array.length values = 0 then invalid_arg "Dcsweep.run: empty sweep";
   validate_source circuit ~source;
-  let layout =
-    match sys with Some s -> Mna.sys_layout s | None -> Mna.layout circuit
-  in
+  (* every swept circuit shares the topology, so one session serves all *)
+  let sys = Mna.default_sys sys circuit in
+  let layout = Mna.sys_layout sys in
   let solutions = Array.make (Array.length values) [||] in
   let exception Failed of Dcop.error in
   let previous = ref None in
@@ -41,7 +41,7 @@ let run ?options ?sys ?models circuit ~source ~values =
             for node = 1 to Mna.n_nodes layout do
               Circuit.nodeset swept node (Mna.voltage x node)
             done);
-        match Dcop.solve ?options ?sys ?models swept with
+        match Dcop.solve ?options ~sys ?models swept with
         | Error e -> raise (Failed e)
         | Ok op ->
             solutions.(i) <- Array.copy op.Dcop.x;

@@ -12,8 +12,10 @@ val run :
   ?options:Dcop.options -> ?sys:Mna.sys -> ?models:Mna.models -> Circuit.t ->
   source:string -> values:float array -> (t, Dcop.error) result
 (** [run c ~source ~values] sweeps the DC value of the named V- or I-source.
-    Fails on the first non-converging point.  [sys]/[models] are passed
-    through to each {!Dcop.solve} (the swept circuits share one topology).
+    Fails on the first non-converging point.  Every point solves in one
+    {!Mna.sys} (the swept circuits share one topology): [sys] when given,
+    else a dense one built once for the sweep.  [models] is passed through
+    to each {!Dcop.solve}.
     @raise Not_found when the source does not exist.
     @raise Invalid_argument when the named device is not a source or
     [values] is empty. *)

@@ -183,12 +183,21 @@ type sys = {
 
 let sys ?(backend = Linsys.Dense) circuit =
   let l = layout circuit in
+  let compiled =
+    (* the dense backend ignores structure, so it gets no pattern *)
+    match backend with
+    | Linsys.Dense -> Linsys.dense_of_size l.size
+    | Linsys.Csr -> Linsys.compile backend (pattern circuit l)
+  in
   {
     sys_layout = l;
-    compiled = Linsys.compile backend (pattern circuit l);
+    compiled;
     dc_issues = Topology.dc_issues circuit;
     ac_issues = Topology.ac_issues circuit;
   }
+
+let default_sys given circuit =
+  match given with Some s -> s | None -> sys circuit
 
 let sys_layout s = s.sys_layout
 

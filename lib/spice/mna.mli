@@ -36,15 +36,15 @@ val model_override : models option -> int -> Mosfet.model -> Mosfet.model
 
 (** {1 Solver sessions}
 
-    A [sys] pairs a layout with a compiled {!Yield_numeric.Linsys} system:
-    the structural pattern is built and symbolically analysed once per
-    topology, then every sample only re-assembles numeric values.  It also
-    carries its topology's structural issues ({!Topology.dc_issues} and
-    {!Topology.ac_issues}), computed once when it is built, which
-    {!Dcop.solve} and {!Ac.transfer} read instead of re-running the
-    checks per call.  A [sys] is immutable and safe to share across
-    domains; the per-worker numeric workspaces come from {!sys_real} /
-    {!sys_complex}. *)
+    A [sys] pairs a layout with a compiled {!Yield_numeric.Linsys} system,
+    built once per topology: every analysis ({!Dcop}, {!Ac}, {!Noise},
+    {!Tran}, {!Dcsweep}) solves in one, and every sample only
+    re-assembles numeric values.  It also carries its topology's
+    structural issues ({!Topology.dc_issues} and {!Topology.ac_issues}),
+    computed once when it is built, which {!Dcop.solve} and {!Ac.transfer}
+    read instead of re-running the checks per call.  A [sys] is immutable
+    and safe to share across domains; the per-worker numeric workspaces
+    come from {!sys_real} / {!sys_complex}. *)
 
 type sys
 
@@ -54,12 +54,19 @@ val pattern : Circuit.t -> layout -> Yield_numeric.Linsys.Pattern.t
     symbolic factorisation serves them all. *)
 
 val sys : ?backend:Yield_numeric.Linsys.backend -> Circuit.t -> sys
-(** Build the layout, the pattern, and compile it, and run the structural
-    checks.  [backend] defaults to [Dense].  Valid for every circuit
-    sharing this topology (any [Circuit.map_devices] image: same nodes,
-    same device order, same device kinds).  A structurally singular
-    circuit still gets a dense [sys] (its solves report the issues); the
-    csr backend may refuse its pattern with {!Yield_numeric.Lu.Singular}. *)
+(** Build the layout, compile it, and run the structural checks.
+    [backend] defaults to [Dense], which needs only the system size; [Csr]
+    also builds the {!pattern} and analyses it symbolically.  Valid for
+    every circuit sharing this topology (any [Circuit.map_devices] image:
+    same nodes, same device order, same device kinds).  A structurally
+    singular circuit still gets a dense [sys] (its solves report the
+    issues); the csr backend may refuse its pattern with
+    {!Yield_numeric.Lu.Singular}. *)
+
+val default_sys : sys option -> Circuit.t -> sys
+(** [default_sys sys circuit] is the given session, else a fresh dense
+    {!sys} of [circuit]: how an engine called without [?sys] gets the one
+    session it solves in. *)
 
 val sys_layout : sys -> layout
 

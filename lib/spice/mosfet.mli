@@ -57,6 +57,19 @@ val eval : model -> w:float -> l:float -> vgs:float -> vds:float -> vbs:float ->
     source/drain exchange so Newton iterations may pass through reversal.
     @raise Invalid_argument for non-positive [w] or [l]. *)
 
+(** {1 EKV interpolation helpers}
+
+    The scalar functions {!eval} is built from: overflow-safe
+    [softplus x = ln (1 + e^x)] and its derivative [sigmoid], the EKV
+    interpolation function [ekv_f x = ln^2 (1 + e^(x/2))] and its
+    derivative [ekv_f'].  The corner proofs' interval images (Corner_lint)
+    wrap these, so they evaluate exactly these floats at their endpoints. *)
+
+val softplus : float -> float
+val sigmoid : float -> float
+val ekv_f : float -> float
+val ekv_f' : float -> float
+
 val with_deltas : model -> dvth:float -> dkp_rel:float -> dlambda_rel:float -> model
 (** [with_deltas m ~dvth ~dkp_rel ~dlambda_rel] is [m] with threshold shifted
     by [dvth] volts, [kp] scaled by [1 + dkp_rel] and [lambda0] scaled by

@@ -87,13 +87,8 @@ let collect_sources ?models flicker circuit (op : Dcop.t) =
 
 let output_noise ?(flicker = default_flicker) ?sys ?models circuit op ~out
     ~freqs =
-  let layout, cs =
-    match sys with
-    | Some s -> (Mna.sys_layout s, Mna.sys_complex s)
-    | None ->
-        let l = op.Dcop.layout in
-        (l, Linsys.complex (Linsys.dense_of_size (Mna.size l)))
-  in
+  let sys = Mna.default_sys sys circuit in
+  let layout = Mna.sys_layout sys and cs = Mna.sys_complex sys in
   let ops name = Dcop.mos_op op name in
   let _ = Mna.assemble_ac_into cs circuit layout ~ops in
   let sources = collect_sources ?models flicker circuit op in

@@ -30,8 +30,9 @@ type point = {
 val output_noise :
   ?flicker:flicker -> ?sys:Mna.sys -> ?models:Mna.models -> Circuit.t ->
   Dcop.t -> out:Device.node -> freqs:float array -> point array
-(** Output-referred noise spectral density at each frequency.  [sys] reuses
-    a pre-compiled {!Mna.sys} solver session; [models] applies per-sample
+(** Output-referred noise spectral density at each frequency.  [sys] is
+    the {!Mna.sys} solver session of the circuit's topology; without it the
+    call builds a dense one for itself.  [models] applies per-sample
     MOSFET model overrides (they set the flicker polarity/Cox scaling —
     the small-signal network itself comes from the operating points in the
     {!Dcop.t}). *)

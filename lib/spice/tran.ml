@@ -75,19 +75,14 @@ let initial_circuit circuit =
           dev)
 
 let run ?sys ?models options circuit =
-  let layout =
-    match sys with Some s -> Mna.sys_layout s | None -> Mna.layout circuit
-  in
+  (* the initial operating point and every step share one session *)
+  let sys = Mna.default_sys sys circuit in
+  let layout = Mna.sys_layout sys in
   let size = Mna.size layout in
   let devices = Circuit.devices circuit in
-  (* one numeric workspace reused across all steps and Newton iterations; a
-     dense one reproduces the historical fresh-matrix path byte-for-byte *)
-  let rs =
-    match sys with
-    | Some s -> Mna.sys_real s
-    | None -> Linsys.real (Linsys.dense_of_size size)
-  in
-  match Dcop.solve ?sys ?models (initial_circuit circuit) with
+  (* one numeric workspace reused across all steps and Newton iterations *)
+  let rs = Mna.sys_real sys in
+  match Dcop.solve ~sys ?models (initial_circuit circuit) with
   | Error e -> Error (Dc_failed e)
   | Ok op0 -> begin
       let slots = Array.map slots_of_device devices in

@@ -31,9 +31,10 @@ val run :
   ?sys:Mna.sys -> ?models:Mna.models -> options -> Circuit.t ->
   (t, error) Stdlib.result
 (** Solves the DC operating point (waveform values at t = 0), then
-    integrates to [t_stop].  [sys] reuses a pre-compiled {!Mna.sys} solver
-    session for the circuit's topology; [models] applies per-sample MOSFET
-    model overrides (see {!Mna.models}). *)
+    integrates to [t_stop], all in one {!Mna.sys} solver session: [sys]
+    when given (it must have the circuit's topology), else a dense one
+    built once for the run.  [models] applies per-sample MOSFET model
+    overrides (see {!Mna.models}). *)
 
 val voltage : t -> Device.node -> float array
 (** Waveform of one node voltage across all time points. *)

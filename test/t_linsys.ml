@@ -1082,8 +1082,17 @@ let test_session_pattern_cache () =
            || Ota_tb.session_sys s == Ota_tb.session_sys s_csr)))
     sessions
 
-(* byte-identity of the batch patching path against the rebuild path: same
-   rng state in, bit-identical perf out (the tentpole's contract) *)
+(* An independent reference for the session paths: DC + AC of a circuit
+   in a freshly built dense Mna.sys (no functor cache, no overrides) *)
+let fresh_sys_perf circuit =
+  let sys = Mna.sys circuit in
+  match Dcop.solve_with_retry ~sys circuit with
+  | Error _ -> None
+  | Ok op ->
+      Gtb.perf_of_bode Gtb.default_conditions
+        (Ac.transfer_by_name ~sys circuit op ~out:"out"
+           ~freqs:(Gtb.freqs_of Gtb.default_conditions))
+
 let check_perf_bits name p_rebuild p_session =
   match (p_rebuild, p_session) with
   | None, None -> ()
@@ -1100,13 +1109,18 @@ let check_perf_bits name p_rebuild p_session =
   | Some _, None | None, Some _ ->
       Alcotest.fail (name ^ ": rebuild and session paths disagree on failure")
 
+(* byte-identity of the batch patching path against an independent
+   rebuild: the same rng state drives Variation.perturb_circuit, whose
+   circuit solves in a fresh sys, and the session sample *)
 let test_ota_overrides_bit_identical () =
   let params = Yield_circuits.Ota.default_params in
   let session = Ota_tb.session params in
+  let circuit, _ = Ota_tb.build params in
   for seed = 11 to 15 do
     let rebuild =
-      Ota_tb.evaluate_sampled ~spec:Variation.default_spec
-        ~rng:(Rng.create seed) params
+      fresh_sys_perf
+        (Variation.perturb_circuit Variation.default_spec (Rng.create seed)
+           circuit)
     in
     let patched =
       Ota_tb.evaluate_in_session session ~spec:Variation.default_spec
@@ -1118,10 +1132,12 @@ let test_ota_overrides_bit_identical () =
 let test_miller_overrides_bit_identical () =
   let params = Yield_circuits.Miller.default_params in
   let session = Miller_tb.session params in
+  let circuit, _ = Miller_tb.build params in
   for seed = 11 to 15 do
     let rebuild =
-      Miller_tb.evaluate_sampled ~spec:Variation.default_spec
-        ~rng:(Rng.create seed) params
+      fresh_sys_perf
+        (Variation.perturb_circuit Variation.default_spec (Rng.create seed)
+           circuit)
     in
     let patched =
       Miller_tb.evaluate_in_session session ~spec:Variation.default_spec
@@ -1129,6 +1145,33 @@ let test_miller_overrides_bit_identical () =
     in
     check_perf_bits (Printf.sprintf "miller seed %d" seed) rebuild patched
   done
+
+(* the optimiser's objective solves in the functor's cached sys; it must
+   match a fresh sys bit for bit across sizings, whichever sizing built the
+   cached one *)
+let test_evaluate_cached_sys_bit_identical () =
+  let module Ota = Yield_circuits.Ota in
+  let module Miller = Yield_circuits.Miller in
+  (* widths scaled by [k], lengths kept *)
+  let scaled arr k =
+    Array.mapi (fun i x -> if i mod 2 = 0 then x *. k else x) arr
+  in
+  List.iter
+    (fun k ->
+      let ota = Ota.params_of_array (scaled (Ota.params_to_array Ota.default_params) k) in
+      let fresh = fresh_sys_perf (fst (Ota_tb.build ota)) in
+      if fresh = None then Alcotest.failf "ota x%g: no reference perf" k;
+      check_perf_bits (Printf.sprintf "ota x%g" k) fresh (Ota_tb.evaluate ota);
+      let miller =
+        Miller.params_of_array
+          (scaled (Miller.params_to_array Miller.default_params) k)
+      in
+      let fresh = fresh_sys_perf (fst (Miller_tb.build miller)) in
+      if fresh = None then Alcotest.failf "miller x%g: no reference perf" k;
+      check_perf_bits
+        (Printf.sprintf "miller x%g" k)
+        fresh (Miller_tb.evaluate miller))
+    [ 1.; 0.6; 1.7; 2.5 ]
 
 let suites =
   [
@@ -1179,5 +1222,7 @@ let suites =
           test_ota_overrides_bit_identical;
         Alcotest.test_case "miller overrides bit-identical" `Quick
           test_miller_overrides_bit_identical;
+        Alcotest.test_case "evaluate cached sys = fresh sys" `Quick
+          test_evaluate_cached_sys_bit_identical;
       ] );
   ]

@@ -5,7 +5,6 @@ module Vec = Yield_numeric.Vec
 module Mat = Yield_numeric.Mat
 module Lu = Yield_numeric.Lu
 module Cmat = Yield_numeric.Cmat
-module Rootfind = Yield_numeric.Rootfind
 
 let feq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps *. (1. +. Float.abs b)
 
@@ -142,27 +141,6 @@ let test_cmat_of_real () =
   check_float "re" 1. z.Complex.re;
   check_float "im" 6. z.Complex.im
 
-let test_bisect () =
-  let root = Rootfind.bisect (fun x -> (x *. x) -. 2.) 0. 2. in
-  check_float ~eps:1e-9 "sqrt2" (sqrt 2.) root
-
-let test_brent () =
-  let root = Rootfind.brent (fun x -> cos x -. x) 0. 1.5 in
-  check_float ~eps:1e-9 "dottie" 0.7390851332151607 root
-
-let test_brent_bad_bracket () =
-  match Rootfind.brent (fun x -> x +. 10.) 0. 1. with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument"
-
-let prop_brent_polynomial =
-  QCheck.Test.make ~count:200 ~name:"brent finds roots of shifted cubics"
-    QCheck.(float_range (-5.) 5.)
-    (fun r ->
-      let f x = ((x -. r) ** 3.) +. (x -. r) in
-      let root = Rootfind.brent f (r -. 7.) (r +. 7.) in
-      Float.abs (root -. r) < 1e-6)
-
 let suites =
   [
     ( "numeric.vec",
@@ -189,12 +167,5 @@ let suites =
         Alcotest.test_case "1x1 complex" `Quick test_cmat_solve;
         Alcotest.test_case "of_real" `Quick test_cmat_of_real;
         QCheck_alcotest.to_alcotest prop_cmat_random_solve;
-      ] );
-    ( "numeric.rootfind",
-      [
-        Alcotest.test_case "bisect" `Quick test_bisect;
-        Alcotest.test_case "brent" `Quick test_brent;
-        Alcotest.test_case "bad bracket" `Quick test_brent_bad_bracket;
-        QCheck_alcotest.to_alcotest prop_brent_polynomial;
       ] );
   ]

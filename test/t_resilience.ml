@@ -706,6 +706,40 @@ let test_flow_fingerprint_mismatch () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected a fingerprint-mismatch failure"
 
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
+  at 0
+
+let test_flow_other_topology_refused () =
+  (* an OTA checkpoint must not resume as the Miller flow's result, with or
+     without the preflight's C005 dry-run; the OTA still records the bare
+     config fingerprint, so checkpoints written before the amplifier joined
+     the fingerprint stay resumable *)
+  let dir = fresh_dir "flow-topology" in
+  ignore (Flow.run ~checkpoint_dir:dir smoke_config);
+  (match
+     Checkpoint.check_fingerprint (Checkpoint.create ~dir)
+       (Config.fingerprint smoke_config)
+   with
+  | Ok `Resumable -> ()
+  | Ok `Fresh | Error _ ->
+      Alcotest.fail "the OTA flow no longer records Config.fingerprint");
+  let module Miller_flow = Flow.Make (Yield_circuits.Miller) in
+  List.iter
+    (fun preflight ->
+      match
+        Miller_flow.run ~preflight ~checkpoint_dir:dir ~resume:true
+          smoke_config
+      with
+      | exception Failure msg ->
+          if preflight && not (contains ~needle:"C005" msg) then
+            Alcotest.failf "refused without C005: %s" msg
+      | _ ->
+          Alcotest.failf "Miller resumed an OTA checkpoint (preflight %b)"
+            preflight)
+    [ true; false ]
+
 let test_flow_with_20pct_dc_faults () =
   with_faults (fun () ->
       Fault.reset ();
@@ -828,6 +862,8 @@ let suites =
         Alcotest.test_case "redundant resume" `Slow test_flow_redundant_resume;
         Alcotest.test_case "fingerprint mismatch" `Slow
           test_flow_fingerprint_mismatch;
+        Alcotest.test_case "other topology refused" `Slow
+          test_flow_other_topology_refused;
         Alcotest.test_case "20% dc fault rate" `Slow
           test_flow_with_20pct_dc_faults;
         Alcotest.test_case "total MC failure starves" `Slow
