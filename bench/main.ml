@@ -36,7 +36,11 @@ module Metrics = Yield_obs.Metrics
 
 (* Jobs-sweep mode (YIELDLAB_JOBS_SWEEP="1,2,4"): re-run the flow at each
    jobs value and record the flow.wbga wall-clock and its speedup over the
-   serial run, so a perf regression gate can be built on BENCH_flow.json. *)
+   serial run, so a perf regression gate can be built on BENCH_flow.json.
+   A jobs value above the machine's cores is over-subscribed: its entry
+   says so and reports no speedup. *)
+
+let cores = Domain.recommended_domain_count ()
 
 let parse_jobs_sweep s =
   String.split_on_char ',' s
@@ -68,8 +72,14 @@ let jobs_sweep config =
         in
         List.map
           (fun (jobs, (t : Flow.timings)) ->
+            let oversubscribed = jobs > cores in
             let speedup =
               match serial_wbga_s with
+              | _ when oversubscribed ->
+                  Printf.printf
+                    "  jobs %d: over-subscribed (%d cores), no speedup\n%!"
+                    jobs cores;
+                  Json.Null
               | Some s when t.Flow.optimisation_s > 0. ->
                   let x = s /. t.Flow.optimisation_s in
                   Printf.printf "  jobs %d: flow.wbga speedup %.2fx\n%!" jobs x;
@@ -79,6 +89,7 @@ let jobs_sweep config =
             Json.Obj
               [
                 ("jobs", Json.Int jobs);
+                ("oversubscribed", Json.Bool oversubscribed);
                 ("wbga_s", Json.Float t.Flow.optimisation_s);
                 ("mc_s", Json.Float t.Flow.mc_s);
                 ("total_s", Json.Float t.Flow.total_s);
@@ -243,6 +254,7 @@ let write_bench_json ?(sweep = []) ?prescreen ?solver ctx ~path =
       ([
         ("scale", Json.String (Config.scale_name ctx.Experiments.config));
         ("jobs", Json.Int ctx.Experiments.config.Config.jobs);
+        ("cores", Json.Int cores);
         ( "stage_s",
           Json.Obj
             [
@@ -907,6 +919,9 @@ let run_gate cli bench_json =
       let baseline =
         Json.parse (In_channel.with_open_text path In_channel.input_all)
       in
+      List.iter
+        (fun f -> Printf.printf "perf gate: %s\n%!" (Perf_gate.to_string f))
+        (Perf_gate.skipped ~baseline ~bench:bench_json);
       match Perf_gate.check ~baseline ~bench:bench_json with
       | [] -> Printf.printf "perf gate: OK against %s\n%!" path
       | findings ->

@@ -964,19 +964,30 @@ let netlist_run ~print path =
             span.Netlist_ast.start_col message;
           1
       | circuit, analyses -> begin
-          (* the operating point and every analysis card solve in one
-             session of the netlist's topology *)
-          let sys = Yield_spice.Mna.sys circuit in
-          match Dcop.solve ~sys circuit with
-          | Error e ->
-              prerr_endline (Dcop.error_to_string e);
-              1
-          | Ok op ->
-              (* the operating point is always reported; analysis cards run
-                 in order afterwards *)
-              if analyses = [] then Format.printf "%a@." (Dcop.pp circuit) op
-              else List.iter (run_analysis ~sys circuit op) analyses;
-              0
+          (* a malformed .ac sweep has no frequency grid: refuse the deck
+             with lint's own A004 diagnostic before solving anything *)
+          match
+            List.filter
+              (fun d -> d.Diagnostic.code = "A004")
+              (Ac_tran_lint.check_file path)
+          with
+          | _ :: _ as malformed ->
+              List.iter (fun d -> prerr_endline (Diagnostic.to_text d)) malformed;
+              2
+          | [] -> (
+              (* the operating point and every analysis card solve in one
+                 session of the netlist's topology *)
+              let sys = Yield_spice.Mna.sys circuit in
+              match Dcop.solve ~sys circuit with
+              | Error e ->
+                  prerr_endline (Dcop.error_to_string e);
+                  1
+              | Ok op ->
+                  (* the operating point is always reported; analysis cards
+                     run in order afterwards *)
+                  if analyses = [] then Format.printf "%a@." (Dcop.pp circuit) op
+                  else List.iter (run_analysis ~sys circuit op) analyses;
+                  0)
         end
     end
 

@@ -75,6 +75,33 @@ let perf_of_bode conditions b =
         }
   | _ -> None
 
+(* The prefix perf_of_bode reads: point 0, the first 0 dB crossing pair
+   (i, i+1), the first (gain - 3 dB) crossing pair and the unwrapped phase
+   up to fu.  fu is rounded from the log-interpolation on (i, i+1) and may
+   land a hair past point i+1, where Measure.interp_at would read the pair
+   (i+1, i+2) in the full sweep but clamp at the last point of a shorter
+   one: so the sweep runs to i+2.  The crossings use Measure.crossing's
+   own test, so NaN points never cross and a response without both
+   crossings sweeps to the end. *)
+let sweep_stop () =
+  let unity = ref (-1) and f3 = ref (-1) in
+  (* the gain (point 0) and the previous point's magnitude, unboxed *)
+  let mags = [| nan; nan |] in
+  fun k z ->
+    let m = Measure.magnitude_db z in
+    if k = 0 then begin
+      mags.(0) <- m;
+      mags.(1) <- m;
+      not (Float.is_finite m)
+    end
+    else begin
+      let prev = mags.(1) and level = mags.(0) -. 3. in
+      if !unity < 0 && prev >= 0. && m < 0. then unity := k - 1;
+      if !f3 < 0 && prev >= level && m < level then f3 := k - 1;
+      mags.(1) <- m;
+      !unity >= 0 && !f3 >= 0 && k >= !unity + 2
+    end
+
 let feasible conditions p =
   p.phase_margin_deg > 0. && p.unity_gain_hz >= conditions.min_unity_gain_hz
 
@@ -166,14 +193,21 @@ module Make (A : Amplifier.S) = struct
   let session_solver_name s = Mna.sys_solver_name s.s_sys
 
   (* DC + AC of one open-loop circuit (or of the session circuit under
-     per-sample [models]) in [sys] *)
-  let open_loop_bode ~sys ?models conditions circuit =
+     per-sample [models]) in [sys]; [stop] ends the sweep early *)
+  let open_loop_bode ~sys ?models ?stop conditions circuit =
     match Dcop.solve_with_retry ~sys ?models circuit with
     | Error _ -> None
     | Ok op ->
         Some
-          (Ac.transfer_by_name ~sys circuit op ~out:"out"
+          (Ac.transfer_by_name ~sys ?stop circuit op ~out:"out"
              ~freqs:(freqs_of conditions))
+
+  (* every evaluation and session sample: the sweep stops one point past
+     the last one perf_of_bode reads *)
+  let open_loop_perf ~sys ?models conditions circuit =
+    match open_loop_bode ~sys ?models ~stop:(sweep_stop ()) conditions circuit with
+    | None -> None
+    | Some b -> perf_of_bode conditions b
 
   let bode_of_circuit ?(conditions = default_conditions) circuit =
     open_loop_bode ~sys:(cached_sys Linsys.Dense circuit) conditions circuit
@@ -183,14 +217,11 @@ module Make (A : Amplifier.S) = struct
     bode_of_circuit ~conditions circuit
 
   let evaluate ?(conditions = default_conditions) params =
-    match bode ~conditions params with
-    | None -> None
-    | Some b -> perf_of_bode conditions b
+    let circuit, _ = build ~conditions params in
+    open_loop_perf ~sys:(cached_sys Linsys.Dense circuit) conditions circuit
 
   let sample s models =
-    match open_loop_bode ~sys:s.s_sys ~models s.s_conditions s.s_circuit with
-    | None -> None
-    | Some b -> perf_of_bode s.s_conditions b
+    open_loop_perf ~sys:s.s_sys ~models s.s_conditions s.s_circuit
 
   let evaluate_in_session s ~spec ~rng =
     sample s (Variation.overrides spec rng s.s_circuit)

@@ -41,7 +41,20 @@ type step_perf = {
 }
 
 val perf_of_bode : conditions -> Yield_spice.Ac.bode -> perf option
-(** [None] when the response has no unity crossing. *)
+(** Gain, phase margin, unity-gain and -3 dB frequencies and the [ro]
+    estimate of a sweep; [None] when the gain is not finite or the
+    response has no unity crossing.  It reads only a prefix of the sweep
+    (the points {!sweep_stop} waits for), so it returns the same bits on
+    that prefix as on the full sweep. *)
+
+val sweep_stop : unit -> int -> Complex.t -> bool
+(** A fresh stop rule for {!Yield_spice.Ac.transfer}'s [stop], for one
+    sweep: it stops after point 0 when that point's gain is not finite,
+    and otherwise once the first 0 dB crossing pair (i, i+1) and the first
+    (gain - 3 dB) crossing pair are swept and the sweep has reached point
+    i+2.  {!perf_of_bode} of the prefix it keeps is bit-identical to
+    {!perf_of_bode} of the full sweep; a response that lacks either
+    crossing (or has NaNs where they would be) is swept to the end. *)
 
 val feasible : conditions -> perf -> bool
 (** The eq. 1 constraint set: positive phase margin and unity-gain frequency
@@ -71,7 +84,10 @@ module Make (A : Amplifier.S) : sig
 
   val evaluate : ?conditions:conditions -> A.params -> perf option
   (** DC + AC + extraction in the cached dense session; [None] on any
-      failure.  The optimiser's objective function. *)
+      failure.  The optimiser's objective function.  The AC sweep stops
+      at {!sweep_stop}, so it returns the bits {!perf_of_bode} gives on
+      the full {!bode}, usually without factoring the last fifth of the
+      frequencies. *)
 
   val evaluate_sampled :
     ?conditions:conditions -> spec:Yield_process.Variation.spec ->
@@ -109,7 +125,8 @@ module Make (A : Amplifier.S) : sig
       per-sample instead of rebuilding the circuit.  Under the dense
       solver it is bit-identical to solving a
       {!Yield_process.Variation.perturb_circuit} rebuild at equal RNG
-      state. *)
+      state.  Like {!evaluate}, its AC sweep stops at {!sweep_stop}, with
+      the same bits as {!perf_of_bode} of the full sweep. *)
 
   val evaluate_with_draw :
     ?conditions:conditions -> spec:Yield_process.Variation.spec ->

@@ -60,6 +60,33 @@ let identity ~field ~base ~bench compare_value =
   in
   missing @ extra
 
+(* counters whose value depends on the machine's core count: the
+   preflight warns (C006) for each jobs value above
+   Domain.recommended_domain_count, so a jobs sweep reports a different
+   number of findings on 1, 2 and 4 cores *)
+let core_dependent = [ "preflight.findings" ]
+
+let same_cores ~baseline ~bench =
+  match (Json.member "cores" baseline, Json.member "cores" bench) with
+  | Some a, Some b -> a = b
+  | _ -> false
+
+let skipped ~baseline ~bench =
+  if same_cores ~baseline ~bench then []
+  else
+    let cores doc =
+      Option.fold ~none:"unknown" ~some:Json.to_string (Json.member "cores" doc)
+    in
+    List.map
+      (fun k ->
+        {
+          field = "counters." ^ k;
+          detail =
+            Printf.sprintf "not compared: baseline cores %s vs bench cores %s"
+              (cores baseline) (cores bench);
+        })
+      core_dependent
+
 let check ~baseline ~bench =
   let tol = tolerance_of baseline in
   let member name j = Json.member name j in
@@ -124,9 +151,17 @@ let check ~baseline ~bench =
       (section "sim_counts" (Some bench))
   in
   let counters =
+    let compared j =
+      if same_cores ~baseline ~bench then j
+      else
+        Json.Obj
+          (List.filter
+             (fun (k, _) -> not (List.mem k core_dependent))
+             (obj_fields j))
+    in
     exact "counters"
-      (section "counters" (Some baseline))
-      (section "counters" (Some bench))
+      (compared (section "counters" (Some baseline)))
+      (compared (section "counters" (Some bench)))
   in
   run_identity @ timings @ sim_counts @ counters
 
@@ -134,7 +169,7 @@ let baseline_of_bench ?(tolerance = baseline_tolerance) bench =
   let pick k = match Json.member k bench with Some v -> [ (k, v) ] | None -> [] in
   Json.Obj
     ([ ("schema", Json.String "yieldlab-bench-baseline/v1") ]
-    @ pick "scale" @ pick "jobs"
+    @ pick "scale" @ pick "jobs" @ pick "cores"
     @ [
         ( "tolerance",
           Json.Obj

@@ -12,7 +12,11 @@
     - [sim_counts.*] and [counters.*] — exact values, and exact {e key
       identity} in both directions: a simulation-count drift or a counter
       appearing/vanishing fails the gate, since those are determinism
-      regressions no timing tolerance should forgive.
+      regressions no timing tolerance should forgive.  The one exception
+      is [counters.preflight.findings], which depends on the machine's
+      core count (the jobs sweep's C006 warnings): it is compared only
+      when both documents carry the same [cores], and {!skipped} names it
+      otherwise.
 
     Histograms are deliberately not compared (their quantiles are timing
     distributions — pure noise across machines). *)
@@ -36,8 +40,13 @@ val check : baseline:Yield_obs.Json.t -> bench:Yield_obs.Json.t -> finding list
 (** Empty when the bench run is within tolerance of the baseline; one
     finding per violated field otherwise. *)
 
+val skipped : baseline:Yield_obs.Json.t -> bench:Yield_obs.Json.t -> finding list
+(** The core-dependent counters {!check} leaves out for this pair of
+    documents, each with the two [cores] values: all of them unless both
+    documents carry equal [cores], none otherwise. *)
+
 val baseline_of_bench :
   ?tolerance:tolerance -> Yield_obs.Json.t -> Yield_obs.Json.t
-(** Distil a [BENCH_flow.json] document into a baseline: scale, jobs, the
-    tolerance block, stage timings, sim counts and counters (histograms
-    and the jobs sweep are dropped). *)
+(** Distil a [BENCH_flow.json] document into a baseline: scale, jobs,
+    cores, the tolerance block, stage timings, sim counts and counters
+    (histograms and the jobs sweep are dropped). *)

@@ -221,6 +221,31 @@ let test_ac_lint_unreachable_fixture () =
   Alcotest.(check (list string)) "shipped lowpass stays clean" []
     (codes (Ac_tran_lint.check_file (fixture "examples/netlists/rc_lowpass.cir")))
 
+(* the two malformed .ac fixtures: lint reports A004 on the card's span,
+   and the grid they would need is refused outright, so `yieldlab
+   netlist` cannot sweep a degenerate grid in their place *)
+let test_ac_lint_malformed_sweep_fixtures () =
+  List.iter
+    (fun (name, line) ->
+      let diags = Ac_tran_lint.check_file (fixture ("examples/netlists/" ^ name)) in
+      Alcotest.(check (list string)) (name ^ " codes") [ "A004" ] (codes diags);
+      Alcotest.(check (list (option int))) (name ^ " line") [ Some line ]
+        (List.map (fun d -> d.Diagnostic.line) diags);
+      Alcotest.(check int) (name ^ " fails") 2 (Diagnostic.exit_code diags))
+    [ ("ac_bad_dec.cir", 8); ("ac_bad_range.cir", 7) ];
+  let refused what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "Ac.default_freqs accepted %s" what
+  in
+  refused "dec 0" (fun () -> Ac.default_freqs ~per_decade:0 ~f_lo:10. ~f_hi:1e6 ());
+  refused "dec -1" (fun () ->
+      Ac.default_freqs ~per_decade:(-1) ~f_lo:10. ~f_hi:1e6 ());
+  refused "a reversed range" (fun () ->
+      Ac.default_freqs ~per_decade:20 ~f_lo:1e6 ~f_hi:10. ());
+  Alcotest.(check int) "a good card's grid" 101
+    (Array.length (Ac.default_freqs ~per_decade:20 ~f_lo:10. ~f_hi:1e6 ()))
+
 let test_tran_lint_codes () =
   let pulse =
     Device.Pulse
@@ -528,6 +553,8 @@ let suites =
         Alcotest.test_case "A003 fixture + clean lowpass" `Quick
           test_ac_lint_unreachable_fixture;
         Alcotest.test_case "R codes" `Quick test_tran_lint_codes;
+        Alcotest.test_case "A004 fixtures + grid refusal" `Quick
+          test_ac_lint_malformed_sweep_fixtures;
       ] );
     ( "behavioural.verilog_a_ast",
       [

@@ -141,14 +141,57 @@ let test_objectives_order () =
   check_float "gain first" perf.Tb.gain_db o.(0);
   check_float "pm second" perf.Tb.phase_margin_deg o.(1)
 
-(* --- filter --- *)
+module Gtb = Yield_circuits.Testbench
+module Ac = Yield_spice.Ac
+
+let perf_fields (p : Gtb.perf) =
+  [| p.gain_db; p.phase_margin_deg; p.unity_gain_hz; p.f3db_hz; p.rout_est |]
+
+(* agreement on [None], and bit for bit on all five fields *)
+let check_perf_bits what expect got =
+  match (expect, got) with
+  | None, None -> ()
+  | Some e, Some g ->
+      Array.iteri
+        (fun i x ->
+          Alcotest.(check int64)
+            (Printf.sprintf "%s field %d" what i)
+            (Int64.bits_of_float x)
+            (Int64.bits_of_float (perf_fields g).(i)))
+        (perf_fields e)
+  | _ -> Alcotest.failf "%s: outcome differs" what
+
+let sweep_freqs = Gtb.freqs_of Gtb.default_conditions
+
+let bode_of response = { Ac.freqs = sweep_freqs; response }
+
+(* a two-pole response of DC gain [a0], and poles [p1] and [p2] Hz *)
+let two_pole a0 p1 p2 =
+  bode_of
+    (Array.map
+       (fun f ->
+         let pole p = Complex.div Complex.one { Complex.re = 1.; im = f /. p } in
+         Complex.mul { Complex.re = a0; im = 0. } (Complex.mul (pole p1) (pole p2)))
+       sweep_freqs)
+
+let constant z = bode_of (Array.map (fun _ -> z) sweep_freqs)
+
+(* responses with no unity crossing, a zero response (gain -inf) and NaN,
+   next to three ordinary ones *)
+let synthetic_bodes () =
+  [
+    two_pole 1e3 1e3 1e7;
+    two_pole 1e4 10. 1e5;
+    two_pole 1.2 1e6 1e8;
+    two_pole 0.5 1e3 1e7;
+    constant Complex.zero;
+    constant { Complex.re = nan; im = 0. };
+  ]
 
 (* perf_of_bode measures the sweep in one pass; it must agree bit for bit
    with the Measure functions it replaces, each of which recomputes the
    magnitudes (and phase_margin_deg the unity crossing) on its own *)
 let test_perf_of_bode_one_pass () =
-  let module Gtb = Yield_circuits.Testbench in
-  let module Ac = Yield_spice.Ac in
   let conditions = Gtb.default_conditions in
   let three_pass b =
     let gain_db = Measure.dc_gain_db b in
@@ -166,41 +209,12 @@ let test_perf_of_bode_one_pass () =
           |]
     | _ -> None
   in
-  let fields (p : Gtb.perf) =
-    [| p.gain_db; p.phase_margin_deg; p.unity_gain_hz; p.f3db_hz; p.rout_est |]
-  in
-  let freqs = Gtb.freqs_of conditions in
-  (* a two-pole response of DC gain [a0], and poles [p1] and [p2] Hz *)
-  let two_pole a0 p1 p2 =
-    {
-      Ac.freqs;
-      response =
-        Array.map
-          (fun f ->
-            let pole p = Complex.div Complex.one { Complex.re = 1.; im = f /. p } in
-            Complex.mul { Complex.re = a0; im = 0. } (Complex.mul (pole p1) (pole p2)))
-          freqs;
-    }
-  in
-  let constant z = { Ac.freqs; response = Array.map (fun _ -> z) freqs } in
   let circuit_bodes =
     List.filter_map Fun.id
       [
         Tb.bode Ota.default_params;
         Tb.bode { Ota.default_params with Ota.w1 = 2. *. Ota.default_params.Ota.w1 };
         Tb.bode { Ota.default_params with Ota.l2 = 3. *. Ota.default_params.Ota.l2 };
-      ]
-  in
-  let bodes =
-    circuit_bodes
-    @ [
-        two_pole 1e3 1e3 1e7;
-        two_pole 1e4 10. 1e5;
-        two_pole 1.2 1e6 1e8;
-        (* no unity crossing, a zero response (gain -inf), NaN *)
-        two_pole 0.5 1e3 1e7;
-        constant Complex.zero;
-        constant { Complex.re = nan; im = 0. };
       ]
   in
   Alcotest.(check int) "circuit bodes" 3 (List.length circuit_bodes);
@@ -214,10 +228,250 @@ let test_perf_of_bode_one_pass () =
               Alcotest.(check int64)
                 (Printf.sprintf "bode %d field %d" k i)
                 (Int64.bits_of_float e)
-                (Int64.bits_of_float (fields got).(i)))
+                (Int64.bits_of_float (perf_fields got).(i)))
             expect
       | _ -> Alcotest.failf "bode %d: outcome differs" k)
-    bodes
+    (circuit_bodes @ synthetic_bodes ())
+
+(* --- the measure-directed sweep --- *)
+
+(* the prefix of a full sweep that Testbench.sweep_stop keeps, driven the
+   way Ac.transfer drives it *)
+let stopped_prefix (b : Ac.bode) =
+  let stop = Gtb.sweep_stop () in
+  let n = Array.length b.Ac.response in
+  let rec go k =
+    if k = n then n else if stop k b.Ac.response.(k) then k + 1 else go (k + 1)
+  in
+  let m = go 0 in
+  { Ac.freqs = Array.sub b.Ac.freqs 0 m; response = Array.sub b.Ac.response 0 m }
+
+(* the rule, restated over the full sweep: one point when the gain is not
+   finite; else up to the later of point i+2 past the first 0 dB pair
+   (i, i+1) and the end j+1 of the first (gain - 3 dB) pair; else all *)
+let expected_length (b : Ac.bode) =
+  let mags = Measure.magnitudes_db b in
+  let n = Array.length mags in
+  let first_pair level =
+    let rec scan i =
+      if i >= n - 1 then None
+      else if mags.(i) >= level && mags.(i + 1) < level then Some i
+      else scan (i + 1)
+    in
+    scan 0
+  in
+  if not (Float.is_finite mags.(0)) then 1
+  else
+    match (first_pair 0., first_pair (mags.(0) -. 3.)) with
+    | Some i, Some j -> Stdlib.min n (Stdlib.max (i + 3) (j + 2))
+    | _ -> n
+
+(* a response whose magnitude falls linearly in dB from [db0], [slope]
+   dB per point, and whose phase falls 2 degrees per point *)
+let db_ramp ?(nan_at = []) db0 slope =
+  bode_of
+    (Array.mapi
+       (fun k _ ->
+         if List.mem k nan_at then { Complex.re = nan; im = nan }
+         else
+           Complex.polar
+             (10. ** ((db0 -. (slope *. float_of_int k)) /. 20.))
+             (-.Float.pi *. float_of_int k /. 90.))
+       sweep_freqs)
+
+let test_sweep_stop_synthetic () =
+  let n = Array.length sweep_freqs in
+  let check_case name ?length b =
+    let prefix = stopped_prefix b in
+    let got = Array.length prefix.Ac.response in
+    Alcotest.(check int) (name ^ ": rule") (expected_length b) got;
+    Option.iter (fun l -> Alcotest.(check int) (name ^ ": points") l got) length;
+    check_perf_bits name
+      (Gtb.perf_of_bode Gtb.default_conditions b)
+      (Gtb.perf_of_bode Gtb.default_conditions prefix)
+  in
+  List.iteri
+    (fun k b -> check_case (Printf.sprintf "synthetic %d" k) b)
+    (synthetic_bodes ());
+  Alcotest.(check int) "the sweep has 81 points" 81 n;
+  (* a single pole well inside the band stops short of the end *)
+  let early = two_pole 1e3 1e3 1e9 in
+  Alcotest.(check bool) "a plain response stops early" true
+    (Array.length (stopped_prefix early).Ac.response < n);
+  check_case "plain" early;
+  check_case "no unity crossing" ~length:n (two_pole 0.5 1e3 1e7);
+  (* 1.6 dB of gain: the -3 dB level sits below 0 dB, so its crossing
+     (pair 4, 5) comes after fu's (pair 2, 3) and decides the stop *)
+  check_case "gain below 3 dB" ~length:6 (db_ramp 1.6 0.7);
+  (* 0.26 dB per point: the -3 dB pair is (11, 12), and these gains put
+     the 0 dB pair at (79, 80), (78, 79) and (77, 78) *)
+  check_case "0 dB crossing in the last pair" ~length:n (db_ramp 20.6 0.26);
+  check_case "0 dB crossing one pair earlier" ~length:n (db_ramp 20.4 0.26);
+  check_case "0 dB crossing two pairs earlier" ~length:80 (db_ramp 20.15 0.26);
+  check_case "non-finite point 0" ~length:1
+    (bode_of
+       (Array.mapi
+          (fun k z -> if k = 0 then Complex.zero else z)
+          (two_pole 1e3 1e3 1e7).Ac.response));
+  check_case "infinite gain" ~length:1
+    (constant { Complex.re = infinity; im = 0. });
+  check_case "NaN point 0" ~length:1 (constant { Complex.re = nan; im = 0. });
+  check_case "all-zero response" ~length:1 (constant Complex.zero);
+  (* 0.45 dB per point from 20.2 dB: the 0 dB pair is (44, 45).  A NaN
+     point before the crossings delays nothing; one on the 0 dB crossing
+     hides it, so the whole sweep runs *)
+  check_case "NaN mid-sweep" ~length:47 (db_ramp ~nan_at:[ 5 ] 20.2 0.45);
+  check_case "NaN on the crossing" ~length:n
+    (db_ramp ~nan_at:[ 44 ] 20.2 0.45);
+  (* fu is the rounded log-interpolation on the 0 dB pair (i, i+1); with
+     point i+1 a hair below 0 dB it rounds onto point i+1 itself, the
+     edge the extra swept point i+2 guards *)
+  let i = 46 in
+  let onto =
+    bode_of
+      (Array.mapi
+         (fun k _ ->
+           let x = float_of_int k in
+           let db =
+             if k <= i then 30. -. (28. *. x /. float_of_int i)
+             else -2e-15 -. float_of_int (k - i - 1)
+           in
+           Complex.polar (10. ** (db /. 20.)) (-.Float.pi *. x /. 90.))
+         sweep_freqs)
+  in
+  check_case "fu on point i+1" ~length:(i + 3) onto;
+  Alcotest.(check (option (float 0.))) "fu is point i+1"
+    (Some sweep_freqs.(i + 1))
+    (Option.map
+       (fun (p : Gtb.perf) -> p.unity_gain_hz)
+       (Gtb.perf_of_bode Gtb.default_conditions onto))
+
+(* random sizings drawn uniformly (log-uniformly on Log ranges) *)
+let random_params (ranges : Yield_ga.Genome.range array) rng =
+  Array.map
+    (fun (g : Yield_ga.Genome.range) ->
+      let u = Rng.float rng in
+      match g.Yield_ga.Genome.scale with
+      | Yield_ga.Genome.Linear -> g.lo +. (u *. (g.hi -. g.lo))
+      | Log -> g.lo *. ((g.hi /. g.lo) ** u))
+    ranges
+
+let ac_points = Yield_obs.Metrics.counter "ac.points"
+
+(* the stopped sweep of [evaluate] against perf_of_bode of the full
+   [bode], over [n] random designs *)
+let check_random_designs name ~n ~seed ~ranges ~evaluate ~bode =
+  let rng = Rng.create seed in
+  let measured = ref 0 and points = ref 0 in
+  for d = 1 to n do
+    let p = random_params ranges rng in
+    let full = Option.bind (bode p) (Gtb.perf_of_bode Gtb.default_conditions) in
+    let before = Yield_obs.Metrics.value ac_points in
+    let stopped = evaluate p in
+    points := !points + (Yield_obs.Metrics.value ac_points - before);
+    if stopped <> None then incr measured;
+    check_perf_bits (Printf.sprintf "%s design %d" name d) full stopped
+  done;
+  Alcotest.(check bool) (name ^ ": most designs measured") true
+    (!measured > n / 2);
+  Alcotest.(check bool) (name ^ ": fewer points than full sweeps") true
+    (!points < n * Array.length sweep_freqs)
+
+let test_stopped_sweep_random_designs () =
+  let module Mtb = Yield_circuits.Miller_testbench in
+  let module Miller = Yield_circuits.Miller in
+  check_random_designs "ota" ~n:1000 ~seed:16 ~ranges:Ota.param_ranges
+    ~evaluate:(fun a -> Tb.evaluate (Ota.params_of_array a))
+    ~bode:(fun a -> Tb.bode (Ota.params_of_array a));
+  check_random_designs "miller" ~n:1000 ~seed:17 ~ranges:Miller.param_ranges
+    ~evaluate:(fun a -> Mtb.evaluate (Miller.params_of_array a))
+    ~bode:(fun a -> Mtb.bode (Miller.params_of_array a))
+
+(* session samples against DC + the full sweep under the same per-sample
+   models, on dense and csr sessions *)
+module Samples (A : Yield_circuits.Amplifier.S) = struct
+  module T = Gtb.Make (A)
+
+  let check name ~designs ~samples ~seed =
+    let rng = Rng.create seed in
+    let spec = Variation.default_spec in
+    let measured = ref 0 in
+    for d = 1 to designs do
+      let p = A.params_of_array (random_params A.param_ranges rng) in
+      List.iter
+        (fun solver ->
+          let s = T.session ~solver p in
+          let circuit = T.session_circuit s and sys = T.session_sys s in
+          for k = 1 to samples do
+            let r = Rng.split rng in
+            let full =
+              let models = Variation.overrides spec (Rng.copy r) circuit in
+              match Dcop.solve_with_retry ~sys ~models circuit with
+              | Error _ -> None
+              | Ok op ->
+                  Gtb.perf_of_bode Gtb.default_conditions
+                    (Ac.transfer_by_name ~sys circuit op ~out:"out"
+                       ~freqs:sweep_freqs)
+            in
+            let stopped = T.evaluate_in_session s ~spec ~rng:r in
+            if stopped <> None then incr measured;
+            check_perf_bits
+              (Printf.sprintf "%s %s design %d sample %d" name
+                 (T.session_solver_name s) d k)
+              full stopped
+          done)
+        [ Yield_numeric.Linsys.Dense; Yield_numeric.Linsys.Csr ]
+    done;
+    Alcotest.(check bool) (name ^ ": most samples measured") true
+      (!measured > designs * samples)
+end
+
+let test_stopped_sweep_session_samples () =
+  let module O = Samples (Ota) in
+  let module M = Samples (Yield_circuits.Miller) in
+  O.check "ota" ~designs:4 ~samples:128 ~seed:18;
+  M.check "miller" ~designs:4 ~samples:128 ~seed:19
+
+(* the ac.solve fault still fires once per evaluation, before anything is
+   factored, and the evaluation fails instead of crashing *)
+let test_ac_fault_stopped_sweep () =
+  let module Fault = Yield_resilience.Fault in
+  let module Metrics = Yield_obs.Metrics in
+  let module T = Gtb.Make (Ota) in
+  let hits = Metrics.counter "fault.ac.solve.hits" in
+  let session = T.session Ota.default_params in
+  Fun.protect ~finally:Fault.reset (fun () ->
+      Fault.arm "ac.solve" (Fault.Every 1);
+      let once what f =
+        let h = Metrics.value hits and pts = Metrics.value ac_points in
+        Alcotest.(check bool) (what ^ " fails") true (f () = None);
+        Alcotest.(check int) (what ^ ": one hit") (h + 1) (Metrics.value hits);
+        Alcotest.(check int) (what ^ ": nothing factored") pts
+          (Metrics.value ac_points)
+      in
+      for _ = 1 to 3 do
+        once "evaluate" (fun () -> T.evaluate Ota.default_params);
+        once "session sample" (fun () ->
+            T.evaluate_in_session session ~spec:Variation.default_spec
+              ~rng:(Rng.create 5))
+      done)
+
+(* ac.points counts the frequencies each transfer factored *)
+let test_ac_points_counter () =
+  let module Metrics = Yield_obs.Metrics in
+  let full = Option.get (Tb.bode Ota.default_params) in
+  let before = Metrics.value ac_points in
+  ignore (Tb.bode Ota.default_params);
+  Alcotest.(check int) "full sweep" 81 (Metrics.value ac_points - before);
+  let before = Metrics.value ac_points in
+  ignore (Tb.evaluate Ota.default_params);
+  let swept = Metrics.value ac_points - before in
+  Alcotest.(check int) "stopped sweep"
+    (Array.length (stopped_prefix full).Ac.response)
+    swept;
+  Alcotest.(check bool) "stops short of the end" true (swept < 81)
+
+(* --- filter --- *)
 
 let amp = { Filter.gain_db = 53.; rout = 2.5e6 }
 
@@ -293,6 +547,15 @@ let suites =
         Alcotest.test_case "objectives order" `Quick test_objectives_order;
         Alcotest.test_case "perf_of_bode in one pass" `Quick
           test_perf_of_bode_one_pass;
+        Alcotest.test_case "sweep stop on synthetic responses" `Quick
+          test_sweep_stop_synthetic;
+        Alcotest.test_case "stopped sweep on random designs" `Quick
+          test_stopped_sweep_random_designs;
+        Alcotest.test_case "stopped sweep on session samples" `Quick
+          test_stopped_sweep_session_samples;
+        Alcotest.test_case "ac.solve fault under the stopped sweep" `Quick
+          test_ac_fault_stopped_sweep;
+        Alcotest.test_case "ac.points counter" `Quick test_ac_points_counter;
       ] );
     ( "circuits.filter",
       [

@@ -221,11 +221,14 @@ let test_snapshot_deltas () =
 
 let bench_fixture ?(opt_s = 10.) ?(mc_s = 4.) ?(total_s = 15.) ?(mc_sims = 840)
     ?(counters = [ ("mc.samples.attempted", 840); ("wbga.evaluations", 288) ])
-    () =
+    ?cores () =
   Json.Obj
-    [
+    ([
       ("scale", Json.String "reduced-scale");
       ("jobs", Json.Int 1);
+    ]
+    @ Option.fold ~none:[] ~some:(fun c -> [ ("cores", Json.Int c) ]) cores
+    @ [
       ( "stage_s",
         Json.Obj
           [
@@ -238,7 +241,7 @@ let bench_fixture ?(opt_s = 10.) ?(mc_s = 4.) ?(total_s = 15.) ?(mc_sims = 840)
       ( "counters",
         Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) counters) );
       ("histograms", Json.Obj [ ("span.flow.run", Json.Obj []) ]);
-    ]
+    ])
 
 let tight = { Perf_gate.frac = 0.10; abs_s = 0. }
 
@@ -310,6 +313,44 @@ let test_gate_catches_count_and_counter_drift () =
   Alcotest.(check bool) "new counter needs a baseline refresh" true
     (List.mem "counters.span.sampled_out"
        (fields (Perf_gate.check ~baseline:base ~bench:appeared)))
+
+(* preflight.findings counts the jobs sweep's C006 warnings, which depend
+   on the core count: it is compared between runs on equal cores only,
+   and every other counter stays exact across core counts *)
+let test_gate_core_dependent_counter () =
+  let counters ?(evaluations = 288) findings =
+    [
+      ("mc.samples.attempted", 840);
+      ("preflight.findings", findings);
+      ("wbga.evaluations", evaluations);
+    ]
+  in
+  let base =
+    baseline ~tolerance:tight (bench_fixture ~cores:1 ~counters:(counters 2) ())
+  in
+  let skipped bench = fields (Perf_gate.skipped ~baseline:base ~bench) in
+  let two_cores = bench_fixture ~cores:2 ~counters:(counters 1) () in
+  Alcotest.(check (list string)) "cores and findings differ: passes" []
+    (fields (Perf_gate.check ~baseline:base ~bench:two_cores));
+  Alcotest.(check (list string)) "the skip is reported"
+    [ "counters.preflight.findings" ] (skipped two_cores);
+  let one_core = bench_fixture ~cores:1 ~counters:(counters 1) () in
+  Alcotest.(check (list string)) "equal cores: findings compared"
+    [ "counters.preflight.findings" ]
+    (fields (Perf_gate.check ~baseline:base ~bench:one_core));
+  Alcotest.(check (list string)) "equal cores: nothing skipped" []
+    (skipped one_core);
+  let other =
+    bench_fixture ~cores:2 ~counters:(counters ~evaluations:289 1) ()
+  in
+  Alcotest.(check (list string)) "any other counter still fails"
+    [ "counters.wbga.evaluations" ]
+    (fields (Perf_gate.check ~baseline:base ~bench:other));
+  let no_cores = bench_fixture ~counters:(counters 1) () in
+  Alcotest.(check (list string)) "unknown cores: findings skipped" []
+    (fields (Perf_gate.check ~baseline:base ~bench:no_cores));
+  Alcotest.(check bool) "the baseline carries cores" true
+    (Json.member "cores" base = Some (Json.Int 1))
 
 let test_gate_run_identity () =
   let base = baseline ~tolerance:tight (bench_fixture ()) in
@@ -403,6 +444,8 @@ let suites =
           test_gate_catches_count_and_counter_drift;
         Alcotest.test_case "run identity" `Quick test_gate_run_identity;
         Alcotest.test_case "baseline shape" `Quick test_baseline_of_bench_shape;
+        Alcotest.test_case "core-dependent counter" `Quick
+          test_gate_core_dependent_counter;
       ] );
     ( "telemetry.config",
       [ Alcotest.test_case "env knobs" `Quick test_telemetry_of_env ] );
