@@ -946,7 +946,16 @@ let () =
       run_gate cli bench_json;
       Printf.printf "gated %s\n%!" path;
       exit 0);
-  let config = Config.of_env () in
+  let config =
+    match Config.of_env () with
+    | Ok config -> config
+    | Error diags ->
+        List.iter
+          (fun d ->
+            Printf.eprintf "bench: %s\n" (Yield_analyse.Diagnostic.to_text d))
+          diags;
+        exit 2
+  in
   Printf.printf
     "yieldlab benchmark harness — %s (set YIELDLAB_FAST=1 for a smoke run)\n%!"
     (Config.scale_name config);

@@ -499,15 +499,15 @@ let optimize_cmd =
 
 (* ---------- flow ---------- *)
 
-let flow fast topology out_dir checkpoint_dir resume no_preflight prescreen
-    solver =
+let run_flow fast topology out_dir checkpoint_dir resume no_preflight prescreen
+    solver telemetry =
   let config = if fast then Config.fast_scale else Config.paper_scale in
   let config =
     {
       config with
       Config.jobs = Yield_exec.Jobs.resolve ();
       solver;
-      telemetry = Config.telemetry_of_env ();
+      telemetry;
       prescreen;
     }
   in
@@ -553,6 +553,21 @@ let flow fast topology out_dir checkpoint_dir resume no_preflight prescreen
     flow.Flow.timings.Flow.total_s;
   List.iter (Printf.printf "wrote %s\n") written;
   0
+
+(* the C008 refusal of malformed settings: print every diagnostic, exit 2 *)
+let refuse_settings diags =
+  List.iter (fun d -> Printf.eprintf "yieldlab: %s\n" (Diagnostic.to_text d)) diags;
+  2
+
+let setting_errors = function Ok _ -> [] | Error diags -> diags
+
+let flow fast topology out_dir checkpoint_dir resume no_preflight prescreen
+    solver =
+  match (Config.telemetry_of_env (), prescreen) with
+  | Ok telemetry, Ok prescreen ->
+      run_flow fast topology out_dir checkpoint_dir resume no_preflight
+        prescreen solver telemetry
+  | t, p -> refuse_settings (setting_errors t @ setting_errors p)
 
 let flow_cmd =
   let fast = Arg.(value & flag & info [ "fast" ] ~doc:"reduced-scale run") in
@@ -635,19 +650,15 @@ let flow_cmd =
       & info [ "prescreen-budget" ] ~docv:"FRAC"
           ~doc:
             "fraction of the MC budget a provably-pass point still runs \
-             (in (0, 1]; 1 disables the shrink)")
+             (in (0, 1]; 1 disables the shrink; any other value is refused \
+             with C008)")
   in
   let prescreen_term =
     let build enabled k g pm b =
       if not enabled then Config.prescreen_of_env ()
       else
-        {
-          Config.enabled = true;
-          k_sigma = k;
-          min_gain_db = g;
-          min_pm_deg = pm;
-          pass_budget_frac = (if b > 0. && b <= 1. then b else 1.);
-        }
+        Config.prescreen_of_flags ~k_sigma:k ~min_gain_db:g ~min_pm_deg:pm
+          ~pass_budget_frac:b
     in
     Term.(
       const build $ prescreen_flag $ prescreen_k $ prescreen_min_gain
@@ -1197,12 +1208,15 @@ let lint_config json sarif baseline write_baseline fast checkpoint_dir resume
     }
   in
   let diags = Config_lint.check ?checkpoint_dir ~resume view in
+  (* the env settings the flow would refuse (C008) *)
+  let setting_diags = setting_errors (Config.of_env ()) in
   let fault_diags =
     match fault_spec_check with
     | None -> []
     | Some spec -> Config_lint.check_fault_spec spec
   in
-  report_diags ?sarif ?baseline ~write_baseline ~json (diags @ fault_diags)
+  report_diags ?sarif ?baseline ~write_baseline ~json
+    (diags @ setting_diags @ fault_diags)
 
 let lint_config_cmd =
   let fast =

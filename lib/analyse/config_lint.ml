@@ -118,6 +118,11 @@ let solver_checks v =
       | Some _ | None -> []
     end
 
+let malformed_setting ~setting ~value ~expected =
+  diag ~code:"C008" ~severity:Diagnostic.Error ~subject:setting
+    (Printf.sprintf "%s=%S is not %s; refused, not replaced by a default"
+       setting value expected)
+
 let control_checks v =
   match Control.parse v.control with
   | _ -> []

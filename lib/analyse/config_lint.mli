@@ -25,6 +25,9 @@
       {!Yield_numeric.Linsys.backend_of_string} (error), or [csr] requested
       on a system smaller than {!csr_min_size} unknowns (warning: symbolic
       overhead dominates, dense is faster)
+    - [C008] (error) a malformed setting: an env variable or CLI flag whose
+      value does not parse or lies outside its domain
+      ({!malformed_setting}).  It is refused, never replaced by a default
     - [F001] (error) unparseable [--fault-spec]
     - [F002] (error) fault-spec names an unknown injection point — the
       schedule would silently never fire
@@ -53,12 +56,18 @@ val min_valid_mc_samples : int
 
 val csr_min_size : int
 (** Below this many unknowns the csr backend's per-topology symbolic
-    analysis outweighs any per-sample gain; C007 warns.  The dense backend
-    is also faster per sample on the shipped 11-unknown testbenches, so
-    the real crossover lies higher; this threshold stays until one is
-    measured. *)
+    analysis outweighs any per-sample gain; C007 warns.  csr is faster
+    per Monte Carlo sample on the shipped 11-unknown testbenches
+    (README.md, solver A/B), so the crossover lies at or below 11
+    unknowns; this threshold stays until one is measured. *)
 
 val check : ?checkpoint_dir:string -> ?resume:bool -> view -> Diagnostic.t list
+
+val malformed_setting : setting:string -> value:string -> expected:string -> Diagnostic.t
+(** The [C008] error for [setting] (an env variable or CLI flag name)
+    holding the raw text [value], which is not [expected] (e.g. ["a
+    fraction in (0, 1]"]).  [Config]'s readers build it; the flow and
+    [lint config] exit 2 on it. *)
 
 val check_fault_spec : ?known:string list -> string -> Diagnostic.t list
 (** [known] defaults to {!Yield_resilience.Fault.known} — every injection

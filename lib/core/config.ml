@@ -71,43 +71,72 @@ let fast_scale =
     front_stride = 4;
   }
 
+(* a number read from [setting]'s raw text: finite and accepted by [ok],
+   else C008 naming the setting and the text, never a default *)
+let number ~setting ~expected ok raw =
+  match float_of_string_opt raw with
+  | Some v when Float.is_finite v && ok v -> Ok v
+  | Some _ | None ->
+      Error [ Yield_analyse.Config_lint.malformed_setting ~setting ~value:raw ~expected ]
+
+(* empty counts as unset *)
+let nonempty k = match Sys.getenv_opt k with Some "" | None -> None | Some v -> Some v
+
+let diags = function Ok _ -> [] | Error ds -> ds
+
 let telemetry_of_env () =
-  let nonempty k =
-    match Sys.getenv_opt k with Some "" | None -> None | Some v -> Some v
+  let snapshot_every_s =
+    match nonempty "YIELDLAB_SNAPSHOT_EVERY" with
+    | None -> Ok None
+    | Some raw ->
+        Result.map Option.some
+          (number ~setting:"YIELDLAB_SNAPSHOT_EVERY"
+             ~expected:"a positive number of seconds" (fun s -> s > 0.) raw)
   in
-  {
-    trace_stream = nonempty "YIELDLAB_TRACE_STREAM";
-    span_sample = nonempty "YIELDLAB_SPAN_SAMPLE";
-    snapshot_every_s =
-      Option.bind (nonempty "YIELDLAB_SNAPSHOT_EVERY") (fun v ->
-          match float_of_string_opt v with
-          | Some s when s > 0. -> Some s
-          | Some _ | None -> None);
-  }
+  Result.map
+    (fun snapshot_every_s ->
+      {
+        trace_stream = nonempty "YIELDLAB_TRACE_STREAM";
+        span_sample = nonempty "YIELDLAB_SPAN_SAMPLE";
+        snapshot_every_s;
+      })
+    snapshot_every_s
+
+let budget_expected = "a fraction in (0, 1]"
+
+let budget_ok f = f > 0. && f <= 1.
+
+let prescreen_of_flags ~k_sigma ~min_gain_db ~min_pm_deg ~pass_budget_frac =
+  if budget_ok pass_budget_frac then
+    Ok { enabled = true; k_sigma; min_gain_db; min_pm_deg; pass_budget_frac }
+  else
+    Error
+      [
+        Yield_analyse.Config_lint.malformed_setting ~setting:"--prescreen-budget"
+          ~value:(Printf.sprintf "%g" pass_budget_frac)
+          ~expected:budget_expected;
+      ]
 
 let prescreen_of_env () =
-  let flag k =
-    match Sys.getenv_opt k with
-    | Some v when v <> "" && v <> "0" -> true
-    | Some _ | None -> false
-  in
-  let num k default =
-    match Option.bind (Sys.getenv_opt k) float_of_string_opt with
-    | Some v -> v
-    | None -> default
-  in
   let d = no_prescreen in
-  if not (flag "YIELDLAB_PRESCREEN") then d
-  else
-    {
-      enabled = true;
-      k_sigma = num "YIELDLAB_PRESCREEN_K" d.k_sigma;
-      min_gain_db = num "YIELDLAB_PRESCREEN_MIN_GAIN" d.min_gain_db;
-      min_pm_deg = num "YIELDLAB_PRESCREEN_MIN_PM" d.min_pm_deg;
-      pass_budget_frac =
-        (let f = num "YIELDLAB_PRESCREEN_PASS_BUDGET" d.pass_budget_frac in
-         if f > 0. && f <= 1. then f else d.pass_budget_frac);
-    }
+  match Sys.getenv_opt "YIELDLAB_PRESCREEN" with
+  | None | Some ("" | "0") -> Ok d
+  | Some _ -> (
+      let num setting ?(expected = "a number") ?(ok = fun _ -> true) default =
+        match nonempty setting with
+        | None -> Ok default
+        | Some raw -> number ~setting ~expected ok raw
+      in
+      match
+        ( num "YIELDLAB_PRESCREEN_K" d.k_sigma,
+          num "YIELDLAB_PRESCREEN_MIN_GAIN" d.min_gain_db,
+          num "YIELDLAB_PRESCREEN_MIN_PM" d.min_pm_deg,
+          num "YIELDLAB_PRESCREEN_PASS_BUDGET" ~expected:budget_expected
+            ~ok:budget_ok d.pass_budget_frac )
+      with
+      | Ok k_sigma, Ok min_gain_db, Ok min_pm_deg, Ok pass_budget_frac ->
+          Ok { enabled = true; k_sigma; min_gain_db; min_pm_deg; pass_budget_frac }
+      | k, g, pm, b -> Error (List.concat_map diags [ k; g; pm; b ]))
 
 (* the raw name, not a parsed backend: Config_lint (C007) reports unknown
    names as preflight errors with the original spelling *)
@@ -122,13 +151,17 @@ let of_env () =
     | Some v when v <> "" && v <> "0" -> fast_scale
     | Some _ | None -> paper_scale
   in
-  {
-    base with
-    jobs = Yield_exec.Jobs.resolve ();
-    solver = solver_of_env ();
-    telemetry = telemetry_of_env ();
-    prescreen = prescreen_of_env ();
-  }
+  match (telemetry_of_env (), prescreen_of_env ()) with
+  | Ok telemetry, Ok prescreen ->
+      Ok
+        {
+          base with
+          jobs = Yield_exec.Jobs.resolve ();
+          solver = solver_of_env ();
+          telemetry;
+          prescreen;
+        }
+  | t, p -> Error (diags t @ diags p)
 
 let fingerprint t =
   (* everything the checkpointed stages' determinism depends on; resuming

@@ -72,30 +72,46 @@ val fast_scale : t
 (** Reduced settings for smoke runs: 40 x 25 optimisation, 40 MC samples on
     every 4th Pareto point.  [jobs = 1], as for {!paper_scale}. *)
 
-val of_env : unit -> t
+val of_env : unit -> (t, Yield_analyse.Diagnostic.t list) result
 (** [paper_scale], or [fast_scale] when the environment variable
     [YIELDLAB_FAST] is set to a non-empty value other than ["0"]; [jobs] is
     resolved through {!Yield_exec.Jobs.resolve} (CLI request >
     [YIELDLAB_JOBS] > recommended domain count); [solver] from
     {!solver_of_env}; [telemetry] from {!telemetry_of_env}; [prescreen]
-    from {!prescreen_of_env}. *)
+    from {!prescreen_of_env}.  [Error] carries the C008 diagnostics of
+    both readers. *)
 
 val solver_of_env : unit -> string
 (** [YIELDLAB_SOLVER], verbatim (empty counts as unset → ["dense"]).
     Deliberately unvalidated: preflight lint (C007) owns the error
     message. *)
 
-val prescreen_of_env : unit -> prescreen
-(** Enabled by [YIELDLAB_PRESCREEN] (non-empty, non-["0"]); then
-    [YIELDLAB_PRESCREEN_K], [YIELDLAB_PRESCREEN_MIN_GAIN],
-    [YIELDLAB_PRESCREEN_MIN_PM] and [YIELDLAB_PRESCREEN_PASS_BUDGET]
-    override the {!no_prescreen} defaults (non-numeric values are ignored;
-    the budget fraction must land in (0, 1]). *)
+(** {2 Settings read from the environment or flags}
 
-val telemetry_of_env : unit -> telemetry
+    A malformed value is refused with a C008 error diagnostic
+    ({!Yield_analyse.Config_lint.malformed_setting}) naming the variable
+    or flag and its text; it is never replaced by a default.  Numbers must
+    parse with [float_of_string] and be finite. *)
+
+val prescreen_of_env : unit -> (prescreen, Yield_analyse.Diagnostic.t list) result
+(** {!no_prescreen} unless [YIELDLAB_PRESCREEN] is non-empty and not
+    ["0"]; then enabled, with [YIELDLAB_PRESCREEN_K],
+    [YIELDLAB_PRESCREEN_MIN_GAIN], [YIELDLAB_PRESCREEN_MIN_PM] and
+    [YIELDLAB_PRESCREEN_PASS_BUDGET] (a fraction in (0, 1]) overriding the
+    {!no_prescreen} defaults.  Empty variables count as unset; every
+    malformed one gets its own diagnostic. *)
+
+val prescreen_of_flags :
+  k_sigma:float -> min_gain_db:float -> min_pm_deg:float ->
+  pass_budget_frac:float -> (prescreen, Yield_analyse.Diagnostic.t list) result
+(** The enabled prescreen of [flow --prescreen]'s flags; a
+    [pass_budget_frac] outside (0, 1] is refused, naming
+    [--prescreen-budget]. *)
+
+val telemetry_of_env : unit -> (telemetry, Yield_analyse.Diagnostic.t list) result
 (** [YIELDLAB_TRACE_STREAM] (path), [YIELDLAB_SPAN_SAMPLE] (spec) and
-    [YIELDLAB_SNAPSHOT_EVERY] (seconds; non-numeric or [<= 0] values are
-    ignored).  Empty variables count as unset. *)
+    [YIELDLAB_SNAPSHOT_EVERY] (a positive number of seconds).  Empty
+    variables count as unset. *)
 
 val scale_name : t -> string
 

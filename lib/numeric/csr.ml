@@ -2,13 +2,19 @@
 
    The analysis is split the way the Monte Carlo loop needs it: [analyse]
    runs once per circuit topology (row matching for a zero-free diagonal,
-   minimum-degree ordering, symbolic fill), and the per-sample work —
-   [rreset]/[radd]/[rsolve] — only touches the numeric value slots of that
-   fixed pattern.  No numeric pivoting is performed (the pivot order is the
-   symbolic one), so a vanishing pivot raises {!Lu.Singular} exactly like
-   the dense path, and one iterative-refinement step against the assembled
-   values recovers the accuracy partial pivoting would have bought on the
-   diagonally-weak MNA systems this solves. *)
+   minimum-degree ordering, symbolic fill) and then compiles the
+   elimination itself: the up-looking LU of the filled pattern, walked once,
+   leaves a schedule of slot indices (each L entry, its pivot's diagonal
+   slot, and the run of (target, source) slot pairs its row update
+   writes).  The per-sample work — [rreset]/[radd]/[rsolve], and the
+   complex [G + jwC] variant — only touches the numeric value slots of
+   that fixed pattern, and each factorisation replays the schedule in
+   place.  No numeric pivoting is
+   performed (the pivot order is the symbolic one), so a vanishing pivot
+   raises {!Lu.Singular} exactly like the dense path, and one
+   iterative-refinement step against the assembled values recovers the
+   accuracy partial pivoting would have bought on the diagonally-weak MNA
+   systems this solves. *)
 
 module ISet = Set.Make (Int)
 
@@ -29,6 +35,15 @@ type symbolic = {
   o_rowptr : int array;  (* n + 1 entries into o_cols / o_slots *)
   o_cols : int array;  (* original pattern, sorted within each row *)
   o_slots : int array;  (* value slot of each original entry *)
+  (* the compiled elimination.  Row i's L entries (i, k) are the slots
+     [f_rowptr.(i)] .. [f_diag.(i) - 1], in ascending k. *)
+  l_piv : int array;
+      (* slot of pivot (k, k) for each L slot (i, k); -1 on other slots *)
+  u_ptr : int array;
+      (* m + 1 entries: L slot (i, k) updates the pairs [u_ptr.(slot)] ..
+         [u_ptr.(slot + 1) - 1], empty for other slots *)
+  u_tgt : int array;  (* slot (i, j) for each j in row k's U tail, ... *)
+  u_src : int array;  (* ... and the slot (k, j) it subtracts from it *)
 }
 
 let size s = s.n
@@ -127,6 +142,56 @@ let min_degree ~n adj =
   done;
   order
 
+(* Walk the up-looking elimination of the filled pattern once and record it
+   as slot indices: for each L slot (i, k), the slot of pivot (k, k) and the
+   (target, source) pairs of its row update, row k's U tail (k, j) mapped
+   onto row i's (i, j).  Replaying the pairs in place performs the same
+   floating-point operations, in the same order on every slot, as an
+   elimination through a dense scatter row: the update of (i, j) by pivot k
+   lands on the slot the scatter row would have gathered it back from.  The
+   schedule holds one factorisation's update count of pairs. *)
+let compile ~n ~f_rowptr ~f_cols ~f_diag =
+  let m = Array.length f_cols in
+  let l_piv = Array.make m (-1) in
+  let u_ptr = Array.make (m + 1) 0 in
+  for i = 0 to n - 1 do
+    for idx = f_rowptr.(i) to f_rowptr.(i + 1) - 1 do
+      let run =
+        if idx < f_diag.(i) then begin
+          let k = f_cols.(idx) in
+          l_piv.(idx) <- f_diag.(k);
+          f_rowptr.(k + 1) - f_diag.(k) - 1
+        end
+        else 0
+      in
+      u_ptr.(idx + 1) <- u_ptr.(idx) + run
+    done
+  done;
+  let u_tgt = Array.make u_ptr.(m) 0 and u_src = Array.make u_ptr.(m) 0 in
+  (* slot of (i, j) in the row being compiled, -1 off its pattern *)
+  let pos = Array.make n (-1) in
+  for i = 0 to n - 1 do
+    let lo = f_rowptr.(i) and hi = f_rowptr.(i + 1) - 1 in
+    for idx = lo to hi do
+      pos.(f_cols.(idx)) <- idx
+    done;
+    for idx = lo to f_diag.(i) - 1 do
+      let k = f_cols.(idx) in
+      let p = ref u_ptr.(idx) in
+      for jdx = f_diag.(k) + 1 to f_rowptr.(k + 1) - 1 do
+        let t = pos.(f_cols.(jdx)) in
+        if t < 0 then invalid_arg "Csr.analyse: fill pattern broken";
+        u_tgt.(!p) <- t;
+        u_src.(!p) <- jdx;
+        incr p
+      done
+    done;
+    for idx = lo to hi do
+      pos.(f_cols.(idx)) <- -1
+    done
+  done;
+  (l_piv, u_ptr, u_tgt, u_src)
+
 let analyse ?strong_rows ~n rows =
   let strong_rows = Option.value strong_rows ~default:rows in
   if Array.length rows <> n then invalid_arg "Csr.analyse: ragged pattern";
@@ -143,6 +208,10 @@ let analyse ?strong_rows ~n rows =
       o_rowptr = [| 0 |];
       o_cols = [||];
       o_slots = [||];
+      l_piv = [||];
+      u_ptr = [| 0 |];
+      u_tgt = [||];
+      u_src = [||];
     }
   else begin
     let row_of_col = match_rows ~n ~rows ~strong_rows in
@@ -232,6 +301,7 @@ let analyse ?strong_rows ~n rows =
         o_slots.(k) <- slot
       done
     done;
+    let l_piv, u_ptr, u_tgt, u_src = compile ~n ~f_rowptr ~f_cols ~f_diag in
     {
       n;
       rowperm;
@@ -242,6 +312,10 @@ let analyse ?strong_rows ~n rows =
       o_rowptr;
       o_cols;
       o_slots;
+      l_piv;
+      u_ptr;
+      u_tgt;
+      u_src;
     }
   end
 
@@ -260,13 +334,12 @@ let slot s i j =
 
 (* Every buffer a factorisation or solve needs lives in the workspace, so
    [rsolve] allocates only the solution it returns.  Each call overwrites
-   [luv], [y] and [r] in full before reading them, and [refactor] leaves
-   [work] all-zero after every row, a raised Lu.Singular included. *)
+   [luv], [y] and [r] in full before reading them, so a raised Lu.Singular
+   leaves nothing a later call could see. *)
 type rwork = {
   sym : symbolic;
   values : float array;  (* assembled entries, by F slot *)
   luv : float array;  (* factor workspace, same slots *)
-  work : float array;  (* scatter row, length n *)
   y : float array;  (* permuted solution, length n *)
   r : float array;  (* refinement residual and correction, length n *)
 }
@@ -277,7 +350,6 @@ let rwork sym =
     sym;
     values = Array.make m 0.;
     luv = Array.make m 0.;
-    work = Array.make n 0.;
     y = Array.make n 0.;
     r = Array.make n 0.;
   }
@@ -289,31 +361,23 @@ let radd w i j v =
   w.values.(k) <- w.values.(k) +. v
 
 (* factor [values] into [luv] (packed LU over the filled pattern, no
-   pivoting).  @raise Lu.Singular on a vanishing pivot. *)
+   pivoting) by replaying the compiled elimination in place.
+   @raise Lu.Singular on a vanishing pivot. *)
 let refactor w =
   let s = w.sym in
-  let n = s.n in
-  let rp = s.f_rowptr and cols = s.f_cols and diag = s.f_diag in
-  let luv = w.luv and work = w.work in
+  let rp = s.f_rowptr and diag = s.f_diag in
+  let piv = s.l_piv and up = s.u_ptr and tgt = s.u_tgt and src = s.u_src in
+  let luv = w.luv in
   Array.blit w.values 0 luv 0 (Array.length luv);
-  for i = 0 to n - 1 do
-    let lo = rp.(i) and hi = rp.(i + 1) - 1 in
-    for idx = lo to hi do
-      work.(cols.(idx)) <- luv.(idx)
-    done;
-    for idx = lo to diag.(i) - 1 do
-      let k = cols.(idx) in
-      let lik = work.(k) /. luv.(diag.(k)) in
-      work.(k) <- lik;
+  for i = 0 to s.n - 1 do
+    for idx = rp.(i) to diag.(i) - 1 do
+      let lik = luv.(idx) /. luv.(piv.(idx)) in
+      luv.(idx) <- lik;
       if lik <> 0. then
-        for jdx = diag.(k) + 1 to rp.(k + 1) - 1 do
-          let j = cols.(jdx) in
-          work.(j) <- work.(j) -. (lik *. luv.(jdx))
+        for p = up.(idx) to up.(idx + 1) - 1 do
+          let t = tgt.(p) in
+          luv.(t) <- luv.(t) -. (lik *. luv.(src.(p)))
         done
-    done;
-    for idx = lo to hi do
-      luv.(idx) <- work.(cols.(idx));
-      work.(cols.(idx)) <- 0.
     done;
     if Float.abs luv.(diag.(i)) < pivot_floor then raise (Lu.Singular i)
   done
@@ -371,18 +435,15 @@ let rsolve w b =
 
 (* ---------- complex numeric kernel (G + jwC) ---------- *)
 
-(* As for [rwork]: [cfactor] overwrites [lre]/[lim] in full and leaves
-   [wr]/[wi] all-zero, and each solve overwrites the four vectors it uses,
-   so a factorisation and its solves allocate only the solver closure and
-   the solutions. *)
+(* As for [rwork]: [cfactor] overwrites [lre]/[lim] in full, and each
+   solve overwrites the four vectors it uses, so a factorisation and its
+   solves allocate only the solver closure and the solutions. *)
 type cwork = {
   csym : symbolic;
   gv : float array;  (* assembled G, by F slot *)
   cv : float array;  (* assembled C, by F slot *)
   lre : float array;  (* factors of G + jwC, same slots *)
   lim : float array;
-  wr : float array;  (* scatter row, length n *)
-  wi : float array;
   yr : float array;  (* permuted solution, length n *)
   yi : float array;
   rr : float array;  (* refinement residual and correction, length n *)
@@ -398,8 +459,6 @@ let cwork sym =
     cv = vec m;
     lre = vec m;
     lim = vec m;
-    wr = vec n;
-    wi = vec n;
     yr = vec n;
     yi = vec n;
     rr = vec n;
@@ -481,47 +540,35 @@ let csolve w ~omega b =
   done;
   x
 
-(* factor G + jwC once, return a solver usable for many right-hand sides
-   (the noise analysis solves one system per source per frequency) *)
+(* factor G + jwC once, by replaying the compiled elimination in place,
+   and return a solver usable for many right-hand sides (the noise analysis
+   solves one system per source per frequency) *)
 let cfactor w ~omega =
   let s = w.csym in
-  let n = s.n in
-  let m = Array.length s.f_cols in
-  let rp = s.f_rowptr and cols = s.f_cols and diag = s.f_diag in
+  let rp = s.f_rowptr and diag = s.f_diag in
+  let piv = s.l_piv and up = s.u_ptr and tgt = s.u_tgt and src = s.u_src in
   let lre = w.lre and lim = w.lim in
-  for k = 0 to m - 1 do
+  for k = 0 to Array.length lre - 1 do
     lre.(k) <- w.gv.(k);
     lim.(k) <- omega *. w.cv.(k)
   done;
-  let wr = w.wr and wi = w.wi in
-  for i = 0 to n - 1 do
-    let lo = rp.(i) and hi = rp.(i + 1) - 1 in
-    for idx = lo to hi do
-      wr.(cols.(idx)) <- lre.(idx);
-      wi.(cols.(idx)) <- lim.(idx)
-    done;
-    for idx = lo to diag.(i) - 1 do
-      let k = cols.(idx) in
-      let pr = lre.(diag.(k)) and pi = lim.(diag.(k)) in
+  for i = 0 to s.n - 1 do
+    for idx = rp.(i) to diag.(i) - 1 do
+      let kk = piv.(idx) in
+      let pr = lre.(kk) and pi = lim.(kk) in
       let pmag = (pr *. pr) +. (pi *. pi) in
-      let ar = wr.(k) and ai = wi.(k) in
+      let ar = lre.(idx) and ai = lim.(idx) in
       let fr = ((ar *. pr) +. (ai *. pi)) /. pmag in
       let fi = ((ai *. pr) -. (ar *. pi)) /. pmag in
-      wr.(k) <- fr;
-      wi.(k) <- fi;
+      lre.(idx) <- fr;
+      lim.(idx) <- fi;
       if fr <> 0. || fi <> 0. then
-        for jdx = diag.(k) + 1 to rp.(k + 1) - 1 do
-          let j = cols.(jdx) in
-          let ur = lre.(jdx) and ui = lim.(jdx) in
-          wr.(j) <- wr.(j) -. ((fr *. ur) -. (fi *. ui));
-          wi.(j) <- wi.(j) -. ((fr *. ui) +. (fi *. ur))
+        for p = up.(idx) to up.(idx + 1) - 1 do
+          let t = tgt.(p) and q = src.(p) in
+          let ur = lre.(q) and ui = lim.(q) in
+          lre.(t) <- lre.(t) -. ((fr *. ur) -. (fi *. ui));
+          lim.(t) <- lim.(t) -. ((fr *. ui) +. (fi *. ur))
         done
-    done;
-    for idx = lo to hi do
-      lre.(idx) <- wr.(cols.(idx));
-      lim.(idx) <- wi.(cols.(idx));
-      wr.(cols.(idx)) <- 0.;
-      wi.(cols.(idx)) <- 0.
     done;
     let dr = lre.(diag.(i)) and di = lim.(diag.(i)) in
     if (dr *. dr) +. (di *. di) < cpivot_floor then raise (Lu.Singular i)

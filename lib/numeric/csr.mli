@@ -1,19 +1,27 @@
 (** Sparse LU over a compressed-sparse-row filled pattern.
 
     [analyse] runs once per circuit topology: it computes a row matching
-    giving a zero-free diagonal, a greedy minimum-degree ordering, and the
-    up-looking symbolic fill.  The per-sample numeric work ([rreset] /
-    [radd] / [rsolve], and the complex [G + jwC] variant) only touches
-    value slots of that fixed pattern.  No numeric pivoting is performed;
-    a vanishing pivot raises {!Lu.Singular} like the dense path, and one
+    giving a zero-free diagonal, a greedy minimum-degree ordering, the
+    up-looking symbolic fill, and then compiles the elimination itself
+    into a schedule of value-slot indices.  The per-sample numeric work
+    ([rreset] / [radd] / [rsolve], and the complex [G + jwC] variant) only
+    touches value slots of that fixed pattern: each factorisation replays
+    the schedule in place.  No numeric pivoting is performed; a vanishing
+    pivot raises {!Lu.Singular} like the dense path, and one
     iterative-refinement step against the assembled values recovers the
     accuracy partial pivoting would have bought. *)
 
 type symbolic
-(** Immutable result of the symbolic analysis, including the flat index
-    that maps an original entry [(i, j)] to its value slot; safe to share
-    across domains.  Per-worker numeric state lives in {!rwork} /
-    {!cwork}. *)
+(** Immutable result of the symbolic analysis; safe to share across
+    domains.  It holds the permutations, the filled pattern (its diagonal
+    slots included), the flat index that maps an original entry [(i, j)]
+    to its value slot, and the compiled elimination as flat int arrays:
+    for each L entry [(i, k)] (row i's below-diagonal slots, in ascending
+    k), the slot of pivot [(k, k)] and the run of (target, source) slot
+    pairs its update writes, row k's U tail [(k, j)] mapped onto row i's
+    [(i, j)].  The schedule holds one factorisation's update count of
+    pairs, not n{^2} entries.  Per-worker numeric state lives in {!rwork}
+    / {!cwork}. *)
 
 val analyse : ?strong_rows:int array array -> n:int -> int array array -> symbolic
 (** [analyse ~n rows] analyses an [n]x[n] pattern whose row [i] has the
@@ -27,7 +35,9 @@ val analyse : ?strong_rows:int array array -> n:int -> int array array -> symbol
     positions which vanish in a DC assembly) so the no-pivoting
     factorisation never routes a pivot through a zero.  Must be a
     row-wise subset of [rows].
-    @raise Lu.Singular if the pattern is structurally singular. *)
+    @raise Lu.Singular if the pattern is structurally singular.
+    @raise Invalid_argument if an update of the compiled elimination would
+    land outside the filled pattern, which means the analysis is broken. *)
 
 val size : symbolic -> int
 val nnz : symbolic -> int
@@ -37,7 +47,8 @@ val nnz : symbolic -> int
 
 type rwork
 (** Mutable per-worker numeric state for one real system: the assembled
-    values and every factor and solve buffer.  Never share one across
+    values, the factor (one float per slot of the filled pattern) and the
+    permuted solution and refinement vectors.  Never share one across
     domains. *)
 
 val rwork : symbolic -> rwork
@@ -58,8 +69,9 @@ val rsolve : rwork -> float array -> float array
 (** {1 Complex systems of the form G + jwC} *)
 
 type cwork
-(** Mutable per-worker state for one complex system, factor and solve
-    buffers included, like {!rwork}. *)
+(** Mutable per-worker state for one complex system, like {!rwork}: the
+    assembled G and C, the real and imaginary parts of the factor, and the
+    solve and refinement vectors. *)
 
 val cwork : symbolic -> cwork
 val creset : cwork -> unit

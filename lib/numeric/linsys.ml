@@ -14,7 +14,14 @@
    cancellation only produce +0, so G and C hold none, and omega *. C holds
    none when omega > 0 and no product underflows, which [pencil] checks.
    Right-hand sides and back substitution are never skipped: a source of
-   value 0 can put a -0 there. *)
+   value 0 can put a -0 there.
+
+   The Csr backend must stay bit-identical to its reference copy in the
+   tests (test/csr_ref.ml).  [Csr.analyse] compiles the elimination of the
+   topology's fill pattern into slot-index runs once, and every Newton
+   solve and every AC factor replays them in place on the workspace's
+   value slots: the same operations, skips and pivot tests as the
+   reference's scatter-row elimination, none of its index work. *)
 
 module Pattern = struct
   (* [strong] rows hold the entries assembled to a nonzero value by every

@@ -12,10 +12,10 @@
       only the system size, never a structural pattern.  Its workspaces
       reuse their buffers across factorisations.
     - [Csr] uses {!Csr}: the structural nonzeros, described as a
-      {!Pattern.t}, get a fill-reducing ordering and symbolic
-      factorisation once per topology at [compile] time; per-sample work
-      only refactors numeric values over the cached fill pattern, in
-      buffers its workspaces own.
+      {!Pattern.t}, get a fill-reducing ordering, a symbolic factorisation
+      and a compiled elimination schedule once per topology at [compile]
+      time; per-sample work only replays that schedule over the numeric
+      values of the cached fill pattern, in buffers its workspaces own.
 
     On either backend a stamp outside the [n]x[n] system raises
     [Invalid_argument]; it never lands on another entry.

@@ -16,6 +16,10 @@ let h_recovery_attempts = Metrics.histogram "dcop.recovery_attempts"
 
 let c_convergence_failures = Metrics.counter "dcop.convergence_failures"
 
+(* every Newton iteration of every run, converged or not: one real
+   factorisation each, the DC counterpart of [ac.points] *)
+let c_iterations = Metrics.counter "dcop.iterations"
+
 (* injection points: [dcop.solve] fails the whole solve (a transient
    non-convergence the retry layer can absorb); [dcop.newton] / [dcop.gmin]
    fail one homotopy stage, forcing the next fallback in the chain *)
@@ -52,20 +56,23 @@ let error_to_string = function
   | Singular_system what -> "dcop: singular system in " ^ what
 
 (* One damped-Newton run at fixed gmin and source scaling.  Returns the
-   solution and iteration count, or None on failure.  [rs] is the solver
-   workspace reused across iterations (a dense workspace reproduces the
-   historical fresh-matrix-per-iteration path byte-for-byte). *)
+   solution and iteration count, or None on failure, and adds the run's
+   factorisations to [dcop.iterations].  [rs] is the solver workspace
+   reused across iterations (a dense workspace reproduces the historical
+   fresh-matrix-per-iteration path byte-for-byte). *)
 let newton rs ?models circuit layout options ~source_scale ~gmin ~x0 =
   let n = Mna.size layout in
   let x = Array.copy x0 in
+  (* the run's factorisation count, negated when it fails: an int, so the
+     count costs no allocation *)
   let rec iterate i =
-    if i >= options.max_iterations then None
+    if i >= options.max_iterations then -i
     else begin
       let rhs =
         Mna.assemble_dc_into rs ?models circuit layout ~x ~source_scale ~gmin
       in
       match rs.Linsys.solve rhs with
-      | exception Lu.Singular _ -> None
+      | exception Lu.Singular _ -> -(i + 1)
       | x_new ->
           let delta = ref 0. in
           for k = 0 to n - 1 do
@@ -83,12 +90,14 @@ let newton rs ?models circuit layout options ~source_scale ~gmin ~x0 =
           if
             !delta < options.vtol
             && Float.is_finite !delta
-          then Some (x, i + 1)
-          else if not (Array.for_all Float.is_finite x) then None
+          then i + 1
+          else if not (Array.for_all Float.is_finite x) then -(i + 1)
           else iterate (i + 1)
     end
   in
-  iterate 0
+  let factored = iterate 0 in
+  Metrics.add c_iterations (abs factored);
+  if factored > 0 then Some (x, factored) else None
 
 let initial_guess circuit layout =
   let x = Vec.create (Mna.size layout) in

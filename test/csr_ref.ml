@@ -4,7 +4,9 @@
    Hashtbl keyed by i * n + j, and [rsolve] and [cfactor] allocate fresh
    scratch on every call.  The analysis is the same, so both modules order
    and fill a pattern identically, and Csr must reproduce every solution
-   bit of this copy.  Do not optimise. *)
+   bit of this copy.  The kernels also predate Csr's compiled elimination
+   schedule: they still eliminate each row through a dense scatter row.
+   Do not optimise. *)
 
 module Lu = Yield_numeric.Lu
 

@@ -385,8 +385,13 @@ let check_complex_outcome what expect got =
 (* Random sparse system entries as a list of (i, j, v) accumulations: a
    transversal of sizeable values (some of them off the diagonal, forcing
    row swaps), random extras, and entries added twice with opposite signs,
-   which assemble to an exact zero. *)
-let random_adds st n =
+   which assemble to an exact zero.
+
+   With [per_row], every row instead gets that many nonzero extras, some
+   split over two accumulations: a large system stays sparse, its fill
+   grows long rows and long update runs, and no exact zero can carry a
+   pivot, so the factorisation runs to the end. *)
+let random_adds ?per_row st n =
   let perm = Array.init n (fun i -> i) in
   for i = n - 1 downto 1 do
     let j = Random.State.int st (i + 1) in
@@ -399,16 +404,31 @@ let random_adds st n =
   for j = 0 to n - 1 do
     add perm.(j) j (1. +. Random.State.float st 3.)
   done;
-  for _ = 1 to Random.State.int st (n * n) do
-    let i = Random.State.int st n and j = Random.State.int st n in
-    match Random.State.int st 4 with
-    | 0 ->
-        let v = Random.State.float st 2. in
-        add i j v;
-        add i j (-.v)
-    | 1 -> add i j 0.
-    | _ -> add i j (Random.State.float st 4. -. 2.)
-  done;
+  (match per_row with
+  | None ->
+      for _ = 1 to Random.State.int st (n * n) do
+        let i = Random.State.int st n and j = Random.State.int st n in
+        match Random.State.int st 4 with
+        | 0 ->
+            let v = Random.State.float st 2. in
+            add i j v;
+            add i j (-.v)
+        | 1 -> add i j 0.
+        | _ -> add i j (Random.State.float st 4. -. 2.)
+      done
+  | Some k ->
+      for i = 0 to n - 1 do
+        for _ = 1 to k do
+          let j = Random.State.int st n in
+          let v = 0.5 +. Random.State.float st 1.5 in
+          let v = if Random.State.bool st then v else -.v in
+          if Random.State.bool st then add i j v
+          else begin
+            add i j (0.25 *. v);
+            add i j (0.75 *. v)
+          end
+        done
+      done);
   List.rev !adds
 
 (* one NaN or one Inf accumulated somewhere, on top of the finite system *)
@@ -644,11 +664,20 @@ let poison_entry st adds p =
   | `Nan -> adds @ [ (i, j, Float.nan) ]
   | `Inf -> adds @ [ (i, j, Float.infinity) ]
 
+(* seeds past the small-system range draw n up to 40 with two to five
+   entries in every row *)
+let csr_case st seed ~small_seeds ~small_n =
+  if seed <= small_seeds then
+    let n = 1 + Random.State.int st small_n in
+    (n, random_adds st n)
+  else
+    let n = small_n + 1 + Random.State.int st (40 - small_n) in
+    (n, random_adds ~per_row:(2 + Random.State.int st 4) st n)
+
 let test_csr_real_bit_exact () =
-  for seed = 1 to 300 do
+  for seed = 1 to 360 do
     let st = Random.State.make [| seed; 47 |] in
-    let n = 1 + Random.State.int st 12 in
-    let adds = random_adds st n in
+    let n, adds = csr_case st seed ~small_seeds:300 ~small_n:12 in
     let sym, rsym = csr_pair st n ~strong:n adds in
     let w = Csr.rwork sym and rw = Csr_ref.rwork rsym in
     (* several assemblies in a row on one workspace: none may see an
@@ -674,14 +703,13 @@ let test_csr_real_bit_exact () =
   done
 
 let test_csr_complex_bit_exact () =
-  for seed = 1 to 150 do
+  for seed = 1 to 190 do
     let st = Random.State.make [| seed; 53 |] in
-    let n = 1 + Random.State.int st 10 in
-    let g_adds = random_adds st n in
+    let n, g_adds = csr_case st seed ~small_seeds:150 ~small_n:10 in
     let c_adds =
       List.filter_map
         (fun (i, j, v) -> if Random.State.bool st then Some (i, j, v *. 1e-9) else None)
-        (random_adds st n)
+        (if seed <= 150 then random_adds st n else random_adds ~per_row:2 st n)
     in
     let sym, rsym = csr_pair st n ~strong:n (g_adds @ c_adds) in
     let w = Csr.cwork sym and rw = Csr_ref.cwork rsym in
@@ -921,26 +949,70 @@ let test_circuit_dc_ac_dense_csr () =
         | Ok _ -> assert false)
   done
 
+(* The workspaces under test and their references over one circuit's MNA
+   system: a [dense_of_size] workspace against the Ref kernels, or the
+   csr backend on the circuit's own pattern (the one every csr sample
+   factors) against Csr_ref. *)
+let circuit_workspaces backend circuit layout =
+  let n = Mna.size layout in
+  match backend with
+  | Linsys.Dense ->
+      let c = Linsys.dense_of_size n in
+      ((Linsys.real c, Ref.real n), (Linsys.complex c, Ref.complex n))
+  | Linsys.Csr ->
+      let p = Mna.pattern circuit layout in
+      let rsym =
+        Csr_ref.analyse ~strong_rows:(Linsys.Pattern.strong_rows p) ~n
+          (Linsys.Pattern.rows p)
+      in
+      let rw = Csr_ref.rwork rsym and cw = Csr_ref.cwork rsym in
+      let c = Linsys.compile Linsys.Csr p in
+      ( ( Linsys.real c,
+          {
+            Linsys.rn = n;
+            reset = (fun () -> Csr_ref.rreset rw);
+            add = Csr_ref.radd rw;
+            solve = Csr_ref.rsolve rw;
+          } ),
+        ( Linsys.complex c,
+          {
+            Linsys.cn = n;
+            creset = (fun () -> Csr_ref.creset cw);
+            add_g = Csr_ref.cadd_g cw;
+            add_c = Csr_ref.cadd_c cw;
+            factor = Csr_ref.cfactor cw;
+          } ) )
+
 (* The DC Newton systems a damped Newton run visits from the initial guess,
-   and the AC pencil at every sweep frequency, each solved by a
-   [dense_of_size] workspace and by the reference, through the same Mna
-   assembly. *)
-let check_circuit_bit_exact name circuit =
+   and the AC pencil at every sweep frequency, each assembled through the
+   same Mna code into a workspace of [backend] and into its reference.
+   Every real system is solved for its own right-hand side and two random
+   ones; every pencil is factored once and solved for its own right-hand
+   side and two random ones. *)
+let check_circuit_bit_exact backend name circuit =
   let layout = Mna.layout circuit in
   let n = Mna.size layout in
-  let dense = Linsys.real (Linsys.dense_of_size n) in
-  let reference = Ref.real n in
+  let (rs, reference), (cs, cref) = circuit_workspaces backend circuit layout in
+  let name = Linsys.backend_name backend ^ " " ^ name in
+  let st = Random.State.make [| 67 |] in
   let x = Array.make n 0. in
   for it = 1 to 40 do
-    let rhs = Mna.assemble_dc_into dense circuit layout ~x ~source_scale:1. ~gmin:1e-12 in
+    let rhs = Mna.assemble_dc_into rs circuit layout ~x ~source_scale:1. ~gmin:1e-12 in
     let rhs' =
       Mna.assemble_dc_into reference circuit layout ~x ~source_scale:1. ~gmin:1e-12
     in
-    let xd = outcome (fun () -> dense.Linsys.solve rhs) in
+    let xd = outcome (fun () -> rs.Linsys.solve rhs) in
     check_real_outcome
       (Printf.sprintf "%s newton %d" name it)
       (outcome (fun () -> reference.Linsys.solve rhs'))
       xd;
+    for r = 1 to 2 do
+      let b = random_rhs st n in
+      check_real_outcome
+        (Printf.sprintf "%s newton %d rhs %d" name it r)
+        (outcome (fun () -> reference.Linsys.solve b))
+        (outcome (fun () -> rs.Linsys.solve b))
+    done;
     match xd with
     | Ok x_new ->
         Array.iteri
@@ -957,8 +1029,6 @@ let check_circuit_bit_exact name circuit =
     | Error e -> Alcotest.failf "%s: %s" name (Dcop.error_to_string e)
   in
   let ops = Dcop.mos_op op in
-  let cs = Linsys.complex (Linsys.dense_of_size n) in
-  let cref = Ref.complex n in
   let rhs = Mna.assemble_ac_into cs circuit layout ~ops in
   let rhs' = Mna.assemble_ac_into cref circuit layout ~ops in
   let freqs = Gtb.freqs_of Gtb.default_conditions in
@@ -966,15 +1036,22 @@ let check_circuit_bit_exact name circuit =
   Array.iter
     (fun freq ->
       let omega = 2. *. Float.pi *. freq in
-      check_complex_outcome
-        (Printf.sprintf "%s ac %g Hz" name freq)
-        (outcome (fun () -> cref.Linsys.factor ~omega rhs'))
-        (outcome (fun () -> cs.Linsys.factor ~omega rhs)))
+      let solve = outcome (fun () -> cs.Linsys.factor ~omega) in
+      let solve_ref = outcome (fun () -> cref.Linsys.factor ~omega) in
+      let run f b = match f with Ok f -> outcome (fun () -> f b) | Error k -> Error k in
+      let random = List.init 2 (fun _ -> random_complex_rhs st n) in
+      List.iteri
+        (fun r (b, b') ->
+          check_complex_outcome
+            (Printf.sprintf "%s ac %g Hz rhs %d" name freq r)
+            (run solve_ref b') (run solve b))
+        ((rhs, rhs') :: List.map (fun b -> (b, b)) random))
     freqs
 
-let test_circuits_dense_bit_exact () =
-  check_circuit_bit_exact "ota" (fst (Ota_tb.build Yield_circuits.Ota.default_params));
-  check_circuit_bit_exact "miller"
+let check_circuits_bit_exact backend =
+  check_circuit_bit_exact backend "ota"
+    (fst (Ota_tb.build Yield_circuits.Ota.default_params));
+  check_circuit_bit_exact backend "miller"
     (fst (Miller_tb.build Yield_circuits.Miller.default_params))
 
 let test_complex_refactor_bit_exact () =
@@ -1211,7 +1288,9 @@ let suites =
         Alcotest.test_case "dc+ac dense = csr (miller)" `Quick
           test_circuit_dc_ac_dense_csr;
         Alcotest.test_case "dc+ac dense bit-exact (ota, miller)" `Quick
-          test_circuits_dense_bit_exact;
+          (fun () -> check_circuits_bit_exact Linsys.Dense);
+        Alcotest.test_case "dc+ac csr bit-exact (ota, miller)" `Quick
+          (fun () -> check_circuits_bit_exact Linsys.Csr);
         Alcotest.test_case "complex refactor bit-exact" `Quick
           test_complex_refactor_bit_exact;
         Alcotest.test_case "transient dense = csr" `Quick

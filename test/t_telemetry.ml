@@ -383,29 +383,66 @@ let test_baseline_of_bench_shape () =
   Alcotest.(check (list string)) "reparsed baseline accepts its own bench" []
     (fields (Perf_gate.check ~baseline:reparsed ~bench:(bench_fixture ())))
 
-(* ---------- env-derived telemetry config ---------- *)
+(* ---------- env-derived settings ---------- *)
+
+module Diagnostic = Yield_analyse.Diagnostic
+
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* a malformed setting is refused with one C008 error per setting, naming
+   the variable or flag and quoting its text *)
+let check_refused what expected = function
+  | Ok _ -> Alcotest.failf "%s: accepted" what
+  | Error diags ->
+      Alcotest.(check (list (pair string string)))
+        (what ^ ": C008 per setting")
+        (List.map (fun (setting, _) -> ("C008", setting)) expected)
+        (List.map (fun d -> (d.Diagnostic.code, d.Diagnostic.subject)) diags);
+      List.iter2
+        (fun (_, value) d ->
+          let quoted = Printf.sprintf "%S" value in
+          let msg = d.Diagnostic.message in
+          if not (contains ~sub:quoted msg) then
+            Alcotest.failf "%s: %S does not quote %s" what msg quoted;
+          Alcotest.(check bool) (what ^ ": error") true
+            (d.Diagnostic.severity = Diagnostic.Error))
+        expected diags
 
 let test_telemetry_of_env () =
   let set k v = Unix.putenv k v in
+  let telemetry () =
+    match Config.telemetry_of_env () with
+    | Ok t -> t
+    | Error _ -> Alcotest.fail "well-formed telemetry settings refused"
+  in
   set "YIELDLAB_TRACE_STREAM" "/tmp/t.jsonl";
   set "YIELDLAB_SPAN_SAMPLE" "mc.batch=0.5";
   set "YIELDLAB_SNAPSHOT_EVERY" "2.5";
-  let t = Config.telemetry_of_env () in
+  let t = telemetry () in
   Alcotest.(check (option string)) "stream path" (Some "/tmp/t.jsonl")
     t.Config.trace_stream;
   Alcotest.(check (option string)) "sample spec" (Some "mc.batch=0.5")
     t.Config.span_sample;
   Alcotest.(check bool) "snapshot seconds" true
     (t.Config.snapshot_every_s = Some 2.5);
-  set "YIELDLAB_SNAPSHOT_EVERY" "nonsense";
+  List.iter
+    (fun bad ->
+      set "YIELDLAB_SNAPSHOT_EVERY" bad;
+      check_refused ("snapshot interval " ^ bad)
+        [ ("YIELDLAB_SNAPSHOT_EVERY", bad) ]
+        (Config.telemetry_of_env ()))
+    [ "nonsense"; "0"; "-1"; "nan" ];
+  set "YIELDLAB_SNAPSHOT_EVERY" "";
   set "YIELDLAB_TRACE_STREAM" "";
-  let t = Config.telemetry_of_env () in
+  let t = telemetry () in
   Alcotest.(check (option string)) "empty var is unset" None
     t.Config.trace_stream;
-  Alcotest.(check bool) "malformed interval ignored" true
+  Alcotest.(check bool) "empty interval is unset" true
     (t.Config.snapshot_every_s = None);
   set "YIELDLAB_SPAN_SAMPLE" "";
-  set "YIELDLAB_SNAPSHOT_EVERY" "";
   Alcotest.(check bool) "fingerprint ignores telemetry" true
     (Config.fingerprint smoke_config
     = Config.fingerprint
@@ -418,6 +455,69 @@ let test_telemetry_of_env () =
               snapshot_every_s = Some 1.;
             };
         })
+
+let test_prescreen_settings () =
+  let set k v = Unix.putenv k v in
+  let vars =
+    [
+      "YIELDLAB_PRESCREEN_K";
+      "YIELDLAB_PRESCREEN_MIN_GAIN";
+      "YIELDLAB_PRESCREEN_MIN_PM";
+      "YIELDLAB_PRESCREEN_PASS_BUDGET";
+    ]
+  in
+  let clear () = List.iter (fun k -> set k "") ("YIELDLAB_PRESCREEN" :: vars) in
+  Fun.protect ~finally:clear (fun () ->
+      (* the knobs are read only when the prescreen is on *)
+      set "YIELDLAB_PRESCREEN_K" "abc";
+      Alcotest.(check bool) "off: knobs unread" true
+        (Config.prescreen_of_env () = Ok Config.no_prescreen);
+      set "YIELDLAB_PRESCREEN" "1";
+      List.iter
+        (fun (var, bad) ->
+          clear ();
+          set "YIELDLAB_PRESCREEN" "1";
+          set var bad;
+          check_refused
+            (Printf.sprintf "%s=%s" var bad)
+            [ (var, bad) ]
+            (Config.prescreen_of_env ()))
+        [
+          ("YIELDLAB_PRESCREEN_K", "abc");
+          ("YIELDLAB_PRESCREEN_MIN_GAIN", "sixty");
+          ("YIELDLAB_PRESCREEN_MIN_PM", "45deg");
+          ("YIELDLAB_PRESCREEN_PASS_BUDGET", "0");
+          ("YIELDLAB_PRESCREEN_PASS_BUDGET", "1.5");
+          ("YIELDLAB_PRESCREEN_PASS_BUDGET", "half");
+        ];
+      (* every malformed variable is reported, not just the first *)
+      set "YIELDLAB_PRESCREEN_K" "abc";
+      check_refused "two at once"
+        [ ("YIELDLAB_PRESCREEN_K", "abc"); ("YIELDLAB_PRESCREEN_PASS_BUDGET", "half") ]
+        (Config.prescreen_of_env ());
+      (* well-formed values run as before *)
+      List.iter2 set vars [ "0.5"; "60"; "45"; "0.25" ];
+      Alcotest.(check bool) "well-formed knobs" true
+        (Config.prescreen_of_env ()
+        = Ok
+            {
+              Config.enabled = true;
+              k_sigma = 0.5;
+              min_gain_db = 60.;
+              min_pm_deg = 45.;
+              pass_budget_frac = 0.25;
+            });
+      let flags b =
+        Config.prescreen_of_flags ~k_sigma:3. ~min_gain_db:0. ~min_pm_deg:0.
+          ~pass_budget_frac:b
+      in
+      List.iter
+        (fun (b, text) ->
+          check_refused ("--prescreen-budget " ^ text) [ ("--prescreen-budget", text) ]
+            (flags b))
+        [ (0., "0"); (1.5, "1.5"); (-0.25, "-0.25") ];
+      Alcotest.(check bool) "--prescreen-budget 1" true
+        (Result.map (fun p -> p.Config.pass_budget_frac) (flags 1.) = Ok 1.))
 
 let suites =
   [
@@ -448,5 +548,9 @@ let suites =
           test_gate_core_dependent_counter;
       ] );
     ( "telemetry.config",
-      [ Alcotest.test_case "env knobs" `Quick test_telemetry_of_env ] );
+      [
+        Alcotest.test_case "env knobs" `Quick test_telemetry_of_env;
+        Alcotest.test_case "prescreen settings refused" `Quick
+          test_prescreen_settings;
+      ] );
   ]
