@@ -239,7 +239,7 @@ let solver_ab ctx =
       ("max_rel_diff", Json.Float max_rel_diff);
     ]
 
-let write_bench_json ?(sweep = []) ?prescreen ?solver ctx ~path =
+let write_bench_json ?(sweep = []) ?prescreen ?solver ?flow_words ctx ~path =
   let flow = ctx.Experiments.flow in
   let t = flow.Flow.timings in
   let c = flow.Flow.counts in
@@ -279,6 +279,17 @@ let write_bench_json ?(sweep = []) ?prescreen ?solver ctx ~path =
                (fun (n, s) -> (n, histogram_json s))
                snap.Metrics.histograms) );
       ]
+      @ (match flow_words with
+        | None -> []
+        | Some words ->
+            [
+              ( "alloc",
+                Json.Obj
+                  [
+                    ( "minor_words_per_sim",
+                      Json.Float (words /. float_of_int (Flow.total_sims c)) );
+                  ] );
+            ])
       @ (if sweep = [] then [] else [ ("jobs_sweep", Json.List sweep) ])
       @ (match prescreen with
         | None -> []
@@ -960,11 +971,20 @@ let () =
     "yieldlab benchmark harness — %s (set YIELDLAB_FAST=1 for a smoke run)\n%!"
     (Config.scale_name config);
   let sweep = jobs_sweep config in
+  (* the gated flow's allocation, a machine-independent cost the gate can
+     hold to its baseline.  Gc.minor_words counts the calling domain only,
+     so it covers the whole flow only when the flow runs in it: jobs = 1 *)
+  let words_before = Gc.minor_words () in
   let ctx = Experiments.make_context ~log:(Printf.printf "%s\n%!") config in
+  let flow_words =
+    if config.Config.jobs = 1 then Some (Gc.minor_words () -. words_before)
+    else None
+  in
   let prescreen = prescreen_ab ctx in
   let solver = solver_ab ctx in
   let bench_json =
-    write_bench_json ~sweep ~prescreen ~solver ctx ~path:"BENCH_flow.json"
+    write_bench_json ~sweep ~prescreen ~solver ?flow_words ctx
+      ~path:"BENCH_flow.json"
   in
   run_gate cli bench_json;
   if cli.check <> None || cli.write_baseline <> None then begin

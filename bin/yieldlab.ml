@@ -975,12 +975,16 @@ let netlist_run ~print path =
             span.Netlist_ast.start_col message;
           1
       | circuit, analyses -> begin
-          (* a malformed .ac sweep has no frequency grid: refuse the deck
-             with lint's own A004 diagnostic before solving anything *)
+          (* a device value the simulator cannot use (N004-N006: zero,
+             negative, NaN or infinite) and a malformed .ac sweep with no
+             frequency grid (A004): refuse the deck with lint's own
+             diagnostics before solving anything *)
+          let refused codes diags =
+            List.filter (fun d -> List.mem d.Diagnostic.code codes) diags
+          in
           match
-            List.filter
-              (fun d -> d.Diagnostic.code = "A004")
-              (Ac_tran_lint.check_file path)
+            refused [ "N004"; "N005"; "N006" ] (Netlist_lint.check_file path)
+            @ refused [ "A004" ] (Ac_tran_lint.check_file path)
           with
           | _ :: _ as malformed ->
               List.iter (fun d -> prerr_endline (Diagnostic.to_text d)) malformed;

@@ -106,17 +106,24 @@ let time_constants circuit =
   Array.iter
     (fun dev ->
       match dev with
+      (* a value netlist lint refuses (N004-N006: NaN or infinite here)
+         has no enclosure; the device is left out *)
       | Device.Capacitor { n1; n2; farads; _ } ->
-          let c = Interval.point farads in
-          acc caps n1 c;
-          acc caps n2 c
+          if Float.is_finite farads then begin
+            let c = Interval.point farads in
+            acc caps n1 c;
+            acc caps n2 c
+          end
       | Device.Resistor { n1; n2; ohms; _ } ->
-          if ohms > 0. then begin
+          if Float.is_finite ohms && ohms > 0. then begin
             let g = Interval.inv (Interval.point ohms) in
             acc conds n1 g;
             acc conds n2 g
           end
       | Device.Vsource { npos; nneg; _ } -> uf_union parent npos nneg
+      | Device.Mosfet { w; l; _ } when not (Yield_spice.Mosfet.valid_geometry w l)
+        ->
+          ()
       | Device.Mosfet { d; g; s; b; model; w; l; _ } ->
           let open Yield_spice.Mosfet in
           let up hi = Interval.make 0. (Float.max 0. hi) in
@@ -128,11 +135,9 @@ let time_constants circuit =
           acc caps d (up ((model.cgdo *. w) +. junction));
           acc caps s (up ((model.cgso *. w) +. junction));
           ignore b;
-          if l > 0. then begin
-            let gch = up (model.kp *. (w /. l) *. supply_bound) in
-            acc conds d gch;
-            acc conds s gch
-          end
+          let gch = up (model.kp *. (w /. l) *. supply_bound) in
+          acc conds d gch;
+          acc conds s gch
       | Device.Isource _ | Device.Vccs _ -> ())
     (Circuit.devices circuit);
   let ground_root = uf_find parent Device.ground in

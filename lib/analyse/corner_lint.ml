@@ -30,6 +30,7 @@ module Vec = Yield_numeric.Vec
 module Mat = Yield_numeric.Mat
 module Lu = Yield_numeric.Lu
 module Cmat = Yield_numeric.Cmat
+module Linsys = Yield_numeric.Linsys
 module Circuit = Yield_spice.Circuit
 module Device = Yield_spice.Device
 module Mosfet = Yield_spice.Mosfet
@@ -170,7 +171,8 @@ type iop = {
   o_reversible : bool;
 }
 
-(* mirrors Mosfet.eval_forward (vds >= 0, NMOS convention) *)
+(* mirrors the forward device of Mosfet.linearise (vds >= 0, NMOS
+   convention) *)
 let eval_forward_i (im : imodel) ~w ~l ~vgs ~vds ~vbs =
   let m = im.base in
   let vt = Mosfet.temperature_voltage in
@@ -246,7 +248,7 @@ let hull_iop p q =
 
 (* mirrors Mosfet.eval: a vds range straddling zero is split into the
    forward branch and the source-drain-reversed branch, each pushed through
-   eval_forward with the reversal transform, then hulled *)
+   the forward device with the reversal transform, then hulled *)
 let eval_i (im : imodel) ~w ~l ~vgs ~vds ~vbs =
   let branch ~reversed vds_b =
     let vgs_b, vds_b, vbs_b =
@@ -333,7 +335,7 @@ let mos_entries ~imodel circuit =
              None)
 
 (* normalised terminal intervals and the device-convention drain current,
-   mirroring Mna.mos_linearise *)
+   mirroring the MOSFET bias and current of Mna's DC stamps *)
 let mos_iop_at (e : mos_entry) (x : I.t array) =
   let v n = if n = Device.ground then I.zero else x.(n - 1) in
   let vd = v e.e_d and vg = v e.e_g and vs = v e.e_s and vb = v e.e_b in
@@ -573,9 +575,13 @@ let axis_data ~k ~spec ~slice ~moses ~x =
    structures).  K(U) strictly inside U proves each parameter combination
    in the box has exactly one solution through the tube, and the box hull
    x0 + S dp + K(U) encloses them all. *)
-let krawczyk circuit layout ~lin ~moses ~k ~spec ~slice ~x0 =
+let krawczyk rs circuit layout ~lin ~moses ~k ~spec ~slice ~x0 =
   let n = Mna.size layout in
-  let gmat, _ = Mna.assemble_dc circuit layout ~x:x0 ~source_scale:1. ~gmin:1e-12 in
+  (* the Newton Jacobian at x0, read from the dense workspace [rs] of the
+     layout's sys, whose value slots are row-major *)
+  ignore (Mna.assemble_dc_into rs circuit layout ~x:x0 ~source_scale:1. ~gmin:1e-12);
+  let values = rs.Linsys.values in
+  let gmat = Mat.init n n (fun i j -> values.((i * n) + j)) in
   let lu = Lu.factor gmat in
   let ycols =
     Array.init n (fun j ->
@@ -1239,6 +1245,7 @@ let analyse_circuit ?(k_sigma = 3.) ?(spec = Variation.default_spec) ~window
     (* every slice's shifted circuit shares this topology: one session *)
     let sys = Mna.sys circuit in
     let layout = Mna.sys_layout sys in
+    let rs = Mna.sys_real sys in
     let lin = assemble_linear_dc circuit layout ~gmin:1e-12 in
     let need_n = has_polarity circuit Mosfet.Nmos in
     let need_p = has_polarity circuit Mosfet.Pmos in
@@ -1253,7 +1260,7 @@ let analyse_circuit ?(k_sigma = 3.) ?(spec = Variation.default_spec) ~window
       | Error e -> Error ("per-slice DC solve failed: " ^ Dcop.error_to_string e)
       | Ok sol -> (
           match
-            krawczyk shifted layout ~lin ~moses ~k:k_sigma ~spec ~slice
+            krawczyk rs shifted layout ~lin ~moses ~k:k_sigma ~spec ~slice
               ~x0:sol.Dcop.x
           with
           | None -> Error "Krawczyk operator did not contract"

@@ -1,5 +1,6 @@
 module Circuit = Yield_spice.Circuit
 module Device = Yield_spice.Device
+module Mosfet = Yield_spice.Mosfet
 module Ast = Yield_spice.Netlist_ast
 module Parser = Yield_spice.Netlist_parser
 module Elab = Yield_spice.Netlist_elab
@@ -52,6 +53,11 @@ let dangling ?file ?origin circuit =
            node device))
     (Topology.dangling_nodes circuit)
 
+(* N004-N006 refuse every value the simulator cannot use: the solver
+   refuses the same decks ([yieldlab netlist] exits 2 on them), and the
+   interval lints skip the devices they name *)
+let fault ~finite ~otherwise = if finite then otherwise else "non-finite"
+
 let device_values ?file ?origin ?tech circuit =
   let out = ref [] in
   let push d = out := d :: !out in
@@ -60,12 +66,15 @@ let device_values ?file ?origin ?tech circuit =
       match dev with
       | Device.Mosfet { name; w; l; _ } ->
           let span = device_span origin name in
-          if w <= 0. || l <= 0. then
+          if not (Mosfet.valid_geometry w l) then
             push
               (diag ?file ?span ~code:"N004" ~severity:Diagnostic.Error
                  ~subject:name
-                 (Printf.sprintf
-                    "MOSFET %s has non-positive geometry (w=%g m, l=%g m)" name
+                 (Printf.sprintf "MOSFET %s has %s geometry (w=%g m, l=%g m)"
+                    name
+                    (fault
+                       ~finite:(Float.is_finite w && Float.is_finite l)
+                       ~otherwise:"non-positive")
                     w l))
           else begin
             match tech with
@@ -80,21 +89,23 @@ let device_values ?file ?origin ?tech circuit =
             | Some _ | None -> ()
           end
       | Device.Resistor { name; ohms; _ } ->
-          if ohms <= 0. then
+          if not (Float.is_finite ohms && ohms > 0.) then
             push
               (diag ?file
                  ?span:(device_span origin name)
                  ~code:"N005" ~severity:Diagnostic.Error ~subject:name
-                 (Printf.sprintf
-                    "resistor %s has non-positive resistance %g Ohm" name ohms))
+                 (Printf.sprintf "resistor %s has %s resistance %g Ohm" name
+                    (fault ~finite:(Float.is_finite ohms) ~otherwise:"non-positive")
+                    ohms))
       | Device.Capacitor { name; farads; _ } ->
-          if farads < 0. then
+          if not (Float.is_finite farads && farads >= 0.) then
             push
               (diag ?file
                  ?span:(device_span origin name)
                  ~code:"N006" ~severity:Diagnostic.Error ~subject:name
-                 (Printf.sprintf "capacitor %s has negative capacitance %g F"
-                    name farads))
+                 (Printf.sprintf "capacitor %s has %s capacitance %g F" name
+                    (fault ~finite:(Float.is_finite farads) ~otherwise:"negative")
+                    farads))
       | Device.Vsource _ | Device.Isource _ | Device.Vccs _ -> ())
     (Circuit.devices circuit);
   List.rev !out

@@ -19,15 +19,20 @@
     - [N002] (error) node has no DC path to ground — {!Yield_spice.Dcop}
       fails this circuit with [Singular_system]
     - [N003] (error) voltage-source loop — likewise [Singular_system]
-    - [N004] (error) MOSFET with non-positive W or L —
+    - [N004] (error) MOSFET whose W or L is not finite and positive —
       {!Yield_spice.Mosfet.eval} raises on it
-    - [N005] (error) non-positive resistance (stamps an infinite
-      conductance)
-    - [N006] (error) negative capacitance
+    - [N005] (error) resistance that is not finite and positive (zero
+      stamps an infinite conductance, infinity an open circuit)
+    - [N006] (error) capacitance that is not finite and non-negative
     - [N007] (warning) MOSFET W or L below the technology's minimum channel
       length
     - [N008] (warning) symmetric-pair W/L mismatch (OTA/Miller topology
       invariant)
+
+    The message of an N004–N006 finding says "non-finite" when the value
+    is NaN or infinite.  [yieldlab netlist] refuses a deck with any of
+    them before solving, and the interval analyses of {!Ac_tran_lint}
+    leave the devices they name out of their enclosures.
 
     AST codes:
     - [N009] (error) duplicate device name in one scope (top level or one

@@ -12,9 +12,9 @@ let rule_descriptions =
     ("N001", "node referenced by only one device terminal");
     ("N002", "node with no DC path to ground (singular MNA system)");
     ("N003", "voltage sources forming a loop (singular MNA system)");
-    ("N004", "MOSFET with non-positive geometry");
-    ("N005", "resistor with non-positive resistance");
-    ("N006", "capacitor with negative capacitance");
+    ("N004", "MOSFET with non-finite or non-positive geometry");
+    ("N005", "resistor with non-finite or non-positive resistance");
+    ("N006", "capacitor with non-finite or negative capacitance");
     ("N007", "MOSFET below the technology's minimum channel length");
     ("N008", "symmetric pair with mismatched geometry");
     ("N009", "duplicate device name in one scope");

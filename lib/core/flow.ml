@@ -272,7 +272,7 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
             seed = config.Config.seed;
             jobs = config.Config.jobs;
             solver = config.Config.solver;
-            system_size = Some (Mna.size (Mna.layout circuit));
+            system_size = Some (Mna.system_size circuit);
             fingerprint = fingerprint config;
           }
         in

@@ -163,7 +163,26 @@ let check ~baseline ~bench =
       (compared (section "counters" (Some baseline)))
       (compared (section "counters" (Some bench)))
   in
-  run_identity @ timings @ sim_counts @ counters
+  let alloc =
+    identity ~field:"alloc"
+      ~base:(section "alloc" (Some baseline))
+      ~bench:(section "alloc" (Some bench))
+      (fun k bv av ->
+        match (Json.number_value bv, Json.number_value av) with
+        | Some base, Some actual ->
+            let limit = base *. (1. +. tol.frac) in
+            if actual > limit then
+              Some
+                {
+                  field = "alloc." ^ k;
+                  detail =
+                    Printf.sprintf "%.1f vs baseline %.1f (limit %.1f = base x %g)"
+                      actual base limit (1. +. tol.frac);
+                }
+            else None
+        | _ -> Some { field = "alloc." ^ k; detail = "not a number" })
+  in
+  run_identity @ timings @ sim_counts @ counters @ alloc
 
 let baseline_of_bench ?(tolerance = baseline_tolerance) bench =
   let pick k = match Json.member k bench with Some v -> [ (k, v) ] | None -> [] in
@@ -178,4 +197,4 @@ let baseline_of_bench ?(tolerance = baseline_tolerance) bench =
               ("abs_s", Json.Float tolerance.abs_s);
             ] );
       ]
-    @ pick "stage_s" @ pick "sim_counts" @ pick "counters")
+    @ pick "stage_s" @ pick "sim_counts" @ pick "counters" @ pick "alloc")

@@ -18,6 +18,15 @@
       when both documents carry the same [cores], and {!skipped} names it
       otherwise.
 
+    - [alloc.*] — the gated flow's minor-heap words per simulation
+      ([alloc.minor_words_per_sim], recorded only at [jobs = 1], where
+      the whole flow runs in the measuring domain).  Allocation does not
+      depend on the machine, so it regresses when
+      [actual > base * (1 + frac)] with no absolute slack: a change that
+      makes every simulation allocate more fails on any machine, where a
+      stage timing is only caught beyond [abs_s].  Keys must match in
+      both directions, as for counters.
+
     Histograms are deliberately not compared (their quantiles are timing
     distributions — pure noise across machines). *)
 
@@ -48,5 +57,5 @@ val skipped : baseline:Yield_obs.Json.t -> bench:Yield_obs.Json.t -> finding lis
 val baseline_of_bench :
   ?tolerance:tolerance -> Yield_obs.Json.t -> Yield_obs.Json.t
 (** Distil a [BENCH_flow.json] document into a baseline: scale, jobs,
-    cores, the tolerance block, stage timings, sim counts and counters
-    (histograms and the jobs sweep are dropped). *)
+    cores, the tolerance block, stage timings, sim counts, counters and
+    the allocation section (histograms and the jobs sweep are dropped). *)

@@ -354,6 +354,8 @@ let rwork sym =
     r = Array.make n 0.;
   }
 
+let rvalues w = w.values
+
 let rreset w = Array.fill w.values 0 (Array.length w.values) 0.
 
 let radd w i j v =
@@ -464,6 +466,10 @@ let cwork sym =
     rr = vec n;
     ri = vec n;
   }
+
+let gvalues w = w.gv
+
+let cvalues w = w.cv
 
 let creset w =
   Array.fill w.gv 0 (Array.length w.gv) 0.;

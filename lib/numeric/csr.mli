@@ -43,6 +43,13 @@ val size : symbolic -> int
 val nnz : symbolic -> int
 (** Stored entries of the filled pattern (original entries + fill-in). *)
 
+val slot : symbolic -> int -> int -> int
+(** [slot s i j] is the value slot of original entry [(i, j)]: the index
+    into {!rvalues}, {!gvalues} and {!cvalues} that {!radd}, {!cadd_g} and
+    {!cadd_c} accumulate into.  A search of row [i]; allocates nothing.
+    @raise Invalid_argument for any entry outside the analysed pattern,
+    including a row or column outside [\[0, n)]. *)
+
 (** {1 Real systems} *)
 
 type rwork
@@ -52,6 +59,12 @@ type rwork
     domains. *)
 
 val rwork : symbolic -> rwork
+
+val rvalues : rwork -> float array
+(** The assembled values, indexed by {!slot}: the workspace's own array,
+    which {!rreset} zeroes and {!rsolve} factors: [radd w i j x] adds
+    [x] to [(rvalues w).(slot s i j)]. *)
+
 val rreset : rwork -> unit
 val radd : rwork -> int -> int -> float -> unit
 (** Accumulate into an entry, in original (unpermuted) coordinates.
@@ -74,6 +87,11 @@ type cwork
     solve and refinement vectors. *)
 
 val cwork : symbolic -> cwork
+
+val gvalues : cwork -> float array
+val cvalues : cwork -> float array
+(** The assembled G and C, indexed by {!slot}, as {!rvalues}. *)
+
 val creset : cwork -> unit
 val cadd_g : cwork -> int -> int -> float -> unit
 val cadd_c : cwork -> int -> int -> float -> unit

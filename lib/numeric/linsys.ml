@@ -21,7 +21,14 @@
    topology's fill pattern into slot-index runs once, and every Newton
    solve and every AC factor replays them in place on the workspace's
    value slots: the same operations, skips and pivot tests as the
-   reference's scatter-row elimination, none of its index work. *)
+   reference's scatter-row elimination, none of its index work.
+
+   Both backends' workspaces expose the arrays their stamps accumulate
+   into, indexed by [slot]: a dense slot is the row-major i*n + j of the
+   matrix the factorisation reads, a csr slot the analysed pattern's.
+   [add] is [slot] plus one [+.], so an engine that resolves its slots
+   once (Mna's stamp plan) and adds into the arrays directly accumulates
+   the same values in the same order. *)
 
 module Pattern = struct
   (* [strong] rows hold the entries assembled to a nonzero value by every
@@ -77,8 +84,25 @@ module Pattern = struct
     && Array.exists (fun c -> c = j) p.rows.(i)
 end
 
+(* a dense system needs only its size: the backend ignores structure *)
+type t = Dense_sys of int | Csr_sys of Csr.symbolic
+
+(* an entry outside [0, n) would alias an entry of a neighbouring row, so
+   it is refused *)
+let dense_slot n i j =
+  if i < 0 || j < 0 || i >= n || j >= n then
+    invalid_arg "Linsys: entry outside the system";
+  (i * n) + j
+
+let slot t i j =
+  match t with
+  | Dense_sys n -> dense_slot n i j
+  | Csr_sys sym -> Csr.slot sym i j
+
 type real = {
   rn : int;
+  owner : t;
+  values : float array;
   reset : unit -> unit;
   add : int -> int -> float -> unit;
   solve : float array -> float array;
@@ -86,6 +110,9 @@ type real = {
 
 type complex_sys = {
   cn : int;
+  cowner : t;
+  gvalues : float array;
+  cvalues : float array;
   creset : unit -> unit;
   add_g : int -> int -> float -> unit;
   add_c : int -> int -> float -> unit;
@@ -94,19 +121,18 @@ type complex_sys = {
 
 module Dense_backend = struct
   (* wrapped in 3-ary closures below: a partial application would put a
-     currying wrapper in front of every stamp.  A column outside [0, n)
-     would alias an entry of a neighbouring row, so it is refused here; a
-     row outside it puts the flat index out of the array's bounds. *)
+     currying wrapper in front of every stamp *)
   let add_to (m : Mat.t) i j x =
-    if j < 0 || j >= m.cols then invalid_arg "Linsys: entry outside the system";
-    let d = m.data and k = (i * m.cols) + j in
+    let d = m.data and k = dense_slot m.cols i j in
     d.(k) <- d.(k) +. x
 
-  let real n =
+  let real owner n =
     let m = Mat.create n n in
     let f = Lu.create n in
     {
       rn = n;
+      owner;
+      values = m.data;
       reset = (fun () -> Mat.fill m 0.);
       add = (fun i j x -> add_to m i j x);
       solve =
@@ -127,13 +153,16 @@ module Dense_backend = struct
     done;
     !exact
 
-  let complex n =
+  let complex owner n =
     let g = Mat.create n n in
     let c = Mat.create n n in
     let a = Cmat.create n n in
     let w = Cmat.work n in
     {
       cn = n;
+      cowner = owner;
+      gvalues = g.data;
+      cvalues = c.data;
       creset =
         (fun () ->
           Mat.fill g 0.;
@@ -149,19 +178,24 @@ end
 
 module Csr_backend = struct
   (* 3-ary stamp closures, as in Dense_backend *)
-  let real sym =
+  let real owner sym =
     let w = Csr.rwork sym in
     {
       rn = Csr.size sym;
+      owner;
+      values = Csr.rvalues w;
       reset = (fun () -> Csr.rreset w);
       add = (fun i j x -> Csr.radd w i j x);
       solve = (fun b -> Csr.rsolve w b);
     }
 
-  let complex sym =
+  let complex owner sym =
     let w = Csr.cwork sym in
     {
       cn = Csr.size sym;
+      cowner = owner;
+      gvalues = Csr.gvalues w;
+      cvalues = Csr.cvalues w;
       creset = (fun () -> Csr.creset w);
       add_g = (fun i j x -> Csr.cadd_g w i j x);
       add_c = (fun i j x -> Csr.cadd_c w i j x);
@@ -181,9 +215,6 @@ let backend_of_string s =
 
 let backend_names = [ "dense"; "csr" ]
 
-(* a dense system needs only its size: the backend ignores structure *)
-type t = Dense_sys of int | Csr_sys of Csr.symbolic
-
 let compile backend pattern =
   match backend with
   | Dense -> Dense_sys (Pattern.size pattern)
@@ -195,13 +226,15 @@ let compile backend pattern =
 
 let dense_of_size n = Dense_sys n
 
-let real = function
-  | Dense_sys n -> Dense_backend.real n
-  | Csr_sys sym -> Csr_backend.real sym
+let real t =
+  match t with
+  | Dense_sys n -> Dense_backend.real t n
+  | Csr_sys sym -> Csr_backend.real t sym
 
-let complex = function
-  | Dense_sys n -> Dense_backend.complex n
-  | Csr_sys sym -> Csr_backend.complex sym
+let complex t =
+  match t with
+  | Dense_sys n -> Dense_backend.complex t n
+  | Csr_sys sym -> Csr_backend.complex t sym
 
 let name = function Dense_sys _ -> "dense" | Csr_sys _ -> "csr"
 

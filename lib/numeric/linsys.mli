@@ -17,8 +17,11 @@
       time; per-sample work only replays that schedule over the numeric
       values of the cached fill pattern, in buffers its workspaces own.
 
-    On either backend a stamp outside the [n]x[n] system raises
-    [Invalid_argument]; it never lands on another entry.
+    Every workspace also exposes the float arrays its stamps accumulate
+    into, indexed by {!slot}, so an engine can resolve each stamp's slot
+    once per topology and then write values without a lookup.  On either
+    backend an entry outside the [n]x[n] system (or the csr pattern)
+    raises [Invalid_argument]; it never lands on another entry.
 
     Compiled systems are immutable and safe to share across domains;
     {!val-real} / {!val-complex} allocate the mutable per-worker numeric
@@ -62,8 +65,29 @@ module Pattern : sig
       that a topology's pattern is built once and cached, not per sample. *)
 end
 
+type t
+(** A compiled system: a size for [Dense], a symbolic factorisation for
+    [Csr].  Immutable and domain-shareable; call {!val-real} /
+    {!val-complex} per worker for numeric workspaces. *)
+
+val slot : t -> int -> int -> int
+(** [slot t i j] is the value slot of entry [(i, j)]: the index into the
+    [values] (or [gvalues] / [cvalues]) array of every workspace of [t]
+    that the entry accumulates into.  Dense slots are [i*n + j]; csr
+    slots come from {!Csr.slot}.  An engine that stamps one topology many
+    times looks its slots up once and then writes the value arrays
+    directly ([Mna]'s stamp plan); [add] is this lookup plus one [+.].
+    @raise Invalid_argument for an entry outside the [n]x[n] system or,
+    on [Csr], outside the analysed pattern. *)
+
 type real = {
   rn : int;  (** system size *)
+  owner : t;  (** the compiled system whose {!slot}s index [values] *)
+  values : float array;
+      (** the assembled entries, by {!slot} of [owner]: [reset] zeroes
+          them, [add i j x] adds [x] to [values.(slot owner i j)] and
+          [solve] factors them.  A caller may accumulate into them
+          directly, with slots of [owner] only. *)
   reset : unit -> unit;  (** zero the assembled values *)
   add : int -> int -> float -> unit;  (** accumulate an entry *)
   solve : float array -> float array;
@@ -74,6 +98,9 @@ type real = {
 
 type complex_sys = {
   cn : int;
+  cowner : t;  (** the compiled system whose {!slot}s index the values *)
+  gvalues : float array;  (** assembled G, by {!slot} of [cowner] *)
+  cvalues : float array;  (** assembled C, by {!slot} of [cowner] *)
   creset : unit -> unit;  (** zero both assembled matrices *)
   add_g : int -> int -> float -> unit;  (** accumulate into G *)
   add_c : int -> int -> float -> unit;  (** accumulate into C *)
@@ -91,11 +118,6 @@ val backend_name : backend -> string
 val backend_of_string : string -> backend option
 val backend_names : string list
 (** Valid [--solver] names, in display order. *)
-
-type t
-(** A compiled system: a size for [Dense], a symbolic factorisation for
-    [Csr].  Immutable and domain-shareable; call {!val-real} /
-    {!val-complex} per worker for numeric workspaces. *)
 
 val compile : backend -> Pattern.t -> t
 (** [Dense] reads only the pattern's size. *)

@@ -1,14 +1,30 @@
 module Vec = Yield_numeric.Vec
-module Mat = Yield_numeric.Mat
 module Linsys = Yield_numeric.Linsys
+
+(* The stamp plan of a compiled topology: the value slot of every matrix
+   stamp each device writes, resolved once when the [sys] is built.
+   [slots.(di)] lists device [di]'s stamps in the order the assembly
+   writes them (see [device_stamps]), -1 where a ground row or column
+   skips one; [diag.(i)] is the slot of node unknown i's diagonal (the
+   gmin and AC leak stamps); [branch.(di)] is the branch row of a voltage
+   source, -1 for other devices.  [owner] is the compiled system the slots
+   index: a plan replays only into that system's workspaces. *)
+type plan = {
+  owner : Linsys.t;
+  diag : int array;
+  slots : int array array;
+  branch : int array;
+}
 
 type layout = {
   n_nodes : int;
   size : int;
   branches : (string, int) Hashtbl.t;
+  plan : plan;
 }
 
-let layout circuit =
+(* unknown count and voltage-source branch rows, in device order *)
+let shape circuit =
   let n_nodes = Circuit.node_count circuit in
   let branches = Hashtbl.create 8 in
   let next = ref n_nodes in
@@ -22,15 +38,19 @@ let layout circuit =
       | Device.Vccs _ | Device.Mosfet _ ->
           ())
     (Circuit.devices circuit);
-  { n_nodes; size = !next; branches }
+  (n_nodes, !next, branches)
 
 let size l = l.size
+
+let system_size circuit =
+  let _, size, _ = shape circuit in
+  size
 
 let n_nodes l = l.n_nodes
 
 let branch_index l name = Hashtbl.find l.branches name
 
-let voltage x n = if n = Device.ground then 0. else x.(n - 1)
+let[@inline] voltage x n = if n = Device.ground then 0. else x.(n - 1)
 
 (* Per-sample model overrides: [models.(di)] replaces the MOSFET model of
    device index [di] (position in [Circuit.devices]) when set.  [None] (or
@@ -44,87 +64,83 @@ let model_override models di default =
   | None -> default
   | Some arr -> ( match arr.(di) with Some m -> m | None -> default)
 
-(* Stamping helpers, generic over an [add row col value] accumulator so the
-   same arithmetic lands in a dense matrix or a sparse value slot; ground
-   rows and columns are skipped. *)
+(* ---------- the stamps each device writes, per topology ---------- *)
 
-let stamp_g_into add a b g =
-  if a <> Device.ground then add (a - 1) (a - 1) g;
-  if b <> Device.ground then add (b - 1) (b - 1) g;
-  if a <> Device.ground && b <> Device.ground then begin
-    add (a - 1) (b - 1) (-.g);
-    add (b - 1) (a - 1) (-.g)
-  end
+(* Device [dev]'s matrix stamps in the order the assembly writes them:
+   stamp k lands on ([rows.(k)], [cols.(k)]) in unknown indices, where a
+   ground node is -1 and a stamp with a ground row or column is skipped.
+   A conductance (or capacitance) between nodes a and b writes (a,a)
+   (b,b) (a,b) (b,a); a transconductance from v(cp, cn) into (op, on)
+   writes (op,cp) (op,cn) (on,cp) (on,cn); a voltage source on branch row
+   br writes (npos,br) (br,npos) (nneg,br) (br,nneg).  The first [strong]
+   stamps carry a DC value (conductances, branch rows,
+   transconductances); the rest only a capacitance.  A MOSFET writes its
+   12 conductive stamps (gm, gds, gmb: the DC Newton stamps and AC G) and
+   then its 16 capacitive ones (cgs, cgd, cdb, csb: AC C); the replays
+   below read them at those offsets. *)
+type stamps = { rows : int array; cols : int array; strong : int }
 
-(* transconductance: current [g * v(cp, cn)] leaves node [op] and enters
-   node [on] *)
-let stamp_gm_into add op_node on_node cp cn g =
-  let entry row col sign =
-    if row <> Device.ground && col <> Device.ground then
-      add (row - 1) (col - 1) (sign *. g)
+let device_stamps branches dev =
+  let n =
+    match dev with
+    | Device.Mosfet _ -> 28
+    | Device.Isource _ -> 0
+    | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
+    | Device.Vccs _ ->
+        4
   in
-  entry op_node cp 1.;
-  entry op_node cn (-1.);
-  entry on_node cp (-1.);
-  entry on_node cn 1.
-
-let inject rhs node value =
-  if node <> Device.ground then rhs.(node - 1) <- rhs.(node - 1) +. value
-
-(* NMOS-normalised linearisation of a MOSFET at the guess [x].  Returns the
-   operating point plus the device-convention drain current [ids_eff] (the
-   current entering the drain terminal). *)
-let mos_linearise ~model ~w ~l ~d ~g ~s ~b x =
-  let vd = voltage x d
-  and vg = voltage x g
-  and vs = voltage x s
-  and vb = voltage x b in
-  let vgs, vds, vbs =
-    match model.Mosfet.polarity with
-    | Mosfet.Nmos -> (vg -. vs, vd -. vs, vb -. vs)
-    | Mosfet.Pmos -> (vs -. vg, vs -. vd, vs -. vb)
+  let rows = Array.make n (-1) and cols = Array.make n (-1) in
+  let k = ref 0 in
+  let put r c =
+    rows.(!k) <- r;
+    cols.(!k) <- c;
+    incr k
   in
-  let op = Mosfet.eval model ~w ~l ~vgs ~vds ~vbs in
-  let ids_eff =
-    match model.Mosfet.polarity with
-    | Mosfet.Nmos -> op.Mosfet.ids
-    | Mosfet.Pmos -> -.op.Mosfet.ids
+  let g a b =
+    put (a - 1) (a - 1);
+    put (b - 1) (b - 1);
+    put (a - 1) (b - 1);
+    put (b - 1) (a - 1)
   in
-  (op, ids_eff)
-
-let stamp_conductance_into = stamp_g_into
-
-let stamp_transconductance_into add ~out_p ~out_n ~in_p ~in_n g =
-  stamp_gm_into add out_p out_n in_p in_n g
-
-let stamp_branch_into add l ~name ~npos ~nneg =
-  let br = Hashtbl.find l.branches name in
-  if npos <> Device.ground then begin
-    add (npos - 1) br 1.;
-    add br (npos - 1) 1.
-  end;
-  if nneg <> Device.ground then begin
-    add (nneg - 1) br (-1.);
-    add br (nneg - 1) (-1.)
-  end
-
-let stamp_mosfet_dc_into add rhs ~x ~d ~g:gate ~s ~b ~model ~w ~l =
-  let op, ids_eff = mos_linearise ~model ~w ~l ~d ~g:gate ~s ~b x in
-  let gm = op.Mosfet.gm and gds = op.Mosfet.gds and gmb = op.Mosfet.gmb in
-  stamp_gm_into add d s gate s gm;
-  stamp_g_into add d s gds;
-  stamp_gm_into add d s b s gmb;
-  let vd = voltage x d
-  and vg = voltage x gate
-  and vs = voltage x s
-  and vb = voltage x b in
-  let linear_current =
-    (gm *. (vg -. vs)) +. (gds *. (vd -. vs)) +. (gmb *. (vb -. vs))
+  let gm op on_ cp cn =
+    put (op - 1) (cp - 1);
+    put (op - 1) (cn - 1);
+    put (on_ - 1) (cp - 1);
+    put (on_ - 1) (cn - 1)
   in
-  let ieq = linear_current -. ids_eff in
-  inject rhs d ieq;
-  inject rhs s (-.ieq);
-  op
+  let strong =
+    match dev with
+    | Device.Resistor { n1; n2; _ } ->
+        g n1 n2;
+        4
+    | Device.Capacitor { n1; n2; _ } ->
+        g n1 n2;
+        0
+    | Device.Vsource { name; npos; nneg; _ } ->
+        let br = Hashtbl.find branches name in
+        put (npos - 1) br;
+        put br (npos - 1);
+        put (nneg - 1) br;
+        put br (nneg - 1);
+        4
+    | Device.Isource _ -> 0
+    | Device.Vccs { out_p; out_n; in_p; in_n; _ } ->
+        gm out_p out_n in_p in_n;
+        4
+    | Device.Mosfet { d; g = gate; s; b; _ } ->
+        gm d s gate s;
+        g d s;
+        gm d s b s;
+        g gate s;
+        g gate d;
+        g d b;
+        g s b;
+        12
+  in
+  { rows; cols; strong }
+
+let stamps_of circuit branches =
+  Array.map (device_stamps branches) (Circuit.devices circuit)
 
 (* ---------- structural pattern, built once per topology ---------- *)
 
@@ -134,43 +150,53 @@ let stamp_mosfet_dc_into add rhs ~x ~d ~g:gate ~s ~b ~model ~w ~l =
    positions, leak diagonal), and the transient companion models (the same
    capacitive pairs as conductances).  One superset pattern per topology
    keeps a single cached symbolic factorisation valid for all of them at
-   the cost of a little extra fill. *)
-let pattern circuit l =
-  let bld = Linsys.Pattern.builder l.size in
-  let add i j = Linsys.Pattern.add bld i j in
-  (* capacitor-only positions are numerically zero in a DC assembly, so
-     they enter the pattern as weak entries: structurally present (the AC
-     and transient assemblies fill them) but never eligible as a pivot of
-     the csr transversal *)
-  let add_weak i j = Linsys.Pattern.add_weak bld i j in
-  let pg a b = stamp_g_into (fun i j _ -> add i j) a b 1. in
-  let pc a b = stamp_g_into (fun i j _ -> add_weak i j) a b 1. in
-  let pgm op_node on_node cp cn =
-    stamp_gm_into (fun i j _ -> add i j) op_node on_node cp cn 1.
-  in
-  for i = 0 to l.n_nodes - 1 do
-    add i i
+   the cost of a little extra fill.  Capacitor-only positions are
+   numerically zero in a DC assembly, so they enter the pattern as weak
+   entries: structurally present (the AC and transient assemblies fill
+   them) but never eligible as a pivot of the csr transversal. *)
+let pattern_of stamps ~n_nodes ~size =
+  let bld = Linsys.Pattern.builder size in
+  for i = 0 to n_nodes - 1 do
+    Linsys.Pattern.add bld i i
   done;
   Array.iter
-    (fun dev ->
-      match dev with
-      | Device.Resistor { n1; n2; _ } -> pg n1 n2
-      | Device.Capacitor { n1; n2; _ } -> pc n1 n2
-      | Device.Vsource { name; npos; nneg; _ } ->
-          stamp_branch_into (fun i j _ -> add i j) l ~name ~npos ~nneg
-      | Device.Isource _ -> ()
-      | Device.Vccs { out_p; out_n; in_p; in_n; _ } -> pgm out_p out_n in_p in_n
-      | Device.Mosfet { d; g; s; b; _ } ->
-          pgm d s g s;
-          pg d s;
-          pgm d s b s;
-          (* capacitive pairs: AC C stamps and transient companion models *)
-          pc g s;
-          pc g d;
-          pc d b;
-          pc s b)
-    (Circuit.devices circuit);
+    (fun { rows; cols; strong } ->
+      Array.iteri
+        (fun k r ->
+          let c = cols.(k) in
+          if r >= 0 && c >= 0 then
+            if k < strong then Linsys.Pattern.add bld r c
+            else Linsys.Pattern.add_weak bld r c)
+        rows)
+    stamps;
   Linsys.Pattern.build bld
+
+let pattern circuit l =
+  pattern_of (stamps_of circuit l.branches) ~n_nodes:l.n_nodes ~size:l.size
+
+let plan_of circuit stamps owner ~n_nodes ~branches =
+  {
+    owner;
+    diag = Array.init n_nodes (fun i -> Linsys.slot owner i i);
+    slots =
+      Array.map
+        (fun { rows; cols; _ } ->
+          Array.mapi
+            (fun k r ->
+              let c = cols.(k) in
+              if r < 0 || c < 0 then -1 else Linsys.slot owner r c)
+            rows)
+        stamps;
+    branch =
+      Array.map
+        (fun dev ->
+          match dev with
+          | Device.Vsource { name; _ } -> Hashtbl.find branches name
+          | Device.Resistor _ | Device.Capacitor _ | Device.Isource _
+          | Device.Vccs _ | Device.Mosfet _ ->
+              -1)
+        (Circuit.devices circuit);
+  }
 
 (* the structural prechecks depend on the topology alone, like the
    pattern, so they run here once instead of in every solve *)
@@ -182,15 +208,22 @@ type sys = {
 }
 
 let sys ?(backend = Linsys.Dense) circuit =
-  let l = layout circuit in
+  let n_nodes, size, branches = shape circuit in
+  let stamps = stamps_of circuit branches in
   let compiled =
     (* the dense backend ignores structure, so it gets no pattern *)
     match backend with
-    | Linsys.Dense -> Linsys.dense_of_size l.size
-    | Linsys.Csr -> Linsys.compile backend (pattern circuit l)
+    | Linsys.Dense -> Linsys.dense_of_size size
+    | Linsys.Csr -> Linsys.compile backend (pattern_of stamps ~n_nodes ~size)
   in
   {
-    sys_layout = l;
+    sys_layout =
+      {
+        n_nodes;
+        size;
+        branches;
+        plan = plan_of circuit stamps compiled ~n_nodes ~branches;
+      };
     compiled;
     dc_issues = Topology.dc_issues circuit;
     ac_issues = Topology.ac_issues circuit;
@@ -211,47 +244,136 @@ let sys_complex s = Linsys.complex s.compiled
 
 let sys_solver_name s = Linsys.name s.compiled
 
-(* ---------- assembly ---------- *)
+(* ---------- the replay ---------- *)
 
-let assemble_dc_core add rhs ?models circuit l ~x ~source_scale ~gmin =
-  for i = 0 to l.n_nodes - 1 do
-    add i i gmin
-  done;
-  let stamp_device di dev =
-    match dev with
-    | Device.Resistor { n1; n2; ohms; _ } -> stamp_g_into add n1 n2 (1. /. ohms)
-    | Device.Capacitor _ -> ()
-    | Device.Vsource { name; npos; nneg; dc; _ } ->
-        stamp_branch_into add l ~name ~npos ~nneg;
-        rhs.(Hashtbl.find l.branches name) <- dc *. source_scale
-    | Device.Isource { npos; nneg; dc; _ } ->
-        inject rhs npos (-.dc *. source_scale);
-        inject rhs nneg (dc *. source_scale)
-    | Device.Vccs { out_p; out_n; in_p; in_n; gm; _ } ->
-        stamp_gm_into add out_p out_n in_p in_n gm
-    | Device.Mosfet { d; g = gate; s; b; model; w; l = len; _ } ->
-        (* For both polarities, in node-voltage terms:
-             d ids_eff/d vg = gm, d/d vd = gds, d/d vb = gmb,
-             d/d vs = -(gm + gds + gmb).
-           (For PMOS the two sign flips cancel.) *)
-        let model = model_override models di model in
-        ignore
-          (stamp_mosfet_dc_into add rhs ~x ~d ~g:gate ~s ~b ~model ~w ~l:len)
+(* The replay writes the workspace's value arrays through the plan's
+   slots: no closure, no slot search, no boxed float.  Each stamp adds
+   the operand the closure-based assembly passed to [add] — [1. *. g] and
+   [-1. *. g] for a transconductance, [-.g] for a conductance's
+   off-diagonal entries; the forms differ only in a NaN's sign bit — in
+   the same order, so every slot sees the same additions in the same
+   order.  The helpers are inlined so their float arguments stay
+   unboxed. *)
+
+let[@inline] acc (v : float array) k x = if k >= 0 then v.(k) <- v.(k) +. x
+
+let[@inline] stamp_g v (sl : int array) o g =
+  acc v sl.(o) g;
+  acc v sl.(o + 1) g;
+  acc v sl.(o + 2) (-.g);
+  acc v sl.(o + 3) (-.g)
+
+let[@inline] stamp_gm v (sl : int array) o g =
+  acc v sl.(o) (1. *. g);
+  acc v sl.(o + 1) (-1. *. g);
+  acc v sl.(o + 2) (-1. *. g);
+  acc v sl.(o + 3) (1. *. g)
+
+let[@inline] stamp_branch v (sl : int array) =
+  acc v sl.(0) 1.;
+  acc v sl.(1) 1.;
+  acc v sl.(2) (-1.);
+  acc v sl.(3) (-1.)
+
+let[@inline] inject rhs node value =
+  if node <> Device.ground then rhs.(node - 1) <- rhs.(node - 1) +. value
+
+let bound l owner =
+  if l.plan.owner != owner then
+    invalid_arg "Mna: workspace of another system than the layout's";
+  l.plan
+
+(* A MOSFET's Newton linearisation at [x]: its conductive stamps and the
+   equivalent current it injects.  The bias and the model's results pass
+   through [buf] (a Mosfet.buffer), so no float crosses a call boxed.
+   For both polarities, in node-voltage terms, d ids_eff/d vg = gm,
+   d/d vd = gds, d/d vb = gmb and d/d vs = -(gm + gds + gmb), where
+   ids_eff is the current entering the drain terminal (for PMOS the two
+   sign flips cancel). *)
+let mosfet_dc v rhs buf (sl : int array) x ~(model : Mosfet.model) ~w ~l ~d ~g
+    ~s ~b =
+  let vd = voltage x d and vg = voltage x g and vs = voltage x s and vb = voltage x b in
+  (match model.polarity with
+  | Mosfet.Nmos ->
+      buf.(0) <- vg -. vs;
+      buf.(1) <- vd -. vs;
+      buf.(2) <- vb -. vs
+  | Mosfet.Pmos ->
+      buf.(0) <- vs -. vg;
+      buf.(1) <- vs -. vd;
+      buf.(2) <- vs -. vb);
+  Mosfet.linearise model ~w ~l buf;
+  let ids_eff =
+    match model.polarity with Mosfet.Nmos -> buf.(3) | Mosfet.Pmos -> -.buf.(3)
   in
-  Array.iteri stamp_device (Circuit.devices circuit)
+  let gm = buf.(4) and gds = buf.(5) and gmb = buf.(6) in
+  stamp_gm v sl 0 gm;
+  stamp_g v sl 4 gds;
+  stamp_gm v sl 8 gmb;
+  let linear_current =
+    (gm *. (vg -. vs)) +. (gds *. (vd -. vs)) +. (gmb *. (vb -. vs))
+  in
+  let ieq = linear_current -. ids_eff in
+  inject rhs d ieq;
+  inject rhs s (-.ieq)
 
-let assemble_dc ?models circuit l ~x ~source_scale ~gmin =
-  let g = Mat.create l.size l.size in
-  let rhs = Vec.create l.size in
-  assemble_dc_core (Mat.add_to g) rhs ?models circuit l ~x ~source_scale ~gmin;
-  (g, rhs)
+(* device [di]'s DC matrix stamps, plus a MOSFET's linearisation current;
+   the independent sources' right-hand-side values are the caller's *)
+let device_dc v rhs buf p models x di dev =
+  let sl = p.slots.(di) in
+  match dev with
+  | Device.Resistor { ohms; _ } -> stamp_g v sl 0 (1. /. ohms)
+  | Device.Vsource _ -> stamp_branch v sl
+  | Device.Vccs { gm; _ } -> stamp_gm v sl 0 gm
+  | Device.Mosfet { d; g; s; b; model; w; l; _ } ->
+      let model = model_override models di model in
+      mosfet_dc v rhs buf sl x ~model ~w ~l ~d ~g ~s ~b
+  | Device.Capacitor _ | Device.Isource _ -> ()
+
+let devices_of p circuit =
+  let devices = Circuit.devices circuit in
+  if Array.length devices <> Array.length p.slots then
+    invalid_arg "Mna: circuit of another topology than the layout's";
+  devices
 
 let assemble_dc_into (rs : Linsys.real) ?models circuit l ~x ~source_scale
     ~gmin =
+  let p = bound l rs.Linsys.owner in
+  let devices = devices_of p circuit in
   rs.Linsys.reset ();
+  let v = rs.Linsys.values in
   let rhs = Vec.create l.size in
-  assemble_dc_core rs.Linsys.add rhs ?models circuit l ~x ~source_scale ~gmin;
+  let buf = Mosfet.buffer () in
+  for i = 0 to l.n_nodes - 1 do
+    acc v p.diag.(i) gmin
+  done;
+  for di = 0 to Array.length devices - 1 do
+    let dev = devices.(di) in
+    device_dc v rhs buf p models x di dev;
+    match dev with
+    | Device.Vsource { dc; _ } -> rhs.(p.branch.(di)) <- dc *. source_scale
+    | Device.Isource { npos; nneg; dc; _ } ->
+        inject rhs npos (-.dc *. source_scale);
+        inject rhs nneg (dc *. source_scale)
+    | Device.Resistor _ | Device.Capacitor _ | Device.Vccs _ | Device.Mosfet _
+      ->
+        ()
+  done;
   rhs
+
+let stamp_device_dc (rs : Linsys.real) l ?models circuit di ~x ~scratch rhs =
+  let p = bound l rs.Linsys.owner in
+  let devices = devices_of p circuit in
+  device_dc rs.Linsys.values rhs scratch p models x di devices.(di)
+
+(* the write order of [device_stamps]' conductances *)
+let stamp_conductance_into add a b g =
+  if a <> Device.ground then add (a - 1) (a - 1) g;
+  if b <> Device.ground then add (b - 1) (b - 1) g;
+  if a <> Device.ground && b <> Device.ground then begin
+    add (a - 1) (b - 1) (-.g);
+    add (b - 1) (a - 1) (-.g)
+  end
 
 let mos_operating_points ?models circuit ~x =
   let acc = ref [] in
@@ -260,7 +382,19 @@ let mos_operating_points ?models circuit ~x =
       match dev with
       | Device.Mosfet { name; d; g; s; b; model; w; l } ->
           let model = model_override models di model in
-          let op, _ = mos_linearise ~model ~w ~l ~d ~g ~s ~b x in
+          let vd = voltage x d
+          and vg = voltage x g
+          and vs = voltage x s
+          and vb = voltage x b in
+          let op =
+            match model.Mosfet.polarity with
+            | Mosfet.Nmos ->
+                Mosfet.eval model ~w ~l ~vgs:(vg -. vs) ~vds:(vd -. vs)
+                  ~vbs:(vb -. vs)
+            | Mosfet.Pmos ->
+                Mosfet.eval model ~w ~l ~vgs:(vs -. vg) ~vds:(vs -. vd)
+                  ~vbs:(vs -. vb)
+          in
           acc := (name, op) :: !acc
       | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
       | Device.Isource _ | Device.Vccs _ ->
@@ -269,16 +403,19 @@ let mos_operating_points ?models circuit ~x =
   List.rev !acc
 
 let assemble_ac_into (cs : Linsys.complex_sys) circuit l ~ops =
+  let p = bound l cs.Linsys.cowner in
+  let devices = devices_of p circuit in
   cs.Linsys.creset ();
-  let add_g = cs.Linsys.add_g and add_c = cs.Linsys.add_c in
+  let gv = cs.Linsys.gvalues and cv = cs.Linsys.cvalues in
   let rhs = Array.make l.size Complex.zero in
-  let stamp_device dev =
-    match dev with
-    | Device.Resistor { n1; n2; ohms; _ } -> stamp_g_into add_g n1 n2 (1. /. ohms)
-    | Device.Capacitor { n1; n2; farads; _ } -> stamp_g_into add_c n1 n2 farads
-    | Device.Vsource { name; npos; nneg; ac; _ } ->
-        stamp_branch_into add_g l ~name ~npos ~nneg;
-        rhs.(Hashtbl.find l.branches name) <- { Complex.re = ac; im = 0. }
+  for di = 0 to Array.length devices - 1 do
+    let sl = p.slots.(di) in
+    match devices.(di) with
+    | Device.Resistor { ohms; _ } -> stamp_g gv sl 0 (1. /. ohms)
+    | Device.Capacitor { farads; _ } -> stamp_g cv sl 0 farads
+    | Device.Vsource { ac; _ } ->
+        stamp_branch gv sl;
+        rhs.(p.branch.(di)) <- { Complex.re = ac; im = 0. }
     | Device.Isource { npos; nneg; ac; _ } ->
         if npos <> Device.ground then
           rhs.(npos - 1) <-
@@ -286,21 +423,19 @@ let assemble_ac_into (cs : Linsys.complex_sys) circuit l ~ops =
         if nneg <> Device.ground then
           rhs.(nneg - 1) <-
             Complex.add rhs.(nneg - 1) { Complex.re = ac; im = 0. }
-    | Device.Vccs { out_p; out_n; in_p; in_n; gm; _ } ->
-        stamp_gm_into add_g out_p out_n in_p in_n gm
-    | Device.Mosfet { name; d; g = gate; s; b; _ } ->
-        let op = ops name in
-        stamp_gm_into add_g d s gate s op.Mosfet.gm;
-        stamp_g_into add_g d s op.Mosfet.gds;
-        stamp_gm_into add_g d s b s op.Mosfet.gmb;
-        stamp_g_into add_c gate s op.Mosfet.cgs;
-        stamp_g_into add_c gate d op.Mosfet.cgd;
-        stamp_g_into add_c d b op.Mosfet.cdb;
-        stamp_g_into add_c s b op.Mosfet.csb
-  in
-  Array.iter stamp_device (Circuit.devices circuit);
+    | Device.Vccs { gm; _ } -> stamp_gm gv sl 0 gm
+    | Device.Mosfet { name; _ } ->
+        let op : Mosfet.op = ops name in
+        stamp_gm gv sl 0 op.gm;
+        stamp_g gv sl 4 op.gds;
+        stamp_gm gv sl 8 op.gmb;
+        stamp_g cv sl 12 op.cgs;
+        stamp_g cv sl 16 op.cgd;
+        stamp_g cv sl 20 op.cdb;
+        stamp_g cv sl 24 op.csb
+  done;
   (* small leak keeps floating nodes (e.g. pure-capacitive) solvable *)
   for i = 0 to l.n_nodes - 1 do
-    add_g i i 1e-12
+    acc gv p.diag.(i) 1e-12
   done;
   rhs

@@ -6,10 +6,14 @@
     voltage source, in device order. *)
 
 type layout
-
-val layout : Circuit.t -> layout
+(** The unknown layout of a {!sys}, with its stamp plan (see {!sys}).
+    Only {!sys_layout} makes one. *)
 
 val size : layout -> int
+
+val system_size : Circuit.t -> int
+(** The unknown count of the circuit's MNA system, [size] of its
+    {!sys_layout}, without building a {!sys}. *)
 
 val n_nodes : layout -> int
 
@@ -54,14 +58,27 @@ val pattern : Circuit.t -> layout -> Yield_numeric.Linsys.Pattern.t
     symbolic factorisation serves them all. *)
 
 val sys : ?backend:Yield_numeric.Linsys.backend -> Circuit.t -> sys
-(** Build the layout, compile it, and run the structural checks.
-    [backend] defaults to [Dense], which needs only the system size; [Csr]
-    also builds the {!pattern} and analyses it symbolically.  Valid for
-    every circuit sharing this topology (any [Circuit.map_devices] image:
-    same nodes, same device order, same device kinds).  A structurally
-    singular circuit still gets a dense [sys] (its solves report the
-    issues); the csr backend may refuse its pattern with
-    {!Yield_numeric.Lu.Singular}. *)
+(** Build the layout, compile it, build the stamp plan and run the
+    structural checks.  [backend] defaults to [Dense], which needs only
+    the system size; [Csr] also builds the {!pattern} and analyses it
+    symbolically.  Valid for every circuit sharing this topology (any
+    [Circuit.map_devices] image: same nodes, same device order, same
+    device kinds).  A structurally singular circuit still gets a dense
+    [sys] (its solves report the issues); the csr backend may refuse its
+    pattern with {!Yield_numeric.Lu.Singular}.
+
+    {b The stamp plan.}  Which value slot a stamp lands on depends on the
+    topology alone, so [sys] resolves every slot once
+    ({!Yield_numeric.Linsys.slot}): for each device, in device order, the
+    slot of every DC and AC stamp it writes, in the order the assembly
+    writes them, and -1 where a ground row or column drops a stamp; the
+    slot of each node's diagonal; and each voltage source's branch row.
+    A MOSFET has 28 stamps (12 conductive, 16 capacitive), a two-terminal
+    element or a controlled source 4.  The plan belongs to the compiled
+    system it was resolved against: {!assemble_dc_into},
+    {!assemble_ac_into} and {!stamp_device_dc} replay it only into
+    workspaces of this [sys] ({!sys_real}, {!sys_complex}) and raise
+    [Invalid_argument] for any other — an O(1) identity check. *)
 
 val default_sys : sys option -> Circuit.t -> sys
 (** [default_sys sys circuit] is the given session, else a fresh dense
@@ -84,25 +101,39 @@ val sys_complex : sys -> Yield_numeric.Linsys.complex_sys
 
 val sys_solver_name : sys -> string
 
-(** {1 Assembly} *)
+(** {1 Assembly}
 
-val assemble_dc :
-  ?models:models ->
-  Circuit.t -> layout -> x:Yield_numeric.Vec.t -> source_scale:float ->
-  gmin:float -> Yield_numeric.Mat.t * Yield_numeric.Vec.t
-(** Newton-linearised DC system around the guess [x]: returns [(g, rhs)] such
-    that solving [g x' = rhs] yields the next iterate.  [source_scale] scales
-    all independent sources (for source-stepping homotopy); [gmin] is a
-    conductance added from every node to ground. *)
+    Every assembly replays the {!sys}'s stamp plan: it adds each stamp's
+    value to its precomputed slot of the workspace's value arrays, with no
+    closure, slot search or boxed float, and evaluates MOSFETs through
+    {!Mosfet.linearise}.  The values and their order per slot are those
+    of stamping entry by entry through the workspace's [add], so the
+    assembled systems are bit-identical to it. *)
 
 val assemble_dc_into :
   Yield_numeric.Linsys.real ->
   ?models:models ->
   Circuit.t -> layout -> x:Yield_numeric.Vec.t -> source_scale:float ->
   gmin:float -> Yield_numeric.Vec.t
-(** Same stamps through a {!Yield_numeric.Linsys.real} workspace (resetting
-    it first); returns the right-hand side.  With a dense workspace this is
-    byte-identical to {!assemble_dc}. *)
+(** Newton-linearised DC system around the guess [x], assembled into the
+    workspace (reset first); returns the right-hand side, so that solving
+    it yields the next iterate.  [source_scale] scales all independent
+    sources (for source-stepping homotopy); [gmin] is a conductance added
+    from every node to ground.  Allocates the right-hand side and one
+    {!Mosfet.buffer}, nothing per device.
+    @raise Invalid_argument when the workspace is not of the [sys] whose
+    layout this is, or the circuit has another device count. *)
+
+val stamp_device_dc :
+  Yield_numeric.Linsys.real -> layout -> ?models:models -> Circuit.t -> int ->
+  x:Yield_numeric.Vec.t -> scratch:float array -> Yield_numeric.Vec.t -> unit
+(** [stamp_device_dc rs layout circuit di ~x ~scratch rhs] replays device
+    [di]'s share of {!assemble_dc_into} into the workspace without
+    resetting it: its matrix stamps and, for a MOSFET, the equivalent
+    current of its linearisation at [x] in [rhs].  Source values are left
+    to the caller (the transient engine drives them by waveform).
+    [scratch] is a {!Mosfet.buffer}.
+    @raise Invalid_argument as {!assemble_dc_into}. *)
 
 val mos_operating_points :
   ?models:models ->
@@ -114,35 +145,20 @@ val mos_operating_points :
 val assemble_ac_into :
   Yield_numeric.Linsys.complex_sys ->
   Circuit.t -> layout -> ops:(string -> Mosfet.op) -> Complex.t array
-(** Small-signal system [ (G + jw C) x = rhs ] stamped through a
-    {!Yield_numeric.Linsys.complex_sys} workspace (resetting it first);
-    returns [rhs], which carries the AC magnitudes of the independent
-    sources.  [ops] maps MOSFET names to their DC operating points. *)
+(** Small-signal system [ (G + jw C) x = rhs ] assembled into the
+    workspace (reset first); returns [rhs], which carries the AC
+    magnitudes of the independent sources.  [ops] maps MOSFET names to
+    their DC operating points.
+    @raise Invalid_argument as {!assemble_dc_into}. *)
 
-(** {1 Low-level stamping primitives, shared with the transient engine}
-
-    Each stamps through a generic [add row col value] accumulator (a
-    {!Yield_numeric.Linsys} workspace); ground rows and columns are
-    skipped. *)
+(** {1 Primitives shared with the transient engine} *)
 
 val stamp_conductance_into :
   (int -> int -> float -> unit) -> Device.node -> Device.node -> float -> unit
-(** Two-terminal conductance between two nodes. *)
-
-val stamp_transconductance_into :
-  (int -> int -> float -> unit) -> out_p:Device.node -> out_n:Device.node ->
-  in_p:Device.node -> in_n:Device.node -> float -> unit
-(** Current [g * v(in_p, in_n)] leaving [out_p], entering [out_n]. *)
-
-val stamp_branch_into :
-  (int -> int -> float -> unit) -> layout -> name:string ->
-  npos:Device.node -> nneg:Device.node -> unit
-(** Voltage-source branch rows/columns (without the RHS value). *)
+(** Two-terminal conductance between two nodes through a generic
+    [add row col value] accumulator, in the plan's write order; ground
+    rows and columns are skipped.  The transient engine's capacitor
+    companion models. *)
 
 val inject : Yield_numeric.Vec.t -> Device.node -> float -> unit
 (** Add a current injection into a node's KCL right-hand side. *)
-
-val stamp_mosfet_dc_into :
-  (int -> int -> float -> unit) -> Yield_numeric.Vec.t ->
-  x:Yield_numeric.Vec.t -> d:Device.node -> g:Device.node -> s:Device.node ->
-  b:Device.node -> model:Mosfet.model -> w:float -> l:float -> Mosfet.op

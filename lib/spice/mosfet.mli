@@ -55,7 +55,37 @@ val region_to_string : region -> string
 val eval : model -> w:float -> l:float -> vgs:float -> vds:float -> vbs:float -> op
 (** Evaluate at a bias point.  [w] and [l] in metres.  Handles [vds < 0] by
     source/drain exchange so Newton iterations may pass through reversal.
-    @raise Invalid_argument for non-positive [w] or [l]. *)
+    Built on {!linearise}, which gives every field but the region and the
+    capacitances; only [eval] computes those.
+    @raise Invalid_argument unless [w] and [l] are finite and positive. *)
+
+val valid_geometry : float -> float -> bool
+(** [valid_geometry w l] holds when both are finite and positive: the
+    guard of {!eval} and {!linearise}, and the netlist lint's N004 test. *)
+
+(** {1 The allocation-free core}
+
+    {!eval} returns a record of boxed floats, which a Newton iteration
+    would allocate for every device it stamps.  [linearise] is the EKV
+    core [eval] is built on: it passes the bias and the results through a
+    caller-owned float buffer and keeps every intermediate a local float,
+    so it allocates nothing, even when the caller sits in another unit
+    compiled without cross-module inlining.  It evaluates
+    [softplus (x/2)] once per EKV term, where the {!ekv_f} / {!ekv_f'}
+    pair evaluates it twice: the same float either way. *)
+
+val buffer : unit -> float array
+(** A fresh zeroed buffer of the 9 floats {!linearise} reads and writes.  A caller owns it
+    and may reuse it for any number of calls; never share one across
+    domains. *)
+
+val linearise : model -> w:float -> l:float -> float array -> unit
+(** [linearise m ~w ~l buf] reads the NMOS-convention, source-referenced
+    bias [vgs], [vds], [vbs] from [buf.(0)], [buf.(1)], [buf.(2)] and
+    writes [ids], [gm], [gds], [gmb], [vth] and [vdsat] to [buf.(3)] …
+    [buf.(8)]: exactly the floats of the same fields of {!eval}.
+    @raise Invalid_argument unless [w] and [l] are finite and positive, or
+    when [buf] holds fewer than 9 floats. *)
 
 (** {1 EKV interpolation helpers}
 

@@ -82,6 +82,7 @@ let run ?sys ?models options circuit =
   let devices = Circuit.devices circuit in
   (* one numeric workspace reused across all steps and Newton iterations *)
   let rs = Mna.sys_real sys in
+  let scratch = Mosfet.buffer () in
   match Dcop.solve ~sys ?models (initial_circuit circuit) with
   | Error e -> Error (Dc_failed e)
   | Ok op0 -> begin
@@ -119,44 +120,36 @@ let run ?sys ?models options circuit =
             done;
             Array.iteri
               (fun di dev ->
+                (* the device's DC stamps, MOSFETs linearised at [x],
+                   replayed from the session's stamp plan *)
+                Mna.stamp_device_dc rs layout ?models circuit di ~x ~scratch
+                  rhs;
+                (* capacitor companion models, explicit and MOS *)
+                List.iter
+                  (fun slot ->
+                    let geq = integ_g slot.c in
+                    let v_old =
+                      Mna.voltage !x_prev slot.a -. Mna.voltage !x_prev slot.b
+                    in
+                    let i_hist =
+                      if first then geq *. v_old
+                      else (geq *. v_old) +. slot.i_prev
+                    in
+                    Mna.stamp_conductance_into add slot.a slot.b geq;
+                    Mna.inject rhs slot.a i_hist;
+                    Mna.inject rhs slot.b (-.i_hist))
+                  slots.(di);
                 match dev with
-                | Device.Resistor { n1; n2; ohms; _ } ->
-                    Mna.stamp_conductance_into add n1 n2 (1. /. ohms)
-                | Device.Capacitor _ | Device.Mosfet _ ->
-                    (* caps handled via slots below; MOS conductive part
-                       stamped here *)
-                    (match dev with
-                    | Device.Mosfet { d; g; s; b; model; w; l; name = _ } ->
-                        let model = Mna.model_override models di model in
-                        ignore
-                          (Mna.stamp_mosfet_dc_into add rhs ~x ~d ~g ~s ~b
-                             ~model ~w ~l)
-                    | _ -> ());
-                    List.iter
-                      (fun slot ->
-                        let geq = integ_g slot.c in
-                        let v_old =
-                          Mna.voltage !x_prev slot.a -. Mna.voltage !x_prev slot.b
-                        in
-                        let i_hist =
-                          if first then geq *. v_old
-                          else (geq *. v_old) +. slot.i_prev
-                        in
-                        Mna.stamp_conductance_into add slot.a slot.b geq;
-                        Mna.inject rhs slot.a i_hist;
-                        Mna.inject rhs slot.b (-.i_hist))
-                      slots.(di)
-                | Device.Vsource { name; npos; nneg; dc; wave; _ } ->
-                    Mna.stamp_branch_into add layout ~name ~npos ~nneg;
+                | Device.Vsource { name; dc; wave; _ } ->
                     rhs.(Mna.branch_index layout name) <-
                       source_value_at ~dc ~wave t
                 | Device.Isource { npos; nneg; dc; wave; _ } ->
                     let value = source_value_at ~dc ~wave t in
                     Mna.inject rhs npos (-.value);
                     Mna.inject rhs nneg value
-                | Device.Vccs { out_p; out_n; in_p; in_n; gm; _ } ->
-                    Mna.stamp_transconductance_into add ~out_p ~out_n ~in_p
-                      ~in_n gm)
+                | Device.Resistor _ | Device.Capacitor _ | Device.Vccs _
+                | Device.Mosfet _ ->
+                    ())
               devices;
             match rs.Linsys.solve rhs with
             | exception Lu.Singular _ -> None

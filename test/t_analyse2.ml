@@ -246,6 +246,46 @@ let test_ac_lint_malformed_sweep_fixtures () =
   Alcotest.(check int) "a good card's grid" 101
     (Array.length (Ac.default_freqs ~per_decade:20 ~f_lo:10. ~f_hi:1e6 ()))
 
+(* the five non-finite / non-positive device decks: netlist lint refuses
+   each with its code, saying "non-finite" when that is the fault, and the
+   interval analyses leave the device out instead of raising on it *)
+let test_device_value_fixtures () =
+  List.iter
+    (fun (name, code, non_finite) ->
+      let path = fixture ("examples/netlists/" ^ name) in
+      let diags = Yield_analyse.Netlist_lint.check_file path in
+      Alcotest.(check (list string)) (name ^ " codes") [ code ] (codes diags);
+      Alcotest.(check int) (name ^ " fails") 2 (Diagnostic.exit_code diags);
+      let message = (List.hd diags).Diagnostic.message in
+      let says s =
+        let n = String.length s in
+        let rec at i =
+          i + n <= String.length message && (String.sub message i n = s || at (i + 1))
+        in
+        at 0
+      in
+      Alcotest.(check bool) (name ^ " says non-finite") non_finite (says "non-finite");
+      match Ac_tran_lint.check_file path with
+      | diags ->
+          Alcotest.(check int) (name ^ " A/R codes") 0 (Diagnostic.exit_code diags)
+      | exception e ->
+          Alcotest.failf "%s: Ac_tran_lint raised %s" name (Printexc.to_string e))
+    [
+      ("dev_bad_w_nan.cir", "N004", true);
+      ("dev_bad_w_inf.cir", "N004", true);
+      ("dev_bad_w_zero.cir", "N004", false);
+      ("dev_bad_r_inf.cir", "N005", true);
+      ("dev_bad_c_inf.cir", "N006", true);
+    ];
+  (* the model core refuses the same geometry *)
+  let nmos = Yield_process.Tech.c35.Yield_process.Tech.nmos in
+  List.iter
+    (fun (w, l) ->
+      match Yield_spice.Mosfet.eval nmos ~w ~l ~vgs:1. ~vds:1. ~vbs:0. with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "Mosfet.eval accepted w=%g l=%g" w l)
+    [ (nan, 1e-6); (infinity, 1e-6); (1e-5, neg_infinity); (0., 1e-6); (1e-5, -1e-6) ]
+
 let test_tran_lint_codes () =
   let pulse =
     Device.Pulse
@@ -555,6 +595,8 @@ let suites =
         Alcotest.test_case "R codes" `Quick test_tran_lint_codes;
         Alcotest.test_case "A004 fixtures + grid refusal" `Quick
           test_ac_lint_malformed_sweep_fixtures;
+        Alcotest.test_case "N004-N006 non-finite fixtures" `Quick
+          test_device_value_fixtures;
       ] );
     ( "behavioural.verilog_a_ast",
       [

@@ -334,11 +334,15 @@ module Ref = struct
     done;
     Array.init n (fun i -> { Complex.re = xr.(i); im = xi.(i) })
 
-  (* the parent's Dense_backend workspaces over the reference kernels *)
+  (* the parent's Dense_backend workspaces over the reference kernels;
+     their values are row-major, as the slots of a dense system of the
+     same size *)
   let real n =
     let m = create n n in
     {
       Linsys.rn = n;
+      owner = Linsys.dense_of_size n;
+      values = m.data;
       reset = (fun () -> fill m);
       add = add_to m;
       solve = (fun b -> solve (factor m) b);
@@ -348,6 +352,9 @@ module Ref = struct
     let g = create n n and c = create n n in
     {
       Linsys.cn = n;
+      cowner = Linsys.dense_of_size n;
+      gvalues = g.data;
+      cvalues = c.data;
       creset =
         (fun () ->
           fill g;
@@ -950,15 +957,16 @@ let test_circuit_dc_ac_dense_csr () =
   done
 
 (* The workspaces under test and their references over one circuit's MNA
-   system: a [dense_of_size] workspace against the Ref kernels, or the
-   csr backend on the circuit's own pattern (the one every csr sample
-   factors) against Csr_ref. *)
-let circuit_workspaces backend circuit layout =
+   system: the workspaces of the circuit's [Mna.sys] of [backend], and
+   either the Ref kernels (dense) or Csr_ref on the circuit's own pattern
+   (the one every csr sample factors).  Csr_ref orders and fills a pattern
+   as Csr does, so its value slots are those of a csr system compiled from
+   the same pattern. *)
+let circuit_workspaces backend sys circuit layout =
   let n = Mna.size layout in
+  let tested = (Mna.sys_real sys, Mna.sys_complex sys) in
   match backend with
-  | Linsys.Dense ->
-      let c = Linsys.dense_of_size n in
-      ((Linsys.real c, Ref.real n), (Linsys.complex c, Ref.complex n))
+  | Linsys.Dense -> (tested, (Ref.real n, Ref.complex n))
   | Linsys.Csr ->
       let p = Mna.pattern circuit layout in
       let rsym =
@@ -966,17 +974,21 @@ let circuit_workspaces backend circuit layout =
           (Linsys.Pattern.rows p)
       in
       let rw = Csr_ref.rwork rsym and cw = Csr_ref.cwork rsym in
-      let c = Linsys.compile Linsys.Csr p in
-      ( ( Linsys.real c,
-          {
+      let owner = Linsys.compile Linsys.Csr p in
+      ( tested,
+        ( {
             Linsys.rn = n;
+            owner;
+            values = rw.Csr_ref.values;
             reset = (fun () -> Csr_ref.rreset rw);
             add = Csr_ref.radd rw;
             solve = Csr_ref.rsolve rw;
-          } ),
-        ( Linsys.complex c,
+          },
           {
             Linsys.cn = n;
+            cowner = owner;
+            gvalues = cw.Csr_ref.gv;
+            cvalues = cw.Csr_ref.cv;
             creset = (fun () -> Csr_ref.creset cw);
             add_g = Csr_ref.cadd_g cw;
             add_c = Csr_ref.cadd_c cw;
@@ -984,22 +996,27 @@ let circuit_workspaces backend circuit layout =
           } ) )
 
 (* The DC Newton systems a damped Newton run visits from the initial guess,
-   and the AC pencil at every sweep frequency, each assembled through the
-   same Mna code into a workspace of [backend] and into its reference.
-   Every real system is solved for its own right-hand side and two random
-   ones; every pencil is factored once and solved for its own right-hand
-   side and two random ones. *)
+   and the AC pencil at every sweep frequency, each assembled by Mna's
+   plan replay into a workspace of [backend] and by the reference
+   assembly (Mna_ref, through [add]) into its reference workspace.  Every
+   real system is solved for its own right-hand side and two random ones;
+   every pencil is factored once and solved for its own right-hand side
+   and two random ones. *)
 let check_circuit_bit_exact backend name circuit =
-  let layout = Mna.layout circuit in
+  let sys = Mna.sys ~backend circuit in
+  let layout = Mna.sys_layout sys in
   let n = Mna.size layout in
-  let (rs, reference), (cs, cref) = circuit_workspaces backend circuit layout in
+  let (rs, cs), (reference, cref) =
+    circuit_workspaces backend sys circuit layout
+  in
   let name = Linsys.backend_name backend ^ " " ^ name in
   let st = Random.State.make [| 67 |] in
   let x = Array.make n 0. in
   for it = 1 to 40 do
     let rhs = Mna.assemble_dc_into rs circuit layout ~x ~source_scale:1. ~gmin:1e-12 in
     let rhs' =
-      Mna.assemble_dc_into reference circuit layout ~x ~source_scale:1. ~gmin:1e-12
+      Mna_ref.assemble_dc_into reference circuit layout ~x ~source_scale:1.
+        ~gmin:1e-12
     in
     let xd = outcome (fun () -> rs.Linsys.solve rhs) in
     check_real_outcome
@@ -1030,7 +1047,7 @@ let check_circuit_bit_exact backend name circuit =
   in
   let ops = Dcop.mos_op op in
   let rhs = Mna.assemble_ac_into cs circuit layout ~ops in
-  let rhs' = Mna.assemble_ac_into cref circuit layout ~ops in
+  let rhs' = Mna_ref.assemble_ac_into cref circuit layout ~ops in
   let freqs = Gtb.freqs_of Gtb.default_conditions in
   Alcotest.(check int) "sweep points" 81 (Array.length freqs);
   Array.iter
@@ -1063,12 +1080,13 @@ let test_complex_refactor_bit_exact () =
     | Ok op -> op
     | Error e -> Alcotest.fail (Dcop.error_to_string e)
   in
-  let layout = Mna.layout circuit in
+  let sys = Mna.sys circuit in
+  let layout = Mna.sys_layout sys in
   let n = Mna.size layout in
-  let cs = Linsys.complex (Linsys.dense_of_size n) in
+  let cs = Mna.sys_complex sys in
   let cref = Ref.complex n in
   ignore (Mna.assemble_ac_into cs circuit layout ~ops:(Dcop.mos_op op));
-  ignore (Mna.assemble_ac_into cref circuit layout ~ops:(Dcop.mos_op op));
+  ignore (Mna_ref.assemble_ac_into cref circuit layout ~ops:(Dcop.mos_op op));
   let unit_rhs k =
     Array.init n (fun i -> if i = k then { Complex.re = 1.; im = 0. } else Complex.zero)
   in

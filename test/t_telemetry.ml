@@ -221,12 +221,16 @@ let test_snapshot_deltas () =
 
 let bench_fixture ?(opt_s = 10.) ?(mc_s = 4.) ?(total_s = 15.) ?(mc_sims = 840)
     ?(counters = [ ("mc.samples.attempted", 840); ("wbga.evaluations", 288) ])
-    ?cores () =
+    ?cores ?alloc () =
   Json.Obj
     ([
       ("scale", Json.String "reduced-scale");
       ("jobs", Json.Int 1);
     ]
+    @ Option.fold ~none:[]
+        ~some:(fun w ->
+          [ ("alloc", Json.Obj [ ("minor_words_per_sim", Json.Float w) ]) ])
+        alloc
     @ Option.fold ~none:[] ~some:(fun c -> [ ("cores", Json.Int c) ]) cores
     @ [
       ( "stage_s",
@@ -351,6 +355,29 @@ let test_gate_core_dependent_counter () =
     (fields (Perf_gate.check ~baseline:base ~bench:no_cores));
   Alcotest.(check bool) "the baseline carries cores" true
     (Json.member "cores" base = Some (Json.Int 1))
+
+(* allocation per simulation does not depend on the machine: it gates
+   with the baseline's frac and none of its absolute timing slack *)
+let test_gate_allocation () =
+  let check what want bench base =
+    Alcotest.(check (list string)) what want
+      (fields (Perf_gate.check ~baseline:base ~bench))
+  in
+  (* the checked-in baseline's tolerance: 10 % and 2 s of timing slack *)
+  let base = baseline (bench_fixture ~alloc:1000. ()) in
+  Alcotest.(check bool) "the baseline carries the key" true
+    (Option.is_some (Json.member "alloc" base));
+  check "itself" [] (bench_fixture ~alloc:1000. ()) base;
+  check "9 % more passes" [] (bench_fixture ~alloc:1090. ()) base;
+  check "less always passes" [] (bench_fixture ~alloc:400. ()) base;
+  check "20 % more fails on that key alone"
+    [ "alloc.minor_words_per_sim" ]
+    (bench_fixture ~alloc:1200. ()) base;
+  check "a run without the key fails" [ "alloc.minor_words_per_sim" ]
+    (bench_fixture ()) base;
+  check "a key the baseline lacks fails" [ "alloc.minor_words_per_sim" ]
+    (bench_fixture ~alloc:1000. ())
+    (baseline (bench_fixture ()))
 
 let test_gate_run_identity () =
   let base = baseline ~tolerance:tight (bench_fixture ()) in
@@ -543,6 +570,8 @@ let suites =
         Alcotest.test_case "count and counter drift" `Quick
           test_gate_catches_count_and_counter_drift;
         Alcotest.test_case "run identity" `Quick test_gate_run_identity;
+        Alcotest.test_case "allocation per simulation" `Quick
+          test_gate_allocation;
         Alcotest.test_case "baseline shape" `Quick test_baseline_of_bench_shape;
         Alcotest.test_case "core-dependent counter" `Quick
           test_gate_core_dependent_counter;

@@ -4,6 +4,7 @@ let () =
        [
          T_numeric.suites;
          T_linsys.suites;
+         T_mna.suites;
          T_obs.suites;
          T_stats.suites;
          T_spice.suites;
