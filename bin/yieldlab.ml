@@ -979,13 +979,7 @@ let netlist_run ~print path =
              negative, NaN or infinite) and a malformed .ac sweep with no
              frequency grid (A004): refuse the deck with lint's own
              diagnostics before solving anything *)
-          let refused codes diags =
-            List.filter (fun d -> List.mem d.Diagnostic.code codes) diags
-          in
-          match
-            refused [ "N004"; "N005"; "N006" ] (Netlist_lint.check_file path)
-            @ refused [ "A004" ] (Ac_tran_lint.check_file path)
-          with
+          match Netlist_lint.refusals path with
           | _ :: _ as malformed ->
               List.iter (fun d -> prerr_endline (Diagnostic.to_text d)) malformed;
               2

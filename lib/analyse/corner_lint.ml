@@ -4,16 +4,21 @@
 
    Soundness strategy.  The Monte Carlo pipeline is a floating-point
    program; the claim "every sample in the box lands inside the enclosure"
-   is about ITS results, not about exact real arithmetic.  So every step
-   here mirrors the float pipeline's operation tree with outward-rounded
-   intervals ({!Interval}): if each float input of an operation lies inside
-   the corresponding interval, the float result (one rounding of the exact
-   result of contained operands) lies inside the one-ulp-widened interval
-   result, and the containment survives by induction through the whole
-   pipeline.  Library transcendentals (exp/log/atan2/Complex.norm) are not
-   correctly rounded, so their interval images carry a few extra ulps of
-   widening.  Two steps are not elementwise float operations and carry
-   small documented pads instead:
+   is about ITS results, not about exact real arithmetic.  The device
+   equations and the MNA stamps are not restated here: {!Device_interval}
+   is the simulator's own text (lib/spice/device_body.ml and
+   stamp_body.ml) built over outward-rounded intervals ({!Interval}), so
+   each float operation of a sample is an interval operation here on
+   operands that contain its own.  If each float input of an operation
+   lies inside the corresponding interval, the float result (one rounding
+   of the exact result of contained operands) lies inside the
+   one-ulp-widened interval result, and the containment survives by
+   induction over the shared operation tree.  Library transcendentals
+   (exp/log/atan2/Complex.norm) are not correctly rounded, so their
+   interval images carry a few extra ulps of widening.  The response
+   measures below (magnitude, phase, crossing bracket) are written here
+   against Measure's definitions.  Two steps are not elementwise float
+   operations and carry small documented pads instead:
 
    - the sampled DC solve is a damped Newton iteration converging to vtol
      (1e-9 V); the Krawczyk enclosure bounds the true solutions over the
@@ -74,8 +79,8 @@ let ipt = I.point
 
 let mag (i : I.t) = Float.max (Float.abs i.I.lo) (Float.abs i.I.hi)
 
-(* Float.max endpointwise: mirrors [Float.max c x] applied to a contained
-   float (Float.max is exact, no extra widening needed) *)
+(* the image of [Float.max c], endpointwise (Float.max is exact, no
+   widening needed) *)
 let i_max_const c (i : I.t) = I.make (Float.max c i.I.lo) (Float.max c i.I.hi)
 
 let pad_abs d (i : I.t) = I.make (i.I.lo -. d) (i.I.hi +. d)
@@ -100,20 +105,9 @@ let ci_mul a b =
     cim = I.add (I.mul a.cre b.cim) (I.mul a.cim b.cre);
   }
 
-(* ---------- interval EKV (mirrors Mosfet.eval bit-for-bit at endpoints) ---------- *)
+(* ---------- interval MOS operating points ---------- *)
 
-(* the monotone interval images of Mosfet's own helpers, so they evaluate
-   exactly the floats Mosfet.eval does at the endpoints.  All are monotone
-   non-decreasing; 8 ulps covers two chained libm calls plus the inner
-   divisions/multiplications *)
-let i_sigmoid = I.monotone_incr ~ulps:8 Mosfet.sigmoid
-
-let i_ekv_f = I.monotone_incr ~ulps:8 Mosfet.ekv_f
-
-(* F' is a product of two positive non-decreasing factors, so monotone too *)
-let i_ekv_f' = I.monotone_incr ~ulps:8 Mosfet.ekv_f'
-
-let i_sqrt = I.monotone_incr ~ulps:2 sqrt
+module D = Device_interval
 
 (* per-device model parameters as intervals over the truncated variation box *)
 type imodel = { base : Mosfet.model; m_vth0 : I.t; m_kp : I.t; m_lambda0 : I.t }
@@ -128,16 +122,13 @@ type slice = { s_n : I.t; s_p : I.t }
 
 let imodel_of ~k ~spec ~slice (m : Mosfet.model) ~w ~l =
   let g = spec.Variation.global in
-  let mm = spec.Variation.mismatch in
-  let gvth, sg_kp, a_beta =
+  let gvth, sg_kp =
     match m.Mosfet.polarity with
-    | Mosfet.Nmos -> (slice.s_n, g.Variation.sigma_kp_rel_n, mm.Variation.abeta_n)
-    | Mosfet.Pmos -> (slice.s_p, g.Variation.sigma_kp_rel_p, mm.Variation.abeta_p)
+    | Mosfet.Nmos -> (slice.s_n, g.Variation.sigma_kp_rel_n)
+    | Mosfet.Pmos -> (slice.s_p, g.Variation.sigma_kp_rel_p)
   in
   let sm_vth = Variation.mismatch_sigma_vth spec m.Mosfet.polarity ~w ~l in
-  (* same float expression perturb_model uses (mismatch_sigma_beta is not
-     exported); the box must contain the sigma the sampler multiplies by *)
-  let sm_beta = a_beta /. sqrt (w *. l) in
+  let sm_beta = Variation.mismatch_sigma_beta spec m.Mosfet.polarity ~w ~l in
   let kk = I.of_bounds (-.k) k in
   (* a sample's delta is z_g * sigma_g +. z_m * sigma_m with |z| <= k; the
      global vth part is restricted to this slice's range *)
@@ -146,10 +137,9 @@ let imodel_of ~k ~spec ~slice (m : Mosfet.model) ~w ~l =
   let dlambda_rel = I.mul kk (ipt g.Variation.sigma_lambda_rel) in
   {
     base = m;
-    (* mirrors Mosfet.with_deltas *)
-    m_vth0 = I.add (ipt m.Mosfet.vth0) dvth;
-    m_kp = I.mul (ipt m.Mosfet.kp) (I.add (ipt 1.) dkp_rel);
-    m_lambda0 = I.mul (ipt m.Mosfet.lambda0) (I.add (ipt 1.) dlambda_rel);
+    m_vth0 = D.perturbed_vth0 m dvth;
+    m_kp = D.perturbed_kp m dkp_rel;
+    m_lambda0 = D.perturbed_lambda0 m dlambda_rel;
   }
 
 (* interval operating point; [o_strong]/[o_sat] are the operating-region
@@ -171,65 +161,6 @@ type iop = {
   o_reversible : bool;
 }
 
-(* mirrors the forward device of Mosfet.linearise (vds >= 0, NMOS
-   convention) *)
-let eval_forward_i (im : imodel) ~w ~l ~vgs ~vds ~vbs =
-  let m = im.base in
-  let vt = Mosfet.temperature_voltage in
-  let n = m.Mosfet.n_slope in
-  let sarg = i_max_const 0.05 (I.sub (ipt m.Mosfet.phi) vbs) in
-  let vth =
-    I.add im.m_vth0
-      (I.mul (ipt m.Mosfet.gamma) (I.sub (i_sqrt sarg) (i_sqrt (ipt m.Mosfet.phi))))
-  in
-  let dvth_dvbs = I.neg (I.div (ipt m.Mosfet.gamma) (I.mul (ipt 2.) (i_sqrt sarg))) in
-  let lambda = I.div im.m_lambda0 (I.mul (ipt l) (ipt 1e6)) in
-  let beta = I.div (I.mul im.m_kp (ipt w)) (ipt l) in
-  let i0 = I.mul (I.mul (I.mul (I.mul (ipt 2.) (ipt n)) beta) (ipt vt)) (ipt vt) in
-  let nvt = I.mul (ipt n) (ipt vt) in
-  let ov = I.sub vgs vth in
-  let a = I.div ov nvt in
-  let b = I.div (I.sub ov (I.mul (ipt n) vds)) nvt in
-  let fa = i_ekv_f a and fb = i_ekv_f b in
-  let fa' = i_ekv_f' a and fb' = i_ekv_f' b in
-  let clm = I.add (ipt 1.) (I.mul lambda vds) in
-  let base = I.mul i0 (I.sub fa fb) in
-  let ids = I.mul base clm in
-  let gm = I.mul (I.div (I.mul i0 (I.sub fa' fb')) nvt) clm in
-  let gds = I.add (I.mul (I.div (I.mul i0 fb') (ipt vt)) clm) (I.mul base lambda) in
-  let gmb = I.neg (I.mul gm dvth_dvbs) in
-  (* d ids / d dlambda_rel: ids = base (1 + lambda0 (1+dlam) vds / (l 1e6)) *)
-  let dlam = I.mul (I.mul base vds) (ipt (m.Mosfet.lambda0 /. (l *. 1e6))) in
-  let vdsat = i_max_const (2. *. vt) (I.div ov (ipt n)) in
-  let strong = I.sub ov (I.mul (I.mul (ipt 3.) (ipt n)) (ipt vt)) in
-  let sat = I.sub vds vdsat in
-  (ids, gm, gds, gmb, vth, vdsat, strong, sat, dlam)
-
-(* mirrors the Meyer-style capacitances of Mosfet.eval (forward values) *)
-let caps_i (im : imodel) ~w ~l ~vgs' ~vds' ~vth ~vdsat =
-  let m = im.base in
-  let vt = Mosfet.temperature_voltage in
-  let cox_total = I.mul (I.mul (ipt m.Mosfet.cox) (ipt w)) (ipt l) in
-  let inversion =
-    i_sigmoid (I.div (I.sub vgs' vth) (I.mul (I.mul (ipt 2.) (ipt m.Mosfet.n_slope)) (ipt vt)))
-  in
-  let saturated = i_sigmoid (I.div (I.sub vds' vdsat) (I.mul (ipt 2.) (ipt vt))) in
-  let split =
-    I.add
-      (I.mul (I.div (ipt 2.) (ipt 3.)) saturated)
-      (I.mul (ipt 0.5) (I.sub (ipt 1.) saturated))
-  in
-  let cgs_i = I.mul (I.mul cox_total inversion) split in
-  let cgd_i = I.mul (I.mul (I.mul cox_total inversion) (ipt 0.5)) (I.sub (ipt 1.) saturated) in
-  let cgs = I.add cgs_i (I.mul (ipt m.Mosfet.cgso) (ipt w)) in
-  let cgd = I.add cgd_i (I.mul (ipt m.Mosfet.cgdo) (ipt w)) in
-  let cj =
-    I.add
-      (I.mul (I.mul (ipt m.Mosfet.cj) (ipt w)) (ipt m.Mosfet.ext))
-      (I.mul (ipt m.Mosfet.cjsw) (I.add (I.mul (ipt 2.) (ipt m.Mosfet.ext)) (ipt w)))
-  in
-  (cgs, cgd, cj)
-
 let hull_iop p q =
   {
     o_ids = I.hull p.o_ids q.o_ids;
@@ -246,51 +177,45 @@ let hull_iop p q =
     o_reversible = true;
   }
 
-(* mirrors Mosfet.eval: a vds range straddling zero is split into the
-   forward branch and the source-drain-reversed branch, each pushed through
-   the forward device with the reversal transform, then hulled *)
+(* The device's interval operating point: [Device_interval]'s EKV device
+   and Meyer capacitances, which reverse source and drain on vds < 0 as
+   the simulator does.  A vds range straddling zero is split into a
+   non-negative and a negative part, each evaluated, then hulled. *)
 let eval_i (im : imodel) ~w ~l ~vgs ~vds ~vbs =
-  let branch ~reversed vds_b =
-    let vgs_b, vds_b, vbs_b =
-      if reversed then (I.sub vgs vds_b, I.neg vds_b, I.sub vbs vds_b)
-      else (vgs, vds_b, vbs)
+  let branch vds_b =
+    let m = im.base in
+    (* a tenth slot receives d ids / d lambda0 *)
+    let buf = Array.append [| vgs; vds_b; vbs |] (Array.make 7 I.zero) in
+    let reversed =
+      D.ekv_into m ~vth0:im.m_vth0 ~kp:im.m_kp ~lambda0:im.m_lambda0 ~w ~l buf
     in
-    let ids, gm, gds, gmb, vth, vdsat, strong, sat, dlam =
-      eval_forward_i im ~w ~l ~vgs:vgs_b ~vds:vds_b ~vbs:vbs_b
-    in
-    let cgs_f, cgd_f, cj = caps_i im ~w ~l ~vgs':vgs_b ~vds':vds_b ~vth ~vdsat in
-    let ids, gm, gds, gmb, dlam =
-      if reversed then
-        (I.neg ids, I.neg gm, I.add (I.add gm gds) gmb, I.neg gmb, I.neg dlam)
-      else (ids, gm, gds, gmb, dlam)
-    in
-    let cgs, cgd = if reversed then (cgd_f, cgs_f) else (cgs_f, cgd_f) in
+    let vt = Mosfet.temperature_voltage in
+    (* the forward device's region margins, for the D-code proofs *)
+    let strong = I.sub (I.sub buf.(0) buf.(7)) (ipt (3. *. m.Mosfet.n_slope *. vt)) in
+    let sat = I.sub buf.(1) buf.(8) in
+    (* d ids / d dlambda_rel = lambda0 d ids / d lambda0 *)
+    let dlam = I.scale m.Mosfet.lambda0 buf.(9) in
+    let ids = buf.(3) and gm = buf.(4) and gds = buf.(5) and gmb = buf.(6) in
+    D.meyer_into m ~w ~l ~reversed buf;
     {
       o_ids = ids;
       o_gm = gm;
       o_gds = gds;
       o_gmb = gmb;
-      o_cgs = cgs;
-      o_cgd = cgd;
-      o_cdb = cj;
-      o_csb = cj;
+      o_cgs = buf.(0);
+      o_cgd = buf.(1);
+      o_cdb = buf.(2);
+      o_csb = buf.(2);
       o_dlam = dlam;
       o_strong = strong;
       o_sat = sat;
       o_reversible = reversed;
     }
   in
-  (* the float pipeline reverses on vds < 0 strictly; letting both branches
-     claim the vds = 0 endpoint only widens the hull *)
-  let fwd =
-    match I.intersect vds (I.make 0. infinity) with
-    | Some v -> Some (branch ~reversed:false v)
-    | None -> None
-  in
+  (* the simulator reverses on vds < 0 strictly *)
+  let fwd = Option.map branch (I.intersect vds (I.make 0. infinity)) in
   let rev =
-    match I.intersect vds (I.make neg_infinity 0.) with
-    | Some v -> Some (branch ~reversed:true v)
-    | None -> None
+    Option.map branch (I.intersect vds (I.make neg_infinity (Float.pred 0.)))
   in
   match (fwd, rev) with
   | Some a, Some b -> hull_iop a b
@@ -301,6 +226,7 @@ let eval_i (im : imodel) ~w ~l ~vgs ~vds ~vbs =
 (* ---------- MOS entries and interval MNA assembly ---------- *)
 
 type mos_entry = {
+  e_index : int;  (** position in [Circuit.devices] *)
   e_name : string;
   e_d : Device.node;
   e_g : Device.node;
@@ -315,11 +241,13 @@ type mos_entry = {
 (* one entry per MOSFET, its parameter box given by [imodel] *)
 let mos_entries ~imodel circuit =
   Array.to_list (Circuit.devices circuit)
-  |> List.filter_map (fun dev ->
+  |> List.mapi (fun di dev -> (di, dev))
+  |> List.filter_map (fun (di, dev) ->
          match dev with
          | Device.Mosfet { name; d; g; s; b; model; w; l } ->
              Some
                {
+                 e_index = di;
                  e_name = name;
                  e_d = d;
                  e_g = g;
@@ -334,80 +262,32 @@ let mos_entries ~imodel circuit =
          | Device.Isource _ | Device.Vccs _ ->
              None)
 
-(* normalised terminal intervals and the device-convention drain current,
-   mirroring the MOSFET bias and current of Mna's DC stamps *)
+(* the interval operating point at the node voltages [x] and the drain
+   current, through the stamps' polarity flip *)
 let mos_iop_at (e : mos_entry) (x : I.t array) =
   let v n = if n = Device.ground then I.zero else x.(n - 1) in
   let vd = v e.e_d and vg = v e.e_g and vs = v e.e_s and vb = v e.e_b in
-  let vgs, vds, vbs =
-    match e.e_model.Mosfet.polarity with
-    | Mosfet.Nmos -> (I.sub vg vs, I.sub vd vs, I.sub vb vs)
-    | Mosfet.Pmos -> (I.sub vs vg, I.sub vs vd, I.sub vs vb)
+  let p = e.e_model.Mosfet.polarity in
+  let op =
+    eval_i e.e_imodel ~w:e.e_w ~l:e.e_l ~vgs:(D.polar p vg vs)
+      ~vds:(D.polar p vd vs) ~vbs:(D.polar p vb vs)
   in
-  let op = eval_i e.e_imodel ~w:e.e_w ~l:e.e_l ~vgs ~vds ~vbs in
-  let ids_eff =
-    match e.e_model.Mosfet.polarity with
-    | Mosfet.Nmos -> op.o_ids
-    | Mosfet.Pmos -> I.neg op.o_ids
-  in
-  (op, ids_eff)
+  (op, D.drain_current p op.o_ids)
 
-let imat n = Array.init n (fun _ -> Array.make n I.zero)
-
-let istamp_g m a b g =
-  let add i j v = m.(i).(j) <- I.add m.(i).(j) v in
-  if a <> Device.ground then add (a - 1) (a - 1) g;
-  if b <> Device.ground then add (b - 1) (b - 1) g;
-  if a <> Device.ground && b <> Device.ground then begin
-    add (a - 1) (b - 1) (I.neg g);
-    add (b - 1) (a - 1) (I.neg g)
-  end
-
-let istamp_gm m op_node on_node cp cn g =
-  let entry row col v =
-    if row <> Device.ground && col <> Device.ground then
-      m.(row - 1).(col - 1) <- I.add m.(row - 1).(col - 1) v
-  in
-  entry op_node cp g;
-  entry op_node cn (I.neg g);
-  entry on_node cp (I.neg g);
-  entry on_node cn g
-
-let iinject rhs node v =
-  if node <> Device.ground then rhs.(node - 1) <- I.add rhs.(node - 1) v
-
-(* the parameter-independent DC system: gmin leaks, resistors, source
-   branches/injections and VCCS.  MOSFETs enter the residual and the
-   Jacobian separately. *)
+(* The parameter-independent DC system: gmin leaks, resistors, source
+   branches and values, VCCS.  MOSFETs enter the residual and the Jacobian
+   separately.  It replays the stamp plan of [layout]'s dense sys through
+   the interval stamps into flat n x n arrays, at the sys's slot i*n + j. *)
 let assemble_linear_dc circuit layout ~gmin =
   let n = Mna.size layout in
-  let a = imat n in
+  let p = Mna.plan layout in
+  let a = Array.make (n * n) I.zero in
   let b = Array.make n I.zero in
-  for i = 0 to Mna.n_nodes layout - 1 do
-    a.(i).(i) <- I.add a.(i).(i) (ipt gmin)
-  done;
-  Array.iter
-    (fun dev ->
-      match dev with
-      | Device.Resistor { n1; n2; ohms; _ } -> istamp_g a n1 n2 (I.div (ipt 1.) (ipt ohms))
-      | Device.Capacitor _ -> ()
-      | Device.Vsource { name; npos; nneg; dc; _ } ->
-          let br = Mna.branch_index layout name in
-          if npos <> Device.ground then begin
-            a.(npos - 1).(br) <- I.add a.(npos - 1).(br) (ipt 1.);
-            a.(br).(npos - 1) <- I.add a.(br).(npos - 1) (ipt 1.)
-          end;
-          if nneg <> Device.ground then begin
-            a.(nneg - 1).(br) <- I.add a.(nneg - 1).(br) (ipt (-1.));
-            a.(br).(nneg - 1) <- I.add a.(br).(nneg - 1) (ipt (-1.))
-          end;
-          b.(br) <- I.add b.(br) (ipt dc)
-      | Device.Isource { npos; nneg; dc; _ } ->
-          iinject b npos (ipt (-.dc));
-          iinject b nneg (ipt dc)
-      | Device.Vccs { out_p; out_n; in_p; in_n; gm; _ } ->
-          istamp_gm a out_p out_n in_p in_n (ipt gm)
-      | Device.Mosfet _ -> ())
+  D.stamp_diag a p.Mna.diag (ipt gmin);
+  Array.iteri
+    (fun di dev ->
+      D.stamp_linear_dc a p.Mna.slots.(di) dev;
+      D.source_dc b ~branch:p.Mna.branch.(di) dev ~scale:(ipt 1.))
     (Circuit.devices circuit);
   (a, b)
 
@@ -418,15 +298,15 @@ let residual ~lin:(a0, b0) ~moses x =
     Array.init n (fun i ->
         let acc = ref (I.neg b0.(i)) in
         for j = 0 to n - 1 do
-          acc := I.add !acc (I.mul a0.(i).(j) x.(j))
+          acc := I.add !acc (I.mul a0.((i * n) + j) x.(j))
         done;
         !acc)
   in
   List.iter
     (fun e ->
       let _, ids_eff = mos_iop_at e x in
-      iinject r e.e_d ids_eff;
-      iinject r e.e_s (I.neg ids_eff))
+      D.inject r e.e_d ids_eff;
+      D.inject r e.e_s (I.neg ids_eff))
     moses;
   r
 
@@ -470,21 +350,18 @@ let c_zero = { c_gm = 0.; c_rest = I.zero }
 let axis_data ~k ~spec ~slice ~moses ~x =
   let kk = I.of_bounds (-.k) k in
   let g = spec.Variation.global in
-  let mm = spec.Variation.mismatch in
   let per_dev =
     List.map
       (fun e ->
         let op0, ids_eff0 = mos_iop_at e x in
-        let s_pol, sg_kp, a_beta =
-          match e.e_model.Mosfet.polarity with
-          | Mosfet.Nmos -> (1., g.Variation.sigma_kp_rel_n, mm.Variation.abeta_n)
-          | Mosfet.Pmos -> (-1., g.Variation.sigma_kp_rel_p, mm.Variation.abeta_p)
+        let pol = e.e_model.Mosfet.polarity in
+        let s_pol, sg_kp =
+          match pol with
+          | Mosfet.Nmos -> (1., g.Variation.sigma_kp_rel_n)
+          | Mosfet.Pmos -> (-1., g.Variation.sigma_kp_rel_p)
         in
-        let sm_vth =
-          Variation.mismatch_sigma_vth spec e.e_model.Mosfet.polarity ~w:e.e_w
-            ~l:e.e_l
-        in
-        let sm_beta = a_beta /. sqrt (e.e_w *. e.e_l) in
+        let sm_vth = Variation.mismatch_sigma_vth spec pol ~w:e.e_w ~l:e.e_l in
+        let sm_beta = Variation.mismatch_sigma_beta spec pol ~w:e.e_w ~l:e.e_l in
         let dkp_tot = I.add (I.mul kk (ipt sg_kp)) (I.mul kk (ipt sm_beta)) in
         (* d ids_eff / d dvth = -s gm is kept factored as a coefficient on
            the device's own gm ([c_gm]): in the mean-value weights it then
@@ -647,7 +524,7 @@ let krawczyk rs circuit layout ~lin ~moses ~k ~spec ~slice ~x0 =
             Array.init n (fun j ->
                 let acc = ref I.zero in
                 for m = 0 to n - 1 do
-                  acc := I.add !acc (I.scale s.(m) a0.(j).(m))
+                  acc := I.add !acc (I.scale s.(m) a0.((j * n) + m))
                 done;
                 !acc)
           in
@@ -698,8 +575,8 @@ let krawczyk rs circuit layout ~lin ~moses ~k ~spec ~slice ~x0 =
             done;
             !acc))
   in
-  (* centre operating points the Delta-stamps subtract; the interval
-     mirrors at point inputs contain the floats gmat was stamped from *)
+  (* centre operating points the Delta-stamps subtract; at point inputs
+     the interval instance contains the floats gmat was stamped from *)
   let ops0 = List.map (fun e -> fst (mos_iop_at e x0i)) pts in
   (* one Krawczyk image of a remainder box [u] (centred at zero):
      (I - Y J(X')) U = E0 U - Y (J(X') - J0) U, with the Delta-stamps
@@ -791,61 +668,37 @@ let krawczyk rs circuit layout ~lin ~moses ~k ~spec ~slice ~x0 =
    stiffest low-frequency systems; 1e-5 covers it with margin *)
 let ac_slop_rel = 1e-5
 
-(* interval G/C/rhs mirroring the stamps of Mna.assemble_ac_into, with the
-   MOS small-signal parameters taken from the interval operating points *)
+(* Interval G, C and rhs: the stamp plan of [layout]'s dense sys replayed
+   through the interval stamps, as Mna.assemble_ac_into replays it, with
+   the MOS small-signal parameters taken from the interval operating
+   points; flat n x n arrays at slot i*n + j *)
 let assemble_ac_intervals circuit layout ~iops =
   let n = Mna.size layout in
-  let g = imat n in
-  let c = imat n in
+  let p = Mna.plan layout in
+  let g = Array.make (n * n) I.zero in
+  let c = Array.make (n * n) I.zero in
   let rhs = Array.make n ci_zero in
-  Array.iter
-    (fun dev ->
-      match dev with
-      | Device.Resistor { n1; n2; ohms; _ } -> istamp_g g n1 n2 (I.div (ipt 1.) (ipt ohms))
-      | Device.Capacitor { n1; n2; farads; _ } -> istamp_g c n1 n2 (ipt farads)
-      | Device.Vsource { name; npos; nneg; ac; _ } ->
-          let br = Mna.branch_index layout name in
-          if npos <> Device.ground then begin
-            g.(npos - 1).(br) <- I.add g.(npos - 1).(br) (ipt 1.);
-            g.(br).(npos - 1) <- I.add g.(br).(npos - 1) (ipt 1.)
-          end;
-          if nneg <> Device.ground then begin
-            g.(nneg - 1).(br) <- I.add g.(nneg - 1).(br) (ipt (-1.));
-            g.(br).(nneg - 1) <- I.add g.(br).(nneg - 1) (ipt (-1.))
-          end;
-          rhs.(br) <- { cre = ipt ac; cim = I.zero }
-      | Device.Isource { npos; nneg; ac; _ } ->
-          if npos <> Device.ground then
-            rhs.(npos - 1) <- ci_add rhs.(npos - 1) { cre = ipt (-.ac); cim = I.zero };
-          if nneg <> Device.ground then
-            rhs.(nneg - 1) <- ci_add rhs.(nneg - 1) { cre = ipt ac; cim = I.zero }
-      | Device.Vccs { out_p; out_n; in_p; in_n; gm; _ } ->
-          istamp_gm g out_p out_n in_p in_n (ipt gm)
-      | Device.Mosfet _ -> ())
+  Array.iteri
+    (fun di dev ->
+      D.stamp_linear_ac g c p.Mna.slots.(di) dev;
+      D.source_ac
+        ~lift:(fun negate a -> { cre = ipt (if negate then -.a else a); cim = I.zero })
+        ~add:ci_add rhs ~branch:p.Mna.branch.(di) dev)
     (Circuit.devices circuit);
   List.iter
     (fun ((e : mos_entry), (op : iop)) ->
-      istamp_gm g e.e_d e.e_s e.e_g e.e_s op.o_gm;
-      istamp_g g e.e_d e.e_s op.o_gds;
-      istamp_gm g e.e_d e.e_s e.e_b e.e_s op.o_gmb;
-      istamp_g c e.e_g e.e_s op.o_cgs;
-      istamp_g c e.e_g e.e_d op.o_cgd;
-      istamp_g c e.e_d e.e_b op.o_cdb;
-      istamp_g c e.e_s e.e_b op.o_csb)
+      let sl = p.Mna.slots.(e.e_index) in
+      D.stamp_mos_g g sl ~gm:op.o_gm ~gds:op.o_gds ~gmb:op.o_gmb;
+      D.stamp_mos_c c sl ~cgs:op.o_cgs ~cgd:op.o_cgd ~cdb:op.o_cdb
+        ~csb:op.o_csb)
     iops;
-  for i = 0 to Mna.n_nodes layout - 1 do
-    g.(i).(i) <- I.add g.(i).(i) (ipt 1e-12)
-  done;
+  D.stamp_diag g p.Mna.diag (ipt D.leak);
   (g, c, rhs)
 
-let midpoint_mat n (a : I.t array array) =
-  let m = Mat.create n n in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Mat.set m i j (0.5 *. (a.(i).(j).I.lo +. a.(i).(j).I.hi))
-    done
-  done;
-  m
+let midpoint_mat n (a : I.t array) =
+  Mat.init n n (fun i j ->
+      let v = a.((i * n) + j) in
+      0.5 *. (v.I.lo +. v.I.hi))
 
 (* Rump-style verified solve of (G + jwC) x = b over the intervals at one
    frequency: xm = midpoint solve, E' = Yc (b - A xm) + (I - Yc A) E with
@@ -867,7 +720,10 @@ let solve_freq ~n ~gint ~cint ~gmid ~cmid ~rhs_i ~rhs_c ~out_idx freq =
   with
   | exception Lu.Singular _ -> None
   | xm, ycols ->
-      let a i j = { cre = gint.(i).(j); cim = I.mul omega_i cint.(i).(j) } in
+      let a i j =
+        let k = (i * n) + j in
+        { cre = gint.(k); cim = I.mul omega_i cint.(k) }
+      in
       let yc i j = ycols.(j).(i) in
       let z0 =
         Array.init n (fun i ->
@@ -935,7 +791,7 @@ let norm_i (h : ci) =
   (* outward rounding can push the lower bound of a square sum a hair
      below zero; clamp before the sqrt *)
   let s = i_max_const 0. s in
-  I.widen ~ulps:8 (i_sqrt s)
+  I.widen ~ulps:8 (I.monotone_incr ~ulps:2 sqrt s)
 
 (* dB enclosure mirroring Measure.magnitude_db (non-positive magnitudes
    collapse to -inf there) *)
@@ -1472,7 +1328,7 @@ let n000 ~path ?span message =
   Diagnostic.make ~file:path ?span ~code:"N000" ~severity:Diagnostic.Error
     ~subject:path message
 
-let check_file ?k_sigma ?spec ?(window = default_window) path =
+let analyse_file ?k_sigma ?spec ~window path =
   match
     let ic = open_in path in
     Fun.protect
@@ -1520,3 +1376,9 @@ let check_file ?k_sigma ?spec ?(window = default_window) path =
                   diagnostics ~file:path ~origin
                     ~y_span:(Diagnostic.span_of_ast span) ~subject:out ~window
                     report)))
+
+let check_file ?k_sigma ?spec ?(window = default_window) path =
+  (* a deck the simulator refuses has no samples to prove anything about *)
+  match Netlist_lint.refusals path with
+  | _ :: _ as refused -> refused
+  | [] -> analyse_file ?k_sigma ?spec ~window path

@@ -21,10 +21,12 @@
 
     Soundness contract (property-tested): every Monte Carlo sample whose
     normal deviates all lie within [k_sigma] produces (gain, PM) inside the
-    predicted enclosure.  Samples are {e floating-point} evaluations, so all
-    interval steps mirror the float pipeline's operation trees with outward
-    rounding, and the DC/AC enclosures carry small documented pads for the
-    Newton tolerance and LU forward error of the sampled solves.
+    predicted enclosure.  Samples are {e floating-point} evaluations: the
+    device equations and MNA stamps here are the simulator's own text
+    instantiated over outward-rounded intervals ({!Device_interval}), so
+    each interval operation encloses the float operation a sample runs;
+    the DC/AC enclosures carry small documented pads for the Newton
+    tolerance and LU forward error of the sampled solves.
 
     {!Flow} uses the verdicts as an opt-in Monte Carlo pre-screen; the
     [yieldlab lint corners] command surfaces them as diagnostics. *)
@@ -112,4 +114,6 @@ val check_file :
     {!analyse_circuit} against the first [.ac] card's sweep and probe
     (D-codes only when the deck has no [.ac] card).  [window] defaults to
     [{ min_gain_db = 0.; min_pm_deg = 0. }].  Unreadable or unparseable
-    files yield the standard [N000] finding. *)
+    files yield the standard [N000] finding, and a deck the simulator
+    refuses yields only its {!Netlist_lint.refusals} (N004-N006, A004):
+    no corner analysis runs on it. *)

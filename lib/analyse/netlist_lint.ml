@@ -386,3 +386,8 @@ let check_file ?tech ?pairs path =
               ast_diags @ check ~file:path ~origin ?tech ?pairs circuit
         end
     end
+
+let refusals path =
+  let only codes = List.filter (fun d -> List.mem d.Diagnostic.code codes) in
+  only [ "N004"; "N005"; "N006" ] (check_file path)
+  @ only [ "A004" ] (Ac_tran_lint.check_file path)

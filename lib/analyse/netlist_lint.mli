@@ -73,3 +73,10 @@ val check_file :
     elaboration fails but an AST-level error already explains why (undefined
     subckt, arity mismatch, duplicate device), the N000 is suppressed in
     favour of the precise findings. *)
+
+val refusals : string -> Diagnostic.t list
+(** The findings on which the simulator refuses a netlist file: its
+    N004-N006 errors (a zero, negative, NaN or infinite W/L, R or C) and
+    {!Ac_tran_lint}'s A004 (an [.ac] card with no frequency grid).
+    [yieldlab netlist] and {!Corner_lint.check_file} analyse nothing when
+    there are any. *)

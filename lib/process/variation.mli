@@ -62,7 +62,13 @@ val nominal_global : global_draw
 
 val mismatch_sigma_vth :
   spec -> Yield_spice.Mosfet.polarity -> w:float -> l:float -> float
-(** Pelgrom sigma for a device geometry (exposed for tests). *)
+(** Pelgrom sigma of dVth for a device geometry, [avt / sqrt (W L)]. *)
+
+val mismatch_sigma_beta :
+  spec -> Yield_spice.Mosfet.polarity -> w:float -> l:float -> float
+(** Pelgrom sigma of dBeta/Beta for a device geometry,
+    [abeta / sqrt (W L)]: the float the samplers multiply a deviate by,
+    and the one the corner proof's parameter box is built from. *)
 
 val perturb_model :
   spec -> global_draw -> Yield_stats.Rng.t ->

@@ -153,12 +153,40 @@ val assemble_ac_into :
 
 (** {1 Primitives shared with the transient engine} *)
 
-val stamp_conductance_into :
-  (int -> int -> float -> unit) -> Device.node -> Device.node -> float -> unit
-(** Two-terminal conductance between two nodes through a generic
-    [add row col value] accumulator, in the plan's write order; ground
-    rows and columns are skipped.  The transient engine's capacitor
-    companion models. *)
+val stamp_capacitance :
+  Yield_numeric.Linsys.real -> layout -> int -> group:int -> float -> unit
+(** [stamp_capacitance rs layout di ~group g] adds the conductance [g] on
+    the capacitive stamp group of device [di] that starts at offset
+    [group] of its plan slots: 0 for a capacitor, 12, 16, 20 and 24 for a
+    MOSFET's gs, gd, db and sb capacitances.  The transient engine's
+    companion models.
+    @raise Invalid_argument as {!assemble_dc_into}. *)
+
+val mos_operating_point :
+  Mosfet.model -> w:float -> l:float -> d:Device.node -> g:Device.node ->
+  s:Device.node -> b:Device.node -> Yield_numeric.Vec.t -> Mosfet.op
+(** The operating point of one MOSFET at the solution [x], as
+    {!mos_operating_points} reports it. *)
 
 val inject : Yield_numeric.Vec.t -> Device.node -> float -> unit
 (** Add a current injection into a node's KCL right-hand side. *)
+
+(** {1 The stamp plan, read-only}
+
+    The corner proof ([Yield_analyse.Corner_lint]) replays a dense
+    {!sys}'s plan into its own interval arrays through the interval
+    instance of the same stamps, at slot [i*n + j] of the n x n system.
+    Callers must not mutate the arrays. *)
+
+type plan = private {
+  owner : Yield_numeric.Linsys.t;  (** the compiled system the slots index *)
+  diag : int array;  (** [diag.(i)]: the slot of node unknown i's diagonal *)
+  slots : int array array;
+      (** [slots.(di)]: device [di]'s stamp slots in write order, -1 where a
+          ground row or column drops one (28 for a MOSFET: 12 conductive,
+          then the gs, gd, db and sb capacitive groups of 4) *)
+  branch : int array;  (** a voltage source's branch row, -1 otherwise *)
+}
+
+val plan : layout -> plan
+(** The layout's stamp plan (see {!sys}). *)

@@ -1,3 +1,7 @@
+(* The last piece of mna.ml, which lib/spice/dune splices together: the
+   float scalar (scalar_float.ml), the stamps (stamp_body.ml) and this
+   text, which builds the stamp plan and replays it. *)
+
 module Vec = Yield_numeric.Vec
 module Linsys = Yield_numeric.Linsys
 
@@ -247,36 +251,12 @@ let sys_solver_name s = Linsys.name s.compiled
 (* ---------- the replay ---------- *)
 
 (* The replay writes the workspace's value arrays through the plan's
-   slots: no closure, no slot search, no boxed float.  Each stamp adds
-   the operand the closure-based assembly passed to [add] — [1. *. g] and
-   [-1. *. g] for a transconductance, [-.g] for a conductance's
-   off-diagonal entries; the forms differ only in a NaN's sign bit — in
-   the same order, so every slot sees the same additions in the same
-   order.  The helpers are inlined so their float arguments stay
-   unboxed. *)
+   slots with the stamp body's helpers: no closure, no slot search, no
+   boxed float.  Each slot sees the operands of the reference assembly
+   (test/mna_ref.ml) in the same order.  The helpers are inlined so their
+   float arguments stay unboxed. *)
 
-let[@inline] acc (v : float array) k x = if k >= 0 then v.(k) <- v.(k) +. x
-
-let[@inline] stamp_g v (sl : int array) o g =
-  acc v sl.(o) g;
-  acc v sl.(o + 1) g;
-  acc v sl.(o + 2) (-.g);
-  acc v sl.(o + 3) (-.g)
-
-let[@inline] stamp_gm v (sl : int array) o g =
-  acc v sl.(o) (1. *. g);
-  acc v sl.(o + 1) (-1. *. g);
-  acc v sl.(o + 2) (-1. *. g);
-  acc v sl.(o + 3) (1. *. g)
-
-let[@inline] stamp_branch v (sl : int array) =
-  acc v sl.(0) 1.;
-  acc v sl.(1) 1.;
-  acc v sl.(2) (-1.);
-  acc v sl.(3) (-1.)
-
-let[@inline] inject rhs node value =
-  if node <> Device.ground then rhs.(node - 1) <- rhs.(node - 1) +. value
+let plan l = l.plan
 
 let bound l owner =
   if l.plan.owner != owner then
@@ -285,31 +265,18 @@ let bound l owner =
 
 (* A MOSFET's Newton linearisation at [x]: its conductive stamps and the
    equivalent current it injects.  The bias and the model's results pass
-   through [buf] (a Mosfet.buffer), so no float crosses a call boxed.
-   For both polarities, in node-voltage terms, d ids_eff/d vg = gm,
-   d/d vd = gds, d/d vb = gmb and d/d vs = -(gm + gds + gmb), where
-   ids_eff is the current entering the drain terminal (for PMOS the two
-   sign flips cancel). *)
+   through [buf] (a Mosfet.buffer), so no float crosses a call boxed. *)
 let mosfet_dc v rhs buf (sl : int array) x ~(model : Mosfet.model) ~w ~l ~d ~g
     ~s ~b =
   let vd = voltage x d and vg = voltage x g and vs = voltage x s and vb = voltage x b in
-  (match model.polarity with
-  | Mosfet.Nmos ->
-      buf.(0) <- vg -. vs;
-      buf.(1) <- vd -. vs;
-      buf.(2) <- vb -. vs
-  | Mosfet.Pmos ->
-      buf.(0) <- vs -. vg;
-      buf.(1) <- vs -. vd;
-      buf.(2) <- vs -. vb);
+  let p = model.polarity in
+  buf.(0) <- polar p vg vs;
+  buf.(1) <- polar p vd vs;
+  buf.(2) <- polar p vb vs;
   Mosfet.linearise model ~w ~l buf;
-  let ids_eff =
-    match model.polarity with Mosfet.Nmos -> buf.(3) | Mosfet.Pmos -> -.buf.(3)
-  in
+  let ids_eff = drain_current p buf.(3) in
   let gm = buf.(4) and gds = buf.(5) and gmb = buf.(6) in
-  stamp_gm v sl 0 gm;
-  stamp_g v sl 4 gds;
-  stamp_gm v sl 8 gmb;
+  stamp_mos_g v sl ~gm ~gds ~gmb;
   let linear_current =
     (gm *. (vg -. vs)) +. (gds *. (vd -. vs)) +. (gmb *. (vb -. vs))
   in
@@ -322,13 +289,12 @@ let mosfet_dc v rhs buf (sl : int array) x ~(model : Mosfet.model) ~w ~l ~d ~g
 let device_dc v rhs buf p models x di dev =
   let sl = p.slots.(di) in
   match dev with
-  | Device.Resistor { ohms; _ } -> stamp_g v sl 0 (1. /. ohms)
-  | Device.Vsource _ -> stamp_branch v sl
-  | Device.Vccs { gm; _ } -> stamp_gm v sl 0 gm
   | Device.Mosfet { d; g; s; b; model; w; l; _ } ->
       let model = model_override models di model in
       mosfet_dc v rhs buf sl x ~model ~w ~l ~d ~g ~s ~b
-  | Device.Capacitor _ | Device.Isource _ -> ()
+  | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
+  | Device.Isource _ | Device.Vccs _ ->
+      stamp_linear_dc v sl dev
 
 let devices_of p circuit =
   let devices = Circuit.devices circuit in
@@ -344,20 +310,11 @@ let assemble_dc_into (rs : Linsys.real) ?models circuit l ~x ~source_scale
   let v = rs.Linsys.values in
   let rhs = Vec.create l.size in
   let buf = Mosfet.buffer () in
-  for i = 0 to l.n_nodes - 1 do
-    acc v p.diag.(i) gmin
-  done;
+  stamp_diag v p.diag gmin;
   for di = 0 to Array.length devices - 1 do
     let dev = devices.(di) in
     device_dc v rhs buf p models x di dev;
-    match dev with
-    | Device.Vsource { dc; _ } -> rhs.(p.branch.(di)) <- dc *. source_scale
-    | Device.Isource { npos; nneg; dc; _ } ->
-        inject rhs npos (-.dc *. source_scale);
-        inject rhs nneg (dc *. source_scale)
-    | Device.Resistor _ | Device.Capacitor _ | Device.Vccs _ | Device.Mosfet _
-      ->
-        ()
+    source_dc rhs ~branch:p.branch.(di) dev ~scale:source_scale
   done;
   rhs
 
@@ -366,14 +323,15 @@ let stamp_device_dc (rs : Linsys.real) l ?models circuit di ~x ~scratch rhs =
   let devices = devices_of p circuit in
   device_dc rs.Linsys.values rhs scratch p models x di devices.(di)
 
-(* the write order of [device_stamps]' conductances *)
-let stamp_conductance_into add a b g =
-  if a <> Device.ground then add (a - 1) (a - 1) g;
-  if b <> Device.ground then add (b - 1) (b - 1) g;
-  if a <> Device.ground && b <> Device.ground then begin
-    add (a - 1) (b - 1) (-.g);
-    add (b - 1) (a - 1) (-.g)
-  end
+let stamp_capacitance (rs : Linsys.real) l di ~group c =
+  let p = bound l rs.Linsys.owner in
+  stamp_g rs.Linsys.values p.slots.(di) group c
+
+let mos_operating_point (model : Mosfet.model) ~w ~l ~d ~g ~s ~b x =
+  let p = model.polarity in
+  let vd = voltage x d and vg = voltage x g and vs = voltage x s and vb = voltage x b in
+  Mosfet.eval model ~w ~l ~vgs:(polar p vg vs) ~vds:(polar p vd vs)
+    ~vbs:(polar p vb vs)
 
 let mos_operating_points ?models circuit ~x =
   let acc = ref [] in
@@ -382,25 +340,15 @@ let mos_operating_points ?models circuit ~x =
       match dev with
       | Device.Mosfet { name; d; g; s; b; model; w; l } ->
           let model = model_override models di model in
-          let vd = voltage x d
-          and vg = voltage x g
-          and vs = voltage x s
-          and vb = voltage x b in
-          let op =
-            match model.Mosfet.polarity with
-            | Mosfet.Nmos ->
-                Mosfet.eval model ~w ~l ~vgs:(vg -. vs) ~vds:(vd -. vs)
-                  ~vbs:(vb -. vs)
-            | Mosfet.Pmos ->
-                Mosfet.eval model ~w ~l ~vgs:(vs -. vg) ~vds:(vs -. vd)
-                  ~vbs:(vs -. vb)
-          in
+          let op = mos_operating_point model ~w ~l ~d ~g ~s ~b x in
           acc := (name, op) :: !acc
       | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
       | Device.Isource _ | Device.Vccs _ ->
           ())
     (Circuit.devices circuit);
   List.rev !acc
+
+let complex_of_real negate a = { Complex.re = (if negate then -.a else a); im = 0. }
 
 let assemble_ac_into (cs : Linsys.complex_sys) circuit l ~ops =
   let p = bound l cs.Linsys.cowner in
@@ -409,33 +357,18 @@ let assemble_ac_into (cs : Linsys.complex_sys) circuit l ~ops =
   let gv = cs.Linsys.gvalues and cv = cs.Linsys.cvalues in
   let rhs = Array.make l.size Complex.zero in
   for di = 0 to Array.length devices - 1 do
-    let sl = p.slots.(di) in
-    match devices.(di) with
-    | Device.Resistor { ohms; _ } -> stamp_g gv sl 0 (1. /. ohms)
-    | Device.Capacitor { farads; _ } -> stamp_g cv sl 0 farads
-    | Device.Vsource { ac; _ } ->
-        stamp_branch gv sl;
-        rhs.(p.branch.(di)) <- { Complex.re = ac; im = 0. }
-    | Device.Isource { npos; nneg; ac; _ } ->
-        if npos <> Device.ground then
-          rhs.(npos - 1) <-
-            Complex.add rhs.(npos - 1) { Complex.re = -.ac; im = 0. };
-        if nneg <> Device.ground then
-          rhs.(nneg - 1) <-
-            Complex.add rhs.(nneg - 1) { Complex.re = ac; im = 0. }
-    | Device.Vccs { gm; _ } -> stamp_gm gv sl 0 gm
+    let sl = p.slots.(di) and dev = devices.(di) in
+    stamp_linear_ac gv cv sl dev;
+    source_ac ~lift:complex_of_real ~add:Complex.add rhs ~branch:p.branch.(di)
+      dev;
+    match dev with
     | Device.Mosfet { name; _ } ->
         let op : Mosfet.op = ops name in
-        stamp_gm gv sl 0 op.gm;
-        stamp_g gv sl 4 op.gds;
-        stamp_gm gv sl 8 op.gmb;
-        stamp_g cv sl 12 op.cgs;
-        stamp_g cv sl 16 op.cgd;
-        stamp_g cv sl 20 op.cdb;
-        stamp_g cv sl 24 op.csb
+        stamp_mos_g gv sl ~gm:op.gm ~gds:op.gds ~gmb:op.gmb;
+        stamp_mos_c cv sl ~cgs:op.cgs ~cgd:op.cgd ~cdb:op.cdb ~csb:op.csb
+    | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
+    | Device.Isource _ | Device.Vccs _ ->
+        ()
   done;
-  (* small leak keeps floating nodes (e.g. pure-capacitive) solvable *)
-  for i = 0 to l.n_nodes - 1 do
-    acc gv p.diag.(i) 1e-12
-  done;
+  stamp_diag gv p.diag leak;
   rhs

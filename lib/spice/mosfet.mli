@@ -70,9 +70,9 @@ val valid_geometry : float -> float -> bool
     core [eval] is built on: it passes the bias and the results through a
     caller-owned float buffer and keeps every intermediate a local float,
     so it allocates nothing, even when the caller sits in another unit
-    compiled without cross-module inlining.  It evaluates
-    [softplus (x/2)] once per EKV term, where the {!ekv_f} / {!ekv_f'}
-    pair evaluates it twice: the same float either way. *)
+    compiled without cross-module inlining.  Its equations are the float
+    instance of the device body that the corner proof also instantiates
+    over intervals (DESIGN.md §4a, "One text, two instances"). *)
 
 val buffer : unit -> float array
 (** A fresh zeroed buffer of the 9 floats {!linearise} reads and writes.  A caller owns it
@@ -83,22 +83,24 @@ val linearise : model -> w:float -> l:float -> float array -> unit
 (** [linearise m ~w ~l buf] reads the NMOS-convention, source-referenced
     bias [vgs], [vds], [vbs] from [buf.(0)], [buf.(1)], [buf.(2)] and
     writes [ids], [gm], [gds], [gmb], [vth] and [vdsat] to [buf.(3)] …
-    [buf.(8)]: exactly the floats of the same fields of {!eval}.
+    [buf.(8)]: exactly the floats of the same fields of {!eval}.  It
+    leaves the vgs and vds of the forward device it evaluated (the
+    exchanged terminals' when [vds < 0]) in [buf.(0)] and [buf.(1)]; a
+    caller re-writes the bias before each call.  A buffer longer than 9
+    floats also receives d ids / d lambda0 in [buf.(9)] (the corner
+    proof's lambda partial).
     @raise Invalid_argument unless [w] and [l] are finite and positive, or
     when [buf] holds fewer than 9 floats. *)
 
-(** {1 EKV interpolation helpers}
+(** {1 Scalar helpers}
 
-    The scalar functions {!eval} is built from: overflow-safe
-    [softplus x = ln (1 + e^x)] and its derivative [sigmoid], the EKV
-    interpolation function [ekv_f x = ln^2 (1 + e^(x/2))] and its
-    derivative [ekv_f'].  The corner proofs' interval images (Corner_lint)
-    wrap these, so they evaluate exactly these floats at their endpoints. *)
+    The transcendental functions the device equations call: overflow-safe
+    [softplus x = ln (1 + e^x)] and its derivative [sigmoid].  The interval
+    instance's images ([Yield_analyse.Device_interval]) evaluate exactly
+    these floats at their endpoints. *)
 
 val softplus : float -> float
 val sigmoid : float -> float
-val ekv_f : float -> float
-val ekv_f' : float -> float
 
 val with_deltas : model -> dvth:float -> dkp_rel:float -> dlambda_rel:float -> model
 (** [with_deltas m ~dvth ~dkp_rel ~dlambda_rel] is [m] with threshold shifted

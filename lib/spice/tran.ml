@@ -28,10 +28,12 @@ let error_to_string = function
 
 (* A capacitive branch tracked through the integration: explicit capacitors
    keep a fixed value; MOS intrinsic/junction capacitances are refreshed
-   from the operating point at the start of every step. *)
+   from the operating point at the start of every step.  [group] is the
+   offset of the branch's capacitive stamps in its device's plan slots. *)
 type cap_slot = {
   a : Device.node;
   b : Device.node;
+  group : int;
   mutable c : float;
   mutable i_prev : float;  (* branch current at the last accepted point *)
 }
@@ -40,13 +42,13 @@ type cap_slot = {
 let slots_of_device dev =
   match dev with
   | Device.Capacitor { n1; n2; farads; _ } ->
-      [ { a = n1; b = n2; c = farads; i_prev = 0. } ]
+      [ { a = n1; b = n2; group = 0; c = farads; i_prev = 0. } ]
   | Device.Mosfet { d; g; s; b; _ } ->
       [
-        { a = g; b = s; c = 0.; i_prev = 0. };
-        { a = g; b = d; c = 0.; i_prev = 0. };
-        { a = d; b; c = 0.; i_prev = 0. };
-        { a = s; b; c = 0.; i_prev = 0. };
+        { a = g; b = s; group = 12; c = 0.; i_prev = 0. };
+        { a = g; b = d; group = 16; c = 0.; i_prev = 0. };
+        { a = d; b; group = 20; c = 0.; i_prev = 0. };
+        { a = s; b; group = 24; c = 0.; i_prev = 0. };
       ]
   | Device.Resistor _ | Device.Vsource _ | Device.Isource _ | Device.Vccs _ ->
       []
@@ -135,7 +137,7 @@ let run ?sys ?models options circuit =
                       if first then geq *. v_old
                       else (geq *. v_old) +. slot.i_prev
                     in
-                    Mna.stamp_conductance_into add slot.a slot.b geq;
+                    Mna.stamp_capacitance rs layout di ~group:slot.group geq;
                     Mna.inject rhs slot.a i_hist;
                     Mna.inject rhs slot.b (-.i_hist))
                   slots.(di);
@@ -203,17 +205,8 @@ let run ?sys ?models options circuit =
                    match dev with
                    | Device.Mosfet { d; g; s; b; model; w; l; name = _ } ->
                        let model = Mna.model_override models di model in
-                       let vgs, vds, vbs =
-                         let vd = Mna.voltage x d
-                         and vg = Mna.voltage x g
-                         and vs = Mna.voltage x s
-                         and vb = Mna.voltage x b in
-                         match model.Mosfet.polarity with
-                         | Mosfet.Nmos -> (vg -. vs, vd -. vs, vb -. vs)
-                         | Mosfet.Pmos -> (vs -. vg, vs -. vd, vs -. vb)
-                       in
-                       let op = Mosfet.eval model ~w ~l ~vgs ~vds ~vbs in
-                       refresh_mos_slots slots.(di) op
+                       refresh_mos_slots slots.(di)
+                         (Mna.mos_operating_point model ~w ~l ~d ~g ~s ~b x)
                    | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
                    | Device.Isource _ | Device.Vccs _ ->
                        ())

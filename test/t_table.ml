@@ -1,13 +1,11 @@
-(* Tests for the yield_table library: splines, control strings, table
-   models, grids, curves and .tbl I/O. *)
+(* Tests for the yield_table library: splines, control strings, curves
+   and .tbl I/O. *)
 
 module Spline = Yield_table.Spline
 module Control = Yield_table.Control
 module Table1d = Yield_table.Table1d
-module Grid = Yield_table.Grid
 module Curve = Yield_table.Curve
 module Tbl_io = Yield_table.Tbl_io
-module Table_model = Yield_table.Table_model
 module Rng = Yield_stats.Rng
 
 let check_float ?(eps = 1e-9) what expected actual =
@@ -168,38 +166,6 @@ let test_table1d_of_unsorted () =
   check_float "averaged duplicate" 2. (Table1d.eval t 1.);
   check_float "sorted ends" 0. (Table1d.eval t 0.)
 
-(* --- grids --- *)
-
-let test_grid_bilinear () =
-  let g =
-    Grid.create
-      ~axes:[| [| 0.; 1. |]; [| 0.; 1. |] |]
-      ~values:[| 0.; 1.; 2.; 3. |] (* f(x,y) = 2x + y *)
-      ()
-  in
-  check_float "corner" 3. (Grid.eval g [| 1.; 1. |]);
-  check_float "centre" 1.5 (Grid.eval g [| 0.5; 0.5 |]);
-  check_float "edge" 2.5 (Grid.eval g [| 1.; 0.5 |])
-
-let test_grid_3d () =
-  (* f(x,y,z) = x + 10y + 100z on a 2x2x2 grid *)
-  let values = Array.make 8 0. in
-  let axes = [| [| 0.; 1. |]; [| 0.; 1. |]; [| 0.; 1. |] |] in
-  let idx i j k = (i * 4) + (j * 2) + k in
-  List.iter
-    (fun (i, j, k) ->
-      values.(idx i j k) <-
-        float_of_int i +. (10. *. float_of_int j) +. (100. *. float_of_int k))
-    [ (0,0,0); (0,0,1); (0,1,0); (0,1,1); (1,0,0); (1,0,1); (1,1,0); (1,1,1) ];
-  let g = Grid.create ~axes ~values () in
-  check_float "trilinear" 55.5 (Grid.eval g [| 0.5; 0.5; 0.5 |]);
-  check_float "axis" 100. (Grid.eval g [| 0.; 0.; 1. |])
-
-let test_grid_validation () =
-  match Grid.create ~axes:[| [| 0.; 1. |] |] ~values:[| 1. |] () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "bad value count accepted"
-
 (* --- curves --- *)
 
 let quarter_circle n =
@@ -289,67 +255,6 @@ let test_tbl_file_io () =
       let t2 = Tbl_io.read ~path in
       check_float "roundtrip through disk" 42. (Tbl_io.column t2 "x").(0))
 
-(* --- table_model --- *)
-
-let test_model_1d () =
-  let inputs = Array.init 5 (fun i -> [| float_of_int i |]) in
-  let output = Array.map (fun row -> row.(0) *. row.(0)) inputs in
-  let m = Table_model.create ~control:"3C" ~inputs ~output () in
-  Alcotest.(check bool) "kind" true (Table_model.kind m = Table_model.One_dimensional);
-  check_float ~eps:0.05 "parabola mid" 6.25 (Table_model.eval1 m 2.5)
-
-let test_model_detects_grid () =
-  let inputs = ref [] in
-  let output = ref [] in
-  List.iter
-    (fun x ->
-      List.iter
-        (fun y ->
-          inputs := [| x; y |] :: !inputs;
-          output := (x +. (2. *. y)) :: !output)
-        [ 0.; 1.; 2. ])
-    [ 0.; 10. ];
-  let m =
-    Table_model.create
-      ~inputs:(Array.of_list (List.rev !inputs))
-      ~output:(Array.of_list (List.rev !output))
-      ()
-  in
-  Alcotest.(check bool) "gridded" true (Table_model.kind m = Table_model.Gridded);
-  check_float "grid eval" 7. (Table_model.eval2 m 5. 1.)
-
-let test_model_scattered_curve () =
-  (* points along y = x diagonal: not a grid *)
-  let inputs = Array.init 6 (fun i -> [| float_of_int i; float_of_int i |]) in
-  let output = Array.init 6 (fun i -> 10. *. float_of_int i) in
-  let m = Table_model.create ~inputs ~output () in
-  Alcotest.(check bool) "curve" true (Table_model.kind m = Table_model.Scattered_curve);
-  check_float ~eps:0.01 "on-curve" 25. (Table_model.eval2 m 2.5 2.5)
-
-let test_model_of_table () =
-  let t =
-    Tbl_io.create ~columns:[| "x"; "f" |]
-      ~rows:[| [| 0.; 0. |]; [| 1.; 2. |]; [| 2.; 4. |] |]
-  in
-  let m = Table_model.of_table t ~inputs:[ "x" ] ~output:"f" in
-  check_float "linear" 3. (Table_model.eval1 m 1.5)
-
-let prop_model_1d_matches_spline =
-  QCheck.Test.make ~count:50 ~name:"1-input table model reproduces samples"
-    QCheck.(int_bound 100000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let n = 4 + Rng.int rng 10 in
-      let xs = Array.init n (fun i -> float_of_int i +. (0.5 *. Rng.float rng)) in
-      let ys = Array.init n (fun _ -> Rng.float rng *. 10.) in
-      let inputs = Array.map (fun x -> [| x |]) xs in
-      let m = Table_model.create ~control:"3C" ~inputs ~output:ys () in
-      let ok = ref true in
-      Array.iteri
-        (fun i x -> if Float.abs (Table_model.eval1 m x -. ys.(i)) > 1e-6 then ok := false)
-        xs;
-      !ok)
-
 let suites =
   [
     ( "table.spline",
@@ -373,12 +278,6 @@ let suites =
         Alcotest.test_case "extrapolation modes" `Quick test_table1d_extrapolation_modes;
         Alcotest.test_case "of_unsorted" `Quick test_table1d_of_unsorted;
       ] );
-    ( "table.grid",
-      [
-        Alcotest.test_case "bilinear" `Quick test_grid_bilinear;
-        Alcotest.test_case "3d" `Quick test_grid_3d;
-        Alcotest.test_case "validation" `Quick test_grid_validation;
-      ] );
     ( "table.curve",
       [
         Alcotest.test_case "projection" `Quick test_curve_projection;
@@ -394,13 +293,5 @@ let suites =
         Alcotest.test_case "ragged rejected" `Quick test_tbl_ragged_rejected;
         Alcotest.test_case "sort_by" `Quick test_tbl_sort_by;
         Alcotest.test_case "file io" `Quick test_tbl_file_io;
-      ] );
-    ( "table.table_model",
-      [
-        Alcotest.test_case "1d" `Quick test_model_1d;
-        Alcotest.test_case "grid detection" `Quick test_model_detects_grid;
-        Alcotest.test_case "scattered curve" `Quick test_model_scattered_curve;
-        Alcotest.test_case "of_table" `Quick test_model_of_table;
-        QCheck_alcotest.to_alcotest prop_model_1d_matches_spline;
       ] );
   ]
