@@ -82,7 +82,12 @@ let perf_of_bode conditions b =
    (i+1, i+2) in the full sweep but clamp at the last point of a shorter
    one: so the sweep runs to i+2.  The crossings use Measure.crossing's
    own test, so NaN points never cross and a response without both
-   crossings sweeps to the end. *)
+   crossings sweeps to the end.
+
+   The answer is the number of further points that prefix needs whatever
+   their values: until the 0 dB pair is seen it can still be (k, k+1),
+   which needs k+2; until the -3 dB pair is seen it can still be
+   (k, k+1), which needs k+1. *)
 let sweep_stop () =
   let unity = ref (-1) and f3 = ref (-1) in
   (* the gain (point 0) and the previous point's magnitude, unboxed *)
@@ -92,14 +97,16 @@ let sweep_stop () =
     if k = 0 then begin
       mags.(0) <- m;
       mags.(1) <- m;
-      not (Float.is_finite m)
+      if Float.is_finite m then 2 else 0
     end
     else begin
       let prev = mags.(1) and level = mags.(0) -. 3. in
       if !unity < 0 && prev >= 0. && m < 0. then unity := k - 1;
       if !f3 < 0 && prev >= level && m < level then f3 := k - 1;
       mags.(1) <- m;
-      !unity >= 0 && !f3 >= 0 && k >= !unity + 2
+      if !unity < 0 then 2
+      else if !f3 < 0 then 1
+      else Stdlib.max 0 (!unity + 2 - k)
     end
 
 let feasible conditions p =

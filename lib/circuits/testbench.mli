@@ -47,14 +47,19 @@ val perf_of_bode : conditions -> Yield_spice.Ac.bode -> perf option
     (the points {!sweep_stop} waits for), so it returns the same bits on
     that prefix as on the full sweep. *)
 
-val sweep_stop : unit -> int -> Complex.t -> bool
+val sweep_stop : unit -> int -> Complex.t -> int
 (** A fresh stop rule for {!Yield_spice.Ac.transfer}'s [stop], for one
-    sweep: it stops after point 0 when that point's gain is not finite,
-    and otherwise once the first 0 dB crossing pair (i, i+1) and the first
-    (gain - 3 dB) crossing pair are swept and the sweep has reached point
-    i+2.  {!perf_of_bode} of the prefix it keeps is bit-identical to
-    {!perf_of_bode} of the full sweep; a response that lacks either
-    crossing (or has NaNs where they would be) is swept to the end. *)
+    sweep.  Its answer after point [k] is the number of further points
+    {!perf_of_bode} needs whatever their values: [0] after point 0 when
+    that point's gain is not finite; otherwise [2] until it has seen the
+    first 0 dB crossing pair (i, i+1), which could still be (k, k+1) and
+    needs point k+2; then [1] while the first (gain - 3 dB) crossing pair
+    is still unseen, or until point i+2 is reached; then [0].  It never
+    takes back a point it asked for, so the sweep may factor two promised
+    points together.  {!perf_of_bode} of the prefix it keeps is
+    bit-identical to {!perf_of_bode} of the full sweep; a response that
+    lacks either crossing (or has NaNs where they would be) is swept to
+    the end. *)
 
 val feasible : conditions -> perf -> bool
 (** The eq. 1 constraint set: positive phase margin and unity-gain frequency

@@ -57,22 +57,13 @@ type work = { a : t; xr : float array; xi : float array; nz : int array }
 let work n =
   { a = create n n; xr = Array.make n 0.; xi = Array.make n 0.; nz = Array.make n 0 }
 
-(* Gaussian elimination with partial pivoting on a copy of [m0] in [w.a],
-   eliminating into the RHS as it goes (single-RHS forward pass), then back
-   substitution.  Entry (i, j) is re/im.(i*n + j).  [skip_zeros]: see
-   Lu.factor_into; the same argument holds per real and imaginary part. *)
-let solve_with w ~skip_zeros m0 b =
-  let n = m0.rows in
-  if m0.cols <> n then invalid_arg "Cmat.solve: matrix not square";
-  if Array.length b <> n then invalid_arg "Cmat.solve: dimension mismatch";
-  if w.a.rows <> n then invalid_arg "Cmat.solve_with: workspace size";
+(* Gaussian elimination with partial pivoting of [w.a] in place,
+   eliminating into the right-hand side [w.xr]/[w.xi] as it goes
+   (single-RHS forward pass).  Entry (i, j) is re/im.(i*n + j).
+   [skip_zeros]: see Lu.factor_into; the same argument holds per real and
+   imaginary part. *)
+let eliminate w ~skip_zeros n =
   let re = w.a.re and im = w.a.im and xr = w.xr and xi = w.xi and nz = w.nz in
-  Array.blit m0.re 0 re 0 (n * n);
-  Array.blit m0.im 0 im 0 (n * n);
-  for i = 0 to n - 1 do
-    xr.(i) <- b.(i).Complex.re;
-    xi.(i) <- b.(i).Complex.im
-  done;
   for k = 0 to n - 1 do
     let rk = k * n in
     let best = ref k and best_mag = ref (mag2 re im (rk + k)) in
@@ -134,9 +125,13 @@ let solve_with w ~skip_zeros m0 b =
         xi.(i) <- xi.(i) -. ((fr *. xi.(k)) +. (fi *. xr.(k)))
       end
     done
-  done;
-  (* back substitution *)
-  for i = n - 1 downto 0 do
+  done
+
+(* back substitution of the eliminated system, rows n - 1 down to [lo]:
+   entries [lo] .. n - 1 of the solution land in [w.xr]/[w.xi] *)
+let back_substitute w n lo =
+  let re = w.a.re and im = w.a.im and xr = w.xr and xi = w.xi in
+  for i = n - 1 downto lo do
     let ri = i * n in
     let sr = ref xr.(i) and si = ref xi.(i) in
     for j = i + 1 to n - 1 do
@@ -147,8 +142,43 @@ let solve_with w ~skip_zeros m0 b =
     let pmag = (pr *. pr) +. (pi *. pi) in
     xr.(i) <- ((!sr *. pr) +. (!si *. pi)) /. pmag;
     xi.(i) <- ((!si *. pr) -. (!sr *. pi)) /. pmag
+  done
+
+(* [m0] into the workspace's matrix, after the checks both solves share *)
+let load w m0 rhs_length =
+  let n = m0.rows in
+  if m0.cols <> n then invalid_arg "Cmat.solve: matrix not square";
+  if rhs_length <> n then invalid_arg "Cmat.solve: dimension mismatch";
+  if w.a.rows <> n then invalid_arg "Cmat.solve_with: workspace size";
+  Array.blit m0.re 0 w.a.re 0 (n * n);
+  Array.blit m0.im 0 w.a.im 0 (n * n)
+
+let solve_with w ~skip_zeros m0 b =
+  let n = m0.rows in
+  load w m0 (Array.length b);
+  let xr = w.xr and xi = w.xi in
+  for i = 0 to n - 1 do
+    xr.(i) <- b.(i).Complex.re;
+    xi.(i) <- b.(i).Complex.im
   done;
+  eliminate w ~skip_zeros n;
+  back_substitute w n 0;
   Array.init n (fun i -> { Complex.re = xr.(i); im = xi.(i) })
+
+let solve_entry w ~skip_zeros m0 ~re ~im k =
+  let n = m0.rows in
+  if Array.length im <> Array.length re then
+    invalid_arg "Cmat.solve: dimension mismatch";
+  if k >= n then invalid_arg "Cmat.solve_entry: entry outside the system";
+  load w m0 (Array.length re);
+  Array.blit re 0 w.xr 0 n;
+  Array.blit im 0 w.xi 0 n;
+  eliminate w ~skip_zeros n;
+  if k < 0 then Complex.zero
+  else begin
+    back_substitute w n k;
+    { Complex.re = w.xr.(k); im = w.xi.(k) }
+  end
 
 let solve m b =
   let skip_zeros = not (Vec.has_neg_zero m.re || Vec.has_neg_zero m.im) in

@@ -32,8 +32,8 @@ val solve : t -> Complex.t array -> Complex.t array
     @raise Lu.Singular when a pivot vanishes. *)
 
 type work
-(** Scratch for {!solve_with}: a working copy of an [n]x[n] matrix and of
-    one right-hand side. *)
+(** Scratch for {!solve_with} and {!solve_entry}: a working copy of an
+    [n]x[n] matrix and of one right-hand side. *)
 
 val work : int -> work
 
@@ -45,3 +45,13 @@ val solve_with : work -> skip_zeros:bool -> t -> Complex.t array -> Complex.t ar
     only when neither part of [m] has a -0 entry (see
     {!Lu.factor_into}).
     @raise Invalid_argument as {!solve}, or if [w] is not [m]'s size. *)
+
+val solve_entry :
+  work -> skip_zeros:bool -> t -> re:float array -> im:float array -> int -> Complex.t
+(** [solve_entry w ~skip_zeros m ~re ~im k] is entry [k] of
+    [solve_with w ~skip_zeros m b] for the right-hand side [b] whose parts
+    are [re] and [im], with the same bits: the same elimination, and back
+    substitution stopped at row [k].  A negative [k] eliminates and
+    returns [Complex.zero].  It allocates only the entry it returns.
+    @raise Invalid_argument as {!solve_with}, or if [k >= n].
+    @raise Lu.Singular when a pivot vanishes. *)

@@ -101,7 +101,25 @@ val cadd_c : cwork -> int -> int -> float -> unit
 val cfactor : cwork -> omega:float -> Complex.t array -> Complex.t array
 (** [cfactor w ~omega] factors [G + j*omega*C] once and returns a solver
     usable for many right-hand sides at that frequency.  The factors live
-    in [w], so the solver stays valid until the next [cfactor] on [w]
-    (as {!Linsys.complex_sys}'s [factor] says), and each solve allocates
-    only the solution it returns.
+    in [w], so the solver stays valid until the next [cfactor] or
+    {!csweep} on [w] (as {!Linsys.complex_sys}'s [factor] says), and each
+    solve allocates only the solution it returns.
+    @raise Lu.Singular on a vanishing pivot; the workspace stays usable. *)
+
+val csweep :
+  cwork -> Complex.t array -> freqs:float array -> out:int -> Complex.t array ->
+  int -> int -> unit
+(** [csweep w b ~freqs ~out response] loads the right-hand side [b] of one
+    AC transfer into [w], row-permuted, and returns its point solver:
+    [point k (-1)] factors [G + j*2*pi*freqs.(k)*C] and writes entry [out]
+    of its solution into [response.(k)]; [point k k'] does the same for
+    [freqs.(k)] and [freqs.(k')] together, in one pass of a two-lane
+    elimination, solve and refinement step.  Either writes the bits that
+    entry [out] of a {!cfactor} solve at that [omega] holds, and raises
+    what a {!cfactor} at [freqs.(k)] and then one at [freqs.(k')] would
+    raise first.  A negative [out] factors without solving and writes
+    [Complex.zero].  A point allocates only the responses it writes.  The
+    point solver shares [w] with {!cfactor}: it stays valid until the next
+    [csweep] or [cfactor] on [w] or a solve of the latter.
+    @raise Invalid_argument if [b] is not of size n or [out >= n].
     @raise Lu.Singular on a vanishing pivot; the workspace stays usable. *)

@@ -16,6 +16,11 @@
    Right-hand sides and back substitution are never skipped: a source of
    value 0 can put a -0 there.
 
+   Each backend's [sweep] entry answers, at its output unknown, the bits
+   its [factor] path answers: dense through the same Cmat elimination,
+   with back substitution stopped at the output row, csr through lanes
+   that each replay [cfactor]'s operations in its order.
+
    The Csr backend must stay bit-identical to its reference copy in the
    tests (test/csr_ref.ml).  [Csr.analyse] compiles the elimination of the
    topology's fill pattern into slot-index runs once, and every Newton
@@ -117,6 +122,9 @@ type complex_sys = {
   add_g : int -> int -> float -> unit;
   add_c : int -> int -> float -> unit;
   factor : omega:float -> Complex.t array -> Complex.t array;
+  sweep :
+    Complex.t array -> freqs:float array -> out:int -> Complex.t array ->
+    (int -> int -> unit);
 }
 
 module Dense_backend = struct
@@ -141,8 +149,9 @@ module Dense_backend = struct
           Lu.solve f b);
     }
 
-  (* [a] <- g + j omega c, as Cmat.of_real; true when [a] is -0-free *)
-  let pencil (a : Cmat.t) ~omega (g : Mat.t) (c : Mat.t) =
+  (* [a] <- g + j omega c, as Cmat.of_real; true when [a] is -0-free.
+     Inlined, so a sweep point's omega is never boxed. *)
+  let[@inline] pencil (a : Cmat.t) ~omega (g : Mat.t) (c : Mat.t) =
     let re = a.re and im = a.im and gd = g.data and cd = c.data in
     let exact = ref (omega > 0.) in
     for k = 0 to Array.length re - 1 do
@@ -158,6 +167,14 @@ module Dense_backend = struct
     let c = Mat.create n n in
     let a = Cmat.create n n in
     let w = Cmat.work n in
+    (* the sweep's right-hand side, split *)
+    let br = Array.make n 0. and bi = Array.make n 0. in
+    (* one frequency of a sweep: Cmat's elimination, with back
+       substitution stopped at the output row *)
+    let point freqs out response k =
+      let skip_zeros = pencil a ~omega:(2. *. Float.pi *. freqs.(k)) g c in
+      response.(k) <- Cmat.solve_entry w ~skip_zeros a ~re:br ~im:bi out
+    in
     {
       cn = n;
       cowner = owner;
@@ -173,6 +190,16 @@ module Dense_backend = struct
         (fun ~omega ->
           let skip_zeros = pencil a ~omega g c in
           fun rhs -> Cmat.solve_with w ~skip_zeros a rhs);
+      sweep =
+        (fun rhs ~freqs ~out response ->
+          if Array.length rhs <> n then invalid_arg "Linsys: sweep dimension mismatch";
+          for i = 0 to n - 1 do
+            br.(i) <- rhs.(i).Complex.re;
+            bi.(i) <- rhs.(i).Complex.im
+          done;
+          fun k k' ->
+            point freqs out response k;
+            if k' >= 0 then point freqs out response k');
     }
 end
 
@@ -200,6 +227,7 @@ module Csr_backend = struct
       add_g = (fun i j x -> Csr.cadd_g w i j x);
       add_c = (fun i j x -> Csr.cadd_c w i j x);
       factor = (fun ~omega -> Csr.cfactor w ~omega);
+      sweep = (fun rhs ~freqs ~out response -> Csr.csweep w rhs ~freqs ~out response);
     }
 end
 

@@ -109,6 +109,27 @@ type complex_sys = {
           to many right-hand sides, and is valid until the next [factor]
           on the same workspace, which may overwrite the buffers it reads.
           @raise Lu.Singular on breakdown *)
+  sweep :
+    Complex.t array -> freqs:float array -> out:int -> Complex.t array ->
+    (int -> int -> unit);
+      (** The AC sweep's entry: [sweep rhs ~freqs ~out response] takes one
+          transfer's right-hand side and returns its point solver.
+          [point k (-1)] factors [G + j*omega*C] at
+          [omega = 2 *. Float.pi *. freqs.(k)] and writes entry [out] of
+          the solution into [response.(k)], nothing else; [point k k']
+          does the same for [freqs.(k)] and then [freqs.(k')].  Each
+          response has the bits of entry [out] of a [factor ~omega] solve
+          for [rhs], and a breakdown raises what factoring [freqs.(k)] and
+          then [freqs.(k')] would raise first.  csr factors and solves a
+          pair in one pass of its two-lane kernel; dense runs {!Cmat}'s
+          elimination per frequency, back substitution stopped at [out].
+          A negative [out] factors without solving and writes
+          [Complex.zero].  A point allocates only the responses it writes.
+          The point solver and [factor]'s solvers share the workspace:
+          each is valid until the next [sweep] or [factor] on it.
+          @raise Invalid_argument if [rhs] is not of size [cn] or
+          [out >= cn].
+          @raise Lu.Singular on breakdown *)
 }
 (** Mutable workspace for one complex system of the form [G + jwC]. *)
 

@@ -13,7 +13,10 @@ let fp_solve = Fault.point "ac.solve"
 (* frequencies factored, summed over every transfer *)
 let points = Metrics.counter "ac.points"
 
-let never_stop _ _ = false
+(* of those, the frequencies the sweep handed the solver two at a time *)
+let paired = Metrics.counter "ac.paired"
+
+let never_stop _ _ = max_int
 
 let transfer ?sys ?(stop = never_stop) circuit op ~out ~freqs =
   if Fault.fire fp_solve then
@@ -33,22 +36,38 @@ let transfer ?sys ?(stop = never_stop) circuit op ~out ~freqs =
     let rhs = Mna.assemble_ac_into cs circuit (Mna.sys_layout sys) ~ops in
     let n = Array.length freqs in
     let response = Array.make n Complex.zero in
-    (* the one sweep loop: each frequency is its own factorisation, so
-       ending after the point [stop] accepts leaves the swept prefix what
-       the full sweep would have computed *)
-    let rec sweep k =
-      if k = n then n
+    (* the ground's unknown is -1: factored, never solved, answered zero *)
+    let point = cs.Linsys.sweep rhs ~freqs ~out:(out - 1) response in
+    (* the last point the rule needs once it has seen point [k]; it may
+       not fall short of [promised], the last point it needed before *)
+    let consult k promised =
+      let need = stop k response.(k) in
+      let last = if need >= n - 1 - k then n - 1 else k + need in
+      if last < promised then
+        invalid_arg "Ac.transfer: the stop rule gave up a point it had promised";
+      last
+    in
+    let pairs = ref 0 in
+    (* the one sweep loop: points before [k] are swept and the rule needs
+       every point up to [last].  Each frequency is its own factorisation,
+       so the swept prefix is what the full sweep would have computed, and
+       two promised points can be factored together. *)
+    let rec sweep k last =
+      if k > last then k
+      else if k < last then begin
+        point k (k + 1);
+        pairs := !pairs + 2;
+        let last = consult k last in
+        sweep (k + 2) (consult (k + 1) last)
+      end
       else begin
-        let omega = 2. *. Float.pi *. freqs.(k) in
-        let solve = cs.Linsys.factor ~omega in
-        let x = solve rhs in
-        let z = if out = Device.ground then Complex.zero else x.(out - 1) in
-        response.(k) <- z;
-        if stop k z then k + 1 else sweep (k + 1)
+        point k (-1);
+        sweep (k + 1) (consult k last)
       end
     in
-    let swept = sweep 0 in
+    let swept = if n = 0 then 0 else sweep 0 0 in
     Metrics.add points swept;
+    Metrics.add paired !pairs;
     if swept = n then { freqs; response }
     else { freqs = Array.sub freqs 0 swept; response = Array.sub response 0 swept }
   end

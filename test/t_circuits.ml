@@ -188,6 +188,16 @@ let synthetic_bodes () =
     constant { Complex.re = nan; im = 0. };
   ]
 
+(* full sweeps of three OTA sizings and the default Miller design *)
+let circuit_bodes () =
+  List.filter_map Fun.id
+    [
+      Tb.bode Ota.default_params;
+      Tb.bode { Ota.default_params with Ota.w1 = 2. *. Ota.default_params.Ota.w1 };
+      Tb.bode { Ota.default_params with Ota.l2 = 3. *. Ota.default_params.Ota.l2 };
+      Yield_circuits.Miller_testbench.bode Yield_circuits.Miller.default_params;
+    ]
+
 (* perf_of_bode measures the sweep in one pass; it must agree bit for bit
    with the Measure functions it replaces, each of which recomputes the
    magnitudes (and phase_margin_deg the unity crossing) on its own *)
@@ -209,15 +219,8 @@ let test_perf_of_bode_one_pass () =
           |]
     | _ -> None
   in
-  let circuit_bodes =
-    List.filter_map Fun.id
-      [
-        Tb.bode Ota.default_params;
-        Tb.bode { Ota.default_params with Ota.w1 = 2. *. Ota.default_params.Ota.w1 };
-        Tb.bode { Ota.default_params with Ota.l2 = 3. *. Ota.default_params.Ota.l2 };
-      ]
-  in
-  Alcotest.(check int) "circuit bodes" 3 (List.length circuit_bodes);
+  let circuit_bodes = circuit_bodes () in
+  Alcotest.(check int) "circuit bodes" 4 (List.length circuit_bodes);
   List.iteri
     (fun k b ->
       match (three_pass b, Gtb.perf_of_bode conditions b) with
@@ -236,14 +239,21 @@ let test_perf_of_bode_one_pass () =
 (* --- the measure-directed sweep --- *)
 
 (* the prefix of a full sweep that Testbench.sweep_stop keeps, driven the
-   way Ac.transfer drives it *)
+   way Ac.transfer drives it: after point k it answers how many more
+   points it needs, and no answer may end the sweep before a point an
+   earlier answer asked for *)
 let stopped_prefix (b : Ac.bode) =
   let stop = Gtb.sweep_stop () in
   let n = Array.length b.Ac.response in
-  let rec go k =
-    if k = n then n else if stop k b.Ac.response.(k) then k + 1 else go (k + 1)
+  let rec go k promised =
+    let need = stop k b.Ac.response.(k) in
+    if need < 0 || k + need < promised then
+      Alcotest.failf "sweep_stop answered %d at point %d, inside a run promised to point %d"
+        need k promised;
+    let last = Stdlib.min (n - 1) (k + need) in
+    if last = k then k + 1 else go (k + 1) last
   in
-  let m = go 0 in
+  let m = go 0 0 in
   { Ac.freqs = Array.sub b.Ac.freqs 0 m; response = Array.sub b.Ac.response 0 m }
 
 (* the rule, restated over the full sweep: one point when the gain is not
@@ -293,6 +303,7 @@ let test_sweep_stop_synthetic () =
   List.iteri
     (fun k b -> check_case (Printf.sprintf "synthetic %d" k) b)
     (synthetic_bodes ());
+  List.iteri (fun k b -> check_case (Printf.sprintf "circuit %d" k) b) (circuit_bodes ());
   Alcotest.(check int) "the sweep has 81 points" 81 n;
   (* a single pole well inside the band stops short of the end *)
   let early = two_pole 1e3 1e3 1e9 in
@@ -365,7 +376,10 @@ let check_random_designs name ~n ~seed ~ranges ~evaluate ~bode =
   let measured = ref 0 and points = ref 0 in
   for d = 1 to n do
     let p = random_params ranges rng in
-    let full = Option.bind (bode p) (Gtb.perf_of_bode Gtb.default_conditions) in
+    let full_bode = bode p in
+    (* the rule keeps its promises on every circuit bode *)
+    Option.iter (fun b -> ignore (stopped_prefix b)) full_bode;
+    let full = Option.bind full_bode (Gtb.perf_of_bode Gtb.default_conditions) in
     let before = Yield_obs.Metrics.value ac_points in
     let stopped = evaluate p in
     points := !points + (Yield_obs.Metrics.value ac_points - before);
@@ -525,6 +539,106 @@ let test_filter_transistor_realisation () =
       Alcotest.(check bool) "dc gain near unity" true (Float.abs mags.(0) < 0.5);
       Alcotest.(check bool) "rolls off" true (mags.(Array.length mags - 1) < -30.)
 
+(* --- the paired sweep --- *)
+
+(* the reference sweep, point by point: each frequency factored on its
+   own through [factor] and solved for the whole solution, the rule
+   consulted after every point and the sweep ended at its first zero
+   answer *)
+let point_by_point ?stop sys circuit op ~out ~freqs =
+  let module Mna = Yield_spice.Mna in
+  let cs = Mna.sys_complex sys in
+  let rhs = Mna.assemble_ac_into cs circuit (Mna.sys_layout sys) ~ops:(Dcop.mos_op op) in
+  let n = Array.length freqs in
+  let response = Array.make n Complex.zero in
+  let rec go k =
+    if k = n then n
+    else begin
+      let x = cs.Yield_numeric.Linsys.factor ~omega:(2. *. Float.pi *. freqs.(k)) rhs in
+      response.(k) <- (if out = Yield_spice.Device.ground then Complex.zero else x.(out - 1));
+      match stop with Some stop when stop k response.(k) = 0 -> k + 1 | _ -> go (k + 1)
+    end
+  in
+  let m = go 0 in
+  { Ac.freqs = Array.sub freqs 0 m; response = Array.sub response 0 m }
+
+let ac_paired = Yield_obs.Metrics.counter "ac.paired"
+
+(* Ac.transfer against the point-by-point sweep on the OTA, Miller,
+   transistor-level filter and rc_lowpass.cir circuits, on both backends,
+   full and stopped at Testbench.sweep_stop, on grids of 81, 80, 2 and 1
+   points: the same bits, and an ac.points delta of the points swept *)
+let test_paired_sweep_circuits () =
+  let module Linsys = Yield_numeric.Linsys in
+  let module Metrics = Yield_obs.Metrics in
+  let rc =
+    let path = T_analyse2.fixture "examples/netlists/rc_lowpass.cir" in
+    (Yield_spice.Netlist.parse (In_channel.with_open_bin path In_channel.input_all), "out")
+  in
+  let circuits =
+    [
+      ("ota", Tb.build Ota.default_params);
+      ("miller", Yield_circuits.Miller_testbench.build Yield_circuits.Miller.default_params);
+      ("filter", Filter.build_transistor Ota.default_params good_caps);
+      ("rc_lowpass", rc);
+    ]
+  in
+  let grids =
+    [ sweep_freqs; Array.sub sweep_freqs 0 80; Array.sub sweep_freqs 0 2; Array.sub sweep_freqs 40 1 ]
+  in
+  List.iter
+    (fun (name, (circuit, out_name)) ->
+      (* one dense operating point: the sweeps only read its devices *)
+      let op =
+        match Dcop.solve circuit with
+        | Ok op -> op
+        | Error e -> Alcotest.failf "%s: %s" name (Dcop.error_to_string e)
+      in
+      List.iter
+        (fun backend ->
+          let sys = Yield_spice.Mna.sys ~backend circuit in
+          let node = Circuit.node circuit out_name in
+          let outs = if name = "rc_lowpass" then [ node; Yield_spice.Device.ground ] else [ node ] in
+          List.iter
+            (fun out ->
+              List.iter
+                (fun freqs ->
+                  List.iter
+                    (fun stopped ->
+                      let stop () = if stopped then Some (Gtb.sweep_stop ()) else None in
+                      let what =
+                        Printf.sprintf "%s %s out %d, %d points%s" name
+                          (Linsys.backend_name backend) out (Array.length freqs)
+                          (if stopped then ", stopped" else "")
+                      in
+                      let expect = point_by_point ?stop:(stop ()) sys circuit op ~out ~freqs in
+                      let points = Metrics.value ac_points and paired = Metrics.value ac_paired in
+                      let got = Ac.transfer ~sys ?stop:(stop ()) circuit op ~out ~freqs in
+                      let swept = Metrics.value ac_points - points in
+                      let pairs = Metrics.value ac_paired - paired in
+                      let m = Array.length expect.Ac.response in
+                      Alcotest.(check int) (what ^ ": points") m (Array.length got.Ac.response);
+                      Alcotest.(check int) (what ^ ": ac.points") m swept;
+                      Alcotest.(check bool) (what ^ ": freqs") true (got.Ac.freqs = expect.Ac.freqs);
+                      Array.iteri
+                        (fun k (e : Complex.t) ->
+                          let g = got.Ac.response.(k) in
+                          Alcotest.(check (pair int64 int64))
+                            (Printf.sprintf "%s: point %d" what k)
+                            (Int64.bits_of_float e.re, Int64.bits_of_float e.im)
+                            (Int64.bits_of_float g.re, Int64.bits_of_float g.im))
+                        expect.Ac.response;
+                      (* point 0 goes alone, and so does the last of an even count *)
+                      if stopped then
+                        Alcotest.(check bool) (what ^ ": ac.paired") true
+                          (pairs mod 2 = 0 && pairs < Stdlib.max 1 m)
+                      else Alcotest.(check int) (what ^ ": ac.paired") (2 * ((m - 1) / 2)) pairs)
+                    [ false; true ])
+                grids)
+            outs)
+        [ Linsys.Dense; Linsys.Csr ])
+    circuits
+
 let suites =
   [
     ( "circuits.ota",
@@ -556,6 +670,8 @@ let suites =
         Alcotest.test_case "ac.solve fault under the stopped sweep" `Quick
           test_ac_fault_stopped_sweep;
         Alcotest.test_case "ac.points counter" `Quick test_ac_points_counter;
+        Alcotest.test_case "paired sweep = point-by-point sweep" `Quick
+          test_paired_sweep_circuits;
       ] );
     ( "circuits.filter",
       [

@@ -174,6 +174,18 @@ let test_dense_of_size_matches_mat () =
   Alcotest.(check bool) "byte-identical to Mat/Lu" true
     (Array.for_all2 (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) expect got)
 
+(* The sweep entry of a workspace that only has a [factor]: each frequency
+   factored on its own and solved for the whole solution, the
+   point-by-point sweep the entry must reproduce. *)
+let sweep_by_factor factor rhs ~freqs ~out (response : Complex.t array) =
+  let one k =
+    let x = factor ~omega:(2. *. Float.pi *. freqs.(k)) rhs in
+    response.(k) <- (if out < 0 then Complex.zero else x.(out))
+  in
+  fun k k' ->
+    one k;
+    if k' >= 0 then one k'
+
 (* ---------- bit-exact reference for the dense backend ---------- *)
 
 (* The dense kernels as they were before they indexed flat arrays, reused
@@ -350,6 +362,10 @@ module Ref = struct
 
   let complex n =
     let g = create n n and c = create n n in
+    let factor ~omega =
+      let m = of_real ~imag_scale:omega g c in
+      fun rhs -> csolve m rhs
+    in
     {
       Linsys.cn = n;
       cowner = Linsys.dense_of_size n;
@@ -361,10 +377,8 @@ module Ref = struct
           fill c);
       add_g = add_to g;
       add_c = add_to c;
-      factor =
-        (fun ~omega ->
-          let m = of_real ~imag_scale:omega g c in
-          fun rhs -> csolve m rhs);
+      factor;
+      sweep = sweep_by_factor factor;
     }
 end
 
@@ -646,6 +660,51 @@ let test_signed_zero_fixtures () =
         signed_zero_rhs)
     signed_zero_rhs
 
+(* ---------- the sweep entry ---------- *)
+
+(* frequencies whose omegas 2 pi f reach the edge cases of [omegas]: a
+   zero and a negative scale, products underflowing to -0, Inf and NaN *)
+let edge_freqs = [| 1e6; 1.; 1e9; 0.; -3.; 5e-324; Float.infinity; Float.nan |]
+
+(* [point k k'] of a sweep entry made with [~out] and [~response] must
+   give what a point-by-point sweep gives: entry [out] of frequency k's
+   solution and then of k''s, or the row of the first breakdown, k's
+   before k''s.  [reference.(k)] is the outcome of a [factor] solve at
+   frequency k.  Every point alone and every ordered pair is checked; the
+   result counts the pairs that broke down in both lanes with lane 1 at the
+   earlier row, the case where the row raised is not the first one met. *)
+let check_sweep_points what ~reference ~out point =
+  let nf = Array.length reference in
+  let response = Array.make nf Complex.zero in
+  let point = point response in
+  let entry x = if out < 0 then Complex.zero else x.(out) in
+  let crossed = ref 0 in
+  for k = 0 to nf - 1 do
+    for k' = -1 to nf - 1 do
+      if k' <> k then begin
+        let expect =
+          match reference.(k) with
+          | Error r -> Error r
+          | Ok x when k' < 0 -> Ok [| entry x |]
+          | Ok x -> (
+              match reference.(k') with
+              | Error r -> Error r
+              | Ok x' -> Ok [| entry x; entry x' |])
+        in
+        (match (reference.(k), if k' < 0 then Ok [||] else reference.(k')) with
+        | Error r, Error r' when r' < r -> incr crossed
+        | _ -> ());
+        check_complex_outcome
+          (Printf.sprintf "%s out %d point (%d, %d)" what out k k')
+          expect
+          (outcome (fun () ->
+               point k k';
+               if k' < 0 then [| response.(k) |] else [| response.(k); response.(k') |]))
+      end
+    done
+  done;
+  !crossed
+
 (* ---------- bit-exact reference for the csr kernels ---------- *)
 
 (* Csr against Csr_ref, the previous csr kernels (Hashtbl slot lookup,
@@ -791,11 +850,169 @@ let test_csr_singular_then_regular () =
       let solve w f = outcome (fun () -> f w ~omega:1e6 cb) in
       let cgot = solve cw Csr.cfactor in
       check_complex_outcome (what ^ " complex") (solve crw Csr_ref.cfactor) cgot;
-      match cgot with
+      (match cgot with
       | Error k when expect_singular && k > 0 -> ()
       | Ok _ when not expect_singular -> ()
-      | _ -> Alcotest.failf "%s: unexpected complex outcome" what)
+      | _ -> Alcotest.failf "%s: unexpected complex outcome" what);
+      (* the sweep entry on the same workspace, single and paired points *)
+      let freqs = [| 1e6; 10. |] in
+      let reference =
+        Array.map
+          (fun f -> outcome (fun () -> Csr_ref.cfactor crw ~omega:(2. *. Float.pi *. f) cb))
+          freqs
+      in
+      for out = -1 to n - 1 do
+        ignore
+          (check_sweep_points (what ^ " sweep") ~reference ~out
+             (Csr.csweep cw cb ~freqs ~out))
+      done)
     [ ("regular", regular, false); ("singular", singular, true); ("regular again", regular, false) ]
+
+(* The sweep entry against two point-by-point [cfactor] solves on the
+   random csr patterns (n up to 40, NaN / Inf poisons, right-hand sides
+   with signed zeros) at the edge frequencies, and on a diagonal system
+   whose 1 MHz lane breaks down at row 2 and whose 0 Hz lane at row 1.
+   Seeds 101-150 draw n <= 4, where one lane's zero multiplier meets the
+   other lane's update often enough to catch a lane that skips no zero. *)
+let test_csr_sweep_bit_exact () =
+  let crossed = ref 0 in
+  for seed = 1 to 190 do
+    let st = Random.State.make [| seed; 71 |] in
+    let small_n = if seed <= 100 then 10 else 4 in
+    let n, g_adds = csr_case st seed ~small_seeds:150 ~small_n in
+    let c_adds =
+      List.filter_map
+        (fun (i, j, v) -> if Random.State.bool st then Some (i, j, v *. 1e-9) else None)
+        (if seed <= 150 then random_adds st n else random_adds ~per_row:2 st n)
+    in
+    let sym, _ = csr_pair st n ~strong:n (g_adds @ c_adds) in
+    let w = Csr.cwork sym and rw = Csr.cwork sym in
+    List.iter
+      (fun p ->
+        let g_adds = poison_entry st g_adds p in
+        List.iter
+          (fun w ->
+            Csr.creset w;
+            List.iter (fun (i, j, v) -> Csr.cadd_g w i j v) g_adds;
+            List.iter (fun (i, j, v) -> Csr.cadd_c w i j v) c_adds)
+          [ w; rw ];
+        for r = 1 to 2 do
+          let b = random_complex_rhs st n in
+          let reference =
+            Array.map
+              (fun f -> outcome (fun () -> Csr.cfactor rw ~omega:(2. *. Float.pi *. f) b))
+              edge_freqs
+          in
+          List.iter
+            (fun out ->
+              crossed :=
+                !crossed
+                + check_sweep_points
+                    (Printf.sprintf "seed %d n %d rhs %d" seed n r)
+                    ~reference ~out
+                    (Csr.csweep w b ~freqs:edge_freqs ~out))
+            [ -1; 0; n - 1; Random.State.int st n ]
+        done)
+      poisons
+  done;
+  let st = Random.State.make [| 79 |] in
+  let sym, _ = csr_pair st 3 ~strong:3 [ (0, 0, 1.); (1, 1, 0.); (2, 2, 0.) ] in
+  let w = Csr.cwork sym and rw = Csr.cwork sym in
+  List.iter
+    (fun w ->
+      Csr.cadd_g w 0 0 1.;
+      Csr.cadd_c w 1 1 1e-9)
+    [ w; rw ];
+  let b = Array.make 3 Complex.one in
+  let reference =
+    Array.map
+      (fun f -> outcome (fun () -> Csr.cfactor rw ~omega:(2. *. Float.pi *. f) b))
+      edge_freqs
+  in
+  Alcotest.(check bool) "1 MHz breaks at row 2" true (reference.(0) = Error 2);
+  Alcotest.(check bool) "0 Hz breaks at row 1" true (reference.(3) = Error 1);
+  for out = -1 to 2 do
+    crossed :=
+      !crossed
+      + check_sweep_points "diagonal" ~reference ~out (Csr.csweep w b ~freqs:edge_freqs ~out)
+  done;
+  Alcotest.(check bool) "pairs whose lane 1 broke down first were checked" true
+    (!crossed > 0)
+
+(* The dense entry against [factor] (Cmat.solve_with) on random systems at
+   the edge frequencies, and Cmat.solve_entry against Cmat.solve_with on
+   matrices with -0 entries, with and without the zero skip. *)
+let test_dense_sweep_bit_exact () =
+  for seed = 1 to 150 do
+    let st = Random.State.make [| seed; 73 |] in
+    let n = 1 + Random.State.int st 10 in
+    List.iter
+      (fun p ->
+        let g_adds = poison st n (random_adds st n) p in
+        let c_adds =
+          List.filter_map
+            (fun (i, j, v) ->
+              if Random.State.bool st then Some (i, j, v *. 1e-9) else None)
+            (random_adds st n)
+        in
+        let swept = Linsys.complex (Linsys.dense_of_size n) in
+        let factored = Linsys.complex (Linsys.dense_of_size n) in
+        List.iter
+          (fun cs ->
+            cs.Linsys.creset ();
+            List.iter (fun (i, j, v) -> cs.Linsys.add_g i j v) g_adds;
+            List.iter (fun (i, j, v) -> cs.Linsys.add_c i j v) c_adds)
+          [ swept; factored ];
+        for r = 1 to 2 do
+          let b = random_complex_rhs st n in
+          let reference =
+            Array.map
+              (fun f ->
+                outcome (fun () -> factored.Linsys.factor ~omega:(2. *. Float.pi *. f) b))
+              edge_freqs
+          in
+          List.iter
+            (fun out ->
+              ignore
+                (check_sweep_points
+                   (Printf.sprintf "seed %d n %d rhs %d" seed n r)
+                   ~reference ~out
+                   (swept.Linsys.sweep b ~freqs:edge_freqs ~out)))
+            [ -1; 0; n - 1; Random.State.int st n ]
+        done)
+      poisons
+  done;
+  for seed = 1 to 100 do
+    let st = Random.State.make [| seed; 83 |] in
+    let n = 1 + Random.State.int st 9 in
+    let g = Mat.create n n and c = Mat.create n n in
+    List.iter (fun (i, j, v) -> Mat.add_to g i j v)
+      (poison st n (random_adds st n) (List.nth poisons (seed mod 3)));
+    List.iter (fun (i, j, v) -> Mat.add_to c i j (v *. 1e-9)) (random_adds st n);
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if Mat.get g i j = 0. && Random.State.int st 3 = 0 then Mat.set g i j (-0.)
+      done
+    done;
+    let w = Cmat.work n in
+    List.iter
+      (fun omega ->
+        let m = Cmat.of_real ~imag_scale:omega g c in
+        let b = random_complex_rhs st n in
+        let re = Array.map (fun z -> z.Complex.re) b and im = Array.map (fun z -> z.Complex.im) b in
+        List.iter
+          (fun skip_zeros ->
+            let full = outcome (fun () -> Cmat.solve_with (Cmat.work n) ~skip_zeros m b) in
+            for k = -1 to n - 1 do
+              check_complex_outcome
+                (Printf.sprintf "seed %d n %d omega %g skip %b entry %d" seed n omega
+                   skip_zeros k)
+                (Result.map (fun x -> [| (if k < 0 then Complex.zero else x.(k)) |]) full)
+                (outcome (fun () -> [| Cmat.solve_entry w ~skip_zeros m ~re ~im k |]))
+            done)
+          [ true; false ])
+      omegas
+  done
 
 (* The scratch lives in the workspaces: a solve allocates its result, and a
    factorisation its solver closure, nothing else.  A tridiagonal pattern
@@ -835,7 +1052,19 @@ let test_csr_solves_allocate_only_results () =
   let real_result = float_of_int (n + 1) in
   let complex_result = float_of_int (n + 1 + (3 * n)) in
   let closure = 8. in
+  (* a sweep point: one boxed complex response per frequency *)
+  let response_words = 3. in
+  let freqs = [| 1e6; 2e6; 3e6 |] and response = Array.make 3 Complex.zero in
+  let point = Csr.csweep cw cb ~freqs ~out:(n / 2) response in
   for _ = 1 to 3 do
+    let pw = words (fun () -> point 0 1) in
+    if pw > 2. *. response_words then
+      Alcotest.failf "a paired sweep point allocated %g words, its responses are %g" pw
+        (2. *. response_words);
+    let ow = words (fun () -> point 2 (-1)) in
+    if ow > response_words then
+      Alcotest.failf "a lone sweep point allocated %g words, its response is %g" ow
+        response_words;
     let rw = words (fun () -> Csr.rsolve w b) in
     if rw > real_result then
       Alcotest.failf "rsolve allocated %g words, its result is %g" rw real_result;
@@ -993,6 +1222,7 @@ let circuit_workspaces backend sys circuit layout =
             add_g = Csr_ref.cadd_g cw;
             add_c = Csr_ref.cadd_c cw;
             factor = Csr_ref.cfactor cw;
+            sweep = sweep_by_factor (Csr_ref.cfactor cw);
           } ) )
 
 (* The DC Newton systems a damped Newton run visits from the initial guess,
@@ -1296,6 +1526,10 @@ let suites =
           test_csr_complex_bit_exact;
         Alcotest.test_case "csr singular then regular" `Quick
           test_csr_singular_then_regular;
+        Alcotest.test_case "csr sweep entry = point-by-point cfactor" `Quick
+          test_csr_sweep_bit_exact;
+        Alcotest.test_case "dense sweep entry = point-by-point solve_with" `Quick
+          test_dense_sweep_bit_exact;
         Alcotest.test_case "csr solves allocate only results" `Quick
           test_csr_solves_allocate_only_results;
         Alcotest.test_case "out-of-range stamps raise" `Quick

@@ -216,6 +216,59 @@ let test_ac_rc_lowpass () =
   let ph = Measure.phases_deg_unwrapped bode in
   check_float ~eps:0.01 "corner phase -45" (-45.) ph.(1)
 
+(* The stop rule's answers are promises: after point k it says how many
+   more points it needs, and the sweep may factor two promised points
+   together.  A rule that takes a promised point back makes the transfer
+   raise Invalid_argument, counting nothing, instead of dropping a point
+   it factored. *)
+let test_ac_stop_promises () =
+  let module Metrics = Yield_obs.Metrics in
+  let c = Circuit.create () in
+  Circuit.add_vsource c ~name:"Vin" ~ac:1. "in" "0" 0.;
+  Circuit.add_resistor c ~name:"R1" "in" "out" 1000.;
+  Circuit.add_capacitor c ~name:"C1" "out" "0" 1e-6;
+  let op = solve_ok c in
+  let freqs = Ac.default_freqs ~f_lo:1. ~f_hi:1e6 () in
+  let points = Metrics.counter "ac.points" and paired = Metrics.counter "ac.paired" in
+  let run answers =
+    let stop k _ = Option.value (List.nth_opt answers k) ~default:0 in
+    Ac.transfer_by_name ~stop c op ~out:"out" ~freqs
+  in
+  let full = Ac.transfer_by_name c op ~out:"out" ~freqs in
+  List.iter
+    (fun (what, answers, swept, pairs) ->
+      let p = Metrics.value points and q = Metrics.value paired in
+      let b = run answers in
+      Alcotest.(check int) (what ^ ": points") swept (Array.length b.Ac.response);
+      Alcotest.(check int) (what ^ ": ac.points") swept (Metrics.value points - p);
+      Alcotest.(check int) (what ^ ": ac.paired") pairs (Metrics.value paired - q);
+      Alcotest.(check bool) (what ^ ": the full sweep's prefix") true
+        (b.Ac.response = Array.sub full.Ac.response 0 swept))
+    [
+      ("stop at once", [ 0 ], 1, 0);
+      ("2, 1, 0", [ 2; 1; 0 ], 3, 2);
+      ("3, 2, 1, 0", [ 3; 2; 1; 0 ], 4, 2);
+      ("1, 1, 0", [ 1; 1; 0 ], 3, 0);
+      ( "past the end",
+        List.map (fun _ -> max_int) (Array.to_list freqs),
+        Array.length freqs,
+        2 * ((Array.length freqs - 1) / 2) );
+    ];
+  List.iter
+    (fun (what, answers) ->
+      let p = Metrics.value points and q = Metrics.value paired in
+      (match run answers with
+      | _ -> Alcotest.failf "%s: the transfer returned" what
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check int) (what ^ ": ac.points") p (Metrics.value points);
+      Alcotest.(check int) (what ^ ": ac.paired") q (Metrics.value paired))
+    [
+      ("a paired point dropped", [ 2; 0 ]);
+      ("a negative answer", [ -1 ]);
+      ("5 promised, point 2 answers 0", [ 5; 4; 0 ]);
+      ("2 promised, point 1 answers 0", [ 1; 2; 0 ]);
+    ]
+
 let test_ac_common_source_gain () =
   (* common-source stage with ideal current-source load resistance:
      |A| = gm * (RL || ro) at low frequency *)
@@ -613,6 +666,7 @@ let suites =
       [
         Alcotest.test_case "rc lowpass" `Quick test_ac_rc_lowpass;
         Alcotest.test_case "common-source gain" `Quick test_ac_common_source_gain;
+        Alcotest.test_case "stop-rule promises" `Quick test_ac_stop_promises;
       ] );
     ( "spice.measure",
       [
