@@ -499,38 +499,7 @@ let optimize_cmd =
 
 (* ---------- flow ---------- *)
 
-let run_flow fast topology out_dir checkpoint_dir resume no_preflight prescreen
-    solver telemetry =
-  let config = if fast then Config.fast_scale else Config.paper_scale in
-  let config =
-    {
-      config with
-      Config.jobs = Yield_exec.Jobs.resolve ();
-      solver;
-      telemetry;
-      prescreen;
-    }
-  in
-  let preflight = not no_preflight in
-  let flow =
-    match topology with
-    | `Ota ->
-        Flow.run ~log:print_endline ~preflight ?checkpoint_dir ~resume config
-    | `Miller ->
-        let module Miller_flow = Flow.Make (Yield_circuits.Miller) in
-        let config =
-          {
-            config with
-            Config.conditions =
-              {
-                Yield_circuits.Testbench.default_conditions with
-                Yield_circuits.Testbench.min_unity_gain_hz = 5e6;
-              };
-          }
-        in
-        Miller_flow.run ~log:print_endline ~preflight ?checkpoint_dir ~resume
-          config
-  in
+let report_flow ~out_dir flow =
   let written = Flow.save_tables flow ~dir:out_dir in
   Printf.printf "front %d points, %d variation points\n"
     (Array.length flow.Flow.front_points)
@@ -553,6 +522,46 @@ let run_flow fast topology out_dir checkpoint_dir resume no_preflight prescreen
     flow.Flow.timings.Flow.total_s;
   List.iter (Printf.printf "wrote %s\n") written;
   0
+
+let run_flow fast topology out_dir checkpoint_dir resume no_preflight prescreen
+    solver telemetry =
+  let config = if fast then Config.fast_scale else Config.paper_scale in
+  let config =
+    {
+      config with
+      Config.jobs = Yield_exec.Jobs.resolve ();
+      solver;
+      telemetry;
+      prescreen;
+    }
+  in
+  let preflight = not no_preflight in
+  match
+    match topology with
+    | `Ota ->
+        Flow.run ~log:print_endline ~preflight ?checkpoint_dir ~resume config
+    | `Miller ->
+        let module Miller_flow = Flow.Make (Yield_circuits.Miller) in
+        let config =
+          {
+            config with
+            Config.conditions =
+              {
+                Yield_circuits.Testbench.default_conditions with
+                Yield_circuits.Testbench.min_unity_gain_hz = 5e6;
+              };
+          }
+        in
+        Miller_flow.run ~log:print_endline ~preflight ?checkpoint_dir ~resume
+          config
+  with
+  | flow -> report_flow ~out_dir flow
+  | exception Flow.Refused diags ->
+      (* the flow has logged each finding; this only says why it stopped *)
+      Printf.eprintf
+        "yieldlab: flow refused before any simulation (%d error(s))\n"
+        (Diagnostic.count Diagnostic.Error diags);
+      2
 
 (* the C008 refusal of malformed settings: print every diagnostic, exit 2 *)
 let refuse_settings diags =

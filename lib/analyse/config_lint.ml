@@ -129,6 +129,9 @@ let control_checks v =
   | exception Invalid_argument msg ->
       [ diag ~code:"C004" ~severity:Diagnostic.Error ~subject:v.control msg ]
 
+let checkpoint_mismatch ~dir msg =
+  diag ~code:"C005" ~severity:Diagnostic.Error ~subject:dir msg
+
 let checkpoint_checks ?checkpoint_dir ?(resume = false) v =
   match checkpoint_dir with
   | None -> []
@@ -141,8 +144,7 @@ let checkpoint_checks ?checkpoint_dir ?(resume = false) v =
       else begin
         let c = Checkpoint.create ~dir in
         match Checkpoint.check_fingerprint c v.fingerprint with
-        | Error msg ->
-            [ diag ~code:"C005" ~severity:Diagnostic.Error ~subject:dir msg ]
+        | Error msg -> [ checkpoint_mismatch ~dir msg ]
         | Ok `Resumable when not resume ->
             [
               diag ~code:"C005" ~severity:Diagnostic.Info ~subject:dir

@@ -63,6 +63,13 @@ val csr_min_size : int
 
 val check : ?checkpoint_dir:string -> ?resume:bool -> view -> Diagnostic.t list
 
+val checkpoint_mismatch : dir:string -> string -> Diagnostic.t
+(** The [C005] error for checkpoint directory [dir], recorded under
+    another fingerprint; the message is
+    {!Yield_resilience.Checkpoint.check_fingerprint}'s.  The dry-run
+    reports it, and [Flow.run] refuses with it when the dry-run was
+    skipped. *)
+
 val malformed_setting : setting:string -> value:string -> expected:string -> Diagnostic.t
 (** The [C008] error for [setting] (an env variable or CLI flag name)
     holding the raw text [value], which is not [expected] (e.g. ["a

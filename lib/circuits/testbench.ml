@@ -164,11 +164,19 @@ module Make (A : Amplifier.S) = struct
      so sharing across domains is safe; the cache itself is a CAS list (a
      lost race costs one extra compile). *)
 
-  type session = {
-    s_conditions : conditions;
-    s_circuit : Circuit.t;
-    s_sys : Mna.sys;
-  }
+  (* A session pins one front point: its circuit, the topology's compiled
+     sys and where each sample's Newton begins.  A [Warm] session begins
+     at its nominal operating point, a [Cold] one at the nodeset guess.
+     Two constructors rather than an optional field keep a cold session
+     the size it always was. *)
+  type session =
+    | Cold of { conditions : conditions; circuit : Circuit.t; sys : Mna.sys }
+    | Warm of {
+        conditions : conditions;
+        circuit : Circuit.t;
+        sys : Mna.sys;
+        start : Yield_numeric.Vec.t;  (* never written: Newton copies it *)
+      }
 
   let sys_cache : (Linsys.backend * Mna.sys) list Atomic.t = Atomic.make []
 
@@ -188,21 +196,31 @@ module Make (A : Amplifier.S) = struct
         in
         publish ()
 
+  (* csr samples start at the nominal operating point, solved once here;
+     dense samples keep the nodeset start, so dense stays the bit-exact
+     reference.  A failed nominal solve leaves the nodeset start. *)
   let session ?(conditions = default_conditions) ?(solver = Linsys.Dense)
       params =
     let circuit, _ = build ~conditions params in
-    { s_conditions = conditions; s_circuit = circuit; s_sys = cached_sys solver circuit }
+    let sys = cached_sys solver circuit in
+    match solver with
+    | Linsys.Dense -> Cold { conditions; circuit; sys }
+    | Linsys.Csr -> (
+        match Dcop.solve ~sys circuit with
+        | Ok op -> Warm { conditions; circuit; sys; start = op.Dcop.x }
+        | Error _ -> Cold { conditions; circuit; sys })
 
-  let session_circuit s = s.s_circuit
+  let session_circuit (Cold { circuit; _ } | Warm { circuit; _ }) = circuit
 
-  let session_sys s = s.s_sys
+  let session_sys (Cold { sys; _ } | Warm { sys; _ }) = sys
 
-  let session_solver_name s = Mna.sys_solver_name s.s_sys
+  let session_solver_name s = Mna.sys_solver_name (session_sys s)
 
   (* DC + AC of one open-loop circuit (or of the session circuit under
-     per-sample [models]) in [sys]; [stop] ends the sweep early *)
-  let open_loop_bode ~sys ?models ?stop conditions circuit =
-    match Dcop.solve_with_retry ~sys ?models circuit with
+     per-sample [models], its Newton begun at [start]) in [sys]; [stop]
+     ends the sweep early *)
+  let open_loop_bode ~sys ?start ?models ?stop conditions circuit =
+    match Dcop.solve_with_retry ?start ~sys ?models circuit with
     | Error _ -> None
     | Ok op ->
         Some
@@ -211,8 +229,11 @@ module Make (A : Amplifier.S) = struct
 
   (* every evaluation and session sample: the sweep stops one point past
      the last one perf_of_bode reads *)
-  let open_loop_perf ~sys ?models conditions circuit =
-    match open_loop_bode ~sys ?models ~stop:(sweep_stop ()) conditions circuit with
+  let open_loop_perf ~sys ?start ?models conditions circuit =
+    match
+      open_loop_bode ~sys ?start ?models ~stop:(sweep_stop ()) conditions
+        circuit
+    with
     | None -> None
     | Some b -> perf_of_bode conditions b
 
@@ -228,10 +249,14 @@ module Make (A : Amplifier.S) = struct
     open_loop_perf ~sys:(cached_sys Linsys.Dense circuit) conditions circuit
 
   let sample s models =
-    open_loop_perf ~sys:s.s_sys ~models s.s_conditions s.s_circuit
+    match s with
+    | Cold { conditions; circuit; sys } ->
+        open_loop_perf ~sys ~models conditions circuit
+    | Warm { conditions; circuit; sys; start } ->
+        open_loop_perf ~sys ~start ~models conditions circuit
 
   let evaluate_in_session s ~spec ~rng =
-    sample s (Variation.overrides spec rng s.s_circuit)
+    sample s (Variation.overrides spec rng (session_circuit s))
 
   let evaluate_sampled ?conditions ~spec ~rng params =
     evaluate_in_session (session ?conditions params) ~spec ~rng
@@ -243,7 +268,8 @@ module Make (A : Amplifier.S) = struct
     in
     (* the rng is only consulted for mismatch, which is zeroed *)
     let rng = Yield_stats.Rng.create 0 in
-    sample s (Variation.overrides_with_draw no_mismatch draw rng s.s_circuit)
+    sample s
+      (Variation.overrides_with_draw no_mismatch draw rng (session_circuit s))
 
   (* the common-mode variant rewires CBIG, so each variant gets its own
      session *)

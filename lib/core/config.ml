@@ -186,8 +186,14 @@ let fingerprint t =
   in
   (* the solver changes the numeric kernel the Monte Carlo stage runs
      through, so it is part of the fingerprint — but only when it departs
-     from the default, so every pre-existing checkpoint stays resumable *)
-  if t.solver = "dense" then base else base ^ ";solver=" ^ t.solver
+     from the default, so every pre-existing checkpoint stays resumable.
+     A csr sample's Newton starts at its front point's nominal operating
+     point, and the tag says so: a csr checkpoint tagged plain
+     [solver=csr] holds cold-started points and is refused *)
+  match t.solver with
+  | "dense" -> base
+  | "csr" -> base ^ ";solver=csr;mc-start=nominal"
+  | other -> base ^ ";solver=" ^ other
 
 let scale_name t =
   if

@@ -51,8 +51,10 @@ type t = {
           (["dense"] or ["csr"]; see {!Yield_numeric.Linsys.backend_of_string}).
           Kept as the raw string so {!Config_lint} can report unknown names
           (C007).  Part of {!fingerprint} only when it departs from
-          ["dense"].  The optimisation and nominal-front stages always run
-          dense, so [perf_model.tbl] is solver-independent. *)
+          ["dense"]; the csr tag also records that csr samples start
+          Newton at the nominal operating point.  The optimisation and
+          nominal-front stages always run dense, so [perf_model.tbl] is
+          solver-independent. *)
   telemetry : telemetry;
   prescreen : prescreen;
 }
@@ -118,4 +120,7 @@ val scale_name : t -> string
 val fingerprint : t -> string
 (** Identity of a checkpointed run (seed, GA/MC scale, control string, plus
     prescreen and solver when non-default): {!Flow.run} refuses to resume a
-    checkpoint directory recorded under a different fingerprint. *)
+    checkpoint directory recorded under a different fingerprint.  csr is
+    tagged [solver=csr;mc-start=nominal], so a csr checkpoint whose Monte
+    Carlo points were started cold (tagged plain [solver=csr]) is
+    refused. *)

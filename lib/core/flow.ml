@@ -50,6 +50,14 @@ let c_ps_passed = Metrics.counter "flow.prescreen.passed"
 
 let c_ps_undecided = Metrics.counter "flow.prescreen.undecided"
 
+exception Refused of Diagnostic.t list
+
+let () =
+  Printexc.register_printer (function
+    | Refused diags ->
+        Some ("Flow.Refused:\n" ^ Diagnostic.list_to_text diags)
+    | _ -> None)
+
 (* crash points for the checkpoint/resume tests: each fires just after the
    corresponding stage persisted its state, simulating a kill there *)
 let fp_wbga_gen = Fault.point "flow.wbga.generation"
@@ -290,12 +298,7 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
         List.iter
           (fun d -> log ("flow: preflight " ^ Diagnostic.to_text d))
           diags;
-        if errors > 0 then
-          failwith
-            (Printf.sprintf
-               "Flow.run: preflight found %d error(s) — fix the \
-                configuration or pass ~preflight:false\n%s"
-               errors (Diagnostic.list_to_text diags))
+        if errors > 0 then raise (Refused diags)
         else if warnings > 0 then
           log
             (Printf.sprintf "flow: preflight passed with %d warning(s)"
@@ -332,7 +335,11 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
               List.iter
                 (fun key -> Checkpoint.remove c ~key)
                 [ "wbga.state"; "wbga.result"; "front"; "mc.state" ]
-          | Error msg -> failwith ("Flow.run: " ^ msg));
+          | Error msg ->
+              (* the preflight's C005, when the preflight was skipped *)
+              let d = Config_lint.checkpoint_mismatch ~dir msg in
+              log ("flow: " ^ Diagnostic.to_text d);
+              raise (Refused [ d ]));
           Some c
     in
     (* counter baselines: the per-run counts are registry deltas *)

@@ -52,6 +52,13 @@ type t = {
   timings : timings;
 }
 
+exception Refused of Yield_analyse.Diagnostic.t list
+(** {!run} refused to start: the preflight found error-severity findings
+    (all its findings are carried), or, with the preflight skipped, the
+    checkpoint directory was recorded under another fingerprint (its
+    [C005] error).  Nothing was simulated.  Each carried finding has
+    already gone to [~log] once. *)
+
 val run :
   ?log:(string -> unit) -> ?preflight:bool -> ?checkpoint_dir:string ->
   ?resume:bool -> Config.t -> t
@@ -101,9 +108,10 @@ val run :
     Accounting lands in {!prescreen_counts} / the ["flow.prescreen.*"]
     counters.
 
-    @raise Failure when the preflight finds error-severity problems, when
-    the optimisation produces no usable front, or on a checkpoint
-    fingerprint mismatch. *)
+    @raise Refused when the preflight finds error-severity problems or on
+    a checkpoint fingerprint mismatch.
+    @raise Failure when the optimisation produces no usable front or the
+    variation model starves. *)
 
 val design_for_spec :
   t -> Yield_behavioural.Yield_target.spec ->

@@ -20,6 +20,12 @@ let c_convergence_failures = Metrics.counter "dcop.convergence_failures"
    factorisation each, the DC counterpart of [ac.points] *)
 let c_iterations = Metrics.counter "dcop.iterations"
 
+(* Newton runs begun at a caller's [start], and those of them that did not
+   converge and went on to the nodeset chain *)
+let c_warm_starts = Metrics.counter "dcop.warm_starts"
+
+let c_warm_fallbacks = Metrics.counter "dcop.warm_fallbacks"
+
 (* injection points: [dcop.solve] fails the whole solve (a transient
    non-convergence the retry layer can absorb); [dcop.newton] / [dcop.gmin]
    fail one homotopy stage, forcing the next fallback in the chain *)
@@ -106,8 +112,13 @@ let initial_guess circuit layout =
     (Circuit.nodesets circuit);
   x
 
-let solve ?(options = default_options) ?x0_jitter ?sys ?models circuit =
+let solve ?(options = default_options) ?x0_jitter ?start ?sys ?models circuit
+    =
   let sys = Mna.default_sys sys circuit in
+  (match start with
+  | Some start when Array.length start <> Mna.size (Mna.sys_layout sys) ->
+      invalid_arg "Dcop.solve: start is not of the system's size"
+  | Some _ | None -> ());
   match Mna.sys_dc_issues sys with
   | issue :: _ ->
       (* structurally singular: no gmin or homotopy can make the answer
@@ -147,9 +158,26 @@ let solve ?(options = default_options) ?x0_jitter ?sys ?models circuit =
   end
   else begin
   note "newton";
+  (* the Newton stage: from [start] when there is one, then, if that run
+     does not converge, from the nodeset guess exactly as without a start;
+     one fault check covers both runs *)
   match
-    (if Fault.fire fp_newton then None
-     else newton circuit layout options ~source_scale:1. ~gmin:options.gmin ~x0)
+    if Fault.fire fp_newton then None
+    else
+      match start with
+      | None ->
+          newton circuit layout options ~source_scale:1. ~gmin:options.gmin ~x0
+      | Some start -> (
+          Metrics.add c_warm_starts 1;
+          match
+            newton circuit layout options ~source_scale:1. ~gmin:options.gmin
+              ~x0:start
+          with
+          | Some _ as warm -> warm
+          | None ->
+              Metrics.add c_warm_fallbacks 1;
+              newton circuit layout options ~source_scale:1. ~gmin:options.gmin
+                ~x0)
   with
   | Some result -> finish result
   | None -> begin
@@ -213,24 +241,34 @@ let classify_error = function
 
 let retry_policy = Retry.policy "dcop.solve"
 
-let solve_with_retry ?options ?budget_s ?sys ?models circuit =
+(* deterministic per-attempt perturbation of the initial guess: nudging
+   the starting point is often enough to escape a basin where damped
+   Newton stalls *)
+let retry_jitter attempt =
+  let rng = Rng.create (0x5eed + attempt) in
+  fun _k -> Rng.normal rng ~mean:0. ~sigma:0.05
+
+let solve_with_retry ?options ?budget_s ?start ?sys ?models circuit =
   let sys = Mna.default_sys sys circuit in
   let deadline_s =
     Option.map (fun b -> Yield_obs.Clock.now_s () +. b) budget_s
   in
+  (* without a start the attempt closure captures what it always did, so
+     a cold solve allocates no extra word *)
   Retry.with_retries ?deadline_s retry_policy ~classify:classify_error
-    (fun ~attempt ->
-      let x0_jitter =
-        if attempt <= 1 then None
-        else begin
-          (* deterministic per-attempt perturbation of the initial guess:
-             nudging the starting point is often enough to escape a basin
-             where damped Newton stalls *)
-          let rng = Rng.create (0x5eed + attempt) in
-          Some (fun _k -> Rng.normal rng ~mean:0. ~sigma:0.05)
-        end
-      in
-      solve ?options ?x0_jitter ~sys ?models circuit)
+    (match start with
+    | None ->
+        fun ~attempt ->
+          if attempt <= 1 then solve ?options ~sys ?models circuit
+          else
+            solve ?options ~x0_jitter:(retry_jitter attempt) ~sys ?models
+              circuit
+    | Some _ ->
+        fun ~attempt ->
+          if attempt <= 1 then solve ?options ?start ~sys ?models circuit
+          else
+            solve ?options ~x0_jitter:(retry_jitter attempt) ~sys ?models
+              circuit)
 
 let voltage t node = Mna.voltage t.x node
 

@@ -28,10 +28,25 @@ val classify_error : error -> Yield_resilience.Retry.classification
     [Singular_system] is permanent (the topology itself is broken). *)
 
 val solve :
-  ?options:options -> ?x0_jitter:(int -> float) -> ?sys:Mna.sys ->
-  ?models:Mna.models -> Circuit.t -> (t, error) result
+  ?options:options -> ?x0_jitter:(int -> float) ->
+  ?start:Yield_numeric.Vec.t -> ?sys:Mna.sys -> ?models:Mna.models ->
+  Circuit.t -> (t, error) result
 (** [x0_jitter k] is added to unknown [k] of the initial guess — the retry
     layer uses it to perturb the starting point between attempts.
+
+    [start] is a warm start: an unknown vector of the system's size,
+    typically the solution of a nearby circuit (a Monte Carlo session
+    passes its nominal operating point).  The Newton stage then first
+    runs one damped-Newton run from [start].  If that run does not
+    converge, the chain without a start runs unchanged and with the same
+    bits: Newton from the nodeset guess (jittered by [x0_jitter]), then
+    gmin stepping, then source stepping.  So a start can only add a
+    converged answer, never take one away.  Both Newton runs sit under
+    the one [dcop.newton] fault check.  [start] is never written.  Each
+    run begun at a start adds 1 to [dcop.warm_starts]; each of those that
+    did not converge adds 1 to [dcop.warm_fallbacks].  The result's
+    [iterations] are those of the run that converged.
+    @raise Invalid_argument if [start] is not of the system's size.
 
     Structurally singular circuits ({!Topology.dc_issues}: a node with no DC
     path to ground, a loop of voltage sources) fail immediately with
@@ -51,12 +66,13 @@ val solve :
     {!Mna.models}). *)
 
 val solve_with_retry :
-  ?options:options -> ?budget_s:float -> ?sys:Mna.sys -> ?models:Mna.models ->
-  Circuit.t -> (t, error) result
+  ?options:options -> ?budget_s:float -> ?start:Yield_numeric.Vec.t ->
+  ?sys:Mna.sys -> ?models:Mna.models -> Circuit.t -> (t, error) result
 (** {!solve} under the [dcop.solve] retry policy (3 attempts): transient
     non-convergence is retried with a deterministic gaussian jitter
     (sigma 50 mV) on the initial guess; singular systems fail immediately.
-    Accounting lands in the [retry.dcop.solve.*] metrics.
+    Accounting lands in the [retry.dcop.solve.*] metrics.  [start] goes to
+    the first attempt only; the jittered retries start as without it.
 
     [budget_s] is an overall wall-clock budget for the whole call
     (converted to the absolute deadline {!Yield_resilience.Retry} takes):

@@ -18,11 +18,6 @@ module Flow = Yield_core.Flow
 
 let codes diags = List.map (fun d -> d.Diagnostic.code) (Diagnostic.sort diags)
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 let has_code code diags =
   List.exists (fun d -> d.Diagnostic.code = code) diags
 
@@ -375,11 +370,9 @@ let test_flow_preflight_rejects () =
      preflight must abort before any simulation runs *)
   let config = { Config.fast_scale with Config.mc_samples = 4 } in
   match Flow.run config with
-  | exception Failure msg ->
-      Alcotest.(check bool)
-        "mentions preflight" true (contains ~sub:"preflight" msg);
-      Alcotest.(check bool)
-        "carries the finding" true (contains ~sub:"C002" msg)
+  | exception Flow.Refused diags ->
+      Alcotest.(check bool) "carries the finding" true (has_code "C002" diags);
+      Alcotest.(check int) "an error: exit 2" 2 (Diagnostic.exit_code diags)
   | _ -> Alcotest.fail "preflight accepted a starving configuration"
 
 let suites =

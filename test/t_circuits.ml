@@ -401,8 +401,19 @@ let test_stopped_sweep_random_designs () =
     ~evaluate:(fun a -> Mtb.evaluate (Miller.params_of_array a))
     ~bode:(fun a -> Mtb.bode (Miller.params_of_array a))
 
+(* DC (from [start] when given) and the full sweep of a session circuit
+   under one sample's models *)
+let full_sweep_perf ?start ~sys ~models circuit =
+  match Dcop.solve_with_retry ?start ~sys ~models circuit with
+  | Error _ -> None
+  | Ok op ->
+      Gtb.perf_of_bode Gtb.default_conditions
+        (Ac.transfer_by_name ~sys circuit op ~out:"out" ~freqs:sweep_freqs)
+
 (* session samples against DC + the full sweep under the same per-sample
-   models, on dense and csr sessions *)
+   models, on dense and csr sessions; a csr session starts each sample's
+   Newton at its nominal operating point, so the reference starts there
+   too *)
 module Samples (A : Yield_circuits.Amplifier.S) = struct
   module T = Gtb.Make (A)
 
@@ -416,16 +427,20 @@ module Samples (A : Yield_circuits.Amplifier.S) = struct
         (fun solver ->
           let s = T.session ~solver p in
           let circuit = T.session_circuit s and sys = T.session_sys s in
+          let start =
+            match solver with
+            | Yield_numeric.Linsys.Dense -> None
+            | Csr -> (
+                match Dcop.solve ~sys circuit with
+                | Ok op -> Some op.Dcop.x
+                | Error _ -> None)
+          in
           for k = 1 to samples do
             let r = Rng.split rng in
             let full =
-              let models = Variation.overrides spec (Rng.copy r) circuit in
-              match Dcop.solve_with_retry ~sys ~models circuit with
-              | Error _ -> None
-              | Ok op ->
-                  Gtb.perf_of_bode Gtb.default_conditions
-                    (Ac.transfer_by_name ~sys circuit op ~out:"out"
-                       ~freqs:sweep_freqs)
+              full_sweep_perf ?start ~sys
+                ~models:(Variation.overrides spec (Rng.copy r) circuit)
+                circuit
             in
             let stopped = T.evaluate_in_session s ~spec ~rng:r in
             if stopped <> None then incr measured;
@@ -445,6 +460,175 @@ let test_stopped_sweep_session_samples () =
   let module M = Samples (Yield_circuits.Miller) in
   O.check "ota" ~designs:4 ~samples:128 ~seed:18;
   M.check "miller" ~designs:4 ~samples:128 ~seed:19
+
+(* ---------- warm-started csr samples ----------
+
+   A csr session starts each sample's Newton at its nominal operating
+   point; a dense one at the nodeset guess.  Warm and cold runs converge
+   to the same operating point to within Newton's tolerance, so every perf
+   field agrees to 1e-9 relative, and the warm start saves iterations. *)
+
+let c_warm_starts = Yield_obs.Metrics.counter "dcop.warm_starts"
+
+let c_warm_fallbacks = Yield_obs.Metrics.counter "dcop.warm_fallbacks"
+
+let c_dcop_iterations = Yield_obs.Metrics.counter "dcop.iterations"
+
+let close_perf what (expect : Gtb.perf option) (got : Gtb.perf option) =
+  match (expect, got) with
+  | None, None -> ()
+  | Some e, Some g ->
+      Array.iteri
+        (fun i x ->
+          let y = (perf_fields g).(i) in
+          let ok =
+            (Float.is_nan x && Float.is_nan y)
+            || Float.abs (x -. y)
+               <= 1e-9 *. Float.max (Float.abs x) (Float.abs y)
+          in
+          if not ok then
+            Alcotest.failf "%s field %d: cold %.17g, warm %.17g" what i x y)
+        (perf_fields e)
+  | _ -> Alcotest.failf "%s: outcome differs" what
+
+module Warm (A : Yield_circuits.Amplifier.S) = struct
+  module T = Gtb.Make (A)
+
+  let against_cold name ~designs ~samples ~seed =
+    let module M = Yield_obs.Metrics in
+    let rng = Rng.create seed in
+    let spec = Variation.default_spec in
+    let measured = ref 0 and warm_iters = ref 0 and cold_iters = ref 0 in
+    for d = 1 to designs do
+      let p = A.params_of_array (random_params A.param_ranges rng) in
+      let s = T.session ~solver:Yield_numeric.Linsys.Csr p in
+      let circuit = T.session_circuit s in
+      for k = 1 to samples do
+        let r = Rng.split rng in
+        let models = Variation.overrides spec (Rng.copy r) circuit in
+        let it0 = M.value c_dcop_iterations in
+        let reference =
+          full_sweep_perf ~sys:(T.session_sys s) ~models circuit
+        in
+        let it1 = M.value c_dcop_iterations and w0 = M.value c_warm_starts in
+        let warm = T.evaluate_in_session s ~spec ~rng:r in
+        Alcotest.(check int)
+          (Printf.sprintf "%s design %d sample %d: one warm start" name d k)
+          (w0 + 1) (M.value c_warm_starts);
+        cold_iters := !cold_iters + (it1 - it0);
+        warm_iters := !warm_iters + (M.value c_dcop_iterations - it1);
+        if warm <> None then incr measured;
+        close_perf
+          (Printf.sprintf "%s design %d sample %d" name d k)
+          reference warm
+      done
+    done;
+    Alcotest.(check bool) (name ^ ": most samples measured") true
+      (!measured > designs * samples / 2);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: fewer Newton iterations warm (%d) than cold (%d)"
+         name !warm_iters !cold_iters)
+      true
+      (2 * !warm_iters < !cold_iters)
+
+  (* dense sessions take no start *)
+  let dense_stays_cold () =
+    let module M = Yield_obs.Metrics in
+    let s = T.session A.default_params in
+    let w0 = M.value c_warm_starts in
+    for seed = 1 to 8 do
+      ignore
+        (T.evaluate_in_session s ~spec:Variation.default_spec
+           ~rng:(Rng.create seed))
+    done;
+    Alcotest.(check int) "no warm start on dense" w0 (M.value c_warm_starts)
+end
+
+let test_warm_against_cold () =
+  let module O = Warm (Ota) in
+  let module M = Warm (Yield_circuits.Miller) in
+  O.against_cold "ota" ~designs:4 ~samples:128 ~seed:21;
+  M.against_cold "miller" ~designs:4 ~samples:128 ~seed:22;
+  O.dense_stays_cold ();
+  M.dense_stays_cold ()
+
+(* a start that cannot converge costs one failed run, counted as a
+   fallback, and then the cold chain runs with the cold chain's bits *)
+let test_nan_start_falls_back () =
+  let module M = Yield_obs.Metrics in
+  let module T = Gtb.Make (Yield_circuits.Miller) in
+  List.iter
+    (fun backend ->
+      let circuit, _ = T.build Yield_circuits.Miller.default_params in
+      let sys = Yield_spice.Mna.sys ~backend circuit in
+      let n = Yield_spice.Mna.size (Yield_spice.Mna.sys_layout sys) in
+      let start = Array.make n Float.nan in
+      for seed = 1 to 4 do
+        let models =
+          Variation.overrides Variation.default_spec (Rng.create seed) circuit
+        in
+        let cold = Dcop.solve ~sys ~models circuit in
+        let w0 = M.value c_warm_starts and f0 = M.value c_warm_fallbacks in
+        let warm = Dcop.solve ~start ~sys ~models circuit in
+        Alcotest.(check int) "one warm start" (w0 + 1) (M.value c_warm_starts);
+        Alcotest.(check int) "one fallback" (f0 + 1) (M.value c_warm_fallbacks);
+        Alcotest.(check bool) "start untouched" true
+          (Array.for_all Float.is_nan start);
+        match (cold, warm) with
+        | Ok c, Ok w ->
+            Alcotest.(check int) "cold iterations" c.Dcop.iterations
+              w.Dcop.iterations;
+            Array.iteri
+              (fun i x ->
+                Alcotest.(check int64)
+                  (Printf.sprintf "unknown %d" i)
+                  (Int64.bits_of_float x)
+                  (Int64.bits_of_float w.Dcop.x.(i)))
+              c.Dcop.x
+        | _ -> Alcotest.fail "nan start changed the outcome"
+      done;
+      Alcotest.check_raises "start of the wrong size"
+        (Invalid_argument "Dcop.solve: start is not of the system's size")
+        (fun () -> ignore (Dcop.solve ~start:[| 0. |] ~sys circuit)))
+    [ Yield_numeric.Linsys.Dense; Csr ]
+
+(* with dcop.newton armed, a warm csr sample still takes one hit per solve
+   and goes on to gmin stepping from the nodeset guess, as a cold solve
+   does: no warm run is begun *)
+let test_newton_fault_warm_sample () =
+  let module Fault = Yield_resilience.Fault in
+  let module M = Yield_obs.Metrics in
+  let module T = Gtb.Make (Yield_circuits.Miller) in
+  let newton_hits = M.counter "fault.dcop.newton.hits" in
+  let gmin_hits = M.counter "fault.dcop.gmin.hits" in
+  let solve_hits = M.counter "fault.dcop.solve.hits" in
+  let h0 = M.value solve_hits in
+  let s =
+    T.session ~solver:Yield_numeric.Linsys.Csr
+      Yield_circuits.Miller.default_params
+  in
+  Alcotest.(check int) "the nominal solve is one checked solve" (h0 + 1)
+    (M.value solve_hits);
+  let circuit = T.session_circuit s and sys = T.session_sys s in
+  Fun.protect ~finally:Fault.reset (fun () ->
+      Fault.arm "dcop.newton" (Fault.Every 1);
+      for seed = 1 to 4 do
+        let r = Rng.create seed in
+        let models =
+          Variation.overrides Variation.default_spec (Rng.copy r) circuit
+        in
+        let reference = full_sweep_perf ~sys ~models circuit in
+        let n0 = M.value newton_hits and g0 = M.value gmin_hits in
+        let w0 = M.value c_warm_starts in
+        let warm =
+          T.evaluate_in_session s ~spec:Variation.default_spec ~rng:r
+        in
+        Alcotest.(check int) "one dcop.newton hit" (n0 + 1)
+          (M.value newton_hits);
+        Alcotest.(check int) "on to gmin stepping" (g0 + 1) (M.value gmin_hits);
+        Alcotest.(check int) "no warm run begun" w0 (M.value c_warm_starts);
+        check_perf_bits (Printf.sprintf "seed %d" seed) reference warm
+      done)
 
 (* the ac.solve fault still fires once per evaluation, before anything is
    factored, and the evaluation fails instead of crashing *)
@@ -667,6 +851,12 @@ let suites =
           test_stopped_sweep_random_designs;
         Alcotest.test_case "stopped sweep on session samples" `Quick
           test_stopped_sweep_session_samples;
+        Alcotest.test_case "warm csr samples against cold" `Quick
+          test_warm_against_cold;
+        Alcotest.test_case "unconverging start falls back" `Quick
+          test_nan_start_falls_back;
+        Alcotest.test_case "dcop.newton fault on a warm sample" `Quick
+          test_newton_fault_warm_sample;
         Alcotest.test_case "ac.solve fault under the stopped sweep" `Quick
           test_ac_fault_stopped_sweep;
         Alcotest.test_case "ac.points counter" `Quick test_ac_points_counter;

@@ -177,6 +177,22 @@ let test_prescreen_fingerprint () =
     (String.length with_ps >= String.length base
     && String.sub with_ps 0 (String.length base) = base)
 
+(* the dense fingerprint is an on-disk identity every existing dense
+   checkpoint was recorded under; the csr one names the warm Monte Carlo
+   start, so cold-started csr checkpoints are refused *)
+let test_solver_fingerprint () =
+  let dense = Config.fingerprint Config.fast_scale in
+  Alcotest.(check string) "dense literal"
+    "v1;seed=2008;pop=40;gens=25;mc=40;stride=4;control=3E" dense;
+  let csr =
+    Config.fingerprint { Config.fast_scale with Config.solver = "csr" }
+  in
+  Alcotest.(check bool) "csr differs from the cold-start tag" true
+    (csr <> "v1;seed=2008;pop=40;gens=25;mc=40;stride=4;control=3E;solver=csr");
+  Alcotest.(check bool) "csr extends the dense identity" true
+    (String.length csr > String.length dense
+    && String.sub csr 0 (String.length dense) = dense)
+
 let test_flow_prescreen () =
   (* wide-spec prescreen: provably-fail points skip their MC batch, so the
      run attempts strictly fewer samples than the unscreened reference and
@@ -334,6 +350,7 @@ let suites =
     ( "core.config",
       [
         Alcotest.test_case "scale names" `Quick test_config_env;
+        Alcotest.test_case "solver fingerprint" `Quick test_solver_fingerprint;
         Alcotest.test_case "prescreen fingerprint" `Quick
           test_prescreen_fingerprint;
       ] );

@@ -24,6 +24,7 @@ module Ga = Yield_ga.Ga
 module Wbga = Yield_ga.Wbga
 module Config = Yield_core.Config
 module Flow = Yield_core.Flow
+module Diagnostic = Yield_analyse.Diagnostic
 
 let mval name = Metrics.value (Metrics.counter name)
 
@@ -702,14 +703,48 @@ let test_flow_fingerprint_mismatch () =
   let dir = fresh_dir "flow-fp" in
   ignore (Flow.run ~checkpoint_dir:dir smoke_config);
   let other = { smoke_config with Config.seed = 48 } in
-  match Flow.run ~checkpoint_dir:dir ~resume:true other with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected a fingerprint-mismatch failure"
+  List.iter
+    (fun preflight ->
+      match Flow.run ~preflight ~checkpoint_dir:dir ~resume:true other with
+      | exception Flow.Refused diags ->
+          Alcotest.(check bool)
+            (Printf.sprintf "a C005 error (preflight %b)" preflight)
+            true
+            (List.exists
+               (fun d ->
+                 d.Diagnostic.code = "C005"
+                 && d.Diagnostic.severity = Diagnostic.Error)
+               diags);
+          Alcotest.(check int) "exit 2" 2 (Diagnostic.exit_code diags)
+      | _ -> Alcotest.fail "expected a fingerprint-mismatch refusal")
+    [ true; false ]
 
-let contains ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in
-  at 0
+(* a csr checkpoint written before csr samples started at the nominal
+   operating point carries the plain [solver=csr] tag; its points were
+   cold-started, so resuming over it is refused before any simulation,
+   with or without the preflight *)
+let test_flow_cold_csr_checkpoint_refused () =
+  let dir = fresh_dir "flow-cold-csr" in
+  let cold_csr =
+    "v1;seed=2008;pop=40;gens=25;mc=40;stride=4;control=3E;solver=csr"
+  in
+  (match Checkpoint.check_fingerprint (Checkpoint.create ~dir) cold_csr with
+  | Ok `Fresh -> ()
+  | Ok `Resumable | Error _ -> Alcotest.fail "fresh dir not recorded");
+  let config = { Config.fast_scale with Config.solver = "csr" } in
+  List.iter
+    (fun preflight ->
+      match Flow.run ~preflight ~checkpoint_dir:dir ~resume:true config with
+      | exception Flow.Refused diags ->
+          Alcotest.(check bool)
+            (Printf.sprintf "C005 (preflight %b)" preflight)
+            true
+            (List.exists (fun d -> d.Diagnostic.code = "C005") diags);
+          Alcotest.(check int) "exit 2" 2 (Diagnostic.exit_code diags)
+      | _ ->
+          Alcotest.failf "resumed a cold csr checkpoint (preflight %b)"
+            preflight)
+    [ true; false ]
 
 let test_flow_other_topology_refused () =
   (* an OTA checkpoint must not resume as the Miller flow's result, with or
@@ -732,9 +767,11 @@ let test_flow_other_topology_refused () =
         Miller_flow.run ~preflight ~checkpoint_dir:dir ~resume:true
           smoke_config
       with
-      | exception Failure msg ->
-          if preflight && not (contains ~needle:"C005" msg) then
-            Alcotest.failf "refused without C005: %s" msg
+      | exception Flow.Refused diags ->
+          if not (List.exists (fun d -> d.Diagnostic.code = "C005") diags)
+          then
+            Alcotest.failf "refused without C005: %s"
+              (Diagnostic.list_to_text diags)
       | _ ->
           Alcotest.failf "Miller resumed an OTA checkpoint (preflight %b)"
             preflight)
@@ -864,6 +901,8 @@ let suites =
           test_flow_fingerprint_mismatch;
         Alcotest.test_case "other topology refused" `Slow
           test_flow_other_topology_refused;
+        Alcotest.test_case "cold csr checkpoint refused" `Quick
+          test_flow_cold_csr_checkpoint_refused;
         Alcotest.test_case "20% dc fault rate" `Slow
           test_flow_with_20pct_dc_faults;
         Alcotest.test_case "total MC failure starves" `Slow
