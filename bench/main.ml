@@ -181,9 +181,9 @@ let solver_ab ctx =
   let spec = ctx.Experiments.config.Config.variation in
   let params = Yield_circuits.Miller.default_params in
   let samples =
-    match Sys.getenv_opt "YIELDLAB_FAST" with
-    | Some v when v <> "" && v <> "0" -> 50
-    | Some _ | None -> 200
+    match Config.scale_name ctx.Experiments.config with
+    | "paper-scale" -> 200
+    | _ -> 50
   in
   let run backend =
     let session = Mtb.session ~solver:backend params in
@@ -804,9 +804,7 @@ let generalisation_miller ctx =
   let module Miller = Yield_circuits.Miller in
   let module Mtb = Yield_circuits.Miller_testbench in
   let module Gtb = Yield_circuits.Testbench in
-  (* the Miller stage's unity gain is gm1/(2 pi Cc) ~ 7 MHz, so the
-     bandwidth floor moves accordingly *)
-  let conditions = { Gtb.default_conditions with Gtb.min_unity_gain_hz = 5e6 } in
+  let conditions = Mtb.conditions in
   let evaluate params =
     match Mtb.evaluate ~conditions (Miller.params_of_array params) with
     | Some p when Gtb.feasible conditions p -> Some (Gtb.objectives p)

@@ -49,17 +49,13 @@ module Sarif = Yield_analyse.Sarif
 
 open Cmdliner
 
-(* ---------- telemetry / resilience flags (shared by every subcommand) ---------- *)
+(* ---------- options and settings of every subcommand ---------- *)
 
 type obs_opts = {
   trace : string option;
   metrics : string option;
-  trace_stream : string option;
-  span_sample : string option;
-  snapshot_every : float option;
   verbose : bool;
   fault_spec : string option;
-  jobs : int option;
 }
 
 let obs_term =
@@ -81,39 +77,6 @@ let obs_term =
             "write a JSONL log of counters, histogram summaries and span \
              events")
   in
-  let trace_stream =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-stream" ] ~docv:"FILE"
-          ~doc:
-            "stream every span event to FILE as it happens (crash-tolerant, \
-             one flushed line per event): $(b,.jsonl) appends JSONL lines, \
-             any other $(b,.json) grows a Chrome trace array.  Unlike \
-             $(b,--trace)/$(b,--metrics), the stream sees the complete \
-             event log even when it exceeds the in-memory span window")
-  in
-  let span_sample =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "span-sample" ] ~docv:"SPEC"
-          ~doc:
-            "thin high-frequency spans deterministically, e.g. \
-             'mc.batch=0.1;exec.*=0'.  NAME=RATE clauses separated by ';' \
-             or ','; a trailing $(b,*) matches by prefix.  Decisions hash \
-             the span's (name, key) only, so the kept set is identical at \
-             any $(b,--jobs) count.  Metrics still see every span")
-  in
-  let snapshot_every =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "snapshot-every" ] ~docv:"SECONDS"
-          ~doc:
-            "with $(b,--trace-stream), also append a metrics-delta snapshot \
-             line every SECONDS seconds (progress counters survive a crash)")
-  in
   let verbose =
     Arg.(
       value & flag
@@ -133,108 +96,112 @@ let obs_term =
              serve.accept, serve.reload.  Schedules: rate= (with optional \
              seed=), count=, every=, at=")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "evaluate over N domains; every parallel stage (WBGA, front \
-             re-simulation, Monte Carlo) obeys the same setting and results \
-             are identical for any N.  Default: the $(b,YIELDLAB_JOBS) \
-             environment variable, else the recommended domain count; 1 \
-             runs serially")
-  in
   Term.(
-    const (fun trace metrics trace_stream span_sample snapshot_every verbose
-               fault_spec jobs ->
-        {
-          trace;
-          metrics;
-          trace_stream;
-          span_sample;
-          snapshot_every;
-          verbose;
-          fault_spec;
-          jobs;
-        })
-    $ trace $ metrics $ trace_stream $ span_sample $ snapshot_every $ verbose
-    $ fault_spec $ jobs)
+    const (fun trace metrics verbose fault_spec ->
+        { trace; metrics; verbose; fault_spec })
+    $ trace $ metrics $ verbose $ fault_spec)
 
-(* run a subcommand under the telemetry options, flushing the sinks on the
-   way out (also when the command raises) *)
-let with_obs opts run =
+(* the flags of the settings a command of [scope] takes (every subcommand
+   the global ones, flow and lint config all), as the raw text each was
+   given, keyed by setting name *)
+let settings_term scope =
+  List.fold_left
+    (fun acc (s : Config.setting) ->
+      let flag_info =
+        Arg.info s.Config.flags ?docv:s.Config.docv
+          ~doc:
+            (Printf.sprintf "%s.  Also read from $(b,%s)" s.Config.doc
+               s.Config.var)
+      in
+      let given =
+        match s.Config.docv with
+        | None ->
+            Term.(
+              const (fun on -> if on then Some "1" else None)
+              $ Arg.(value & flag flag_info))
+        | Some _ -> Arg.(value & opt (some string) None flag_info)
+      in
+      Term.(
+        const (fun acc -> function
+          | None -> acc
+          | Some raw -> (s.Config.name, raw) :: acc)
+        $ acc $ given))
+    (Term.const []) (Config.taken_by scope)
+
+(* the refusal of malformed settings (C006-C008): print every diagnostic,
+   exit 2 *)
+let refuse_settings diags =
+  List.iter
+    (fun d -> Printf.eprintf "yieldlab: %s\n" (Diagnostic.to_text d))
+    diags;
+  2
+
+(* run a subcommand over its resolved settings, with telemetry armed and
+   flushed on the way out (also when the command raises) *)
+let with_obs scope opts flags run =
   Obs.set_verbose opts.verbose;
-  (* record the global flag before any subcommand reads the config: every
-     Yield_exec.Jobs.resolve () from here on sees it *)
-  Yield_exec.Jobs.set_requested opts.jobs;
-  (match opts.span_sample with
-  | None -> ()
-  | Some spec -> begin
-      match Obs.set_span_sample spec with
-      | Ok () -> ()
-      | Error msg ->
-          Printf.eprintf "yieldlab: bad --span-sample: %s\n" msg;
-          exit 2
-    end);
-  (match opts.snapshot_every with
-  | Some s when s <= 0. ->
-      Printf.eprintf "yieldlab: --snapshot-every must be positive\n";
-      exit 2
-  | Some _ when opts.trace_stream = None ->
-      Printf.eprintf "yieldlab: --snapshot-every needs --trace-stream\n";
-      exit 2
-  | Some _ | None -> ());
-  (match opts.trace_stream with
-  | None -> ()
-  | Some path -> begin
-      (* armed before the run so the CLI flags win over any
-         YIELDLAB_TRACE_STREAM the flow config would apply *)
-      try Obs.start_stream ?snapshot_every_s:opts.snapshot_every ~path ()
-      with Sys_error msg ->
-        Printf.eprintf "yieldlab: cannot open --trace-stream: %s\n" msg;
-        exit 1
-    end);
-  (match opts.fault_spec with
-  | None -> ()
-  | Some spec -> begin
-      (* static validation first: arming registers the named points, so a
-         typo would otherwise silently create a schedule that never fires *)
-      let diags = Config_lint.check_fault_spec spec in
-      List.iter
-        (fun d -> Printf.eprintf "yieldlab: %s\n" (Diagnostic.to_text d))
-        diags;
-      if Diagnostic.count Diagnostic.Error diags > 0 then exit 2;
-      match Fault.arm_spec spec with
-      | Ok () ->
+  match Config.resolve ~scope ~flags (Config.base ()) with
+  | Error diags -> run (Error diags)
+  | Ok config ->
+      let tel = config.Config.telemetry in
+      (try
+         Obs.ensure_telemetry ?trace_stream:tel.Config.trace_stream
+           ?span_sample:tel.Config.span_sample
+           ?snapshot_every_s:tel.Config.snapshot_every_s ()
+       with Sys_error msg ->
+         Printf.eprintf "yieldlab: cannot open the trace stream: %s\n" msg;
+         exit 1);
+      (match opts.fault_spec with
+      | None -> ()
+      | Some spec -> begin
+          (* static validation first: arming registers the named points, so a
+             typo would otherwise silently create a schedule that never fires *)
+          let diags = Config_lint.check_fault_spec spec in
           List.iter
-            (fun (name, mode) ->
-              Printf.eprintf "yieldlab: fault armed: %s %s\n" name
-                (Fault.mode_to_string mode))
-            (Fault.armed ())
-      | Error msg ->
-          Printf.eprintf "yieldlab: bad --fault-spec: %s\n" msg;
-          exit 2
-    end);
-  let flush () =
-    (* the stream first: its final snapshot and metric lines must include
-       everything the run recorded *)
-    Obs.stop_stream ();
-    (try Obs.flush ?trace:opts.trace ?metrics:opts.metrics ()
-     with Sys_error msg ->
-       Printf.eprintf "yieldlab: cannot write telemetry: %s\n" msg;
-       exit 1);
-    if opts.verbose then prerr_string (Obs.summary ())
-  in
-  Fun.protect ~finally:flush (fun () ->
-      try run ()
-      with Fault.Injected what ->
-        (* an armed crash point fired: behave like a kill, but exit cleanly
-           enough that the telemetry sinks above still flush *)
-        Printf.eprintf "yieldlab: simulated crash (fault injected): %s\n" what;
-        10)
+            (fun d -> Printf.eprintf "yieldlab: %s\n" (Diagnostic.to_text d))
+            diags;
+          if Diagnostic.count Diagnostic.Error diags > 0 then exit 2;
+          match Fault.arm_spec spec with
+          | Ok () ->
+              List.iter
+                (fun (name, mode) ->
+                  Printf.eprintf "yieldlab: fault armed: %s %s\n" name
+                    (Fault.mode_to_string mode))
+                (Fault.armed ())
+          | Error msg ->
+              Printf.eprintf "yieldlab: bad --fault-spec: %s\n" msg;
+              exit 2
+        end);
+      let flush () =
+        (* the stream first: its final snapshot and metric lines must include
+           everything the run recorded *)
+        Obs.stop_stream ();
+        (try Obs.flush ?trace:opts.trace ?metrics:opts.metrics ()
+         with Sys_error msg ->
+           Printf.eprintf "yieldlab: cannot write telemetry: %s\n" msg;
+           exit 1);
+        if opts.verbose then prerr_string (Obs.summary ())
+      in
+      Fun.protect ~finally:flush (fun () ->
+          try run (Ok config)
+          with Fault.Injected what ->
+            (* an armed crash point fired: behave like a kill, but exit cleanly
+               enough that the telemetry sinks above still flush *)
+            Printf.eprintf "yieldlab: simulated crash (fault injected): %s\n" what;
+            10)
 
-let obs_cmd info term = Cmd.v info Term.(const with_obs $ obs_term $ term)
+(* a subcommand over the resolved settings of [scope] *)
+let settings_cmd scope info term =
+  Cmd.v info
+    Term.(const (with_obs scope) $ obs_term $ settings_term scope $ term)
+
+let obs_cmd ?(scope = Config.Global) info term =
+  settings_cmd scope info
+    Term.(
+      const (fun body -> function
+        | Ok config -> body config
+        | Error diags -> refuse_settings diags)
+      $ term)
 
 (* ---------- shared arguments ---------- *)
 
@@ -301,17 +268,14 @@ let ota_eval_cmd =
   in
   obs_cmd
     (Cmd.info "ota-eval" ~doc:"evaluate one OTA sizing at transistor level")
-    Term.(const (fun p n () -> ota_eval p n) $ param_term $ netlist_flag)
+    Term.(const (fun p n _ -> ota_eval p n) $ param_term $ netlist_flag)
 
 (* ---------- miller-eval ---------- *)
 
 let miller_eval params =
   let module Mtb = Yield_circuits.Miller_testbench in
   let module Gtb = Yield_circuits.Testbench in
-  let conditions =
-    { Gtb.default_conditions with Gtb.min_unity_gain_hz = 5e6 }
-  in
-  match Mtb.evaluate ~conditions params with
+  match Mtb.evaluate ~conditions:Mtb.conditions params with
   | Some p ->
       Printf.printf "gain          %8.2f dB\n" p.Gtb.gain_db;
       Printf.printf "phase margin  %8.2f deg\n" p.Gtb.phase_margin_deg;
@@ -345,7 +309,7 @@ let miller_eval_cmd =
   obs_cmd
     (Cmd.info "miller-eval"
        ~doc:"evaluate a two-stage Miller OTA sizing at transistor level")
-    Term.(const (fun p () -> miller_eval p) $ miller_param_term)
+    Term.(const (fun p _ -> miller_eval p) $ miller_param_term)
 
 (* ---------- corners ---------- *)
 
@@ -368,14 +332,14 @@ let corners params =
 let corners_cmd =
   obs_cmd
     (Cmd.info "corners" ~doc:"evaluate a design across process corners")
-    Term.(const (fun p () -> corners p) $ param_term)
+    Term.(const (fun p _ -> corners p) $ param_term)
 
 (* ---------- mc ---------- *)
 
-let mc params samples seed min_gain min_pm =
+let mc params samples seed min_gain min_pm (config : Config.t) =
   let rng = Rng.create seed in
   let outcome =
-    Yield_exec.Pool.with_pool ~jobs:(Yield_exec.Jobs.resolve ()) (fun pool ->
+    Yield_exec.Pool.with_pool ~jobs:config.jobs (fun pool ->
         Montecarlo.run_pool_counted ~pool ~samples ~rng (fun r ->
             Tb.evaluate_sampled ~spec:Variation.default_spec ~rng:r params))
   in
@@ -432,12 +396,11 @@ let mc_cmd =
   obs_cmd
     (Cmd.info "mc" ~doc:"Monte Carlo analysis of one design")
     Term.(
-      const (fun p n s g m () -> mc p n s g m)
-      $ param_term $ samples_term 200 $ seed_term $ gain $ pm)
+      const mc $ param_term $ samples_term 200 $ seed_term $ gain $ pm)
 
 (* ---------- optimize ---------- *)
 
-let optimize population generations seed out =
+let optimize population generations seed out (settings : Config.t) =
   let config =
     { Ga.default_config with Ga.population_size = population; generations }
   in
@@ -448,7 +411,7 @@ let optimize population generations seed out =
     | Some _ | None -> None
   in
   let result =
-    Yield_exec.Pool.with_pool ~jobs:(Yield_exec.Jobs.resolve ()) (fun pool ->
+    Yield_exec.Pool.with_pool ~jobs:settings.jobs (fun pool ->
         Wbga.run ~config ~pool ~param_ranges:Ota.param_ranges
           ~objectives:
             [|
@@ -494,8 +457,7 @@ let optimize_cmd =
   obs_cmd
     (Cmd.info "optimize" ~doc:"run the WBGA multi-objective optimisation")
     Term.(
-      const (fun p g s o () -> optimize p g s o)
-      $ pop $ gens $ seed_term $ out)
+      const optimize $ pop $ gens $ seed_term $ out)
 
 (* ---------- flow ---------- *)
 
@@ -523,37 +485,49 @@ let report_flow ~out_dir flow =
   List.iter (Printf.printf "wrote %s\n") written;
   0
 
-let run_flow fast topology out_dir checkpoint_dir resume no_preflight prescreen
-    solver telemetry =
-  let config = if fast then Config.fast_scale else Config.paper_scale in
-  let config =
-    {
-      config with
-      Config.jobs = Yield_exec.Jobs.resolve ();
-      solver;
-      telemetry;
-      prescreen;
-    }
-  in
-  let preflight = not no_preflight in
-  match
-    match topology with
-    | `Ota ->
-        Flow.run ~log:print_endline ~preflight ?checkpoint_dir ~resume config
+(* --topology, shared by flow and lint config: the chosen amplifier's flow
+   and the testbench conditions it runs under *)
+let topology_term =
+  let topology = function
+    | `Ota -> ((module Flow.Ota_flow : Flow.S), Tb.default_conditions)
     | `Miller ->
-        let module Miller_flow = Flow.Make (Yield_circuits.Miller) in
-        let config =
-          {
-            config with
-            Config.conditions =
-              {
-                Yield_circuits.Testbench.default_conditions with
-                Yield_circuits.Testbench.min_unity_gain_hz = 5e6;
-              };
-          }
-        in
-        Miller_flow.run ~log:print_endline ~preflight ?checkpoint_dir ~resume
-          config
+        ( (module Flow.Make (Yield_circuits.Miller) : Flow.S),
+          Yield_circuits.Miller_testbench.conditions )
+  in
+  Term.(
+    const topology
+    $ Arg.(
+        value
+        & opt (enum [ ("ota", `Ota); ("miller", `Miller) ]) `Ota
+        & info [ "topology" ] ~docv:"NAME"
+            ~doc:"circuit topology (ota or miller)"))
+
+(* --checkpoint and --resume, shared by flow and lint config (which
+   dry-runs the check flow would make) *)
+let checkpoint_term =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "checkpoint" ] ~docv:"DIR"
+        ~doc:
+          "persist per-stage progress (WBGA generations, Monte Carlo \
+           points) under DIR; combine with $(b,--resume) to continue a \
+           killed run")
+
+let resume_term =
+  Arg.(
+    value & flag
+    & info [ "resume" ]
+        ~doc:
+          "continue from the state in $(b,--checkpoint) DIR; the resumed run \
+           is bit-identical to an uninterrupted one")
+
+let flow ((module F : Flow.S), conditions) out_dir checkpoint_dir resume
+    no_preflight config =
+  let config = { config with Config.conditions } in
+  match
+    F.run ~log:print_endline ~preflight:(not no_preflight) ?checkpoint_dir
+      ~resume config
   with
   | flow -> report_flow ~out_dir flow
   | exception Flow.Refused diags ->
@@ -562,50 +536,13 @@ let run_flow fast topology out_dir checkpoint_dir resume no_preflight prescreen
         "yieldlab: flow refused before any simulation (%d error(s))\n"
         (Diagnostic.count Diagnostic.Error diags);
       2
-
-(* the C008 refusal of malformed settings: print every diagnostic, exit 2 *)
-let refuse_settings diags =
-  List.iter (fun d -> Printf.eprintf "yieldlab: %s\n" (Diagnostic.to_text d)) diags;
-  2
-
-let setting_errors = function Ok _ -> [] | Error diags -> diags
-
-let flow fast topology out_dir checkpoint_dir resume no_preflight prescreen
-    solver =
-  match (Config.telemetry_of_env (), prescreen) with
-  | Ok telemetry, Ok prescreen ->
-      run_flow fast topology out_dir checkpoint_dir resume no_preflight
-        prescreen solver telemetry
-  | t, p -> refuse_settings (setting_errors t @ setting_errors p)
+  | exception Flow.Unfinished reason ->
+      Printf.eprintf "yieldlab: flow could not finish: %s\n" reason;
+      1
 
 let flow_cmd =
-  let fast = Arg.(value & flag & info [ "fast" ] ~doc:"reduced-scale run") in
-  let topology =
-    Arg.(
-      value
-      & opt (enum [ ("ota", `Ota); ("miller", `Miller) ]) `Ota
-      & info [ "topology" ] ~docv:"NAME" ~doc:"circuit topology (ota or miller)")
-  in
   let out_dir =
     Arg.(value & opt string "." & info [ "out-dir" ] ~docv:"DIR" ~doc:"where to write the model tables")
-  in
-  let checkpoint_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"DIR"
-          ~doc:
-            "persist per-stage progress (WBGA generations, Monte Carlo \
-             points) under DIR; combine with $(b,--resume) to continue a \
-             killed run")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "continue from the state in $(b,--checkpoint) DIR; the resumed \
-             run is bit-identical to an uninterrupted one")
   in
   let no_preflight =
     Arg.(
@@ -616,82 +553,11 @@ let flow_cmd =
              checkpoint fingerprint dry-run, netlist lint) that otherwise \
              aborts the run on error-severity findings")
   in
-  let prescreen_flag =
-    Arg.(
-      value & flag
-      & info [ "prescreen" ]
-          ~doc:
-            "corner-proof Monte Carlo pre-screen: push every analysed \
-             Pareto point's parameter box through the interval DC/AC model \
-             first — provably-fail points skip their MC batch (yield 0 with \
-             the enclosure as provenance), provably-pass points may run a \
-             reduced budget ($(b,--prescreen-budget)), undecided points run \
-             unchanged")
-  in
-  let prescreen_k =
-    Arg.(
-      value
-      & opt float Config.no_prescreen.Config.k_sigma
-      & info [ "prescreen-k" ] ~docv:"SIGMA"
-          ~doc:
-            "truncate the proof's parameter box at K sigmas; verdicts about \
-             unbounded Monte Carlo hold up to the normal mass outside the \
-             box (see DESIGN.md)")
-  in
-  let prescreen_min_gain =
-    Arg.(
-      value
-      & opt float Config.no_prescreen.Config.min_gain_db
-      & info [ "prescreen-min-gain" ] ~docv:"DB"
-          ~doc:"spec window floor on DC gain for the Y-code verdicts")
-  in
-  let prescreen_min_pm =
-    Arg.(
-      value
-      & opt float Config.no_prescreen.Config.min_pm_deg
-      & info [ "prescreen-min-pm" ] ~docv:"DEG"
-          ~doc:"spec window floor on phase margin for the Y-code verdicts")
-  in
-  let prescreen_budget =
-    Arg.(
-      value
-      & opt float Config.no_prescreen.Config.pass_budget_frac
-      & info [ "prescreen-budget" ] ~docv:"FRAC"
-          ~doc:
-            "fraction of the MC budget a provably-pass point still runs \
-             (in (0, 1]; 1 disables the shrink; any other value is refused \
-             with C008)")
-  in
-  let prescreen_term =
-    let build enabled k g pm b =
-      if not enabled then Config.prescreen_of_env ()
-      else
-        Config.prescreen_of_flags ~k_sigma:k ~min_gain_db:g ~min_pm_deg:pm
-          ~pass_budget_frac:b
-    in
-    Term.(
-      const build $ prescreen_flag $ prescreen_k $ prescreen_min_gain
-      $ prescreen_min_pm $ prescreen_budget)
-  in
-  let solver =
-    Arg.(
-      value
-      & opt string (Config.solver_of_env ())
-      & info [ "solver" ] ~docv:"NAME"
-          ~doc:
-            "linear-solver backend for the Monte Carlo inner loop: \
-             $(b,dense) (the default; bit-identical to historical runs) or \
-             $(b,csr) (sparse LU with a cached symbolic factorisation per \
-             topology).  Defaults to \\$YIELDLAB_SOLVER when set.  The \
-             optimisation and nominal-front stages always run dense, so \
-             perf_model.tbl is solver-independent")
-  in
-  obs_cmd
+  obs_cmd ~scope:Config.Flow
     (Cmd.info "flow" ~doc:"run the full model-generation flow (Figure 3)")
     Term.(
-      const (fun f t o c r n p s () -> flow f t o c r n p s)
-      $ fast $ topology $ out_dir $ checkpoint_dir $ resume $ no_preflight
-      $ prescreen_term $ solver)
+      const flow $ topology_term $ out_dir $ checkpoint_term $ resume_term
+      $ no_preflight)
 
 (* ---------- design ---------- *)
 
@@ -765,7 +631,7 @@ let design_cmd =
   obs_cmd
     (Cmd.info "design" ~doc:"yield-targeted design query against saved tables")
     Term.(
-      const (fun d g p n () -> design d g p n)
+      const (fun d g p n _ -> design d g p n)
       $ tables_dir_term $ gain $ pm $ no_preflight_term)
 
 (* ---------- filter ---------- *)
@@ -792,7 +658,7 @@ let filter_cmd =
   in
   obs_cmd
     (Cmd.info "filter" ~doc:"design the Section 5 anti-aliasing filter")
-    Term.(const (fun g r s () -> filter_design g r s) $ gain $ rout $ seed_term)
+    Term.(const (fun g r s _ -> filter_design g r s) $ gain $ rout $ seed_term)
 
 (* ---------- step ---------- *)
 
@@ -817,7 +683,7 @@ let step_cmd =
   in
   obs_cmd
     (Cmd.info "step" ~doc:"unity-gain follower step response (transient)")
-    Term.(const (fun p a () -> step p a) $ param_term $ amplitude)
+    Term.(const (fun p a _ -> step p a) $ param_term $ amplitude)
 
 (* ---------- noise ---------- *)
 
@@ -840,7 +706,7 @@ let noise params =
 let noise_cmd =
   obs_cmd
     (Cmd.info "noise" ~doc:"input-referred noise of a design")
-    Term.(const (fun p () -> noise p) $ param_term)
+    Term.(const (fun p _ -> noise p) $ param_term)
 
 (* ---------- sensitivity ---------- *)
 
@@ -878,7 +744,7 @@ let sensitivity params =
 let sensitivity_cmd =
   obs_cmd
     (Cmd.info "sensitivity" ~doc:"global-variation sensitivity of a design")
-    Term.(const (fun p () -> sensitivity p) $ param_term)
+    Term.(const (fun p _ -> sensitivity p) $ param_term)
 
 (* ---------- export-va ---------- *)
 
@@ -904,7 +770,7 @@ let export_va_cmd =
     (Cmd.info "export-va"
        ~doc:"emit the Verilog-A behavioural module and its table files")
     Term.(
-      const (fun t o n () -> export_va t o n)
+      const (fun t o n _ -> export_va t o n)
       $ tables_dir_term $ out_dir $ no_preflight_term)
 
 (* ---------- netlist ---------- *)
@@ -1024,7 +890,7 @@ let netlist_cmd =
   in
   obs_cmd
     (Cmd.info "netlist" ~doc:"parse a netlist and print its DC operating point")
-    Term.(const (fun p print () -> netlist_run ~print p) $ path $ print)
+    Term.(const (fun p print _ -> netlist_run ~print p) $ path $ print)
 
 (* ---------- lint ---------- *)
 
@@ -1149,7 +1015,7 @@ let lint_netlist_cmd =
           .ac/.tran analysis-card preconditions (reachability, interval \
           time-constant bounds)")
     Term.(
-      const (fun j s b w t fs () -> lint_netlist j s b w t fs)
+      const (fun j s b w t fs _ -> lint_netlist j s b w t fs)
       $ json_flag $ sarif_term $ baseline_term $ write_baseline_term
       $ topology $ files)
 
@@ -1187,65 +1053,27 @@ let lint_tbl_cmd =
          "lint .tbl table models: monotone axes, NaN/Inf cells, control \
           string consistency")
     Term.(
-      const (fun j s b w a c fs () -> lint_tbl j s b w a c fs)
+      const (fun j s b w a c fs _ -> lint_tbl j s b w a c fs)
       $ json_flag $ sarif_term $ baseline_term $ write_baseline_term
       $ axes $ control $ files)
 
-let lint_config json sarif baseline write_baseline fast checkpoint_dir resume
-    fault_spec_check =
-  let config =
-    {
-      (if fast then Config.fast_scale else Config.paper_scale) with
-      Config.solver = Config.solver_of_env ();
-    }
+let lint_config json sarif baseline write_baseline
+    ((module F : Flow.S), conditions) checkpoint_dir resume fault_spec_check
+    settings =
+  let diags =
+    match settings with
+    | Error refused -> refused
+    | Ok config ->
+        F.check_config ?checkpoint_dir ~resume { config with Config.conditions }
   in
-  let view =
-    {
-      Config_lint.population = config.Config.ga.Ga.population_size;
-      generations = config.Config.ga.Ga.generations;
-      mc_samples = config.Config.mc_samples;
-      front_stride = config.Config.front_stride;
-      control = config.Config.control;
-      seed = config.Config.seed;
-      jobs = Yield_exec.Jobs.resolve ();
-      solver = config.Config.solver;
-      (* no testbench is built here, so the csr size heuristic stays mute *)
-      system_size = None;
-      fingerprint = Config.fingerprint config;
-    }
-  in
-  let diags = Config_lint.check ?checkpoint_dir ~resume view in
-  (* the env settings the flow would refuse (C008) *)
-  let setting_diags = setting_errors (Config.of_env ()) in
   let fault_diags =
     match fault_spec_check with
     | None -> []
     | Some spec -> Config_lint.check_fault_spec spec
   in
-  report_diags ?sarif ?baseline ~write_baseline ~json
-    (diags @ setting_diags @ fault_diags)
+  report_diags ?sarif ?baseline ~write_baseline ~json (diags @ fault_diags)
 
 let lint_config_cmd =
-  let fast =
-    Arg.(
-      value & flag
-      & info [ "fast" ] ~doc:"lint the reduced-scale config (as `flow --fast`)")
-  in
-  let checkpoint_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"DIR"
-          ~doc:
-            "dry-run the checkpoint compatibility check against DIR \
-             (fingerprint match, resumability)")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:"lint as if the flow would be resumed from $(b,--checkpoint)")
-  in
   let fault_spec_check =
     Arg.(
       value
@@ -1256,15 +1084,16 @@ let lint_config_cmd =
              registered points, schedules must be able to fire) without \
              arming it")
   in
-  obs_cmd
+  settings_cmd Config.Flow
     (Cmd.info "config"
        ~doc:
-         "preflight the flow configuration: scale cross-checks, checkpoint \
-          fingerprint dry-run, fault-spec validation")
+         "preflight the configuration flow would run under the same \
+          settings and topology: scale cross-checks, checkpoint fingerprint \
+          dry-run, fault-spec validation")
     Term.(
-      const (fun j sa b w f c r s () -> lint_config j sa b w f c r s)
-      $ json_flag $ sarif_term $ baseline_term $ write_baseline_term
-      $ fast $ checkpoint_dir $ resume $ fault_spec_check)
+      const lint_config $ json_flag $ sarif_term $ baseline_term
+      $ write_baseline_term $ topology_term $ checkpoint_term $ resume_term
+      $ fault_spec_check)
 
 let window_conv =
   let parse s =
@@ -1326,7 +1155,7 @@ let lint_va_cmd =
           $table_model shape and control strings, referenced .tbl files, \
           use-before-assign, interval spec-window coverage")
     Term.(
-      const (fun j s b w d g p fs () -> lint_va j s b w d g p fs)
+      const (fun j s b w d g p fs _ -> lint_va j s b w d g p fs)
       $ json_flag $ sarif_term $ baseline_term $ write_baseline_term
       $ dir $ gain_window $ pm_window $ files)
 
@@ -1385,7 +1214,7 @@ let lint_corners_cmd =
           undecided spec verdicts with (gain, PM) enclosures as evidence \
           (Y codes), against the first .ac card's sweep and probe")
     Term.(
-      const (fun j s b w k g p fs () -> lint_corners j s b w k g p fs)
+      const (fun j s b w k g p fs _ -> lint_corners j s b w k g p fs)
       $ json_flag $ sarif_term $ baseline_term $ write_baseline_term
       $ k_sigma $ min_gain $ min_pm $ files)
 
@@ -1410,7 +1239,7 @@ let lint_codes_cmd =
          "list every stable diagnostic code with its registry description \
           (the same registry SARIF rule metadata is generated from); CI \
           diffs this against the README code table")
-    Term.(const (fun j () -> lint_codes j) $ json_flag)
+    Term.(const (fun j _ -> lint_codes j) $ json_flag)
 
 let lint_cmd =
   Cmd.group
@@ -1441,12 +1270,13 @@ let addr_conv ~what =
 
 let default_addr = Addr.Unix_sock "yieldlab.sock"
 
-let serve listen tables_dir deadline_ms queue_cap max_conns drain_grace quiet =
+let serve listen tables_dir deadline_ms queue_cap max_conns drain_grace quiet
+    (config : Config.t) =
   let log = if quiet then ignore else prerr_endline in
   let cfg =
     {
       (Server.default ~addr:listen ~tables_dir) with
-      Server.jobs = Yield_exec.Jobs.resolve ();
+      Server.jobs = config.jobs;
       deadline_s = deadline_ms /. 1e3;
       queue_capacity = queue_cap;
       max_conns;
@@ -1504,7 +1334,7 @@ let serve_cmd =
           per-request deadlines, bounded-queue load shedding, lint-gated \
           hot reload on SIGHUP, graceful drain on SIGTERM")
     Term.(
-      const (fun l t d q m g quiet () -> serve l t d q m g quiet)
+      const serve
       $ listen $ tables_dir_term $ deadline_ms $ queue_cap $ max_conns
       $ drain_grace $ quiet)
 
@@ -1594,7 +1424,7 @@ let loadgen_cmd =
           and latency percentiles (p50/p95/p99); $(b,--probe) sends one \
           admin request for smoke checks")
     Term.(
-      const (fun a c d s p o () -> loadgen a c d s p o)
+      const (fun a c d s p o _ -> loadgen a c d s p o)
       $ addr $ clients $ duration $ seed $ probe_op $ out)
 
 (* ---------- main ---------- *)

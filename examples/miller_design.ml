@@ -18,13 +18,10 @@ module Montecarlo = Yield_process.Montecarlo
 module Miller_flow = Flow.Make (Miller)
 
 let () =
-  (* the Miller stage's GBW is gm1/(2 pi Cc) ~ 7 MHz, so the bandwidth
-     floor of the eq. 1 constraint moves accordingly *)
   let config =
     {
       Config.fast_scale with
-      Config.conditions =
-        { Gtb.default_conditions with Gtb.min_unity_gain_hz = 5e6 };
+      Config.conditions = Yield_circuits.Miller_testbench.conditions;
       ga = { Ga.default_config with Ga.population_size = 40; generations = 25 };
       mc_samples = 20;
       front_stride = 2;

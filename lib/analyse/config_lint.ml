@@ -12,14 +12,10 @@ type view = {
   control : string;
   seed : int;
   jobs : int;
-  solver : string;
-  system_size : int option;
   fingerprint : string;
 }
 
 let min_valid_mc_samples = 8
-
-let csr_min_size = 8
 
 let scale_checks v =
   let positive name value =
@@ -74,14 +70,14 @@ let stride_checks v =
     else []
   end
 
+let jobs_below_one ~setting jobs =
+  diag ~code:"C006" ~severity:Diagnostic.Error ~subject:setting
+    (Printf.sprintf
+       "%s must be at least 1 (got %d); 1 means the serial code path" setting
+       jobs)
+
 let jobs_checks v =
-  if v.jobs < 1 then
-    [
-      diag ~code:"C006" ~severity:Diagnostic.Error ~subject:"jobs"
-        (Printf.sprintf
-           "jobs must be at least 1 (got %d); 1 means the serial code path"
-           v.jobs);
-    ]
+  if v.jobs < 1 then [ jobs_below_one ~setting:"jobs" v.jobs ]
   else begin
     let recommended = Domain.recommended_domain_count () in
     if v.jobs > recommended then
@@ -95,28 +91,10 @@ let jobs_checks v =
     else []
   end
 
-let solver_checks v =
-  let module Linsys = Yield_numeric.Linsys in
-  match Linsys.backend_of_string v.solver with
-  | None ->
-      [
-        diag ~code:"C007" ~severity:Diagnostic.Error ~subject:v.solver
-          (Printf.sprintf "unknown solver %S (known: %s)" v.solver
-             (String.concat ", " Linsys.backend_names));
-      ]
-  | Some Linsys.Dense -> []
-  | Some Linsys.Csr -> begin
-      match v.system_size with
-      | Some n when n < csr_min_size ->
-          [
-            diag ~code:"C007" ~severity:Diagnostic.Warning ~subject:v.solver
-              (Printf.sprintf
-                 "solver=csr on a %d-unknown system (below %d): symbolic \
-                  analysis overhead will dominate — dense is faster here"
-                 n csr_min_size);
-          ]
-      | Some _ | None -> []
-    end
+let unknown_solver ~setting name =
+  diag ~code:"C007" ~severity:Diagnostic.Error ~subject:setting
+    (Printf.sprintf "%s=%S is not a known solver (known: %s)" setting name
+       (String.concat ", " Yield_numeric.Linsys.backend_names))
 
 let malformed_setting ~setting ~value ~expected =
   diag ~code:"C008" ~severity:Diagnostic.Error ~subject:setting
@@ -156,7 +134,7 @@ let checkpoint_checks ?checkpoint_dir ?(resume = false) v =
 
 let check ?checkpoint_dir ?resume v =
   scale_checks v @ mc_checks v @ stride_checks v @ jobs_checks v
-  @ solver_checks v @ control_checks v
+  @ control_checks v
   @ checkpoint_checks ?checkpoint_dir ?resume v
 
 let never_fires mode =

@@ -21,10 +21,8 @@
       contends for cores instead of adding throughput)
     - [C005] checkpoint dry-run: fingerprint mismatch (error), resumable
       state present without [--resume] (info: it will be discarded)
-    - [C007] solver name not known to
-      {!Yield_numeric.Linsys.backend_of_string} (error), or [csr] requested
-      on a system smaller than {!csr_min_size} unknowns (warning: symbolic
-      overhead dominates, dense is faster)
+    - [C007] (error) a solver name not known to
+      {!Yield_numeric.Linsys.backend_of_string} ({!unknown_solver})
     - [C008] (error) a malformed setting: an env variable or CLI flag whose
       value does not parse or lies outside its domain
       ({!malformed_setting}).  It is refused, never replaced by a default
@@ -41,11 +39,6 @@ type view = {
   control : string;
   seed : int;
   jobs : int;
-  solver : string;
-      (** raw [--solver] / [YIELDLAB_SOLVER] name, unvalidated by [Config] *)
-  system_size : int option;
-      (** MNA unknown count of the testbench when the caller has built it
-          (the flow preflight has; a bare config lint has not) *)
   fingerprint : string;
 }
 
@@ -53,13 +46,6 @@ val min_valid_mc_samples : int
 (** The flow's degradation threshold (8): a front point whose Monte Carlo
     batch keeps fewer valid samples is skipped.  [Flow] reads it from here
     so the linter and the runtime can never disagree. *)
-
-val csr_min_size : int
-(** Below this many unknowns the csr backend's per-topology symbolic
-    analysis outweighs any per-sample gain; C007 warns.  csr is faster
-    per Monte Carlo sample on the shipped 11-unknown testbenches
-    (README.md, solver A/B), so the crossover lies at or below 11
-    unknowns; this threshold stays until one is measured. *)
 
 val check : ?checkpoint_dir:string -> ?resume:bool -> view -> Diagnostic.t list
 
@@ -70,11 +56,23 @@ val checkpoint_mismatch : dir:string -> string -> Diagnostic.t
     reports it, and [Flow.run] refuses with it when the dry-run was
     skipped. *)
 
+(** {2 Refused settings}
+
+    [Config]'s settings registry builds these when a flag or variable
+    (named by [setting]) holds text it refuses; the flow and
+    [lint config] exit 2 on them. *)
+
 val malformed_setting : setting:string -> value:string -> expected:string -> Diagnostic.t
-(** The [C008] error for [setting] (an env variable or CLI flag name)
-    holding the raw text [value], which is not [expected] (e.g. ["a
-    fraction in (0, 1]"]).  [Config]'s readers build it; the flow and
-    [lint config] exit 2 on it. *)
+(** [C008]: the raw text [value] is not [expected] (e.g. ["a fraction in
+    (0, 1]"]). *)
+
+val jobs_below_one : setting:string -> int -> Diagnostic.t
+(** [C006]: a jobs count below 1 (also what {!check} reports for a
+    {!view} holding one). *)
+
+val unknown_solver : setting:string -> string -> Diagnostic.t
+(** [C007]: a solver name {!Yield_numeric.Linsys.backend_of_string} does
+    not know. *)
 
 val check_fault_spec : ?known:string list -> string -> Diagnostic.t list
 (** [known] defaults to {!Yield_resilience.Fault.known} — every injection

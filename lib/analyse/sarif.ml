@@ -36,7 +36,7 @@ let rule_descriptions =
     ("C004", "malformed table-model control string in config");
     ("C005", "checkpoint dry-run failure");
     ("C006", "jobs below 1 or above the recommended domain count");
-    ("C007", "unknown solver name, or csr on a tiny system");
+    ("C007", "unknown solver name");
     ("C008", "malformed setting refused (env variable or CLI flag)");
     ("F001", "unparseable fault spec");
     ("F002", "fault spec naming an unknown injection point");

@@ -1,4 +1,5 @@
-(** Configuration of the full model-generation flow (Figure 3). *)
+(** Configuration of the full model-generation flow (Figure 3), and the one
+    registry of the settings a run reads from its flags and environment. *)
 
 type telemetry = {
   trace_stream : string option;
@@ -11,8 +12,8 @@ type telemetry = {
 }
 (** Runtime observability knobs — never part of {!fingerprint}, since they
     cannot affect results.  {!Flow.run} arms them idempotently
-    ({!Yield_obs.Obs.ensure_telemetry}), so CLI flags applied earlier
-    always win over env-derived values. *)
+    ({!Yield_obs.Obs.ensure_telemetry}), so a stream the CLI armed first
+    stays in charge. *)
 
 type prescreen = {
   enabled : bool;
@@ -46,15 +47,11 @@ type t = {
           evaluation, Pareto-front re-simulation, Monte Carlo batches);
           [1] takes the exact serial code path.  Results are
           jobs-independent, so [jobs] is excluded from {!fingerprint}. *)
-  solver : string;
-      (** linear-solver backend name for the Monte Carlo inner loop
-          (["dense"] or ["csr"]; see {!Yield_numeric.Linsys.backend_of_string}).
-          Kept as the raw string so {!Config_lint} can report unknown names
-          (C007).  Part of {!fingerprint} only when it departs from
-          ["dense"]; the csr tag also records that csr samples start
-          Newton at the nominal operating point.  The optimisation and
-          nominal-front stages always run dense, so [perf_model.tbl] is
-          solver-independent. *)
+  solver : Yield_numeric.Linsys.backend;
+      (** linear-solver backend for the Monte Carlo inner loop.  csr
+          samples start Newton at the nominal operating point.  The
+          optimisation and nominal-front stages always run dense, so
+          [perf_model.tbl] is solver-independent. *)
   telemetry : telemetry;
   prescreen : prescreen;
 }
@@ -74,53 +71,74 @@ val fast_scale : t
 (** Reduced settings for smoke runs: 40 x 25 optimisation, 40 MC samples on
     every 4th Pareto point.  [jobs = 1], as for {!paper_scale}. *)
 
-val of_env : unit -> (t, Yield_analyse.Diagnostic.t list) result
-(** [paper_scale], or [fast_scale] when the environment variable
-    [YIELDLAB_FAST] is set to a non-empty value other than ["0"]; [jobs] is
-    resolved through {!Yield_exec.Jobs.resolve} (CLI request >
-    [YIELDLAB_JOBS] > recommended domain count); [solver] from
-    {!solver_of_env}; [telemetry] from {!telemetry_of_env}; [prescreen]
-    from {!prescreen_of_env}.  [Error] carries the C008 diagnostics of
-    both readers. *)
-
-val solver_of_env : unit -> string
-(** [YIELDLAB_SOLVER], verbatim (empty counts as unset → ["dense"]).
-    Deliberately unvalidated: preflight lint (C007) owns the error
-    message. *)
-
-(** {2 Settings read from the environment or flags}
-
-    A malformed value is refused with a C008 error diagnostic
-    ({!Yield_analyse.Config_lint.malformed_setting}) naming the variable
-    or flag and its text; it is never replaced by a default.  Numbers must
-    parse with [float_of_string] and be finite. *)
-
-val prescreen_of_env : unit -> (prescreen, Yield_analyse.Diagnostic.t list) result
-(** {!no_prescreen} unless [YIELDLAB_PRESCREEN] is non-empty and not
-    ["0"]; then enabled, with [YIELDLAB_PRESCREEN_K],
-    [YIELDLAB_PRESCREEN_MIN_GAIN], [YIELDLAB_PRESCREEN_MIN_PM] and
-    [YIELDLAB_PRESCREEN_PASS_BUDGET] (a fraction in (0, 1]) overriding the
-    {!no_prescreen} defaults.  Empty variables count as unset; every
-    malformed one gets its own diagnostic. *)
-
-val prescreen_of_flags :
-  k_sigma:float -> min_gain_db:float -> min_pm_deg:float ->
-  pass_budget_frac:float -> (prescreen, Yield_analyse.Diagnostic.t list) result
-(** The enabled prescreen of [flow --prescreen]'s flags; a
-    [pass_budget_frac] outside (0, 1] is refused, naming
-    [--prescreen-budget]. *)
-
-val telemetry_of_env : unit -> (telemetry, Yield_analyse.Diagnostic.t list) result
-(** [YIELDLAB_TRACE_STREAM] (path), [YIELDLAB_SPAN_SAMPLE] (spec) and
-    [YIELDLAB_SNAPSHOT_EVERY] (a positive number of seconds).  Empty
-    variables count as unset. *)
-
 val scale_name : t -> string
 
-val fingerprint : t -> string
-(** Identity of a checkpointed run (seed, GA/MC scale, control string, plus
-    prescreen and solver when non-default): {!Flow.run} refuses to resume a
-    checkpoint directory recorded under a different fingerprint.  csr is
-    tagged [solver=csr;mc-start=nominal], so a csr checkpoint whose Monte
-    Carlo points were started cold (tagged plain [solver=csr]) is
-    refused. *)
+(** {2 The settings registry}
+
+    Every setting a run takes from a flag or an environment variable is
+    one entry of {!settings}: the CLI builds its flags from the list, the
+    README's settings table is rendered from it, and {!fingerprint} joins
+    its entries' clauses.  A value is refused with one diagnostic naming
+    the flag or variable and its text — C006 for a jobs count below 1,
+    C007 for an unknown solver, C008 otherwise
+    ({!Yield_analyse.Config_lint}) — and never replaced by a default. *)
+
+type scope =
+  | Global  (** every subcommand takes it *)
+  | Flow  (** only [flow] and [lint config] take it *)
+
+type setting = {
+  name : string;
+  flags : string list;  (** CLI spellings without dashes, the long one first *)
+  var : string;  (** the environment variable *)
+  docv : string option;
+      (** the flag's argument; [None] for a switch: the flag alone, or a
+          variable other than empty or ["0"], turns it on *)
+  scope : scope;
+  default : string;  (** the value without flag or variable *)
+  clause : string;  (** what the setting adds to {!fingerprint} *)
+  doc : string;
+  parse :
+    source:string -> string -> t -> (t, Yield_analyse.Diagnostic.t) result;
+      (** set the setting's field from raw text; a refusal names [source],
+          the flag or variable the text came from *)
+  fingerprint : t -> string option;  (** the setting's {!fingerprint} clause *)
+}
+
+val settings : setting list
+
+val taken_by : scope -> setting list
+(** The entries a command of [scope] takes, in order: all of them for
+    [Flow], the [Global] ones for [Global]. *)
+
+val resolve :
+  ?scope:scope -> ?flags:(string * string) list -> t ->
+  (t, Yield_analyse.Diagnostic.t list) result
+(** The one resolution rule.  For each entry of [taken_by scope] (default
+    [Flow]: all of them) in order: the text its flag was given ([flags]
+    maps a setting's [name] to it; a switch flag is given ["1"]), else its
+    variable's (empty counts as unset), else [base]'s value.  [Error]
+    carries every refusal at once. *)
+
+val base : unit -> t
+(** {!paper_scale} with [jobs] the recommended domain count: what the CLI
+    and {!of_env} resolve over. *)
+
+val of_env : unit -> (t, Yield_analyse.Diagnostic.t list) result
+(** [resolve (base ())]: every setting from its variable alone. *)
+
+val settings_table : unit -> string
+(** {!settings} as the README's markdown table, one row per entry. *)
+
+val fingerprint : ?amplifier:string -> t -> string
+(** Identity of a checkpointed run: {!Flow.run} refuses to resume a
+    checkpoint directory recorded under another one.  It always holds the
+    seed, the GA/MC scale and the control string; every other clause
+    appears only when its value differs from the one every existing
+    checkpoint was written under: the GA operators, the testbench
+    [conditions] (for a Miller flow,
+    {!Yield_circuits.Miller_testbench.conditions}) and the [variation]
+    spec as the digest of their exact rendering, then
+    the clause of each entry of {!settings}, then [amplifier=NAME] for an
+    amplifier (default ["ota"]) other than the OTA.  [jobs] and
+    [telemetry] never enter it. *)

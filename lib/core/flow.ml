@@ -1,7 +1,5 @@
 module Ota = Yield_circuits.Ota
 module Gtb = Yield_circuits.Testbench
-module Mna = Yield_spice.Mna
-module Linsys = Yield_numeric.Linsys
 module Wbga = Yield_ga.Wbga
 module Rng = Yield_stats.Rng
 module Montecarlo = Yield_process.Montecarlo
@@ -51,6 +49,8 @@ let c_ps_passed = Metrics.counter "flow.prescreen.passed"
 let c_ps_undecided = Metrics.counter "flow.prescreen.undecided"
 
 exception Refused of Diagnostic.t list
+
+exception Unfinished of string
 
 let () =
   Printexc.register_printer (function
@@ -250,41 +250,53 @@ let store_stage ckpt ~key to_json v =
   | None -> ()
   | Some c -> Checkpoint.store c ~key (to_json v)
 
+module type S = sig
+  type params
+
+  val run :
+    ?log:(string -> unit) -> ?preflight:bool -> ?checkpoint_dir:string ->
+    ?resume:bool -> Config.t -> t
+
+  val check_config :
+    ?checkpoint_dir:string -> ?resume:bool -> Config.t -> Diagnostic.t list
+
+  val verify_design :
+    t -> ?samples:int -> ?seed:int -> spec:Yield_target.spec -> params ->
+    (verification, string) result
+end
+
 module Make (A : Yield_circuits.Amplifier.S) = struct
+  type params = A.params
+
   module T = Gtb.Make (A)
 
-  (* the amplifier joins the fingerprint, so one topology's checkpoint
-     never resumes as another's; the paper's OTA keeps the bare config
-     fingerprint, so its existing checkpoints stay resumable *)
-  let fingerprint config =
-    let base = Config.fingerprint config in
-    if A.name = Ota.name then base else base ^ ";amplifier=" ^ A.name
+  let fingerprint config = Config.fingerprint ~amplifier:A.name config
+
+  (* the preflight's config findings, which [lint config] reports too:
+     cross-field checks and a checkpoint dry-run under this amplifier's
+     fingerprint *)
+  let check_config ?checkpoint_dir ?(resume = false) (config : Config.t) =
+    Config_lint.check ?checkpoint_dir ~resume
+      {
+        Config_lint.population = config.Config.ga.Yield_ga.Ga.population_size;
+        generations = config.Config.ga.Yield_ga.Ga.generations;
+        mc_samples = config.Config.mc_samples;
+        front_stride = config.Config.front_stride;
+        control = config.Config.control;
+        seed = config.Config.seed;
+        jobs = config.Config.jobs;
+        fingerprint = fingerprint config;
+      }
 
   (* the preflight stage: everything that can doom the run and is knowable
-     before the first simulation — config cross-field checks, a checkpoint
-     fingerprint dry-run, and a netlist lint of the amplifier's own
-     testbench at its default sizing *)
+     before the first simulation — the config findings and a netlist lint
+     of the amplifier's own testbench at its default sizing *)
   let preflight_check ?checkpoint_dir ~resume ~log (config : Config.t) =
     Span.with_ ~name:"flow.preflight" (fun () ->
         let circuit, _out =
           T.build ~conditions:config.Config.conditions A.default_params
         in
-        let view =
-          {
-            Config_lint.population =
-              config.Config.ga.Yield_ga.Ga.population_size;
-            generations = config.Config.ga.Yield_ga.Ga.generations;
-            mc_samples = config.Config.mc_samples;
-            front_stride = config.Config.front_stride;
-            control = config.Config.control;
-            seed = config.Config.seed;
-            jobs = config.Config.jobs;
-            solver = config.Config.solver;
-            system_size = Some (Mna.system_size circuit);
-            fingerprint = fingerprint config;
-          }
-        in
-        let config_diags = Config_lint.check ?checkpoint_dir ~resume view in
+        let config_diags = check_config ?checkpoint_dir ~resume config in
         let netlist_diags =
           Netlist_lint.check
             ~tech:config.Config.conditions.Gtb.tech
@@ -313,14 +325,6 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
       ?snapshot_every_s:config.Config.telemetry.Config.snapshot_every_s ();
     if preflight then preflight_check ?checkpoint_dir ~resume ~log config;
     let conditions = config.Config.conditions in
-    (* the Monte Carlo inner loop's numeric backend; an unknown name is a
-       preflight error (C007), so past that gate this can only fall back
-       when the caller disabled preflight — then dense, the safe default *)
-    let solver_backend =
-      Option.value
-        (Linsys.backend_of_string config.Config.solver)
-        ~default:Linsys.Dense
-    in
     let ckpt =
       match checkpoint_dir with
       | None -> None
@@ -420,7 +424,7 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
            wbga.Wbga.evaluations wbga.Wbga.failures
            (Array.length wbga.Wbga.front));
       if Array.length wbga.Wbga.front < 2 then
-        failwith "Flow.run: optimisation produced no usable Pareto front";
+        raise (Unfinished "the optimisation produced no usable Pareto front");
       (* --- step 3: performance model: nominal re-simulation of the front
          for the auxiliary columns (rout, fu) --- *)
       let front_points =
@@ -574,7 +578,7 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
                    session is immutable, so sharing it across the pool's
                    domains is safe. *)
                 let session =
-                  T.session ~conditions ~solver:solver_backend params
+                  T.session ~conditions ~solver:config.Config.solver params
                 in
                 let outcome =
                   Montecarlo.run_pool_counted ~pool ~samples ~rng:mc_rng
@@ -643,14 +647,15 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
         (Printf.sprintf "flow: variation model from %d points x %d MC samples"
            (Array.length var_points) config.Config.mc_samples);
       if Array.length var_points < 2 then
-        failwith
-          (Printf.sprintf
-             "Flow.run: variation model starved — only %d of %d analysed \
-              front points kept enough valid MC samples (see the \
-              flow.points.degraded counter)"
-             (Array.length var_points)
-             (1 + ((Array.length front_points - 1)
-                   / Stdlib.max 1 config.Config.front_stride)));
+        raise
+          (Unfinished
+             (Printf.sprintf
+                "the variation model starved: only %d of %d analysed front \
+                 points kept enough valid MC samples (see the \
+                 flow.points.degraded counter)"
+                (Array.length var_points)
+                (1 + ((Array.length front_points - 1)
+                      / Stdlib.max 1 config.Config.front_stride))));
       (* --- step 5: table models --- *)
       let perf_model, var_model, macromodel =
         Span.with_ ~name:"flow.tables" (fun () ->
@@ -706,12 +711,9 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
     | None -> Error "verify_design: nominal evaluation failed"
     | Some nominal ->
         let rng = Rng.create seed in
-        let solver_backend =
-          Option.value
-            (Linsys.backend_of_string t.config.Config.solver)
-            ~default:Linsys.Dense
+        let session =
+          T.session ~conditions ~solver:t.config.Config.solver params
         in
-        let session = T.session ~conditions ~solver:solver_backend params in
         let outcome =
           (* a transient pool: verification runs outside Flow.run, so the
              run's own pool is already shut down *)

@@ -59,6 +59,12 @@ exception Refused of Yield_analyse.Diagnostic.t list
     [C005] error).  Nothing was simulated.  Each carried finding has
     already gone to [~log] once. *)
 
+exception Unfinished of string
+(** {!run} started but could not finish: the optimisation produced no
+    usable Pareto front, or the variation model starved (too few front
+    points kept enough valid Monte Carlo samples).  The message says which,
+    on one line. *)
+
 val run :
   ?log:(string -> unit) -> ?preflight:bool -> ?checkpoint_dir:string ->
   ?resume:bool -> Config.t -> t
@@ -88,9 +94,9 @@ val run :
     uninterrupted run, because the checkpoints carry the RNG stream states
     and hex-exact floats.  Without [resume], stale stage state under the
     same directory is discarded.  A directory recorded under a different
-    fingerprint is refused: {!Config.fingerprint}, plus the amplifier's
-    {!Yield_circuits.Amplifier.S.name} for any topology but the OTA, so
-    one topology's checkpoint never resumes as another's.
+    fingerprint is refused: {!Config.fingerprint} under the amplifier's
+    {!Yield_circuits.Amplifier.S.name}, so one topology's checkpoint never
+    resumes as another's.
 
     A front point whose Monte Carlo batch yields fewer than
     {!Yield_analyse.Config_lint.min_valid_mc_samples} valid samples is
@@ -110,8 +116,8 @@ val run :
 
     @raise Refused when the preflight finds error-severity problems or on
     a checkpoint fingerprint mismatch.
-    @raise Failure when the optimisation produces no usable front or the
-    variation model starves. *)
+    @raise Unfinished when the optimisation produces no usable front or
+    the variation model starves. *)
 
 val design_for_spec :
   t -> Yield_behavioural.Yield_target.spec ->
@@ -150,15 +156,29 @@ val lint_models :
     {!load_models} failure or a runtime rejection. *)
 
 (** The same pipeline for any {!Yield_circuits.Amplifier.S} topology
-    ([run] above is [Make (Ota)]): note that [Config.conditions] should be
-    adapted to the topology (e.g. the Miller stage wants a lower
-    [min_unity_gain_hz]). *)
-module Make (A : Yield_circuits.Amplifier.S) : sig
+    ([run] above is [Ota_flow.run]): note that [Config.conditions] should
+    be adapted to the topology (e.g. the Miller stage's are
+    {!Yield_circuits.Miller_testbench.conditions}). *)
+module type S = sig
+  type params
+
   val run :
     ?log:(string -> unit) -> ?preflight:bool -> ?checkpoint_dir:string ->
     ?resume:bool -> Config.t -> t
 
+  val check_config :
+    ?checkpoint_dir:string -> ?resume:bool -> Config.t ->
+    Yield_analyse.Diagnostic.t list
+  (** The config findings of {!run}'s preflight, which [yieldlab lint
+      config] reports as well: {!Yield_analyse.Config_lint.check} on the
+      config, with the checkpoint dry-run under the fingerprint {!run}
+      records (the amplifier included). *)
+
   val verify_design :
     t -> ?samples:int -> ?seed:int -> spec:Yield_behavioural.Yield_target.spec ->
-    A.params -> (verification, string) result
+    params -> (verification, string) result
 end
+
+module Make (A : Yield_circuits.Amplifier.S) : S with type params = A.params
+
+module Ota_flow : S with type params = Yield_circuits.Ota.params

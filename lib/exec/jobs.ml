@@ -1,29 +1,1 @@
-let env_var = "YIELDLAB_JOBS"
-
 let recommended () = Domain.recommended_domain_count ()
-
-let requested_ref = ref None
-
-let set_requested v = requested_ref := Option.map (fun n -> Stdlib.max 1 n) v
-
-let requested () = !requested_ref
-
-let of_env () =
-  match Sys.getenv_opt env_var with
-  | None -> None
-  | Some s -> begin
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some n
-      | Some _ | None -> None
-    end
-
-let resolve ?cli () =
-  match cli with
-  | Some n -> Stdlib.max 1 n
-  | None -> begin
-      match !requested_ref with
-      | Some n -> n
-      | None -> begin
-          match of_env () with Some n -> n | None -> recommended ()
-        end
-    end

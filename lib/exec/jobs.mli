@@ -1,34 +1,13 @@
-(** The one resolution rule for the flow's degree of parallelism.
+(** The flow's degree of parallelism.
 
     Every parallel stage (WBGA population evaluation, Pareto-front
-    re-simulation, Monte Carlo batches) obeys a single [jobs] setting,
-    resolved here with one precedence chain:
-
-    + an explicit request (the [--jobs N] / [-j N] CLI flag, or the [?cli]
-      argument of {!resolve}),
-    + the [YIELDLAB_JOBS] environment variable,
-    + [Domain.recommended_domain_count] (the whole machine).
-
-    This replaces the previous scattered
-    [min 8 (Domain.recommended_domain_count ())] defaults: there is no
-    hidden cap any more — {!Yield_analyse.Config_lint} warns instead when
-    the resolved count exceeds the recommended one.  [jobs = 1] always
-    means the exact serial code path. *)
-
-val env_var : string
-(** ["YIELDLAB_JOBS"].  Parsed as a positive integer; anything else is
-    ignored (the chain falls through to the recommended count). *)
+    re-simulation, Monte Carlo batches) obeys one [jobs] setting, resolved
+    by [Yield_core.Config]'s settings registry like every other setting:
+    the [--jobs N] / [-j N] flag, else the [YIELDLAB_JOBS] variable, else
+    {!recommended}.  There is no hidden cap and no clamp: a count below 1
+    is refused (C006), and {!Yield_analyse.Config_lint} warns when the
+    count exceeds the recommended one.  [jobs = 1] always means the exact
+    serial code path. *)
 
 val recommended : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
-val set_requested : int option -> unit
-(** Record the global CLI flag ([--jobs N]).  The CLI front-end calls this
-    once, before any subcommand body runs; libraries never do. *)
-
-val requested : unit -> int option
-(** The value recorded by {!set_requested}, if any. *)
-
-val resolve : ?cli:int -> unit -> int
-(** Resolve the jobs count: [cli] > {!requested} > [YIELDLAB_JOBS] >
-    {!recommended}.  Always at least 1. *)
+(** [Domain.recommended_domain_count ()]: the default, the whole machine. *)

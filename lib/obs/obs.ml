@@ -21,10 +21,6 @@ let set_verbose v =
 
 let verbose () = !verbose_flag
 
-(* ---------- span sampling ---------- *)
-
-let set_span_sample spec = Sampler.configure spec
-
 (* ---------- the streaming sink ---------- *)
 
 type stream_state = {

@@ -13,11 +13,6 @@ val set_verbose : bool -> unit
 
 val verbose : unit -> bool
 
-val set_span_sample : string -> (unit, string) result
-(** Install a sampling spec ([NAME=RATE;...], trailing [*] for prefix
-    match — see {!Sampler.configure}).  [Error] describes the bad clause;
-    nothing is installed on error. *)
-
 val start_stream : ?snapshot_every_s:float -> path:string -> unit -> unit
 (** Arm the streaming sink: every kept span event is appended to [path]
     as it happens ([.jsonl] → JSONL, other [.json] → Chrome trace; see
@@ -38,11 +33,13 @@ val ensure_telemetry :
   ?snapshot_every_s:float ->
   unit ->
   unit
-(** Idempotently arm telemetry from config/env values: the sampler is only
+(** Idempotently arm telemetry from a config's values: the sampler is only
     configured when no spec is installed, the stream only started when
-    none is active — so explicit CLI flags (applied earlier) always win.
-    A malformed [span_sample] spec warns on stderr instead of raising
-    (config telemetry must not kill a run). *)
+    none is active — so the first caller (the CLI, with its resolved
+    settings) stays in charge when [Flow.run] arms the same config again.
+    A malformed [span_sample] spec (from a config built without
+    [Config.resolve], which refuses it) warns on stderr instead of
+    raising. *)
 
 val flush : ?trace:string -> ?metrics:string -> unit -> unit
 (** Write the Chrome trace and/or the JSONL metric+event log to the given

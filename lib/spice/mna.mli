@@ -11,10 +11,6 @@ type layout
 
 val size : layout -> int
 
-val system_size : Circuit.t -> int
-(** The unknown count of the circuit's MNA system, [size] of its
-    {!sys_layout}, without building a {!sys}. *)
-
 val n_nodes : layout -> int
 
 val branch_index : layout -> string -> int

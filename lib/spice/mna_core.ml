@@ -46,10 +46,6 @@ let shape circuit =
 
 let size l = l.size
 
-let system_size circuit =
-  let _, size, _ = shape circuit in
-  size
-
 let n_nodes l = l.n_nodes
 
 let branch_index l name = Hashtbl.find l.branches name

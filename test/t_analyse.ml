@@ -280,8 +280,6 @@ let view =
     control = "3E";
     seed = 2008;
     jobs = 1;
-    solver = "dense";
-    system_size = None;
     fingerprint = "v1;test";
   }
 

@@ -21,8 +21,7 @@ let check_float ?(eps = 1e-9) what expected actual =
   if Float.abs (expected -. actual) > eps *. (1. +. Float.abs expected) then
     Alcotest.failf "%s: expected %.10g, got %.10g" what expected actual
 
-let miller_conditions =
-  { Gtb.default_conditions with Gtb.min_unity_gain_hz = 5e6 }
+let miller_conditions = Mtb.conditions
 
 (* --- miller --- *)
 

@@ -185,7 +185,7 @@ let test_solver_fingerprint () =
   Alcotest.(check string) "dense literal"
     "v1;seed=2008;pop=40;gens=25;mc=40;stride=4;control=3E" dense;
   let csr =
-    Config.fingerprint { Config.fast_scale with Config.solver = "csr" }
+    Config.fingerprint { Config.fast_scale with Config.solver = Yield_numeric.Linsys.Csr }
   in
   Alcotest.(check bool) "csr differs from the cold-start tag" true
     (csr <> "v1;seed=2008;pop=40;gens=25;mc=40;stride=4;control=3E;solver=csr");
@@ -251,11 +251,7 @@ let test_flow_functor_miller () =
   let config =
     {
       smoke_config with
-      Config.conditions =
-        {
-          Yield_circuits.Testbench.default_conditions with
-          Yield_circuits.Testbench.min_unity_gain_hz = 5e6;
-        };
+      Config.conditions = Yield_circuits.Miller_testbench.conditions;
       seed = 57;
     }
   in
@@ -345,6 +341,331 @@ let test_experiments_render () =
   let s = Experiments.table5 ~run_baseline:false ctx in
   Alcotest.(check bool) "table5 renders" true (String.length s > 40)
 
+(* ---------- the settings registry and the fingerprint ---------- *)
+
+module Linsys = Yield_numeric.Linsys
+module Tb = Yield_circuits.Testbench
+module Tech = Yield_process.Tech
+module Mosfet = Yield_spice.Mosfet
+module Variation = Yield_process.Variation
+module Operators = Yield_ga.Operators
+module Checkpoint = Yield_resilience.Checkpoint
+module Diagnostic = Yield_analyse.Diagnostic
+
+let wide_prescreen =
+  {
+    Config.enabled = true;
+    k_sigma = 0.5;
+    min_gain_db = 60.;
+    min_pm_deg = 0.;
+    pass_budget_frac = 1.;
+  }
+
+(* [f] over a fresh directory, removed afterwards *)
+let with_dir f =
+  let dir = Filename.temp_file "yieldlab" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+(* the strings every existing checkpoint of the 16 kinds the CLI wrote
+   carries: {--fast, paper} x {ota, miller} x {dense, csr} x {no
+   prescreen, --prescreen --prescreen-k 0.5 --prescreen-min-gain 60} *)
+let test_fingerprint_pins () =
+  Alcotest.(check string) "one literal"
+    "v1;seed=2008;pop=40;gens=25;mc=40;stride=4;control=3E;prescreen=k:0.5,g:60,pm:0,b:1;solver=csr;mc-start=nominal;amplifier=miller"
+    (Config.fingerprint ~amplifier:"miller"
+       {
+         Config.fast_scale with
+         Config.conditions = Yield_circuits.Miller_testbench.conditions;
+         solver = Linsys.Csr;
+         prescreen = wide_prescreen;
+       });
+  let flows =
+    [
+      ((module Flow.Ota_flow : Flow.S), "ota", Tb.default_conditions, "");
+      ( (module Flow.Make (Yield_circuits.Miller) : Flow.S),
+        "miller",
+        Yield_circuits.Miller_testbench.conditions,
+        ";amplifier=miller" );
+    ]
+  in
+  List.iter
+    (fun (scale, base) ->
+      List.iter
+        (fun ((module F : Flow.S), amplifier, conditions, amp) ->
+          List.iter
+            (fun (solver, solver_clause) ->
+              List.iter
+                (fun (prescreen, ps_clause) ->
+                  let config =
+                    { scale with Config.conditions; solver; prescreen }
+                  in
+                  let expected = base ^ ps_clause ^ solver_clause ^ amp in
+                  Alcotest.(check string) expected expected
+                    (Config.fingerprint ~amplifier config);
+                  (* a checkpoint recorded under it resumes *)
+                  with_dir (fun dir ->
+                      ignore
+                        (Checkpoint.check_fingerprint (Checkpoint.create ~dir)
+                           expected);
+                      Alcotest.(check (list string)) (expected ^ " resumes") []
+                        (List.map
+                           (fun d -> d.Diagnostic.code)
+                           (F.check_config ~checkpoint_dir:dir ~resume:true
+                              { config with Config.jobs = 1 }))))
+                [
+                  (Config.no_prescreen, "");
+                  (wide_prescreen, ";prescreen=k:0.5,g:60,pm:0,b:1");
+                ])
+            [ (Linsys.Dense, ""); (Linsys.Csr, ";solver=csr;mc-start=nominal") ])
+        flows)
+    [
+      (Config.fast_scale, "v1;seed=2008;pop=40;gens=25;mc=40;stride=4;control=3E");
+      (Config.paper_scale, "v1;seed=2008;pop=100;gens=100;mc=200;stride=1;control=3E");
+    ]
+
+(* every leaf of Config.t the results depend on, perturbed one at a time,
+   moves the fingerprint; the full record patterns (warning 9) make a new
+   field fail to compile here until it is perturbed too *)
+let test_fingerprint_leaves () =
+  let base = { Config.paper_scale with Config.prescreen = wide_prescreen } in
+  let {
+    Config.conditions;
+    variation;
+    ga;
+    mc_samples;
+    front_stride;
+    control;
+    seed;
+    jobs;
+    solver = _;
+    telemetry = _;
+    prescreen;
+  } =
+    base
+  in
+  let { Tb.tech; vcm; load_cap; f_lo; f_hi; points_per_decade; min_unity_gain_hz } =
+    conditions
+  in
+  let { Tech.name; vdd; nmos; pmos; l_min } = tech in
+  let with_conditions c = { base with Config.conditions = c } in
+  let with_tech t = with_conditions { conditions with Tb.tech = t } in
+  let bump x = (x *. 1.01) +. 1e-12 in
+  let model what (m : Mosfet.model) set =
+    let {
+      Mosfet.polarity;
+      vth0;
+      kp;
+      gamma;
+      phi;
+      lambda0;
+      n_slope;
+      cox;
+      cgso;
+      cgdo;
+      cj;
+      cjsw;
+      ext;
+    } =
+      m
+    in
+    List.map
+      (fun (leaf, m) -> (what ^ "." ^ leaf, set m))
+      [
+        ( "polarity",
+          {
+            m with
+            Mosfet.polarity = (if polarity = Mosfet.Nmos then Mosfet.Pmos else Mosfet.Nmos);
+          } );
+        ("vth0", { m with Mosfet.vth0 = bump vth0 });
+        ("kp", { m with Mosfet.kp = bump kp });
+        ("gamma", { m with Mosfet.gamma = bump gamma });
+        ("phi", { m with Mosfet.phi = bump phi });
+        ("lambda0", { m with Mosfet.lambda0 = bump lambda0 });
+        ("n_slope", { m with Mosfet.n_slope = bump n_slope });
+        ("cox", { m with Mosfet.cox = bump cox });
+        ("cgso", { m with Mosfet.cgso = bump cgso });
+        ("cgdo", { m with Mosfet.cgdo = bump cgdo });
+        ("cj", { m with Mosfet.cj = bump cj });
+        ("cjsw", { m with Mosfet.cjsw = bump cjsw });
+        ("ext", { m with Mosfet.ext = bump ext });
+      ]
+  in
+  let { Variation.global; mismatch } = variation in
+  let {
+    Variation.sigma_vth_n;
+    sigma_vth_p;
+    sigma_kp_rel_n;
+    sigma_kp_rel_p;
+    sigma_lambda_rel;
+  } =
+    global
+  in
+  let { Variation.avt_n; avt_p; abeta_n; abeta_p } = mismatch in
+  let with_global g = { base with Config.variation = { variation with Variation.global = g } } in
+  let with_mismatch m =
+    { base with Config.variation = { variation with Variation.mismatch = m } }
+  in
+  let {
+    Ga.population_size;
+    generations;
+    selection = _;
+    crossover = _;
+    crossover_rate;
+    mutation = _;
+    elite_count;
+  } =
+    ga
+  in
+  let with_ga g = { base with Config.ga = g } in
+  let { Config.enabled = _; k_sigma; min_gain_db; min_pm_deg; pass_budget_frac } =
+    prescreen
+  in
+  let with_prescreen p = { base with Config.prescreen = p } in
+  let perturbed =
+    [
+      ("tech.name", with_tech { tech with Tech.name = name ^ "'" });
+      ("tech.vdd", with_tech { tech with Tech.vdd = bump vdd });
+      ("tech.l_min", with_tech { tech with Tech.l_min = bump l_min });
+      ("vcm", with_conditions { conditions with Tb.vcm = bump vcm });
+      ("load_cap", with_conditions { conditions with Tb.load_cap = bump load_cap });
+      ("f_lo", with_conditions { conditions with Tb.f_lo = bump f_lo });
+      ("f_hi", with_conditions { conditions with Tb.f_hi = bump f_hi });
+      ( "points_per_decade",
+        with_conditions
+          { conditions with Tb.points_per_decade = points_per_decade + 1 } );
+      ( "min_unity_gain_hz",
+        with_conditions
+          { conditions with Tb.min_unity_gain_hz = bump min_unity_gain_hz } );
+      ("sigma_vth_n", with_global { global with Variation.sigma_vth_n = bump sigma_vth_n });
+      ("sigma_vth_p", with_global { global with Variation.sigma_vth_p = bump sigma_vth_p });
+      ( "sigma_kp_rel_n",
+        with_global { global with Variation.sigma_kp_rel_n = bump sigma_kp_rel_n } );
+      ( "sigma_kp_rel_p",
+        with_global { global with Variation.sigma_kp_rel_p = bump sigma_kp_rel_p } );
+      ( "sigma_lambda_rel",
+        with_global { global with Variation.sigma_lambda_rel = bump sigma_lambda_rel } );
+      ("avt_n", with_mismatch { mismatch with Variation.avt_n = bump avt_n });
+      ("avt_p", with_mismatch { mismatch with Variation.avt_p = bump avt_p });
+      ("abeta_n", with_mismatch { mismatch with Variation.abeta_n = bump abeta_n });
+      ("abeta_p", with_mismatch { mismatch with Variation.abeta_p = bump abeta_p });
+      ("population_size", with_ga { ga with Ga.population_size = population_size + 1 });
+      ("generations", with_ga { ga with Ga.generations = generations + 1 });
+      ("selection tournament", with_ga { ga with Ga.selection = Operators.Tournament 3 });
+      ("selection roulette", with_ga { ga with Ga.selection = Operators.Roulette });
+      ("crossover", with_ga { ga with Ga.crossover = Operators.Uniform 0.5 });
+      ("crossover_rate", with_ga { ga with Ga.crossover_rate = bump crossover_rate });
+      ( "mutation",
+        with_ga
+          { ga with Ga.mutation = Operators.Gaussian { sigma = 0.08; rate = 0.2 } } );
+      ( "mutation kind",
+        with_ga { ga with Ga.mutation = Operators.Uniform_reset { rate = 0.15 } } );
+      ("elite_count", with_ga { ga with Ga.elite_count = elite_count + 1 });
+      ("mc_samples", { base with Config.mc_samples = mc_samples + 1 });
+      ("front_stride", { base with Config.front_stride = front_stride + 1 });
+      ("control", { base with Config.control = control ^ "E" });
+      ("seed", { base with Config.seed = seed + 1 });
+      ("solver", { base with Config.solver = Linsys.Csr });
+      ("prescreen.enabled", with_prescreen { prescreen with Config.enabled = false });
+      ("prescreen.k_sigma", with_prescreen { prescreen with Config.k_sigma = bump k_sigma });
+      ( "prescreen.k_sigma (below %g)",
+        with_prescreen { prescreen with Config.k_sigma = Float.succ k_sigma } );
+      ( "prescreen.min_gain_db",
+        with_prescreen { prescreen with Config.min_gain_db = bump min_gain_db } );
+      ( "prescreen.min_pm_deg",
+        with_prescreen { prescreen with Config.min_pm_deg = min_pm_deg +. 1. } );
+      ( "prescreen.pass_budget_frac",
+        with_prescreen
+          { prescreen with Config.pass_budget_frac = pass_budget_frac /. 2. } );
+    ]
+    @ model "nmos" nmos (fun m -> with_tech { tech with Tech.nmos = m })
+    @ model "pmos" pmos (fun m -> with_tech { tech with Tech.pmos = m })
+  in
+  let fp = Config.fingerprint base in
+  List.iter
+    (fun (leaf, config) ->
+      if Config.fingerprint config = fp then
+        Alcotest.failf "perturbing %s leaves the fingerprint unchanged" leaf)
+    perturbed;
+  Alcotest.(check string) "jobs is not an input" fp
+    (Config.fingerprint { base with Config.jobs = jobs + 3 });
+  Alcotest.(check string) "telemetry is not an input" fp
+    (Config.fingerprint
+       {
+         base with
+         Config.telemetry =
+           {
+             Config.trace_stream = Some "t.jsonl";
+             span_sample = Some "mc.batch=0";
+             snapshot_every_s = Some 1.;
+           };
+       })
+
+(* the README's settings table is the registry's rendering, byte for byte *)
+let test_settings_table () =
+  let rec find dir =
+    let cand = Filename.concat dir "README.md" in
+    if Sys.file_exists cand then cand
+    else
+      let parent = Filename.dirname dir in
+      if parent = dir then Alcotest.fail "README.md not found" else find parent
+  in
+  let lines =
+    In_channel.with_open_text (find (Sys.getcwd ())) In_channel.input_all
+    |> String.split_on_char '\n'
+  in
+  let rec table = function
+    | [] -> []
+    | l :: rest when String.starts_with ~prefix:"| setting |" l ->
+        let rec rows acc = function
+          | r :: rest when String.starts_with ~prefix:"|" r -> rows (r :: acc) rest
+          | _ -> List.rev acc
+        in
+        rows [ l ] rest
+    | _ :: rest -> table rest
+  in
+  Alcotest.(check string) "README settings table" (Config.settings_table ())
+    (String.concat "" (List.map (fun l -> l ^ "\n") (table lines)))
+
+(* a setting's flag beats its variable, which beats the base config, for
+   every command that takes it *)
+let test_settings_precedence () =
+  let vars = [ "YIELDLAB_FAST"; "YIELDLAB_PRESCREEN_K" ] in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun k -> Unix.putenv k "") vars)
+    (fun () ->
+      let resolve ?flags () =
+        match Config.resolve ?flags { Config.paper_scale with Config.jobs = 1 } with
+        | Ok c -> c
+        | Error ds -> Alcotest.fail (Diagnostic.list_to_text ds)
+      in
+      Unix.putenv "YIELDLAB_FAST" "1";
+      Alcotest.(check string) "YIELDLAB_FAST selects the fast scale"
+        (Config.fingerprint Config.fast_scale)
+        (Config.fingerprint (resolve ()));
+      Alcotest.(check string) "YIELDLAB_FAST=0 is the paper scale"
+        (Config.fingerprint Config.paper_scale)
+        (Unix.putenv "YIELDLAB_FAST" "0";
+         Config.fingerprint (resolve ()));
+      Unix.putenv "YIELDLAB_FAST" "1";
+      Unix.putenv "YIELDLAB_PRESCREEN_K" "0.5";
+      let config =
+        resolve ~flags:[ ("prescreen", "1"); ("prescreen_min_gain", "60") ] ()
+      in
+      Alcotest.(check bool) "--prescreen reads YIELDLAB_PRESCREEN_K" true
+        (config.Config.prescreen = wide_prescreen);
+      Alcotest.(check (float 0.)) "the flag beats the variable" 1.
+        (resolve ~flags:[ ("prescreen_k", "1") ] ()).Config.prescreen.Config.k_sigma;
+      (* at k = 3 the wide window proves no point fails; at k = 0.5, 2 *)
+      match (Flow.run config).Flow.prescreen with
+      | Some p -> Alcotest.(check int) "provably-fail points" 2 p.Flow.fail_skipped
+      | None -> Alcotest.fail "prescreen did not run")
+
 let suites =
   [
     ( "core.config",
@@ -353,6 +674,11 @@ let suites =
         Alcotest.test_case "solver fingerprint" `Quick test_solver_fingerprint;
         Alcotest.test_case "prescreen fingerprint" `Quick
           test_prescreen_fingerprint;
+        Alcotest.test_case "fingerprint pins" `Quick test_fingerprint_pins;
+        Alcotest.test_case "fingerprint leaves" `Quick test_fingerprint_leaves;
+        Alcotest.test_case "README settings table" `Quick test_settings_table;
+        Alcotest.test_case "flag and variable precedence" `Slow
+          test_settings_precedence;
       ] );
     ( "core.flow",
       [

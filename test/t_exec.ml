@@ -108,29 +108,34 @@ let test_pool_counted_fault_block () =
 (* ---------- the jobs resolution rule ---------- *)
 
 let test_jobs_resolution () =
-  let saved = Jobs.requested () in
-  let saved_env = Sys.getenv_opt Jobs.env_var in
+  let saved_env = Option.value (Sys.getenv_opt "YIELDLAB_JOBS") ~default:"" in
+  let jobs ?(flags = []) () =
+    match Config.resolve ~scope:Config.Global ~flags (Config.base ()) with
+    | Ok c -> Ok c.Config.jobs
+    | Error ds ->
+        Error (List.map (fun d -> (d.Diagnostic.code, d.Diagnostic.subject)) ds)
+  in
+  let check what expected actual =
+    Alcotest.(check (result int (list (pair string string)))) what expected actual
+  in
   Fun.protect
-    ~finally:(fun () ->
-      Jobs.set_requested saved;
-      Unix.putenv Jobs.env_var (Option.value saved_env ~default:""))
+    ~finally:(fun () -> Unix.putenv "YIELDLAB_JOBS" saved_env)
     (fun () ->
-      (* explicit ?cli beats everything and is clamped to >= 1 *)
-      Alcotest.(check int) "cli" 3 (Jobs.resolve ~cli:3 ());
-      Alcotest.(check int) "cli clamp" 1 (Jobs.resolve ~cli:0 ());
-      (* a recorded CLI request beats the environment *)
-      Unix.putenv Jobs.env_var "7";
-      Jobs.set_requested (Some 5);
-      Alcotest.(check int) "requested beats env" 5 (Jobs.resolve ());
-      Jobs.set_requested None;
-      Alcotest.(check int) "env" 7 (Jobs.resolve ());
-      (* malformed env falls through to the recommended count *)
-      Unix.putenv Jobs.env_var "zero";
-      Alcotest.(check int) "bad env -> recommended" (Jobs.recommended ())
-        (Jobs.resolve ());
-      Unix.putenv Jobs.env_var "";
-      Alcotest.(check int) "no env -> recommended" (Jobs.recommended ())
-        (Jobs.resolve ()))
+      Unix.putenv "YIELDLAB_JOBS" "";
+      check "no env -> recommended" (Ok (Jobs.recommended ())) (jobs ());
+      check "flag" (Ok 3) (jobs ~flags:[ ("jobs", "3") ] ());
+      (* a count below 1 is refused, never clamped to 1 *)
+      check "flag 0 refused" (Error [ ("C006", "--jobs") ])
+        (jobs ~flags:[ ("jobs", "0") ] ());
+      (* the flag beats the environment *)
+      Unix.putenv "YIELDLAB_JOBS" "7";
+      check "flag beats env" (Ok 5) (jobs ~flags:[ ("jobs", "5") ] ());
+      check "env" (Ok 7) (jobs ());
+      (* a malformed variable is refused, never replaced by the default *)
+      Unix.putenv "YIELDLAB_JOBS" "zero";
+      check "bad env refused" (Error [ ("C008", "YIELDLAB_JOBS") ]) (jobs ());
+      Unix.putenv "YIELDLAB_JOBS" "0";
+      check "env 0 refused" (Error [ ("C006", "YIELDLAB_JOBS") ]) (jobs ()))
 
 (* ---------- Montecarlo: pooled batch = serial batch ---------- *)
 
@@ -320,8 +325,6 @@ let lint_view jobs =
     control = "3E";
     seed = 47;
     jobs;
-    solver = "dense";
-    system_size = None;
     fingerprint = "v1;test";
   }
 

@@ -731,7 +731,7 @@ let test_flow_cold_csr_checkpoint_refused () =
   (match Checkpoint.check_fingerprint (Checkpoint.create ~dir) cold_csr with
   | Ok `Fresh -> ()
   | Ok `Resumable | Error _ -> Alcotest.fail "fresh dir not recorded");
-  let config = { Config.fast_scale with Config.solver = "csr" } in
+  let config = { Config.fast_scale with Config.solver = Yield_numeric.Linsys.Csr } in
   List.iter
     (fun preflight ->
       match Flow.run ~preflight ~checkpoint_dir:dir ~resume:true config with
@@ -808,7 +808,7 @@ let test_flow_starved_by_total_mc_failure () =
       Metrics.reset ();
       Fault.arm "mc.sample" (Fault.Rate { p = 1.0; seed = 3 });
       match Flow.run smoke_config with
-      | exception Failure msg ->
+      | exception Flow.Unfinished msg ->
           Alcotest.(check bool) "names the starvation" true
             (let needle = "starved" in
              let n = String.length needle and m = String.length msg in

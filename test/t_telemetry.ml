@@ -438,50 +438,75 @@ let check_refused what expected = function
             (d.Diagnostic.severity = Diagnostic.Error))
         expected diags
 
-let test_telemetry_of_env () =
+(* the settings every subcommand takes, from their flags and variables *)
+let global_settings ?flags () =
+  Config.resolve ~scope:Config.Global ?flags (Config.base ())
+
+let test_telemetry_settings () =
   let set k v = Unix.putenv k v in
   let telemetry () =
-    match Config.telemetry_of_env () with
-    | Ok t -> t
+    match global_settings () with
+    | Ok c -> c.Config.telemetry
     | Error _ -> Alcotest.fail "well-formed telemetry settings refused"
   in
-  set "YIELDLAB_TRACE_STREAM" "/tmp/t.jsonl";
-  set "YIELDLAB_SPAN_SAMPLE" "mc.batch=0.5";
-  set "YIELDLAB_SNAPSHOT_EVERY" "2.5";
-  let t = telemetry () in
-  Alcotest.(check (option string)) "stream path" (Some "/tmp/t.jsonl")
-    t.Config.trace_stream;
-  Alcotest.(check (option string)) "sample spec" (Some "mc.batch=0.5")
-    t.Config.span_sample;
-  Alcotest.(check bool) "snapshot seconds" true
-    (t.Config.snapshot_every_s = Some 2.5);
-  List.iter
-    (fun bad ->
-      set "YIELDLAB_SNAPSHOT_EVERY" bad;
-      check_refused ("snapshot interval " ^ bad)
-        [ ("YIELDLAB_SNAPSHOT_EVERY", bad) ]
-        (Config.telemetry_of_env ()))
-    [ "nonsense"; "0"; "-1"; "nan" ];
-  set "YIELDLAB_SNAPSHOT_EVERY" "";
-  set "YIELDLAB_TRACE_STREAM" "";
-  let t = telemetry () in
-  Alcotest.(check (option string)) "empty var is unset" None
-    t.Config.trace_stream;
-  Alcotest.(check bool) "empty interval is unset" true
-    (t.Config.snapshot_every_s = None);
-  set "YIELDLAB_SPAN_SAMPLE" "";
-  Alcotest.(check bool) "fingerprint ignores telemetry" true
-    (Config.fingerprint smoke_config
-    = Config.fingerprint
-        {
-          smoke_config with
-          Config.telemetry =
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun k -> set k "")
+        [ "YIELDLAB_TRACE_STREAM"; "YIELDLAB_SPAN_SAMPLE"; "YIELDLAB_SNAPSHOT_EVERY" ])
+    (fun () ->
+      set "YIELDLAB_TRACE_STREAM" "/tmp/t.jsonl";
+      set "YIELDLAB_SPAN_SAMPLE" "mc.batch=0.5";
+      set "YIELDLAB_SNAPSHOT_EVERY" "2.5";
+      let t = telemetry () in
+      Alcotest.(check (option string)) "stream path" (Some "/tmp/t.jsonl")
+        t.Config.trace_stream;
+      Alcotest.(check (option string)) "sample spec" (Some "mc.batch=0.5")
+        t.Config.span_sample;
+      Alcotest.(check bool) "snapshot seconds" true
+        (t.Config.snapshot_every_s = Some 2.5);
+      List.iter
+        (fun bad ->
+          set "YIELDLAB_SNAPSHOT_EVERY" bad;
+          check_refused ("snapshot interval " ^ bad)
+            [ ("YIELDLAB_SNAPSHOT_EVERY", bad) ]
+            (global_settings ()))
+        [ "nonsense"; "0"; "-1"; "nan" ];
+      (* a flag goes through the same parser, and its variable is unread *)
+      check_refused "--snapshot-every 0"
+        [ ("--snapshot-every", "0") ]
+        (global_settings ~flags:[ ("snapshot_every", "0") ] ());
+      (* an interval without a stream would never be written *)
+      set "YIELDLAB_TRACE_STREAM" "";
+      set "YIELDLAB_SNAPSHOT_EVERY" "2.5";
+      check_refused "snapshot without a stream"
+        [ ("YIELDLAB_SNAPSHOT_EVERY", "2.5") ]
+        (global_settings ());
+      set "YIELDLAB_SNAPSHOT_EVERY" "";
+      (* span-sample specs are checked with Sampler.parse *)
+      set "YIELDLAB_SPAN_SAMPLE" "garbage";
+      check_refused "span sample" [ ("YIELDLAB_SPAN_SAMPLE", "garbage") ]
+        (global_settings ());
+      check_refused "--span-sample" [ ("--span-sample", "garbage") ]
+        (global_settings ~flags:[ ("span_sample", "garbage") ] ());
+      set "YIELDLAB_SPAN_SAMPLE" "";
+      let t = telemetry () in
+      Alcotest.(check (option string)) "empty var is unset" None
+        t.Config.trace_stream;
+      Alcotest.(check bool) "empty interval is unset" true
+        (t.Config.snapshot_every_s = None);
+      Alcotest.(check bool) "fingerprint ignores telemetry" true
+        (Config.fingerprint smoke_config
+        = Config.fingerprint
             {
-              Config.trace_stream = Some "x.jsonl";
-              span_sample = Some "mc.batch=0";
-              snapshot_every_s = Some 1.;
-            };
-        })
+              smoke_config with
+              Config.telemetry =
+                {
+                  Config.trace_stream = Some "x.jsonl";
+                  span_sample = Some "mc.batch=0";
+                  snapshot_every_s = Some 1.;
+                };
+            }))
 
 let test_prescreen_settings () =
   let set k v = Unix.putenv k v in
@@ -494,12 +519,13 @@ let test_prescreen_settings () =
     ]
   in
   let clear () = List.iter (fun k -> set k "") ("YIELDLAB_PRESCREEN" :: vars) in
+  let resolve ?flags () = Config.resolve ?flags (Config.base ()) in
   Fun.protect ~finally:clear (fun () ->
-      (* the knobs are read only when the prescreen is on *)
+      (* the knobs are read, and refused when malformed, with the prescreen
+         off as well *)
       set "YIELDLAB_PRESCREEN_K" "abc";
-      Alcotest.(check bool) "off: knobs unread" true
-        (Config.prescreen_of_env () = Ok Config.no_prescreen);
-      set "YIELDLAB_PRESCREEN" "1";
+      check_refused "off: knobs refused" [ ("YIELDLAB_PRESCREEN_K", "abc") ]
+        (resolve ());
       List.iter
         (fun (var, bad) ->
           clear ();
@@ -508,7 +534,7 @@ let test_prescreen_settings () =
           check_refused
             (Printf.sprintf "%s=%s" var bad)
             [ (var, bad) ]
-            (Config.prescreen_of_env ()))
+            (resolve ()))
         [
           ("YIELDLAB_PRESCREEN_K", "abc");
           ("YIELDLAB_PRESCREEN_MIN_GAIN", "sixty");
@@ -521,11 +547,11 @@ let test_prescreen_settings () =
       set "YIELDLAB_PRESCREEN_K" "abc";
       check_refused "two at once"
         [ ("YIELDLAB_PRESCREEN_K", "abc"); ("YIELDLAB_PRESCREEN_PASS_BUDGET", "half") ]
-        (Config.prescreen_of_env ());
+        (resolve ());
       (* well-formed values run as before *)
       List.iter2 set vars [ "0.5"; "60"; "45"; "0.25" ];
       Alcotest.(check bool) "well-formed knobs" true
-        (Config.prescreen_of_env ()
+        (Result.map (fun c -> c.Config.prescreen) (resolve ())
         = Ok
             {
               Config.enabled = true;
@@ -534,17 +560,16 @@ let test_prescreen_settings () =
               min_pm_deg = 45.;
               pass_budget_frac = 0.25;
             });
-      let flags b =
-        Config.prescreen_of_flags ~k_sigma:3. ~min_gain_db:0. ~min_pm_deg:0.
-          ~pass_budget_frac:b
-      in
+      clear ();
+      let flags b = resolve ~flags:[ ("prescreen", "1"); ("prescreen_budget", b) ] () in
       List.iter
-        (fun (b, text) ->
+        (fun text ->
           check_refused ("--prescreen-budget " ^ text) [ ("--prescreen-budget", text) ]
-            (flags b))
-        [ (0., "0"); (1.5, "1.5"); (-0.25, "-0.25") ];
+            (flags text))
+        [ "0"; "1.5"; "-0.25" ];
       Alcotest.(check bool) "--prescreen-budget 1" true
-        (Result.map (fun p -> p.Config.pass_budget_frac) (flags 1.) = Ok 1.))
+        (Result.map (fun c -> c.Config.prescreen.Config.pass_budget_frac) (flags "1")
+        = Ok 1.))
 
 let suites =
   [
@@ -578,7 +603,7 @@ let suites =
       ] );
     ( "telemetry.config",
       [
-        Alcotest.test_case "env knobs" `Quick test_telemetry_of_env;
+        Alcotest.test_case "env knobs" `Quick test_telemetry_settings;
         Alcotest.test_case "prescreen settings refused" `Quick
           test_prescreen_settings;
       ] );
