@@ -1,11 +1,11 @@
 (* The benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§4-§5), then times the primitives behind the headline claim
-   (behavioural-model queries vs transistor-level simulation) with Bechamel.
+   evaluation (§4-§5), then runs the ablation studies that exercise the
+   design choices DESIGN.md calls out.  Per-primitive timings live in
+   perfbench's per-layer metrics (EXPERIMENTS.md, Table 5).
 
    Default scale is the paper's (10,000 optimisation samples, 200 MC samples
    per Pareto point, 500-sample verifications); set YIELDLAB_FAST=1 for a
-   reduced smoke run.  Ablation studies at the end exercise the design
-   choices DESIGN.md calls out. *)
+   reduced smoke run. *)
 
 module Config = Yield_core.Config
 module Flow = Yield_core.Flow
@@ -13,19 +13,14 @@ module Experiments = Yield_core.Experiments
 module Report = Yield_core.Report
 module Ota = Yield_circuits.Ota
 module Tb = Yield_circuits.Ota_testbench
-module Filter = Yield_circuits.Filter
 module Perf_model = Yield_behavioural.Perf_model
 module Var_model = Yield_behavioural.Var_model
 module Macromodel = Yield_behavioural.Macromodel
 module Yield_target = Yield_behavioural.Yield_target
 module Variation = Yield_process.Variation
 module Wbga = Yield_ga.Wbga
-module Pareto = Yield_ga.Pareto
-module Nsga2 = Yield_ga.Nsga2
 module Ga = Yield_ga.Ga
 module Rng = Yield_stats.Rng
-module Mat = Yield_numeric.Mat
-module Lu = Yield_numeric.Lu
 module Json = Yield_obs.Json
 module Metrics = Yield_obs.Metrics
 
@@ -33,70 +28,6 @@ module Metrics = Yield_obs.Metrics
 (* Machine-readable record of the flow run: stage timings, simulation
    counts and the instrument snapshot, so the perf trajectory is diffable
    across PRs (the JSON schema is documented in README.md §Telemetry). *)
-
-(* Jobs-sweep mode (YIELDLAB_JOBS_SWEEP="1,2,4"): re-run the flow at each
-   jobs value and record the flow.wbga wall-clock and its speedup over the
-   serial run, so a perf regression gate can be built on BENCH_flow.json.
-   A jobs value above the machine's cores is over-subscribed: its entry
-   says so and reports no speedup. *)
-
-let cores = Domain.recommended_domain_count ()
-
-let parse_jobs_sweep s =
-  String.split_on_char ',' s
-  |> List.filter_map (fun tok -> int_of_string_opt (String.trim tok))
-  |> List.filter (fun n -> n >= 1)
-
-let jobs_sweep config =
-  match Sys.getenv_opt "YIELDLAB_JOBS_SWEEP" with
-  | None | Some "" -> []
-  | Some s ->
-      let jobs_list = parse_jobs_sweep s in
-      if jobs_list = [] then []
-      else begin
-        print_string (Report.section "Jobs sweep: flow.wbga scaling");
-        let runs =
-          List.map
-            (fun jobs ->
-              let flow = Flow.run { config with Config.jobs } in
-              Printf.printf "  jobs %d: wbga %.2f s, mc %.2f s, total %.2f s\n%!"
-                jobs flow.Flow.timings.Flow.optimisation_s
-                flow.Flow.timings.Flow.mc_s flow.Flow.timings.Flow.total_s;
-              (jobs, flow.Flow.timings))
-            jobs_list
-        in
-        let serial_wbga_s =
-          Option.map
-            (fun (t : Flow.timings) -> t.Flow.optimisation_s)
-            (List.assoc_opt 1 runs)
-        in
-        List.map
-          (fun (jobs, (t : Flow.timings)) ->
-            let oversubscribed = jobs > cores in
-            let speedup =
-              match serial_wbga_s with
-              | _ when oversubscribed ->
-                  Printf.printf
-                    "  jobs %d: over-subscribed (%d cores), no speedup\n%!"
-                    jobs cores;
-                  Json.Null
-              | Some s when t.Flow.optimisation_s > 0. ->
-                  let x = s /. t.Flow.optimisation_s in
-                  Printf.printf "  jobs %d: flow.wbga speedup %.2fx\n%!" jobs x;
-                  Json.Float x
-              | Some _ | None -> Json.Null
-            in
-            Json.Obj
-              [
-                ("jobs", Json.Int jobs);
-                ("oversubscribed", Json.Bool oversubscribed);
-                ("wbga_s", Json.Float t.Flow.optimisation_s);
-                ("mc_s", Json.Float t.Flow.mc_s);
-                ("total_s", Json.Float t.Flow.total_s);
-                ("wbga_speedup", speedup);
-              ])
-          runs
-      end
 
 (* Corner-proof prescreen A/B: re-run the same flow with the corner-interval
    prescreen armed against a wide spec window (gain >= 60 dB, which parts of
@@ -239,7 +170,7 @@ let solver_ab ctx =
       ("max_rel_diff", Json.Float max_rel_diff);
     ]
 
-let write_bench_json ?(sweep = []) ?prescreen ?solver ?flow_words ctx ~path =
+let write_bench_json ~prescreen ~solver ?flow_words ctx ~path =
   let flow = ctx.Experiments.flow in
   let t = flow.Flow.timings in
   let c = flow.Flow.counts in
@@ -254,7 +185,7 @@ let write_bench_json ?(sweep = []) ?prescreen ?solver ?flow_words ctx ~path =
       ([
         ("scale", Json.String (Config.scale_name ctx.Experiments.config));
         ("jobs", Json.Int ctx.Experiments.config.Config.jobs);
-        ("cores", Json.Int cores);
+        ("cores", Json.Int (Domain.recommended_domain_count ()));
         ( "stage_s",
           Json.Obj
             [
@@ -290,82 +221,11 @@ let write_bench_json ?(sweep = []) ?prescreen ?solver ?flow_words ctx ~path =
                       Json.Float (words /. float_of_int (Flow.total_sims c)) );
                   ] );
             ])
-      @ (if sweep = [] then [] else [ ("jobs_sweep", Json.List sweep) ])
-      @ (match prescreen with
-        | None -> []
-        | Some section -> [ ("prescreen", section) ])
-      @
-      match solver with
-      | None -> []
-      | Some section -> [ ("solver", section) ])
+      @ [ ("prescreen", prescreen); ("solver", solver) ])
   in
   Yield_obs.Sink.write_file ~path (Json.to_string json ^ "\n");
   Printf.printf "wrote %s\n%!" path;
   json
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one per primitive cost of Table 5's
-   time-accounting story. *)
-
-let time_benchmarks ctx =
-  let open Bechamel in
-  let design =
-    match Flow.design_for_spec ctx.Experiments.flow ctx.Experiments.spec with
-    | Ok plan -> plan.Yield_target.proposal.Macromodel.design
-    | Error _ -> (Perf_model.points ctx.Experiments.flow.Flow.perf_model).(0)
-  in
-  let params = Ota.params_of_array design.Perf_model.params in
-  let model = ctx.Experiments.flow.Flow.macromodel in
-  let variation = ctx.Experiments.config.Config.variation in
-  let mc_rng = Rng.create 5 in
-  let mat =
-    Mat.init 12 12 (fun i j -> if i = j then 25. else sin (float_of_int ((7 * i) + j)))
-  in
-  let vec = Array.init 12 float_of_int in
-  let tests =
-    [
-      Test.make ~name:"transistor-evaluation (DC+AC)"
-        (Staged.stage (fun () -> ignore (Tb.evaluate params)));
-      Test.make ~name:"transistor MC sample (perturb+DC+AC)"
-        (Staged.stage (fun () ->
-             ignore (Tb.evaluate_sampled ~spec:variation ~rng:mc_rng params)));
-      Test.make ~name:"behavioural-model query (tables only)"
-        (Staged.stage (fun () ->
-             ignore
-               (Macromodel.propose model
-                  ~gain_db:ctx.Experiments.spec.Yield_target.min_gain_db
-                  ~pm_deg:ctx.Experiments.spec.Yield_target.min_pm_deg)));
-      Test.make ~name:"behavioural filter evaluation"
-        (Staged.stage (fun () ->
-             ignore
-               (Filter.evaluate
-                  (Macromodel.amp_of_design design)
-                  Filter.default_spec
-                  { Filter.c1 = 30e-12; c2 = 15e-12; c3 = 0.3e-12 })));
-      Test.make ~name:"lu-solve 12x12"
-        (Staged.stage (fun () -> ignore (Lu.solve_system mat vec)));
-    ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| "run" |]
-  in
-  print_string (Report.section "Timing of the primitives (Bechamel)");
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let result = Benchmark.run cfg instances elt in
-          let estimate = Analyze.one ols Toolkit.Instance.monotonic_clock result in
-          match Analyze.OLS.estimates estimate with
-          | Some (t :: _) ->
-              Printf.printf "%-42s %12.3f us/run\n" (Test.Elt.name elt)
-                (t /. 1e3)
-          | Some [] | None ->
-              Printf.printf "%-42s (no estimate)\n" (Test.Elt.name elt))
-        (Test.elements test))
-    tests
 
 (* ------------------------------------------------------------------ *)
 (* Ablation benches for the design choices DESIGN.md calls out. *)
@@ -417,50 +277,6 @@ let ablation_interpolation ctx =
                 /. perf_t.Tb.phase_margin_deg)
         end)
     [ "3E"; "2E"; "1E"; "ME" ]
-
-let ablation_wbga_vs_nsga2 ctx =
-  (* front quality (2-D hypervolume) of the paper's WBGA vs NSGA-II at the
-     same evaluation budget *)
-  print_string (Report.section "Ablation: WBGA (paper) vs NSGA-II front quality");
-  let conditions = ctx.Experiments.config.Config.conditions in
-  let evaluate params =
-    match Tb.evaluate ~conditions (Ota.params_of_array params) with
-    | Some p when Tb.feasible conditions p -> Some (Tb.objectives p)
-    | Some _ | None -> None
-  in
-  let budget_pop, budget_gen =
-    match Config.scale_name ctx.Experiments.config with
-    | "paper-scale" -> (60, 50)
-    | _ -> (24, 15)
-  in
-  let ref_point = (30., 0.) in
-  let wbga =
-    Wbga.run
-      ~config:{ Ga.default_config with Ga.population_size = budget_pop; generations = budget_gen }
-      ~param_ranges:Ota.param_ranges
-      ~objectives:
-        [| { Wbga.name = "gain"; maximise = true }; { Wbga.name = "pm"; maximise = true } |]
-      ~rng:(Rng.create 7) ~evaluate ()
-  in
-  let wbga_points = Array.map (fun (e : Wbga.entry) -> e.Wbga.objectives) wbga.Wbga.archive in
-  let nsga =
-    Nsga2.run
-      ~config:
-        { Nsga2.default_config with Nsga2.population_size = budget_pop; generations = budget_gen }
-      ~param_ranges:Ota.param_ranges ~maximise:[| true; true |]
-      ~rng:(Rng.create 7) ~evaluate ()
-  in
-  let nsga_points = Array.map (fun (e : Nsga2.entry) -> e.Nsga2.objectives) nsga.Nsga2.archive in
-  Printf.printf
-    "budget %d x %d evaluations\n\
-     WBGA:    archive %5d, front %4d, hypervolume %10.1f\n\
-     NSGA-II: archive %5d, front %4d, hypervolume %10.1f\n"
-    budget_pop budget_gen (Array.length wbga_points)
-    (Array.length wbga.Wbga.front)
-    (Pareto.hypervolume_2d ~ref_point wbga_points)
-    (Array.length nsga_points)
-    (Array.length nsga.Nsga2.front)
-    (Pareto.hypervolume_2d ~ref_point nsga_points)
 
 let ablation_variation_scaling ctx =
   (* how the Table 2 spreads scale with the process-variation magnitude *)
@@ -549,69 +365,6 @@ let extended_characterisation ctx =
                 (100. *. r.Yield_process.Sensitivity.variance_share)
                 r.Yield_process.Sensitivity.per_sigma)
             results)
-
-(* LHS vs plain Monte Carlo: spread of the dGain estimate across repeated
-   small runs. *)
-let ablation_lhs ctx =
-  print_string (Report.section "Ablation: Latin hypercube vs plain Monte Carlo");
-  let design =
-    match Flow.design_for_spec ctx.Experiments.flow ctx.Experiments.spec with
-    | Ok plan -> plan.Yield_target.proposal.Macromodel.design
-    | Error _ -> (Perf_model.points ctx.Experiments.flow.Flow.perf_model).(0)
-  in
-  let params = Ota.params_of_array design.Perf_model.params in
-  let conditions = ctx.Experiments.config.Config.conditions in
-  let spec = ctx.Experiments.config.Config.variation in
-  match Tb.evaluate ~conditions params with
-  | None -> print_endline "nominal evaluation failed"
-  | Some nominal ->
-      let n = 24 in
-      let repeats = match Config.scale_name ctx.Experiments.config with
-        | "paper-scale" -> 12
-        | _ -> 5
-      in
-      let estimate_mc seed =
-        let rng = Rng.create seed in
-        let rs =
-          Yield_process.Montecarlo.run ~samples:n ~rng (fun r ->
-              Tb.evaluate_sampled ~conditions ~spec ~rng:r params)
-        in
-        let gains = Array.map (fun r -> r.Tb.gain_db) rs in
-        Yield_process.Montecarlo.spread_pct gains ~nominal:nominal.Tb.gain_db
-      in
-      let estimate_lhs seed =
-        let rng = Rng.create seed in
-        let normals =
-          Yield_stats.Lhs.sample_normal rng ~n ~dims:Variation.global_dims
-        in
-        let gains =
-          Array.to_list normals
-          |> List.filter_map (fun z ->
-                 let draw = Variation.global_draw_of_normals spec z in
-                 let circuit, _ = Tb.build ~conditions params in
-                 let perturbed =
-                   Variation.perturb_circuit_with_draw spec draw
-                     (Rng.split rng) circuit
-                 in
-                 match Tb.bode_of_circuit ~conditions perturbed with
-                 | None -> None
-                 | Some b ->
-                     Option.map
-                       (fun p -> p.Tb.gain_db)
-                       (Tb.perf_of_bode conditions b))
-          |> Array.of_list
-        in
-        Yield_process.Montecarlo.spread_pct gains ~nominal:nominal.Tb.gain_db
-      in
-      let spread f =
-        let xs = Array.init repeats (fun i -> f (1000 + i)) in
-        Yield_stats.Summary.stddev (Yield_stats.Summary.of_array xs)
-      in
-      let mc = spread estimate_mc and lhs = spread estimate_lhs in
-      Printf.printf
-        "sd of the dGain estimate over %d repeated %d-sample runs:\n\
-         plain MC %.4f %%   LHS (stratified globals) %.4f %%\n"
-        repeats n mc lhs
 
 (* Corner analysis as a cheap alternative to the Monte Carlo variation
    model: 5 deterministic corner evaluations vs 200 statistical samples. *)
@@ -916,7 +669,29 @@ let parse_cli () =
   then usage ();
   cli
 
-let run_gate cli bench_json =
+(* a gate input that cannot be read or parsed is refused with one line
+   naming it and exit 2, never a backtrace *)
+let read_json path =
+  let refuse reason =
+    Printf.eprintf "bench: %s: %s\n" path reason;
+    exit 2
+  in
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error msg ->
+      (* Sys_error names the file itself: keep only its reason *)
+      let prefix = path ^ ": " in
+      let n = String.length prefix in
+      refuse
+        (if String.starts_with ~prefix msg then
+           String.sub msg n (String.length msg - n)
+         else msg)
+  | text -> (
+      match Json.parse text with
+      | Json.Obj _ as json -> json
+      | _ -> refuse "not a JSON object"
+      | exception Json.Parse_error msg -> refuse msg)
+
+let run_gate cli ~baseline bench_json =
   Option.iter
     (fun path ->
       Yield_obs.Sink.write_file ~path
@@ -924,13 +699,7 @@ let run_gate cli bench_json =
       Printf.printf "wrote baseline %s\n%!" path)
     cli.write_baseline;
   Option.iter
-    (fun path ->
-      let baseline =
-        Json.parse (In_channel.with_open_text path In_channel.input_all)
-      in
-      List.iter
-        (fun f -> Printf.printf "perf gate: %s\n%!" (Perf_gate.to_string f))
-        (Perf_gate.skipped ~baseline ~bench:bench_json);
+    (fun (path, baseline) ->
       match Perf_gate.check ~baseline ~bench:bench_json with
       | [] -> Printf.printf "perf gate: OK against %s\n%!" path
       | findings ->
@@ -941,18 +710,17 @@ let run_gate cli bench_json =
             findings;
           Printf.eprintf "%!";
           exit 1)
-    cli.check
+    baseline
 
 let () =
   let cli = parse_cli () in
+  (* read first, so a bad baseline is refused before any flow runs *)
+  let baseline = Option.map (fun path -> (path, read_json path)) cli.check in
   (match cli.bench_file with
   | None -> ()
   | Some path ->
       (* offline gate: no flow run, just diff the recorded document *)
-      let bench_json =
-        Json.parse (In_channel.with_open_text path In_channel.input_all)
-      in
-      run_gate cli bench_json;
+      run_gate cli ~baseline (read_json path);
       Printf.printf "gated %s\n%!" path;
       exit 0);
   let config =
@@ -968,7 +736,6 @@ let () =
   Printf.printf
     "yieldlab benchmark harness — %s (set YIELDLAB_FAST=1 for a smoke run)\n%!"
     (Config.scale_name config);
-  let sweep = jobs_sweep config in
   (* the gated flow's allocation, a machine-independent cost the gate can
      hold to its baseline.  Gc.minor_words counts the calling domain only,
      so it covers the whole flow only when the flow runs in it: jobs = 1 *)
@@ -981,34 +748,21 @@ let () =
   let prescreen = prescreen_ab ctx in
   let solver = solver_ab ctx in
   let bench_json =
-    write_bench_json ~sweep ~prescreen ~solver ?flow_words ctx
-      ~path:"BENCH_flow.json"
+    write_bench_json ~prescreen ~solver ?flow_words ctx ~path:"BENCH_flow.json"
   in
-  run_gate cli bench_json;
+  run_gate cli ~baseline bench_json;
   if cli.check <> None || cli.write_baseline <> None then begin
     print_string (Report.section "done (perf gate)");
     exit 0
   end;
-  (* CI uses this to produce the BENCH_flow.json artifact without paying for
-     the full experiment/ablation suite *)
-  (match Sys.getenv_opt "YIELDLAB_BENCH_FLOW_ONLY" with
-  | Some v when v <> "" && v <> "0" ->
-      print_string (Report.section "done (flow only)");
-      exit 0
-  | Some _ | None -> ());
   List.iter
-    (fun (name, f) ->
-      Printf.printf "%!";
-      ignore name;
+    (fun (_, f) ->
       print_string (f ctx);
       Printf.printf "%!")
     Experiments.all;
   extended_characterisation ctx;
-  time_benchmarks ctx;
   ablation_interpolation ctx;
-  ablation_wbga_vs_nsga2 ctx;
   ablation_variation_scaling ctx;
-  ablation_lhs ctx;
   ablation_corners_vs_mc ctx;
   model_accuracy_sweep ctx;
   ablation_three_objectives ctx;

@@ -128,13 +128,24 @@ let settings_term scope =
         $ acc $ given))
     (Term.const []) (Config.taken_by scope)
 
-(* the refusal of malformed settings (C006-C008): print every diagnostic,
-   exit 2 *)
+(* the refusal of malformed settings (C006-C008) or counts (C001): print
+   every diagnostic, exit 2 *)
 let refuse_settings diags =
   List.iter
     (fun d -> Printf.eprintf "yieldlab: %s\n" (Diagnostic.to_text d))
     diags;
   2
+
+(* a non-positive count flag is refused before any simulation, with the
+   preflight's own C001 naming the flag *)
+let with_positive counts run =
+  match
+    List.concat_map
+      (fun (flag, n) -> Config_lint.positive ~subject:flag n)
+      counts
+  with
+  | [] -> run ()
+  | diags -> refuse_settings diags
 
 (* run a subcommand over its resolved settings, with telemetry armed and
    flushed on the way out (also when the command raises) *)
@@ -337,6 +348,7 @@ let corners_cmd =
 (* ---------- mc ---------- *)
 
 let mc params samples seed min_gain min_pm (config : Config.t) =
+  with_positive [ ("--samples", samples) ] @@ fun () ->
   let rng = Rng.create seed in
   let outcome =
     Yield_exec.Pool.with_pool ~jobs:config.jobs (fun pool ->
@@ -401,6 +413,9 @@ let mc_cmd =
 (* ---------- optimize ---------- *)
 
 let optimize population generations seed out (settings : Config.t) =
+  with_positive
+    [ ("--population", population); ("--generations", generations) ]
+  @@ fun () ->
   let config =
     { Ga.default_config with Ga.population_size = population; generations }
   in

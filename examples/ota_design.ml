@@ -4,8 +4,13 @@
    Monte Carlo variation model -> table models -> yield-targeted design ->
    transistor-level verification.
 
-   Run with:  dune exec examples/ota_design.exe            (reduced scale)
-              YIELDLAB_FULL=1 dune exec examples/ota_design.exe  (paper scale) *)
+   Run with:  dune exec examples/ota_design.exe                   (paper scale)
+              YIELDLAB_FAST=1 dune exec examples/ota_design.exe   (reduced scale)
+
+   The scale, like every run setting, resolves through Config.of_env (README
+   "Settings"): a malformed YIELDLAB_* value is refused with its diagnostic
+   and exit 2.  The verification Monte Carlo takes the paper's 500 samples
+   at paper scale and 60 at the reduced one. *)
 
 module Ota = Yield_circuits.Ota
 module Tb = Yield_circuits.Ota_testbench
@@ -21,8 +26,17 @@ module Yield_target = Yield_behavioural.Yield_target
 module Montecarlo = Yield_process.Montecarlo
 
 let () =
-  let paper_scale = Sys.getenv_opt "YIELDLAB_FULL" <> None in
-  let config = if paper_scale then Config.paper_scale else Config.fast_scale in
+  let config =
+    match Config.of_env () with
+    | Ok config -> config
+    | Error diags ->
+        List.iter
+          (fun d ->
+            Printf.eprintf "ota_design: %s\n"
+              (Yield_analyse.Diagnostic.to_text d))
+          diags;
+        exit 2
+  in
 
   (* step 1: netlist generation.  The testbench builder is the "netlist
      generation" stage; print it once so the artefact is visible. *)
@@ -68,7 +82,9 @@ let () =
       (* verification: nominal + Monte Carlo at transistor level (Table 4
          and the paper's 500-sample yield check) *)
       let params = Ota.params_of_array design.Perf_model.params in
-      let samples = if paper_scale then 500 else 60 in
+      let samples =
+        if Config.scale_name config = "paper-scale" then 500 else 60
+      in
       (match Flow.verify_design flow ~samples ~spec params with
       | Error e -> print_endline ("verification failed: " ^ e)
       | Ok v ->

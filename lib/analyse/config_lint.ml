@@ -17,19 +17,19 @@ type view = {
 
 let min_valid_mc_samples = 8
 
+let positive ~subject value =
+  if value <= 0 then
+    [
+      diag ~code:"C001" ~severity:Diagnostic.Error ~subject
+        (Printf.sprintf "%s must be positive (got %d)" subject value);
+    ]
+  else []
+
 let scale_checks v =
-  let positive name value =
-    if value <= 0 then
-      [
-        diag ~code:"C001" ~severity:Diagnostic.Error ~subject:name
-          (Printf.sprintf "%s must be positive (got %d)" name value);
-      ]
-    else []
-  in
-  positive "ga.population_size" v.population
-  @ positive "ga.generations" v.generations
-  @ positive "mc_samples" v.mc_samples
-  @ positive "front_stride" v.front_stride
+  positive ~subject:"ga.population_size" v.population
+  @ positive ~subject:"ga.generations" v.generations
+  @ positive ~subject:"mc_samples" v.mc_samples
+  @ positive ~subject:"front_stride" v.front_stride
 
 let mc_checks v =
   if v.mc_samples <= 0 then []

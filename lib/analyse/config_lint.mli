@@ -8,7 +8,7 @@
     dependency order and [Flow.run] can call it as its preflight stage.
 
     Codes:
-    - [C001] (error) non-positive GA/MC scale field
+    - [C001] (error) non-positive GA/MC scale field ({!positive})
     - [C002] mc_samples vs. the degradation threshold: below
       {!min_valid_mc_samples} every front point is skipped and the flow is
       guaranteed to starve (error); below four times it, a realistic
@@ -48,6 +48,11 @@ val min_valid_mc_samples : int
     so the linter and the runtime can never disagree. *)
 
 val check : ?checkpoint_dir:string -> ?resume:bool -> view -> Diagnostic.t list
+
+val positive : subject:string -> int -> Diagnostic.t list
+(** [C001] (error) when the count is not positive, named by [subject]:
+    a scale field of the {!view} here, a count flag where [yieldlab
+    optimize] and [mc] refuse one before simulating.  Empty otherwise. *)
 
 val checkpoint_mismatch : dir:string -> string -> Diagnostic.t
 (** The [C005] error for checkpoint directory [dir], recorded under

@@ -12,19 +12,29 @@ let to_string f = Printf.sprintf "%s: %s" f.field f.detail
 
 let obj_fields = function Json.Obj kvs -> kvs | _ -> []
 
+(* an absent tolerance object is the documented default; one that is
+   present but malformed is a finding, never replaced by a default (the
+   comparison below still runs, on the default for that field) *)
 let tolerance_of baseline =
+  let bad field v what =
+    [ { field; detail = Json.to_string v ^ " is not " ^ what } ]
+  in
   match Json.member "tolerance" baseline with
-  | None -> default_tolerance
-  | Some t ->
+  | None -> (default_tolerance, [])
+  | Some (Json.Obj _ as t) ->
       let field k fallback =
-        Option.value
-          (Option.bind (Json.member k t) Json.number_value)
-          ~default:fallback
+        match Json.member k t with
+        | None -> (fallback, [])
+        | Some v -> (
+            match Json.number_value v with
+            | Some x when x >= 0. -> (x, [])
+            | Some _ | None ->
+                (fallback, bad ("tolerance." ^ k) v "a non-negative number"))
       in
-      {
-        frac = field "frac" default_tolerance.frac;
-        abs_s = field "abs_s" default_tolerance.abs_s;
-      }
+      let frac, bad_frac = field "frac" default_tolerance.frac in
+      let abs_s, bad_abs = field "abs_s" default_tolerance.abs_s in
+      ({ frac; abs_s }, bad_frac @ bad_abs)
+  | Some v -> (default_tolerance, bad "tolerance" v "an object")
 
 (* every baseline key must exist in the bench and vice versa: a counter or
    stage appearing or vanishing is drift the baseline must acknowledge,
@@ -60,35 +70,8 @@ let identity ~field ~base ~bench compare_value =
   in
   missing @ extra
 
-(* counters whose value depends on the machine's core count: the
-   preflight warns (C006) for each jobs value above
-   Domain.recommended_domain_count, so a jobs sweep reports a different
-   number of findings on 1, 2 and 4 cores *)
-let core_dependent = [ "preflight.findings" ]
-
-let same_cores ~baseline ~bench =
-  match (Json.member "cores" baseline, Json.member "cores" bench) with
-  | Some a, Some b -> a = b
-  | _ -> false
-
-let skipped ~baseline ~bench =
-  if same_cores ~baseline ~bench then []
-  else
-    let cores doc =
-      Option.fold ~none:"unknown" ~some:Json.to_string (Json.member "cores" doc)
-    in
-    List.map
-      (fun k ->
-        {
-          field = "counters." ^ k;
-          detail =
-            Printf.sprintf "not compared: baseline cores %s vs bench cores %s"
-              (cores baseline) (cores bench);
-        })
-      core_dependent
-
 let check ~baseline ~bench =
-  let tol = tolerance_of baseline in
+  let tol, bad_tolerance = tolerance_of baseline in
   let member name j = Json.member name j in
   (* run identity: comparing different scales or pool sizes is meaningless *)
   let run_identity =
@@ -151,17 +134,9 @@ let check ~baseline ~bench =
       (section "sim_counts" (Some bench))
   in
   let counters =
-    let compared j =
-      if same_cores ~baseline ~bench then j
-      else
-        Json.Obj
-          (List.filter
-             (fun (k, _) -> not (List.mem k core_dependent))
-             (obj_fields j))
-    in
     exact "counters"
-      (compared (section "counters" (Some baseline)))
-      (compared (section "counters" (Some bench)))
+      (section "counters" (Some baseline))
+      (section "counters" (Some bench))
   in
   let alloc =
     identity ~field:"alloc"
@@ -182,7 +157,7 @@ let check ~baseline ~bench =
             else None
         | _ -> Some { field = "alloc." ^ k; detail = "not a number" })
   in
-  run_identity @ timings @ sim_counts @ counters @ alloc
+  bad_tolerance @ run_identity @ timings @ sim_counts @ counters @ alloc
 
 let baseline_of_bench ?(tolerance = baseline_tolerance) bench =
   let pick k = match Json.member k bench with Some v -> [ (k, v) ] | None -> [] in

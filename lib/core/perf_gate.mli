@@ -12,11 +12,9 @@
     - [sim_counts.*] and [counters.*] — exact values, and exact {e key
       identity} in both directions: a simulation-count drift or a counter
       appearing/vanishing fails the gate, since those are determinism
-      regressions no timing tolerance should forgive.  The one exception
-      is [counters.preflight.findings], which depends on the machine's
-      core count (the jobs sweep's C006 warnings): it is compared only
-      when both documents carry the same [cores], and {!skipped} names it
-      otherwise.
+      regressions no timing tolerance should forgive.  Every counter is
+      compared, whatever [cores] the two documents carry: at [jobs = 1]
+      none depends on the machine.
 
     - [alloc.*] — the gated flow's minor-heap words per simulation
       ([alloc.minor_words_per_sim], recorded only at [jobs = 1], where
@@ -34,7 +32,9 @@ type tolerance = { frac : float; abs_s : float }
 
 val default_tolerance : tolerance
 (** [frac = 0.10], [abs_s = 0.] — what {!check} assumes when the baseline
-    file carries no [tolerance] object. *)
+    file carries no [tolerance] object (or an object without one of the
+    two fields).  A [tolerance] that is present but not an object, or a
+    field that is not a non-negative number, is a finding. *)
 
 val baseline_tolerance : tolerance
 (** [frac = 0.10], [abs_s = 2.0] — what {!baseline_of_bench} stamps by
@@ -49,13 +49,8 @@ val check : baseline:Yield_obs.Json.t -> bench:Yield_obs.Json.t -> finding list
 (** Empty when the bench run is within tolerance of the baseline; one
     finding per violated field otherwise. *)
 
-val skipped : baseline:Yield_obs.Json.t -> bench:Yield_obs.Json.t -> finding list
-(** The core-dependent counters {!check} leaves out for this pair of
-    documents, each with the two [cores] values: all of them unless both
-    documents carry equal [cores], none otherwise. *)
-
 val baseline_of_bench :
   ?tolerance:tolerance -> Yield_obs.Json.t -> Yield_obs.Json.t
 (** Distil a [BENCH_flow.json] document into a baseline: scale, jobs,
     cores, the tolerance block, stage timings, sim counts, counters and
-    the allocation section (histograms and the jobs sweep are dropped). *)
+    the allocation section (histograms and the A/B sections are dropped). *)

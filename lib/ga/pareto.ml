@@ -63,56 +63,3 @@ let front_2d points =
       order;
     List.sort compare !front
   end
-
-let crowding_distance points front =
-  let nf = Array.length front in
-  let dist = Array.make nf 0. in
-  if nf > 0 then begin
-    let m = Array.length points.(front.(0)) in
-    for j = 0 to m - 1 do
-      let order = Array.init nf Fun.id in
-      Array.sort
-        (fun a b -> Float.compare points.(front.(a)).(j) points.(front.(b)).(j))
-        order;
-      let lo = points.(front.(order.(0))).(j) in
-      let hi = points.(front.(order.(nf - 1))).(j) in
-      dist.(order.(0)) <- infinity;
-      dist.(order.(nf - 1)) <- infinity;
-      if hi > lo then
-        for k = 1 to nf - 2 do
-          let prev = points.(front.(order.(k - 1))).(j) in
-          let next = points.(front.(order.(k + 1))).(j) in
-          dist.(order.(k)) <- dist.(order.(k)) +. ((next -. prev) /. (hi -. lo))
-        done
-    done
-  end;
-  dist
-
-let hypervolume_2d ~ref_point points =
-  let rx, ry = ref_point in
-  let front = front_2d points in
-  (* walk the front in decreasing obj0; each step adds a rectangle *)
-  let members =
-    List.map (fun i -> (points.(i).(0), points.(i).(1))) front
-    |> List.sort_uniq compare
-    |> List.rev (* descending obj0 *)
-  in
-  let _, total =
-    List.fold_left
-      (fun (y_prev, acc) (x, y) ->
-        if x <= rx || y <= ry then (y_prev, acc)
-        else begin
-          let height = y -. Float.max ry y_prev in
-          if height <= 0. then (y_prev, acc)
-          else (y, acc +. ((x -. rx) *. height))
-        end)
-      (neg_infinity, 0.) members
-  in
-  total
-
-let front_spread points front =
-  let pairs =
-    List.map (fun i -> (points.(i).(0), points.(i).(1))) front
-    |> List.sort compare
-  in
-  Array.of_list pairs

@@ -13,15 +13,3 @@ val front_2d : float array array -> int list
 (** Fast path for two maximised objectives: O(n log n) sort-and-scan.
     Coincident duplicate points are all retained (matching the paper, which
     counts every non-dominated circuit candidate). *)
-
-val crowding_distance : float array array -> int array -> float array
-(** NSGA-II crowding distance of each member of the given front (index array
-    into the points); boundary points get [infinity]. *)
-
-val hypervolume_2d : ref_point:float * float -> float array array -> float
-(** Dominated hypervolume of a set of 2-D maximised points with respect to a
-    reference point below/left of all of them.  A quality indicator for
-    comparing optimiser runs. *)
-
-val front_spread : float array array -> int list -> (float * float) array
-(** Sorted (obj0, obj1) pairs of a front, for reporting. *)

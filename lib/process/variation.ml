@@ -139,7 +139,8 @@ let perturb_model spec draw rng ~w ~l (model : Mosfet.model) =
   let dkp_rel = dkp_global +. Rng.normal rng ~mean:0. ~sigma:sigma_beta in
   Mosfet.with_deltas model ~dvth ~dkp_rel ~dlambda_rel:draw.dlambda_rel
 
-let perturb_circuit_with_draw spec draw rng circuit =
+let perturb_circuit spec rng circuit =
+  let draw = draw_global spec rng in
   Circuit.map_devices circuit (fun dev ->
       match dev with
       | Device.Mosfet m ->
@@ -148,9 +149,6 @@ let perturb_circuit_with_draw spec draw rng circuit =
       | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
       | Device.Isource _ | Device.Vccs _ ->
           dev)
-
-let perturb_circuit spec rng circuit =
-  perturb_circuit_with_draw spec (draw_global spec rng) rng circuit
 
 (* ---------- batch-first per-sample overrides ----------
 

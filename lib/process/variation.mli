@@ -50,11 +50,12 @@ type global_draw = {
 val draw_global : spec -> Yield_stats.Rng.t -> global_draw
 
 val global_dims : int
-(** Number of independent global components (for stratified sampling). *)
+(** Number of independent global components. *)
 
 val global_draw_of_normals : spec -> float array -> global_draw
-(** Build a global draw from [global_dims] standard-normal deviates — the
-    hook for Latin-hypercube (or quasi-Monte Carlo) global sampling.
+(** Build a global draw from [global_dims] standard-normal deviates, one
+    per component in the order of {!global_draw}'s fields: how
+    {!Sensitivity} places a draw at a chosen number of sigmas.
     @raise Invalid_argument on arity mismatch. *)
 
 val nominal_global : global_draw
@@ -81,12 +82,6 @@ val perturb_circuit :
 (** One Monte Carlo instance of the circuit: draws a global sample, then an
     independent mismatch for every MOSFET.  The input circuit is unchanged. *)
 
-val perturb_circuit_with_draw :
-  spec -> global_draw -> Yield_stats.Rng.t -> Yield_spice.Circuit.t ->
-  Yield_spice.Circuit.t
-(** Like {!perturb_circuit} but with an externally supplied global draw
-    (stratified/LHS sampling); mismatch is still drawn from [rng]. *)
-
 (** {1 Batch-first per-sample overrides}
 
     The Monte Carlo inner loop instantiates a circuit once per front point
@@ -107,8 +102,8 @@ val overrides :
 val overrides_with_draw :
   spec -> global_draw -> Yield_stats.Rng.t -> Yield_spice.Circuit.t ->
   Yield_spice.Mna.models
-(** Like {!overrides} but with an externally supplied global draw
-    (stratified/LHS sampling); mismatch is still drawn from [rng]. *)
+(** Like {!overrides} but with an externally supplied global draw;
+    mismatch is still drawn from [rng]. *)
 
 val overrides_gen :
   spec -> (unit -> float) -> Yield_spice.Circuit.t -> Yield_spice.Mna.models

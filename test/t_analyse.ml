@@ -305,6 +305,24 @@ let test_config_lint () =
     "C004 bad control" true
     (has_code "C004" (Config_lint.check { view with Config_lint.control = "bogus" }))
 
+(* one non-positive-count check, shared by the preflight's scale fields
+   and the count flags optimize and mc refuse before simulating *)
+let test_positive_counts () =
+  let texts diags = List.map Diagnostic.to_text diags in
+  Alcotest.(check (list string)) "zero flag refused"
+    [ "error C001 [--population]: --population must be positive (got 0)" ]
+    (texts (Config_lint.positive ~subject:"--population" 0));
+  Alcotest.(check (list string)) "negative flag refused"
+    [ "error C001 [--samples]: --samples must be positive (got -4)" ]
+    (texts (Config_lint.positive ~subject:"--samples" (-4)));
+  Alcotest.(check (list string)) "positive accepted" []
+    (texts (Config_lint.positive ~subject:"--generations" 1));
+  Alcotest.(check int) "an error: exit 2" 2
+    (Diagnostic.exit_code (Config_lint.positive ~subject:"--samples" 0));
+  Alcotest.(check (list string)) "the preflight's own finding"
+    (texts (Config_lint.positive ~subject:"mc_samples" 0))
+    (texts (Config_lint.check { view with Config_lint.mc_samples = 0 }))
+
 let test_config_lint_checkpoint () =
   let dir =
     Filename.concat
@@ -409,6 +427,7 @@ let suites =
     ( "analyse.config",
       [
         Alcotest.test_case "scale and control checks" `Quick test_config_lint;
+        Alcotest.test_case "positive counts" `Quick test_positive_counts;
         Alcotest.test_case "checkpoint dry-run" `Quick
           test_config_lint_checkpoint;
         Alcotest.test_case "fault-spec validation" `Quick test_fault_spec_lint;

@@ -1,10 +1,7 @@
-(* Tests for the extension features: LHS sampling, sensitivity analysis,
+(* Tests for the extension features: sensitivity analysis,
    OTA step response / CMRR / PSRR / noise measurements, the Verilog-A
    emitter, and the guarded performance-model lookup. *)
 
-module Lhs = Yield_stats.Lhs
-module Rng = Yield_stats.Rng
-module Summary = Yield_stats.Summary
 module Variation = Yield_process.Variation
 module Sensitivity = Yield_process.Sensitivity
 module Ota = Yield_circuits.Ota
@@ -27,57 +24,6 @@ let contains haystack needle =
     else scan (i + 1)
   in
   nn = 0 || scan 0
-
-(* --- LHS --- *)
-
-let test_lhs_stratification () =
-  let rng = Rng.create 3 in
-  let n = 50 in
-  let samples = Lhs.sample rng ~n ~dims:3 in
-  Alcotest.(check int) "rows" n (Array.length samples);
-  (* every stratum of every dimension hit exactly once *)
-  for j = 0 to 2 do
-    let hit = Array.make n false in
-    Array.iter
-      (fun row ->
-        let k = int_of_float (row.(j) *. float_of_int n) in
-        let k = Stdlib.min (n - 1) k in
-        if hit.(k) then Alcotest.fail "stratum hit twice";
-        hit.(k) <- true)
-      samples;
-    Alcotest.(check bool) "all strata hit" true (Array.for_all Fun.id hit)
-  done
-
-let test_lhs_normal_moments () =
-  let rng = Rng.create 5 in
-  let samples = Lhs.sample_normal rng ~n:2000 ~dims:1 in
-  let xs = Array.map (fun row -> row.(0)) samples in
-  let s = Summary.of_array xs in
-  check_float ~eps:0.01 "mean" 0. (Summary.mean s);
-  check_float ~eps:0.02 "sd" 1. (Summary.stddev s)
-
-let test_lhs_variance_reduction () =
-  (* estimating E[sum of uniforms] : LHS beats plain MC in spread across
-     repeated estimates *)
-  let estimate sampler seed =
-    let rng = Rng.create seed in
-    let rows = sampler rng in
-    let acc = ref 0. in
-    Array.iter (fun row -> acc := !acc +. Array.fold_left ( +. ) 0. row) rows;
-    !acc /. float_of_int (Array.length rows)
-  in
-  let n = 40 and dims = 4 in
-  let lhs_est seed = estimate (fun rng -> Lhs.sample rng ~n ~dims) seed in
-  let mc_est seed =
-    estimate
-      (fun rng -> Array.init n (fun _ -> Array.init dims (fun _ -> Rng.float rng)))
-      seed
-  in
-  let spread f =
-    let xs = Array.init 40 (fun i -> f (i + 1)) in
-    Summary.stddev (Summary.of_array xs)
-  in
-  Alcotest.(check bool) "lhs tighter" true (spread lhs_est < spread mc_est /. 2.)
 
 let test_global_draw_of_normals () =
   let spec = Variation.default_spec in
@@ -279,12 +225,6 @@ let test_lookup_guard_snaps_across_families () =
 
 let suites =
   [
-    ( "stats.lhs",
-      [
-        Alcotest.test_case "stratification" `Quick test_lhs_stratification;
-        Alcotest.test_case "normal moments" `Quick test_lhs_normal_moments;
-        Alcotest.test_case "variance reduction" `Slow test_lhs_variance_reduction;
-      ] );
     ( "process.sensitivity",
       [
         Alcotest.test_case "global_draw_of_normals" `Quick test_global_draw_of_normals;

@@ -1,5 +1,5 @@
 (* Tests for the yield_ga library: genome encoding, operators, the eq. 4/5
-   machinery, Pareto extraction, the GA engine, WBGA and NSGA-II. *)
+   machinery, Pareto extraction, the GA engine and the WBGA. *)
 
 module Genome = Yield_ga.Genome
 module Operators = Yield_ga.Operators
@@ -7,7 +7,6 @@ module Fitness = Yield_ga.Fitness
 module Pareto = Yield_ga.Pareto
 module Ga = Yield_ga.Ga
 module Wbga = Yield_ga.Wbga
-module Nsga2 = Yield_ga.Nsga2
 module Rng = Yield_stats.Rng
 
 let check_float ?(eps = 1e-9) what expected actual =
@@ -224,35 +223,6 @@ let prop_front_mutually_nondominated =
             front)
         front)
 
-let test_crowding_boundaries_infinite () =
-  let points = [| [| 0.; 3. |]; [| 1.; 2. |]; [| 2.; 1. |]; [| 3.; 0. |] |] in
-  let d = Pareto.crowding_distance points [| 0; 1; 2; 3 |] in
-  Alcotest.(check bool) "first infinite" true (d.(0) = infinity);
-  Alcotest.(check bool) "last infinite" true (d.(3) = infinity);
-  Alcotest.(check bool) "middle finite" true (Float.is_finite d.(1))
-
-let test_hypervolume_known () =
-  (* single point (1,1) with ref (0,0): unit square *)
-  check_float "unit square" 1. (Pareto.hypervolume_2d ~ref_point:(0., 0.) [| [| 1.; 1. |] |]);
-  (* staircase of two points *)
-  check_float "staircase" 3.
-    (Pareto.hypervolume_2d ~ref_point:(0., 0.) [| [| 2.; 1. |]; [| 1.; 2. |] |])
-
-let prop_hypervolume_monotone =
-  QCheck.Test.make ~count:100 ~name:"adding a point never shrinks hypervolume"
-    QCheck.(int_bound 100000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let n = 2 + Rng.int rng 10 in
-      let points =
-        Array.init n (fun _ -> [| Rng.float rng +. 0.1; Rng.float rng +. 0.1 |])
-      in
-      let hv_all = Pareto.hypervolume_2d ~ref_point:(0., 0.) points in
-      let hv_less =
-        Pareto.hypervolume_2d ~ref_point:(0., 0.) (Array.sub points 0 (n - 1))
-      in
-      hv_all >= hv_less -. 1e-12)
-
 (* --- engine --- *)
 
 let sphere_encoding =
@@ -336,25 +306,6 @@ let test_wbga_failures_counted () =
   Alcotest.(check int) "evals = archive + failures" 30
     (Array.length r.Wbga.archive + r.Wbga.failures)
 
-let test_nsga2_front_quality () =
-  let r =
-    Nsga2.run
-      ~config:{ Nsga2.default_config with Nsga2.population_size = 30; generations = 30 }
-      ~param_ranges:[| Genome.range "x" ~lo:0. ~hi:1. |]
-      ~maximise:[| true; true |]
-      ~rng:(Rng.create 19)
-      ~evaluate:(fun p -> Some [| p.(0); 1. -. (p.(0) *. p.(0)) |])
-      ()
-  in
-  Alcotest.(check bool) "front nonempty" true (Array.length r.Nsga2.front > 5);
-  (* every front point lies on the true front: f2 = 1 - f1^2 *)
-  Array.iter
-    (fun (e : Nsga2.entry) ->
-      check_float ~eps:1e-6 "on analytic front"
-        (1. -. (e.Nsga2.objectives.(0) ** 2.))
-        e.Nsga2.objectives.(1))
-    r.Nsga2.front
-
 let suites =
   [
     ( "ga.genome",
@@ -388,9 +339,6 @@ let suites =
         Alcotest.test_case "duplicates kept" `Quick test_front_2d_duplicates_kept;
         QCheck_alcotest.to_alcotest prop_front_matches_naive;
         QCheck_alcotest.to_alcotest prop_front_mutually_nondominated;
-        Alcotest.test_case "crowding" `Quick test_crowding_boundaries_infinite;
-        Alcotest.test_case "hypervolume" `Quick test_hypervolume_known;
-        QCheck_alcotest.to_alcotest prop_hypervolume_monotone;
       ] );
     ( "ga.engine",
       [
@@ -402,6 +350,4 @@ let suites =
         Alcotest.test_case "finds tradeoff" `Quick test_wbga_finds_tradeoff;
         Alcotest.test_case "failures counted" `Quick test_wbga_failures_counted;
       ] );
-    ( "ga.nsga2",
-      [ Alcotest.test_case "front quality" `Quick test_nsga2_front_quality ] );
   ]

@@ -318,43 +318,65 @@ let test_gate_catches_count_and_counter_drift () =
     (List.mem "counters.span.sampled_out"
        (fields (Perf_gate.check ~baseline:base ~bench:appeared)))
 
-(* preflight.findings counts the jobs sweep's C006 warnings, which depend
-   on the core count: it is compared between runs on equal cores only,
-   and every other counter stays exact across core counts *)
-let test_gate_core_dependent_counter () =
-  let counters ?(evaluations = 288) findings =
+(* at jobs = 1 no counter depends on the machine, so every counter is
+   compared whatever cores the two documents carry *)
+let test_gate_counters_across_cores () =
+  let counters findings =
     [
       ("mc.samples.attempted", 840);
       ("preflight.findings", findings);
-      ("wbga.evaluations", evaluations);
+      ("wbga.evaluations", 288);
     ]
   in
   let base =
-    baseline ~tolerance:tight (bench_fixture ~cores:1 ~counters:(counters 2) ())
+    baseline ~tolerance:tight (bench_fixture ~cores:1 ~counters:(counters 0) ())
   in
-  let skipped bench = fields (Perf_gate.skipped ~baseline:base ~bench) in
-  let two_cores = bench_fixture ~cores:2 ~counters:(counters 1) () in
-  Alcotest.(check (list string)) "cores and findings differ: passes" []
-    (fields (Perf_gate.check ~baseline:base ~bench:two_cores));
-  Alcotest.(check (list string)) "the skip is reported"
-    [ "counters.preflight.findings" ] (skipped two_cores);
-  let one_core = bench_fixture ~cores:1 ~counters:(counters 1) () in
-  Alcotest.(check (list string)) "equal cores: findings compared"
+  let check what expected bench =
+    Alcotest.(check (list string)) what expected
+      (fields (Perf_gate.check ~baseline:base ~bench))
+  in
+  check "other cores, same counters: passes" []
+    (bench_fixture ~cores:2 ~counters:(counters 0) ());
+  check "other cores, counter differs: a finding"
     [ "counters.preflight.findings" ]
-    (fields (Perf_gate.check ~baseline:base ~bench:one_core));
-  Alcotest.(check (list string)) "equal cores: nothing skipped" []
-    (skipped one_core);
-  let other =
-    bench_fixture ~cores:2 ~counters:(counters ~evaluations:289 1) ()
-  in
-  Alcotest.(check (list string)) "any other counter still fails"
-    [ "counters.wbga.evaluations" ]
-    (fields (Perf_gate.check ~baseline:base ~bench:other));
-  let no_cores = bench_fixture ~counters:(counters 1) () in
-  Alcotest.(check (list string)) "unknown cores: findings skipped" []
-    (fields (Perf_gate.check ~baseline:base ~bench:no_cores));
+    (bench_fixture ~cores:2 ~counters:(counters 1) ());
+  check "unknown cores, counter differs: a finding"
+    [ "counters.preflight.findings" ]
+    (bench_fixture ~counters:(counters 1) ());
   Alcotest.(check bool) "the baseline carries cores" true
     (Json.member "cores" base = Some (Json.Int 1))
+
+(* a tolerance that is present but malformed is a finding, never replaced
+   by a default; an absent one is the documented default *)
+let test_gate_malformed_tolerance () =
+  let fixture = bench_fixture () in
+  let with_tolerance tol =
+    match baseline fixture with
+    | Json.Obj kvs ->
+        Json.Obj
+          (List.filter_map
+             (fun (k, v) ->
+               if k <> "tolerance" then Some (k, v)
+               else Option.map (fun t -> (k, t)) tol)
+             kvs)
+    | other -> other
+  in
+  let check what expected tol =
+    Alcotest.(check (list string)) what expected
+      (fields (Perf_gate.check ~baseline:(with_tolerance tol) ~bench:fixture))
+  in
+  check "absent: default" [] None;
+  check "fields absent: default" [] (Some (Json.Obj []));
+  check "negative frac"
+    [ "tolerance.frac" ]
+    (Some (Json.Obj [ ("frac", Json.Float (-0.1)); ("abs_s", Json.Float 0.) ]));
+  check "string abs_s"
+    [ "tolerance.abs_s" ]
+    (Some (Json.Obj [ ("frac", Json.Float 0.1); ("abs_s", Json.String "2") ]));
+  check "null frac, negative abs_s"
+    [ "tolerance.frac"; "tolerance.abs_s" ]
+    (Some (Json.Obj [ ("frac", Json.Null); ("abs_s", Json.Int (-1)) ]));
+  check "not an object" [ "tolerance" ] (Some (Json.Float 0.1))
 
 (* allocation per simulation does not depend on the machine: it gates
    with the baseline's frac and none of its absolute timing slack *)
@@ -598,8 +620,10 @@ let suites =
         Alcotest.test_case "allocation per simulation" `Quick
           test_gate_allocation;
         Alcotest.test_case "baseline shape" `Quick test_baseline_of_bench_shape;
-        Alcotest.test_case "core-dependent counter" `Quick
-          test_gate_core_dependent_counter;
+        Alcotest.test_case "counters across cores" `Quick
+          test_gate_counters_across_cores;
+        Alcotest.test_case "malformed tolerance" `Quick
+          test_gate_malformed_tolerance;
       ] );
     ( "telemetry.config",
       [
