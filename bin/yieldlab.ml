@@ -371,9 +371,13 @@ let mc params samples seed min_gain min_pm (config : Config.t) =
     let pms = Array.map (fun p -> p.Tb.phase_margin_deg) results in
     let stats name xs =
       let s = Yield_stats.Summary.of_array xs in
-      Printf.printf "%-6s mean %8.3f  sd %7.4f  min %8.3f  max %8.3f\n" name
-        (Yield_stats.Summary.mean s)
-        (Yield_stats.Summary.stddev s)
+      (* one sample has no spread: say so rather than print a nan *)
+      let sd =
+        if Yield_stats.Summary.count s < 2 then "n/a"
+        else Printf.sprintf "%.4f" (Yield_stats.Summary.stddev s)
+      in
+      Printf.printf "%-6s mean %8.3f  sd %7s  min %8.3f  max %8.3f\n" name
+        (Yield_stats.Summary.mean s) sd
         (Yield_stats.Summary.min_value s)
         (Yield_stats.Summary.max_value s)
     in

@@ -71,11 +71,13 @@ let () =
 
   (* Monte Carlo yield of the closed filter *)
   let circuit, out = Filter.build_transistor params caps in
+  (* every perturbed sample keeps the topology: one solver session *)
+  let sys = Yield_spice.Mna.sys circuit in
   let rng = Rng.create 99 in
   let results =
     Montecarlo.run ~samples:100 ~rng (fun r ->
         let perturbed = Variation.perturb_circuit Variation.default_spec r circuit in
-        match Filter.response_of_circuit perturbed ~out with
+        match Filter.response_of_circuit ~sys perturbed ~out with
         | None -> None
         | Some b -> Some (Filter.check spec b))
   in

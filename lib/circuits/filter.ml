@@ -60,16 +60,29 @@ let build amp caps =
 
 let default_freqs = lazy (Ac.default_freqs ~per_decade:20 ~f_lo:1e3 ~f_hi:1e8 ())
 
-let response_of_circuit ?freqs circuit ~out =
+let response_of_circuit ?sys ?freqs circuit ~out =
   let freqs = match freqs with Some f -> f | None -> Lazy.force default_freqs in
-  let sys = Mna.sys circuit in
+  let sys = Mna.default_sys sys circuit in
   match Dcop.solve ~sys circuit with
   | Error _ -> None
   | Ok op -> Some (Ac.transfer_by_name ~sys circuit op ~out ~freqs)
 
+(* Each builder's circuits share one topology whatever their values, so
+   each gets one solver session, compiled by its first caller and shared
+   across domains (a lost race costs one extra compile) *)
+let cached (cell : Mna.sys option Atomic.t) circuit =
+  match Atomic.get cell with
+  | Some sys -> sys
+  | None ->
+      let sys = Mna.sys circuit in
+      if Atomic.compare_and_set cell None (Some sys) then sys
+      else Option.value (Atomic.get cell) ~default:sys
+
+let behavioural_sys = Atomic.make None
+
 let response ?freqs amp caps =
   let circuit, out = build amp caps in
-  response_of_circuit ?freqs circuit ~out
+  response_of_circuit ~sys:(cached behavioural_sys circuit) ?freqs circuit ~out
 
 let build_transistor ?(tech = Yield_process.Tech.c35) ?(vcm = 1.65) ota_params
     caps =
@@ -86,9 +99,11 @@ let build_transistor ?(tech = Yield_process.Tech.c35) ?(vcm = 1.65) ota_params
   Circuit.nodeset c (Circuit.node c "out") vcm;
   (c, "out")
 
+let transistor_sys = Atomic.make None
+
 let response_transistor ?freqs ?tech ?vcm ota_params caps =
   let circuit, out = build_transistor ?tech ?vcm ota_params caps in
-  response_of_circuit ?freqs circuit ~out
+  response_of_circuit ~sys:(cached transistor_sys circuit) ?freqs circuit ~out
 
 type check = {
   passband_margin_db : float;

@@ -62,10 +62,11 @@ val build_transistor :
     the verification path of Figure 11. *)
 
 val response_of_circuit :
-  ?freqs:float array -> Yield_spice.Circuit.t -> out:string ->
-  Yield_spice.Ac.bode option
+  ?sys:Yield_spice.Mna.sys -> ?freqs:float array -> Yield_spice.Circuit.t ->
+  out:string -> Yield_spice.Ac.bode option
 (** AC response of an already-built (possibly Monte Carlo-perturbed) filter
-    circuit. *)
+    circuit, solved in [sys] (default: a fresh one).  Samples of one
+    topology pass one [sys], so its pattern and plan are built once. *)
 
 val response_transistor :
   ?freqs:float array -> ?tech:Yield_process.Tech.t -> ?vcm:float ->

@@ -156,13 +156,15 @@ module Make (A : Amplifier.S) = struct
 
   (* ---------- sessions ----------
 
-     All open-loop testbenches of one amplifier share a single topology
-     (same nodes, same device order) whatever the params or conditions, so
-     the solver session is compiled once per backend and cached for the
-     lifetime of the functor instantiation: every open-loop evaluation,
-     nominal or sampled, solves in it.  Compiled sessions are immutable,
-     so sharing across domains is safe; the cache itself is a CAS list (a
-     lost race costs one extra compile). *)
+     All open-loop testbenches of one amplifier and one stimulus share a
+     single topology (same nodes, same device order) whatever the params
+     or conditions, so the solver session is compiled once per backend
+     and cached for the lifetime of the functor instantiation: every
+     open-loop evaluation, nominal or sampled, solves in it.  Each CMRR
+     and PSRR stimulus has its own dense session, cached the same way.
+     Compiled sessions are shared across domains (a dense one grows its
+     sweep's pivot-path plan by compare-and-set); the caches themselves
+     are CAS lists (a lost race costs one extra compile). *)
 
   (* A session pins one front point: its circuit, the topology's compiled
      sys and where each sample's Newton begins.  A [Warm] session begins
@@ -178,23 +180,30 @@ module Make (A : Amplifier.S) = struct
         start : Yield_numeric.Vec.t;  (* never written: Newton copies it *)
       }
 
+  (* [s] under [key] in [cache], unless a racing domain published one
+     first: the published session either way *)
+  let rec publish cache key s =
+    let cur = Atomic.get cache in
+    match List.assoc_opt key cur with
+    | Some existing -> existing
+    | None ->
+        if Atomic.compare_and_set cache cur ((key, s) :: cur) then s
+        else publish cache key s
+
   let sys_cache : (Linsys.backend * Mna.sys) list Atomic.t = Atomic.make []
 
   let cached_sys backend circuit =
     match List.assoc_opt backend (Atomic.get sys_cache) with
     | Some s -> s
-    | None ->
-        let s = Mna.sys ~backend circuit in
-        let rec publish () =
-          let cur = Atomic.get sys_cache in
-          match List.assoc_opt backend cur with
-          | Some existing -> existing
-          | None ->
-              if Atomic.compare_and_set sys_cache cur ((backend, s) :: cur)
-              then s
-              else publish ()
-        in
-        publish ()
+    | None -> publish sys_cache backend (Mna.sys ~backend circuit)
+
+  (* the dense sessions of the CMRR and PSRR variants, one per stimulus *)
+  let variant_cache : (stimulus * Mna.sys) list Atomic.t = Atomic.make []
+
+  let variant_sys stimulus circuit =
+    match List.assoc_opt stimulus (Atomic.get variant_cache) with
+    | Some s -> s
+    | None -> publish variant_cache stimulus (Mna.sys circuit)
 
   (* csr samples start at the nominal operating point, solved once here;
      dense samples keep the nodeset start, so dense stays the bit-exact
@@ -271,10 +280,11 @@ module Make (A : Amplifier.S) = struct
     sample s
       (Variation.overrides_with_draw no_mismatch draw rng (session_circuit s))
 
-  (* the common-mode variant rewires CBIG, so each variant gets its own
+  (* the common-mode variant rewires CBIG, so each stimulus gets its own
      session *)
-  let low_freq_gain_db conditions circuit =
-    let sys = Mna.sys circuit in
+  let low_freq_gain_db conditions params stimulus =
+    let circuit = build_variant conditions params stimulus in
+    let sys = variant_sys stimulus circuit in
     match Dcop.solve_with_retry ~sys circuit with
     | Error _ -> None
     | Ok op ->
@@ -283,15 +293,15 @@ module Make (A : Amplifier.S) = struct
         Some (Measure.dc_gain_db b)
 
   let cmrr_db ?(conditions = default_conditions) params =
-    let adm = low_freq_gain_db conditions (build_variant conditions params Differential) in
-    let acm = low_freq_gain_db conditions (build_variant conditions params Common_mode) in
+    let adm = low_freq_gain_db conditions params Differential in
+    let acm = low_freq_gain_db conditions params Common_mode in
     match (adm, acm) with
     | Some adm, Some acm -> Some (adm -. acm)
     | _ -> None
 
   let psrr_db ?(conditions = default_conditions) params =
-    let adm = low_freq_gain_db conditions (build_variant conditions params Differential) in
-    let avdd = low_freq_gain_db conditions (build_variant conditions params Supply) in
+    let adm = low_freq_gain_db conditions params Differential in
+    let avdd = low_freq_gain_db conditions params Supply in
     match (adm, avdd) with
     | Some adm, Some avdd -> Some (adm -. avdd)
     | _ -> None

@@ -509,6 +509,8 @@ let fig11 ctx =
           (* Monte Carlo yield of the closed filter *)
           let mc_samples = if Config.scale_name ctx.config = "paper-scale" then 500 else 60 in
           let circuit, out = Filter.build_transistor params caps in
+          (* every perturbed sample keeps the topology: one session *)
+          let sys = Yield_spice.Mna.sys circuit in
           let rng = Rng.create 99 in
           let results =
             Montecarlo.run ~samples:mc_samples ~rng (fun sample_rng ->
@@ -516,7 +518,7 @@ let fig11 ctx =
                   Variation.perturb_circuit ctx.config.Config.variation
                     sample_rng circuit
                 in
-                match Filter.response_of_circuit perturbed ~out with
+                match Filter.response_of_circuit ~sys perturbed ~out with
                 | None -> None
                 | Some b -> Some (Filter.check spec b))
           in

@@ -52,19 +52,44 @@ let mul_vec m v =
 
 let[@inline] mag2 re im p = (re.(p) *. re.(p)) +. (im.(p) *. im.(p))
 
-type work = { a : t; xr : float array; xi : float array; nz : int array }
+type work = {
+  re : float array;
+  im : float array;
+  xr : float array;
+  xi : float array;
+  nz : int array;
+}
 
 let work n =
-  { a = create n n; xr = Array.make n 0.; xi = Array.make n 0.; nz = Array.make n 0 }
+  if n < 0 then invalid_arg "Cmat.work: negative dimension";
+  {
+    re = Array.make (n * n) 0.;
+    im = Array.make (n * n) 0.;
+    xr = Array.make n 0.;
+    xi = Array.make n 0.;
+    nz = Array.make n 0;
+  }
 
-(* Gaussian elimination with partial pivoting of [w.a] in place,
-   eliminating into the right-hand side [w.xr]/[w.xi] as it goes
-   (single-RHS forward pass).  Entry (i, j) is re/im.(i*n + j).
-   [skip_zeros]: see Lu.factor_into; the same argument holds per real and
-   imaginary part. *)
-let eliminate w ~skip_zeros n =
-  let re = w.a.re and im = w.a.im and xr = w.xr and xi = w.xi and nz = w.nz in
-  for k = 0 to n - 1 do
+let sibling w =
+  let n = Array.length w.xr in
+  {
+    re = Array.make (n * n) 0.;
+    im = Array.make (n * n) 0.;
+    xr = Array.make n 0.;
+    xi = Array.make n 0.;
+    nz = w.nz;
+  }
+
+(* Gaussian elimination with partial pivoting of [w]'s working copy in
+   place, steps [from] .. n - 1, eliminating into the right-hand side
+   [w.xr]/[w.xi] as it goes (single-RHS forward pass).  Entry (i, j) is
+   re/im.(i*n + j).  [skip_zeros]: see Lu.factor_into; the same argument
+   holds per real and imaginary part. *)
+let eliminate w ~skip_zeros ~from =
+  let re = w.re and im = w.im and xr = w.xr and xi = w.xi and nz = w.nz in
+  let n = Array.length xr in
+  if from < 0 then invalid_arg "Cmat.eliminate: negative step";
+  for k = from to n - 1 do
     let rk = k * n in
     let best = ref k and best_mag = ref (mag2 re im (rk + k)) in
     for i = k + 1 to n - 1 do
@@ -129,8 +154,9 @@ let eliminate w ~skip_zeros n =
 
 (* back substitution of the eliminated system, rows n - 1 down to [lo]:
    entries [lo] .. n - 1 of the solution land in [w.xr]/[w.xi] *)
-let back_substitute w n lo =
-  let re = w.a.re and im = w.a.im and xr = w.xr and xi = w.xi in
+let back_substitute w lo =
+  let re = w.re and im = w.im and xr = w.xr and xi = w.xi in
+  let n = Array.length xr in
   for i = n - 1 downto lo do
     let ri = i * n in
     let sr = ref xr.(i) and si = ref xi.(i) in
@@ -144,14 +170,22 @@ let back_substitute w n lo =
     xi.(i) <- ((!si *. pr) -. (!sr *. pi)) /. pmag
   done
 
+let entry w k =
+  if k >= Array.length w.xr then invalid_arg "Cmat.entry: entry outside the system";
+  if k < 0 then Complex.zero
+  else begin
+    back_substitute w k;
+    { Complex.re = w.xr.(k); im = w.xi.(k) }
+  end
+
 (* [m0] into the workspace's matrix, after the checks both solves share *)
 let load w m0 rhs_length =
   let n = m0.rows in
   if m0.cols <> n then invalid_arg "Cmat.solve: matrix not square";
   if rhs_length <> n then invalid_arg "Cmat.solve: dimension mismatch";
-  if w.a.rows <> n then invalid_arg "Cmat.solve_with: workspace size";
-  Array.blit m0.re 0 w.a.re 0 (n * n);
-  Array.blit m0.im 0 w.a.im 0 (n * n)
+  if Array.length w.xr <> n then invalid_arg "Cmat.solve_with: workspace size";
+  Array.blit m0.re 0 w.re 0 (n * n);
+  Array.blit m0.im 0 w.im 0 (n * n)
 
 let solve_with w ~skip_zeros m0 b =
   let n = m0.rows in
@@ -161,8 +195,8 @@ let solve_with w ~skip_zeros m0 b =
     xr.(i) <- b.(i).Complex.re;
     xi.(i) <- b.(i).Complex.im
   done;
-  eliminate w ~skip_zeros n;
-  back_substitute w n 0;
+  eliminate w ~skip_zeros ~from:0;
+  back_substitute w 0;
   Array.init n (fun i -> { Complex.re = xr.(i); im = xi.(i) })
 
 let solve_entry w ~skip_zeros m0 ~re ~im k =
@@ -173,13 +207,9 @@ let solve_entry w ~skip_zeros m0 ~re ~im k =
   load w m0 (Array.length re);
   Array.blit re 0 w.xr 0 n;
   Array.blit im 0 w.xi 0 n;
-  eliminate w ~skip_zeros n;
-  if k < 0 then Complex.zero
-  else begin
-    back_substitute w n k;
-    { Complex.re = w.xr.(k); im = w.xi.(k) }
-  end
+  eliminate w ~skip_zeros ~from:0;
+  entry w k
 
-let solve m b =
+let solve (m : t) b =
   let skip_zeros = not (Vec.has_neg_zero m.re || Vec.has_neg_zero m.im) in
   solve_with (work m.rows) ~skip_zeros m b

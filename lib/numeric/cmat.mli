@@ -31,11 +31,38 @@ val solve : t -> Complex.t array -> Complex.t array
     @raise Invalid_argument on shape mismatch.
     @raise Lu.Singular when a pivot vanishes. *)
 
-type work
-(** Scratch for {!solve_with} and {!solve_entry}: a working copy of an
-    [n]x[n] matrix and of one right-hand side. *)
+type work = private {
+  re : float array;  (** the working copy of an [n]x[n] matrix, row-major as {!t} *)
+  im : float array;
+  xr : float array;  (** the right-hand side the elimination carries along *)
+  xi : float array;
+  nz : int array;  (** scratch: the pivot-row columns a step updates *)
+}
+(** Scratch for {!solve_with} and {!solve_entry}.  A kernel that loads
+    the working copy and the right-hand side itself runs {!eliminate} and
+    {!entry} on them, the two halves of {!solve_entry}. *)
 
 val work : int -> work
+
+val sibling : work -> work
+(** [sibling w] is a fresh workspace of [w]'s size that shares [w]'s
+    column scratch: the two hold their own systems but must not eliminate
+    at the same time. *)
+
+val eliminate : work -> skip_zeros:bool -> from:int -> unit
+(** [eliminate w ~skip_zeros ~from] runs steps [from] .. n - 1 of the
+    elimination {!solve_with} performs on [w]'s working copy and
+    right-hand side.  Step k takes as pivot the first row among k .. n - 1
+    whose entry in column k has the largest squared magnitude (strict
+    [>]), swaps it into row k and eliminates column k below it.  Steps
+    before [from] must already be done.
+    @raise Lu.Singular when a pivot vanishes. *)
+
+val entry : work -> int -> Complex.t
+(** [entry w k] back-substitutes [w]'s eliminated working copy from row
+    n - 1 up to row [k] and returns entry [k] of the solution; a negative
+    [k] returns [Complex.zero].  It allocates only the entry.
+    @raise Invalid_argument if [k >= n]. *)
 
 val solve_with : work -> skip_zeros:bool -> t -> Complex.t array -> Complex.t array
 (** [solve_with w ~skip_zeros m b] is [solve m b] computed in [w]'s buffers

@@ -811,4 +811,5 @@ let csweep w b ~freqs ~out response =
   let pos = !pos in
   fun k k' ->
     if k' < 0 then sweep_one w freqs pos response k
-    else sweep_two w freqs pos response k k'
+    else sweep_two w freqs pos response k k';
+    0

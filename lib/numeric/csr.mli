@@ -108,13 +108,15 @@ val cfactor : cwork -> omega:float -> Complex.t array -> Complex.t array
 
 val csweep :
   cwork -> Complex.t array -> freqs:float array -> out:int -> Complex.t array ->
-  int -> int -> unit
+  int -> int -> int
 (** [csweep w b ~freqs ~out response] loads the right-hand side [b] of one
     AC transfer into [w], row-permuted, and returns its point solver:
     [point k (-1)] factors [G + j*2*pi*freqs.(k)*C] and writes entry [out]
     of its solution into [response.(k)]; [point k k'] does the same for
     [freqs.(k)] and [freqs.(k')] together, in one pass of a two-lane
-    elimination, solve and refinement step.  Either writes the bits that
+    elimination, solve and refinement step.  A point returns 0, the count
+    {!Linsys.complex_sys}'s [sweep] asks for: every frequency replays the
+    compiled schedule.  Either writes the bits that
     entry [out] of a {!cfactor} solve at that [omega] holds, and raises
     what a {!cfactor} at [freqs.(k)] and then one at [freqs.(k')] would
     raise first.  A negative [out] factors without solving and writes

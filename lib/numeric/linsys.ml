@@ -12,14 +12,17 @@
    is exact because m -. (f *. 0.) is m for a finite multiplier f unless m
    is -0, and no matrix entry here is -0: Mat.fill 0., +. onto +0 and exact
    cancellation only produce +0, so G and C hold none, and omega *. C holds
-   none when omega > 0 and no product underflows, which [pencil] checks.
-   Right-hand sides and back substitution are never skipped: a source of
-   value 0 can put a -0 there.
+   none when omega > 0 and no product underflows, which Pivot_path's
+   [pencil] checks.  Right-hand sides and back substitution are never
+   skipped: a source of value 0 can put a -0 there.
 
    Each backend's [sweep] entry answers, at its output unknown, the bits
-   its [factor] path answers: dense through the same Cmat elimination,
-   with back substitution stopped at the output row, csr through lanes
-   that each replay [cfactor]'s operations in its order.
+   its [factor] path answers.  Dense follows the pattern's pivot-path plan
+   (Pivot_path): the same elimination restricted to the entries the
+   topology can make nonzero, two frequencies per pass, back substitution
+   stopped at the output row, and Cmat's elimination wherever the plan
+   cannot promise those bits.  csr runs lanes that each replay
+   [cfactor]'s operations in its order.
 
    The Csr backend must stay bit-identical to its reference copy in the
    tests (test/csr_ref.ml).  [Csr.analyse] compiles the elimination of the
@@ -89,8 +92,9 @@ module Pattern = struct
     && Array.exists (fun c -> c = j) p.rows.(i)
 end
 
-(* a dense system needs only its size: the backend ignores structure *)
-type t = Dense_sys of int | Csr_sys of Csr.symbolic
+(* a dense system keeps its pattern as the pivot-path plan the AC sweep
+   grows; its slots are the row-major i*n + j of every entry *)
+type t = Dense_sys of Pivot_path.t | Csr_sys of Csr.symbolic
 
 (* an entry outside [0, n) would alias an entry of a neighbouring row, so
    it is refused *)
@@ -101,7 +105,7 @@ let dense_slot n i j =
 
 let slot t i j =
   match t with
-  | Dense_sys n -> dense_slot n i j
+  | Dense_sys p -> dense_slot (Pivot_path.size p) i j
   | Csr_sys sym -> Csr.slot sym i j
 
 type real = {
@@ -124,14 +128,14 @@ type complex_sys = {
   factor : omega:float -> Complex.t array -> Complex.t array;
   sweep :
     Complex.t array -> freqs:float array -> out:int -> Complex.t array ->
-    (int -> int -> unit);
+    (int -> int -> int);
 }
 
 module Dense_backend = struct
   (* wrapped in 3-ary closures below: a partial application would put a
      currying wrapper in front of every stamp *)
-  let add_to (m : Mat.t) i j x =
-    let d = m.data and k = dense_slot m.cols i j in
+  let add_to n (d : float array) i j x =
+    let k = dense_slot n i j in
     d.(k) <- d.(k) +. x
 
   let real owner n =
@@ -142,64 +146,28 @@ module Dense_backend = struct
       owner;
       values = m.data;
       reset = (fun () -> Mat.fill m 0.);
-      add = (fun i j x -> add_to m i j x);
+      add = (fun i j x -> add_to n m.data i j x);
       solve =
         (fun b ->
           Lu.factor_into f ~skip_zeros:true m;
           Lu.solve f b);
     }
 
-  (* [a] <- g + j omega c, as Cmat.of_real; true when [a] is -0-free.
-     Inlined, so a sweep point's omega is never boxed. *)
-  let[@inline] pencil (a : Cmat.t) ~omega (g : Mat.t) (c : Mat.t) =
-    let re = a.re and im = a.im and gd = g.data and cd = c.data in
-    let exact = ref (omega > 0.) in
-    for k = 0 to Array.length re - 1 do
-      re.(k) <- gd.(k);
-      let v = omega *. cd.(k) in
-      im.(k) <- v;
-      if v = 0. && cd.(k) <> 0. then exact := false
-    done;
-    !exact
-
-  let complex owner n =
-    let g = Mat.create n n in
-    let c = Mat.create n n in
-    let a = Cmat.create n n in
-    let w = Cmat.work n in
-    (* the sweep's right-hand side, split *)
-    let br = Array.make n 0. and bi = Array.make n 0. in
-    (* one frequency of a sweep: Cmat's elimination, with back
-       substitution stopped at the output row *)
-    let point freqs out response k =
-      let skip_zeros = pencil a ~omega:(2. *. Float.pi *. freqs.(k)) g c in
-      response.(k) <- Cmat.solve_entry w ~skip_zeros a ~re:br ~im:bi out
-    in
+  let complex owner plan =
+    let n = Pivot_path.size plan in
+    let w = Pivot_path.work plan in
+    let g = Pivot_path.gvalues w and c = Pivot_path.cvalues w in
     {
       cn = n;
       cowner = owner;
-      gvalues = g.data;
-      cvalues = c.data;
-      creset =
-        (fun () ->
-          Mat.fill g 0.;
-          Mat.fill c 0.);
-      add_g = (fun i j x -> add_to g i j x);
-      add_c = (fun i j x -> add_to c i j x);
-      factor =
-        (fun ~omega ->
-          let skip_zeros = pencil a ~omega g c in
-          fun rhs -> Cmat.solve_with w ~skip_zeros a rhs);
+      gvalues = g;
+      cvalues = c;
+      creset = (fun () -> Pivot_path.reset w);
+      add_g = (fun i j x -> add_to n g i j x);
+      add_c = (fun i j x -> add_to n c i j x);
+      factor = (fun ~omega -> Pivot_path.factor w ~omega);
       sweep =
-        (fun rhs ~freqs ~out response ->
-          if Array.length rhs <> n then invalid_arg "Linsys: sweep dimension mismatch";
-          for i = 0 to n - 1 do
-            br.(i) <- rhs.(i).Complex.re;
-            bi.(i) <- rhs.(i).Complex.im
-          done;
-          fun k k' ->
-            point freqs out response k;
-            if k' >= 0 then point freqs out response k');
+        (fun rhs ~freqs ~out response -> Pivot_path.sweep w rhs ~freqs ~out response);
     }
 end
 
@@ -243,27 +211,32 @@ let backend_of_string s =
 
 let backend_names = [ "dense"; "csr" ]
 
-let compile backend pattern =
+let compile_deferred backend ~size pattern =
   match backend with
-  | Dense -> Dense_sys (Pattern.size pattern)
+  | Dense ->
+      Dense_sys (Pivot_path.create ~n:size (fun () -> Pattern.rows (pattern ())))
   | Csr ->
+      let pattern = pattern () in
+      if Pattern.size pattern <> size then
+        invalid_arg "Linsys.compile_deferred: pattern size";
       Csr_sys
         (Csr.analyse
            ~strong_rows:(Pattern.strong_rows pattern)
-           ~n:(Pattern.size pattern) (Pattern.rows pattern))
+           ~n:size (Pattern.rows pattern))
 
-let dense_of_size n = Dense_sys n
+let compile backend pattern =
+  compile_deferred backend ~size:(Pattern.size pattern) (fun () -> pattern)
 
 let real t =
   match t with
-  | Dense_sys n -> Dense_backend.real t n
+  | Dense_sys p -> Dense_backend.real t (Pivot_path.size p)
   | Csr_sys sym -> Csr_backend.real t sym
 
 let complex t =
   match t with
-  | Dense_sys n -> Dense_backend.complex t n
+  | Dense_sys p -> Dense_backend.complex t p
   | Csr_sys sym -> Csr_backend.complex t sym
 
 let name = function Dense_sys _ -> "dense" | Csr_sys _ -> "csr"
 
-let size = function Dense_sys n -> n | Csr_sys sym -> Csr.size sym
+let size = function Dense_sys p -> Pivot_path.size p | Csr_sys sym -> Csr.size sym

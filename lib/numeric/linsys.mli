@@ -4,28 +4,35 @@
     against a {!backend}, and then assemble + solve through small records
     of closures ({!type-real} for DC/transient Newton systems,
     {!type-complex_sys} for AC systems of the form [G + jwC]).  Two
-    backends exist:
+    backends exist, and both compile the topology's structural
+    {!Pattern.t}:
 
     - [Dense] wraps {!Mat}/{!Lu}/{!Cmat} with the floating-point
       operations the engines performed before this seam existed, so
-      results are byte-identical to the historical dense path.  It needs
-      only the system size, never a structural pattern.  Its workspaces
-      reuse their buffers across factorisations.
-    - [Csr] uses {!Csr}: the structural nonzeros, described as a
-      {!Pattern.t}, get a fill-reducing ordering, a symbolic factorisation
-      and a compiled elimination schedule once per topology at [compile]
-      time; per-sample work only replays that schedule over the numeric
-      values of the cached fill pattern, in buffers its workspaces own.
+      results are byte-identical to the historical dense path.  Its real
+      workspaces and [factor] need only the system size; its AC [sweep]
+      follows the pattern's {!Pivot_path} plan, the pivot sequences
+      partial pivoting takes on this topology, grown as sweeps meet them,
+      and it leaves the plan for {!Cmat}'s elimination wherever the plan
+      cannot promise the same bits.  Its workspaces reuse their buffers
+      across factorisations.
+    - [Csr] uses {!Csr}: the structural nonzeros get a fill-reducing
+      ordering, a symbolic factorisation and a compiled elimination
+      schedule once per topology at [compile] time; per-sample work only
+      replays that schedule over the numeric values of the cached fill
+      pattern, in buffers its workspaces own.
 
     Every workspace also exposes the float arrays its stamps accumulate
     into, indexed by {!slot}, so an engine can resolve each stamp's slot
-    once per topology and then write values without a lookup.  On either
-    backend an entry outside the [n]x[n] system (or the csr pattern)
-    raises [Invalid_argument]; it never lands on another entry.
+    once per topology and then write values without a lookup.  An entry
+    outside the [n]x[n] system, or on [Csr] outside the pattern, raises
+    [Invalid_argument]; it never lands on another entry.  [Dense] accepts
+    an entry outside the pattern, and its sweep then runs the generic
+    elimination.
 
-    Compiled systems are immutable and safe to share across domains;
-    {!val-real} / {!val-complex} allocate the mutable per-worker numeric
-    workspaces. *)
+    Compiled systems are safe to share across domains (a dense plan grows
+    by compare-and-set); {!val-real} / {!val-complex} allocate the mutable
+    per-worker numeric workspaces. *)
 
 (** Structural nonzero pattern of a square system. *)
 module Pattern : sig
@@ -66,9 +73,9 @@ module Pattern : sig
 end
 
 type t
-(** A compiled system: a size for [Dense], a symbolic factorisation for
-    [Csr].  Immutable and domain-shareable; call {!val-real} /
-    {!val-complex} per worker for numeric workspaces. *)
+(** A compiled system: the pattern's pivot-path plan for [Dense], a
+    symbolic factorisation for [Csr].  Domain-shareable; call
+    {!val-real} / {!val-complex} per worker for numeric workspaces. *)
 
 val slot : t -> int -> int -> int
 (** [slot t i j] is the value slot of entry [(i, j)]: the index into the
@@ -111,7 +118,7 @@ type complex_sys = {
           @raise Lu.Singular on breakdown *)
   sweep :
     Complex.t array -> freqs:float array -> out:int -> Complex.t array ->
-    (int -> int -> unit);
+    (int -> int -> int);
       (** The AC sweep's entry: [sweep rhs ~freqs ~out response] takes one
           transfer's right-hand side and returns its point solver.
           [point k (-1)] factors [G + j*omega*C] at
@@ -120,13 +127,22 @@ type complex_sys = {
           does the same for [freqs.(k)] and then [freqs.(k')].  Each
           response has the bits of entry [out] of a [factor ~omega] solve
           for [rhs], and a breakdown raises what factoring [freqs.(k)] and
-          then [freqs.(k')] would raise first.  csr factors and solves a
-          pair in one pass of its two-lane kernel; dense runs {!Cmat}'s
-          elimination per frequency, back substitution stopped at [out].
-          A negative [out] factors without solving and writes
-          [Complex.zero].  A point allocates only the responses it writes.
-          The point solver and [factor]'s solvers share the workspace:
-          each is valid until the next [sweep] or [factor] on it.
+          then [freqs.(k')] would raise first.  A point returns how many
+          of its frequencies ran the generic elimination instead of the
+          backend's compiled one: always 0 on csr, which factors a pair in
+          one pass of its two-lane kernel; on dense, the frequencies
+          {!Pivot_path}'s plan could not carry (an omega that is not a
+          finite positive number, an underflowing [omega *. C], a nonzero
+          or -0 entry of G or C outside the pattern or a -0 inside it, a
+          non-finite multiplier, a plan at its growth bound).  Dense runs
+          a pair through one pass while both frequencies pick the same
+          pivots.  Back substitution stops at [out].  A negative [out]
+          factors without solving and writes [Complex.zero].  A point
+          allocates only the responses it writes.  The point solver reads
+          G and C at every point; dense checks their structure when
+          [sweep] is called, so they must not change between a [sweep]
+          and its points.  It shares the workspace with [factor]: each is
+          valid until the next [sweep] or [factor] on it.
           @raise Invalid_argument if [rhs] is not of size [cn] or
           [out >= cn].
           @raise Lu.Singular on breakdown *)
@@ -141,11 +157,18 @@ val backend_names : string list
 (** Valid [--solver] names, in display order. *)
 
 val compile : backend -> Pattern.t -> t
-(** [Dense] reads only the pattern's size. *)
+(** [Dense] keeps the pattern for its sweep's pivot-path plan, which it
+    builds and grows when sweeps first need it; [Csr] analyses it now.
+    @raise Lu.Singular when [Csr] finds the pattern structurally
+    singular. *)
 
-val dense_of_size : int -> t
-(** The dense system of an [n]x[n] matrix; what [compile Dense] gives for
-    any pattern of that size, without building one. *)
+val compile_deferred : backend -> size:int -> (unit -> Pattern.t) -> t
+(** [compile_deferred backend ~size pattern] is [compile backend
+    (pattern ())] for a pattern of size [size], except that [Dense] calls
+    [pattern] only when its AC sweep first needs the plan: a dense system
+    that only solves real systems never builds its pattern.  [pattern]
+    must be pure; domains racing to build the plan may each call it.
+    @raise Lu.Singular as {!compile}. *)
 
 val real : t -> real
 val complex : t -> complex_sys

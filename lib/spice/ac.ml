@@ -16,6 +16,10 @@ let points = Metrics.counter "ac.points"
 (* of those, the frequencies the sweep handed the solver two at a time *)
 let paired = Metrics.counter "ac.paired"
 
+(* of those, the frequencies a dense sweep factored by the generic
+   elimination because its pivot-path plan could not carry them *)
+let dense_generic = Metrics.counter "ac.dense_generic"
+
 let never_stop _ _ = max_int
 
 let transfer ?sys ?(stop = never_stop) circuit op ~out ~freqs =
@@ -47,27 +51,30 @@ let transfer ?sys ?(stop = never_stop) circuit op ~out ~freqs =
         invalid_arg "Ac.transfer: the stop rule gave up a point it had promised";
       last
     in
-    let pairs = ref 0 in
     (* the one sweep loop: points before [k] are swept and the rule needs
-       every point up to [last].  Each frequency is its own factorisation,
-       so the swept prefix is what the full sweep would have computed, and
-       two promised points can be factored together. *)
-    let rec sweep k last =
-      if k > last then k
+       every point up to [last]; [pairs] frequencies went two at a time
+       and [generic] left the backend's compiled elimination.  Each
+       frequency is its own factorisation, so the swept prefix is what
+       the full sweep would have computed, and two promised points can be
+       factored together. *)
+    let rec sweep k last pairs generic =
+      if k > last then begin
+        Metrics.add paired pairs;
+        Metrics.add dense_generic generic;
+        k
+      end
       else if k < last then begin
-        point k (k + 1);
-        pairs := !pairs + 2;
+        let g = point k (k + 1) in
         let last = consult k last in
-        sweep (k + 2) (consult (k + 1) last)
+        sweep (k + 2) (consult (k + 1) last) (pairs + 2) (generic + g)
       end
       else begin
-        point k (-1);
-        sweep (k + 1) (consult k last)
+        let g = point k (-1) in
+        sweep (k + 1) (consult k last) pairs (generic + g)
       end
     in
-    let swept = if n = 0 then 0 else sweep 0 0 in
+    let swept = if n = 0 then 0 else sweep 0 0 0 0 in
     Metrics.add points swept;
-    Metrics.add paired !pairs;
     if swept = n then { freqs; response }
     else { freqs = Array.sub freqs 0 swept; response = Array.sub response 0 swept }
   end

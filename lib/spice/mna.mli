@@ -54,10 +54,12 @@ val pattern : Circuit.t -> layout -> Yield_numeric.Linsys.Pattern.t
     symbolic factorisation serves them all. *)
 
 val sys : ?backend:Yield_numeric.Linsys.backend -> Circuit.t -> sys
-(** Build the layout, compile it, build the stamp plan and run the
-    structural checks.  [backend] defaults to [Dense], which needs only
-    the system size; [Csr] also builds the {!pattern} and analyses it
-    symbolically.  Valid for every circuit sharing this topology (any
+(** Build the layout, compile it with its {!pattern}, build the stamp
+    plan and run the structural checks.  [backend] defaults to [Dense],
+    which builds the pattern for the pivot-path plan its AC sweep grows
+    ({!Yield_numeric.Pivot_path}) when the first sweep needs it; [Csr]
+    builds it now and analyses it symbolically.  Valid for every circuit
+    sharing this topology (any
     [Circuit.map_devices] image: same nodes, same device order, same
     device kinds).  A structurally singular circuit still gets a dense
     [sys] (its solves report the issues); the csr backend may refuse its

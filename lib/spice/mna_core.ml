@@ -210,11 +210,11 @@ type sys = {
 let sys ?(backend = Linsys.Dense) circuit =
   let n_nodes, size, branches = shape circuit in
   let stamps = stamps_of circuit branches in
+  (* both backends compile the pattern: csr analyses it now; dense builds
+     it for the pivot-path plan its AC sweep grows, when the first sweep
+     needs it, so a sys that only solves DC never pays for it *)
   let compiled =
-    (* the dense backend ignores structure, so it gets no pattern *)
-    match backend with
-    | Linsys.Dense -> Linsys.dense_of_size size
-    | Linsys.Csr -> Linsys.compile backend (pattern_of stamps ~n_nodes ~size)
+    Linsys.compile_deferred backend ~size (fun () -> pattern_of stamps ~n_nodes ~size)
   in
   {
     sys_layout =

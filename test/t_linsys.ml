@@ -45,6 +45,18 @@ let pattern_of_entries n entries =
   Hashtbl.iter (fun key _ -> Linsys.Pattern.add b (key / n) (key mod n)) entries;
   Linsys.Pattern.build b
 
+(* the pattern of the (i, j, _) entries listed, and its dense system *)
+let pattern_of_adds n adds =
+  let b = Linsys.Pattern.builder n in
+  List.iter (fun (i, j, _) -> Linsys.Pattern.add b i j) adds;
+  Linsys.Pattern.build b
+
+let dense_of_adds n adds = Linsys.compile Linsys.Dense (pattern_of_adds n adds)
+
+(* the dense system of the full n x n pattern *)
+let dense_full n =
+  dense_of_adds n (List.concat (List.init n (fun i -> List.init n (fun j -> (i, j, ())))))
+
 let assemble_real sys n entries =
   sys.Linsys.reset ();
   Hashtbl.iter
@@ -152,11 +164,11 @@ let test_backend_names () =
     "unknown" None
     (Option.map Linsys.backend_name (Linsys.backend_of_string "cholesky"))
 
-let test_dense_of_size_matches_mat () =
+let test_dense_real_matches_mat () =
   let n = 4 in
   let st = Random.State.make [| 42 |] in
   let m = Mat.create n n in
-  let sys = Linsys.real (Linsys.dense_of_size n) in
+  let sys = Linsys.real (dense_full n) in
   sys.Linsys.reset ();
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
@@ -184,7 +196,8 @@ let sweep_by_factor factor rhs ~freqs ~out (response : Complex.t array) =
   in
   fun k k' ->
     one k;
-    if k' >= 0 then one k'
+    if k' >= 0 then one k';
+    0
 
 (* ---------- bit-exact reference for the dense backend ---------- *)
 
@@ -353,7 +366,7 @@ module Ref = struct
     let m = create n n in
     {
       Linsys.rn = n;
-      owner = Linsys.dense_of_size n;
+      owner = dense_full n;
       values = m.data;
       reset = (fun () -> fill m);
       add = add_to m;
@@ -368,7 +381,7 @@ module Ref = struct
     in
     {
       Linsys.cn = n;
-      cowner = Linsys.dense_of_size n;
+      cowner = dense_full n;
       gvalues = g.data;
       cvalues = c.data;
       creset =
@@ -478,7 +491,7 @@ let test_dense_real_bit_exact () =
     List.iter
       (fun p ->
         let adds = poison st n (random_adds st n) p in
-        let dense = Linsys.real (Linsys.dense_of_size n) in
+        let dense = Linsys.real (dense_of_adds n adds) in
         let reference = Ref.real n in
         (* a second assembly into the same workspace must not see the
            first one's factorisation *)
@@ -546,6 +559,86 @@ let random_complex_rhs st n =
   let re = random_rhs st n and im = random_rhs st n in
   Array.init n (fun i -> { Complex.re = re.(i); im = im.(i) })
 
+(* ---------- the sweep entry ---------- *)
+
+(* frequencies whose omegas 2 pi f reach the edge cases of [omegas]: a
+   zero and a negative scale, products underflowing to -0, Inf and NaN *)
+let edge_freqs = [| 1e6; 1.; 1e9; 0.; -3.; 5e-324; Float.infinity; Float.nan |]
+
+(* [point k k'] of a sweep entry made with [~response] must give what a
+   point-by-point sweep gives: [expect.(k)], the outcome of frequency k's
+   output entry, and then [expect.(k')], or the row of the first
+   breakdown, k's before k''s.  Every point alone and every ordered pair
+   is checked.  The result counts the pairs that broke down in both lanes
+   with lane 1 at the earlier row, the case where the row raised is not
+   the first one met, and the frequencies the points reported as run by
+   the generic elimination. *)
+let check_sweep_entries what ~expect point =
+  let nf = Array.length expect in
+  let response = Array.make nf Complex.zero in
+  let point = point response in
+  let crossed = ref 0 and generic = ref 0 in
+  for k = 0 to nf - 1 do
+    for k' = -1 to nf - 1 do
+      if k' <> k then begin
+        let want =
+          match expect.(k) with
+          | Error r -> Error r
+          | Ok z when k' < 0 -> Ok [| z |]
+          | Ok z -> ( match expect.(k') with Error r -> Error r | Ok z' -> Ok [| z; z' |])
+        in
+        (match (expect.(k), if k' < 0 then Ok Complex.zero else expect.(k')) with
+        | Error r, Error r' when r' < r -> incr crossed
+        | _ -> ());
+        check_complex_outcome
+          (Printf.sprintf "%s point (%d, %d)" what k k')
+          want
+          (outcome (fun () ->
+               generic := !generic + point k k';
+               if k' < 0 then [| response.(k) |] else [| response.(k); response.(k') |]))
+      end
+    done
+  done;
+  (!crossed, !generic)
+
+(* [check_sweep_entries] against [reference.(k)], the outcome of a
+   [factor] solve at frequency k, at entry [out]; the crossed pairs *)
+let check_sweep_points what ~reference ~out point =
+  let entry x = if out < 0 then Complex.zero else x.(out) in
+  fst
+    (check_sweep_entries
+       (Printf.sprintf "%s out %d" what out)
+       ~expect:(Array.map (Result.map entry) reference)
+       point)
+
+(* The reference of a dense sweep point: Cmat.solve_entry on
+   G + j omega C, built by Cmat.of_real from the row-major [g] and [c],
+   with the zero skip the dense [factor] takes for that pencil (omega > 0
+   and no product omega *. C underflowing to zero). *)
+let solve_entry_reference ~g ~c ~freqs b out =
+  let n = Array.length b in
+  let mat v = Mat.init n n (fun i j -> v.((i * n) + j)) in
+  let gm = mat g and cm = mat c in
+  let re = Array.map (fun z -> z.Complex.re) b and im = Array.map (fun z -> z.Complex.im) b in
+  Array.map
+    (fun f ->
+      let omega = 2. *. Float.pi *. f in
+      let skip_zeros =
+        omega > 0. && not (Array.exists (fun cv -> omega *. cv = 0. && cv <> 0.) c)
+      in
+      let m = Cmat.of_real ~imag_scale:omega gm cm in
+      outcome (fun () -> Cmat.solve_entry (Cmat.work n) ~skip_zeros m ~re ~im out))
+    freqs
+
+(* a dense workspace's sweep against [solve_entry_reference] on its own
+   assembled G and C; the crossed pairs and the generic count *)
+let check_dense_sweep what (cs : Linsys.complex_sys) ~freqs b out =
+  let expect = solve_entry_reference ~g:cs.Linsys.gvalues ~c:cs.Linsys.cvalues ~freqs b out in
+  check_sweep_entries
+    (Printf.sprintf "%s out %d" what out)
+    ~expect
+    (cs.Linsys.sweep b ~freqs ~out)
+
 let test_dense_complex_bit_exact () =
   for seed = 1 to 150 do
     let st = Random.State.make [| seed; 41 |] in
@@ -559,7 +652,7 @@ let test_dense_complex_bit_exact () =
               if Random.State.bool st then Some (i, j, v *. 1e-9) else None)
             (random_adds st n)
         in
-        let dense = Linsys.complex (Linsys.dense_of_size n) in
+        let dense = Linsys.complex (dense_of_adds n (g_adds @ c_adds)) in
         let reference = Ref.complex n in
         List.iter
           (fun cs ->
@@ -578,7 +671,24 @@ let test_dense_complex_bit_exact () =
                 (outcome (fun () -> sr b))
                 (outcome (fun () -> sd b))
             done)
-          omegas)
+          omegas;
+        (* the sweep entry, through the pattern's pivot-path plan, at
+           the same omegas *)
+        let freqs = Array.of_list (List.map (fun omega -> omega /. (2. *. Float.pi)) omegas) in
+        let b = random_complex_rhs st n in
+        let reference =
+          Array.map
+            (fun f -> outcome (fun () -> reference.Linsys.factor ~omega:(2. *. Float.pi *. f) b))
+            freqs
+        in
+        List.iter
+          (fun out ->
+            ignore
+              (check_sweep_points
+                 (Printf.sprintf "seed %d n %d sweep" seed n)
+                 ~reference ~out
+                 (dense.Linsys.sweep b ~freqs ~out)))
+          [ -1; n - 1 ])
       poisons
   done
 
@@ -640,70 +750,46 @@ let test_signed_zero_fixtures () =
     signed_zero_rhs;
   let g = [ (0, 0, 1.); (1, 0, -1.); (1, 1, 2.); (2, 2, 1.) ] in
   let c = [ (0, 0, -0.3); (1, 0, -0.3); (1, 2, -0.3) ] in
-  let dense = Linsys.complex (Linsys.dense_of_size 3) and reference = Ref.complex 3 in
-  List.iter
-    (fun cs ->
-      cs.Linsys.creset ();
-      List.iter (fun (i, j, v) -> cs.Linsys.add_g i j v) g;
-      List.iter (fun (i, j, v) -> cs.Linsys.add_c i j v) c)
-    [ dense; reference ];
+  let dense = Linsys.complex (dense_of_adds 3 (g @ c)) and reference = Ref.complex 3 in
+  let assemble ~c_scale =
+    List.iter
+      (fun cs ->
+        cs.Linsys.creset ();
+        List.iter (fun (i, j, v) -> cs.Linsys.add_g i j v) g;
+        List.iter (fun (i, j, v) -> cs.Linsys.add_c i j (c_scale *. v)) c)
+      [ dense; reference ]
+  in
+  assemble ~c_scale:1.;
   let omega = 5e-324 in
   let sd = dense.Linsys.factor ~omega and sr = reference.Linsys.factor ~omega in
-  List.iter
-    (fun re ->
-      List.iter
-        (fun im ->
-          let b = Array.init 3 (fun i -> { Complex.re = re.(i); im = im.(i) }) in
-          check_complex_outcome "omega *. C underflowing to -0"
-            (outcome (fun () -> sr b))
-            (outcome (fun () -> sd b)))
-        signed_zero_rhs)
-    signed_zero_rhs
-
-(* ---------- the sweep entry ---------- *)
-
-(* frequencies whose omegas 2 pi f reach the edge cases of [omegas]: a
-   zero and a negative scale, products underflowing to -0, Inf and NaN *)
-let edge_freqs = [| 1e6; 1.; 1e9; 0.; -3.; 5e-324; Float.infinity; Float.nan |]
-
-(* [point k k'] of a sweep entry made with [~out] and [~response] must
-   give what a point-by-point sweep gives: entry [out] of frequency k's
-   solution and then of k''s, or the row of the first breakdown, k's
-   before k''s.  [reference.(k)] is the outcome of a [factor] solve at
-   frequency k.  Every point alone and every ordered pair is checked; the
-   result counts the pairs that broke down in both lanes with lane 1 at the
-   earlier row, the case where the row raised is not the first one met. *)
-let check_sweep_points what ~reference ~out point =
-  let nf = Array.length reference in
-  let response = Array.make nf Complex.zero in
-  let point = point response in
-  let entry x = if out < 0 then Complex.zero else x.(out) in
-  let crossed = ref 0 in
-  for k = 0 to nf - 1 do
-    for k' = -1 to nf - 1 do
-      if k' <> k then begin
-        let expect =
-          match reference.(k) with
-          | Error r -> Error r
-          | Ok x when k' < 0 -> Ok [| entry x |]
-          | Ok x -> (
-              match reference.(k') with
-              | Error r -> Error r
-              | Ok x' -> Ok [| entry x; entry x' |])
-        in
-        (match (reference.(k), if k' < 0 then Ok [||] else reference.(k')) with
-        | Error r, Error r' when r' < r -> incr crossed
-        | _ -> ());
-        check_complex_outcome
-          (Printf.sprintf "%s out %d point (%d, %d)" what out k k')
-          expect
-          (outcome (fun () ->
-               point k k';
-               if k' < 0 then [| response.(k) |] else [| response.(k); response.(k') |]))
-      end
-    done
-  done;
-  !crossed
+  let each_rhs f =
+    List.iter
+      (fun re ->
+        List.iter
+          (fun im -> f (Array.init 3 (fun i -> { Complex.re = re.(i); im = im.(i) })))
+          signed_zero_rhs)
+      signed_zero_rhs
+  in
+  each_rhs (fun b ->
+      check_complex_outcome "omega *. C underflowing to -0"
+        (outcome (fun () -> sr b))
+        (outcome (fun () -> sd b)));
+  (* the sweep at the smallest positive frequency, where omega *. C
+     underflows to -0 once C is a thousand times smaller, and at two
+     ordinary ones *)
+  assemble ~c_scale:1e-3;
+  let freqs = [| 5e-324; 1e6; 1. |] in
+  each_rhs (fun b ->
+      let reference =
+        Array.map
+          (fun f -> outcome (fun () -> reference.Linsys.factor ~omega:(2. *. Float.pi *. f) b))
+          freqs
+      in
+      for out = -1 to 2 do
+        ignore
+          (check_sweep_points "sweep over an underflowing omega *. C" ~reference ~out
+             (dense.Linsys.sweep b ~freqs ~out))
+      done)
 
 (* ---------- bit-exact reference for the csr kernels ---------- *)
 
@@ -939,10 +1025,18 @@ let test_csr_sweep_bit_exact () =
   Alcotest.(check bool) "pairs whose lane 1 broke down first were checked" true
     (!crossed > 0)
 
-(* The dense entry against [factor] (Cmat.solve_with) on random systems at
-   the edge frequencies, and Cmat.solve_entry against Cmat.solve_with on
-   matrices with -0 entries, with and without the zero skip. *)
+(* The dense entry, through the pivot-path plan of a compiled random
+   pattern, against point-by-point Cmat.solve_entry at the edge
+   frequencies (omega 0, negative, underflowing, Inf, NaN), with exact
+   zeros, NaN and Inf poisons, right-hand sides with signed zeros and every
+   output including none.  A quarter of the systems stamp one entry
+   outside their pattern, and a quarter overwrite a pattern entry of G or
+   C with -0; the plan must leave them to the generic elimination.  A
+   system that fits its pattern sweeps 1 MHz, 1 Hz and 1 GHz through the
+   plan alone.  Then Cmat.solve_entry against Cmat.solve_with on matrices
+   with -0 entries, with and without the zero skip. *)
 let test_dense_sweep_bit_exact () =
+  let generic = ref 0 and planned = ref 0 in
   for seed = 1 to 150 do
     let st = Random.State.make [| seed; 73 |] in
     let n = 1 + Random.State.int st 10 in
@@ -955,33 +1049,45 @@ let test_dense_sweep_bit_exact () =
               if Random.State.bool st then Some (i, j, v *. 1e-9) else None)
             (random_adds st n)
         in
-        let swept = Linsys.complex (Linsys.dense_of_size n) in
-        let factored = Linsys.complex (Linsys.dense_of_size n) in
-        List.iter
-          (fun cs ->
-            cs.Linsys.creset ();
-            List.iter (fun (i, j, v) -> cs.Linsys.add_g i j v) g_adds;
-            List.iter (fun (i, j, v) -> cs.Linsys.add_c i j v) c_adds)
-          [ swept; factored ];
+        let adds = g_adds @ c_adds in
+        let outside = Random.State.int st 4 = 0 and neg_zero = Random.State.int st 4 = 0 in
+        let i0, j0, _ = List.nth adds (Random.State.int st (List.length adds)) in
+        let pattern =
+          if outside then List.filter (fun (i, j, _) -> (i, j) <> (i0, j0)) adds else adds
+        in
+        let cs = Linsys.complex (dense_of_adds n pattern) in
+        cs.Linsys.creset ();
+        List.iter (fun (i, j, v) -> cs.Linsys.add_g i j v) g_adds;
+        List.iter (fun (i, j, v) -> cs.Linsys.add_c i j v) c_adds;
+        if neg_zero then
+          (if Random.State.bool st then cs.Linsys.gvalues else cs.Linsys.cvalues).((i0 * n) + j0)
+          <- -0.;
         for r = 1 to 2 do
           let b = random_complex_rhs st n in
-          let reference =
-            Array.map
-              (fun f ->
-                outcome (fun () -> factored.Linsys.factor ~omega:(2. *. Float.pi *. f) b))
-              edge_freqs
-          in
           List.iter
             (fun out ->
-              ignore
-                (check_sweep_points
-                   (Printf.sprintf "seed %d n %d rhs %d" seed n r)
-                   ~reference ~out
-                   (swept.Linsys.sweep b ~freqs:edge_freqs ~out)))
+              let _, g =
+                check_dense_sweep
+                  (Printf.sprintf "seed %d n %d rhs %d" seed n r)
+                  cs ~freqs:edge_freqs b out
+              in
+              generic := !generic + g)
             [ -1; 0; n - 1; Random.State.int st n ]
-        done)
+        done;
+        if (not outside) && (not neg_zero) && p = `None then begin
+          let freqs = [| 1e6; 1.; 1e9 |] and response = Array.make 3 Complex.zero in
+          let point = cs.Linsys.sweep (random_complex_rhs st n) ~freqs ~out:(n - 1) response in
+          for k = 0 to 2 do
+            match point k (-1) with
+            | 0 -> incr planned
+            | exception Lu.Singular _ -> ()
+            | _ -> Alcotest.failf "seed %d n %d: %g Hz left the plan" seed n freqs.(k)
+          done
+        end)
       poisons
   done;
+  Alcotest.(check bool) "some points ran the generic elimination" true (!generic > 0);
+  Alcotest.(check bool) "fitting systems swept through the plan" true (!planned > 100);
   for seed = 1 to 100 do
     let st = Random.State.make [| seed; 83 |] in
     let n = 1 + Random.State.int st 9 in
@@ -1013,6 +1119,137 @@ let test_dense_sweep_bit_exact () =
           [ true; false ])
       omegas
   done
+
+module Pivot_path = Yield_numeric.Pivot_path
+
+(* a dense workspace of the pattern of [g] and [c], assembled with them *)
+let dense_assembled n g c =
+  let cs = Linsys.complex (dense_of_adds n (g @ c)) in
+  cs.Linsys.creset ();
+  List.iter (fun (i, j, v) -> cs.Linsys.add_g i j v) g;
+  List.iter (fun (i, j, v) -> cs.Linsys.add_c i j v) c;
+  cs
+
+(* Hand-built systems for the plan's edges, each swept at every point
+   and ordered pair against Cmat.solve_entry: a pair whose lanes pivot on
+   different rows, a pair whose lane b breaks at an earlier row than lane
+   a, a multiplier that is not finite at step 1 of 3, and a singular lane
+   b after a regular lane a on a workspace that then sweeps on. *)
+let test_dense_sweep_fixtures () =
+  let b2 = [| Complex.one; { Complex.re = -0.5; im = 0.25 } |] in
+  (* column 0 holds 1 and j omega 1e-6: row 0 pivots below about
+     160 kHz, row 1 above *)
+  let g = [ (0, 0, 1.); (0, 1, 1.); (1, 1, 2.) ] and c = [ (1, 0, 1e-6) ] in
+  let freqs = [| 1e2; 1e9; 1e3; 1e8 |] in
+  for out = -1 to 1 do
+    let cs = dense_assembled 2 g c in
+    let _, generic = check_dense_sweep "diverging pivots" cs ~freqs b2 out in
+    Alcotest.(check int) "diverging pivots stay on the plan" 0 generic
+  done;
+  let rows = Linsys.Pattern.rows (pattern_of_adds 2 (g @ c)) in
+  let plan = Pivot_path.create ~n:2 (fun () -> rows) in
+  let w = Pivot_path.work plan in
+  List.iter (fun (i, j, v) -> (Pivot_path.gvalues w).((i * 2) + j) <- v) g;
+  List.iter (fun (i, j, v) -> (Pivot_path.cvalues w).((i * 2) + j) <- v) c;
+  let response = Array.make 2 Complex.zero in
+  Alcotest.(check int) "one pass, two paths" 0
+    (Pivot_path.sweep w b2 ~freqs:[| 1e2; 1e9 |] ~out:1 response 0 1);
+  Alcotest.(check int) "the root grew a child per pivot row, each its last step" 4
+    (Pivot_path.grown plan);
+  (* G = diag(1, 0, 0) and C = 1e-150 at (1, 1): at omega 1e20 row 1
+     pivots and row 2 breaks; at omega 1 row 1 breaks already *)
+  let b3 = Array.make 3 Complex.one in
+  let g = [ (0, 0, 1.); (2, 2, 0.) ] and c = [ (1, 1, 1e-150) ] in
+  let freqs = [| 1e20 /. (2. *. Float.pi); 1. /. (2. *. Float.pi) |] in
+  let cs = dense_assembled 3 g c in
+  let expect = solve_entry_reference ~g:cs.Linsys.gvalues ~c:cs.Linsys.cvalues ~freqs b3 0 in
+  Alcotest.(check bool) "lane a breaks at row 2" true (expect.(0) = Error 2);
+  Alcotest.(check bool) "lane b breaks at row 1" true (expect.(1) = Error 1);
+  for out = -1 to 2 do
+    let crossed, _ = check_dense_sweep "lane b breaks first" cs ~freqs b3 out in
+    Alcotest.(check int) "the pair with lane b breaking first" 1 crossed
+  done;
+  (* an infinite G at (2, 1) pivots step 1 and makes row 2's multiplier
+     NaN; steps 0 and 2 are ordinary *)
+  let g =
+    [ (0, 0, 1.); (1, 1, 1.); (2, 1, Float.infinity); (1, 2, 1.); (2, 2, 3.); (0, 2, 1.) ]
+  in
+  let c = [ (0, 0, 1e-9); (2, 2, 1e-9) ] in
+  let freqs = [| 1e6; 1e3 |] in
+  for out = -1 to 2 do
+    let cs = dense_assembled 3 g c in
+    let _, generic = check_dense_sweep "non-finite multiplier" cs ~freqs b3 out in
+    (* 2 single points and 2 pairs of 2 *)
+    Alcotest.(check int) "every point left the plan at step 2" 6 generic
+  done;
+  (* a regular lane a, then a lane b singular at row 2, then the
+     workspace sweeps on: whatever a's path left in its buffer must not
+     leak into the next point *)
+  let g = [ (0, 0, 2.); (0, 1, 1.); (1, 0, 1.); (1, 1, 3.); (1, 2, 1.); (2, 1, 1.) ] in
+  let c = [ (2, 2, 1e-9); (0, 2, 1e-9); (2, 0, 1e-9) ] in
+  let freqs = [| 1e6; 0.; 1e3; -1.; 1e7 |] in
+  for out = -1 to 2 do
+    ignore (check_dense_sweep "regular then singular" (dense_assembled 3 g c) ~freqs b3 out)
+  done
+
+(* Two domains sweep one shared plan as it grows, each over the same
+   systems in another order, and must answer what serial sweeps answer:
+   growth publishes each path whole, and a domain that loses a race uses
+   the winner's. *)
+let test_dense_plan_two_domains () =
+  let n = 7 in
+  let st = Random.State.make [| 97 |] in
+  let rows = Linsys.Pattern.rows (pattern_of_adds n (random_adds st n)) in
+  let entries =
+    List.concat (List.init n (fun i -> List.map (fun j -> (i, j)) (Array.to_list rows.(i))))
+  in
+  (* values spread over six decades, so the systems pivot many ways *)
+  let value () =
+    (if Random.State.bool st then 1. else -1.) *. (10. ** Random.State.float st 6.)
+  in
+  let systems =
+    Array.init 60 (fun _ ->
+        ( List.map (fun (i, j) -> (i, j, value ())) entries,
+          List.map (fun (i, j) -> (i, j, 1e-9 *. value ())) entries,
+          random_complex_rhs st n ))
+  in
+  let freqs = [| 1e3; 1e6; 1e9; 1e4; 1e8 |] in
+  let sweep_all plan order =
+    let w = Pivot_path.work plan in
+    Array.map
+      (fun idx ->
+        let g, c, b = systems.(idx) in
+        Pivot_path.reset w;
+        List.iter (fun (i, j, v) -> (Pivot_path.gvalues w).((i * n) + j) <- v) g;
+        List.iter (fun (i, j, v) -> (Pivot_path.cvalues w).((i * n) + j) <- v) c;
+        let response = Array.make 5 Complex.zero in
+        let point = Pivot_path.sweep w b ~freqs ~out:(n - 1) response in
+        ( idx,
+          outcome (fun () ->
+              let generic = point 0 1 + point 2 3 + point 4 (-1) in
+              Array.append [| { Complex.re = float_of_int generic; im = 0. } |] response) ))
+      order
+  in
+  let forward = Array.init (Array.length systems) Fun.id in
+  let backward = Array.init (Array.length systems) (fun i -> Array.length systems - 1 - i) in
+  let serial_plan = Pivot_path.create ~n (fun () -> rows) in
+  let serial = sweep_all serial_plan forward in
+  let shared = Pivot_path.create ~n (fun () -> rows) in
+  let d1 = Domain.spawn (fun () -> sweep_all shared forward) in
+  let d2 = Domain.spawn (fun () -> sweep_all shared backward) in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  let check what results =
+    Array.iter
+      (fun (idx, got) ->
+        check_complex_outcome (Printf.sprintf "%s system %d" what idx) (snd serial.(idx)) got)
+      results
+  in
+  check "domain 1" r1;
+  check "domain 2" r2;
+  Alcotest.(check bool) "the plan grew several paths" true
+    (Pivot_path.grown serial_plan > 3 * n);
+  Alcotest.(check int) "both plans grew the same paths" (Pivot_path.grown serial_plan)
+    (Pivot_path.grown shared)
 
 (* The scratch lives in the workspaces: a solve allocates its result, and a
    factorisation its solver closure, nothing else.  A tridiagonal pattern
@@ -1301,6 +1538,71 @@ let check_circuits_bit_exact backend =
   check_circuit_bit_exact backend "miller"
     (fst (Miller_tb.build Yield_circuits.Miller.default_params))
 
+(* The dense sweep of the OTA and Miller testbenches' AC systems at their
+   default operating points against point-by-point Cmat.solve_entry: the
+   81 sweep frequencies, every point and ordered pair, at the output, at
+   every unknown and with none; all through the plan.  Then the edge
+   frequencies, where the plan must step aside. *)
+let test_circuit_dense_sweep () =
+  List.iter
+    (fun (name, (circuit, _)) ->
+      let sys = Mna.sys ~backend:Linsys.Dense circuit in
+      let layout = Mna.sys_layout sys in
+      let n = Mna.size layout in
+      let op =
+        match Dcop.solve ~sys circuit with
+        | Ok op -> op
+        | Error e -> Alcotest.failf "%s: %s" name (Dcop.error_to_string e)
+      in
+      let cs = Mna.sys_complex sys in
+      let rhs = Mna.assemble_ac_into cs circuit layout ~ops:(Dcop.mos_op op) in
+      let freqs = Gtb.freqs_of Gtb.default_conditions in
+      let out = Circuit.node circuit "out" - 1 in
+      List.iter
+        (fun out ->
+          let _, generic = check_dense_sweep name cs ~freqs rhs out in
+          Alcotest.(check int) (name ^ ": every point on the plan") 0 generic)
+        (out :: -1 :: List.init n Fun.id);
+      let _, generic = check_dense_sweep (name ^ " edges") cs ~freqs:edge_freqs rhs out in
+      Alcotest.(check bool) (name ^ ": edge frequencies leave the plan") true (generic > 0))
+    [
+      ("ota", Ota_tb.build Yield_circuits.Ota.default_params);
+      ("miller", Miller_tb.build Yield_circuits.Miller.default_params);
+    ]
+
+(* After the plan has met its paths, a sweep point allocates only its
+   response: 3 words a frequency, alone or paired. *)
+let test_dense_sweep_allocation () =
+  let circuit, _ = Ota_tb.build Yield_circuits.Ota.default_params in
+  let sys = Mna.sys circuit in
+  let op =
+    match Dcop.solve ~sys circuit with
+    | Ok op -> op
+    | Error e -> Alcotest.fail (Dcop.error_to_string e)
+  in
+  let cs = Mna.sys_complex sys in
+  let rhs = Mna.assemble_ac_into cs circuit (Mna.sys_layout sys) ~ops:(Dcop.mos_op op) in
+  let freqs = Gtb.freqs_of Gtb.default_conditions in
+  let nf = Array.length freqs in
+  let response = Array.make nf Complex.zero in
+  let point = cs.Linsys.sweep rhs ~freqs ~out:(Circuit.node circuit "out" - 1) response in
+  for k = 0 to nf - 1 do
+    ignore (point k (-1));
+    if k + 1 < nf then ignore (point k (k + 1))
+  done;
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  for k = 0 to nf - 2 do
+    let pw = words (fun () -> point k (k + 1)) in
+    if pw > 6. then
+      Alcotest.failf "a paired dense point allocated %g words, its responses 6" pw;
+    let ow = words (fun () -> point k (-1)) in
+    if ow > 3. then Alcotest.failf "a lone dense point allocated %g words, its response 3" ow
+  done
+
 let test_complex_refactor_bit_exact () =
   (* Noise.output_noise's pattern: factor, several solves, factor again at
      another frequency on the same workspace, several more solves *)
@@ -1407,6 +1709,51 @@ let test_session_pattern_cache () =
            || Ota_tb.session_sys s == Ota_tb.session_sys s_csr)))
     sessions
 
+(* A dense session builds its pattern only when its first AC sweep needs
+   the pivot-path plan: DC solves never pay for it, and later sweeps reuse
+   it. *)
+let test_dense_pattern_deferred () =
+  let circuit, _ = Ota_tb.build Yield_circuits.Ota.default_params in
+  let builds = Linsys.Pattern.builds () in
+  let sys = Mna.sys circuit in
+  let op =
+    match Dcop.solve ~sys circuit with
+    | Ok op -> op
+    | Error e -> Alcotest.fail (Dcop.error_to_string e)
+  in
+  Alcotest.(check int) "no pattern for DC" builds (Linsys.Pattern.builds ());
+  let freqs = Gtb.freqs_of Gtb.default_conditions in
+  ignore (Ac.transfer_by_name ~sys circuit op ~out:"out" ~freqs);
+  Alcotest.(check int) "one pattern at the first sweep" (builds + 1)
+    (Linsys.Pattern.builds ());
+  ignore (Ac.transfer_by_name ~sys circuit op ~out:"out" ~freqs);
+  Alcotest.(check int) "none at the next" (builds + 1) (Linsys.Pattern.builds ());
+  let calls = ref 0 in
+  let deferred backend =
+    Linsys.compile_deferred backend ~size:2 (fun () ->
+        incr calls;
+        let b = Linsys.Pattern.builder 2 in
+        Linsys.Pattern.add b 0 0;
+        Linsys.Pattern.add b 1 1;
+        Linsys.Pattern.build b)
+  in
+  ignore (deferred Linsys.Csr);
+  Alcotest.(check int) "csr analyses at once" 1 !calls;
+  let dense = deferred Linsys.Dense in
+  let rs = Linsys.real dense in
+  rs.Linsys.add 0 0 2.;
+  rs.Linsys.add 1 1 4.;
+  Alcotest.(check (array (float 0.))) "dense real solve" [| 1.; 1. |]
+    (rs.Linsys.solve [| 2.; 4. |]);
+  Alcotest.(check int) "dense waits for a sweep" 1 !calls;
+  let cs = Linsys.complex dense in
+  cs.Linsys.add_g 0 0 1.;
+  cs.Linsys.add_g 1 1 1.;
+  let response = Array.make 1 Complex.zero in
+  let point = cs.Linsys.sweep [| Complex.one; Complex.one |] ~freqs:[| 1e3 |] ~out:0 response in
+  ignore (point 0 (-1));
+  Alcotest.(check int) "the first sweep builds it" 2 !calls
+
 (* An independent reference for the session paths: DC + AC of a circuit
    in a freshly built dense Mna.sys (no functor cache, no overrides) *)
 let fresh_sys_perf circuit =
@@ -1508,8 +1855,8 @@ let suites =
           test_csr_structural_singular;
         Alcotest.test_case "numeric singular" `Quick test_csr_numeric_singular;
         Alcotest.test_case "backend names" `Quick test_backend_names;
-        Alcotest.test_case "dense_of_size = Mat/Lu" `Quick
-          test_dense_of_size_matches_mat;
+        Alcotest.test_case "dense real = Mat/Lu" `Quick
+          test_dense_real_matches_mat;
         Alcotest.test_case "dense real bit-exact vs reference" `Quick
           test_dense_real_bit_exact;
         Alcotest.test_case "Lu bit-exact vs reference" `Quick
@@ -1530,6 +1877,10 @@ let suites =
           test_csr_sweep_bit_exact;
         Alcotest.test_case "dense sweep entry = point-by-point solve_with" `Quick
           test_dense_sweep_bit_exact;
+        Alcotest.test_case "dense sweep fixtures = solve_entry" `Quick
+          test_dense_sweep_fixtures;
+        Alcotest.test_case "dense plan grown by two domains" `Quick
+          test_dense_plan_two_domains;
         Alcotest.test_case "csr solves allocate only results" `Quick
           test_csr_solves_allocate_only_results;
         Alcotest.test_case "out-of-range stamps raise" `Quick
@@ -1543,12 +1894,18 @@ let suites =
           (fun () -> check_circuits_bit_exact Linsys.Dense);
         Alcotest.test_case "dc+ac csr bit-exact (ota, miller)" `Quick
           (fun () -> check_circuits_bit_exact Linsys.Csr);
+        Alcotest.test_case "dense sweep = solve_entry (ota, miller)" `Quick
+          test_circuit_dense_sweep;
+        Alcotest.test_case "dense sweep points allocate responses" `Quick
+          test_dense_sweep_allocation;
         Alcotest.test_case "complex refactor bit-exact" `Quick
           test_complex_refactor_bit_exact;
         Alcotest.test_case "transient dense = csr" `Quick
           test_circuit_tran_dense_csr;
         Alcotest.test_case "session pattern cache" `Quick
           test_session_pattern_cache;
+        Alcotest.test_case "dense pattern built at the first sweep" `Quick
+          test_dense_pattern_deferred;
         Alcotest.test_case "ota overrides bit-identical" `Quick
           test_ota_overrides_bit_identical;
         Alcotest.test_case "miller overrides bit-identical" `Quick
