@@ -90,10 +90,12 @@ let perf_of_bode conditions b =
    (k, k+1), which needs k+1. *)
 let sweep_stop () =
   let unity = ref (-1) and f3 = ref (-1) in
-  (* the gain (point 0) and the previous point's magnitude, unboxed *)
-  let mags = [| nan; nan |] in
+  (* the gain (point 0), the previous point's magnitude and this one's,
+     unboxed *)
+  let mags = [| nan; nan; nan |] in
   fun k z ->
-    let m = Measure.magnitude_db z in
+    Measure.set_magnitude_db mags 2 z;
+    let m = mags.(2) in
     if k = 0 then begin
       mags.(0) <- m;
       mags.(1) <- m;
@@ -114,9 +116,29 @@ let feasible conditions p =
 
 let objectives p = [| p.gain_db; p.phase_margin_deg |]
 
-let freqs_of conditions =
-  Ac.default_freqs ~per_decade:conditions.points_per_decade
-    ~f_lo:conditions.f_lo ~f_hi:conditions.f_hi ()
+(* [v] under [key] in the compare-and-set list [cache], unless a racing
+   domain published one first: the published value either way *)
+let rec publish cache key v =
+  let cur = Atomic.get cache in
+  match List.assoc_opt key cur with
+  | Some existing -> existing
+  | None ->
+      if Atomic.compare_and_set cache cur ((key, v) :: cur) then v
+      else publish cache key v
+
+(* one grid per distinct (f_lo, f_hi, points_per_decade): every
+   evaluation under one set of conditions sweeps the same array, which
+   nothing writes *)
+let grids : ((float * float * int) * float array) list Atomic.t = Atomic.make []
+
+let freqs_of c =
+  let key = (c.f_lo, c.f_hi, c.points_per_decade) in
+  match List.assoc_opt key (Atomic.get grids) with
+  | Some freqs -> freqs
+  | None ->
+      publish grids key
+        (Ac.default_freqs ~per_decade:c.points_per_decade ~f_lo:c.f_lo
+           ~f_hi:c.f_hi ())
 
 module Make (A : Amplifier.S) = struct
   (* Variant testbenches.  [stimulus] selects where the unit AC source is
@@ -179,16 +201,6 @@ module Make (A : Amplifier.S) = struct
         sys : Mna.sys;
         start : Yield_numeric.Vec.t;  (* never written: Newton copies it *)
       }
-
-  (* [s] under [key] in [cache], unless a racing domain published one
-     first: the published session either way *)
-  let rec publish cache key s =
-    let cur = Atomic.get cache in
-    match List.assoc_opt key cur with
-    | Some existing -> existing
-    | None ->
-        if Atomic.compare_and_set cache cur ((key, s) :: cur) then s
-        else publish cache key s
 
   let sys_cache : (Linsys.backend * Mna.sys) list Atomic.t = Atomic.make []
 

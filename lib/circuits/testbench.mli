@@ -69,7 +69,11 @@ val objectives : perf -> float array
 (** [[| gain_db; phase_margin_deg |]] — the two paper objectives. *)
 
 val freqs_of : conditions -> float array
-(** The AC sweep grid the conditions describe. *)
+(** The AC sweep grid the conditions describe ({!Yield_spice.Ac.default_freqs}
+    of their [f_lo], [f_hi] and [points_per_decade]).  It is computed
+    once per distinct triple and shared by every caller: the array must
+    not be written.
+    @raise Invalid_argument as {!Yield_spice.Ac.default_freqs}. *)
 
 module Make (A : Amplifier.S) : sig
   val build : ?conditions:conditions -> A.params -> Yield_spice.Circuit.t * string

@@ -333,7 +333,8 @@ let slot s i j =
 (* ---------- real numeric kernel ---------- *)
 
 (* Every buffer a factorisation or solve needs lives in the workspace, so
-   [rsolve] allocates only the solution it returns.  Each call overwrites
+   [rsolve_into] allocates nothing and [rsolve] only the solution it
+   returns.  Each call overwrites
    [luv], [y] and [r] in full before reading them, so a raised Lu.Singular
    leaves nothing a later call could see. *)
 type rwork = {
@@ -406,10 +407,11 @@ let lu_apply w y =
     y.(i) <- !acc /. luv.(diag.(i))
   done
 
-let rsolve w b =
+let rsolve_into w b x =
   let s = w.sym in
   let n = s.n in
-  if Array.length b <> n then invalid_arg "Csr.rsolve: dimension mismatch";
+  if Array.length b <> n || Array.length x <> n then
+    invalid_arg "Csr.rsolve: dimension mismatch";
   refactor w;
   let y = w.y and r = w.r in
   for i = 0 to n - 1 do
@@ -429,10 +431,13 @@ let rsolve w b =
   for i = 0 to n - 1 do
     y.(i) <- y.(i) +. r.(i)
   done;
-  let x = Array.make n 0. in
   for i = 0 to n - 1 do
     x.(s.colperm.(i)) <- y.(i)
-  done;
+  done
+
+let rsolve w b =
+  let x = Array.make w.sym.n 0. in
+  rsolve_into w b x;
   x
 
 (* ---------- complex numeric kernel (G + jwC) ---------- *)

@@ -76,8 +76,14 @@ val rsolve : rwork -> float array -> float array
 (** Factor the assembled values and solve; the assembled values are left
     intact so [rsolve] may be called repeatedly.  The factors and scratch
     live in the workspace, so a call allocates only the solution it
-    returns.
+    returns: it is {!rsolve_into} on a fresh vector.
     @raise Lu.Singular on a vanishing pivot; the workspace stays usable. *)
+
+val rsolve_into : rwork -> float array -> float array -> unit
+(** [rsolve_into w b x] is {!rsolve}, writing the solution into [x]; it
+    allocates nothing.
+    @raise Invalid_argument if [b] or [x] is not of size n.
+    @raise Lu.Singular as {!rsolve}. *)
 
 (** {1 Complex systems of the form G + jwC} *)
 

@@ -115,6 +115,7 @@ type real = {
   reset : unit -> unit;
   add : int -> int -> float -> unit;
   solve : float array -> float array;
+  solve_into : float array -> float array -> unit;
 }
 
 type complex_sys = {
@@ -141,6 +142,10 @@ module Dense_backend = struct
   let real owner n =
     let m = Mat.create n n in
     let f = Lu.create n in
+    let solve_into b x =
+      Lu.factor_into f ~skip_zeros:true m;
+      Lu.solve_into f b x
+    in
     {
       rn = n;
       owner;
@@ -149,8 +154,10 @@ module Dense_backend = struct
       add = (fun i j x -> add_to n m.data i j x);
       solve =
         (fun b ->
-          Lu.factor_into f ~skip_zeros:true m;
-          Lu.solve f b);
+          let x = Array.make n 0. in
+          solve_into b x;
+          x);
+      solve_into;
     }
 
   let complex owner plan =
@@ -182,6 +189,7 @@ module Csr_backend = struct
       reset = (fun () -> Csr.rreset w);
       add = (fun i j x -> Csr.radd w i j x);
       solve = (fun b -> Csr.rsolve w b);
+      solve_into = (fun b x -> Csr.rsolve_into w b x);
     }
 
   let complex owner sym =

@@ -31,8 +31,16 @@
     elimination.
 
     Compiled systems are safe to share across domains (a dense plan grows
-    by compare-and-set); {!val-real} / {!val-complex} allocate the mutable
-    per-worker numeric workspaces. *)
+    by compare-and-set); {!val-real} / {!val-complex} allocate a mutable
+    numeric workspace, which one domain uses at a time.  Who allocates
+    one: the simulator's [Mna.sys] keeps the workspaces its DC solves and
+    AC transfers use on a compare-and-set free list, and each call
+    borrows one and gives it back, so a worker allocates one per system
+    it solves in, not one per call; the transient and noise engines, the
+    corner proof and the tests allocate their own.  A workspace keeps no
+    result between calls: [reset] / [creset] zero the assembled values
+    and every factorisation overwrites its buffers, so a reused workspace
+    gives the bits of a fresh one. *)
 
 (** Structural nonzero pattern of a square system. *)
 module Pattern : sig
@@ -74,8 +82,8 @@ end
 
 type t
 (** A compiled system: the pattern's pivot-path plan for [Dense], a
-    symbolic factorisation for [Csr].  Domain-shareable; call
-    {!val-real} / {!val-complex} per worker for numeric workspaces. *)
+    symbolic factorisation for [Csr].  Domain-shareable; its numeric
+    workspaces ({!val-real} / {!val-complex}) are not. *)
 
 val slot : t -> int -> int -> int
 (** [slot t i j] is the value slot of entry [(i, j)]: the index into the
@@ -99,7 +107,13 @@ type real = {
   add : int -> int -> float -> unit;  (** accumulate an entry *)
   solve : float array -> float array;
       (** factor the assembled system and solve; leaves assembled values
-          intact. @raise Lu.Singular when the factorisation breaks down *)
+          intact.  [solve b] is [solve_into b] on a fresh vector.
+          @raise Lu.Singular when the factorisation breaks down *)
+  solve_into : float array -> float array -> unit;
+      (** [solve_into b x]: [solve b], written into [x], which must not be
+          [b]; allocates nothing.  A Newton loop iterates in it.
+          @raise Invalid_argument if [b] or [x] is not of size [rn].
+          @raise Lu.Singular as [solve] *)
 }
 (** Mutable workspace for one real system (DC / transient Newton step). *)
 

@@ -83,12 +83,16 @@ let factor m =
   factor_into f ~skip_zeros:(not (Vec.has_neg_zero m.Mat.data)) m;
   f
 
-let solve f b =
+let solve_into f b x =
   let n = f.lu.Mat.rows in
-  if Array.length b <> n then invalid_arg "Lu.solve: dimension mismatch";
-  let a = f.lu.Mat.data in
+  if Array.length b <> n || Array.length x <> n then
+    invalid_arg "Lu.solve_into: dimension mismatch";
+  if x == b then invalid_arg "Lu.solve_into: the solution aliases the right-hand side";
+  let a = f.lu.Mat.data and perm = f.perm in
   (* apply the permutation *)
-  let x = Array.init n (fun i -> b.(f.perm.(i))) in
+  for i = 0 to n - 1 do
+    x.(i) <- b.(perm.(i))
+  done;
   (* forward substitution: L y = P b *)
   for i = 1 to n - 1 do
     let ri = i * n in
@@ -106,7 +110,11 @@ let solve f b =
       acc := !acc -. (a.(ri + j) *. x.(j))
     done;
     x.(i) <- !acc /. a.(ri + i)
-  done;
+  done
+
+let solve f b =
+  let x = Array.make (Array.length b) 0. in
+  solve_into f b x;
   x
 
 let solve_in_place f b =

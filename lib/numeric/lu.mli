@@ -27,7 +27,14 @@ val factor_into : t -> skip_zeros:bool -> Mat.t -> unit
     @raise Singular as {!factor}; [f] then holds no usable factorisation. *)
 
 val solve : t -> Vec.t -> Vec.t
-(** [solve f b] returns [x] with [m x = b]. *)
+(** [solve f b] returns [x] with [m x = b]: {!solve_into} on a fresh
+    vector. *)
+
+val solve_into : t -> Vec.t -> Vec.t -> unit
+(** [solve_into f b x] writes the solution of [m x = b] into [x] and
+    allocates nothing.
+    @raise Invalid_argument if [b] or [x] is not of the factored size, or
+    [x] is [b]. *)
 
 val solve_in_place : t -> Vec.t -> unit
 (** Like {!solve} but overwrites [b] with the solution. *)

@@ -249,6 +249,9 @@ let grow w sh node p =
     let t = w.plan in
     let n = t.n in
     let s = if w.grown == node then w.structure else replay t sh node in
+    (* [advance] moves [s] on in place: until [grown] names its new node,
+       a growth interrupted by an exception must replay *)
+    w.grown <- fell_back;
     let k = node.step in
     let swap, upat, elim = advance s n k p in
     let k1 = k + 1 in

@@ -56,14 +56,24 @@ let map = Array.map
 
 let mapi = Array.mapi
 
+(* the grids fill one flat float array in a loop: an Array.init or
+   Array.map closure would box every element it returns *)
 let linspace a b n =
   if n < 2 then invalid_arg "Vec.linspace: need at least two points";
   let step = (b -. a) /. float_of_int (n - 1) in
-  Array.init n (fun i -> a +. (float_of_int i *. step))
+  let v = Array.make n 0. in
+  for i = 0 to n - 1 do
+    v.(i) <- a +. (float_of_int i *. step)
+  done;
+  v
 
 let logspace a b n =
   if a <= 0. || b <= 0. then invalid_arg "Vec.logspace: bounds must be > 0";
-  Array.map exp (linspace (log a) (log b) n)
+  let v = linspace (log a) (log b) n in
+  for i = 0 to n - 1 do
+    v.(i) <- exp v.(i)
+  done;
+  v
 
 let pp ppf v =
   Format.fprintf ppf "@[<hov 1>[|";

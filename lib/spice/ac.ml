@@ -22,6 +22,50 @@ let dense_generic = Metrics.counter "ac.dense_generic"
 
 let never_stop _ _ = max_int
 
+(* one transfer in the borrowed workspace [w] *)
+let transfer_in (w : Mna.ac_work) ~stop circuit layout op ~out ~freqs =
+  let ops name = Dcop.mos_op op name in
+  Mna.assemble_ac w circuit layout ~ops;
+  let n = Array.length freqs in
+  let response = Array.make n Complex.zero in
+  (* the ground's unknown is -1: factored, never solved, answered zero *)
+  let point = w.Mna.cs.Linsys.sweep w.Mna.crhs ~freqs ~out:(out - 1) response in
+  (* the last point the rule needs once it has seen point [k]; it may
+     not fall short of [promised], the last point it needed before *)
+  let consult k promised =
+    let need = stop k response.(k) in
+    let last = if need >= n - 1 - k then n - 1 else k + need in
+    if last < promised then
+      invalid_arg "Ac.transfer: the stop rule gave up a point it had promised";
+    last
+  in
+  (* the one sweep loop: points before [k] are swept and the rule needs
+     every point up to [last]; [pairs] frequencies went two at a time
+     and [generic] left the backend's compiled elimination.  Each
+     frequency is its own factorisation, so the swept prefix is what
+     the full sweep would have computed, and two promised points can be
+     factored together. *)
+  let rec sweep k last pairs generic =
+    if k > last then begin
+      Metrics.add paired pairs;
+      Metrics.add dense_generic generic;
+      k
+    end
+    else if k < last then begin
+      let g = point k (k + 1) in
+      let last = consult k last in
+      sweep (k + 2) (consult (k + 1) last) (pairs + 2) (generic + g)
+    end
+    else begin
+      let g = point k (-1) in
+      sweep (k + 1) (consult k last) pairs (generic + g)
+    end
+  in
+  let swept = if n = 0 then 0 else sweep 0 0 0 0 in
+  Metrics.add points swept;
+  if swept = n then { freqs; response }
+  else { freqs = Array.sub freqs 0 swept; response = Array.sub response 0 swept }
+
 let transfer ?sys ?(stop = never_stop) circuit op ~out ~freqs =
   if Fault.fire fp_solve then
     { freqs; response = Array.map (fun _ -> Complex.{ re = nan; im = nan }) freqs }
@@ -35,48 +79,10 @@ let transfer ?sys ?(stop = never_stop) circuit op ~out ~freqs =
     (match Mna.sys_ac_issues sys with
     | [] -> ()
     | issue :: _ -> raise (Singular (Topology.issue_to_string issue)));
-    let cs = Mna.sys_complex sys in
-    let ops name = Dcop.mos_op op name in
-    let rhs = Mna.assemble_ac_into cs circuit (Mna.sys_layout sys) ~ops in
-    let n = Array.length freqs in
-    let response = Array.make n Complex.zero in
-    (* the ground's unknown is -1: factored, never solved, answered zero *)
-    let point = cs.Linsys.sweep rhs ~freqs ~out:(out - 1) response in
-    (* the last point the rule needs once it has seen point [k]; it may
-       not fall short of [promised], the last point it needed before *)
-    let consult k promised =
-      let need = stop k response.(k) in
-      let last = if need >= n - 1 - k then n - 1 else k + need in
-      if last < promised then
-        invalid_arg "Ac.transfer: the stop rule gave up a point it had promised";
-      last
-    in
-    (* the one sweep loop: points before [k] are swept and the rule needs
-       every point up to [last]; [pairs] frequencies went two at a time
-       and [generic] left the backend's compiled elimination.  Each
-       frequency is its own factorisation, so the swept prefix is what
-       the full sweep would have computed, and two promised points can be
-       factored together. *)
-    let rec sweep k last pairs generic =
-      if k > last then begin
-        Metrics.add paired pairs;
-        Metrics.add dense_generic generic;
-        k
-      end
-      else if k < last then begin
-        let g = point k (k + 1) in
-        let last = consult k last in
-        sweep (k + 2) (consult (k + 1) last) (pairs + 2) (generic + g)
-      end
-      else begin
-        let g = point k (-1) in
-        sweep (k + 1) (consult k last) pairs (generic + g)
-      end
-    in
-    let swept = if n = 0 then 0 else sweep 0 0 0 0 in
-    Metrics.add points swept;
-    if swept = n then { freqs; response }
-    else { freqs = Array.sub freqs 0 swept; response = Array.sub response 0 swept }
+    (* the compiled session is shared across domains; the pencil and its
+       elimination buffers are borrowed from it for the call *)
+    let layout = Mna.sys_layout sys in
+    Mna.with_ac sys (fun w -> transfer_in w ~stop circuit layout op ~out ~freqs)
   end
 
 let transfer_by_name ?sys ?stop circuit op ~out ~freqs =

@@ -61,56 +61,137 @@ let error_to_string = function
       "dcop: no convergence after " ^ String.concat ", " attempts
   | Singular_system what -> "dcop: singular system in " ^ what
 
-(* One damped-Newton run at fixed gmin and source scaling.  Returns the
-   solution and iteration count, or None on failure, and adds the run's
-   factorisations to [dcop.iterations].  [rs] is the solver workspace
-   reused across iterations (a dense workspace reproduces the historical
-   fresh-matrix-per-iteration path byte-for-byte). *)
-let newton rs ?models circuit layout options ~source_scale ~gmin ~x0 =
-  let n = Mna.size layout in
-  let x = Array.copy x0 in
-  (* the run's factorisation count, negated when it fails: an int, so the
-     count costs no allocation *)
+(* One damped-Newton run at fixed gmin and source scaling in the borrowed
+   workspace [w]: it starts at [x0], which may be [w.x] itself to go on
+   from the previous run's answer, and iterates in [w.x], so an iteration
+   allocates nothing.  Returns the run's factorisation count, negated
+   when it fails: an int, so the count costs no allocation.  A converged
+   run leaves its solution in [w.x].  Adds the count to
+   [dcop.iterations]. *)
+let newton (w : Mna.dc_work) ?models circuit layout options ~source_scale ~gmin
+    ~x0 =
+  let n = Mna.size layout and n_nodes = Mna.n_nodes layout in
+  let x = w.Mna.x and x_new = w.Mna.x_new in
+  if x0 != x then Array.blit x0 0 x 0 n;
   let rec iterate i =
     if i >= options.max_iterations then -i
     else begin
-      let rhs =
-        Mna.assemble_dc_into rs ?models circuit layout ~x ~source_scale ~gmin
-      in
-      match rs.Linsys.solve rhs with
+      Mna.assemble_dc w ?models circuit layout ~x ~source_scale ~gmin;
+      match w.Mna.rs.Linsys.solve_into w.Mna.rhs x_new with
       | exception Lu.Singular _ -> -(i + 1)
-      | x_new ->
-          let delta = ref 0. in
+      | () ->
+          let delta = ref 0. and finite = ref true in
+          (* the step limits as computed floats, bit for bit [-. max_step]
+             and [max_step] (a negation flips only the sign): handed the
+             record's boxed field, the inlined Float.min would box [dk]
+             whenever [dk] is its answer *)
+          let lo = -.options.max_step in
+          let hi = -.lo in
           for k = 0 to n - 1 do
             let dk = x_new.(k) -. x.(k) in
-            let node_unknown = k < Mna.n_nodes layout in
             (* clamp only node voltages; branch currents may move freely *)
             let dk_clamped =
-              if node_unknown then
-                Float.max (-.options.max_step) (Float.min options.max_step dk)
-              else dk
+              if k < n_nodes then Float.max lo (Float.min hi dk) else dk
             in
             delta := Float.max !delta (Float.abs dk);
-            x.(k) <- x.(k) +. dk_clamped
+            let xk = x.(k) +. dk_clamped in
+            x.(k) <- xk;
+            if not (Float.is_finite xk) then finite := false
           done;
-          if
-            !delta < options.vtol
-            && Float.is_finite !delta
-          then i + 1
-          else if not (Array.for_all Float.is_finite x) then -(i + 1)
+          if !delta < options.vtol && Float.is_finite !delta then i + 1
+          else if not !finite then -(i + 1)
           else iterate (i + 1)
     end
   in
   let factored = iterate 0 in
   Metrics.add c_iterations (abs factored);
-  if factored > 0 then Some (x, factored) else None
+  factored
 
-let initial_guess circuit layout =
-  let x = Vec.create (Mna.size layout) in
+(* The homotopy chain in the borrowed workspace [w].  Each stage starts
+   where the chain without a workspace started it: at the guess in
+   [w.x0], which no run writes, or at the answer the previous run left in
+   [w.x].  Only a converged answer is copied out. *)
+let solve_in (w : Mna.dc_work) ~options ?x0_jitter ?start ?models circuit
+    layout =
+  let x0 = w.Mna.x0 in
+  Array.fill x0 0 (Array.length x0) 0.;
   List.iter
-    (fun (node, v) -> if node <> Device.ground then x.(node - 1) <- v)
+    (fun (node, v) -> if node <> Device.ground then x0.(node - 1) <- v)
     (Circuit.nodesets circuit);
-  x
+  (match x0_jitter with
+  | None -> ()
+  | Some jitter -> Array.iteri (fun k v -> x0.(k) <- v +. jitter k) x0);
+  let run ~source_scale ~gmin from =
+    newton w ?models circuit layout options ~source_scale ~gmin ~x0:from
+  in
+  let attempts = ref [] in
+  let note what = attempts := what :: !attempts in
+  let finish iterations =
+    Metrics.observe h_newton_iterations (float_of_int iterations);
+    Metrics.observe h_recovery_attempts (float_of_int (List.length !attempts));
+    let x = Array.copy w.Mna.x in
+    Ok { x; layout; mos_ops = Mna.mos_operating_points ?models circuit ~x; iterations }
+  in
+  let no_convergence () =
+    Metrics.incr c_convergence_failures;
+    Metrics.observe h_recovery_attempts (float_of_int (List.length !attempts));
+    Error (No_convergence { attempts = List.rev !attempts })
+  in
+  if Fault.fire fp_solve then begin
+    note "injected-fault";
+    no_convergence ()
+  end
+  else begin
+    note "newton";
+    (* the Newton stage: from [start] when there is one, then, if that run
+       does not converge, from the nodeset guess exactly as without a
+       start; one fault check covers both runs *)
+    let newton_stage =
+      if Fault.fire fp_newton then 0
+      else
+        match start with
+        | None -> run ~source_scale:1. ~gmin:options.gmin x0
+        | Some start ->
+            Metrics.add c_warm_starts 1;
+            let warm = run ~source_scale:1. ~gmin:options.gmin start in
+            if warm > 0 then warm
+            else begin
+              Metrics.add c_warm_fallbacks 1;
+              run ~source_scale:1. ~gmin:options.gmin x0
+            end
+    in
+    if newton_stage > 0 then finish newton_stage
+    else begin
+      (* gmin stepping: converge a heavily damped system, then relax *)
+      note "gmin-stepping";
+      let steps = [ 1e-3; 1e-5; 1e-7; 1e-9; 1e-11; options.gmin ] in
+      let gmin_steps = ref 0 in
+      let rec gmin_walk from = function
+        | [] -> run ~source_scale:1. ~gmin:options.gmin from
+        | gmin :: rest ->
+            incr gmin_steps;
+            if run ~source_scale:1. ~gmin from > 0 then gmin_walk w.Mna.x rest
+            else 0
+      in
+      let gmin_result = if Fault.fire fp_gmin then 0 else gmin_walk x0 steps in
+      Metrics.observe h_gmin_steps (float_of_int !gmin_steps);
+      if gmin_result > 0 then finish gmin_result
+      else begin
+        (* source stepping: ramp the supplies *)
+        note "source-stepping";
+        let scales = [ 0.05; 0.1; 0.2; 0.4; 0.6; 0.8; 0.9; 1.0 ] in
+        let rec ramp from = function
+          | [] -> run ~source_scale:1. ~gmin:options.gmin from
+          | scale :: rest ->
+              if run ~source_scale:scale ~gmin:options.gmin from > 0 then
+                ramp w.Mna.x rest
+              else 0
+        in
+        let ramped = ramp x0 scales in
+        if ramped > 0 then finish ramped else no_convergence ()
+      end
+    end
+  end
 
 let solve ?(options = default_options) ?x0_jitter ?start ?sys ?models circuit
     =
@@ -126,114 +207,12 @@ let solve ?(options = default_options) ?x0_jitter ?start ?sys ?models circuit
       Metrics.incr c_convergence_failures;
       Error (Singular_system (Topology.issue_to_string issue))
   | [] ->
-  let layout = Mna.sys_layout sys in
-  (* per-call numeric workspace: the compiled session is shared across
-     domains, the mutable assembly/factor state is not *)
-  let newton = newton (Mna.sys_real sys) ?models in
-  let x0 = initial_guess circuit layout in
-  (match x0_jitter with
-  | None -> ()
-  | Some jitter -> Array.iteri (fun k v -> x0.(k) <- v +. jitter k) x0);
-  let attempts = ref [] in
-  let note what = attempts := what :: !attempts in
-  let finish (x, iterations) =
-    Metrics.observe h_newton_iterations (float_of_int iterations);
-    Metrics.observe h_recovery_attempts (float_of_int (List.length !attempts));
-    Ok
-      {
-        x;
-        layout;
-        mos_ops = Mna.mos_operating_points ?models circuit ~x;
-        iterations;
-      }
-  in
-  let no_convergence () =
-    Metrics.incr c_convergence_failures;
-    Metrics.observe h_recovery_attempts (float_of_int (List.length !attempts));
-    Error (No_convergence { attempts = List.rev !attempts })
-  in
-  if Fault.fire fp_solve then begin
-    note "injected-fault";
-    no_convergence ()
-  end
-  else begin
-  note "newton";
-  (* the Newton stage: from [start] when there is one, then, if that run
-     does not converge, from the nodeset guess exactly as without a start;
-     one fault check covers both runs *)
-  match
-    if Fault.fire fp_newton then None
-    else
-      match start with
-      | None ->
-          newton circuit layout options ~source_scale:1. ~gmin:options.gmin ~x0
-      | Some start -> (
-          Metrics.add c_warm_starts 1;
-          match
-            newton circuit layout options ~source_scale:1. ~gmin:options.gmin
-              ~x0:start
-          with
-          | Some _ as warm -> warm
-          | None ->
-              Metrics.add c_warm_fallbacks 1;
-              newton circuit layout options ~source_scale:1. ~gmin:options.gmin
-                ~x0)
-  with
-  | Some result -> finish result
-  | None -> begin
-      (* gmin stepping: converge a heavily damped system, then relax *)
-      note "gmin-stepping";
-      let steps = [ 1e-3; 1e-5; 1e-7; 1e-9; 1e-11; options.gmin ] in
-      let gmin_steps = ref 0 in
-      let rec gmin_walk x = function
-        | [] -> Some x
-        | gmin :: rest -> begin
-            incr gmin_steps;
-            match newton circuit layout options ~source_scale:1. ~gmin ~x0:x with
-            | Some (x', _) -> gmin_walk x' rest
-            | None -> None
-          end
-      in
-      let gmin_result =
-        if Fault.fire fp_gmin then None
-        else
-          match gmin_walk x0 steps with
-          | Some x ->
-              newton circuit layout options ~source_scale:1. ~gmin:options.gmin
-                ~x0:x
-          | None -> None
-      in
-      Metrics.observe h_gmin_steps (float_of_int !gmin_steps);
-      match gmin_result with
-      | Some result -> finish result
-      | None -> begin
-          (* source stepping: ramp the supplies *)
-          note "source-stepping";
-          let scales = [ 0.05; 0.1; 0.2; 0.4; 0.6; 0.8; 0.9; 1.0 ] in
-          let rec ramp x = function
-            | [] -> Some x
-            | scale :: rest -> begin
-                match
-                  newton circuit layout options ~source_scale:scale
-                    ~gmin:options.gmin ~x0:x
-                with
-                | Some (x', _) -> ramp x' rest
-                | None -> None
-              end
-          in
-          match ramp x0 scales with
-          | Some x -> begin
-              match
-                newton circuit layout options ~source_scale:1. ~gmin:options.gmin
-                  ~x0:x
-              with
-              | Some result -> finish result
-              | None -> no_convergence ()
-            end
-          | None -> no_convergence ()
-        end
-    end
-  end
+      (* the compiled session is shared across domains; the mutable
+         assembly, factor and Newton state is borrowed from it for the
+         call *)
+      let layout = Mna.sys_layout sys in
+      Mna.with_dc sys (fun w ->
+          solve_in w ~options ?x0_jitter ?start ?models circuit layout)
 
 let classify_error = function
   | No_convergence _ -> Retry.Transient

@@ -1,10 +1,21 @@
-let magnitude_db z =
+(* inlined, so that no magnitude or phase is boxed on its way out *)
+let[@inline] magnitude_db z =
   let m = Complex.norm z in
   if m <= 0. then neg_infinity else 20. *. log10 m
 
-let phase_deg z = Complex.arg z *. 180. /. Float.pi
+let set_magnitude_db a i z = a.(i) <- magnitude_db z
 
-let magnitudes_db (b : Ac.bode) = Array.map magnitude_db b.response
+let[@inline] phase_deg z = Complex.arg z *. 180. /. Float.pi
+
+(* one flat float array filled in a loop: Array.map would box every
+   magnitude its closure returns *)
+let magnitudes_db (b : Ac.bode) =
+  let r = b.response in
+  let out = Array.make (Array.length r) 0. in
+  for i = 0 to Array.length r - 1 do
+    out.(i) <- magnitude_db r.(i)
+  done;
+  out
 
 let phases_deg_unwrapped (b : Ac.bode) =
   let n = Array.length b.response in

@@ -3,6 +3,11 @@
 
 val magnitude_db : Complex.t -> float
 
+val set_magnitude_db : float array -> int -> Complex.t -> unit
+(** [set_magnitude_db a i z] is [a.(i) <- magnitude_db z], with the
+    magnitude never boxed: a caller in another unit that needs the value
+    in a loop reads it back from [a]. *)
+
 val phase_deg : Complex.t -> float
 (** Principal-value phase in degrees, (-180, 180]. *)
 

@@ -42,9 +42,11 @@ val model_override : models option -> int -> Mosfet.model -> Mosfet.model
     re-assembles numeric values.  It also carries its topology's
     structural issues ({!Topology.dc_issues} and {!Topology.ac_issues}),
     computed once when it is built, which {!Dcop.solve} and {!Ac.transfer}
-    read instead of re-running the checks per call.  A [sys] is immutable
-    and safe to share across domains; the per-worker numeric workspaces
-    come from {!sys_real} / {!sys_complex}. *)
+    read instead of re-running the checks per call.  A [sys] is safe to
+    share across domains.  Its only mutable parts are two free lists of
+    numeric workspaces, which {!Dcop.solve} and {!Ac.transfer} borrow
+    from ({!with_dc}, {!with_ac}) by compare-and-set; other callers
+    allocate their own with {!sys_real} / {!sys_complex}. *)
 
 type sys
 
@@ -92,12 +94,60 @@ val sys_ac_issues : sys -> Topology.issue list
 (** {!Topology.ac_issues} of the circuit the [sys] was built from. *)
 
 val sys_real : sys -> Yield_numeric.Linsys.real
-(** Allocate a mutable real workspace (call once per worker). *)
+(** Allocate a fresh mutable real workspace, owned by the caller, who
+    keeps it for as many solves as it likes (the transient engine, the
+    corner proof).  {!Dcop.solve} does not allocate one per call: it
+    borrows the sys's ({!with_dc}). *)
 
 val sys_complex : sys -> Yield_numeric.Linsys.complex_sys
-(** Allocate a mutable complex workspace (call once per worker). *)
+(** Allocate a fresh mutable complex workspace, owned by the caller (the
+    noise analysis).  {!Ac.transfer} does not allocate one per call: it
+    borrows the sys's ({!with_ac}). *)
 
 val sys_solver_name : sys -> string
+
+(** {1 Borrowed workspaces}
+
+    A [sys] keeps the workspaces its solves and transfers have used on a
+    free list, and lends them out again: a call borrows one for its
+    duration and gives it back when it returns or raises.  Borrowing is a
+    compare-and-set, so two domains never hold one workspace; a borrower
+    that finds the list empty (the first call, a domain racing another,
+    or a call nested inside one that holds the workspace) allocates its
+    own, and gives that back too.  So the list never holds more
+    workspaces than were ever borrowed at once, and it is collected with
+    its [sys].  No setting sizes it.
+
+    Reuse is invisible: every user writes what it reads before reading
+    it (an assembly resets the system and zero-fills its right-hand side,
+    a factorisation overwrites its buffers), so a borrowed workspace
+    gives the bits a fresh one gives, also after a call that raised. *)
+
+type dc_work = private {
+  rs : Yield_numeric.Linsys.real;  (** the real system *)
+  rhs : Yield_numeric.Vec.t;  (** the right-hand side {!assemble_dc} writes *)
+  scratch : float array;  (** the {!Mosfet.buffer} its MOSFETs evaluate in *)
+  x : Yield_numeric.Vec.t;  (** Newton's iterate *)
+  x0 : Yield_numeric.Vec.t;  (** Newton's starting guess *)
+  x_new : Yield_numeric.Vec.t;  (** the linearised system's solution *)
+}
+(** A DC solve's workspace: the system and every vector a damped Newton
+    run writes, all of the system's size, so that an iteration allocates
+    nothing.  The vectors' contents belong to the borrower. *)
+
+type ac_work = private {
+  cs : Yield_numeric.Linsys.complex_sys;  (** the complex system *)
+  crhs : Complex.t array;  (** the right-hand side {!assemble_ac} writes *)
+}
+(** An AC transfer's workspace. *)
+
+val with_dc : sys -> (dc_work -> 'a) -> 'a
+(** [with_dc sys f] is [f w] for a DC workspace [w] of [sys] borrowed for
+    the call (see above); [w] goes back on the list when [f] returns or
+    raises. *)
+
+val with_ac : sys -> (ac_work -> 'a) -> 'a
+(** {!with_dc} for an AC workspace. *)
 
 (** {1 Assembly}
 
@@ -118,9 +168,19 @@ val assemble_dc_into :
     it yields the next iterate.  [source_scale] scales all independent
     sources (for source-stepping homotopy); [gmin] is a conductance added
     from every node to ground.  Allocates the right-hand side and one
-    {!Mosfet.buffer}, nothing per device.
+    {!Mosfet.buffer}, nothing per device: it is {!assemble_dc} into a
+    fresh right-hand side and buffer.
     @raise Invalid_argument when the workspace is not of the [sys] whose
     layout this is, or the circuit has another device count. *)
+
+val assemble_dc :
+  dc_work -> ?models:models -> Circuit.t -> layout -> x:Yield_numeric.Vec.t ->
+  source_scale:float -> gmin:float -> unit
+(** {!assemble_dc_into} into a borrowed workspace: the system into its
+    [rs] and the right-hand side into its [rhs], each MOSFET evaluated in
+    its [scratch].  Allocates nothing.  [x] may be the workspace's own
+    [x].
+    @raise Invalid_argument as {!assemble_dc_into}. *)
 
 val stamp_device_dc :
   Yield_numeric.Linsys.real -> layout -> ?models:models -> Circuit.t -> int ->
@@ -138,7 +198,9 @@ val mos_operating_points :
   Circuit.t -> x:Yield_numeric.Vec.t -> (string * Mosfet.op) list
 (** Device-convention operating point of every MOSFET at the solution [x]
     (PMOS currents and voltages reported NMOS-normalised, as produced by
-    {!Mosfet.eval} on the flipped bias). *)
+    {!Mosfet.eval} on the flipped bias), in device order.  Every device
+    evaluates in one buffer, so the call allocates the list, its pairs,
+    the records and one {!Mosfet.buffer}. *)
 
 val assemble_ac_into :
   Yield_numeric.Linsys.complex_sys ->
@@ -146,7 +208,14 @@ val assemble_ac_into :
 (** Small-signal system [ (G + jw C) x = rhs ] assembled into the
     workspace (reset first); returns [rhs], which carries the AC
     magnitudes of the independent sources.  [ops] maps MOSFET names to
-    their DC operating points.
+    their DC operating points.  It is {!assemble_ac} into a fresh
+    right-hand side.
+    @raise Invalid_argument as {!assemble_dc_into}. *)
+
+val assemble_ac :
+  ac_work -> Circuit.t -> layout -> ops:(string -> Mosfet.op) -> unit
+(** {!assemble_ac_into} into a borrowed workspace: the pencil into its
+    [cs] and the right-hand side into its [crhs].
     @raise Invalid_argument as {!assemble_dc_into}. *)
 
 (** {1 Primitives shared with the transient engine} *)

@@ -198,13 +198,32 @@ let plan_of circuit stamps owner ~n_nodes ~branches =
         (Circuit.devices circuit);
   }
 
+(* A DC solve's workspace: the real system, the right-hand side the
+   assembly writes, the MOSFET buffer it evaluates in, and Newton's
+   iterate, its start and the linearised system's solution. *)
+type dc_work = {
+  rs : Linsys.real;
+  rhs : Vec.t;
+  scratch : float array;
+  x : Vec.t;
+  x0 : Vec.t;
+  x_new : Vec.t;
+}
+
+(* an AC transfer's workspace: the complex system and its right-hand
+   side *)
+type ac_work = { cs : Linsys.complex_sys; crhs : Complex.t array }
+
 (* the structural prechecks depend on the topology alone, like the
-   pattern, so they run here once instead of in every solve *)
+   pattern, so they run here once instead of in every solve; [dc_free]
+   and [ac_free] hold the workspaces no call has borrowed *)
 type sys = {
   sys_layout : layout;
   compiled : Linsys.t;
   dc_issues : Topology.issue list;
   ac_issues : Topology.issue list;
+  dc_free : dc_work list Atomic.t;
+  ac_free : ac_work list Atomic.t;
 }
 
 let sys ?(backend = Linsys.Dense) circuit =
@@ -227,6 +246,8 @@ let sys ?(backend = Linsys.Dense) circuit =
     compiled;
     dc_issues = Topology.dc_issues circuit;
     ac_issues = Topology.ac_issues circuit;
+    dc_free = Atomic.make [];
+    ac_free = Atomic.make [];
   }
 
 let default_sys given circuit =
@@ -243,6 +264,56 @@ let sys_real s = Linsys.real s.compiled
 let sys_complex s = Linsys.complex s.compiled
 
 let sys_solver_name s = Linsys.name s.compiled
+
+(* ---------- borrowed workspaces ---------- *)
+
+let dc_work s =
+  let n = s.sys_layout.size in
+  {
+    rs = sys_real s;
+    rhs = Vec.create n;
+    scratch = Mosfet.buffer ();
+    x = Vec.create n;
+    x0 = Vec.create n;
+    x_new = Vec.create n;
+  }
+
+let ac_work s =
+  { cs = sys_complex s; crhs = Array.make s.sys_layout.size Complex.zero }
+
+(* A free list of one sys's workspaces.  A borrower pops one by
+   compare-and-set, or makes its own when the list is empty, and pushes
+   it back after the call: two domains never hold one workspace, a nested
+   borrower makes its own, and the list never holds more workspaces than
+   were out at once.  A push conses a fresh cell, so a pop that read a
+   cell another domain has since popped fails its compare-and-set. *)
+let rec take free make s =
+  match Atomic.get free with
+  | [] -> make s
+  | w :: rest as cur ->
+      if Atomic.compare_and_set free cur rest then w else take free make s
+
+let rec give free w =
+  let cur = Atomic.get free in
+  if not (Atomic.compare_and_set free cur (w :: cur)) then give free w
+
+(* Every user of a workspace writes what it reads before reading it, so
+   one left by a call that raised is as good as a fresh one: it goes back
+   on the list either way. *)
+let borrowing free make s f =
+  let w = take free make s in
+  match f w with
+  | r ->
+      give free w;
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      give free w;
+      Printexc.raise_with_backtrace e bt
+
+let with_dc s f = borrowing s.dc_free dc_work s f
+
+let with_ac s f = borrowing s.ac_free ac_work s f
 
 (* ---------- the replay ---------- *)
 
@@ -298,21 +369,32 @@ let devices_of p circuit =
     invalid_arg "Mna: circuit of another topology than the layout's";
   devices
 
-let assemble_dc_into (rs : Linsys.real) ?models circuit l ~x ~source_scale
-    ~gmin =
+(* the one DC assembly: the system into [rs], the right-hand side into
+   [rhs] (zero-filled first, to the +0 of a fresh vector), each MOSFET
+   evaluated in [buf] *)
+let assemble_dc_rhs (rs : Linsys.real) ?models circuit l ~x ~source_scale
+    ~gmin ~buf rhs =
   let p = bound l rs.Linsys.owner in
   let devices = devices_of p circuit in
   rs.Linsys.reset ();
   let v = rs.Linsys.values in
-  let rhs = Vec.create l.size in
-  let buf = Mosfet.buffer () in
+  Array.fill rhs 0 (Array.length rhs) 0.;
   stamp_diag v p.diag gmin;
   for di = 0 to Array.length devices - 1 do
     let dev = devices.(di) in
     device_dc v rhs buf p models x di dev;
     source_dc rhs ~branch:p.branch.(di) dev ~scale:source_scale
-  done;
+  done
+
+let assemble_dc_into rs ?models circuit l ~x ~source_scale ~gmin =
+  let rhs = Vec.create l.size in
+  assemble_dc_rhs rs ?models circuit l ~x ~source_scale ~gmin
+    ~buf:(Mosfet.buffer ()) rhs;
   rhs
+
+let assemble_dc w ?models circuit l ~x ~source_scale ~gmin =
+  assemble_dc_rhs w.rs ?models circuit l ~x ~source_scale ~gmin ~buf:w.scratch
+    w.rhs
 
 let stamp_device_dc (rs : Linsys.real) l ?models circuit di ~x ~scratch rhs =
   let p = bound l rs.Linsys.owner in
@@ -323,35 +405,42 @@ let stamp_capacitance (rs : Linsys.real) l di ~group c =
   let p = bound l rs.Linsys.owner in
   stamp_g rs.Linsys.values p.slots.(di) group c
 
-let mos_operating_point (model : Mosfet.model) ~w ~l ~d ~g ~s ~b x =
+let op_with buf (model : Mosfet.model) ~w ~l ~d ~g ~s ~b x =
   let p = model.polarity in
   let vd = voltage x d and vg = voltage x g and vs = voltage x s and vb = voltage x b in
-  Mosfet.eval model ~w ~l ~vgs:(polar p vg vs) ~vds:(polar p vd vs)
+  Mosfet.eval_with buf model ~w ~l ~vgs:(polar p vg vs) ~vds:(polar p vd vs)
     ~vbs:(polar p vb vs)
 
+let mos_operating_point model ~w ~l ~d ~g ~s ~b x =
+  op_with (Mosfet.buffer ()) model ~w ~l ~d ~g ~s ~b x
+
+(* built back to front, so that the list comes out in device order
+   without a reversed copy; every device evaluates in one buffer *)
 let mos_operating_points ?models circuit ~x =
+  let devices = Circuit.devices circuit in
+  let buf = Mosfet.buffer () in
   let acc = ref [] in
-  Array.iteri
-    (fun di dev ->
-      match dev with
-      | Device.Mosfet { name; d; g; s; b; model; w; l } ->
-          let model = model_override models di model in
-          let op = mos_operating_point model ~w ~l ~d ~g ~s ~b x in
-          acc := (name, op) :: !acc
-      | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
-      | Device.Isource _ | Device.Vccs _ ->
-          ())
-    (Circuit.devices circuit);
-  List.rev !acc
+  for di = Array.length devices - 1 downto 0 do
+    match devices.(di) with
+    | Device.Mosfet { name; d; g; s; b; model; w; l } ->
+        let model = model_override models di model in
+        acc := (name, op_with buf model ~w ~l ~d ~g ~s ~b x) :: !acc
+    | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
+    | Device.Isource _ | Device.Vccs _ ->
+        ()
+  done;
+  !acc
 
 let complex_of_real negate a = { Complex.re = (if negate then -.a else a); im = 0. }
 
-let assemble_ac_into (cs : Linsys.complex_sys) circuit l ~ops =
+(* the one AC assembly: the pencil into [cs], the right-hand side into
+   [rhs] (filled with zeros first, as a fresh one) *)
+let assemble_ac_rhs (cs : Linsys.complex_sys) circuit l ~ops rhs =
   let p = bound l cs.Linsys.cowner in
   let devices = devices_of p circuit in
   cs.Linsys.creset ();
   let gv = cs.Linsys.gvalues and cv = cs.Linsys.cvalues in
-  let rhs = Array.make l.size Complex.zero in
+  Array.fill rhs 0 (Array.length rhs) Complex.zero;
   for di = 0 to Array.length devices - 1 do
     let sl = p.slots.(di) and dev = devices.(di) in
     stamp_linear_ac gv cv sl dev;
@@ -366,5 +455,11 @@ let assemble_ac_into (cs : Linsys.complex_sys) circuit l ~ops =
     | Device.Isource _ | Device.Vccs _ ->
         ()
   done;
-  stamp_diag gv p.diag leak;
+  stamp_diag gv p.diag leak
+
+let assemble_ac_into cs circuit l ~ops =
+  let rhs = Array.make l.size Complex.zero in
+  assemble_ac_rhs cs circuit l ~ops rhs;
   rhs
+
+let assemble_ac w circuit l ~ops = assemble_ac_rhs w.cs circuit l ~ops w.crhs

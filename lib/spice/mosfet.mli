@@ -79,6 +79,16 @@ val buffer : unit -> float array
     and may reuse it for any number of calls; never share one across
     domains. *)
 
+val eval_with :
+  float array -> model -> w:float -> l:float -> vgs:float -> vds:float ->
+  vbs:float -> op
+(** [eval_with buf m ~w ~l ~vgs ~vds ~vbs] is {!eval} with [buf] (a
+    {!buffer}, overwritten) as its scratch instead of a fresh one, so it
+    allocates only the record it returns.  {!eval} is [eval_with] on a
+    fresh buffer.
+    @raise Invalid_argument as {!eval}, or when [buf] holds fewer than 9
+    floats. *)
+
 val linearise : model -> w:float -> l:float -> float array -> unit
 (** [linearise m ~w ~l buf] reads the NMOS-convention, source-referenced
     bias [vgs], [vds], [vbs] from [buf.(0)], [buf.(1)], [buf.(2)] and

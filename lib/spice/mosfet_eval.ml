@@ -33,8 +33,7 @@ let[@inline] evaluate m ~w ~l buf =
 
 let linearise m ~w ~l buf = ignore (evaluate m ~w ~l buf : bool)
 
-let eval m ~w ~l ~vgs ~vds ~vbs =
-  let buf = buffer () in
+let eval_with buf m ~w ~l ~vgs ~vds ~vbs =
   buf.(0) <- vgs;
   buf.(1) <- vds;
   buf.(2) <- vbs;
@@ -68,3 +67,5 @@ let eval m ~w ~l ~vgs ~vds ~vbs =
     cdb = cjunction;
     csb = cjunction;
   }
+
+let eval m ~w ~l ~vgs ~vds ~vbs = eval_with (buffer ()) m ~w ~l ~vgs ~vds ~vbs

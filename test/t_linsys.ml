@@ -371,6 +371,7 @@ module Ref = struct
       reset = (fun () -> fill m);
       add = add_to m;
       solve = (fun b -> solve (factor m) b);
+      solve_into = (fun b x -> Array.blit (solve (factor m) b) 0 x 0 n);
     }
 
   let complex n =
@@ -1449,6 +1450,7 @@ let circuit_workspaces backend sys circuit layout =
             reset = (fun () -> Csr_ref.rreset rw);
             add = Csr_ref.radd rw;
             solve = Csr_ref.rsolve rw;
+            solve_into = (fun b x -> Array.blit (Csr_ref.rsolve rw b) 0 x 0 n);
           },
           {
             Linsys.cn = n;
@@ -1845,6 +1847,299 @@ let test_evaluate_cached_sys_bit_identical () =
         fresh (Miller_tb.evaluate miller))
     [ 1.; 0.6; 1.7; 2.5 ]
 
+(* ---------- borrowed workspaces ---------- *)
+
+module Pool = Yield_exec.Pool
+
+(* the words [f ()] allocates, and its result *)
+let allocated f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  let after = Gc.minor_words () in
+  (after -. before, r)
+
+(* The words of a DC answer the call must allocate: [x], the [Dcop.t],
+   its [Ok] and each [mos_ops] cell, pair and operating-point record.
+   The device names are the circuit's own strings. *)
+let op_words (op : Dcop.t) =
+  let ops =
+    List.fold_left
+      (fun acc (_, m) -> acc + 3 + 3 + Obj.reachable_words (Obj.repr m))
+      0 op.Dcop.mos_ops
+  in
+  Array.length op.Dcop.x + 1 + 5 + 2 + ops
+
+(* Beyond its answer, a solve allocates the homotopy chain's closures and
+   its attempt list, a metric's boxed float, the one buffer every MOSFET's
+   operating point is evaluated in (10 words) and the free-list cell that
+   gives the workspace back (3): about 70 words, whatever the
+   iterations. *)
+let dc_overhead = 96.
+
+(* The words of a transfer's bode: the record, the response array of the
+   whole grid, 3 words a swept response and, for a stopped sweep, the
+   prefix sub-arrays. *)
+let bode_words ~grid (b : Ac.bode) =
+  let swept = Array.length b.Ac.response in
+  3 + (grid + 1) + (3 * swept) + if swept < grid then 2 * (swept + 1) else 0
+
+(* Beyond its bode, a transfer allocates its sweep's closures, the
+   sources' complex right-hand-side entries and the free-list cell: about
+   64 words, whatever the points. *)
+let ac_overhead = 96.
+
+(* One evaluation of the default OTA sizing rebuilds its testbench (about
+   630 words) and allocates its answers: the operating point (about 500),
+   the stopped sweep's bode (about 400) and the extraction's magnitude and
+   phase arrays, about 1,950 words.  A fresh real and complex workspace
+   and grid per evaluation would add about 1,800. *)
+let evaluate_bound = 2500.
+
+let check_dc_words name sys ?start ?models circuit =
+  let solve () = Dcop.solve ~sys ?start ?models circuit in
+  ignore (solve ());
+  ignore (solve ());
+  let words, r = allocated solve in
+  match r with
+  | Error e -> Alcotest.failf "%s: %s" name (Dcop.error_to_string e)
+  | Ok op ->
+      let answer = float_of_int (op_words op) in
+      if words > answer +. dc_overhead then
+        Alcotest.failf "%s: a DC solve allocated %g words, its answer is %g (+ %g)"
+          name words answer dc_overhead;
+      (words, op)
+
+let check_ac_words name sys circuit op ~stopped =
+  let freqs = Gtb.freqs_of Gtb.default_conditions in
+  let transfer () =
+    let stop = if stopped then Gtb.sweep_stop () else fun _ _ -> max_int in
+    allocated (fun () -> Ac.transfer_by_name ~sys ~stop circuit op ~out:"out" ~freqs)
+  in
+  ignore (transfer ());
+  let words, b = transfer () in
+  let answer = float_of_int (bode_words ~grid:(Array.length freqs) b) in
+  if stopped && Array.length b.Ac.freqs = Array.length freqs then
+    Alcotest.failf "%s: the sweep did not stop" name;
+  if words > answer +. ac_overhead then
+    Alcotest.failf "%s: a transfer allocated %g words, its bode is %g (+ %g)" name
+      words answer ac_overhead
+
+(* After warm-up, in a cached dense session and in a csr one: a DC solve
+   allocates its answer and a constant, the same for a one-iteration warm
+   start as for a ten-iteration cold solve, and a transfer its bode and a
+   constant. *)
+let test_solves_allocate_answers () =
+  let params = Yield_circuits.Ota.default_params in
+  List.iter
+    (fun backend ->
+      let name = Linsys.backend_name backend in
+      let s = Ota_tb.session ~solver:backend params in
+      let sys = Ota_tb.session_sys s and circuit = Ota_tb.session_circuit s in
+      let cold_words, op = check_dc_words (name ^ " cold") sys circuit in
+      let warm_words, warm = check_dc_words (name ^ " warm") sys ~start:op.Dcop.x circuit in
+      if op.Dcop.iterations <= warm.Dcop.iterations then
+        Alcotest.failf "%s: the warm start took %d iterations, cold %d" name
+          warm.Dcop.iterations op.Dcop.iterations;
+      (* the iterations allocate nothing *)
+      if cold_words > warm_words then
+        Alcotest.failf "%s: %d iterations allocated %g words, %d iterations %g" name
+          op.Dcop.iterations cold_words warm.Dcop.iterations warm_words;
+      let models =
+        Variation.overrides Variation.default_spec (Rng.create 5) circuit
+      in
+      ignore (check_dc_words (name ^ " sample") sys ~start:op.Dcop.x ~models circuit);
+      check_ac_words (name ^ " full sweep") sys circuit op ~stopped:false;
+      check_ac_words (name ^ " stopped sweep") sys circuit op ~stopped:true)
+    [ Linsys.Dense; Linsys.Csr ]
+
+let test_evaluate_allocation () =
+  let params = Yield_circuits.Ota.default_params in
+  ignore (Ota_tb.evaluate params);
+  ignore (Ota_tb.evaluate params);
+  let words, perf = allocated (fun () -> Ota_tb.evaluate params) in
+  if perf = None then Alcotest.fail "the default sizing failed";
+  if words > evaluate_bound then
+    Alcotest.failf "an evaluation allocated %g words, the bound is %g" words
+      evaluate_bound
+
+let check_bits name a b =
+  if not (same_bits a b) then Alcotest.failf "%s: %h <> %h" name a b
+
+let check_op_bits name (a : Dcop.t) (b : Dcop.t) =
+  Alcotest.(check int) (name ^ " iterations") a.Dcop.iterations b.Dcop.iterations;
+  Array.iteri (fun i v -> check_bits (Printf.sprintf "%s x.(%d)" name i) v b.Dcop.x.(i)) a.Dcop.x;
+  Alcotest.(check (list string)) (name ^ " devices")
+    (List.map fst a.Dcop.mos_ops) (List.map fst b.Dcop.mos_ops);
+  List.iter2
+    (fun (dev, (p : Yield_spice.Mosfet.op)) (_, (q : Yield_spice.Mosfet.op)) ->
+      let f what x y = check_bits (Printf.sprintf "%s %s %s" name dev what) x y in
+      f "ids" p.ids q.ids;
+      f "gm" p.gm q.gm;
+      f "gds" p.gds q.gds;
+      f "gmb" p.gmb q.gmb;
+      f "vth" p.vth q.vth;
+      f "vdsat" p.vdsat q.vdsat;
+      f "vgs" p.vgs q.vgs;
+      f "vds" p.vds q.vds;
+      f "vbs" p.vbs q.vbs;
+      f "cgs" p.cgs q.cgs;
+      f "cgd" p.cgd q.cgd;
+      f "cdb" p.cdb q.cdb;
+      f "csb" p.csb q.csb;
+      if p.region <> q.region then Alcotest.failf "%s %s region" name dev)
+    a.Dcop.mos_ops b.Dcop.mos_ops
+
+let check_bode_bits name (a : Ac.bode) (b : Ac.bode) =
+  Alcotest.(check int) (name ^ " points") (Array.length a.Ac.freqs) (Array.length b.Ac.freqs);
+  Array.iteri
+    (fun i f ->
+      check_bits (Printf.sprintf "%s freq %d" name i) f b.Ac.freqs.(i);
+      let z = a.Ac.response.(i) and w = b.Ac.response.(i) in
+      check_bits (Printf.sprintf "%s re %d" name i) z.Complex.re w.Complex.re;
+      check_bits (Printf.sprintf "%s im %d" name i) z.Complex.im w.Complex.im)
+    a.Ac.freqs
+
+let solved name = function
+  | Ok op -> op
+  | Error e -> Alcotest.failf "%s: %s" name (Dcop.error_to_string e)
+
+(* the widths of a sizing scaled by [k] *)
+let scaled to_array of_array params k =
+  of_array (Array.mapi (fun i x -> if i mod 2 = 0 then x *. k else x) (to_array params))
+
+(* Transfers that alternate between the OTA's and the Miller's systems,
+   over several sizings each, full and stopped, each against the same
+   call in a fresh sys, whose workspaces are fresh. *)
+let test_reuse_alternating () =
+  let module Ota = Yield_circuits.Ota in
+  let module Miller = Yield_circuits.Miller in
+  let freqs = Gtb.freqs_of Gtb.default_conditions in
+  List.iter
+    (fun backend ->
+      let circuits k =
+        [
+          ( "ota",
+            fst (Ota_tb.build (scaled Ota.params_to_array Ota.params_of_array Ota.default_params k)) );
+          ( "miller",
+            fst
+              (Miller_tb.build
+                 (scaled Miller.params_to_array Miller.params_of_array Miller.default_params k)) );
+        ]
+      in
+      let shared =
+        List.map (fun (name, c) -> (name, Mna.sys ~backend c)) (circuits 1.)
+      in
+      List.iter
+        (fun k ->
+          List.iter2
+            (fun (topology, sys) (_, circuit) ->
+              let name = Printf.sprintf "%s %s x%g" (Linsys.backend_name backend) topology k in
+              let fresh () = Mna.sys ~backend circuit in
+              let op = solved name (Dcop.solve ~sys circuit) in
+              check_op_bits (name ^ " dc") (solved name (Dcop.solve ~sys:(fresh ()) circuit)) op;
+              List.iter
+                (fun stopped ->
+                  let transfer sys =
+                    let stop = if stopped then Gtb.sweep_stop () else fun _ _ -> max_int in
+                    Ac.transfer_by_name ~sys ~stop circuit op ~out:"out" ~freqs
+                  in
+                  check_bode_bits
+                    (Printf.sprintf "%s ac%s" name (if stopped then " stopped" else ""))
+                    (transfer (fresh ())) (transfer sys))
+                [ false; true ])
+            shared (circuits k))
+        [ 1.; 0.6; 1.7; 1.; 2.5 ])
+    [ Linsys.Dense; Linsys.Csr ]
+
+(* in -R1- a -R2- b, driven at in: with R2 of 1e-150 ohm, b's pivot cancels
+   to exactly zero, in DC and AC alike; with 1 kohm the same topology
+   solves *)
+let divider r2 =
+  let c = Circuit.create () in
+  Circuit.add_vsource c ~name:"V1" ~ac:1. "in" "0" 1.;
+  Circuit.add_resistor c ~name:"R1" "in" "a" 1e3;
+  Circuit.add_resistor c ~name:"R2" "a" "b" r2;
+  c
+
+(* A transfer right after one whose factorisation raised Lu.Singular, and
+   a DC solve right after one that did not converge, each in the sys
+   whose workspace the failed call used, against a fresh sys. *)
+let test_reuse_after_failure () =
+  let freqs = Gtb.freqs_of Gtb.default_conditions in
+  List.iter
+    (fun backend ->
+      let name = Linsys.backend_name backend in
+      let bad = divider 1e-150 and good = divider 1e3 in
+      let sys = Mna.sys ~backend good in
+      let layout = Mna.sys_layout sys in
+      let zero = { Dcop.x = Array.make (Mna.size layout) 0.; layout; mos_ops = []; iterations = 0 } in
+      let transfer sys c = Ac.transfer_by_name ~sys c zero ~out:"b" ~freqs in
+      (match transfer sys bad with
+      | exception Lu.Singular _ -> ()
+      | _ -> Alcotest.failf "%s: the 1e-150 ohm divider did not break down" name);
+      check_bode_bits (name ^ " transfer after a breakdown")
+        (transfer (Mna.sys ~backend good) good) (transfer sys good);
+      (match Dcop.solve ~sys bad with
+      | Error (Dcop.No_convergence _) -> ()
+      | _ -> Alcotest.failf "%s: the 1e-150 ohm divider converged" name);
+      check_op_bits (name ^ " divider dc after a failed solve")
+        (solved name (Dcop.solve ~sys:(Mna.sys ~backend good) good))
+        (solved name (Dcop.solve ~sys good));
+      (* an OTA solve cut short at two iterations a run fails the whole
+         chain, and leaves its iterates in the workspace *)
+      let circuit, _ = Ota_tb.build Yield_circuits.Ota.default_params in
+      let sys = Mna.sys ~backend circuit in
+      let short = { Dcop.default_options with Dcop.max_iterations = 2 } in
+      (match Dcop.solve ~options:short ~sys circuit with
+      | Error (Dcop.No_convergence _) -> ()
+      | _ -> Alcotest.failf "%s: two iterations converged" name);
+      check_op_bits (name ^ " ota dc after a failed solve")
+        (solved name (Dcop.solve ~sys:(Mna.sys ~backend circuit) circuit))
+        (solved name (Dcop.solve ~sys circuit)))
+    [ Linsys.Dense; Linsys.Csr ]
+
+(* A call made while the sys's workspace is borrowed (here by the test
+   itself) gets one of its own, with the same bits. *)
+let test_reuse_nested () =
+  let freqs = Gtb.freqs_of Gtb.default_conditions in
+  let circuit, _ = Ota_tb.build Yield_circuits.Ota.default_params in
+  List.iter
+    (fun backend ->
+      let name = Linsys.backend_name backend in
+      let sys = Mna.sys ~backend circuit in
+      let reference = solved name (Dcop.solve ~sys:(Mna.sys ~backend circuit) circuit) in
+      let nested = Mna.with_dc sys (fun _ -> Mna.with_ac sys (fun _ -> Dcop.solve ~sys circuit)) in
+      check_op_bits (name ^ " nested dc") reference (solved name nested);
+      let transfer sys = Ac.transfer_by_name ~sys circuit reference ~out:"out" ~freqs in
+      let expect = transfer (Mna.sys ~backend circuit) in
+      check_bode_bits (name ^ " nested ac") expect
+        (Mna.with_ac sys (fun _ -> Mna.with_dc sys (fun _ -> transfer sys)));
+      check_bode_bits (name ^ " after the nested calls") expect (transfer sys))
+    [ Linsys.Dense; Linsys.Csr ]
+
+(* A seeded population evaluated at jobs = 2, both domains borrowing from
+   the one cached sys, against jobs = 1; and csr session samples the
+   same way. *)
+let test_reuse_two_domains () =
+  let module Ota = Yield_circuits.Ota in
+  let module Genome = Yield_ga.Genome in
+  let enc = Genome.encoding Ota.param_ranges ~n_weights:0 in
+  let rng = Rng.create 2008 in
+  let pop =
+    Array.init 24 (fun _ -> Ota.params_of_array (Genome.params enc (Genome.random enc rng)))
+  in
+  let evaluate pool = Pool.map pool ~n:(Array.length pop) (fun i -> Ota_tb.evaluate pop.(i)) in
+  let serial = Pool.with_pool ~jobs:1 evaluate and parallel = Pool.with_pool ~jobs:2 evaluate in
+  if Array.for_all (fun p -> p = None) serial then Alcotest.fail "no design evaluated";
+  Array.iteri (fun i p -> check_perf_bits (Printf.sprintf "design %d" i) p parallel.(i)) serial;
+  let s = Ota_tb.session ~solver:Linsys.Csr Ota.default_params in
+  let sample pool =
+    Pool.map pool ~n:24 (fun i ->
+        Ota_tb.evaluate_in_session s ~spec:Variation.default_spec ~rng:(Rng.create (300 + i)))
+  in
+  let serial = Pool.with_pool ~jobs:1 sample and parallel = Pool.with_pool ~jobs:2 sample in
+  Array.iteri (fun i p -> check_perf_bits (Printf.sprintf "csr sample %d" i) p parallel.(i)) serial
+
 let suites =
   [
     ( "linsys.kernel",
@@ -1898,6 +2193,18 @@ let suites =
           test_circuit_dense_sweep;
         Alcotest.test_case "dense sweep points allocate responses" `Quick
           test_dense_sweep_allocation;
+        Alcotest.test_case "solves and transfers allocate their answers" `Quick
+          test_solves_allocate_answers;
+        Alcotest.test_case "an evaluation allocates its answer" `Quick
+          test_evaluate_allocation;
+        Alcotest.test_case "reused workspaces: ota and miller alternate" `Quick
+          test_reuse_alternating;
+        Alcotest.test_case "reused workspaces: after a failure" `Quick
+          test_reuse_after_failure;
+        Alcotest.test_case "reused workspaces: nested borrower" `Quick
+          test_reuse_nested;
+        Alcotest.test_case "reused workspaces: two domains" `Quick
+          test_reuse_two_domains;
         Alcotest.test_case "complex refactor bit-exact" `Quick
           test_complex_refactor_bit_exact;
         Alcotest.test_case "transient dense = csr" `Quick

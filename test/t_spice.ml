@@ -637,6 +637,42 @@ let test_circuit_replace_device () =
   let op = solve_ok c in
   check_float ~eps:1e-9 "replaced divider" 0.75 (Dcop.voltage_by_name op c "out")
 
+(* The grids and magnitudes fill one flat array in a loop; they must keep
+   the bits of the Array.init / Array.map formulas they replaced, on the
+   testbench's default grid (10 Hz - 1 GHz, 10 a decade) and its shared
+   copy. *)
+let test_default_grid_bits () =
+  let bits = Int64.bits_of_float in
+  let old_linspace a b n =
+    let step = (b -. a) /. float_of_int (n - 1) in
+    Array.init n (fun i -> a +. (float_of_int i *. step))
+  in
+  let old_logspace a b n = Array.map exp (old_linspace (log a) (log b) n) in
+  let same what expect got =
+    Alcotest.(check int) (what ^ ": length") (Array.length expect) (Array.length got);
+    Array.iteri
+      (fun i e ->
+        if bits e <> bits got.(i) then
+          Alcotest.failf "%s: point %d is %h, was %h" what i got.(i) e)
+      expect
+  in
+  let grid = Ac.default_freqs ~f_lo:10. ~f_hi:1e9 () in
+  Alcotest.(check int) "81 points" 81 (Array.length grid);
+  same "default grid" (old_logspace 10. 1e9 81) grid;
+  let module Gtb = Yield_circuits.Testbench in
+  let shared = Gtb.freqs_of Gtb.default_conditions in
+  same "testbench grid" grid shared;
+  Alcotest.(check bool) "one grid per conditions" true
+    (Gtb.freqs_of Gtb.default_conditions == shared);
+  same "linspace" (old_linspace (-2.) 2. 21) (Yield_numeric.Vec.linspace (-2.) 2. 21);
+  let response =
+    Array.mapi
+      (fun i f -> { Complex.re = 1e3 /. (1. +. f); im = -.float_of_int i })
+      grid
+  in
+  let bode = { Ac.freqs = grid; response } in
+  same "magnitudes" (Array.map Measure.magnitude_db response) (Measure.magnitudes_db bode)
+
 let suites =
   [
     ( "spice.mosfet",
@@ -667,6 +703,7 @@ let suites =
         Alcotest.test_case "rc lowpass" `Quick test_ac_rc_lowpass;
         Alcotest.test_case "common-source gain" `Quick test_ac_common_source_gain;
         Alcotest.test_case "stop-rule promises" `Quick test_ac_stop_promises;
+        Alcotest.test_case "default grid keeps its bits" `Quick test_default_grid_bits;
       ] );
     ( "spice.measure",
       [
