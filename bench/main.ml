@@ -301,7 +301,7 @@ let ablation_variation_scaling ctx =
         (fun k ->
           let spec = Variation.scale_spec k Variation.default_spec in
           let rng = Rng.create 13 in
-          let results =
+          let { Yield_process.Montecarlo.results; _ } =
             Yield_process.Montecarlo.run ~samples ~rng (fun r ->
                 Tb.evaluate_sampled ~conditions ~spec ~rng:r params)
           in
@@ -402,7 +402,7 @@ let ablation_corners_vs_mc ctx =
         | _ -> 40
       in
       let rng = Rng.create 37 in
-      let rs =
+      let { Yield_process.Montecarlo.results = rs; _ } =
         Yield_process.Montecarlo.run ~samples ~rng (fun r ->
             Tb.evaluate_sampled ~conditions ~spec ~rng:r params)
       in
@@ -598,7 +598,7 @@ let generalisation_miller ctx =
       (fun i ->
         let e = result.Wbga.front.(i) in
         let params = Miller.params_of_array e.Wbga.params in
-        let rs =
+        let { Yield_process.Montecarlo.results = rs; _ } =
           Yield_process.Montecarlo.run ~samples ~rng (fun r ->
               Mtb.evaluate_sampled ~conditions
                 ~spec:ctx.Experiments.config.Config.variation ~rng:r params)

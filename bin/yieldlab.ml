@@ -31,13 +31,13 @@ module Ga = Yield_ga.Ga
 module Rng = Yield_stats.Rng
 module Dcop = Yield_spice.Dcop
 module Netlist = Yield_spice.Netlist
-module Netlist_ast = Yield_spice.Netlist_ast
 
 module Obs = Yield_obs.Obs
 module Json = Yield_obs.Json
 module Fault = Yield_resilience.Fault
 module Atomic_io = Yield_resilience.Atomic_io
 module Diagnostic = Yield_analyse.Diagnostic
+module Deck = Yield_analyse.Deck
 module Netlist_lint = Yield_analyse.Netlist_lint
 module Table_lint = Yield_analyse.Table_lint
 module Config_lint = Yield_analyse.Config_lint
@@ -352,7 +352,7 @@ let mc params samples seed min_gain min_pm (config : Config.t) =
   let rng = Rng.create seed in
   let outcome =
     Yield_exec.Pool.with_pool ~jobs:config.jobs (fun pool ->
-        Montecarlo.run_pool_counted ~pool ~samples ~rng (fun r ->
+        Montecarlo.run ~pool ~samples ~rng (fun r ->
             Tb.evaluate_sampled ~spec:Variation.default_spec ~rng:r params))
   in
   let results = outcome.Montecarlo.results in
@@ -682,19 +682,29 @@ let filter_cmd =
 (* ---------- step ---------- *)
 
 let step params amplitude =
-  match Tb.step_perf ~amplitude params with
-  | None ->
-      prerr_endline "step response failed";
-      1
-  | Some s ->
-      Printf.printf "slew rate      %8.2f V/us\n" s.Tb.slew_v_per_us;
-      Printf.printf "1%% settling    %8s\n"
-        (match s.Tb.settling_1pct_s with
-        | Some t -> Report.si t ^ "s"
-        | None -> "not reached");
-      Printf.printf "overshoot      %8.2f %%\n" s.Tb.overshoot_pct;
-      Printf.printf "follower error %8.2f mV\n" (1e3 *. s.Tb.final_error_v);
-      0
+  (* a step that does not exist is refused before simulating, as
+     Tb.step_perf would refuse it *)
+  if amplitude = 0. || not (Float.is_finite amplitude) then
+    refuse_settings
+      [
+        Config_lint.malformed_setting ~setting:"--amplitude"
+          ~value:(Printf.sprintf "%g" amplitude)
+          ~expected:"a finite, non-zero step in volts";
+      ]
+  else
+    match Tb.step_perf ~amplitude params with
+    | None ->
+        prerr_endline "step response failed";
+        1
+    | Some s ->
+        Printf.printf "slew rate      %8.2f V/us\n" s.Tb.slew_v_per_us;
+        Printf.printf "1%% settling    %8s\n"
+          (match s.Tb.settling_1pct_s with
+          | Some t -> Report.si t ^ "s"
+          | None -> "not reached");
+        Printf.printf "overshoot      %8.2f %%\n" s.Tb.overshoot_pct;
+        Printf.printf "follower error %8.2f mV\n" (1e3 *. s.Tb.final_error_v);
+        0
 
 let step_cmd =
   let amplitude =
@@ -841,58 +851,45 @@ let run_analysis ~sys circuit op analysis =
     end
 
 let netlist_run ~print path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e ->
-      prerr_endline e;
-      1
-  | text when print -> begin
+  let failed (d : Diagnostic.t) =
+    (match d.Diagnostic.span with
+    | Some s ->
+        Printf.eprintf "%s:%d:%d: %s\n" path s.Diagnostic.start_line
+          s.Diagnostic.start_col d.Diagnostic.message
+    | None -> prerr_endline d.Diagnostic.message);
+    1
+  in
+  match Deck.load path with
+  | Error d -> failed d
+  | Ok deck when print ->
       (* canonical pretty-print only — the CI round-trip job diffs two
          passes of this to hold the printer to byte-idempotence *)
-      match Netlist.print_canonical text with
-      | exception Netlist.Parse_error { span; message } ->
-          Printf.eprintf "%s:%d:%d: %s\n" path span.Netlist_ast.start_line
-            span.Netlist_ast.start_col message;
-          1
-      | canonical ->
-          print_string canonical;
-          0
-    end
-  | text -> begin
-      match Netlist.parse_with_analyses text with
-      | exception Netlist.Parse_error { span; message } ->
-          Printf.eprintf "%s:%d:%d: %s\n" path span.Netlist_ast.start_line
-            span.Netlist_ast.start_col message;
-          1
-      | circuit, analyses -> begin
-          (* a device value the simulator cannot use (N004-N006: zero,
-             negative, NaN or infinite) and a malformed .ac sweep with no
-             frequency grid (A004): refuse the deck with lint's own
-             diagnostics before solving anything *)
-          match Netlist_lint.refusals path with
-          | _ :: _ as malformed ->
-              List.iter (fun d -> prerr_endline (Diagnostic.to_text d)) malformed;
-              2
-          | [] -> (
-              (* the operating point and every analysis card solve in one
-                 session of the netlist's topology *)
-              let sys = Yield_spice.Mna.sys circuit in
-              match Dcop.solve ~sys circuit with
-              | Error e ->
-                  prerr_endline (Dcop.error_to_string e);
-                  1
-              | Ok op ->
-                  (* the operating point is always reported; analysis cards
-                     run in order afterwards *)
-                  if analyses = [] then Format.printf "%a@." (Dcop.pp circuit) op
-                  else List.iter (run_analysis ~sys circuit op) analyses;
-                  0)
-        end
-    end
+      print_string (Yield_spice.Netlist_printer.to_string deck.Deck.ast);
+      0
+  | Ok { Deck.elaborated = Error d; _ } -> failed d
+  | Ok { Deck.elaborated = Ok { Deck.circuit; analyses; _ }; _ } as deck -> (
+      (* a device value the simulator cannot use (N004-N006: zero,
+         negative, NaN or infinite) and a malformed .ac sweep with no
+         frequency grid (A004): refuse the deck with lint's own
+         diagnostics before solving anything *)
+      match Netlist_lint.refusals deck with
+      | _ :: _ as malformed ->
+          List.iter (fun d -> prerr_endline (Diagnostic.to_text d)) malformed;
+          2
+      | [] -> (
+          (* the operating point and every analysis card solve in one
+             session of the netlist's topology *)
+          let sys = Yield_spice.Mna.sys circuit in
+          match Dcop.solve ~sys circuit with
+          | Error e ->
+              prerr_endline (Dcop.error_to_string e);
+              1
+          | Ok op ->
+              (* the operating point is always reported; analysis cards
+                 run in order afterwards *)
+              if analyses = [] then Format.printf "%a@." (Dcop.pp circuit) op
+              else List.iter (fun (a, _) -> run_analysis ~sys circuit op a) analyses;
+              0))
 
 let netlist_cmd =
   let path =
@@ -1006,9 +1003,10 @@ let lint_netlist json sarif baseline write_baseline topology files =
     (List.concat_map
        (fun f ->
          (* N codes (connectivity, device values, topology invariants) plus
-            A/R codes (analysis-card preconditions) in one pass *)
-         Netlist_lint.check_file ~tech:Tech.c35 ~pairs f
-         @ Ac_tran_lint.check_file f)
+            A/R codes (analysis-card preconditions) on one loaded deck *)
+         let deck = Deck.load f in
+         Netlist_lint.check_deck ~tech:Tech.c35 ~pairs deck
+         @ Ac_tran_lint.check_deck deck)
        files)
 
 let lint_netlist_cmd =
@@ -1192,7 +1190,7 @@ let lint_corners json sarif baseline write_baseline k_sigma min_gain min_pm
   in
   report_diags ?sarif ?baseline ~write_baseline ~json
     (List.concat_map
-       (fun f -> Corner_lint.check_file ~k_sigma ?window f)
+       (fun f -> Corner_lint.check_deck ~k_sigma ?window (Deck.load f))
        files)
 
 let lint_corners_cmd =

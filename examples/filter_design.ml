@@ -74,7 +74,7 @@ let () =
   (* every perturbed sample keeps the topology: one solver session *)
   let sys = Yield_spice.Mna.sys circuit in
   let rng = Rng.create 99 in
-  let results =
+  let { Montecarlo.results; _ } =
     Montecarlo.run ~samples:100 ~rng (fun r ->
         let perturbed = Variation.perturb_circuit Variation.default_spec r circuit in
         match Filter.response_of_circuit ~sys perturbed ~out with

@@ -33,7 +33,7 @@ let () =
   (* 2. Monte Carlo: the statistical distribution and a gain histogram *)
   print_endline "\n--- Monte Carlo (200 samples) ---";
   let rng = Rng.create 41 in
-  let results =
+  let { Montecarlo.results; _ } =
     Montecarlo.run ~samples:200 ~rng (fun r ->
         Tb.evaluate_sampled ~spec:Variation.default_spec ~rng:r params)
   in
@@ -71,7 +71,7 @@ let () =
         (fun k ->
           let spec = Variation.scale_spec k Variation.default_spec in
           let rng = Rng.create 7 in
-          let rs =
+          let { Montecarlo.results = rs; _ } =
             Montecarlo.run ~samples:80 ~rng (fun r ->
                 Tb.evaluate_sampled ~spec ~rng:r params)
           in

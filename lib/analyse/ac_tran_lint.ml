@@ -290,29 +290,16 @@ let check ?file circuit analyses =
   let known = known_node_names circuit in
   List.concat_map (check_one ?file circuit ~known) analyses
 
-let check_file path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error _ -> []
-  | text -> begin
-      match
-        let ast = Yield_spice.Netlist_parser.parse text in
-        Yield_spice.Netlist_elab.elaborate ast
-      with
-      | exception Yield_spice.Netlist_ast.Parse_error _ ->
-          (* unreadable / unparseable input is Netlist_lint's N000; this
-             pass only speaks about analysis cards of a valid netlist *)
-          []
-      | circuit, analyses ->
-          let known = known_node_names circuit in
-          List.concat_map
-            (fun (analysis, card_span) ->
-              check_one ~file:path
-                ~span:(Diagnostic.span_of_ast card_span)
-                circuit ~known analysis)
-            analyses
-    end
+let check_deck = function
+  | Ok { Deck.path; elaborated = Ok { Deck.circuit; analyses; _ }; _ } ->
+      let known = known_node_names circuit in
+      List.concat_map
+        (fun (analysis, card_span) ->
+          check_one ~file:path
+            ~span:(Diagnostic.span_of_ast card_span)
+            circuit ~known analysis)
+        analyses
+  | Ok { Deck.elaborated = Error _; _ } | Error _ ->
+      (* an unreadable or unparseable deck is Netlist_lint's N000; this
+         pass only speaks about analysis cards of a valid netlist *)
+      []

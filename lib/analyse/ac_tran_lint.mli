@@ -31,9 +31,9 @@ val check :
 (** Findings for every [.ac] / [.tran] card, in card order; [.op] and [.dc]
     cards produce nothing. *)
 
-val check_file : string -> Diagnostic.t list
-(** Parse to the AST, elaborate and {!check} one netlist file; every
-    finding carries the source span of the analysis card it is about.
-    Unreadable or unparseable input yields [[]] —
-    {!Netlist_lint.check_file} owns the [N000] diagnostic for that; run
-    both, as [yieldlab lint netlist] does. *)
+val check_deck : (Deck.t, Diagnostic.t) result -> Diagnostic.t list
+(** {!check} a loaded deck ({!Deck.load}); every finding carries the
+    source span of the analysis card it is about.  A deck that could not
+    be read, parsed or elaborated yields [[]]: {!Netlist_lint.check_deck}
+    owns the [N000] diagnostic for that; run both, as
+    [yieldlab lint netlist] does. *)

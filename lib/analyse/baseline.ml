@@ -56,12 +56,7 @@ let save ~path (t : t) =
     (fun () -> output_string oc (Json.to_string (to_json t) ^ "\n"))
 
 let load ~path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match Yield_resilience.Atomic_io.read_file ~path with
   | exception Sys_error msg -> Error msg
   | text -> begin
       match Json.parse text with

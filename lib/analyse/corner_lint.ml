@@ -42,8 +42,6 @@ module Mosfet = Yield_spice.Mosfet
 module Mna = Yield_spice.Mna
 module Dcop = Yield_spice.Dcop
 module Ac = Yield_spice.Ac
-module Ast = Yield_spice.Netlist_ast
-module Parser = Yield_spice.Netlist_parser
 module Elab = Yield_spice.Netlist_elab
 module Variation = Yield_process.Variation
 
@@ -1324,61 +1322,34 @@ let diagnostics ?file ?origin ?y_span ?(emit_verdict = true) ~subject ~window
 
 let default_window = { min_gain_db = 0.; min_pm_deg = 0. }
 
-let n000 ~path ?span message =
-  Diagnostic.make ~file:path ?span ~code:"N000" ~severity:Diagnostic.Error
-    ~subject:path message
-
-let analyse_file ?k_sigma ?spec ~window path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> [ n000 ~path msg ]
-  | text -> (
-      match Parser.parse text with
-      | exception Ast.Parse_error { span; message } ->
-          [ n000 ~path ~span:(Diagnostic.span_of_ast span) message ]
-      | exception Failure message -> [ n000 ~path message ]
-      | ast -> (
-          let origin = Elab.create_origin () in
-          match Elab.elaborate ~origin ast with
-          | exception Ast.Parse_error { span; message } ->
-              [ n000 ~path ~span:(Diagnostic.span_of_ast span) message ]
-          | exception Failure message -> [ n000 ~path message ]
-          | circuit, analyses -> (
-              let ac_card =
-                List.find_map
-                  (fun (a, span) ->
-                    match a with
-                    | Elab.Ac_analysis { per_decade; f_lo; f_hi; out } ->
-                        Some (per_decade, f_lo, f_hi, out, span)
-                    | Elab.Op | Elab.Tran_analysis _ | Elab.Dc_analysis _ -> None)
-                  analyses
-              in
-              match ac_card with
-              | None ->
-                  let report =
-                    analyse_circuit ?k_sigma ?spec ~window ~freqs:[||] ~out:"0"
-                      circuit
-                  in
-                  diagnostics ~file:path ~origin ~emit_verdict:false
-                    ~subject:(Filename.basename path) ~window report
-              | Some (per_decade, f_lo, f_hi, out, span) ->
-                  let freqs =
-                    try Ac.default_freqs ~per_decade ~f_lo ~f_hi ()
-                    with Invalid_argument _ -> [||]
-                  in
-                  let report =
-                    analyse_circuit ?k_sigma ?spec ~window ~freqs ~out circuit
-                  in
-                  diagnostics ~file:path ~origin
-                    ~y_span:(Diagnostic.span_of_ast span) ~subject:out ~window
-                    report)))
-
-let check_file ?k_sigma ?spec ?(window = default_window) path =
+let check_deck ?k_sigma ?spec ?(window = default_window) deck =
+  match (deck, Netlist_lint.refusals deck) with
+  | (Error n000 | Ok { Deck.elaborated = Error n000; _ }), _ -> [ n000 ]
   (* a deck the simulator refuses has no samples to prove anything about *)
-  match Netlist_lint.refusals path with
-  | _ :: _ as refused -> refused
-  | [] -> analyse_file ?k_sigma ?spec ~window path
+  | _, (_ :: _ as refused) -> refused
+  | Ok { Deck.path; elaborated = Ok { Deck.circuit; origin; analyses }; _ }, []
+    -> (
+      let ac_card =
+        List.find_map
+          (fun (a, span) ->
+            match a with
+            | Elab.Ac_analysis { per_decade; f_lo; f_hi; out } ->
+                Some (per_decade, f_lo, f_hi, out, span)
+            | Elab.Op | Elab.Tran_analysis _ | Elab.Dc_analysis _ -> None)
+          analyses
+      in
+      match ac_card with
+      | None ->
+          let report =
+            analyse_circuit ?k_sigma ?spec ~window ~freqs:[||] ~out:"0" circuit
+          in
+          diagnostics ~file:path ~origin ~emit_verdict:false
+            ~subject:(Filename.basename path) ~window report
+      | Some (per_decade, f_lo, f_hi, out, span) ->
+          let freqs =
+            try Ac.default_freqs ~per_decade ~f_lo ~f_hi ()
+            with Invalid_argument _ -> [||]
+          in
+          let report = analyse_circuit ?k_sigma ?spec ~window ~freqs ~out circuit in
+          diagnostics ~file:path ~origin ~y_span:(Diagnostic.span_of_ast span)
+            ~subject:out ~window report)

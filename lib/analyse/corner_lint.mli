@@ -104,16 +104,16 @@ val diagnostics :
     [y_span] (typically the [.ac] card) as its span, and the unproved
     devices as related locations.  [origin] supplies device card spans. *)
 
-val check_file :
+val check_deck :
   ?k_sigma:float ->
   ?spec:Yield_process.Variation.spec ->
   ?window:window ->
-  string ->
+  (Deck.t, Diagnostic.t) result ->
   Diagnostic.t list
-(** Lint a netlist file: parse, elaborate with provenance, then run
-    {!analyse_circuit} against the first [.ac] card's sweep and probe
-    (D-codes only when the deck has no [.ac] card).  [window] defaults to
-    [{ min_gain_db = 0.; min_pm_deg = 0. }].  Unreadable or unparseable
-    files yield the standard [N000] finding, and a deck the simulator
-    refuses yields only its {!Netlist_lint.refusals} (N004-N006, A004):
-    no corner analysis runs on it. *)
+(** Lint a loaded deck ({!Deck.load}): run {!analyse_circuit} against
+    the first [.ac] card's sweep and probe (D-codes only when the deck has
+    no [.ac] card).  [window] defaults to
+    [{ min_gain_db = 0.; min_pm_deg = 0. }].  A deck that could not be
+    read, parsed or elaborated yields its [N000] finding, and a deck the
+    simulator refuses yields only its {!Netlist_lint.refusals}
+    (N004-N006, A004): no corner analysis runs on it. *)

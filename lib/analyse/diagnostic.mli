@@ -49,9 +49,6 @@ val make :
     start line, so line-oriented consumers keep working.  [related] defaults
     to empty. *)
 
-val severity_to_string : severity -> string
-(** ["error"], ["warning"], ["info"]. *)
-
 val compare : t -> t -> int
 (** Worst severity first, then code, then subject — the rendering order. *)
 

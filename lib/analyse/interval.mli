@@ -29,8 +29,6 @@ val hull : t -> t -> t
 val hull_list : t list -> t
 (** @raise Invalid_argument on an empty list. *)
 
-val is_point : t -> bool
-
 val width : t -> float
 
 val contains : t -> float -> bool

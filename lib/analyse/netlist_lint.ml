@@ -2,7 +2,6 @@ module Circuit = Yield_spice.Circuit
 module Device = Yield_spice.Device
 module Mosfet = Yield_spice.Mosfet
 module Ast = Yield_spice.Netlist_ast
-module Parser = Yield_spice.Netlist_parser
 module Elab = Yield_spice.Netlist_elab
 module Topology = Yield_spice.Topology
 module Tech = Yield_process.Tech
@@ -347,47 +346,26 @@ let param_checks ?file ast =
 let check_ast ?file ast =
   duplicate_devices ?file ast @ subckt_checks ?file ast @ param_checks ?file ast
 
-(* ---------- whole-file entry point ---------- *)
+(* ---------- whole-deck entry points ---------- *)
 
-let n000 ~path ?span message =
-  diag ~file:path ?span ~code:"N000" ~severity:Diagnostic.Error ~subject:path
-    message
+let check_deck ?tech ?pairs = function
+  | Error n000 -> [ n000 ]
+  | Ok { Deck.path; ast; elaborated } -> (
+      let ast_diags = check_ast ~file:path ast in
+      match elaborated with
+      | Error n000 ->
+          (* an AST-level error (undefined subckt, arity, duplicate)
+             already explains most elaboration failures; only surface
+             N000 when it would say something new *)
+          if List.exists (fun d -> d.Diagnostic.severity = Diagnostic.Error) ast_diags
+          then ast_diags
+          else ast_diags @ [ n000 ]
+      | Ok { Deck.circuit; origin; _ } ->
+          ast_diags @ check ~file:path ~origin ?tech ?pairs circuit)
 
-let check_file ?tech ?pairs path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> [ n000 ~path msg ]
-  | text -> begin
-      match Parser.parse text with
-      | exception Ast.Parse_error { span; message } ->
-          [ n000 ~path ~span:(Diagnostic.span_of_ast span) message ]
-      | exception Failure message ->
-          (* the frontend contract is typed errors only; if it is ever
-             broken, degrade to a spanless N000 instead of a backtrace *)
-          [ n000 ~path message ]
-      | ast -> begin
-          let ast_diags = check_ast ~file:path ast in
-          let origin = Elab.create_origin () in
-          match Elab.elaborate ~origin ast with
-          | exception Ast.Parse_error { span; message } ->
-              (* an AST-level error (undefined subckt, arity, duplicate)
-                 already explains most elaboration failures; only surface
-                 N000 when it would say something new *)
-              if List.exists (fun d -> d.Diagnostic.severity = Diagnostic.Error) ast_diags
-              then ast_diags
-              else
-                ast_diags @ [ n000 ~path ~span:(Diagnostic.span_of_ast span) message ]
-          | exception Failure message -> ast_diags @ [ n000 ~path message ]
-          | circuit, _ ->
-              ast_diags @ check ~file:path ~origin ?tech ?pairs circuit
-        end
-    end
-
-let refusals path =
-  let only codes = List.filter (fun d -> List.mem d.Diagnostic.code codes) in
-  only [ "N004"; "N005"; "N006" ] (check_file path)
-  @ only [ "A004" ] (Ac_tran_lint.check_file path)
+let refusals = function
+  | Ok { Deck.path; elaborated = Ok { Deck.circuit; origin; _ }; _ } as deck ->
+      let only codes = List.filter (fun d -> List.mem d.Diagnostic.code codes) in
+      only [ "N004"; "N005"; "N006" ] (check ~file:path ~origin circuit)
+      @ only [ "A004" ] (Ac_tran_lint.check_deck deck)
+  | Ok { Deck.elaborated = Error _; _ } | Error _ -> []

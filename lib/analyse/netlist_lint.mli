@@ -1,6 +1,6 @@
 (** Netlist lint: predict {!Yield_spice.Dcop} failures statically.
 
-    Two layers, run together by {!check_file}:
+    Two layers, run together by {!check_deck}:
 
     - {!check_ast} walks the typed {!Yield_spice.Netlist_ast.t} before
       elaboration, so hierarchy and parameter problems are reported at the
@@ -62,21 +62,21 @@ val check :
 val check_ast : ?file:string -> Yield_spice.Netlist_ast.t -> Diagnostic.t list
 (** The pre-elaboration checks (N009–N014).  Every finding carries a span. *)
 
-val check_file :
+val check_deck :
   ?tech:Yield_process.Tech.t ->
   ?pairs:(string * string) list ->
-  string ->
+  (Deck.t, Diagnostic.t) result ->
   Diagnostic.t list
-(** Read, parse ({!check_ast}), elaborate and {!check} a netlist file.
-    Unreadable files and parse errors come back as a single [N000] error
-    diagnostic carrying file, line and column instead of raising; when
-    elaboration fails but an AST-level error already explains why (undefined
-    subckt, arity mismatch, duplicate device), the N000 is suppressed in
-    favour of the precise findings. *)
+(** {!check_ast} and {!check} a loaded deck ({!Deck.load}).  A deck that
+    could not be read or parsed yields its single [N000] finding; when
+    elaboration fails but an AST-level error already explains why
+    (undefined subckt, arity mismatch, duplicate device), the elaboration's
+    N000 is suppressed in favour of the precise findings. *)
 
-val refusals : string -> Diagnostic.t list
-(** The findings on which the simulator refuses a netlist file: its
+val refusals : (Deck.t, Diagnostic.t) result -> Diagnostic.t list
+(** The findings on which the simulator refuses a loaded deck: its
     N004-N006 errors (a zero, negative, NaN or infinite W/L, R or C) and
     {!Ac_tran_lint}'s A004 (an [.ac] card with no frequency grid).
-    [yieldlab netlist] and {!Corner_lint.check_file} analyse nothing when
-    there are any. *)
+    [yieldlab netlist] and {!Corner_lint.check_deck} analyse nothing when
+    there are any.  A deck that did not load or elaborate has none: it
+    has nothing to refuse. *)

@@ -399,12 +399,7 @@ let check ?file ?dir ?specs (src : Va.source) =
 
 let check_file ?dir ?specs path =
   let dir = match dir with Some d -> d | None -> Filename.dirname path in
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match Yield_resilience.Atomic_io.read_file ~path with
   | exception Sys_error msg ->
       [ diag ~file:path ~code:"V000" ~severity:Diagnostic.Error ~subject:path msg ]
   | text -> begin

@@ -88,8 +88,6 @@ let create ?(control = "3E") ?(bins = 24) points =
 
 let points t = Array.copy t.points
 
-let size t = Array.length t.points
-
 let gain_domain t = Table1d.domain t.dgain
 
 let pm_domain t = Table1d.domain t.dpm

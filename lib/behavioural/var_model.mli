@@ -26,8 +26,6 @@ val create : ?control:string -> ?bins:int -> point array -> t
 val points : t -> point array
 (** The input points, sorted by gain. *)
 
-val size : t -> int
-
 val gain_domain : t -> float * float
 (** Query range of the dGain table. *)
 

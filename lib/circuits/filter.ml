@@ -24,8 +24,6 @@ let caps_of_array = function
   | [| c1; c2; c3 |] -> { c1; c2; c3 }
   | _ -> invalid_arg "Filter.caps_of_array: need 3 values"
 
-let caps_to_array c = [| c.c1; c.c2; c.c3 |]
-
 type spec = {
   f_pass : float;
   ripple_db : float;

@@ -29,14 +29,6 @@ val gm_of_amp : amp -> float
 
 type caps = { c1 : float; c2 : float; c3 : float }
 
-val cap_ranges : Yield_ga.Genome.range array
-(** Designer constraints for the optimisation: C1 in [5 pF, 400 pF],
-    C2 in [2 pF, 200 pF], C3 in [0.1 pF, 20 pF]. *)
-
-val caps_of_array : float array -> caps
-
-val caps_to_array : caps -> float array
-
 type spec = {
   f_pass : float;  (** passband edge, Hz *)
   ripple_db : float;  (** max deviation from DC gain within the passband *)

@@ -40,12 +40,6 @@ val params_to_array : params -> float array
 
 val default_params : params
 
-val compensation_cap : float
-(** Fixed Miller capacitor (4 pF). *)
-
-val nulling_resistor : float
-(** Fixed zero-nulling resistor (800 Ohm). *)
-
 val bias_current : float
 (** Reference current into the M8 diode (20 uA). *)
 

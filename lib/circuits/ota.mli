@@ -33,9 +33,6 @@ val w_max : float
 val l_min : float
 (** 0.35 um. *)
 
-val l_max : float
-(** 4 um. *)
-
 val param_ranges : Yield_ga.Genome.range array
 (** Table 1 as GA ranges, order [w1; l1; w2; l2; w3; l3; w4; l4]. *)
 

@@ -106,7 +106,8 @@ val step_perf :
   ?conditions:conditions -> ?amplitude:float -> ?t_stop:float -> ?dt:float ->
   Ota.params -> step_perf option
 (** Slew rate, 1 % settling time and overshoot extracted from
-    {!step_response}. *)
+    {!step_response}.  A negative [amplitude] is a falling step.
+    @raise Invalid_argument when [amplitude] is zero or not finite. *)
 
 val feasible : conditions -> perf -> bool
 (** The eq. 1 constraint set: positive phase margin and unity-gain frequency

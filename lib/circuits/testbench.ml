@@ -371,13 +371,16 @@ module Make (A : Amplifier.S) = struct
     | Error _ -> None
     | Ok result -> Some (result.Tran.times, Tran.voltage_by_name result c "out")
 
-  let step_perf ?conditions ?amplitude ?t_stop ?dt params =
-    match step_response ?conditions ?amplitude ?t_stop ?dt params with
+  let step_perf ?(conditions = default_conditions) ?(amplitude = 0.5) ?t_stop
+      ?dt params =
+    (* a zero step has no response to measure: the measurements would
+       read the output's own residual drift *)
+    if amplitude = 0. || not (Float.is_finite amplitude) then
+      invalid_arg "Testbench.step_perf: the amplitude must be finite and non-zero";
+    match step_response ~conditions ~amplitude ?t_stop ?dt params with
     | None -> None
     | Some (times, values) ->
-        let conditions' = Option.value conditions ~default:default_conditions in
-        let amplitude' = Option.value amplitude ~default:0.5 in
-        let target = conditions'.vcm +. (amplitude' /. 2.) in
+        let target = conditions.vcm +. (amplitude /. 2.) in
         Some
           {
             slew_v_per_us = Measure_tran.slew_rate ~times ~values /. 1e6;

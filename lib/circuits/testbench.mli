@@ -178,4 +178,7 @@ module Make (A : Amplifier.S) : sig
   val step_perf :
     ?conditions:conditions -> ?amplitude:float -> ?t_stop:float -> ?dt:float ->
     A.params -> step_perf option
+  (** Slew rate, 1 % settling time and overshoot extracted from
+      {!step_response}.  A negative [amplitude] is a falling step.
+      @raise Invalid_argument when [amplitude] is zero or not finite. *)
 end

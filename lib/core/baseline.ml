@@ -46,7 +46,7 @@ let fitness config ~sims rng params =
       (neg_infinity, 0.)
   | Some nominal ->
       incr sims;
-      let results =
+      let { Montecarlo.results; _ } =
         Montecarlo.run ~samples:config.inner_mc ~rng (fun sample_rng ->
             incr sims;
             Tb.evaluate_sampled ~conditions:config.conditions

@@ -341,19 +341,14 @@ let render_ga (g : Yield_ga.Ga.config) =
   let module O = Yield_ga.Operators in
   render
     [
-      (match g.selection with
-      | O.Tournament k -> "tournament:" ^ string_of_int k
-      | O.Roulette -> "roulette");
+      (let (O.Tournament k) = g.selection in
+       "tournament:" ^ string_of_int k);
       (match g.crossover with
       | O.One_point -> "one-point"
-      | O.Uniform p -> "uniform:" ^ hex p
-      | O.Blend a -> "blend:" ^ hex a
-      | O.Sbx eta -> "sbx:" ^ hex eta);
+      | O.Blend a -> "blend:" ^ hex a);
       hex g.crossover_rate;
-      (match g.mutation with
-      | O.Gaussian { sigma; rate } -> "gaussian:" ^ hex sigma ^ ":" ^ hex rate
-      | O.Uniform_reset { rate } -> "uniform-reset:" ^ hex rate
-      | O.Polynomial { eta; rate } -> "polynomial:" ^ hex eta ^ ":" ^ hex rate);
+      (let (O.Gaussian { sigma; rate }) = g.mutation in
+       "gaussian:" ^ hex sigma ^ ":" ^ hex rate);
       string_of_int g.elite_count;
     ]
 

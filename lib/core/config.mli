@@ -56,9 +56,6 @@ type t = {
   prescreen : prescreen;
 }
 
-val no_telemetry : telemetry
-(** All knobs off — what {!paper_scale} and {!fast_scale} carry. *)
-
 val no_prescreen : prescreen
 (** Disabled; defaults [k_sigma = 3.], window [(0, 0)], budget fraction 1. *)
 

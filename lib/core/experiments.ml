@@ -512,7 +512,7 @@ let fig11 ctx =
           (* every perturbed sample keeps the topology: one session *)
           let sys = Yield_spice.Mna.sys circuit in
           let rng = Rng.create 99 in
-          let results =
+          let { Montecarlo.results; _ } =
             Montecarlo.run ~samples:mc_samples ~rng (fun sample_rng ->
                 let perturbed =
                   Variation.perturb_circuit ctx.config.Config.variation

@@ -581,7 +581,7 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
                   T.session ~conditions ~solver:config.Config.solver params
                 in
                 let outcome =
-                  Montecarlo.run_pool_counted ~pool ~samples ~rng:mc_rng
+                  Montecarlo.run ~pool ~samples ~rng:mc_rng
                     (fun sample_rng ->
                       T.evaluate_in_session session
                         ~spec:config.Config.variation ~rng:sample_rng)
@@ -718,7 +718,7 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
           (* a transient pool: verification runs outside Flow.run, so the
              run's own pool is already shut down *)
           Pool.with_pool ~jobs:t.config.Config.jobs (fun pool ->
-              Montecarlo.run_pool_counted ~pool ~samples ~rng
+              Montecarlo.run ~pool ~samples ~rng
                 (fun sample_rng ->
                   T.evaluate_in_session session
                     ~spec:t.config.Config.variation ~rng:sample_rng))

@@ -30,27 +30,23 @@
 
 type tolerance = { frac : float; abs_s : float }
 
-val default_tolerance : tolerance
-(** [frac = 0.10], [abs_s = 0.] — what {!check} assumes when the baseline
-    file carries no [tolerance] object (or an object without one of the
-    two fields).  A [tolerance] that is present but not an object, or a
-    field that is not a non-negative number, is a finding. *)
-
-val baseline_tolerance : tolerance
-(** [frac = 0.10], [abs_s = 2.0] — what {!baseline_of_bench} stamps by
-    default: slack enough to absorb machine-to-machine constant factors
-    while still catching the counts/identity drift exactly. *)
-
 type finding = { field : string; detail : string }
 
 val to_string : finding -> string
 
 val check : baseline:Yield_obs.Json.t -> bench:Yield_obs.Json.t -> finding list
 (** Empty when the bench run is within tolerance of the baseline; one
-    finding per violated field otherwise. *)
+    finding per violated field otherwise.  A baseline without a
+    [tolerance] object (or an object without one of the two fields) is
+    read as [frac = 0.10], [abs_s = 0.]; a [tolerance] that is present but
+    not an object, or a field that is not a non-negative number, is a
+    finding. *)
 
 val baseline_of_bench :
   ?tolerance:tolerance -> Yield_obs.Json.t -> Yield_obs.Json.t
 (** Distil a [BENCH_flow.json] document into a baseline: scale, jobs,
     cores, the tolerance block, stage timings, sim counts, counters and
-    the allocation section (histograms and the A/B sections are dropped). *)
+    the allocation section (histograms and the A/B sections are dropped).
+    [tolerance] defaults to [frac = 0.10], [abs_s = 2.0]: slack enough to
+    absorb machine-to-machine constant factors while the counts and
+    identities are still compared exactly. *)

@@ -32,7 +32,7 @@
     {!Yield_resilience.Fault.point} per item: a block of hit indices is
     reserved up front and each item's fate is decided by its own global
     index, so an injection schedule fires on exactly the same items
-    whatever the interleaving — and identically to the serial path. *)
+    whatever the interleaving and whatever [jobs]. *)
 
 type t
 
@@ -45,7 +45,8 @@ type 'a counted = {
 val create : jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [max 1 jobs - 1] worker domains (the caller is
     the remaining participant).  The pool must be released with
-    {!shutdown}; prefer {!with_pool} where the lifetime is a scope. *)
+    {!shutdown}; prefer {!with_pool} where the lifetime is a scope.  A
+    one-job pool holds no domain and needs no release. *)
 
 val jobs : t -> int
 (** The participant count the pool was created with (always >= 1). *)
@@ -64,8 +65,8 @@ val map_counted :
     results are dropped and counted as [failed], successes are collected in
     item order.  With [?fault], a block of [n] hit indices of the point is
     reserved ({!Yield_resilience.Fault.advance}) and an item whose index
-    fires ({!Yield_resilience.Fault.fire_at}) is lost — [f] is not called —
-    exactly as the serial Monte Carlo loop decides it. *)
+    fires ({!Yield_resilience.Fault.fire_at}) is lost — [f] is not called
+    — so a schedule loses the same items at any [jobs]. *)
 
 val shutdown : t -> unit
 (** Join the worker domains.  Idempotent; the pool must not be used

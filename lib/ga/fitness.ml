@@ -22,8 +22,6 @@ let observe t objectives =
 
 let observed t = t.seen
 
-let bounds t = Array.init (Array.length t.mins) (fun j -> (t.mins.(j), t.maxs.(j)))
-
 let normalise t objectives =
   Array.mapi
     (fun j v ->

@@ -14,8 +14,6 @@ val observe : normalizer -> float array -> unit
 val observed : normalizer -> int
 (** Number of (finite) observations folded in. *)
 
-val bounds : normalizer -> (float * float) array
-
 type state = { mins : float array; maxs : float array; seen : int }
 (** Serialisable snapshot of the normalisation bounds, for WBGA
     checkpoint/resume: the bounds are folded over every evaluation seen, so

@@ -67,5 +67,3 @@ let of_params e ~params ~weights =
     (fun i w -> g.(np + i) <- if wmax > 0. then Float.max 0. (w /. wmax) else 0.5)
     weights;
   g
-
-let param_names e = Array.map (fun r -> r.name) e.param_ranges

@@ -43,5 +43,3 @@ val weights : encoding -> t -> float array
 val of_params : encoding -> params:float array -> weights:float array -> t
 (** Inverse encoding (parameters clamped into their ranges); useful for
     seeding known-good designs. *)
-
-val param_names : encoding -> string array

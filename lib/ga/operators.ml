@@ -1,39 +1,21 @@
 module Rng = Yield_stats.Rng
 
-type selection = Tournament of int | Roulette
+type selection = Tournament of int
 
-type crossover = One_point | Uniform of float | Blend of float | Sbx of float
+type crossover = One_point | Blend of float
 
-type mutation =
-  | Gaussian of { sigma : float; rate : float }
-  | Uniform_reset of { rate : float }
-  | Polynomial of { eta : float; rate : float }
+type mutation = Gaussian of { sigma : float; rate : float }
 
-let select sel rng ~fitness =
+let select (Tournament k) rng ~fitness =
   let n = Array.length fitness in
   if n = 0 then invalid_arg "Operators.select: empty population";
-  match sel with
-  | Tournament k ->
-      let k = Stdlib.max 1 k in
-      let best = ref (Rng.int rng n) in
-      for _ = 2 to k do
-        let c = Rng.int rng n in
-        if fitness.(c) > fitness.(!best) then best := c
-      done;
-      !best
-  | Roulette ->
-      let lo = Array.fold_left Float.min infinity fitness in
-      let shifted = Array.map (fun f -> f -. lo +. 1e-12) fitness in
-      let total = Array.fold_left ( +. ) 0. shifted in
-      let target = Rng.float rng *. total in
-      let rec walk i acc =
-        if i >= n - 1 then n - 1
-        else begin
-          let acc = acc +. shifted.(i) in
-          if acc >= target then i else walk (i + 1) acc
-        end
-      in
-      walk 0 0.
+  let k = Stdlib.max 1 k in
+  let best = ref (Rng.int rng n) in
+  for _ = 2 to k do
+    let c = Rng.int rng n in
+    if fitness.(c) > fitness.(!best) then best := c
+  done;
+  !best
 
 let cross op rng a b =
   let n = Array.length a in
@@ -48,13 +30,6 @@ let cross op rng a b =
           c2.(i) <- a.(i)
         done
       end
-  | Uniform p ->
-      for i = 0 to n - 1 do
-        if Rng.float rng < p then begin
-          c1.(i) <- b.(i);
-          c2.(i) <- a.(i)
-        end
-      done
   | Blend alpha ->
       for i = 0 to n - 1 do
         let lo = Float.min a.(i) b.(i) and hi = Float.max a.(i) b.(i) in
@@ -62,45 +37,13 @@ let cross op rng a b =
         let lo' = lo -. (alpha *. d) and hi' = hi +. (alpha *. d) in
         c1.(i) <- Rng.uniform rng lo' hi';
         c2.(i) <- Rng.uniform rng lo' hi'
-      done
-  | Sbx eta ->
-      for i = 0 to n - 1 do
-        if Rng.float rng < 0.5 then begin
-          let u = Rng.float rng in
-          let beta =
-            if u <= 0.5 then (2. *. u) ** (1. /. (eta +. 1.))
-            else (1. /. (2. *. (1. -. u))) ** (1. /. (eta +. 1.))
-          in
-          let x1 = a.(i) and x2 = b.(i) in
-          c1.(i) <- 0.5 *. (((1. +. beta) *. x1) +. ((1. -. beta) *. x2));
-          c2.(i) <- 0.5 *. (((1. -. beta) *. x1) +. ((1. +. beta) *. x2))
-        end
       done);
   Genome.clamp c1;
   Genome.clamp c2;
   (c1, c2)
 
-let mutate op rng g =
-  let n = Array.length g in
-  (match op with
-  | Gaussian { sigma; rate } ->
-      for i = 0 to n - 1 do
-        if Rng.float rng < rate then
-          g.(i) <- g.(i) +. Rng.normal rng ~mean:0. ~sigma
-      done
-  | Uniform_reset { rate } ->
-      for i = 0 to n - 1 do
-        if Rng.float rng < rate then g.(i) <- Rng.float rng
-      done
-  | Polynomial { eta; rate } ->
-      for i = 0 to n - 1 do
-        if Rng.float rng < rate then begin
-          let u = Rng.float rng in
-          let delta =
-            if u < 0.5 then ((2. *. u) ** (1. /. (eta +. 1.))) -. 1.
-            else 1. -. ((2. *. (1. -. u)) ** (1. /. (eta +. 1.)))
-          in
-          g.(i) <- g.(i) +. delta
-        end
-      done);
+let mutate (Gaussian { sigma; rate }) rng g =
+  for i = 0 to Array.length g - 1 do
+    if Rng.float rng < rate then g.(i) <- g.(i) +. Rng.normal rng ~mean:0. ~sigma
+  done;
   Genome.clamp g

@@ -2,18 +2,10 @@
 
 type selection =
   | Tournament of int  (** pick the best of k uniformly drawn individuals *)
-  | Roulette  (** fitness-proportional (fitnesses shifted to be positive) *)
 
-type crossover =
-  | One_point
-  | Uniform of float  (** per-gene exchange probability *)
-  | Blend of float  (** BLX-alpha *)
-  | Sbx of float  (** simulated binary crossover, distribution index eta *)
+type crossover = One_point | Blend of float  (** BLX-alpha *)
 
-type mutation =
-  | Gaussian of { sigma : float; rate : float }
-  | Uniform_reset of { rate : float }
-  | Polynomial of { eta : float; rate : float }
+type mutation = Gaussian of { sigma : float; rate : float }
 
 val select : selection -> Yield_stats.Rng.t -> fitness:float array -> int
 (** Index of the selected individual.

@@ -53,31 +53,19 @@ let run ?(config = Ga.default_config) ?pool ?checkpoint ?resume ~param_ranges
       (fun j v -> if objectives.(j).maximise then v else -.v)
       raw
   in
-  (* Parallel evaluation keeps only the RNG-free [evaluate] calls on the
-     pool; everything order-sensitive — normaliser bounds, the failure
-     count, archive updates — runs in the deterministic in-order pass
-     below, so the [jobs = n] result is bit-identical to the serial one. *)
-  let evaluate_population population =
-    match pool with
-    | Some pool when Pool.jobs pool > 1 && Array.length population > 1 ->
-        let params = Array.map (Genome.params encoding) population in
-        let raws =
-          Pool.map pool ~n:(Array.length population) (fun i ->
-              evaluate params.(i))
-        in
-        Array.map2 (fun p raw -> (p, raw)) params raws
-    | Some _ | None ->
-        Array.map
-          (fun genome ->
-            let p = Genome.params encoding genome in
-            (p, evaluate p))
-          population
-  in
+  let pool = match pool with Some p -> p | None -> Pool.create ~jobs:1 () in
+  (* Only the RNG-free [evaluate] calls go on the pool; everything
+     order-sensitive — normaliser bounds, the failure count, archive
+     updates — runs in the deterministic in-order pass below, so the
+     result is bit-identical at any [jobs]. *)
   let score population =
-    let evaluated = evaluate_population population in
+    let params = Array.map (Genome.params encoding) population in
+    let raws =
+      Pool.map pool ~n:(Array.length params) (fun i -> evaluate params.(i))
+    in
     let raw_results =
-      Array.map
-        (fun (params, raw) ->
+      Array.map2
+        (fun params raw ->
           match raw with
           | Some raw when Array.length raw = n_obj ->
               let o = oriented raw in
@@ -87,7 +75,7 @@ let run ?(config = Ga.default_config) ?pool ?checkpoint ?resume ~param_ranges
           | None ->
               incr failures;
               None)
-        evaluated
+        params raws
     in
     (* second pass: fitness under the bounds updated by the whole batch *)
     Array.map2

@@ -49,13 +49,12 @@ val run :
     underlying simulation fails; failed individuals receive [neg_infinity]
     fitness and are excluded from the archive and front.
 
-    With [?pool], each generation's [evaluate] calls fan out over the
-    pool's domains ([evaluate] must therefore be safe to call concurrently
-    and must not depend on call order); the GA's own RNG consumption,
-    fitness normalisation and archive updates stay on the calling domain in
-    deterministic order, so [result] and every checkpoint are bit-identical
-    to the serial path.  A pool with one participant (or no pool) takes the
-    exact serial code path.
+    Each generation's [evaluate] calls fan out over [pool]'s domains (a
+    one-job pool when absent), so [evaluate] must be safe to call
+    concurrently and must not depend on call order; the GA's own RNG
+    consumption, fitness normalisation and archive updates stay on the
+    calling domain in deterministic order, so [result] and every
+    checkpoint are bit-identical at any [jobs].
 
     [checkpoint] is invoked after every completed generation; [resume]
     restarts from such a snapshot.  A resumed run only adds the evaluations

@@ -23,11 +23,6 @@ let set m i j (z : Complex.t) =
   m.re.(k) <- z.re;
   m.im.(k) <- z.im
 
-let add_to m i j (z : Complex.t) =
-  let k = idx m i j in
-  m.re.(k) <- m.re.(k) +. z.re;
-  m.im.(k) <- m.im.(k) +. z.im
-
 let of_real ?(imag_scale = 1.) (g : Mat.t) (c : Mat.t) =
   if g.rows <> c.rows || g.cols <> c.cols then
     invalid_arg "Cmat.of_real: shape mismatch";

@@ -16,8 +16,6 @@ val get : t -> int -> int -> Complex.t
 
 val set : t -> int -> int -> Complex.t -> unit
 
-val add_to : t -> int -> int -> Complex.t -> unit
-
 val of_real : ?imag_scale:float -> Mat.t -> Mat.t -> t
 (** [of_real g c ~imag_scale:w] builds [g + j*w*c].  Shapes must agree. *)
 

@@ -48,8 +48,6 @@ type symbolic = {
 
 let size s = s.n
 
-let nnz s = Array.length s.f_cols
-
 (* index of [x] in the sorted slice [a.(lo) .. a.(hi)], or -1 *)
 let rec bsearch (a : int array) (x : int) lo hi =
   if lo > hi then -1

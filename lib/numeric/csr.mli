@@ -40,8 +40,6 @@ val analyse : ?strong_rows:int array array -> n:int -> int array array -> symbol
     land outside the filled pattern, which means the analysis is broken. *)
 
 val size : symbolic -> int
-val nnz : symbolic -> int
-(** Stored entries of the filled pattern (original entries + fill-in). *)
 
 val slot : symbolic -> int -> int -> int
 (** [slot s i j] is the value slot of original entry [(i, j)]: the index

@@ -130,13 +130,3 @@ let det f =
     d := !d *. Mat.get f.lu i i
   done;
   !d
-
-let condition_heuristic f =
-  let n = Mat.rows f.lu in
-  let mx = ref 0. and mn = ref infinity in
-  for i = 0 to n - 1 do
-    let d = Float.abs (Mat.get f.lu i i) in
-    mx := Float.max !mx d;
-    mn := Float.min !mn d
-  done;
-  if !mn = 0. then infinity else !mx /. !mn

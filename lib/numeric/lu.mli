@@ -44,7 +44,3 @@ val solve_system : Mat.t -> Vec.t -> Vec.t
 
 val det : t -> float
 (** Determinant of the factored matrix (sign includes the permutation). *)
-
-val condition_heuristic : t -> float
-(** Cheap conditioning indicator: ratio of the largest to smallest absolute
-    diagonal entry of [U].  Infinite when the smallest is zero. *)

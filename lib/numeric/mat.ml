@@ -34,8 +34,6 @@ let of_arrays a =
     a;
   init rows cols (fun i j -> a.(i).(j))
 
-let copy m = { m with data = Array.copy m.data }
-
 let rows m = m.rows
 
 let cols m = m.cols
@@ -50,21 +48,6 @@ let add_to m i j x =
 
 let fill m x = Array.fill m.data 0 (Array.length m.data) x
 
-let mul a b =
-  if a.cols <> b.rows then invalid_arg "Mat.mul: dimension mismatch";
-  let c = create a.rows b.cols in
-  for i = 0 to a.rows - 1 do
-    for k = 0 to a.cols - 1 do
-      let aik = a.data.((i * a.cols) + k) in
-      if aik <> 0. then
-        for j = 0 to b.cols - 1 do
-          c.data.((i * c.cols) + j) <-
-            c.data.((i * c.cols) + j) +. (aik *. b.data.((k * b.cols) + j))
-        done
-    done
-  done;
-  c
-
 let mul_vec m v =
   if m.cols <> Array.length v then invalid_arg "Mat.mul_vec: dimension mismatch";
   Array.init m.rows (fun i ->
@@ -75,34 +58,3 @@ let mul_vec m v =
       !acc)
 
 let transpose m = init m.cols m.rows (fun i j -> get m j i)
-
-let map2 f a b =
-  if a.rows <> b.rows || a.cols <> b.cols then
-    invalid_arg "Mat: shape mismatch";
-  {
-    a with
-    data = Array.init (Array.length a.data) (fun k -> f a.data.(k) b.data.(k));
-  }
-
-let add a b = map2 ( +. ) a b
-
-let sub a b = map2 ( -. ) a b
-
-let scale s m = { m with data = Array.map (fun x -> s *. x) m.data }
-
-let max_abs m =
-  Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. m.data
-
-let equal_eps eps a b =
-  a.rows = b.rows && a.cols = b.cols && max_abs (sub a b) <= eps
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.rows - 1 do
-    if i > 0 then Format.fprintf ppf "@,";
-    for j = 0 to m.cols - 1 do
-      if j > 0 then Format.fprintf ppf " ";
-      Format.fprintf ppf "%10.4g" (get m i j)
-    done
-  done;
-  Format.fprintf ppf "@]"

@@ -15,8 +15,6 @@ val init : int -> int -> (int -> int -> float) -> t
 val of_arrays : float array array -> t
 (** @raise Invalid_argument on ragged input or zero rows. *)
 
-val copy : t -> t
-
 val rows : t -> int
 
 val cols : t -> int
@@ -31,23 +29,6 @@ val add_to : t -> int -> int -> float -> unit
 
 val fill : t -> float -> unit
 
-val mul : t -> t -> t
-(** Matrix product.  @raise Invalid_argument on inner-dimension mismatch. *)
-
 val mul_vec : t -> Vec.t -> Vec.t
 
 val transpose : t -> t
-
-val add : t -> t -> t
-
-val sub : t -> t -> t
-
-val scale : float -> t -> t
-
-val max_abs : t -> float
-
-val equal_eps : float -> t -> t -> bool
-(** [equal_eps eps a b] is true when the two matrices have the same shape and
-    agree entrywise within [eps]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -4,8 +4,6 @@ let create n = Array.make n 0.
 
 let init = Array.init
 
-let copy = Array.copy
-
 let dim = Array.length
 
 let fill v x = Array.fill v 0 (Array.length v) x
@@ -14,12 +12,6 @@ let blit ~src ~dst =
   if Array.length src <> Array.length dst then
     invalid_arg "Vec.blit: dimension mismatch";
   Array.blit src 0 dst 0 (Array.length src)
-
-let add a b = Array.init (Array.length a) (fun i -> a.(i) +. b.(i))
-
-let sub a b = Array.init (Array.length a) (fun i -> a.(i) -. b.(i))
-
-let scale s a = Array.map (fun x -> s *. x) a
 
 let axpy ~alpha ~x ~y =
   if Array.length x <> Array.length y then
@@ -37,8 +29,6 @@ let dot a b =
   done;
   !acc
 
-let norm2 a = sqrt (dot a a)
-
 let norm_inf a = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0. a
 
 let max_abs_diff a b =
@@ -53,8 +43,6 @@ let max_abs_diff a b =
 let has_neg_zero v = Array.exists (fun x -> x = 0. && Float.sign_bit x) v
 
 let map = Array.map
-
-let mapi = Array.mapi
 
 (* the grids fill one flat float array in a loop: an Array.init or
    Array.map closure would box every element it returns *)
@@ -74,12 +62,3 @@ let logspace a b n =
     v.(i) <- exp v.(i)
   done;
   v
-
-let pp ppf v =
-  Format.fprintf ppf "@[<hov 1>[|";
-  Array.iteri
-    (fun i x ->
-      if i > 0 then Format.fprintf ppf ";@ ";
-      Format.fprintf ppf "%g" x)
-    v;
-  Format.fprintf ppf "|]@]"

@@ -12,8 +12,6 @@ val create : int -> t
 
 val init : int -> (int -> float) -> t
 
-val copy : t -> t
-
 val dim : t -> int
 
 val fill : t -> float -> unit
@@ -21,19 +19,10 @@ val fill : t -> float -> unit
 val blit : src:t -> dst:t -> unit
 (** [blit ~src ~dst] copies [src] into [dst]; dimensions must agree. *)
 
-val add : t -> t -> t
-
-val sub : t -> t -> t
-
-val scale : float -> t -> t
-
 val axpy : alpha:float -> x:t -> y:t -> unit
 (** [axpy ~alpha ~x ~y] performs [y <- alpha * x + y] in place. *)
 
 val dot : t -> t -> float
-
-val norm2 : t -> float
-(** Euclidean norm. *)
 
 val norm_inf : t -> float
 (** Maximum absolute entry; [0.] for the empty vector. *)
@@ -46,8 +35,6 @@ val has_neg_zero : t -> bool
 
 val map : (float -> float) -> t -> t
 
-val mapi : (int -> float -> float) -> t -> t
-
 val linspace : float -> float -> int -> t
 (** [linspace a b n] is [n >= 2] evenly spaced points from [a] to [b]
     inclusive.  @raise Invalid_argument if [n < 2]. *)
@@ -55,5 +42,3 @@ val linspace : float -> float -> int -> t
 val logspace : float -> float -> int -> t
 (** [logspace a b n] is [n] points spaced evenly on a log scale from [a] to
     [b]; both must be strictly positive.  @raise Invalid_argument otherwise. *)
-
-val pp : Format.formatter -> t -> unit

@@ -13,7 +13,3 @@ val now_s : unit -> float
 
 val now_us : unit -> float
 (** Monotonic microseconds (the unit of Chrome trace [ts]). *)
-
-val wall_s : unit -> float
-(** Seconds since the Unix epoch ([Unix.gettimeofday]), for the few places
-    that need an absolute civil timestamp rather than a duration. *)

@@ -19,8 +19,6 @@ let set_verbose v =
       verbose_sub := None
   | _ -> ()
 
-let verbose () = !verbose_flag
-
 (* ---------- the streaming sink ---------- *)
 
 type stream_state = {

@@ -11,8 +11,6 @@ val set_verbose : bool -> unit
 (** When on, every kept span prints a line to stderr as it closes (an
     indented live trace). *)
 
-val verbose : unit -> bool
-
 val start_stream : ?snapshot_every_s:float -> path:string -> unit -> unit
 (** Arm the streaming sink: every kept span event is appended to [path]
     as it happens ([.jsonl] → JSONL, other [.json] → Chrome trace; see

@@ -22,13 +22,11 @@ type format = Jsonl | Chrome
 
 type t
 
-val format_of_path : string -> format
-(** [.jsonl] streams JSONL; any other [.json] suffix streams a Chrome
-    trace; everything else defaults to JSONL. *)
-
 val create : ?format:format -> path:string -> unit -> t
-(** Truncate-and-open [path] for streaming.  [format] defaults to
-    {!format_of_path}.  @raise Sys_error when the path is unwritable. *)
+(** Truncate-and-open [path] for streaming.  [format] defaults to the
+    path's suffix: [.jsonl] streams JSONL, any other [.json] a Chrome
+    trace, everything else JSONL.  @raise Sys_error when the path is
+    unwritable. *)
 
 val path : t -> string
 

@@ -5,66 +5,35 @@ module Span = Yield_obs.Span
 module Fault = Yield_resilience.Fault
 module Pool = Yield_exec.Pool
 
-type 'a counted = { results : 'a array; attempted : int; failed : int }
+type 'a counted = 'a Pool.counted = {
+  results : 'a array;
+  attempted : int;
+  failed : int;
+}
 
 let c_attempted = Metrics.counter "mc.samples.attempted"
 
 let c_failed = Metrics.counter "mc.samples.failed"
 
 (* [mc.sample] fault: the sample is lost (as if the simulation under it had
-   failed).  Each batch reserves a block of hit indices up front and decides
-   per global sample index, so the serial and parallel paths — and any
-   domain interleaving — inject on exactly the same samples. *)
+   failed).  [Pool.map_counted] reserves a block of hit indices per batch
+   and decides per global sample index, so any [jobs] and any domain
+   interleaving inject on exactly the same samples. *)
 let fp_sample = Fault.point "mc.sample"
 
-let record ~attempted ~failed =
-  Metrics.add c_attempted attempted;
-  Metrics.add c_failed failed
-
-let run_counted ~samples ~rng f =
+let run ?pool ~samples ~rng f =
+  let pool = match pool with Some p -> p | None -> Pool.create ~jobs:1 () in
   (* batch ordinal as span key, taken by the (always sequential) caller
      before any work runs — the sampling identity is jobs-independent *)
   Span.with_ ~name:"mc.batch" ~key:(Span.next_key "mc.batch") (fun () ->
-      let base = Fault.advance fp_sample ~by:samples in
-      let results = ref [] in
-      let failed = ref 0 in
-      for i = 0 to samples - 1 do
-        (* always split the child stream, even for an injected sample, so
-           injection never shifts the streams of the samples after it *)
-        let child = Rng.split rng in
-        match if Fault.fire_at fp_sample ~index:(base + i) then None else f child with
-        | Some r -> results := r :: !results
-        | None -> incr failed
-      done;
-      record ~attempted:samples ~failed:!failed;
-      {
-        results = Array.of_list (List.rev !results);
-        attempted = samples;
-        failed = !failed;
-      })
-
-let run ~samples ~rng f = (run_counted ~samples ~rng f).results
-
-let run_pool_counted ~pool ~samples ~rng f =
-  if Pool.jobs pool <= 1 || samples <= 1 then run_counted ~samples ~rng f
-  else
-    (* same key sequence as the serial path: one ordinal per batch *)
-    Span.with_ ~name:"mc.batch" ~key:(Span.next_key "mc.batch") (fun () ->
-        (* split all child streams sequentially first, so the sample streams
-           are identical to the serial path *)
-        let children = Array.init samples (fun _ -> Rng.split rng) in
-        let c =
-          Pool.map_counted pool ~fault:fp_sample ~n:samples (fun i ->
-              f children.(i))
-        in
-        record ~attempted:c.Pool.attempted ~failed:c.Pool.failed;
-        {
-          results = c.Pool.results;
-          attempted = c.Pool.attempted;
-          failed = c.Pool.failed;
-        })
-
-let run_pool ~pool ~samples ~rng f = (run_pool_counted ~pool ~samples ~rng f).results
+      (* every child stream is split in sample order before the fan-out,
+         also an injected sample's, so neither [jobs] nor an injection
+         shifts a sample's stream *)
+      let children = Array.init samples (fun _ -> Rng.split rng) in
+      let c = Pool.map_counted pool ~fault:fp_sample ~n:samples (fun i -> f children.(i)) in
+      Metrics.add c_attempted c.attempted;
+      Metrics.add c_failed c.failed;
+      c)
 
 type yield_estimate = {
   pass : int;

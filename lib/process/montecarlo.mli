@@ -1,49 +1,29 @@
 (** Generic Monte Carlo driver and yield estimation.
 
     Every batch is instrumented: a ["mc.batch"] span (plus one
-    ["exec.worker"] span per participating domain on the pool path, whose
+    ["exec.worker"] span per participating domain of a parallel batch, whose
     durations give the per-domain utilisation) and the
     ["mc.samples.attempted"] / ["mc.samples.failed"] counters in
     {!Yield_obs.Metrics}. *)
 
-type 'a counted = {
+type 'a counted = 'a Yield_exec.Pool.counted = {
   results : 'a array;  (** the successful samples, in sample order *)
   attempted : int;  (** how many samples were drawn ([= samples]) *)
   failed : int;  (** how many returned [None] (e.g. DC non-convergence) *)
 }
 (** A batch outcome that keeps the failure accounting: [attempted] is the
-    honest denominator a yield estimate needs, which the bare result array
-    of {!run} silently loses. *)
-
-val run_counted :
-  samples:int -> rng:Yield_stats.Rng.t -> (Yield_stats.Rng.t -> 'a option) ->
-  'a counted
-(** [run_counted ~samples ~rng f] calls [f] with an independent child
-    stream per sample and collects the successful results together with the
-    attempted/failed counts. *)
-
-val run_pool_counted :
-  pool:Yield_exec.Pool.t -> samples:int -> rng:Yield_stats.Rng.t ->
-  (Yield_stats.Rng.t -> 'a option) -> 'a counted
-(** Like {!run_counted} but fanned out over a shared {!Yield_exec.Pool}.
-    Child streams are split sequentially {e before} the fan-out and results
-    are collected in sample order, so the outcome is {e identical} to
-    {!run_counted} with the same [rng] — including which samples a fault
-    schedule injects away.  Delegates to {!run_counted} (the exact serial
-    code path) when the pool has one participant or [samples <= 1].  [f]
-    must not share mutable state across calls. *)
+    honest denominator a yield estimate needs. *)
 
 val run :
-  samples:int -> rng:Yield_stats.Rng.t -> (Yield_stats.Rng.t -> 'a option) ->
-  'a array
-(** [run_counted] keeping only the successful results; the result array may
-    be shorter than [samples].  Prefer {!run_counted} when the caller needs
-    a denominator. *)
-
-val run_pool :
-  pool:Yield_exec.Pool.t -> samples:int -> rng:Yield_stats.Rng.t ->
-  (Yield_stats.Rng.t -> 'a option) -> 'a array
-(** [run_pool_counted] keeping only the successful results. *)
+  ?pool:Yield_exec.Pool.t -> samples:int -> rng:Yield_stats.Rng.t ->
+  (Yield_stats.Rng.t -> 'a option) -> 'a counted
+(** [run ?pool ~samples ~rng f] calls [f] with an independent child
+    stream per sample, fanned out over [pool] (a one-job pool when
+    absent), and collects the successful results in sample order together
+    with the attempted/failed counts.  Child streams are split in sample
+    order {e before} the fan-out, so the outcome is the same at any
+    [jobs] — including which samples a fault schedule injects away.  [f]
+    must not share mutable state across calls. *)
 
 type yield_estimate = {
   pass : int;

@@ -9,9 +9,6 @@ val all : component list
 
 val to_string : component -> string
 
-val draw_for : Variation.spec -> component -> float -> Variation.global_draw
-(** A global draw with one component set to [k] sigmas, the rest nominal. *)
-
 type result = {
   component : component;
   per_sigma : float;  (** response change for a +1 sigma shift *)

@@ -20,6 +20,9 @@ val write_file : path:string -> string -> unit
     untouched. *)
 
 val read_file : path:string -> string
+(** The whole file, read in binary mode: netlists, tables, lint baselines
+    and Verilog-A sources are read through it.
+    @raise Sys_error when the file cannot be opened or read. *)
 
 val mkdir_p : string -> unit
 (** Create the directory and any missing parents. *)

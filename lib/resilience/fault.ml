@@ -62,8 +62,6 @@ let known () =
   with_lock (fun () -> Hashtbl.fold (fun name _ acc -> name :: acc) points [])
   |> List.sort String.compare
 
-let is_known name = with_lock (fun () -> Hashtbl.mem points name)
-
 let armed () =
   with_lock (fun () ->
       Hashtbl.fold

@@ -52,8 +52,6 @@ val known : unit -> string list
     string is validated against.  Note {!arm} registers its point too:
     validate names {e before} arming. *)
 
-val is_known : string -> bool
-
 val fire : point -> bool
 (** Consume one hit of the point's schedule: [true] when armed and this hit
     fails.  The hit index is the point's internal atomic counter. *)

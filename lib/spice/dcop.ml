@@ -61,49 +61,58 @@ let error_to_string = function
       "dcop: no convergence after " ^ String.concat ", " attempts
   | Singular_system what -> "dcop: singular system in " ^ what
 
-(* One damped-Newton run at fixed gmin and source scaling in the borrowed
-   workspace [w]: it starts at [x0], which may be [w.x] itself to go on
-   from the previous run's answer, and iterates in [w.x], so an iteration
-   allocates nothing.  Returns the run's factorisation count, negated
-   when it fails: an int, so the count costs no allocation.  A converged
-   run leaves its solution in [w.x].  Adds the count to
+(* Newton iterations [i], [i + 1], ... of one run in the borrowed
+   workspace [w], iterating in [w.x]; [assemble x] writes the system
+   linearised at [x] into [w.rs] and [w.rhs].  A top-level function, so
+   a run allocates no closure of its own and an iteration nothing.
+   Returns the run's factorisation count, negated when it fails: an int,
+   so the count costs no allocation.  A converged run leaves its solution
+   in [w.x]. *)
+let rec iterate_from (w : Mna.dc_work) options ~n_nodes assemble i =
+  if i >= options.max_iterations then -i
+  else begin
+    let x = w.Mna.x and x_new = w.Mna.x_new in
+    assemble x;
+    match w.Mna.rs.Linsys.solve_into w.Mna.rhs x_new with
+    | exception Lu.Singular _ -> -(i + 1)
+    | () ->
+        let delta = ref 0. and finite = ref true in
+        (* the step limits as computed floats, bit for bit [-. max_step]
+           and [max_step] (a negation flips only the sign): handed the
+           record's boxed field, the inlined Float.min would box [dk]
+           whenever [dk] is its answer *)
+        let lo = -.options.max_step in
+        let hi = -.lo in
+        for k = 0 to Array.length x - 1 do
+          let dk = x_new.(k) -. x.(k) in
+          (* clamp only node voltages; branch currents may move freely *)
+          let dk_clamped =
+            if k < n_nodes then Float.max lo (Float.min hi dk) else dk
+          in
+          delta := Float.max !delta (Float.abs dk);
+          let xk = x.(k) +. dk_clamped in
+          x.(k) <- xk;
+          if not (Float.is_finite xk) then finite := false
+        done;
+        if !delta < options.vtol && Float.is_finite !delta then i + 1
+        else if not !finite then -(i + 1)
+        else iterate_from w options ~n_nodes assemble (i + 1)
+  end
+
+(* One damped-Newton run from [x0], which may be [w.x] itself to go on
+   from the previous run's answer. *)
+let iterate (w : Mna.dc_work) options ~n_nodes ~x0 assemble =
+  if x0 != w.Mna.x then Array.blit x0 0 w.Mna.x 0 (Array.length x0);
+  iterate_from w options ~n_nodes assemble 0
+
+(* {!iterate} at fixed gmin and source scaling, adding its count to
    [dcop.iterations]. *)
 let newton (w : Mna.dc_work) ?models circuit layout options ~source_scale ~gmin
     ~x0 =
-  let n = Mna.size layout and n_nodes = Mna.n_nodes layout in
-  let x = w.Mna.x and x_new = w.Mna.x_new in
-  if x0 != x then Array.blit x0 0 x 0 n;
-  let rec iterate i =
-    if i >= options.max_iterations then -i
-    else begin
-      Mna.assemble_dc w ?models circuit layout ~x ~source_scale ~gmin;
-      match w.Mna.rs.Linsys.solve_into w.Mna.rhs x_new with
-      | exception Lu.Singular _ -> -(i + 1)
-      | () ->
-          let delta = ref 0. and finite = ref true in
-          (* the step limits as computed floats, bit for bit [-. max_step]
-             and [max_step] (a negation flips only the sign): handed the
-             record's boxed field, the inlined Float.min would box [dk]
-             whenever [dk] is its answer *)
-          let lo = -.options.max_step in
-          let hi = -.lo in
-          for k = 0 to n - 1 do
-            let dk = x_new.(k) -. x.(k) in
-            (* clamp only node voltages; branch currents may move freely *)
-            let dk_clamped =
-              if k < n_nodes then Float.max lo (Float.min hi dk) else dk
-            in
-            delta := Float.max !delta (Float.abs dk);
-            let xk = x.(k) +. dk_clamped in
-            x.(k) <- xk;
-            if not (Float.is_finite xk) then finite := false
-          done;
-          if !delta < options.vtol && Float.is_finite !delta then i + 1
-          else if not !finite then -(i + 1)
-          else iterate (i + 1)
-    end
+  let factored =
+    iterate w options ~n_nodes:(Mna.n_nodes layout) ~x0 (fun x ->
+        Mna.assemble_dc w ?models circuit layout ~x ~source_scale ~gmin)
   in
-  let factored = iterate 0 in
   Metrics.add c_iterations (abs factored);
   factored
 

@@ -27,6 +27,24 @@ val classify_error : error -> Yield_resilience.Retry.classification
 (** [No_convergence] is transient (a different starting point may converge);
     [Singular_system] is permanent (the topology itself is broken). *)
 
+val iterate :
+  Mna.dc_work -> options -> n_nodes:int -> x0:Yield_numeric.Vec.t ->
+  (Yield_numeric.Vec.t -> unit) -> int
+(** [iterate w options ~n_nodes ~x0 assemble] is one damped-Newton run
+    in the borrowed workspace [w] ({!Mna.with_dc}), the loop every solve
+    of {!solve} and every time point of {!Tran} runs.  It starts at [x0]
+    (which may be [w.x] itself) and iterates in [w.x]: [assemble x] writes
+    the system linearised at [x] into [w.rs] and [w.rhs], the solution
+    goes to [w.x_new], and each of the first [n_nodes] unknowns moves by
+    at most [options.max_step].  The run converges when every unknown's
+    Newton step is below [options.vtol], and fails on a singular system, a
+    non-finite iterate or after [options.max_iterations] factorisations
+    ([gmin] is the assembler's business).  Returns the factorisation
+    count, negated when the run failed; a converged run leaves its
+    solution in [w.x].  Beyond what [assemble] allocates, an iteration
+    allocates nothing.  It counts nothing: [dcop.iterations] counts
+    {!solve}'s runs only. *)
+
 val solve :
   ?options:options -> ?x0_jitter:(int -> float) ->
   ?start:Yield_numeric.Vec.t -> ?sys:Mna.sys -> ?models:Mna.models ->

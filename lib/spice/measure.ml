@@ -80,16 +80,6 @@ let phase_margin_deg b =
       let phase_u = interp_at ~xs:b.Ac.freqs ~ys:phases fu ~log_x:true in
       Some (180. +. phase_u)
 
-let gain_margin_db b =
-  let phases = phases_deg_unwrapped b in
-  match crossing ~xs:b.Ac.freqs ~ys:phases ~level:(-180.) () with
-  | None -> None
-  | Some f180 ->
-      let mag = interp_at ~xs:b.Ac.freqs ~ys:(magnitudes_db b) f180 ~log_x:true in
-      Some (-.mag)
-
 let f3db b =
   let dc = dc_gain_db b in
   crossing ~xs:b.Ac.freqs ~ys:(magnitudes_db b) ~level:(dc -. 3.) ()
-
-let gain_at b f = interp_at ~xs:b.Ac.freqs ~ys:(magnitudes_db b) f ~log_x:true

@@ -27,15 +27,8 @@ val phase_margin_deg : Ac.bode -> float option
 (** [180 + phase(f_unity)] using the unwrapped phase; [None] when there is no
     unity crossing. *)
 
-val gain_margin_db : Ac.bode -> float option
-(** [-magnitude] at the first -180 degree phase crossing. *)
-
 val f3db : Ac.bode -> float option
 (** Frequency of the first 3 dB drop below the DC gain. *)
-
-val gain_at : Ac.bode -> float -> float
-(** [gain_at bode f]: magnitude in dB, log-interpolated at frequency [f].
-    Clamps to the sampled range. *)
 
 val crossing :
   xs:float array -> ys:float array -> level:float -> ?log_x:bool -> unit ->
@@ -47,4 +40,4 @@ val interp_at : xs:float array -> ys:float array -> float -> log_x:bool -> float
 (** [interp_at ~xs ~ys x ~log_x]: [ys] interpolated at [x] (on a log axis
     when [log_x]), clamped to the sampled range.  With {!crossing} it lets
     a caller measure magnitudes and phases it computed once, with the
-    same floating-point operations as {!phase_margin_deg} and {!gain_at}. *)
+    same floating-point operations as {!phase_margin_deg}. *)

@@ -2,18 +2,6 @@ let check_lengths times values =
   if Array.length times <> Array.length values || Array.length times < 2 then
     invalid_arg "Measure_tran: need matching arrays of at least two samples"
 
-let value_at ~times ~values t =
-  check_lengths times values;
-  let n = Array.length times in
-  if t <= times.(0) then values.(0)
-  else if t >= times.(n - 1) then values.(n - 1)
-  else begin
-    let rec find i = if times.(i + 1) >= t then i else find (i + 1) in
-    let i = find 0 in
-    let u = (t -. times.(i)) /. (times.(i + 1) -. times.(i)) in
-    values.(i) +. (u *. (values.(i + 1) -. values.(i)))
-  end
-
 let final_value ~values =
   let n = Array.length values in
   if n = 0 then invalid_arg "Measure_tran.final_value: empty";
@@ -69,34 +57,4 @@ let overshoot_pct ~times ~values =
     in
     let excess = if rising then peak -. target else target -. peak in
     Float.max 0. (100. *. excess /. amplitude)
-  end
-
-let rise_time ?(low = 0.1) ?(high = 0.9) ~times ~values () =
-  check_lengths times values;
-  let v0 = values.(0) in
-  let v_final = final_value ~values in
-  let amplitude = v_final -. v0 in
-  if Float.abs amplitude <= 0. then None
-  else begin
-    let level frac = v0 +. (frac *. amplitude) in
-    let crossing target =
-      let rec scan i =
-        if i >= Array.length values then None
-        else begin
-          let prev = values.(i - 1) and cur = values.(i) in
-          let between =
-            (prev <= target && target <= cur) || (cur <= target && target <= prev)
-          in
-          if between then begin
-            let u = if cur = prev then 0. else (target -. prev) /. (cur -. prev) in
-            Some (times.(i - 1) +. (u *. (times.(i) -. times.(i - 1))))
-          end
-          else scan (i + 1)
-        end
-      in
-      scan 1
-    in
-    match (crossing (level low), crossing (level high)) with
-    | Some t_lo, Some t_hi when t_hi >= t_lo -> Some (t_hi -. t_lo)
-    | _ -> None
   end

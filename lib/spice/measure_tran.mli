@@ -2,9 +2,6 @@
     figures of merit (slew rate, settling, overshoot) that complement the
     paper's frequency-domain objectives. *)
 
-val value_at : times:float array -> values:float array -> float -> float
-(** Linear interpolation; clamps outside the simulated span. *)
-
 val final_value : values:float array -> float
 (** Mean of the last 5 % of samples (settling estimate). *)
 
@@ -22,8 +19,3 @@ val overshoot_pct : times:float array -> values:float array -> float
 (** Peak excursion beyond the final value, as a percentage of the transition
     amplitude (0 when the response is monotonic or the transition is
     degenerate). *)
-
-val rise_time :
-  ?low:float -> ?high:float -> times:float array -> values:float array -> unit ->
-  float option
-(** 10 %-90 % (by default) transition time of a rising step response. *)

@@ -44,9 +44,10 @@ val model_override : models option -> int -> Mosfet.model -> Mosfet.model
     computed once when it is built, which {!Dcop.solve} and {!Ac.transfer}
     read instead of re-running the checks per call.  A [sys] is safe to
     share across domains.  Its only mutable parts are two free lists of
-    numeric workspaces, which {!Dcop.solve} and {!Ac.transfer} borrow
-    from ({!with_dc}, {!with_ac}) by compare-and-set; other callers
-    allocate their own with {!sys_real} / {!sys_complex}. *)
+    numeric workspaces, which {!Dcop.solve}, {!Tran.run} and
+    {!Ac.transfer} borrow from ({!with_dc}, {!with_ac}) by
+    compare-and-set; other callers allocate their own with {!sys_real} /
+    {!sys_complex}. *)
 
 type sys
 
@@ -95,9 +96,9 @@ val sys_ac_issues : sys -> Topology.issue list
 
 val sys_real : sys -> Yield_numeric.Linsys.real
 (** Allocate a fresh mutable real workspace, owned by the caller, who
-    keeps it for as many solves as it likes (the transient engine, the
-    corner proof).  {!Dcop.solve} does not allocate one per call: it
-    borrows the sys's ({!with_dc}). *)
+    keeps it for as many solves as it likes (the corner proof).
+    {!Dcop.solve} and {!Tran.run} do not allocate one: they borrow the
+    sys's ({!with_dc}). *)
 
 val sys_complex : sys -> Yield_numeric.Linsys.complex_sys
 (** Allocate a fresh mutable complex workspace, owned by the caller (the

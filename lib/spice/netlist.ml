@@ -17,16 +17,7 @@ let parse_value s =
   | Some v -> v
   | None -> failwith ("Netlist.parse_value: cannot parse " ^ s)
 
-let parse_with_analyses text =
-  let circuit, analyses =
-    Netlist_elab.elaborate (Netlist_parser.parse text)
-  in
-  (circuit, List.map fst analyses)
-
-let parse text = fst (parse_with_analyses text)
-
-let print_canonical text =
-  Netlist_printer.to_string (Netlist_parser.parse text)
+let parse text = fst (Netlist_elab.elaborate (Netlist_parser.parse text))
 
 let format_value = Netlist_ast.engineering
 

@@ -66,17 +66,9 @@ val parse_value : string -> float
 
 val parse : string -> Circuit.t
 (** @raise Parse_error with a source span on malformed input.  Analysis
-    cards are accepted and ignored; use {!parse_with_analyses} to get
-    them. *)
-
-val parse_with_analyses : string -> Circuit.t * analysis list
-(** Like {!parse} but also returns the analysis cards, in order.  Analysis
-    cards are only allowed at the top level (not inside [.subckt]). *)
-
-val print_canonical : string -> string
-(** Parse to the AST and print back in the canonical layout — the
-    byte-idempotent normal form ([print_canonical] of its own output is the
-    identity).  @raise Parse_error on malformed input. *)
+    cards are accepted and ignored; {!Netlist_elab.elaborate} returns
+    them, in order.  Analysis cards are only allowed at the top level (not
+    inside [.subckt]). *)
 
 val to_string : Circuit.t -> string
 (** Render a circuit back to netlist text.  MOS models registered via

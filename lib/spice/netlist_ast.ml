@@ -101,15 +101,6 @@ let engineering v =
     Printf.sprintf "%.6g%s" scaled suffix
   end
 
-let value_of_float v =
-  let text =
-    let compact = engineering v in
-    match float_of_spice compact with
-    | Some back when back = v -> compact
-    | _ -> Printf.sprintf "%.17g" v
-  in
-  { text; expr = Num v; vspan = dummy_span }
-
 (* ---------- cards ---------- *)
 
 type assign = { key : ident; v : value }
@@ -172,10 +163,6 @@ type statement =
   | Subckt of { name : ident; ports : ident list; body : statement list; span : span }
 
 type t = { statements : statement list }
-
-let statement_span = function
-  | Card { span; _ } -> span
-  | Subckt { span; _ } -> span
 
 let card_name = function
   | Resistor { name; _ }

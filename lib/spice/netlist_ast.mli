@@ -58,10 +58,6 @@ type value = { text : string; expr : expr; vspan : span }
 val value_refs : value -> string list
 (** Lowercased parameter names the value's expression references. *)
 
-val value_of_float : float -> value
-(** A value with no source: compact engineering text when it reads back
-    exactly, full ["%.17g"] precision otherwise — print-stable either way. *)
-
 val engineering : float -> string
 (** The compact engineering rendering ("10k", "1.5u", ...). *)
 
@@ -131,8 +127,6 @@ type statement =
     }
 
 type t = { statements : statement list }
-
-val statement_span : statement -> span
 
 val card_name : card -> ident option
 (** The device name of an element card, [None] for directives. *)

@@ -11,8 +11,6 @@ type flicker = {
   kf_p : float;
 }
 
-val default_flicker : flicker
-
 val no_flicker : flicker
 
 type contribution = {

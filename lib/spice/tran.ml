@@ -1,5 +1,3 @@
-module Vec = Yield_numeric.Vec
-module Lu = Yield_numeric.Lu
 module Linsys = Yield_numeric.Linsys
 
 type options = {
@@ -80,14 +78,10 @@ let run ?sys ?models options circuit =
   (* the initial operating point and every step share one session *)
   let sys = Mna.default_sys sys circuit in
   let layout = Mna.sys_layout sys in
-  let size = Mna.size layout in
   let devices = Circuit.devices circuit in
-  (* one numeric workspace reused across all steps and Newton iterations *)
-  let rs = Mna.sys_real sys in
-  let scratch = Mosfet.buffer () in
   match Dcop.solve ~sys ?models (initial_circuit circuit) with
   | Error e -> Error (Dc_failed e)
-  | Ok op0 -> begin
+  | Ok op0 ->
       let slots = Array.map slots_of_device devices in
       (* prime MOS capacitances from the DC operating point *)
       Array.iteri
@@ -102,124 +96,105 @@ let run ?sys ?models options circuit =
       let n_steps = int_of_float (Float.ceil (options.t_stop /. options.dt)) in
       let times = Array.make (n_steps + 1) 0. in
       let solutions = Array.make (n_steps + 1) [||] in
-      times.(0) <- 0.;
-      solutions.(0) <- Array.copy op0.Dcop.x;
-      let x_prev = ref (Array.copy op0.Dcop.x) in
-      let failed = ref None in
-      (* One Newton solve of the companion-model system at time [t]. *)
-      let step ~first t =
-        let h = options.dt in
-        let integ_g c = if first then c /. h else 2. *. c /. h in
-        let x = Array.copy !x_prev in
-        let rec newton iter =
-          if iter > options.max_newton then None
-          else begin
-            rs.Linsys.reset ();
-            let add = rs.Linsys.add in
-            let rhs = Vec.create size in
-            for i = 0 to Mna.n_nodes layout - 1 do
-              add i i 1e-12
-            done;
-            Array.iteri
-              (fun di dev ->
-                (* the device's DC stamps, MOSFETs linearised at [x],
-                   replayed from the session's stamp plan *)
-                Mna.stamp_device_dc rs layout ?models circuit di ~x ~scratch
-                  rhs;
-                (* capacitor companion models, explicit and MOS *)
-                List.iter
-                  (fun slot ->
-                    let geq = integ_g slot.c in
-                    let v_old =
-                      Mna.voltage !x_prev slot.a -. Mna.voltage !x_prev slot.b
-                    in
-                    let i_hist =
-                      if first then geq *. v_old
-                      else (geq *. v_old) +. slot.i_prev
-                    in
-                    Mna.stamp_capacitance rs layout di ~group:slot.group geq;
-                    Mna.inject rhs slot.a i_hist;
-                    Mna.inject rhs slot.b (-.i_hist))
-                  slots.(di);
-                match dev with
-                | Device.Vsource { name; dc; wave; _ } ->
-                    rhs.(Mna.branch_index layout name) <-
-                      source_value_at ~dc ~wave t
-                | Device.Isource { npos; nneg; dc; wave; _ } ->
-                    let value = source_value_at ~dc ~wave t in
-                    Mna.inject rhs npos (-.value);
-                    Mna.inject rhs nneg value
-                | Device.Resistor _ | Device.Capacitor _ | Device.Vccs _
-                | Device.Mosfet _ ->
-                    ())
-              devices;
-            match rs.Linsys.solve rhs with
-            | exception Lu.Singular _ -> None
-            | x_new ->
-                let delta = ref 0. in
-                for k = 0 to size - 1 do
-                  let dk = x_new.(k) -. x.(k) in
-                  delta := Float.max !delta (Float.abs dk);
-                  let limit = 0.5 in
-                  let dk =
-                    if k < Mna.n_nodes layout then
-                      Float.max (-.limit) (Float.min limit dk)
-                    else dk
-                  in
-                  x.(k) <- x.(k) +. dk
-                done;
-                if not (Array.for_all Float.is_finite x) then None
-                else if !delta < options.vtol then Some x
-                else newton (iter + 1)
-          end
-        in
-        newton 0
+      solutions.(0) <- op0.Dcop.x;
+      (* every time point is one run of the DC Newton loop: up to
+         [max_newton + 1] factorisations, node steps clamped at 0.5 V *)
+      let newton =
+        {
+          Dcop.default_options with
+          max_iterations = options.max_newton + 1;
+          vtol = options.vtol;
+          max_step = 0.5;
+        }
       in
-      (try
-         for n = 1 to n_steps do
-           let t = float_of_int n *. options.dt in
-           match step ~first:(n = 1) t with
-           | None ->
-               failed := Some t;
-               raise Exit
-           | Some x ->
-               (* accept: update capacitor branch currents and MOS caps *)
-               let h = options.dt in
-               Array.iteri
-                 (fun di dev ->
-                   List.iter
-                     (fun slot ->
-                       let geq =
-                         if n = 1 then slot.c /. h else 2. *. slot.c /. h
-                       in
-                       let v_old =
-                         Mna.voltage !x_prev slot.a -. Mna.voltage !x_prev slot.b
-                       in
-                       let v_new = Mna.voltage x slot.a -. Mna.voltage x slot.b in
-                       let i_hist =
-                         if n = 1 then geq *. v_old
-                         else (geq *. v_old) +. slot.i_prev
-                       in
-                       slot.i_prev <- (geq *. v_new) -. i_hist)
-                     slots.(di);
-                   match dev with
-                   | Device.Mosfet { d; g; s; b; model; w; l; name = _ } ->
-                       let model = Mna.model_override models di model in
-                       refresh_mos_slots slots.(di)
-                         (Mna.mos_operating_point model ~w ~l ~d ~g ~s ~b x)
-                   | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
-                   | Device.Isource _ | Device.Vccs _ ->
-                       ())
-                 devices;
-               times.(n) <- t;
-               solutions.(n) <- Array.copy x;
-               x_prev := x
-         done
-       with Exit -> ());
-      match !failed with
-      | Some time -> Error (Step_failed { time })
-      | None -> Ok { times; solutions; layout }
-    end
+      let h = options.dt in
+      (* the companion-model system at time [t] linearised at [x], in
+         device order after the node diagonals' 1e-12 *)
+      let assemble (w : Mna.dc_work) ~first ~x_prev t x =
+        let rs = w.Mna.rs and rhs = w.Mna.rhs in
+        let integ_g c = if first then c /. h else 2. *. c /. h in
+        rs.Linsys.reset ();
+        Array.fill rhs 0 (Array.length rhs) 0.;
+        for i = 0 to Mna.n_nodes layout - 1 do
+          rs.Linsys.add i i 1e-12
+        done;
+        Array.iteri
+          (fun di dev ->
+            (* the device's DC stamps, MOSFETs linearised at [x], replayed
+               from the session's stamp plan *)
+            Mna.stamp_device_dc rs layout ?models circuit di ~x
+              ~scratch:w.Mna.scratch rhs;
+            (* capacitor companion models, explicit and MOS *)
+            List.iter
+              (fun slot ->
+                let geq = integ_g slot.c in
+                let v_old = Mna.voltage x_prev slot.a -. Mna.voltage x_prev slot.b in
+                let i_hist =
+                  if first then geq *. v_old else (geq *. v_old) +. slot.i_prev
+                in
+                Mna.stamp_capacitance rs layout di ~group:slot.group geq;
+                Mna.inject rhs slot.a i_hist;
+                Mna.inject rhs slot.b (-.i_hist))
+              slots.(di);
+            match dev with
+            | Device.Vsource { name; dc; wave; _ } ->
+                rhs.(Mna.branch_index layout name) <- source_value_at ~dc ~wave t
+            | Device.Isource { npos; nneg; dc; wave; _ } ->
+                let value = source_value_at ~dc ~wave t in
+                Mna.inject rhs npos (-.value);
+                Mna.inject rhs nneg value
+            | Device.Resistor _ | Device.Capacitor _ | Device.Vccs _
+            | Device.Mosfet _ ->
+                ())
+          devices
+      in
+      (* accept the step from [x_prev] to [x]: update the capacitor branch
+         currents and MOS capacitances *)
+      let accept ~first ~x_prev x =
+        Array.iteri
+          (fun di dev ->
+            List.iter
+              (fun slot ->
+                let geq = if first then slot.c /. h else 2. *. slot.c /. h in
+                let v_old = Mna.voltage x_prev slot.a -. Mna.voltage x_prev slot.b in
+                let v_new = Mna.voltage x slot.a -. Mna.voltage x slot.b in
+                let i_hist =
+                  if first then geq *. v_old else (geq *. v_old) +. slot.i_prev
+                in
+                slot.i_prev <- (geq *. v_new) -. i_hist)
+              slots.(di);
+            match dev with
+            | Device.Mosfet { d; g; s; b; model; w; l; name = _ } ->
+                let model = Mna.model_override models di model in
+                refresh_mos_slots slots.(di)
+                  (Mna.mos_operating_point model ~w ~l ~d ~g ~s ~b x)
+            | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
+            | Device.Isource _ | Device.Vccs _ ->
+                ())
+          devices
+      in
+      Mna.with_dc sys (fun w ->
+          let n_nodes = Mna.n_nodes layout in
+          let rec integrate n =
+            if n > n_steps then Ok { times; solutions; layout }
+            else begin
+              let t = float_of_int n *. h and first = n = 1 in
+              let x_prev = solutions.(n - 1) in
+              let factored =
+                Dcop.iterate w newton ~n_nodes ~x0:x_prev
+                  (assemble w ~first ~x_prev t)
+              in
+              if factored <= 0 then Error (Step_failed { time = t })
+              else begin
+                let x = Array.copy w.Mna.x in
+                accept ~first ~x_prev x;
+                times.(n) <- t;
+                solutions.(n) <- x;
+                integrate (n + 1)
+              end
+            end
+          in
+          integrate 1)
 
 let voltage result node =
   Array.map (fun x -> Mna.voltage x node) result.solutions

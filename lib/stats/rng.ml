@@ -65,8 +65,6 @@ let int t n =
      below 2^53 in this library *)
   Stdlib.int_of_float (float t *. Stdlib.float_of_int n)
 
-let bool t = Int64.logand (uint64 t) 1L = 1L
-
 let gaussian t =
   match t.cached_gaussian with
   | Some g ->
@@ -90,10 +88,6 @@ let shuffle_in_place t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int t (Array.length a))
 
 (* serialisable snapshot for checkpoint/resume; defined last so its fields
    do not shadow [t]'s in the functions above *)

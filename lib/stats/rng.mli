@@ -37,9 +37,6 @@ val restore : t -> state -> unit
 
 val of_state : state -> t
 
-val uint64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val float : t -> float
 (** Uniform in [0, 1) with 53-bit resolution. *)
 
@@ -49,8 +46,6 @@ val uniform : t -> float -> float -> float
 val int : t -> int -> int
 (** [int t n] is uniform in [0, n).  @raise Invalid_argument if [n <= 0]. *)
 
-val bool : t -> bool
-
 val gaussian : t -> float
 (** Standard normal deviate (Box–Muller, one value per call, cached pair). *)
 
@@ -58,6 +53,3 @@ val normal : t -> mean:float -> sigma:float -> float
 
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher–Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniformly random element.  @raise Invalid_argument on empty array. *)

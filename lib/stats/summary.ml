@@ -29,9 +29,6 @@ let min_value t = if t.count = 0 then nan else t.min_v
 
 let max_value t = if t.count = 0 then nan else t.max_v
 
-let std_error t =
-  if t.count < 2 then nan else stddev t /. sqrt (float_of_int t.count)
-
 let quantile xs p =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Summary.quantile: empty sample";
@@ -68,7 +65,3 @@ let histogram ?(bins = 20) xs =
       counts.(i) <- counts.(i) + 1)
     xs;
   { edges; counts }
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.6g sd=%.6g min=%.6g max=%.6g" t.count
-    (mean t) (stddev t) (min_value t) (max_value t)

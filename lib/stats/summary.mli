@@ -24,9 +24,6 @@ val min_value : t -> float
 
 val max_value : t -> float
 
-val std_error : t -> float
-(** Standard error of the mean. *)
-
 (** Order statistics and histograms need the retained sample. *)
 
 val quantile : float array -> float -> float
@@ -42,5 +39,3 @@ type histogram = { edges : float array; counts : int array }
 val histogram : ?bins:int -> float array -> histogram
 (** Equal-width histogram over the data range (defaults to 20 bins).
     @raise Invalid_argument on empty input. *)
-
-val pp : Format.formatter -> t -> unit

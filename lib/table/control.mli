@@ -28,5 +28,3 @@ val parse : string -> axis list
 val parse_axis : string -> axis
 
 val to_string : axis list -> string
-
-val axis_to_string : axis -> string

@@ -110,10 +110,6 @@ let create ?(control = Control.default_axis) ?(min_spacing = 1e-3) ~inputs
 
 let dimension t = Array.length t.lo
 
-let column_names t = List.map fst t.tables
-
-let arc_length t = t.arcs.(Array.length t.arcs - 1)
-
 let knot_arcs t = Array.copy t.arcs
 
 let bracket t arc =
@@ -170,7 +166,3 @@ let eval_at_arc t name arc =
 let eval t name q =
   let arc, _ = project t q in
   eval_at_arc t name arc
-
-let eval_all t q =
-  let arc, _ = project t q in
-  List.map (fun (name, table) -> (name, Table1d.eval table arc)) t.tables

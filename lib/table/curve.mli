@@ -25,14 +25,9 @@ val create :
 
 val dimension : t -> int
 
-val column_names : t -> string list
-
-val arc_length : t -> float
-(** Total arc length (normalised space). *)
-
 val knot_arcs : t -> float array
 (** Arc coordinates of the (merged, decimated) knots, strictly increasing
-    from 0 to [arc_length]. *)
+    from 0 to the polyline's total arc length (normalised space). *)
 
 val bracket : t -> float -> int * int * float
 (** [bracket t arc] is [(i, j, u)]: the knot interval containing [arc]
@@ -50,6 +45,5 @@ val eval : t -> string -> float array -> float
     @raise Not_found for an unknown column. *)
 
 val eval_at_arc : t -> string -> float -> float
-(** Direct evaluation at an arc coordinate in [0, arc_length]. *)
-
-val eval_all : t -> float array -> (string * float) list
+(** Direct evaluation at an arc coordinate between 0 and the total arc
+    length. *)

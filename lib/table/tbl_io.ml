@@ -141,14 +141,7 @@ let write ~path t =
   Atomic_io.write_file ~path contents
 
 let read_result ~path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let len = in_channel_length ic in
-        really_input_string ic len)
-  with
+  match Atomic_io.read_file ~path with
   | exception Sys_error msg -> Error { path = Some path; line = None; message = msg }
   | text -> of_string_result ~path text
 

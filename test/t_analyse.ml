@@ -5,6 +5,7 @@
 
 module Diagnostic = Yield_analyse.Diagnostic
 module Netlist_lint = Yield_analyse.Netlist_lint
+module Deck = Yield_analyse.Deck
 module Table_lint = Yield_analyse.Table_lint
 module Config_lint = Yield_analyse.Config_lint
 module Circuit = Yield_spice.Circuit
@@ -169,11 +170,11 @@ let test_netlist_check_file () =
       let oc = open_out path in
       output_string oc "V1 in 0 1.0\nR1 in out 1k\nR2 out 0 1k\n";
       close_out oc;
-      check_codes "file clean" [] (Netlist_lint.check_file path);
+      check_codes "file clean" [] (Netlist_lint.check_deck (Deck.load path));
       let oc = open_out path in
       output_string oc "V1 in 0 1.0\nR1 in out not-a-number\n";
       close_out oc;
-      match Netlist_lint.check_file path with
+      match Netlist_lint.check_deck (Deck.load path) with
       | [ diag ] ->
           Alcotest.(check string) "N000" "N000" diag.Diagnostic.code;
           Alcotest.(check (option int)) "line" (Some 2) diag.Diagnostic.line;

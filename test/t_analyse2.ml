@@ -6,6 +6,7 @@
 module Diagnostic = Yield_analyse.Diagnostic
 module Interval = Yield_analyse.Interval
 module Ac_tran_lint = Yield_analyse.Ac_tran_lint
+module Deck = Yield_analyse.Deck
 module Va_lint = Yield_analyse.Va_lint
 module Baseline = Yield_analyse.Baseline
 module Sarif = Yield_analyse.Sarif
@@ -215,11 +216,12 @@ let test_ac_lint_codes () =
   Alcotest.(check int) "A005 is a warning" 1 (Diagnostic.exit_code far)
 
 let test_ac_lint_unreachable_fixture () =
-  let diags = Ac_tran_lint.check_file (fixture "examples/netlists/ac_bad_probe.cir") in
+  let lint name = Ac_tran_lint.check_deck (Deck.load (fixture name)) in
+  let diags = lint "examples/netlists/ac_bad_probe.cir" in
   Alcotest.(check bool) "proves the dead probe" true (has_code "A003" diags);
   Alcotest.(check int) "fixture fails" 2 (Diagnostic.exit_code diags);
   Alcotest.(check (list string)) "shipped lowpass stays clean" []
-    (codes (Ac_tran_lint.check_file (fixture "examples/netlists/rc_lowpass.cir")))
+    (codes (lint "examples/netlists/rc_lowpass.cir"))
 
 (* the two malformed .ac fixtures: lint reports A004 on the card's span,
    and the grid they would need is refused outright, so `yieldlab
@@ -227,7 +229,9 @@ let test_ac_lint_unreachable_fixture () =
 let test_ac_lint_malformed_sweep_fixtures () =
   List.iter
     (fun (name, line) ->
-      let diags = Ac_tran_lint.check_file (fixture ("examples/netlists/" ^ name)) in
+      let diags =
+        Ac_tran_lint.check_deck (Deck.load (fixture ("examples/netlists/" ^ name)))
+      in
       Alcotest.(check (list string)) (name ^ " codes") [ "A004" ] (codes diags);
       Alcotest.(check (list (option int))) (name ^ " line") [ Some line ]
         (List.map (fun d -> d.Diagnostic.line) diags);
@@ -253,7 +257,8 @@ let test_device_value_fixtures () =
   List.iter
     (fun (name, code, non_finite) ->
       let path = fixture ("examples/netlists/" ^ name) in
-      let diags = Yield_analyse.Netlist_lint.check_file path in
+      let deck = Deck.load path in
+      let diags = Yield_analyse.Netlist_lint.check_deck deck in
       Alcotest.(check (list string)) (name ^ " codes") [ code ] (codes diags);
       Alcotest.(check int) (name ^ " fails") 2 (Diagnostic.exit_code diags);
       let message = (List.hd diags).Diagnostic.message in
@@ -265,7 +270,7 @@ let test_device_value_fixtures () =
         at 0
       in
       Alcotest.(check bool) (name ^ " says non-finite") non_finite (says "non-finite");
-      match Ac_tran_lint.check_file path with
+      match Ac_tran_lint.check_deck deck with
       | diags ->
           Alcotest.(check int) (name ^ " A/R codes") 0 (Diagnostic.exit_code diags)
       | exception e ->

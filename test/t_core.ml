@@ -557,14 +557,15 @@ let test_fingerprint_leaves () =
       ("population_size", with_ga { ga with Ga.population_size = population_size + 1 });
       ("generations", with_ga { ga with Ga.generations = generations + 1 });
       ("selection tournament", with_ga { ga with Ga.selection = Operators.Tournament 3 });
-      ("selection roulette", with_ga { ga with Ga.selection = Operators.Roulette });
-      ("crossover", with_ga { ga with Ga.crossover = Operators.Uniform 0.5 });
+      ("selection tournament 1", with_ga { ga with Ga.selection = Operators.Tournament 1 });
+      ("crossover", with_ga { ga with Ga.crossover = Operators.Blend 0.5 });
       ("crossover_rate", with_ga { ga with Ga.crossover_rate = bump crossover_rate });
       ( "mutation",
         with_ga
           { ga with Ga.mutation = Operators.Gaussian { sigma = 0.08; rate = 0.2 } } );
-      ( "mutation kind",
-        with_ga { ga with Ga.mutation = Operators.Uniform_reset { rate = 0.15 } } );
+      ( "mutation sigma",
+        with_ga
+          { ga with Ga.mutation = Operators.Gaussian { sigma = 0.1; rate = 0.15 } } );
       ("elite_count", with_ga { ga with Ga.elite_count = elite_count + 1 });
       ("mc_samples", { base with Config.mc_samples = mc_samples + 1 });
       ("front_stride", { base with Config.front_stride = front_stride + 1 });

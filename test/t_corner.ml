@@ -5,6 +5,7 @@
 
 module I = Yield_analyse.Interval
 module CL = Yield_analyse.Corner_lint
+module Deck = Yield_analyse.Deck
 module Diagnostic = Yield_analyse.Diagnostic
 module Tb = Yield_circuits.Testbench
 module Ota = Yield_circuits.Ota
@@ -255,7 +256,7 @@ let check_golden name diags =
           name want got
 
 let test_fixture_provably_fail () =
-  let diags = CL.check_file (fixture "corner_fail.cir") in
+  let diags = CL.check_deck (Deck.load (fixture "corner_fail.cir")) in
   (match
      List.find_opt (fun d -> d.Diagnostic.code = "Y001") diags
    with
@@ -267,7 +268,7 @@ let test_fixture_provably_fail () =
 
 let test_fixture_undecided () =
   let window = { CL.min_gain_db = 14.; min_pm_deg = 45. } in
-  let diags = CL.check_file ~window (fixture "corner_amp.cir") in
+  let diags = CL.check_deck ~window (Deck.load (fixture "corner_amp.cir")) in
   (match List.find_opt (fun d -> d.Diagnostic.code = "Y003") diags with
   | Some _ -> ()
   | None ->
@@ -276,7 +277,7 @@ let test_fixture_undecided () =
     (List.map (fun d -> { d with Diagnostic.file = None }) diags)
 
 let test_passive_deck_has_no_dcodes () =
-  let diags = CL.check_file (fixture "rc_lowpass.cir") in
+  let diags = CL.check_deck (Deck.load (fixture "rc_lowpass.cir")) in
   List.iter
     (fun d ->
       if String.length d.Diagnostic.code > 0 && d.Diagnostic.code.[0] = 'D' then

@@ -137,7 +137,7 @@ let test_jobs_resolution () =
       Unix.putenv "YIELDLAB_JOBS" "0";
       check "env 0 refused" (Error [ ("C006", "YIELDLAB_JOBS") ]) (jobs ()))
 
-(* ---------- Montecarlo: pooled batch = serial batch ---------- *)
+(* ---------- Montecarlo: two-job batch = one-job batch ---------- *)
 
 let test_mc_pool_equals_serial () =
   let f (r : Rng.t) =
@@ -145,10 +145,10 @@ let test_mc_pool_equals_serial () =
     if x < 0.25 then None else Some (x +. Rng.float r)
   in
   let pool_path =
-    Pool.with_pool ~jobs:4 (fun pool ->
-        Montecarlo.run_pool_counted ~pool ~samples:64 ~rng:(Rng.create 5) f)
+    Pool.with_pool ~jobs:2 (fun pool ->
+        Montecarlo.run ~pool ~samples:64 ~rng:(Rng.create 5) f)
   in
-  let serial_path = Montecarlo.run_counted ~samples:64 ~rng:(Rng.create 5) f in
+  let serial_path = Montecarlo.run ~samples:64 ~rng:(Rng.create 5) f in
   Alcotest.(check int) "attempted" serial_path.Montecarlo.attempted
     pool_path.Montecarlo.attempted;
   Alcotest.(check int) "failed" serial_path.Montecarlo.failed
@@ -160,17 +160,6 @@ let test_mc_pool_equals_serial () =
     (fun i v ->
       check_bits (Printf.sprintf "sample %d" i) v
         pool_path.Montecarlo.results.(i))
-    serial_path.Montecarlo.results;
-  (* the bare-result wrapper is the counted batch minus the accounting *)
-  let bare =
-    Pool.with_pool ~jobs:4 (fun pool ->
-        Montecarlo.run_pool ~pool ~samples:64 ~rng:(Rng.create 5) f)
-  in
-  Alcotest.(check int) "run_pool kept"
-    (Array.length serial_path.Montecarlo.results)
-    (Array.length bare);
-  Array.iteri
-    (fun i v -> check_bits (Printf.sprintf "bare sample %d" i) v bare.(i))
     serial_path.Montecarlo.results
 
 (* ---------- WBGA: serial = pooled, bit for bit ---------- *)

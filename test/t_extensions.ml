@@ -79,6 +79,13 @@ let test_sensitivity_on_ota_gain () =
 (* --- OTA time-domain and rejection measurements --- *)
 
 let test_step_response_slews () =
+  (* a step that does not exist is refused before simulating *)
+  List.iter
+    (fun amplitude ->
+      match Tb.step_perf ~amplitude Ota.default_params with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "amplitude %g accepted" amplitude)
+    [ 0.; Float.nan; Float.infinity ];
   match Tb.step_perf Ota.default_params with
   | None -> Alcotest.fail "step response failed"
   | Some s ->

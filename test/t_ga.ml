@@ -80,25 +80,6 @@ let test_tournament_prefers_best () =
   Alcotest.(check bool) "best wins most" true
     (counts.(1) > counts.(0) && counts.(1) > counts.(2))
 
-let test_roulette_proportional () =
-  (* roulette shifts fitnesses by the minimum, so the worst individual gets
-     (almost) zero probability and equal fitnesses split evenly *)
-  let rng = Rng.create 5 in
-  let pick_counts fitness n =
-    let counts = Array.make (Array.length fitness) 0 in
-    for _ = 1 to n do
-      let i = Operators.select Operators.Roulette rng ~fitness in
-      counts.(i) <- counts.(i) + 1
-    done;
-    counts
-  in
-  let skewed = pick_counts [| 1.; 3. |] 2000 in
-  Alcotest.(check bool) "better dominates" true (skewed.(1) > 1900);
-  let uniform = pick_counts [| 2.; 2.; 2.; 2. |] 4000 in
-  Array.iter
-    (fun c -> Alcotest.(check bool) "balanced" true (c > 800 && c < 1200))
-    uniform
-
 let test_one_point_crossover () =
   let rng = Rng.create 7 in
   let a = Array.make 6 0. and b = Array.make 6 1. in
@@ -113,35 +94,23 @@ let test_one_point_crossover () =
 
 let prop_crossover_in_bounds =
   QCheck.Test.make ~count:200 ~name:"crossover children stay in [0,1]"
-    QCheck.(triple (int_bound 100000) (int_range 0 3) (int_range 2 12))
-    (fun (seed, which, n) ->
+    QCheck.(triple (int_bound 100000) bool (int_range 2 12))
+    (fun (seed, blend, n) ->
       let rng = Rng.create seed in
       let a = Array.init n (fun _ -> Rng.float rng) in
       let b = Array.init n (fun _ -> Rng.float rng) in
-      let op =
-        match which with
-        | 0 -> Operators.One_point
-        | 1 -> Operators.Uniform 0.5
-        | 2 -> Operators.Blend 0.5
-        | _ -> Operators.Sbx 10.
-      in
+      let op = if blend then Operators.Blend 0.5 else Operators.One_point in
       let c1, c2 = Operators.cross op rng a b in
       let ok g = Array.for_all (fun x -> x >= 0. && x <= 1.) g in
       ok c1 && ok c2)
 
 let prop_mutation_in_bounds =
   QCheck.Test.make ~count:200 ~name:"mutation keeps genes in [0,1]"
-    QCheck.(pair (int_bound 100000) (int_range 0 2))
-    (fun (seed, which) ->
+    QCheck.(int_bound 100000)
+    (fun seed ->
       let rng = Rng.create seed in
       let g = Array.init 8 (fun _ -> Rng.float rng) in
-      let op =
-        match which with
-        | 0 -> Operators.Gaussian { sigma = 0.5; rate = 1. }
-        | 1 -> Operators.Uniform_reset { rate = 1. }
-        | _ -> Operators.Polynomial { eta = 5.; rate = 1. }
-      in
-      Operators.mutate op rng g;
+      Operators.mutate (Operators.Gaussian { sigma = 0.5; rate = 1. }) rng g;
       Array.for_all (fun x -> x >= 0. && x <= 1.) g)
 
 (* --- fitness --- *)
@@ -321,7 +290,6 @@ let suites =
     ( "ga.operators",
       [
         Alcotest.test_case "tournament" `Quick test_tournament_prefers_best;
-        Alcotest.test_case "roulette" `Quick test_roulette_proportional;
         Alcotest.test_case "one-point" `Quick test_one_point_crossover;
         QCheck_alcotest.to_alcotest prop_crossover_in_bounds;
         QCheck_alcotest.to_alcotest prop_mutation_in_bounds;

@@ -8,6 +8,7 @@ module Parser = Yield_spice.Netlist_parser
 module Netlist = Yield_spice.Netlist
 module Diagnostic = Yield_analyse.Diagnostic
 module Netlist_lint = Yield_analyse.Netlist_lint
+module Deck = Yield_analyse.Deck
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -130,16 +131,19 @@ let test_parser_error_spans () =
 
 (* ---------- printer: canonical form and fixture idempotence ---------- *)
 
+(* the canonical layout: the AST printed back *)
+let canonical text =
+  Yield_spice.Netlist_printer.to_string (Yield_spice.Netlist_parser.parse text)
+
 let test_print_canonical () =
   Alcotest.(check string)
     "normalises whitespace, comments, case"
     "R1 in out 1k\nC1 out 0 1p\n.ac dec 10 1 1meg out\n"
-    (Netlist.print_canonical
-       "R1  in   out  1k\nC1 out 0 1p ; load\n.AC dec 10 1 1meg out\n")
+    (canonical "R1  in   out  1k\nC1 out 0 1p ; load\n.AC dec 10 1 1meg out\n")
 
 let assert_fixpoint name text =
-  let c1 = Netlist.print_canonical text in
-  let c2 = Netlist.print_canonical c1 in
+  let c1 = canonical text in
+  let c2 = canonical c1 in
   Alcotest.(check string) (name ^ " byte-fixpoint") c1 c2;
   (* the canonical form must also elaborate to the same flat circuit;
      negative fixtures (e.g. xarity_bad.cir) parse but refuse to
@@ -350,7 +354,7 @@ let test_lint_file_spans () =
       let oc = open_out path in
       output_string oc "V1 in 0 1\nR1 in out 1k\nR2 out 0 1k\nC1 out flt 1p\n";
       close_out oc;
-      let diags = Netlist_lint.check_file path in
+      let diags = Netlist_lint.check_deck (Deck.load path) in
       let d = find_code "N002" diags in
       match d.Diagnostic.span with
       | Some s ->
@@ -359,7 +363,9 @@ let test_lint_file_spans () =
       | None -> Alcotest.fail "origin table should give N002 a span")
 
 let test_lint_file_arity_fixture () =
-  let diags = Netlist_lint.check_file (fixture "examples/netlists/xarity_bad.cir") in
+  let diags =
+    Netlist_lint.check_deck (Deck.load (fixture "examples/netlists/xarity_bad.cir"))
+  in
   Alcotest.(check bool) "N012 found" true (has_code "N012" diags);
   Alcotest.(check bool) "no cascading N000" false (has_code "N000" diags);
   Alcotest.(check int) "exit code" 2 (Diagnostic.exit_code diags)

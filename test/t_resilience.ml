@@ -510,10 +510,10 @@ let test_mc_injection_serial_equals_parallel () =
         run ~samples:48 ~rng (fun child -> Some (Rng.float child))
       in
       let serial = batch (fun ~samples ~rng f ->
-          Montecarlo.run_counted ~samples ~rng f) in
+          Montecarlo.run ~samples ~rng f) in
       let parallel = batch (fun ~samples ~rng f ->
-          Pool.with_pool ~jobs:4 (fun pool ->
-              Montecarlo.run_pool_counted ~pool ~samples ~rng f)) in
+          Pool.with_pool ~jobs:2 (fun pool ->
+              Montecarlo.run ~pool ~samples ~rng f)) in
       Alcotest.(check int) "attempted" serial.Montecarlo.attempted
         parallel.Montecarlo.attempted;
       Alcotest.(check int) "failed" serial.Montecarlo.failed

@@ -455,8 +455,10 @@ let test_netlist_analysis_cards () =
     "VIN in 0 0 ac=1\nR1 in out 1k\nC1 out 0 1u\n.op\n.ac dec 10 1 1meg out\n\
      .tran 1u 100u out\n.dc VIN 0 1 0.1 out\n.end\n"
   in
-  let _, analyses = Netlist.parse_with_analyses text in
-  (match analyses with
+  let _, analyses =
+    Yield_spice.Netlist_elab.elaborate (Yield_spice.Netlist_parser.parse text)
+  in
+  (match List.map fst analyses with
   | [ Netlist.Op; Netlist.Ac_analysis ac; Netlist.Tran_analysis tr;
       Netlist.Dc_analysis dc ] ->
       Alcotest.(check int) "per decade" 10 ac.per_decade;

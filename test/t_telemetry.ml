@@ -158,7 +158,7 @@ let kept_mc_keys ~jobs =
       Pool.with_pool ~jobs (fun pool ->
           for batch = 0 to 29 do
             ignore
-              (Montecarlo.run_pool_counted ~pool ~samples:8
+              (Montecarlo.run ~pool ~samples:8
                  ~rng:(Rng.create (100 + batch)) (fun r ->
                    Some (Rng.float r))) [@warning "-5"]
           done);
