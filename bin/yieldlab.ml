@@ -893,7 +893,7 @@ let netlist_run ~print path =
 
 let netlist_cmd =
   let path =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"netlist file")
+    Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"FILE" ~doc:"netlist file")
   in
   let print =
     Arg.(
@@ -1012,7 +1012,7 @@ let lint_netlist json sarif baseline write_baseline topology files =
 let lint_netlist_cmd =
   let files =
     Arg.(
-      non_empty & pos_all file []
+      non_empty & pos_all non_dir_file []
       & info [] ~docv:"FILE" ~doc:"netlist file(s) to lint")
   in
   let topology =
@@ -1043,7 +1043,7 @@ let lint_tbl json sarif baseline write_baseline axes control files =
 let lint_tbl_cmd =
   let files =
     Arg.(
-      non_empty & pos_all file []
+      non_empty & pos_all non_dir_file []
       & info [] ~docv:"FILE" ~doc:".tbl file(s) to lint")
   in
   let axes =
@@ -1137,7 +1137,7 @@ let lint_va json sarif baseline write_baseline dir gain_window pm_window files =
 let lint_va_cmd =
   let files =
     Arg.(
-      non_empty & pos_all file []
+      non_empty & pos_all non_dir_file []
       & info [] ~docv:"FILE" ~doc:"Verilog-A file(s) to lint")
   in
   let dir =
@@ -1196,7 +1196,7 @@ let lint_corners json sarif baseline write_baseline k_sigma min_gain min_pm
 let lint_corners_cmd =
   let files =
     Arg.(
-      non_empty & pos_all file []
+      non_empty & pos_all non_dir_file []
       & info [] ~docv:"FILE" ~doc:"netlist file(s) to analyse")
   in
   let k_sigma =

@@ -1324,7 +1324,11 @@ let default_window = { min_gain_db = 0.; min_pm_deg = 0. }
 
 let check_deck ?k_sigma ?spec ?(window = default_window) deck =
   match (deck, Netlist_lint.refusals deck) with
-  | (Error n000 | Ok { Deck.elaborated = Error n000; _ }), _ -> [ n000 ]
+  | Error n000, _ -> [ n000 ]
+  (* a deck that parses but does not elaborate: the AST findings that
+     explain why, as lint netlist reports them (its N000 only when they
+     do not) *)
+  | Ok { Deck.elaborated = Error _; _ }, _ -> Netlist_lint.check_deck deck
   (* a deck the simulator refuses has no samples to prove anything about *)
   | _, (_ :: _ as refused) -> refused
   | Ok { Deck.path; elaborated = Ok { Deck.circuit; origin; analyses }; _ }, []

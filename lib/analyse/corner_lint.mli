@@ -114,6 +114,9 @@ val check_deck :
     the first [.ac] card's sweep and probe (D-codes only when the deck has
     no [.ac] card).  [window] defaults to
     [{ min_gain_db = 0.; min_pm_deg = 0. }].  A deck that could not be
-    read, parsed or elaborated yields its [N000] finding, and a deck the
-    simulator refuses yields only its {!Netlist_lint.refusals}
-    (N004-N006, A004): no corner analysis runs on it. *)
+    read or parsed yields its [N000] finding; one that parses but does not
+    elaborate yields what {!Netlist_lint.check_deck} reports on it (the
+    AST findings that explain it, such as N009 with its related location,
+    and N000 only when none does); and a deck the simulator refuses
+    yields only its {!Netlist_lint.refusals} (N004-N006, A004): no corner
+    analysis runs on any of them. *)

@@ -47,20 +47,26 @@ type step_perf = {
   final_error_v : float;
 }
 
-(* Measure.unity_gain_freq, phase_margin_deg and f3db in one pass: the
+(* The one extraction: gain, phase margin, unity-gain and -3 dB
+   frequencies and the ro estimate of the first [n] points of a sweep of
+   [freqs], read in place from [r], whose magnitudes are already written.
+   Measure.unity_gain_freq, phase_margin_deg and f3db in one pass: the
    magnitudes and the unwrapped phase are computed once and measured with
-   the same Measure primitives, so the result is bit-identical *)
-let perf_of_bode conditions b =
-  let gain_db = Measure.dc_gain_db b in
-  let xs = b.Ac.freqs in
-  let mags = Measure.magnitudes_db b in
-  match Measure.crossing ~xs ~ys:mags ~level:0. () with
+   the same Measure primitives, so the result is bit-identical to
+   theirs. *)
+let extract conditions ~freqs (r : Mna.response) n =
+  if n = 0 then invalid_arg "Testbench.perf_of_bode: empty sweep";
+  let mags = r.Mna.mag_db in
+  let gain_db = mags.(0) in
+  match Measure.crossing ~n ~xs:freqs ~ys:mags ~level:0. () with
   | Some fu when Float.is_finite gain_db ->
-      let phases = Measure.phases_deg_unwrapped b in
-      let pm = 180. +. Measure.interp_at ~xs ~ys:phases fu ~log_x:true in
+      Measure.set_phases_deg_unwrapped r n;
+      let pm =
+        180. +. Measure.interp_at ~n ~xs:freqs ~ys:r.Mna.phase_deg fu ~log_x:true
+      in
       let f3db =
         Option.value
-          (Measure.crossing ~xs ~ys:mags ~level:(gain_db -. 3.) ())
+          (Measure.crossing ~n ~xs:freqs ~ys:mags ~level:(gain_db -. 3.) ())
           ~default:nan
       in
       let gain_lin = 10. ** (gain_db /. 20.) in
@@ -75,7 +81,18 @@ let perf_of_bode conditions b =
         }
   | _ -> None
 
-(* The prefix perf_of_bode reads: point 0, the first 0 dB crossing pair
+let perf_of_bode conditions (b : Ac.bode) =
+  let n = Array.length b.Ac.response in
+  let r = Mna.response n in
+  Array.iteri
+    (fun k (z : Complex.t) ->
+      r.Mna.re.(k) <- z.re;
+      r.Mna.im.(k) <- z.im;
+      Measure.set_magnitude_db r k)
+    b.Ac.response;
+  extract conditions ~freqs:b.Ac.freqs r n
+
+(* The prefix [extract] reads: point 0, the first 0 dB crossing pair
    (i, i+1), the first (gain - 3 dB) crossing pair and the unwrapped phase
    up to fu.  fu is rounded from the log-interpolation on (i, i+1) and may
    land a hair past point i+1, where Measure.interp_at would read the pair
@@ -87,25 +104,19 @@ let perf_of_bode conditions b =
    The answer is the number of further points that prefix needs whatever
    their values: until the 0 dB pair is seen it can still be (k, k+1),
    which needs k+2; until the -3 dB pair is seen it can still be
-   (k, k+1), which needs k+1. *)
+   (k, k+1), which needs k+1.  Each magnitude is computed here, once, into
+   the response the extraction reads. *)
 let sweep_stop () =
   let unity = ref (-1) and f3 = ref (-1) in
-  (* the gain (point 0), the previous point's magnitude and this one's,
-     unboxed *)
-  let mags = [| nan; nan; nan |] in
-  fun k z ->
-    Measure.set_magnitude_db mags 2 z;
-    let m = mags.(2) in
-    if k = 0 then begin
-      mags.(0) <- m;
-      mags.(1) <- m;
-      if Float.is_finite m then 2 else 0
-    end
+  fun (r : Mna.response) k ->
+    Measure.set_magnitude_db r k;
+    let mags = r.Mna.mag_db in
+    let m = mags.(k) in
+    if k = 0 then if Float.is_finite m then 2 else 0
     else begin
-      let prev = mags.(1) and level = mags.(0) -. 3. in
+      let prev = mags.(k - 1) and level = mags.(0) -. 3. in
       if !unity < 0 && prev >= 0. && m < 0. then unity := k - 1;
       if !f3 < 0 && prev >= level && m < level then f3 := k - 1;
-      mags.(1) <- m;
       if !unity < 0 then 2
       else if !f3 < 0 then 1
       else Stdlib.max 0 (!unity + 2 - k)
@@ -237,26 +248,29 @@ module Make (A : Amplifier.S) = struct
 
   let session_solver_name s = Mna.sys_solver_name (session_sys s)
 
-  (* DC + AC of one open-loop circuit (or of the session circuit under
-     per-sample [models], its Newton begun at [start]) in [sys]; [stop]
-     ends the sweep early *)
-  let open_loop_bode ~sys ?start ?models ?stop conditions circuit =
-    match Dcop.solve_with_retry ?start ~sys ?models circuit with
+  (* DC + the full AC sweep of one open-loop circuit in [sys] *)
+  let open_loop_bode ~sys conditions circuit =
+    match Dcop.solve_with_retry ~sys circuit with
     | Error _ -> None
     | Ok op ->
         Some
-          (Ac.transfer_by_name ~sys ?stop circuit op ~out:"out"
+          (Ac.transfer_by_name ~sys circuit op ~out:"out"
              ~freqs:(freqs_of conditions))
 
-  (* every evaluation and session sample: the sweep stops one point past
-     the last one perf_of_bode reads *)
+  (* every evaluation and session sample: DC, the sweep from the DC
+     workspace's solution, stopped one point past the last one the
+     extraction reads, and the extraction, all in the borrowed
+     workspaces *)
   let open_loop_perf ~sys ?start ?models conditions circuit =
+    let freqs = freqs_of conditions and out = Circuit.node circuit "out" in
     match
-      open_loop_bode ~sys ?start ?models ~stop:(sweep_stop ()) conditions
-        circuit
+      Dcop.with_solution ?start ~sys ?models circuit (fun x _ ->
+          Ac.sweep ~sys ~stop:(sweep_stop ()) circuit
+            (Mna.Solution (models, x))
+            ~out ~freqs (extract conditions ~freqs))
     with
-    | None -> None
-    | Some b -> perf_of_bode conditions b
+    | Ok perf -> perf
+    | Error _ -> None
 
   let bode_of_circuit ?(conditions = default_conditions) circuit =
     open_loop_bode ~sys:(cached_sys Linsys.Dense circuit) conditions circuit

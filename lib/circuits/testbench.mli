@@ -45,11 +45,16 @@ val perf_of_bode : conditions -> Yield_spice.Ac.bode -> perf option
     estimate of a sweep; [None] when the gain is not finite or the
     response has no unity crossing.  It reads only a prefix of the sweep
     (the points {!sweep_stop} waits for), so it returns the same bits on
-    that prefix as on the full sweep. *)
+    that prefix as on the full sweep.  It is the extraction every
+    evaluation runs in its AC workspace, on a response copied out of the
+    bode, with every magnitude computed first.
+    @raise Invalid_argument on an empty bode. *)
 
-val sweep_stop : unit -> int -> Complex.t -> int
-(** A fresh stop rule for {!Yield_spice.Ac.transfer}'s [stop], for one
-    sweep.  Its answer after point [k] is the number of further points
+val sweep_stop : unit -> Yield_spice.Mna.response -> int -> int
+(** A fresh stop rule for {!Yield_spice.Ac.sweep}'s [stop], for one
+    sweep.  After point [k] it writes that point's magnitude into the
+    response ({!Yield_spice.Measure.set_magnitude_db}), where the
+    extraction reads it back, and answers the number of further points
     {!perf_of_bode} needs whatever their values: [0] after point 0 when
     that point's gain is not finite; otherwise [2] until it has seen the
     first 0 dB crossing pair (i, i+1), which could still be (k, k+1) and
@@ -59,7 +64,9 @@ val sweep_stop : unit -> int -> Complex.t -> int
     points together.  {!perf_of_bode} of the prefix it keeps is
     bit-identical to {!perf_of_bode} of the full sweep; a response that
     lacks either crossing (or has NaNs where they would be) is swept to
-    the end. *)
+    the end.  It reads the magnitudes of points 0 and [k - 1] back from
+    the response, so it must see every point from 0 in order, as the
+    sweep shows them. *)
 
 val feasible : conditions -> perf -> bool
 (** The eq. 1 constraint set: positive phase margin and unity-gain frequency
@@ -96,7 +103,16 @@ module Make (A : Amplifier.S) : sig
       failure.  The optimiser's objective function.  The AC sweep stops
       at {!sweep_stop}, so it returns the bits {!perf_of_bode} gives on
       the full {!bode}, usually without factoring the last fifth of the
-      frequencies. *)
+      frequencies.
+
+      It builds no operating point and no bode: the DC answer stays in
+      the borrowed DC workspace ({!Yield_spice.Dcop.with_solution}), the
+      AC assembly evaluates each MOSFET's small-signal model at it
+      ({!Yield_spice.Mna.Solution}), and the response, its magnitudes and
+      phases stay in the AC workspace, where the extraction reads them.
+      So beyond rebuilding its testbench (about 630 words on the default
+      OTA) an evaluation allocates its [perf] and a few hundred words of
+      bookkeeping. *)
 
   val evaluate_sampled :
     ?conditions:conditions -> spec:Yield_process.Variation.spec ->

@@ -165,12 +165,16 @@ let back_substitute w lo =
     xi.(i) <- ((!si *. pr) -. (!sr *. pi)) /. pmag
   done
 
-let entry w k =
-  if k >= Array.length w.xr then invalid_arg "Cmat.entry: entry outside the system";
-  if k < 0 then Complex.zero
+let entry_into w k ~re ~im j =
+  if k >= Array.length w.xr then invalid_arg "Cmat.entry_into: entry outside the system";
+  if k < 0 then begin
+    re.(j) <- 0.;
+    im.(j) <- 0.
+  end
   else begin
     back_substitute w k;
-    { Complex.re = w.xr.(k); im = w.xi.(k) }
+    re.(j) <- w.xr.(k);
+    im.(j) <- w.xi.(k)
   end
 
 (* [m0] into the workspace's matrix, after the checks both solves share *)
@@ -203,7 +207,9 @@ let solve_entry w ~skip_zeros m0 ~re ~im k =
   Array.blit re 0 w.xr 0 n;
   Array.blit im 0 w.xi 0 n;
   eliminate w ~skip_zeros ~from:0;
-  entry w k
+  let er = [| 0. |] and ei = [| 0. |] in
+  entry_into w k ~re:er ~im:ei 0;
+  { Complex.re = er.(0); im = ei.(0) }
 
 let solve (m : t) b =
   let skip_zeros = not (Vec.has_neg_zero m.re || Vec.has_neg_zero m.im) in

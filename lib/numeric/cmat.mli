@@ -38,7 +38,7 @@ type work = private {
 }
 (** Scratch for {!solve_with} and {!solve_entry}.  A kernel that loads
     the working copy and the right-hand side itself runs {!eliminate} and
-    {!entry} on them, the two halves of {!solve_entry}. *)
+    {!entry_into} on them, the two halves of {!solve_entry}. *)
 
 val work : int -> work
 
@@ -56,10 +56,11 @@ val eliminate : work -> skip_zeros:bool -> from:int -> unit
     before [from] must already be done.
     @raise Lu.Singular when a pivot vanishes. *)
 
-val entry : work -> int -> Complex.t
-(** [entry w k] back-substitutes [w]'s eliminated working copy from row
-    n - 1 up to row [k] and returns entry [k] of the solution; a negative
-    [k] returns [Complex.zero].  It allocates only the entry.
+val entry_into : work -> int -> re:float array -> im:float array -> int -> unit
+(** [entry_into w k ~re ~im j] back-substitutes [w]'s eliminated working
+    copy from row n - 1 up to row [k] and writes the two parts of entry
+    [k] of the solution into [re.(j)] and [im.(j)]; a negative [k] writes
+    zeros.  It allocates nothing.
     @raise Invalid_argument if [k >= n]. *)
 
 val solve_with : work -> skip_zeros:bool -> t -> Complex.t array -> Complex.t array
@@ -77,6 +78,6 @@ val solve_entry :
     [solve_with w ~skip_zeros m b] for the right-hand side [b] whose parts
     are [re] and [im], with the same bits: the same elimination, and back
     substitution stopped at row [k].  A negative [k] eliminates and
-    returns [Complex.zero].  It allocates only the entry it returns.
+    returns [Complex.zero].
     @raise Invalid_argument as {!solve_with}, or if [k >= n].
     @raise Lu.Singular when a pivot vanishes. *)

@@ -764,23 +764,29 @@ let cfactor w ~omega =
 (* ---------- the AC sweep ---------- *)
 
 (* the solved lane's entry at permuted column [pos], or zero without an
-   output *)
-let[@inline] response_at l pos =
-  if pos < 0 then Complex.zero
-  else { Complex.re = l.yr.(pos) +. l.rr.(pos); im = l.yi.(pos) +. l.ri.(pos) }
+   output, into [re.(k)] and [im.(k)] *)
+let[@inline] response_at l pos ~re ~im k =
+  if pos < 0 then begin
+    re.(k) <- 0.;
+    im.(k) <- 0.
+  end
+  else begin
+    re.(k) <- l.yr.(pos) +. l.rr.(pos);
+    im.(k) <- l.yi.(pos) +. l.ri.(pos)
+  end
 
 (* frequency [k] alone, in lane 0: [cfactor]'s elimination and solve,
    with the correction's backward pass stopped at the output *)
-let sweep_one w freqs pos response k =
+let sweep_one w freqs pos ~re ~im k =
   let omega = 2. *. Float.pi *. freqs.(k) in
   let l = w.l0 in
   load_pencil w l omega;
   celim w.csym l;
   if pos >= 0 then solve_loaded w l omega pos;
-  response.(k) <- response_at l pos
+  response_at l pos ~re ~im k
 
 (* frequencies [k] and [k'] in lanes 0 and 1, in one pass of each kernel *)
-let sweep_two w freqs pos response k k' =
+let sweep_two w freqs pos ~re ~im k k' =
   let s = w.csym in
   let oa = 2. *. Float.pi *. freqs.(k) and ob = 2. *. Float.pi *. freqs.(k') in
   let a = w.l0 and b = w.l1 in
@@ -798,10 +804,10 @@ let sweep_two w freqs pos response k k' =
     residual2 w a oa b ob;
     clu_apply2 s pos a a.rr a.ri b b.rr b.ri
   end;
-  response.(k) <- response_at a pos;
-  response.(k') <- response_at b pos
+  response_at a pos ~re ~im k;
+  response_at b pos ~re ~im k'
 
-let csweep w b ~freqs ~out response =
+let csweep w b ~freqs ~out ~re ~im =
   let s = w.csym in
   if Array.length b <> s.n then invalid_arg "Csr.csweep: dimension mismatch";
   if out >= s.n then invalid_arg "Csr.csweep: output outside the system";
@@ -813,6 +819,6 @@ let csweep w b ~freqs ~out response =
   done;
   let pos = !pos in
   fun k k' ->
-    if k' < 0 then sweep_one w freqs pos response k
-    else sweep_two w freqs pos response k k';
+    if k' < 0 then sweep_one w freqs pos ~re ~im k
+    else sweep_two w freqs pos ~re ~im k k';
     0

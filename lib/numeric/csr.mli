@@ -111,12 +111,13 @@ val cfactor : cwork -> omega:float -> Complex.t array -> Complex.t array
     @raise Lu.Singular on a vanishing pivot; the workspace stays usable. *)
 
 val csweep :
-  cwork -> Complex.t array -> freqs:float array -> out:int -> Complex.t array ->
-  int -> int -> int
-(** [csweep w b ~freqs ~out response] loads the right-hand side [b] of one
+  cwork -> Complex.t array -> freqs:float array -> out:int -> re:float array ->
+  im:float array -> int -> int -> int
+(** [csweep w b ~freqs ~out ~re ~im] loads the right-hand side [b] of one
     AC transfer into [w], row-permuted, and returns its point solver:
-    [point k (-1)] factors [G + j*2*pi*freqs.(k)*C] and writes entry [out]
-    of its solution into [response.(k)]; [point k k'] does the same for
+    [point k (-1)] factors [G + j*2*pi*freqs.(k)*C] and writes the two
+    parts of entry [out] of its solution into [re.(k)] and [im.(k)];
+    [point k k'] does the same for
     [freqs.(k)] and [freqs.(k')] together, in one pass of a two-lane
     elimination, solve and refinement step.  A point returns 0, the count
     {!Linsys.complex_sys}'s [sweep] asks for: every frequency replays the
@@ -124,7 +125,7 @@ val csweep :
     entry [out] of a {!cfactor} solve at that [omega] holds, and raises
     what a {!cfactor} at [freqs.(k)] and then one at [freqs.(k')] would
     raise first.  A negative [out] factors without solving and writes
-    [Complex.zero].  A point allocates only the responses it writes.  The
+    zeros.  A point allocates nothing.  The
     point solver shares [w] with {!cfactor}: it stays valid until the next
     [csweep] or [cfactor] on [w] or a solve of the latter.
     @raise Invalid_argument if [b] is not of size n or [out >= n].

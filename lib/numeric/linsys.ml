@@ -128,8 +128,8 @@ type complex_sys = {
   add_c : int -> int -> float -> unit;
   factor : omega:float -> Complex.t array -> Complex.t array;
   sweep :
-    Complex.t array -> freqs:float array -> out:int -> Complex.t array ->
-    (int -> int -> int);
+    Complex.t array -> freqs:float array -> out:int -> re:float array ->
+    im:float array -> (int -> int -> int);
 }
 
 module Dense_backend = struct
@@ -173,8 +173,7 @@ module Dense_backend = struct
       add_g = (fun i j x -> add_to n g i j x);
       add_c = (fun i j x -> add_to n c i j x);
       factor = (fun ~omega -> Pivot_path.factor w ~omega);
-      sweep =
-        (fun rhs ~freqs ~out response -> Pivot_path.sweep w rhs ~freqs ~out response);
+      sweep = (fun rhs ~freqs ~out ~re ~im -> Pivot_path.sweep w rhs ~freqs ~out ~re ~im);
     }
 end
 
@@ -203,7 +202,7 @@ module Csr_backend = struct
       add_g = (fun i j x -> Csr.cadd_g w i j x);
       add_c = (fun i j x -> Csr.cadd_c w i j x);
       factor = (fun ~omega -> Csr.cfactor w ~omega);
-      sweep = (fun rhs ~freqs ~out response -> Csr.csweep w rhs ~freqs ~out response);
+      sweep = (fun rhs ~freqs ~out ~re ~im -> Csr.csweep w rhs ~freqs ~out ~re ~im);
     }
 end
 

@@ -131,13 +131,14 @@ type complex_sys = {
           on the same workspace, which may overwrite the buffers it reads.
           @raise Lu.Singular on breakdown *)
   sweep :
-    Complex.t array -> freqs:float array -> out:int -> Complex.t array ->
-    (int -> int -> int);
-      (** The AC sweep's entry: [sweep rhs ~freqs ~out response] takes one
+    Complex.t array -> freqs:float array -> out:int -> re:float array ->
+    im:float array -> (int -> int -> int);
+      (** The AC sweep's entry: [sweep rhs ~freqs ~out ~re ~im] takes one
           transfer's right-hand side and returns its point solver.
           [point k (-1)] factors [G + j*omega*C] at
-          [omega = 2 *. Float.pi *. freqs.(k)] and writes entry [out] of
-          the solution into [response.(k)], nothing else; [point k k']
+          [omega = 2 *. Float.pi *. freqs.(k)] and writes the real and
+          imaginary parts of entry [out] of the solution into [re.(k)]
+          and [im.(k)], nothing else; [point k k']
           does the same for [freqs.(k)] and then [freqs.(k')].  Each
           response has the bits of entry [out] of a [factor ~omega] solve
           for [rhs], and a breakdown raises what factoring [freqs.(k)] and
@@ -151,8 +152,8 @@ type complex_sys = {
           non-finite multiplier, a plan at its growth bound).  Dense runs
           a pair through one pass while both frequencies pick the same
           pivots.  Back substitution stops at [out].  A negative [out]
-          factors without solving and writes [Complex.zero].  A point
-          allocates only the responses it writes.  The point solver reads
+          factors without solving and writes zeros.  A point allocates
+          nothing.  The point solver reads
           G and C at every point; dense checks their structure when
           [sweep] is called, so they must not change between a [sweep]
           and its points.  It shares the workspace with [factor]: each is

@@ -547,13 +547,13 @@ let load_rhs (l : lane) (rhs : Complex.t array) =
 let run1_from w sh l mode =
   if mode = 0 then run1 w sh l sh.root else generic l ~skip_zeros:(mode = 1) 0
 
-(* entry [out] of lane [l]'s solution into [response.(k)]; 1 when the
-   lane left the plan *)
-let finish (l : lane) out response k =
-  response.(k) <- Cmat.entry l.buf out;
+(* entry [out] of lane [l]'s solution into [re.(k)] and [im.(k)]; 1 when
+   the lane left the plan *)
+let finish (l : lane) out ~re ~im k =
+  Cmat.entry_into l.buf out ~re ~im k;
   if l.last == fell_back then 1 else 0
 
-let sweep w rhs ~freqs ~out response =
+let sweep w rhs ~freqs ~out ~re ~im =
   let n = w.plan.n in
   if Array.length rhs <> n then invalid_arg "Pivot_path.sweep: dimension mismatch";
   if out >= n then invalid_arg "Pivot_path.sweep: output outside the system";
@@ -565,7 +565,7 @@ let sweep w rhs ~freqs ~out response =
     load_rhs a rhs;
     if k' < 0 then begin
       run1_from w sh a ma;
-      finish a out response k
+      finish a out ~re ~im k
     end
     else begin
       let mb = load w sh b planned (2. *. Float.pi *. freqs.(k')) in
@@ -575,8 +575,8 @@ let sweep w rhs ~freqs ~out response =
         run1_from w sh a ma;
         run1_from w sh b mb
       end;
-      let ga = finish a out response k in
-      ga + finish b out response k'
+      let ga = finish a out ~re ~im k in
+      ga + finish b out ~re ~im k'
     end
 
 let factor w ~omega =

@@ -56,9 +56,9 @@ val factor : work -> omega:float -> Complex.t array -> Complex.t array
     zero skip exact for this pencil: see {!Linsys.complex_sys}. *)
 
 val sweep :
-  work -> Complex.t array -> freqs:float array -> out:int -> Complex.t array ->
-  int -> int -> int
-(** [sweep w rhs ~freqs ~out response]: {!Linsys.complex_sys}'s [sweep],
+  work -> Complex.t array -> freqs:float array -> out:int -> re:float array ->
+  im:float array -> int -> int -> int
+(** [sweep w rhs ~freqs ~out ~re ~im]: {!Linsys.complex_sys}'s [sweep],
     dense.  Each point writes entry [out] of the solution at [freqs.(k)]
     with the bits of {!Cmat.solve_entry} on the pencil [factor] builds,
     and returns the number of its frequencies that ran {!Cmat.eliminate}

@@ -84,20 +84,30 @@ type global_draw = {
   dlambda_rel : float;
 }
 
+let global_dims = 5
+
 let nominal_global =
   { dvth_n = 0.; dvth_p = 0.; dkp_rel_n = 0.; dkp_rel_p = 0.; dlambda_rel = 0. }
 
+(* [0. +. (sigma *. z)]: {!Rng.normal}'s arithmetic at mean 0 *)
+let[@inline] scaled sigma z = 0. +. (sigma *. z)
+
+(* The deviates go through [z] (see {!Rng.gaussian_into}), so no float
+   crosses a call boxed.  They are drawn lambda first and vth_n last: the
+   order the pinned tables were sampled in. *)
 let draw_global spec rng =
   let g = spec.global in
+  let z = Array.make global_dims 0. in
+  for i = global_dims - 1 downto 0 do
+    Rng.gaussian_into rng z i
+  done;
   {
-    dvth_n = Rng.normal rng ~mean:0. ~sigma:g.sigma_vth_n;
-    dvth_p = Rng.normal rng ~mean:0. ~sigma:g.sigma_vth_p;
-    dkp_rel_n = Rng.normal rng ~mean:0. ~sigma:g.sigma_kp_rel_n;
-    dkp_rel_p = Rng.normal rng ~mean:0. ~sigma:g.sigma_kp_rel_p;
-    dlambda_rel = Rng.normal rng ~mean:0. ~sigma:g.sigma_lambda_rel;
+    dvth_n = scaled g.sigma_vth_n z.(0);
+    dvth_p = scaled g.sigma_vth_p z.(1);
+    dkp_rel_n = scaled g.sigma_kp_rel_n z.(2);
+    dkp_rel_p = scaled g.sigma_kp_rel_p z.(3);
+    dlambda_rel = scaled g.sigma_lambda_rel z.(4);
   }
-
-let global_dims = 5
 
 let global_draw_of_normals spec z =
   if Array.length z <> global_dims then
@@ -111,7 +121,7 @@ let global_draw_of_normals spec z =
     dlambda_rel = z.(4) *. g.sigma_lambda_rel;
   }
 
-let mismatch_sigma_vth spec polarity ~w ~l =
+let[@inline] mismatch_sigma_vth spec polarity ~w ~l =
   let avt =
     match polarity with
     | Mosfet.Nmos -> spec.mismatch.avt_n
@@ -119,7 +129,7 @@ let mismatch_sigma_vth spec polarity ~w ~l =
   in
   avt /. sqrt (w *. l)
 
-let mismatch_sigma_beta spec polarity ~w ~l =
+let[@inline] mismatch_sigma_beta spec polarity ~w ~l =
   let ab =
     match polarity with
     | Mosfet.Nmos -> spec.mismatch.abeta_n
@@ -127,17 +137,30 @@ let mismatch_sigma_beta spec polarity ~w ~l =
   in
   ab /. sqrt (w *. l)
 
-let perturb_model spec draw rng ~w ~l (model : Mosfet.model) =
-  let dvth_global, dkp_global =
-    match model.Mosfet.polarity with
-    | Mosfet.Nmos -> (draw.dvth_n, draw.dkp_rel_n)
-    | Mosfet.Pmos -> (draw.dvth_p, draw.dkp_rel_p)
+(* One device's perturbed model, its deltas passed through [d]
+   ({!Mosfet.with_deltas_in}'s buffer, [d.(2)] already the draw's lambda
+   delta), so that it allocates only the model: the global draw of the
+   device's polarity plus a threshold, then a beta mismatch deviate. *)
+let[@inline] perturb_into d spec draw rng ~w ~l (model : Mosfet.model) =
+  let p = model.Mosfet.polarity in
+  let sigma_vth = mismatch_sigma_vth spec p ~w ~l in
+  let sigma_beta = mismatch_sigma_beta spec p ~w ~l in
+  Rng.gaussian_into rng d 0;
+  let dvth_global =
+    match p with Mosfet.Nmos -> draw.dvth_n | Mosfet.Pmos -> draw.dvth_p
   in
-  let sigma_vth = mismatch_sigma_vth spec model.Mosfet.polarity ~w ~l in
-  let sigma_beta = mismatch_sigma_beta spec model.Mosfet.polarity ~w ~l in
-  let dvth = dvth_global +. Rng.normal rng ~mean:0. ~sigma:sigma_vth in
-  let dkp_rel = dkp_global +. Rng.normal rng ~mean:0. ~sigma:sigma_beta in
-  Mosfet.with_deltas model ~dvth ~dkp_rel ~dlambda_rel:draw.dlambda_rel
+  d.(0) <- dvth_global +. scaled sigma_vth d.(0);
+  Rng.gaussian_into rng d 1;
+  let dkp_global =
+    match p with Mosfet.Nmos -> draw.dkp_rel_n | Mosfet.Pmos -> draw.dkp_rel_p
+  in
+  d.(1) <- dkp_global +. scaled sigma_beta d.(1);
+  Mosfet.with_deltas_in d model
+
+let deltas draw = [| 0.; 0.; draw.dlambda_rel |]
+
+let perturb_model spec draw rng ~w ~l model =
+  perturb_into (deltas draw) spec draw rng ~w ~l model
 
 let perturb_circuit spec rng circuit =
   let draw = draw_global spec rng in
@@ -162,10 +185,11 @@ let overrides_with_draw spec draw rng circuit =
   let devices = Circuit.devices circuit in
   let n = Array.length devices in
   let out : Yield_spice.Mna.models = Array.make n None in
+  let d = deltas draw in
   for di = n - 1 downto 0 do
     match devices.(di) with
     | Device.Mosfet m ->
-        out.(di) <- Some (perturb_model spec draw rng ~w:m.w ~l:m.l m.model)
+        out.(di) <- Some (perturb_into d spec draw rng ~w:m.w ~l:m.l m.model)
     | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
     | Device.Isource _ | Device.Vccs _ ->
         ()

@@ -28,7 +28,11 @@ let write_file ~path contents =
   Sys.rename tmp path;
   fsync_dir (Filename.dirname path)
 
+(* a directory opens for reading on Linux, and its length is refused with
+   the bare EOVERFLOW text, so it is named here first *)
 let read_file ~path =
+  if Sys.file_exists path && Sys.is_directory path then
+    raise (Sys_error (path ^ ": is a directory, not a file"));
   In_channel.with_open_bin path (fun ic ->
       really_input_string ic (in_channel_length ic))
 

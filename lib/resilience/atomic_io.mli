@@ -22,7 +22,8 @@ val write_file : path:string -> string -> unit
 val read_file : path:string -> string
 (** The whole file, read in binary mode: netlists, tables, lint baselines
     and Verilog-A sources are read through it.
-    @raise Sys_error when the file cannot be opened or read. *)
+    @raise Sys_error when the file cannot be opened or read; for a
+    directory, one that names the path and says it is a directory. *)
 
 val mkdir_p : string -> unit
 (** Create the directory and any missing parents. *)

@@ -22,33 +22,32 @@ let dense_generic = Metrics.counter "ac.dense_generic"
 
 let never_stop _ _ = max_int
 
-(* one transfer in the borrowed workspace [w] *)
-let transfer_in (w : Mna.ac_work) ~stop circuit layout op ~out ~freqs =
-  let ops name = Dcop.mos_op op name in
-  Mna.assemble_ac w circuit layout ~ops;
-  let n = Array.length freqs in
-  let response = Array.make n Complex.zero in
-  (* the ground's unknown is -1: factored, never solved, answered zero *)
-  let point = w.Mna.cs.Linsys.sweep w.Mna.crhs ~freqs ~out:(out - 1) response in
+(* The one sweep loop over the [n] points of a grid: [point k k'] writes
+   the response of point [k], and of [k'] too unless it is -1, into [r]
+   and returns how many of them left the backend's compiled elimination;
+   [stop r k] is consulted after each point.  Points before [k] are swept
+   and the rule needs every point up to [last]; [pairs] frequencies went
+   two at a time.  Each frequency is its own factorisation, so the swept
+   prefix is what the full sweep would have computed, and two promised
+   points can be factored together.  Returns the swept count; the
+   counters hear of a sweep only when it [counted]. *)
+let sweep_points ~stop ~counted (r : Mna.response) point n =
   (* the last point the rule needs once it has seen point [k]; it may
      not fall short of [promised], the last point it needed before *)
   let consult k promised =
-    let need = stop k response.(k) in
+    let need = stop r k in
     let last = if need >= n - 1 - k then n - 1 else k + need in
     if last < promised then
       invalid_arg "Ac.transfer: the stop rule gave up a point it had promised";
     last
   in
-  (* the one sweep loop: points before [k] are swept and the rule needs
-     every point up to [last]; [pairs] frequencies went two at a time
-     and [generic] left the backend's compiled elimination.  Each
-     frequency is its own factorisation, so the swept prefix is what
-     the full sweep would have computed, and two promised points can be
-     factored together. *)
   let rec sweep k last pairs generic =
     if k > last then begin
-      Metrics.add paired pairs;
-      Metrics.add dense_generic generic;
+      if counted then begin
+        Metrics.add points k;
+        Metrics.add paired pairs;
+        Metrics.add dense_generic generic
+      end;
       k
     end
     else if k < last then begin
@@ -61,29 +60,62 @@ let transfer_in (w : Mna.ac_work) ~stop circuit layout op ~out ~freqs =
       sweep (k + 1) (consult k last) pairs (generic + g)
     end
   in
-  let swept = if n = 0 then 0 else sweep 0 0 0 0 in
-  Metrics.add points swept;
-  if swept = n then { freqs; response }
-  else { freqs = Array.sub freqs 0 swept; response = Array.sub response 0 swept }
+  if n = 0 then 0 else sweep 0 0 0 0
 
-let transfer ?sys ?(stop = never_stop) circuit op ~out ~freqs =
-  if Fault.fire fp_solve then
-    { freqs; response = Array.map (fun _ -> Complex.{ re = nan; im = nan }) freqs }
-  else begin
-    let sys = Mna.default_sys sys circuit in
-    (* mirror of the Dcop.solve structural pre-check: a node the AC matrix
-       cannot constrain at any frequency makes [G + jwC] singular
-       independent of device values, so fail loudly instead of returning
-       the gmin-shaped garbage a nearly-singular factorisation would
-       produce *)
-    (match Mna.sys_ac_issues sys with
-    | [] -> ()
-    | issue :: _ -> raise (Singular (Topology.issue_to_string issue)));
-    (* the compiled session is shared across domains; the pencil and its
-       elimination buffers are borrowed from it for the call *)
-    let layout = Mna.sys_layout sys in
-    Mna.with_ac sys (fun w -> transfer_in w ~stop circuit layout op ~out ~freqs)
-  end
+(* what a faulted sweep answers at every point: NaN, nothing factored *)
+let nan_point (r : Mna.response) k k' =
+  r.Mna.re.(k) <- nan;
+  r.Mna.im.(k) <- nan;
+  if k' >= 0 then begin
+    r.Mna.re.(k') <- nan;
+    r.Mna.im.(k') <- nan
+  end;
+  0
+
+let sweep ?sys ?(stop = never_stop) circuit src ~out ~freqs k =
+  let faulted = Fault.fire fp_solve in
+  let sys = Mna.default_sys sys circuit in
+  (* mirror of the Dcop.solve structural pre-check: a node the AC matrix
+     cannot constrain at any frequency makes [G + jwC] singular
+     independent of device values, so fail loudly instead of returning
+     the gmin-shaped garbage a nearly-singular factorisation would
+     produce *)
+  (if not faulted then
+     match Mna.sys_ac_issues sys with
+     | [] -> ()
+     | issue :: _ -> raise (Singular (Topology.issue_to_string issue)));
+  (* the compiled session is shared across domains; the pencil, its
+     elimination buffers and the response are borrowed from it for the
+     call *)
+  let layout = Mna.sys_layout sys in
+  Mna.with_ac sys (fun w ->
+      let r = w.Mna.points and n = Array.length freqs in
+      Mna.reserve r n;
+      let swept =
+        if faulted then sweep_points ~stop ~counted:false r (nan_point r) n
+        else begin
+          Mna.assemble_ac w circuit layout src;
+          (* the ground's unknown is -1: factored, never solved, answered
+             zero *)
+          let point =
+            w.Mna.cs.Linsys.sweep w.Mna.crhs ~freqs ~out:(out - 1) ~re:r.Mna.re
+              ~im:r.Mna.im
+          in
+          sweep_points ~stop ~counted:true r point n
+        end
+      in
+      k r swept)
+
+let transfer ?sys ?stop circuit op ~out ~freqs =
+  sweep ?sys ?stop circuit
+    (Mna.Operating_points (Dcop.mos_op op))
+    ~out ~freqs
+    (fun r swept ->
+      {
+        freqs = (if swept = Array.length freqs then freqs else Array.sub freqs 0 swept);
+        response =
+          Array.init swept (fun k -> { Complex.re = r.Mna.re.(k); im = r.Mna.im.(k) });
+      })
 
 let transfer_by_name ?sys ?stop circuit op ~out ~freqs =
   transfer ?sys ?stop circuit op ~out:(Circuit.node circuit out) ~freqs

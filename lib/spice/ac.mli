@@ -11,19 +11,27 @@ exception Singular of string
     loop of voltage sources — before anything is assembled.  Mirrors the
     {!Dcop.solve} pre-check. *)
 
-val transfer :
-  ?sys:Mna.sys -> ?stop:(int -> Complex.t -> int) -> Circuit.t -> Dcop.t ->
-  out:Device.node -> freqs:float array -> bode
-(** Response observed at node [out] for each frequency, driven by the AC
-    magnitudes declared on the circuit's independent sources.  [sys] is
-    the {!Mna.sys} solver session of the circuit's topology, typically the
-    one its {!Dcop.solve} ran in; without it the call builds a dense one
-    for itself.
+val sweep :
+  ?sys:Mna.sys -> ?stop:(Mna.response -> int -> int) -> Circuit.t ->
+  Mna.small_signal -> out:Device.node -> freqs:float array ->
+  (Mna.response -> int -> 'a) -> 'a
+(** [sweep ?sys ?stop circuit src ~out ~freqs k] is the AC analysis: the
+    small-signal system of [circuit], its MOSFETs' values taken from
+    [src] ({!Mna.small_signal}), swept in frequency order, observed at
+    node [out] and driven by the AC magnitudes declared on the circuit's
+    independent sources.  It runs in an AC workspace borrowed from [sys]
+    (without [sys], a dense session built for the call) and answers
+    [k r swept] while the workspace is still borrowed: the response of
+    point [i] is [r.re.(i)] + j [r.im.(i)] for every [i < swept].  [r]
+    belongs to the workspace, so [k] reads it and must not keep it.  A
+    point writes its response into [r] and allocates nothing, so neither
+    does the sweep, once the workspace has room for the grid.
 
-    The sweep runs in frequency order and asks [stop k z] after point [k]
-    (response [z]) how many further points it needs, whatever their
-    values.  [0] ends the sweep there, and the result holds the swept
-    prefix [freqs.(0..k)] and its responses; an answer past the end of the
+    The sweep asks [stop r k] after point [k] how many further points it
+    needs, whatever their values; the rule reads [r.re.(k)] and
+    [r.im.(k)] and may write [r.mag_db] and [r.phase_deg] at [k] (the
+    testbench's rule writes each magnitude once, and its extraction reads
+    them back).  [0] ends the sweep there; an answer past the end of the
     grid asks for the rest of it.  Every frequency is an independent
     factorisation, so the prefix is bit-identical to the same points of
     the full sweep.  The default never stops.
@@ -42,11 +50,21 @@ val transfer :
     [ac.points] counter, and the number of those it factored two at a
     time to [ac.paired]; a call that raises adds nothing.  The [ac.solve]
     fault point is consulted once per call, before anything is assembled;
-    when it fires the response is all NaN at every frequency and nothing
-    is factored. *)
+    when it fires, every point the sweep reaches answers NaN (the rule is
+    consulted as usual), nothing is factored and nothing is counted. *)
+
+val transfer :
+  ?sys:Mna.sys -> ?stop:(Mna.response -> int -> int) -> Circuit.t -> Dcop.t ->
+  out:Device.node -> freqs:float array -> bode
+(** Response observed at node [out] for each frequency the {!sweep} of
+    [op]'s operating points reaches: the swept prefix of [freqs] (the
+    array itself when the whole grid was swept) and its responses.  [sys]
+    is the {!Mna.sys} solver session of the circuit's topology, typically
+    the one its {!Dcop.solve} ran in.  Beyond the bode, it allocates as
+    much as {!sweep}. *)
 
 val transfer_by_name :
-  ?sys:Mna.sys -> ?stop:(int -> Complex.t -> int) -> Circuit.t -> Dcop.t ->
+  ?sys:Mna.sys -> ?stop:(Mna.response -> int -> int) -> Circuit.t -> Dcop.t ->
   out:string -> freqs:float array -> bode
 
 val default_freqs : ?per_decade:int -> f_lo:float -> f_hi:float -> unit -> float array

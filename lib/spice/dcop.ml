@@ -119,9 +119,9 @@ let newton (w : Mna.dc_work) ?models circuit layout options ~source_scale ~gmin
 (* The homotopy chain in the borrowed workspace [w].  Each stage starts
    where the chain without a workspace started it: at the guess in
    [w.x0], which no run writes, or at the answer the previous run left in
-   [w.x].  Only a converged answer is copied out. *)
-let solve_in (w : Mna.dc_work) ~options ?x0_jitter ?start ?models circuit
-    layout =
+   [w.x].  A converged chain answers [Ok] of the iterations of the run
+   that converged, its answer left in [w.x]. *)
+let chain (w : Mna.dc_work) ~options ?x0_jitter ?start ?models circuit layout =
   let x0 = w.Mna.x0 in
   Array.fill x0 0 (Array.length x0) 0.;
   List.iter
@@ -135,11 +135,10 @@ let solve_in (w : Mna.dc_work) ~options ?x0_jitter ?start ?models circuit
   in
   let attempts = ref [] in
   let note what = attempts := what :: !attempts in
-  let finish iterations =
+  let converged iterations =
     Metrics.observe h_newton_iterations (float_of_int iterations);
     Metrics.observe h_recovery_attempts (float_of_int (List.length !attempts));
-    let x = Array.copy w.Mna.x in
-    Ok { x; layout; mos_ops = Mna.mos_operating_points ?models circuit ~x; iterations }
+    Ok iterations
   in
   let no_convergence () =
     Metrics.incr c_convergence_failures;
@@ -169,7 +168,7 @@ let solve_in (w : Mna.dc_work) ~options ?x0_jitter ?start ?models circuit
               run ~source_scale:1. ~gmin:options.gmin x0
             end
     in
-    if newton_stage > 0 then finish newton_stage
+    if newton_stage > 0 then converged newton_stage
     else begin
       (* gmin stepping: converge a heavily damped system, then relax *)
       note "gmin-stepping";
@@ -184,7 +183,7 @@ let solve_in (w : Mna.dc_work) ~options ?x0_jitter ?start ?models circuit
       in
       let gmin_result = if Fault.fire fp_gmin then 0 else gmin_walk x0 steps in
       Metrics.observe h_gmin_steps (float_of_int !gmin_steps);
-      if gmin_result > 0 then finish gmin_result
+      if gmin_result > 0 then converged gmin_result
       else begin
         (* source stepping: ramp the supplies *)
         note "source-stepping";
@@ -197,31 +196,51 @@ let solve_in (w : Mna.dc_work) ~options ?x0_jitter ?start ?models circuit
               else 0
         in
         let ramped = ramp x0 scales in
-        if ramped > 0 then finish ramped else no_convergence ()
+        if ramped > 0 then converged ramped else no_convergence ()
       end
     end
   end
 
-let solve ?(options = default_options) ?x0_jitter ?start ?sys ?models circuit
-    =
+(* One solve in [w]: the structural check, then the chain.  A
+   structurally singular circuit fails as Permanent before anything is
+   factored: no gmin or homotopy can make its answer meaningful. *)
+let attempt w ~options ?x0_jitter ?start ?models sys circuit =
+  match Mna.sys_dc_issues sys with
+  | issue :: _ ->
+      Metrics.incr c_convergence_failures;
+      Error (Singular_system (Topology.issue_to_string issue))
+  | [] -> chain w ~options ?x0_jitter ?start ?models circuit (Mna.sys_layout sys)
+
+(* [f sys w] in a DC workspace [w] borrowed from the session (the
+   compiled session is shared across domains; the mutable assembly,
+   factor and Newton state is borrowed from it for the call) *)
+let borrowing ?start ?sys circuit f =
   let sys = Mna.default_sys sys circuit in
   (match start with
   | Some start when Array.length start <> Mna.size (Mna.sys_layout sys) ->
       invalid_arg "Dcop.solve: start is not of the system's size"
   | Some _ | None -> ());
-  match Mna.sys_dc_issues sys with
-  | issue :: _ ->
-      (* structurally singular: no gmin or homotopy can make the answer
-         meaningful, so fail as Permanent before factoring anything *)
-      Metrics.incr c_convergence_failures;
-      Error (Singular_system (Topology.issue_to_string issue))
-  | [] ->
-      (* the compiled session is shared across domains; the mutable
-         assembly, factor and Newton state is borrowed from it for the
-         call *)
-      let layout = Mna.sys_layout sys in
-      Mna.with_dc sys (fun w ->
-          solve_in w ~options ?x0_jitter ?start ?models circuit layout)
+  Mna.with_dc sys (fun w -> f sys w)
+
+(* the operating point of a converged chain: the answer copied out of
+   [w], and every MOSFET's operating point at it *)
+let finish (w : Mna.dc_work) ?models circuit sys = function
+  | Ok iterations ->
+      let x = Array.copy w.Mna.x in
+      Ok
+        {
+          x;
+          layout = Mna.sys_layout sys;
+          mos_ops = Mna.mos_operating_points ?models circuit ~x;
+          iterations;
+        }
+  | Error _ as e -> e
+
+let solve ?(options = default_options) ?x0_jitter ?start ?sys ?models circuit
+    =
+  borrowing ?start ?sys circuit (fun sys w ->
+      finish w ?models circuit sys
+        (attempt w ~options ?x0_jitter ?start ?models sys circuit))
 
 let classify_error = function
   | No_convergence _ -> Retry.Transient
@@ -236,27 +255,30 @@ let retry_jitter attempt =
   let rng = Rng.create (0x5eed + attempt) in
   fun _k -> Rng.normal rng ~mean:0. ~sigma:0.05
 
-let solve_with_retry ?options ?budget_s ?start ?sys ?models circuit =
-  let sys = Mna.default_sys sys circuit in
+(* the attempts of the retry policy in [w]: the first from [start], the
+   jittered ones as without it *)
+let retried (w : Mna.dc_work) ~options ?budget_s ?start ?models sys circuit =
   let deadline_s =
     Option.map (fun b -> Yield_obs.Clock.now_s () +. b) budget_s
   in
-  (* without a start the attempt closure captures what it always did, so
-     a cold solve allocates no extra word *)
   Retry.with_retries ?deadline_s retry_policy ~classify:classify_error
-    (match start with
-    | None ->
-        fun ~attempt ->
-          if attempt <= 1 then solve ?options ~sys ?models circuit
-          else
-            solve ?options ~x0_jitter:(retry_jitter attempt) ~sys ?models
-              circuit
-    | Some _ ->
-        fun ~attempt ->
-          if attempt <= 1 then solve ?options ?start ~sys ?models circuit
-          else
-            solve ?options ~x0_jitter:(retry_jitter attempt) ~sys ?models
-              circuit)
+    (fun ~attempt:a ->
+      if a <= 1 then attempt w ~options ?start ?models sys circuit
+      else
+        attempt w ~options ~x0_jitter:(retry_jitter a) ?models sys circuit)
+
+let solve_with_retry ?(options = default_options) ?budget_s ?start ?sys
+    ?models circuit =
+  borrowing ?start ?sys circuit (fun sys w ->
+      finish w ?models circuit sys
+        (retried w ~options ?budget_s ?start ?models sys circuit))
+
+let with_solution ?(options = default_options) ?budget_s ?start ?sys ?models
+    circuit k =
+  borrowing ?start ?sys circuit (fun sys w ->
+      match retried w ~options ?budget_s ?start ?models sys circuit with
+      | Ok iterations -> Ok (k w.Mna.x iterations)
+      | Error e -> Error e)
 
 let voltage t node = Mna.voltage t.x node
 

@@ -81,7 +81,12 @@ val solve :
     callers that solve one topology many times build it once and pass it
     to every call; without it the call builds a dense one for itself.
     [models] patches per-device MOSFET models for this sample (see
-    {!Mna.models}). *)
+    {!Mna.models}).
+
+    Newton iterates in a DC workspace borrowed from [sys]: the chain
+    leaves its answer there, and only the result copies it out, with the
+    operating point of every MOSFET at it ({!Mna.mos_operating_points},
+    47 words a MOSFET). *)
 
 val solve_with_retry :
   ?options:options -> ?budget_s:float -> ?start:Yield_numeric.Vec.t ->
@@ -98,6 +103,24 @@ val solve_with_retry :
     exhausted, plus [retry.dcop.solve.deadline_stopped].  The table-server
     request path uses the same mechanism against its per-request
     deadline. *)
+
+val with_solution :
+  ?options:options -> ?budget_s:float -> ?start:Yield_numeric.Vec.t ->
+  ?sys:Mna.sys -> ?models:Mna.models -> Circuit.t ->
+  (Yield_numeric.Vec.t -> int -> 'a) -> ('a, error) result
+(** [with_solution ... circuit k] is {!solve_with_retry} without the
+    operating point: the same attempts, retries, fault checks and
+    counters, and on success [Ok (k x iterations)], where [x] is the
+    converged unknown vector in the DC workspace borrowed from [sys]
+    ({!Mna.with_dc}) and [iterations] the result's [iterations].  [x] is
+    the workspace's: [k] reads it while the workspace is still borrowed
+    (a testbench evaluation assembles its AC system from it,
+    {!Mna.Solution}) and must neither keep nor write it.  Beyond what [k]
+    allocates, a converged call allocates only the retry and homotopy
+    bookkeeping (closures, the attempt list, boxed metric values), about
+    100 words on the Miller: no copy of [x] and no [mos_ops], which take
+    400 more.
+    {!solve_with_retry} is this with [k] building the {!t}. *)
 
 val voltage : t -> Device.node -> float
 

@@ -1,11 +1,17 @@
-(* inlined, so that no magnitude or phase is boxed on its way out *)
-let[@inline] magnitude_db z =
-  let m = Complex.norm z in
+(* inlined, so that no magnitude or phase is boxed on its way out; the
+   parts' forms are Complex.norm's and Complex.arg's *)
+let[@inline] magnitude_db_of re im =
+  let m = Float.hypot re im in
   if m <= 0. then neg_infinity else 20. *. log10 m
 
-let set_magnitude_db a i z = a.(i) <- magnitude_db z
+let[@inline] phase_deg_of re im = atan2 im re *. 180. /. Float.pi
 
-let[@inline] phase_deg z = Complex.arg z *. 180. /. Float.pi
+let magnitude_db (z : Complex.t) = magnitude_db_of z.re z.im
+
+let phase_deg (z : Complex.t) = phase_deg_of z.re z.im
+
+let set_magnitude_db (r : Mna.response) k =
+  r.mag_db.(k) <- magnitude_db_of r.re.(k) r.im.(k)
 
 (* one flat float array filled in a loop: Array.map would box every
    magnitude its closure returns *)
@@ -17,28 +23,51 @@ let magnitudes_db (b : Ac.bode) =
   done;
   out
 
+(* the one unwrapping: [a.(0 .. n-1)] holds principal-value phases, and
+   each from the second on loses the 360-degree wraps relative to the
+   unwrapped point before it *)
+let unwrap a n =
+  for i = 1 to n - 1 do
+    let raw = a.(i) in
+    let diff = raw -. a.(i - 1) in
+    let wraps = Float.round (diff /. 360.) in
+    a.(i) <- raw -. (360. *. wraps)
+  done
+
 let phases_deg_unwrapped (b : Ac.bode) =
   let n = Array.length b.response in
   let out = Array.make n 0. in
-  if n > 0 then begin
-    out.(0) <- phase_deg b.response.(0);
-    for i = 1 to n - 1 do
-      let raw = phase_deg b.response.(i) in
-      (* remove 360-degree wraps relative to the previous point *)
-      let diff = raw -. out.(i - 1) in
-      let wraps = Float.round (diff /. 360.) in
-      out.(i) <- raw -. (360. *. wraps)
-    done
-  end;
+  for i = 0 to n - 1 do
+    out.(i) <- phase_deg b.response.(i)
+  done;
+  unwrap out n;
   out
+
+let set_phases_deg_unwrapped (r : Mna.response) n =
+  let a = r.phase_deg in
+  for i = 0 to n - 1 do
+    a.(i) <- phase_deg_of r.re.(i) r.im.(i)
+  done;
+  unwrap a n
 
 let dc_gain_db b =
   if Array.length b.Ac.response = 0 then invalid_arg "Measure.dc_gain_db: empty";
   magnitude_db b.Ac.response.(0)
 
-let crossing ~xs ~ys ~level ?(log_x = true) () =
-  let n = Array.length xs in
-  if n <> Array.length ys then invalid_arg "Measure.crossing: length mismatch";
+let crossing ?n ~xs ~ys ~level ?(log_x = true) () =
+  (* the points it reads: the first [n], or the whole of [xs], which [ys]
+     must then match *)
+  let n =
+    match n with
+    | None ->
+        let n = Array.length xs in
+        if n <> Array.length ys then invalid_arg "Measure.crossing: length mismatch";
+        n
+    | Some n ->
+        if n < 0 || n > Array.length xs || n > Array.length ys then
+          invalid_arg "Measure.crossing: prefix beyond the arrays";
+        n
+  in
   let rec scan i =
     if i >= n - 1 then None
     else if ys.(i) >= level && ys.(i + 1) < level then begin
@@ -55,8 +84,8 @@ let crossing ~xs ~ys ~level ?(log_x = true) () =
   in
   scan 0
 
-let interp_at ~xs ~ys x ~log_x =
-  let n = Array.length xs in
+let interp_at ?n ~xs ~ys x ~log_x =
+  let n = match n with None -> Array.length xs | Some n -> n in
   if x <= xs.(0) then ys.(0)
   else if x >= xs.(n - 1) then ys.(n - 1)
   else begin

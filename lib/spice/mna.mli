@@ -136,11 +136,35 @@ type dc_work = private {
     run writes, all of the system's size, so that an iteration allocates
     nothing.  The vectors' contents belong to the borrower. *)
 
+type response = {
+  mutable re : float array;  (** the real part of point k's response *)
+  mutable im : float array;  (** its imaginary part *)
+  mutable mag_db : float array;  (** its magnitude in dB, where a measurement wrote it *)
+  mutable phase_deg : float array;  (** its phase, where a measurement wrote it *)
+}
+(** A sweep's points, indexed by frequency: what a sweep writes
+    ([re], [im]) and what the measurements on it write ([mag_db],
+    [phase_deg]).  The four arrays have one length, at least the grid's. *)
+
+val response : int -> response
+(** Zeroed room for [n] points. *)
+
+val reserve : response -> int -> unit
+(** [reserve r n] gives [r] room for [n] points, with fresh arrays when
+    it has less; it keeps the arrays otherwise, so a workspace allocates
+    them once for the longest grid it sweeps. *)
+
 type ac_work = private {
   cs : Yield_numeric.Linsys.complex_sys;  (** the complex system *)
   crhs : Complex.t array;  (** the right-hand side {!assemble_ac} writes *)
+  ss : float array;
+      (** the {!Mosfet.buffer} each MOSFET's small-signal model is
+          evaluated in *)
+  points : response;  (** where {!Ac.sweep} leaves the response *)
 }
-(** An AC transfer's workspace. *)
+(** An AC transfer's workspace.  The assembly, the sweep and the
+    measurements of one transfer all write into it, so a sweep allocates
+    none of the floats it computes. *)
 
 val with_dc : sys -> (dc_work -> 'a) -> 'a
 (** [with_dc sys f] is [f w] for a DC workspace [w] of [sys] borrowed for
@@ -203,20 +227,35 @@ val mos_operating_points :
     evaluates in one buffer, so the call allocates the list, its pairs,
     the records and one {!Mosfet.buffer}. *)
 
+type small_signal =
+  | Operating_points of (string -> Mosfet.op)
+      (** each MOSFET's [gm], [gds], [gmb], [cgs], [cgd], [cdb] and [csb]
+          read from its operating point, looked up by name *)
+  | Solution of models option * Yield_numeric.Vec.t
+      (** each MOSFET's small-signal model evaluated at the DC solution,
+          under the sample's models ({!Mosfet.small_signal} on the bias
+          {!mos_operating_point} gives it): the floats of the operating
+          point's fields, with no operating point built *)
+(** Where the AC assembly takes each MOSFET's seven small-signal values
+    from.  A testbench evaluation passes the DC workspace's solution
+    straight to the assembly ([Solution]); {!Dcop.t}'s [mos_ops] are for
+    callers that keep an operating point. *)
+
 val assemble_ac_into :
   Yield_numeric.Linsys.complex_sys ->
   Circuit.t -> layout -> ops:(string -> Mosfet.op) -> Complex.t array
 (** Small-signal system [ (G + jw C) x = rhs ] assembled into the
     workspace (reset first); returns [rhs], which carries the AC
     magnitudes of the independent sources.  [ops] maps MOSFET names to
-    their DC operating points.  It is {!assemble_ac} into a fresh
-    right-hand side.
+    their DC operating points.  It is {!assemble_ac} of
+    [Operating_points ops] into a fresh right-hand side.
     @raise Invalid_argument as {!assemble_dc_into}. *)
 
-val assemble_ac :
-  ac_work -> Circuit.t -> layout -> ops:(string -> Mosfet.op) -> unit
-(** {!assemble_ac_into} into a borrowed workspace: the pencil into its
-    [cs] and the right-hand side into its [crhs].
+val assemble_ac : ac_work -> Circuit.t -> layout -> small_signal -> unit
+(** The one AC assembly, into a borrowed workspace: the pencil into its
+    [cs] and the right-hand side into its [crhs], each MOSFET's values
+    from the source given.  A [Solution] evaluates every MOSFET in the
+    workspace's [ss] and allocates nothing.
     @raise Invalid_argument as {!assemble_dc_into}. *)
 
 (** {1 Primitives shared with the transient engine} *)

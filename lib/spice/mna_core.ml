@@ -210,9 +210,41 @@ type dc_work = {
   x_new : Vec.t;
 }
 
+(* A sweep's points, by frequency index: the response's two parts, which
+   the sweep writes, and the magnitudes and phases its measurements
+   write.  The arrays grow to the longest grid a workspace has swept. *)
+type response = {
+  mutable re : float array;
+  mutable im : float array;
+  mutable mag_db : float array;
+  mutable phase_deg : float array;
+}
+
+let response n =
+  {
+    re = Array.make n 0.;
+    im = Array.make n 0.;
+    mag_db = Array.make n 0.;
+    phase_deg = Array.make n 0.;
+  }
+
+let reserve r n =
+  if Array.length r.re < n then begin
+    r.re <- Array.make n 0.;
+    r.im <- Array.make n 0.;
+    r.mag_db <- Array.make n 0.;
+    r.phase_deg <- Array.make n 0.
+  end
+
 (* an AC transfer's workspace: the complex system and its right-hand
-   side *)
-type ac_work = { cs : Linsys.complex_sys; crhs : Complex.t array }
+   side, the Mosfet buffer its MOSFETs' small-signal models are evaluated
+   in, and the response *)
+type ac_work = {
+  cs : Linsys.complex_sys;
+  crhs : Complex.t array;
+  ss : float array;
+  points : response;
+}
 
 (* the structural prechecks depend on the topology alone, like the
    pattern, so they run here once instead of in every solve; [dc_free]
@@ -279,7 +311,12 @@ let dc_work s =
   }
 
 let ac_work s =
-  { cs = sys_complex s; crhs = Array.make s.sys_layout.size Complex.zero }
+  {
+    cs = sys_complex s;
+    crhs = Array.make s.sys_layout.size Complex.zero;
+    ss = Mosfet.buffer ();
+    points = response 0;
+  }
 
 (* A free list of one sys's workspaces.  A borrower pops one by
    compare-and-set, or makes its own when the list is empty, and pushes
@@ -405,12 +442,17 @@ let stamp_capacitance (rs : Linsys.real) l di ~group c =
   let p = bound l rs.Linsys.owner in
   stamp_g rs.Linsys.values p.slots.(di) group c
 
-let op_with buf (model : Mosfet.model) ~w ~l ~d ~g ~s ~b x =
-  let p = model.polarity in
-  let vd = voltage x d and vg = voltage x g and vs = voltage x s and vb = voltage x b in
-  Mosfet.eval_with buf model ~w ~l ~vgs:(polar p vg vs) ~vds:(polar p vd vs)
-    ~vbs:(polar p vb vs)
+(* a MOSFET's NMOS-convention bias at [x], into buf.(0), buf.(1) and
+   buf.(2) as {!Mosfet.linearise} reads it *)
+let[@inline] set_bias buf (p : Mosfet.polarity) x ~d ~g ~s ~b =
+  let vs = voltage x s in
+  buf.(0) <- polar p (voltage x g) vs;
+  buf.(1) <- polar p (voltage x d) vs;
+  buf.(2) <- polar p (voltage x b) vs
 
+let op_with buf (model : Mosfet.model) ~w ~l ~d ~g ~s ~b x =
+  set_bias buf model.polarity x ~d ~g ~s ~b;
+  Mosfet.eval_with buf model ~w ~l ~vgs:buf.(0) ~vds:buf.(1) ~vbs:buf.(2)
 let mos_operating_point model ~w ~l ~d ~g ~s ~b x =
   op_with (Mosfet.buffer ()) model ~w ~l ~d ~g ~s ~b x
 
@@ -433,9 +475,16 @@ let mos_operating_points ?models circuit ~x =
 
 let complex_of_real negate a = { Complex.re = (if negate then -.a else a); im = 0. }
 
+(* where the AC assembly takes each MOSFET's small-signal model from *)
+type small_signal =
+  | Operating_points of (string -> Mosfet.op)
+  | Solution of models option * Vec.t
+
 (* the one AC assembly: the pencil into [cs], the right-hand side into
-   [rhs] (filled with zeros first, as a fresh one) *)
-let assemble_ac_rhs (cs : Linsys.complex_sys) circuit l ~ops rhs =
+   [rhs] (filled with zeros first, as a fresh one); a MOSFET's seven
+   values come from its operating point, or from its small-signal model
+   evaluated in [buf] at the solution *)
+let assemble_ac_rhs (cs : Linsys.complex_sys) circuit l ~buf src rhs =
   let p = bound l cs.Linsys.cowner in
   let devices = devices_of p circuit in
   cs.Linsys.creset ();
@@ -447,10 +496,19 @@ let assemble_ac_rhs (cs : Linsys.complex_sys) circuit l ~ops rhs =
     source_ac ~lift:complex_of_real ~add:Complex.add rhs ~branch:p.branch.(di)
       dev;
     match dev with
-    | Device.Mosfet { name; _ } ->
-        let op : Mosfet.op = ops name in
-        stamp_mos_g gv sl ~gm:op.gm ~gds:op.gds ~gmb:op.gmb;
-        stamp_mos_c cv sl ~cgs:op.cgs ~cgd:op.cgd ~cdb:op.cdb ~csb:op.csb
+    | Device.Mosfet { name; d; g; s; b; model; w; l = len } -> (
+        match src with
+        | Operating_points ops ->
+            let op : Mosfet.op = ops name in
+            stamp_mos_g gv sl ~gm:op.gm ~gds:op.gds ~gmb:op.gmb;
+            stamp_mos_c cv sl ~cgs:op.cgs ~cgd:op.cgd ~cdb:op.cdb ~csb:op.csb
+        | Solution (models, x) ->
+            let model = model_override models di model in
+            set_bias buf model.polarity x ~d ~g ~s ~b;
+            Mosfet.small_signal model ~w ~l:len buf;
+            stamp_mos_g gv sl ~gm:buf.(4) ~gds:buf.(5) ~gmb:buf.(6);
+            stamp_mos_c cv sl ~cgs:buf.(0) ~cgd:buf.(1) ~cdb:buf.(2)
+              ~csb:buf.(2))
     | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
     | Device.Isource _ | Device.Vccs _ ->
         ()
@@ -459,7 +517,8 @@ let assemble_ac_rhs (cs : Linsys.complex_sys) circuit l ~ops rhs =
 
 let assemble_ac_into cs circuit l ~ops =
   let rhs = Array.make l.size Complex.zero in
-  assemble_ac_rhs cs circuit l ~ops rhs;
+  assemble_ac_rhs cs circuit l ~buf:[||] (Operating_points ops) rhs;
   rhs
 
-let assemble_ac w circuit l ~ops = assemble_ac_rhs w.cs circuit l ~ops w.crhs
+let assemble_ac w circuit l src =
+  assemble_ac_rhs w.cs circuit l ~buf:w.ss src w.crhs

@@ -89,6 +89,17 @@ val eval_with :
     @raise Invalid_argument as {!eval}, or when [buf] holds fewer than 9
     floats. *)
 
+val small_signal : model -> w:float -> l:float -> float array -> unit
+(** [small_signal m ~w ~l buf] reads the bias from [buf.(0)], [buf.(1)],
+    [buf.(2)] as {!linearise} does, and leaves the small-signal model
+    that {!eval} returns for that bias in the buffer: [gm], [gds], [gmb]
+    in [buf.(4)], [buf.(5)], [buf.(6)], and [cgs], [cgd] and the junction
+    capacitance ([cdb] = [csb]) in [buf.(0)], [buf.(1)], [buf.(2)], each
+    the float of {!eval}'s field.  It allocates nothing: the AC assembly
+    evaluates each MOSFET at the DC solution this way.  {!eval_with} is
+    this plus the record.
+    @raise Invalid_argument as {!linearise}. *)
+
 val linearise : model -> w:float -> l:float -> float array -> unit
 (** [linearise m ~w ~l buf] reads the NMOS-convention, source-referenced
     bias [vgs], [vds], [vbs] from [buf.(0)], [buf.(1)], [buf.(2)] and
@@ -116,3 +127,10 @@ val with_deltas : model -> dvth:float -> dkp_rel:float -> dlambda_rel:float -> m
 (** [with_deltas m ~dvth ~dkp_rel ~dlambda_rel] is [m] with threshold shifted
     by [dvth] volts, [kp] scaled by [1 + dkp_rel] and [lambda0] scaled by
     [1 + dlambda_rel]; the hook used by process-variation sampling. *)
+
+val with_deltas_in : float array -> model -> model
+(** [with_deltas_in d m] is [with_deltas m ~dvth:d.(0) ~dkp_rel:d.(1)
+    ~dlambda_rel:d.(2)], with no delta boxed on its way in: it allocates
+    only the model it returns (14 words and the 3 new floats).  The Monte
+    Carlo sampler writes each device's deltas into one buffer.
+    {!with_deltas} is this on a fresh buffer. *)

@@ -5,13 +5,16 @@ let softplus = S.softplus
 
 let sigmoid = S.sigmoid
 
-let with_deltas m ~dvth ~dkp_rel ~dlambda_rel =
+let with_deltas_in (d : float array) m =
   {
     m with
-    vth0 = perturbed_vth0 m dvth;
-    kp = perturbed_kp m dkp_rel;
-    lambda0 = perturbed_lambda0 m dlambda_rel;
+    vth0 = perturbed_vth0 m d.(0);
+    kp = perturbed_kp m d.(1);
+    lambda0 = perturbed_lambda0 m d.(2);
   }
+
+let with_deltas m ~dvth ~dkp_rel ~dlambda_rel =
+  with_deltas_in [| dvth; dkp_rel; dlambda_rel |] m
 
 (* NaN and the infinities fail too *)
 let valid_geometry w l = Float.is_finite w && w > 0. && Float.is_finite l && l > 0.
@@ -33,10 +36,11 @@ let[@inline] evaluate m ~w ~l buf =
 
 let linearise m ~w ~l buf = ignore (evaluate m ~w ~l buf : bool)
 
-let eval_with buf m ~w ~l ~vgs ~vds ~vbs =
-  buf.(0) <- vgs;
-  buf.(1) <- vds;
-  buf.(2) <- vbs;
+(* [evaluate], the region and the Meyer capacitances at the bias in
+   buf.(0), buf.(1), buf.(2): ids .. vdsat land in buf.(3) .. buf.(8) as
+   [evaluate] leaves them, and cgs, cgd and the junction capacitance
+   (cdb = csb) in buf.(0), buf.(1), buf.(2) *)
+let[@inline] small_signal_into m ~w ~l buf =
   let reversed = evaluate m ~w ~l buf in
   (* the forward device's biases, as the equations saw them *)
   let vgs' = buf.(0) and vds' = buf.(1) in
@@ -50,14 +54,23 @@ let eval_with buf m ~w ~l ~vgs ~vds ~vbs =
     else Triode
   in
   meyer_into m ~w ~l ~reversed buf;
+  region
+
+let small_signal m ~w ~l buf = ignore (small_signal_into m ~w ~l buf : region)
+
+let eval_with buf m ~w ~l ~vgs ~vds ~vbs =
+  buf.(0) <- vgs;
+  buf.(1) <- vds;
+  buf.(2) <- vbs;
+  let region = small_signal_into m ~w ~l buf in
   let cjunction = buf.(2) in
   {
     ids = buf.(3);
     gm = buf.(4);
     gds = buf.(5);
     gmb = buf.(6);
-    vth;
-    vdsat;
+    vth = buf.(7);
+    vdsat = buf.(8);
     vgs;
     vds;
     vbs;

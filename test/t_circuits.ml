@@ -239,14 +239,18 @@ let test_perf_of_bode_one_pass () =
 (* --- the measure-directed sweep --- *)
 
 (* the prefix of a full sweep that Testbench.sweep_stop keeps, driven the
-   way Ac.transfer drives it: after point k it answers how many more
-   points it needs, and no answer may end the sweep before a point an
-   earlier answer asked for *)
+   way Ac.sweep drives it: point k's response is written into the
+   response before the rule sees it, after point k it answers how many
+   more points it needs, and no answer may end the sweep before a point
+   an earlier answer asked for *)
 let stopped_prefix (b : Ac.bode) =
   let stop = Gtb.sweep_stop () in
   let n = Array.length b.Ac.response in
+  let r = Yield_spice.Mna.response n in
   let rec go k promised =
-    let need = stop k b.Ac.response.(k) in
+    r.Yield_spice.Mna.re.(k) <- b.Ac.response.(k).Complex.re;
+    r.Yield_spice.Mna.im.(k) <- b.Ac.response.(k).Complex.im;
+    let need = stop r k in
     if need < 0 || k + need < promised then
       Alcotest.failf "sweep_stop answered %d at point %d, inside a run promised to point %d"
         need k promised;
@@ -735,12 +739,16 @@ let point_by_point ?stop sys circuit op ~out ~freqs =
   let rhs = Mna.assemble_ac_into cs circuit (Mna.sys_layout sys) ~ops:(Dcop.mos_op op) in
   let n = Array.length freqs in
   let response = Array.make n Complex.zero in
+  let r = Mna.response n in
   let rec go k =
     if k = n then n
     else begin
       let x = cs.Yield_numeric.Linsys.factor ~omega:(2. *. Float.pi *. freqs.(k)) rhs in
-      response.(k) <- (if out = Yield_spice.Device.ground then Complex.zero else x.(out - 1));
-      match stop with Some stop when stop k response.(k) = 0 -> k + 1 | _ -> go (k + 1)
+      let z = if out = Yield_spice.Device.ground then Complex.zero else x.(out - 1) in
+      response.(k) <- z;
+      r.Mna.re.(k) <- z.re;
+      r.Mna.im.(k) <- z.im;
+      match stop with Some stop when stop r k = 0 -> k + 1 | _ -> go (k + 1)
     end
   in
   let m = go 0 in

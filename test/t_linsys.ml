@@ -189,15 +189,30 @@ let test_dense_real_matches_mat () =
 (* The sweep entry of a workspace that only has a [factor]: each frequency
    factored on its own and solved for the whole solution, the
    point-by-point sweep the entry must reproduce. *)
-let sweep_by_factor factor rhs ~freqs ~out (response : Complex.t array) =
+let sweep_by_factor factor rhs ~freqs ~out ~re ~im =
   let one k =
     let x = factor ~omega:(2. *. Float.pi *. freqs.(k)) rhs in
-    response.(k) <- (if out < 0 then Complex.zero else x.(out))
+    let z = if out < 0 then Complex.zero else x.(out) in
+    re.(k) <- z.Complex.re;
+    im.(k) <- z.Complex.im
   in
   fun k k' ->
     one k;
     if k' >= 0 then one k';
     0
+
+(* a sweep entry's point solver ([sweep rhs ~freqs ~out], before its
+   response arrays), answering into [response] as complex numbers: each
+   point copies the parts it wrote *)
+let on_complex sweep (response : Complex.t array) =
+  let n = Array.length response in
+  let re = Array.make n 0. and im = Array.make n 0. in
+  let point = sweep ~re ~im in
+  fun k k' ->
+    let generic = point k k' in
+    response.(k) <- { Complex.re = re.(k); im = im.(k) };
+    if k' >= 0 then response.(k') <- { Complex.re = re.(k'); im = im.(k') };
+    generic
 
 (* ---------- bit-exact reference for the dense backend ---------- *)
 
@@ -577,7 +592,7 @@ let edge_freqs = [| 1e6; 1.; 1e9; 0.; -3.; 5e-324; Float.infinity; Float.nan |]
 let check_sweep_entries what ~expect point =
   let nf = Array.length expect in
   let response = Array.make nf Complex.zero in
-  let point = point response in
+  let point = on_complex point response in
   let crossed = ref 0 and generic = ref 0 in
   for k = 0 to nf - 1 do
     for k' = -1 to nf - 1 do
@@ -1077,7 +1092,9 @@ let test_dense_sweep_bit_exact () =
         done;
         if (not outside) && (not neg_zero) && p = `None then begin
           let freqs = [| 1e6; 1.; 1e9 |] and response = Array.make 3 Complex.zero in
-          let point = cs.Linsys.sweep (random_complex_rhs st n) ~freqs ~out:(n - 1) response in
+          let point =
+            on_complex (cs.Linsys.sweep (random_complex_rhs st n) ~freqs ~out:(n - 1)) response
+          in
           for k = 0 to 2 do
             match point k (-1) with
             | 0 -> incr planned
@@ -1154,7 +1171,7 @@ let test_dense_sweep_fixtures () =
   List.iter (fun (i, j, v) -> (Pivot_path.cvalues w).((i * 2) + j) <- v) c;
   let response = Array.make 2 Complex.zero in
   Alcotest.(check int) "one pass, two paths" 0
-    (Pivot_path.sweep w b2 ~freqs:[| 1e2; 1e9 |] ~out:1 response 0 1);
+    (on_complex (Pivot_path.sweep w b2 ~freqs:[| 1e2; 1e9 |] ~out:1) response 0 1);
   Alcotest.(check int) "the root grew a child per pivot row, each its last step" 4
     (Pivot_path.grown plan);
   (* G = diag(1, 0, 0) and C = 1e-150 at (1, 1): at omega 1e20 row 1
@@ -1224,7 +1241,7 @@ let test_dense_plan_two_domains () =
         List.iter (fun (i, j, v) -> (Pivot_path.gvalues w).((i * n) + j) <- v) g;
         List.iter (fun (i, j, v) -> (Pivot_path.cvalues w).((i * n) + j) <- v) c;
         let response = Array.make 5 Complex.zero in
-        let point = Pivot_path.sweep w b ~freqs ~out:(n - 1) response in
+        let point = on_complex (Pivot_path.sweep w b ~freqs ~out:(n - 1)) response in
         ( idx,
           outcome (fun () ->
               let generic = point 0 1 + point 2 3 + point 4 (-1) in
@@ -1252,8 +1269,9 @@ let test_dense_plan_two_domains () =
   Alcotest.(check int) "both plans grew the same paths" (Pivot_path.grown serial_plan)
     (Pivot_path.grown shared)
 
-(* The scratch lives in the workspaces: a solve allocates its result, and a
-   factorisation its solver closure, nothing else.  A tridiagonal pattern
+(* The scratch lives in the workspaces: a solve allocates its result, a
+   factorisation its solver closure and a sweep point nothing (it writes
+   its response into the caller's arrays).  A tridiagonal pattern
    keeps every buffer small enough for the minor heap, where an
    allocation would show. *)
 let test_csr_solves_allocate_only_results () =
@@ -1290,19 +1308,14 @@ let test_csr_solves_allocate_only_results () =
   let real_result = float_of_int (n + 1) in
   let complex_result = float_of_int (n + 1 + (3 * n)) in
   let closure = 8. in
-  (* a sweep point: one boxed complex response per frequency *)
-  let response_words = 3. in
-  let freqs = [| 1e6; 2e6; 3e6 |] and response = Array.make 3 Complex.zero in
-  let point = Csr.csweep cw cb ~freqs ~out:(n / 2) response in
+  let freqs = [| 1e6; 2e6; 3e6 |] in
+  let re = Array.make 3 0. and im = Array.make 3 0. in
+  let point = Csr.csweep cw cb ~freqs ~out:(n / 2) ~re ~im in
   for _ = 1 to 3 do
     let pw = words (fun () -> point 0 1) in
-    if pw > 2. *. response_words then
-      Alcotest.failf "a paired sweep point allocated %g words, its responses are %g" pw
-        (2. *. response_words);
+    if pw > 0. then Alcotest.failf "a paired sweep point allocated %g words" pw;
     let ow = words (fun () -> point 2 (-1)) in
-    if ow > response_words then
-      Alcotest.failf "a lone sweep point allocated %g words, its response is %g" ow
-        response_words;
+    if ow > 0. then Alcotest.failf "a lone sweep point allocated %g words" ow;
     let rw = words (fun () -> Csr.rsolve w b) in
     if rw > real_result then
       Alcotest.failf "rsolve allocated %g words, its result is %g" rw real_result;
@@ -1572,8 +1585,8 @@ let test_circuit_dense_sweep () =
       ("miller", Miller_tb.build Yield_circuits.Miller.default_params);
     ]
 
-(* After the plan has met its paths, a sweep point allocates only its
-   response: 3 words a frequency, alone or paired. *)
+(* After the plan has met its paths, a sweep point allocates nothing,
+   alone or paired: it writes its response into the caller's arrays. *)
 let test_dense_sweep_allocation () =
   let circuit, _ = Ota_tb.build Yield_circuits.Ota.default_params in
   let sys = Mna.sys circuit in
@@ -1586,8 +1599,8 @@ let test_dense_sweep_allocation () =
   let rhs = Mna.assemble_ac_into cs circuit (Mna.sys_layout sys) ~ops:(Dcop.mos_op op) in
   let freqs = Gtb.freqs_of Gtb.default_conditions in
   let nf = Array.length freqs in
-  let response = Array.make nf Complex.zero in
-  let point = cs.Linsys.sweep rhs ~freqs ~out:(Circuit.node circuit "out" - 1) response in
+  let re = Array.make nf 0. and im = Array.make nf 0. in
+  let point = cs.Linsys.sweep rhs ~freqs ~out:(Circuit.node circuit "out" - 1) ~re ~im in
   for k = 0 to nf - 1 do
     ignore (point k (-1));
     if k + 1 < nf then ignore (point k (k + 1))
@@ -1599,10 +1612,9 @@ let test_dense_sweep_allocation () =
   in
   for k = 0 to nf - 2 do
     let pw = words (fun () -> point k (k + 1)) in
-    if pw > 6. then
-      Alcotest.failf "a paired dense point allocated %g words, its responses 6" pw;
+    if pw > 0. then Alcotest.failf "a paired dense point allocated %g words" pw;
     let ow = words (fun () -> point k (-1)) in
-    if ow > 3. then Alcotest.failf "a lone dense point allocated %g words, its response 3" ow
+    if ow > 0. then Alcotest.failf "a lone dense point allocated %g words" ow
   done
 
 let test_complex_refactor_bit_exact () =
@@ -1751,8 +1763,8 @@ let test_dense_pattern_deferred () =
   let cs = Linsys.complex dense in
   cs.Linsys.add_g 0 0 1.;
   cs.Linsys.add_g 1 1 1.;
-  let response = Array.make 1 Complex.zero in
-  let point = cs.Linsys.sweep [| Complex.one; Complex.one |] ~freqs:[| 1e3 |] ~out:0 response in
+  let re = [| 0. |] and im = [| 0. |] in
+  let point = cs.Linsys.sweep [| Complex.one; Complex.one |] ~freqs:[| 1e3 |] ~out:0 ~re ~im in
   ignore (point 0 (-1));
   Alcotest.(check int) "the first sweep builds it" 2 !calls
 
@@ -1876,24 +1888,25 @@ let op_words (op : Dcop.t) =
    iterations. *)
 let dc_overhead = 96.
 
-(* The words of a transfer's bode: the record, the response array of the
-   whole grid, 3 words a swept response and, for a stopped sweep, the
-   prefix sub-arrays. *)
+(* The words of a transfer's bode: the record, the response array of
+   the swept points, 3 words a swept response and, for a stopped sweep,
+   the frequencies' prefix. *)
 let bode_words ~grid (b : Ac.bode) =
   let swept = Array.length b.Ac.response in
-  3 + (grid + 1) + (3 * swept) + if swept < grid then 2 * (swept + 1) else 0
+  3 + (swept + 1) + (3 * swept) + if swept < grid then swept + 1 else 0
 
 (* Beyond its bode, a transfer allocates its sweep's closures, the
    sources' complex right-hand-side entries and the free-list cell: about
-   64 words, whatever the points. *)
+   80 words, whatever the points. *)
 let ac_overhead = 96.
 
 (* One evaluation of the default OTA sizing rebuilds its testbench (about
-   630 words) and allocates its answers: the operating point (about 500),
-   the stopped sweep's bode (about 400) and the extraction's magnitude and
-   phase arrays, about 1,950 words.  A fresh real and complex workspace
-   and grid per evaluation would add about 1,800. *)
-let evaluate_bound = 2500.
+   630 words) and allocates its perf and the bookkeeping of its retry,
+   homotopy and sweep, about 950 words: its operating point, response,
+   magnitudes and phases stay in the borrowed workspaces.  Building the
+   operating point and the bode and extracting from fresh magnitude and
+   phase arrays, as it did before, takes about 1,950. *)
+let evaluate_bound = 1100.
 
 let check_dc_words name sys ?start ?models circuit =
   let solve () = Dcop.solve ~sys ?start ?models circuit in
@@ -2006,6 +2019,125 @@ let solved name = function
 (* the widths of a sizing scaled by [k] *)
 let scaled to_array of_array params k =
   of_array (Array.mapi (fun i x -> if i mod 2 = 0 then x *. k else x) (to_array params))
+
+(* words a warmed call of [f] allocates: the fewest of 5 runs of 200
+   calls *)
+let words_per_call f =
+  let best = ref infinity in
+  for _ = 1 to 5 do
+    ignore (Sys.opaque_identity (f ()));
+    let before = Gc.minor_words () in
+    for _ = 1 to 200 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    best := Float.min !best ((Gc.minor_words () -. before) /. 200.)
+  done;
+  !best
+
+let check_words what f bound =
+  let w = words_per_call f in
+  if w > bound then Alcotest.failf "%s allocated %g words, the bound is %g" what w bound
+
+(* A draw writes the generator's flat state in place: it allocates only
+   the float it returns (boxed, 2 words, for a caller in another unit),
+   and a split only the child's buffer. *)
+let test_draws_allocate_results () =
+  let rng = Rng.create 2008 in
+  check_words "Rng.float" (fun () -> Rng.float rng) 2.;
+  check_words "Rng.gaussian" (fun () -> Rng.gaussian rng) 2.;
+  check_words "Rng.normal" (fun () -> Rng.normal rng ~mean:0. ~sigma:1.) 2.;
+  check_words "Rng.split" (fun () -> Rng.split rng) 8.
+
+(* A sample's overrides on the default Miller allocate the models array
+   (17 words), a [Some] and a perturbed model per MOSFET (22 words, 8
+   MOSFETs) and the global draw (12): no tuple, boxed sigma or boxed
+   delta, about 210 words. *)
+let test_overrides_allocation () =
+  let circuit, _ = Miller_tb.build Yield_circuits.Miller.default_params in
+  let rng = Rng.create 2008 in
+  check_words "Variation.overrides (miller)"
+    (fun () -> Variation.overrides Variation.default_spec rng circuit)
+    220.
+
+(* A csr Miller session sample, its stream split off as the Monte Carlo
+   does: the split (7 words), the overrides (about 210), the retry,
+   homotopy and sweep bookkeeping and the perf, about 460 words.  Its
+   operating point, response, magnitudes and phases stay in the borrowed
+   workspaces; building them cost about 1,150 words more. *)
+let test_session_sample_allocation () =
+  let s = Miller_tb.session ~solver:Linsys.Csr Yield_circuits.Miller.default_params in
+  let rng = Rng.create 2008 in
+  check_words "a csr miller session sample"
+    (fun () ->
+      Miller_tb.evaluate_in_session s ~spec:Variation.default_spec ~rng:(Rng.split rng))
+    600.
+
+(* The evaluation path leaves its operating point in the DC workspace and
+   its response and magnitudes in the AC workspace; it must give the bits
+   of the path that builds them: perf_of_bode of the full Ac.transfer of
+   Dcop.solve_with_retry's operating point.  On the OTA and the Miller,
+   for [evaluate] at several sizings and for seeded session samples on a
+   dense and a csr session (the csr reference starts at the session's
+   nominal point, as the session does), serially and from a two-domain
+   pool. *)
+module Path_bits (A : Yield_circuits.Amplifier.S) = struct
+  module T = Gtb.Make (A)
+
+  let freqs = Gtb.freqs_of Gtb.default_conditions
+
+  let reference ~sys ?start ?models circuit =
+    match Dcop.solve_with_retry ?start ~sys ?models circuit with
+    | Error _ -> None
+    | Ok op ->
+        Gtb.perf_of_bode Gtb.default_conditions
+          (Ac.transfer_by_name ~sys circuit op ~out:"out" ~freqs)
+
+  let check name =
+    let measured = ref 0 in
+    List.iter
+      (fun k ->
+        let p = scaled A.params_to_array A.params_of_array A.default_params k in
+        let circuit, _ = T.build p in
+        let got = T.evaluate p in
+        if got <> None then incr measured;
+        check_perf_bits
+          (Printf.sprintf "%s evaluate x%g" name k)
+          (reference ~sys:(Mna.sys circuit) circuit)
+          got)
+      [ 1.; 0.6; 1.7; 2.5 ];
+    List.iter
+      (fun solver ->
+        let s = T.session ~solver A.default_params in
+        let circuit = T.session_circuit s and sys = T.session_sys s in
+        let start =
+          match solver with
+          | Linsys.Dense -> None
+          | Linsys.Csr -> Some (solved name (Dcop.solve ~sys circuit)).Dcop.x
+        in
+        let n = 24 and spec = Variation.default_spec in
+        let rng i = Rng.create (700 + i) in
+        let expect =
+          Array.init n (fun i ->
+              reference ~sys ?start ~models:(Variation.overrides spec (rng i) circuit) circuit)
+        in
+        let run pool = Pool.map pool ~n (fun i -> T.evaluate_in_session s ~spec ~rng:(rng i)) in
+        let serial = Pool.with_pool ~jobs:1 run and parallel = Pool.with_pool ~jobs:2 run in
+        Array.iteri
+          (fun i e ->
+            let what = Printf.sprintf "%s %s sample %d" name (Linsys.backend_name solver) i in
+            if e <> None then incr measured;
+            check_perf_bits (what ^ ", jobs 1") e serial.(i);
+            check_perf_bits (what ^ ", jobs 2") e parallel.(i))
+          expect)
+      [ Linsys.Dense; Linsys.Csr ];
+    Alcotest.(check bool) (name ^ ": most measured") true (!measured > 40)
+end
+
+let test_workspace_path_bits () =
+  let module O = Path_bits (Yield_circuits.Ota) in
+  let module M = Path_bits (Yield_circuits.Miller) in
+  O.check "ota";
+  M.check "miller"
 
 (* Transfers that alternate between the OTA's and the Miller's systems,
    over several sizings each, full and stopped, each against the same
@@ -2191,12 +2323,20 @@ let suites =
           (fun () -> check_circuits_bit_exact Linsys.Csr);
         Alcotest.test_case "dense sweep = solve_entry (ota, miller)" `Quick
           test_circuit_dense_sweep;
-        Alcotest.test_case "dense sweep points allocate responses" `Quick
+        Alcotest.test_case "dense sweep points allocate nothing" `Quick
           test_dense_sweep_allocation;
         Alcotest.test_case "solves and transfers allocate their answers" `Quick
           test_solves_allocate_answers;
         Alcotest.test_case "an evaluation allocates its answer" `Quick
           test_evaluate_allocation;
+        Alcotest.test_case "draws allocate only their result" `Quick
+          test_draws_allocate_results;
+        Alcotest.test_case "overrides allocate only the models" `Quick
+          test_overrides_allocation;
+        Alcotest.test_case "a csr session sample allocates its perf" `Quick
+          test_session_sample_allocation;
+        Alcotest.test_case "workspace path = perf_of_bode of transfer" `Quick
+          test_workspace_path_bits;
         Alcotest.test_case "reused workspaces: ota and miller alternate" `Quick
           test_reuse_alternating;
         Alcotest.test_case "reused workspaces: after a failure" `Quick

@@ -231,7 +231,7 @@ let test_ac_stop_promises () =
   let freqs = Ac.default_freqs ~f_lo:1. ~f_hi:1e6 () in
   let points = Metrics.counter "ac.points" and paired = Metrics.counter "ac.paired" in
   let run answers =
-    let stop k _ = Option.value (List.nth_opt answers k) ~default:0 in
+    let stop _ k = Option.value (List.nth_opt answers k) ~default:0 in
     Ac.transfer_by_name ~stop c op ~out:"out" ~freqs
   in
   let full = Ac.transfer_by_name c op ~out:"out" ~freqs in
