@@ -23,6 +23,7 @@ module Ga = Yield_ga.Ga
 module Rng = Yield_stats.Rng
 module Json = Yield_obs.Json
 module Metrics = Yield_obs.Metrics
+module Atomic_io = Yield_resilience.Atomic_io
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable record of the flow run: stage timings, simulation
@@ -223,7 +224,7 @@ let write_bench_json ~prescreen ~solver ?flow_words ctx ~path =
             ])
       @ [ ("prescreen", prescreen); ("solver", solver) ])
   in
-  Yield_obs.Sink.write_file ~path (Json.to_string json ^ "\n");
+  Atomic_io.write_file ~path (Json.to_string json ^ "\n");
   Printf.printf "wrote %s\n%!" path;
   json
 
@@ -694,7 +695,7 @@ let read_json path =
 let run_gate cli ~baseline bench_json =
   Option.iter
     (fun path ->
-      Yield_obs.Sink.write_file ~path
+      Atomic_io.write_file ~path
         (Json.to_string (Perf_gate.baseline_of_bench bench_json) ^ "\n");
       Printf.printf "wrote baseline %s\n%!" path)
     cli.write_baseline;

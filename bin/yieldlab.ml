@@ -51,32 +51,9 @@ open Cmdliner
 
 (* ---------- options and settings of every subcommand ---------- *)
 
-type obs_opts = {
-  trace : string option;
-  metrics : string option;
-  verbose : bool;
-  fault_spec : string option;
-}
+type obs_opts = { verbose : bool; fault_spec : string option }
 
 let obs_term =
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE.json"
-          ~doc:
-            "write a Chrome trace_event file of the run's spans (open in \
-             chrome://tracing or ui.perfetto.dev)")
-  in
-  let metrics =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics" ] ~docv:"FILE.jsonl"
-          ~doc:
-            "write a JSONL log of counters, histogram summaries and span \
-             events")
-  in
   let verbose =
     Arg.(
       value & flag
@@ -97,9 +74,8 @@ let obs_term =
              seed=), count=, every=, at=")
   in
   Term.(
-    const (fun trace metrics verbose fault_spec ->
-        { trace; metrics; verbose; fault_spec })
-    $ trace $ metrics $ verbose $ fault_spec)
+    const (fun verbose fault_spec -> { verbose; fault_spec })
+    $ verbose $ fault_spec)
 
 (* the flags of the settings a command of [scope] takes (every subcommand
    the global ones, flow and lint config all), as the raw text each was
@@ -148,7 +124,7 @@ let with_positive counts run =
   | diags -> refuse_settings diags
 
 (* run a subcommand over its resolved settings, with telemetry armed and
-   flushed on the way out (also when the command raises) *)
+   the stream stopped on the way out (also when the command raises) *)
 let with_obs scope opts flags run =
   Obs.set_verbose opts.verbose;
   match Config.resolve ~scope ~flags (Config.base ()) with
@@ -183,21 +159,20 @@ let with_obs scope opts flags run =
               Printf.eprintf "yieldlab: bad --fault-spec: %s\n" msg;
               exit 2
         end);
-      let flush () =
-        (* the stream first: its final snapshot and metric lines must include
-           everything the run recorded *)
-        Obs.stop_stream ();
-        (try Obs.flush ?trace:opts.trace ?metrics:opts.metrics ()
-         with Sys_error msg ->
-           Printf.eprintf "yieldlab: cannot write telemetry: %s\n" msg;
-           exit 1);
-        if opts.verbose then prerr_string (Obs.summary ())
+      let stop () =
+        if opts.verbose then prerr_string (Obs.summary ());
+        (* a stream write that failed stopped the stream, not the run: the
+           run's results are written, and the failure is its exit code *)
+        try Obs.stop_stream ()
+        with Sys_error msg ->
+          Printf.eprintf "yieldlab: cannot write the trace stream: %s\n" msg;
+          exit 1
       in
-      Fun.protect ~finally:flush (fun () ->
+      Fun.protect ~finally:stop (fun () ->
           try run (Ok config)
           with Fault.Injected what ->
             (* an armed crash point fired: behave like a kill, but exit cleanly
-               enough that the telemetry sinks above still flush *)
+               enough that the stream above still closes *)
             Printf.eprintf "yieldlab: simulated crash (fault injected): %s\n" what;
             10)
 

@@ -50,10 +50,8 @@ let to_json (t : t) =
     ]
 
 let save ~path (t : t) =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Json.to_string (to_json t) ^ "\n"))
+  Yield_resilience.Atomic_io.write_file ~path
+    (Json.to_string (to_json t) ^ "\n")
 
 let load ~path =
   match Yield_resilience.Atomic_io.read_file ~path with

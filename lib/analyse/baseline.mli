@@ -33,6 +33,7 @@ val partition : t -> Diagnostic.t list -> Diagnostic.t list * Diagnostic.t list
 val to_json : t -> Yield_obs.Json.t
 
 val save : path:string -> t -> unit
+(** Write the baseline atomically ([Atomic_io.write_file]). *)
 
 val load : path:string -> (t, string) result
 (** [Error] carries a human-readable reason (unreadable file, bad JSON,

@@ -57,6 +57,10 @@ let dangling ?file ?origin circuit =
    interval lints skip the devices they name *)
 let fault ~finite ~otherwise = if finite then otherwise else "non-finite"
 
+(* [%g] prints a NaN by its sign bit and the libc ("-nan" on x86-64
+   glibc), so a refused value's text would depend on the platform *)
+let value x = if Float.is_nan x then "nan" else Printf.sprintf "%g" x
+
 let device_values ?file ?origin ?tech circuit =
   let out = ref [] in
   let push d = out := d :: !out in
@@ -69,12 +73,12 @@ let device_values ?file ?origin ?tech circuit =
             push
               (diag ?file ?span ~code:"N004" ~severity:Diagnostic.Error
                  ~subject:name
-                 (Printf.sprintf "MOSFET %s has %s geometry (w=%g m, l=%g m)"
+                 (Printf.sprintf "MOSFET %s has %s geometry (w=%s m, l=%s m)"
                     name
                     (fault
                        ~finite:(Float.is_finite w && Float.is_finite l)
                        ~otherwise:"non-positive")
-                    w l))
+                    (value w) (value l)))
           else begin
             match tech with
             | Some t when l < t.Tech.l_min || w < t.Tech.l_min ->
@@ -93,18 +97,18 @@ let device_values ?file ?origin ?tech circuit =
               (diag ?file
                  ?span:(device_span origin name)
                  ~code:"N005" ~severity:Diagnostic.Error ~subject:name
-                 (Printf.sprintf "resistor %s has %s resistance %g Ohm" name
+                 (Printf.sprintf "resistor %s has %s resistance %s Ohm" name
                     (fault ~finite:(Float.is_finite ohms) ~otherwise:"non-positive")
-                    ohms))
+                    (value ohms)))
       | Device.Capacitor { name; farads; _ } ->
           if not (Float.is_finite farads && farads >= 0.) then
             push
               (diag ?file
                  ?span:(device_span origin name)
                  ~code:"N006" ~severity:Diagnostic.Error ~subject:name
-                 (Printf.sprintf "capacitor %s has %s capacitance %g F" name
+                 (Printf.sprintf "capacitor %s has %s capacitance %s F" name
                     (fault ~finite:(Float.is_finite farads) ~otherwise:"negative")
-                    farads))
+                    (value farads)))
       | Device.Vsource _ | Device.Isource _ | Device.Vccs _ -> ())
     (Circuit.devices circuit);
   List.rev !out

@@ -213,9 +213,5 @@ let render ?(tool_version = "") ?(suppressed = []) diags =
     ]
 
 let save ?tool_version ?suppressed ~path diags =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc
-        (Json.to_string (render ?tool_version ?suppressed diags) ^ "\n"))
+  Yield_resilience.Atomic_io.write_file ~path
+    (Json.to_string (render ?tool_version ?suppressed diags) ^ "\n")

@@ -31,3 +31,5 @@ val save :
   path:string ->
   Diagnostic.t list ->
   unit
+(** Write {!render}'s document to [path] atomically
+    ([Atomic_io.write_file]). *)

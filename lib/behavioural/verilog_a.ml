@@ -637,10 +637,8 @@ let data_files model =
 
 let save ?(name = "ota_behavioural") ?(control = "3E") model ~dir =
   let module_path = Filename.concat dir (name ^ ".va") in
-  let oc = open_out module_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (module_text ~name ~control ()));
+  Yield_resilience.Atomic_io.write_file ~path:module_path
+    (module_text ~name ~control ());
   let table_paths =
     List.map
       (fun (filename, table) ->

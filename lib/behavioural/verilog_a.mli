@@ -90,5 +90,5 @@ val data_files : Macromodel.t -> (string * Yield_table.Tbl_io.table) list
     maps), plus [ro_data.tbl] for the output stage. *)
 
 val save : ?name:string -> ?control:string -> Macromodel.t -> dir:string -> string list
-(** Write the module ([<name>.va]) and every data file into [dir]; returns
-    the paths written. *)
+(** Write the module ([<name>.va]) and every data file into [dir], each
+    atomically ([Atomic_io.write_file]); returns the paths written. *)

@@ -185,13 +185,19 @@ let settings =
     entry "snapshot_every" [ "snapshot-every" ] "YIELDLAB_SNAPSHOT_EVERY"
       ~docv:"SECONDS" ~scope:Global ~default:"none"
       ~doc:
-        "with a trace stream, also append a metrics-delta snapshot line \
-         every SECONDS seconds, so progress counters survive a crash"
+        "with a JSONL trace stream, also append a metrics-delta snapshot \
+         line every SECONDS seconds, so progress counters survive a crash"
       (fun ~source raw t ->
-        (* the trace stream's entry precedes this one *)
+        (* the trace stream's entry precedes this one; a Chrome array holds
+           trace events only *)
+        let stream = t.telemetry.trace_stream in
         number
-          ~expected:"a positive number of seconds, given with a trace stream"
-          ~ok:(fun s -> s > 0. && t.telemetry.trace_stream <> None)
+          ~expected:
+            "a positive number of seconds, given with a JSONL trace stream"
+          ~ok:(fun s ->
+            s > 0.
+            && Option.map Yield_obs.Stream.format_of_path stream
+               = Some Yield_obs.Stream.Jsonl)
           (fun t s ->
             let telemetry = { t.telemetry with snapshot_every_s = Some s } in
             { t with telemetry })

@@ -1,9 +1,6 @@
-let verbose_flag = ref false
-
 let verbose_sub : int option ref = ref None
 
 let set_verbose v =
-  verbose_flag := v;
   match (v, !verbose_sub) with
   | true, None ->
       verbose_sub :=
@@ -35,6 +32,10 @@ let start_stream ?snapshot_every_s ~path () =
   match !active with
   | Some _ -> () (* first stream wins; CLI flags are applied before config *)
   | None ->
+      (* a snapshot line is not a trace event: a Chrome array has no place
+         for it *)
+      if snapshot_every_s <> None && Stream.format_of_path path <> Stream.Jsonl
+      then invalid_arg "Obs.start_stream: snapshots need a JSONL stream";
       let stream = Stream.create ~path () in
       let snapshot =
         Option.map
@@ -58,8 +59,8 @@ let stop_stream () =
       active := None;
       Span.unsubscribe sub;
       Option.iter Snapshot.force snapshot;
-      (* final registry state as ordinary metric lines, so the stream alone
-         reconstructs what the exit-time JSONL sink would have written *)
+      (* the final registry state as ordinary metric lines: the stream
+         alone holds the run's spans and its metrics *)
       if Stream.format stream = Stream.Jsonl then begin
         let snap = Metrics.snapshot () in
         List.iter
@@ -69,7 +70,10 @@ let stop_stream () =
           (fun h -> Stream.write_json stream (Sink.histogram_json h))
           snap.Metrics.histograms
       end;
-      Stream.close stream
+      Stream.close stream;
+      Option.iter
+        (fun msg -> raise (Sys_error (Stream.path stream ^ ": " ^ msg)))
+        (Stream.error stream)
 
 (* ---------- idempotent env/config arming (CLI flags win) ---------- *)
 
@@ -87,23 +91,8 @@ let ensure_telemetry ?trace_stream ?span_sample ?snapshot_every_s () =
       start_stream ?snapshot_every_s ~path ()
   | _ -> ()
 
-(* ---------- exit-time sinks ---------- *)
-
-let flush ?trace ?metrics () =
-  Option.iter (fun path -> Sink.write_chrome_trace ~path ()) trace;
-  Option.iter (fun path -> Sink.write_metrics_jsonl ~path ()) metrics
-
-let summary () =
-  let base = Sink.text_of ~spans:(Span.events ()) (Metrics.snapshot ()) in
-  match Span.dropped () with
-  | 0 -> base
-  | n ->
-      Printf.sprintf
-        "%s(span ring: %d older events rotated out; the full log is only in \
-         a --trace-stream file)\n"
-        base n
+let summary () = Sink.text_of (Metrics.snapshot ())
 
 let reset () =
-  Span.clear ();
   Span.reset_keys ();
   Metrics.reset ()

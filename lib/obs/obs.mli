@@ -1,11 +1,10 @@
 (** Facade over the telemetry subsystem: the pieces an entry point needs.
 
     Recording (spans, counters, histograms) is always on — it is cheap
-    enough that the fast-scale flow pays well under 2 % — and memory is
-    bounded regardless of run length: span events live in a fixed-size
-    ring ({!Span.set_ring_capacity}).  Nothing is written anywhere unless
-    a streaming sink is armed ({!start_stream}) or {!flush} is called
-    with explicit paths at exit. *)
+    enough that the fast-scale flow pays well under 2 % — and no span
+    event is kept in memory.  Nothing is written anywhere unless the
+    stream is armed ({!start_stream}): it is the one file a run's spans
+    and metrics leave the process through. *)
 
 val set_verbose : bool -> unit
 (** When on, every kept span prints a line to stderr as it closes (an
@@ -14,16 +13,21 @@ val set_verbose : bool -> unit
 val start_stream : ?snapshot_every_s:float -> path:string -> unit -> unit
 (** Arm the streaming sink: every kept span event is appended to [path]
     as it happens ([.jsonl] → JSONL, other [.json] → Chrome trace; see
-    {!Stream}).  With [snapshot_every_s], periodic metrics-delta
-    snapshots ride the same stream.  A no-op when a stream is already
-    active (first caller wins, so CLI flags beat env/config).
-    @raise Sys_error when the path is unwritable. *)
+    {!Stream.format_of_path}).  With [snapshot_every_s], periodic
+    metrics-delta snapshots ride the same stream.  A no-op when a stream
+    is already active (first caller wins, so CLI flags beat env/config).
+    @raise Sys_error when the path cannot be opened.
+    @raise Invalid_argument when [snapshot_every_s] is given with a
+    Chrome stream, whose array holds trace events only. *)
 
 val stream_active : unit -> bool
 
 val stop_stream : unit -> unit
 (** Final snapshot, final counter/histogram lines (JSONL format only),
-    close the file.  A no-op when no stream is active. *)
+    close the file.  A no-op when no stream is active.
+    @raise Sys_error naming the path and the cause, once the stream is
+    closed, when one of its writes failed (the stream wrote nothing after
+    that write; the run itself went on). *)
 
 val ensure_telemetry :
   ?trace_stream:string ->
@@ -37,19 +41,12 @@ val ensure_telemetry :
     settings) stays in charge when [Flow.run] arms the same config again.
     A malformed [span_sample] spec (from a config built without
     [Config.resolve], which refuses it) warns on stderr instead of
-    raising. *)
-
-val flush : ?trace:string -> ?metrics:string -> unit -> unit
-(** Write the Chrome trace and/or the JSONL metric+event log to the given
-    paths (see {!Sink}).  Omitted sinks write nothing.  These exit-time
-    sinks see only the span ring window; a {!start_stream} file has the
-    complete event log. *)
+    raising; the stream raises as {!start_stream} does. *)
 
 val summary : unit -> string
-(** Human-readable dump of the current metric snapshot and span events,
-    with a note when the ring has rotated events out. *)
+(** Human-readable dump of the current counters and histograms. *)
 
 val reset : unit -> unit
-(** Clear span events, restart span-key sequences and zero all metrics: a
-    fresh slate between independent runs in one process.  Listeners and
-    any active stream stay armed. *)
+(** Restart span-key sequences and zero all metrics: a fresh slate between
+    independent runs in one process.  Listeners and any active stream stay
+    armed. *)

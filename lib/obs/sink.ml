@@ -1,19 +1,3 @@
-let chrome_trace_of_events events =
-  Json.List
-    (List.map
-       (fun (e : Span.event) ->
-         Json.Obj
-           [
-             ("name", Json.String e.Span.name);
-             ("cat", Json.String "yieldlab");
-             ("ph", Json.String "X");
-             ("ts", Json.Float e.Span.ts_us);
-             ("dur", Json.Float e.Span.dur_us);
-             ("pid", Json.Int 1);
-             ("tid", Json.Int e.Span.tid);
-           ])
-       events)
-
 let counter_json (name, v) =
   Json.Obj
     [
@@ -73,18 +57,7 @@ let span_of_json j =
         }
   | _ -> None
 
-let jsonl_of ?(spans = []) (snap : Metrics.snapshot) =
-  let b = Buffer.create 1024 in
-  let line j =
-    Buffer.add_string b (Json.to_string j);
-    Buffer.add_char b '\n'
-  in
-  List.iter (fun c -> line (counter_json c)) snap.Metrics.counters;
-  List.iter (fun h -> line (histogram_json h)) snap.Metrics.histograms;
-  List.iter (fun e -> line (span_json e)) spans;
-  Buffer.contents b
-
-let text_of ?(spans = []) (snap : Metrics.snapshot) =
+let text_of (snap : Metrics.snapshot) =
   let b = Buffer.create 1024 in
   if snap.Metrics.counters <> [] then begin
     Buffer.add_string b "counters:\n";
@@ -106,32 +79,4 @@ let text_of ?(spans = []) (snap : Metrics.snapshot) =
             s.Histogram.p95 s.Histogram.p99 s.Histogram.min s.Histogram.max)
       snap.Metrics.histograms
   end;
-  if spans <> [] then begin
-    Printf.bprintf b "spans (%d events):\n" (List.length spans);
-    List.iter
-      (fun (e : Span.event) ->
-        Printf.bprintf b "  %*s%-28s %10.3f ms (tid %d)\n" (2 * e.Span.depth)
-          "" e.Span.name (e.Span.dur_us /. 1e3) e.Span.tid)
-      spans
-  end;
   Buffer.contents b
-
-(* atomic (temp + rename), open-coded: [Yield_resilience.Atomic_io] is the
-   shared implementation but depends on this library, so the sink cannot
-   use it without a cycle *)
-let write_file ~path s =
-  let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-  (match
-     Out_channel.with_open_text tmp (fun oc -> Out_channel.output_string oc s)
-   with
-  | () -> ()
-  | exception e ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise e);
-  Sys.rename tmp path
-
-let write_chrome_trace ~path () =
-  write_file ~path (Json.to_string (chrome_trace_of_events (Span.events ())))
-
-let write_metrics_jsonl ~path () =
-  write_file ~path (jsonl_of ~spans:(Span.events ()) (Metrics.snapshot ()))

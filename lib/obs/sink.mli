@@ -1,17 +1,9 @@
-(** Export sinks for the recorded telemetry.
+(** The line encoders of the telemetry stream, and the text summary.
 
-    Three formats: human-readable text, a JSONL event log (one JSON object
-    per line: counters, histogram summaries and span events), and a Chrome
-    [trace_event] JSON array that loads directly in [chrome://tracing] or
-    {{:https://ui.perfetto.dev}Perfetto}.
-
-    The pure [*_of_*] functions exist so serialisation can be tested
-    without touching the global registries; the [write_*] functions
-    snapshot the registries and write files. *)
-
-val chrome_trace_of_events : Span.event list -> Json.t
-(** A JSON array of complete ([ph = "X"]) events with [name], [cat], [ph],
-    [ts], [dur], [pid], [tid] fields; [ts]/[dur] in microseconds. *)
+    A JSONL stream ({!Stream}) is made of these objects: one per counter
+    and per histogram summary at the end of the run, one per span close.
+    They are pure, so serialisation is tested without touching the global
+    registries. *)
 
 val histogram_fields : Histogram.summary -> (string * Json.t) list
 (** The canonical JSON field list of a histogram summary
@@ -27,24 +19,11 @@ val histogram_json : string * Histogram.summary -> Json.t
     {!histogram_fields}). *)
 
 val span_json : Span.event -> Json.t
-(** One [{"type":"span",...}] line object, as the JSONL sinks emit it. *)
+(** One [{"type":"span",...}] line object, as a JSONL stream writes it. *)
 
 val span_of_json : Json.t -> Span.event option
 (** Inverse of {!span_json}; [None] when required fields are missing.  A
     missing [key] (logs from before span keys existed) decodes as 0. *)
 
-val jsonl_of : ?spans:Span.event list -> Metrics.snapshot -> string
-(** One line per counter ([{"type":"counter","name",...,"value":...}]),
-    histogram ([{"type":"histogram",...}], with count/sum/mean/min/max and
-    p50/p90/p95/p99) and span event ([{"type":"span",...}]). *)
-
-val text_of : ?spans:Span.event list -> Metrics.snapshot -> string
-(** An aligned human-readable summary of the same data. *)
-
-val write_chrome_trace : path:string -> unit -> unit
-(** Serialise {!Span.events} to [path]. *)
-
-val write_metrics_jsonl : path:string -> unit -> unit
-(** Serialise the {!Metrics.snapshot} and {!Span.events} to [path]. *)
-
-val write_file : path:string -> string -> unit
+val text_of : Metrics.snapshot -> string
+(** An aligned human-readable summary of the counters and histograms. *)

@@ -85,9 +85,3 @@ let emit_now ?(reason = "interval") t =
 let tick t = if Clock.now_s () >= t.next_due then emit_now t
 
 let force t = emit_now ~reason:"final" t
-
-let emitted t =
-  Mutex.lock t.lock;
-  let n = t.seq in
-  Mutex.unlock t.lock;
-  n

@@ -8,7 +8,7 @@
     histograms that changed since the previous snapshot — current value
     plus delta — so a consumer can follow progress (simulations run, GA
     generations, cache hits) from the stream alone, even if the process
-    later dies before the exit-time sinks run. *)
+    later dies before the stream's final metric lines are written. *)
 
 type t
 
@@ -23,6 +23,3 @@ val tick : t -> unit
 val force : t -> unit
 (** Emit unconditionally, with [reason = "final"]; used on stream
     shutdown so the last deltas are never lost. *)
-
-val emitted : t -> int
-(** Snapshots emitted so far. *)

@@ -13,80 +13,11 @@ type phase = Opened | Closed
    them small enough to survive float printing exactly *)
 let epoch_us = Clock.now_us ()
 
-(* per-domain nesting state only; events themselves go to the global ring *)
+(* per-domain nesting state only; events themselves go to the listeners *)
 type local = { mutable depth : int; tid : int }
 
 let dls_key =
   Domain.DLS.new_key (fun () -> { depth = 0; tid = (Domain.self () :> int) })
-
-(* ---------- the bounded ring (what the text summary and exit-time sinks
-   read): a constant-size window over the most recent kept events, so
-   in-process telemetry memory is O(1) in run length ---------- *)
-
-let registry_lock = Mutex.create ()
-
-let default_ring_capacity = 4096
-
-type ring = {
-  store : event array;
-  mutable head : int;  (** next write position *)
-  mutable size : int;
-  mutable dropped : int;  (** events overwritten since the last [clear] *)
-}
-
-let make_ring capacity =
-  if capacity <= 0 then invalid_arg "Span.set_ring_capacity: capacity <= 0";
-  {
-    store =
-      Array.make capacity
-        { name = ""; ts_us = 0.; dur_us = 0.; tid = 0; depth = 0; key = 0 };
-    head = 0;
-    size = 0;
-    dropped = 0;
-  }
-
-let ring = ref (make_ring default_ring_capacity)
-
-let set_ring_capacity capacity =
-  let fresh = make_ring capacity in
-  Mutex.lock registry_lock;
-  ring := fresh;
-  Mutex.unlock registry_lock
-
-let ring_capacity () = Array.length !ring.store
-
-let push e =
-  Mutex.lock registry_lock;
-  let r = !ring in
-  let cap = Array.length r.store in
-  r.store.(r.head) <- e;
-  r.head <- (r.head + 1) mod cap;
-  if r.size < cap then r.size <- r.size + 1 else r.dropped <- r.dropped + 1;
-  Mutex.unlock registry_lock
-
-let events () =
-  Mutex.lock registry_lock;
-  let r = !ring in
-  let cap = Array.length r.store in
-  let out =
-    List.init r.size (fun i -> r.store.((r.head - r.size + i + (2 * cap)) mod cap))
-  in
-  Mutex.unlock registry_lock;
-  List.sort (fun a b -> Float.compare a.ts_us b.ts_us) out
-
-let dropped () =
-  Mutex.lock registry_lock;
-  let d = !ring.dropped in
-  Mutex.unlock registry_lock;
-  d
-
-let clear () =
-  Mutex.lock registry_lock;
-  let r = !ring in
-  r.head <- 0;
-  r.size <- 0;
-  r.dropped <- 0;
-  Mutex.unlock registry_lock
 
 (* ---------- the live event bus: registered sinks see every kept span as
    it opens and closes, so telemetry can stream to disk instead of
@@ -163,13 +94,9 @@ let timed ~name ?(key = 0) f =
     (* metrics see every span — sampling thins the event stream, never the
        statistics *)
     Metrics.observe (Metrics.histogram ("span." ^ name)) dur_s;
-    if kept then begin
-      let e =
+    if kept then
+      emit Closed
         { name; ts_us = t0 -. epoch_us; dur_us = t1 -. t0; tid = b.tid; depth; key }
-      in
-      push e;
-      emit Closed e
-    end
     else Metrics.incr (Lazy.force c_sampled_out);
     dur_s
   in

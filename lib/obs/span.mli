@@ -1,18 +1,17 @@
 (** Hierarchical timed spans, streamed over a live event bus.
 
-    A span's close feeds three consumers:
+    A span's close feeds two consumers:
 
     - the ["span.<name>"] histogram of {!Metrics} (always, even for
       sampled-out spans), so per-stage statistics are complete;
-    - the global bounded ring — a constant-size window over the most
-      recent events that backs the text summary and the exit-time sinks,
-      keeping in-process telemetry memory O(1) in run length;
-    - every {!subscribe}d live listener (the streaming sinks), which also
-      sees an [Opened] event when the span begins.
+    - every {!subscribe}d live listener (the verbose printer and the
+      stream), which also sees an [Opened] event when the span begins.
 
-    Nesting is tracked per domain ([Domain.DLS]) and carried on the event;
-    events from worker domains go to the same ring and bus, so nothing is
-    lost when a domain is joined.
+    Nothing else keeps an event: a run's span log is whatever a listener
+    wrote, so in-process telemetry memory is O(1) in run length.  Nesting
+    is tracked per domain ([Domain.DLS]) and carried on the event; events
+    from worker domains reach the same listeners, so nothing is lost when
+    a domain is joined.
 
     High-frequency spans carry a deterministic [key] (batch ordinal,
     generation number, worker slot) assigned before any fan-out;
@@ -31,8 +30,8 @@ type event = {
 type phase = Opened | Closed
 
 val with_ : name:string -> ?key:int -> (unit -> 'a) -> 'a
-(** Run the thunk inside a span.  The event is recorded even when the thunk
-    raises. *)
+(** Run the thunk inside a span.  The span closes, and its listeners and
+    histogram see it, even when the thunk raises. *)
 
 val timed : name:string -> ?key:int -> (unit -> 'a) -> 'a * float
 (** Like {!with_} but also returns the measured duration in seconds. *)
@@ -44,24 +43,6 @@ val next_key : string -> int
     restarts every sequence. *)
 
 val reset_keys : unit -> unit
-
-val events : unit -> event list
-(** The ring contents — the most recent kept events (up to
-    {!ring_capacity}), across every domain, sorted by start time. *)
-
-val dropped : unit -> int
-(** Events overwritten in the ring since the last {!clear}.  The streaming
-    sinks still saw them; only the in-memory window forgot them. *)
-
-val clear : unit -> unit
-(** Empty the ring and zero {!dropped} (the ["span.*"] histograms are
-    untouched; listeners stay subscribed). *)
-
-val set_ring_capacity : int -> unit
-(** Replace the ring with an empty one of the given capacity (default
-    4096).  @raise Invalid_argument when [capacity <= 0]. *)
-
-val ring_capacity : unit -> int
 
 val subscribe : (phase -> event -> unit) -> int
 (** Register a live sink called on every kept span open and close, from

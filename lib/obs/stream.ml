@@ -7,6 +7,7 @@ type t = {
   lock : Mutex.t;
   mutable chrome_events : int;  (** separators written so far *)
   mutable closed : bool;
+  mutable error : string option;  (** the first failed write; none after *)
 }
 
 let format_of_path path =
@@ -14,43 +15,56 @@ let format_of_path path =
   else if Filename.check_suffix path ".json" then Chrome
   else Jsonl
 
-let create ?format ~path () =
-  let format =
-    match format with Some f -> f | None -> format_of_path path
-  in
-  let oc = open_out path in
+(* a failed write (a full disk) is kept, not raised: the writers run inside
+   span listeners, which must not raise, and the run goes on without its
+   stream; the owner reads [error] when it stops the stream *)
+let guarded t write =
+  if t.error = None then
+    try write () with Sys_error msg -> t.error <- Some msg
+
+let create ~path () =
+  let format = format_of_path path in
   let t =
-    { path; format; oc; lock = Mutex.create (); chrome_events = 0; closed = false }
+    {
+      path;
+      format;
+      oc = open_out path;
+      lock = Mutex.create ();
+      chrome_events = 0;
+      closed = false;
+      error = None;
+    }
   in
   (* the Chrome trace_event array format tolerates a missing closing
      bracket, so an incrementally grown file is loadable even after a
      crash *)
-  if format = Chrome then begin
-    output_string oc "[\n";
-    flush oc
-  end;
+  if format = Chrome then
+    guarded t (fun () ->
+        output_string t.oc "[\n";
+        flush t.oc);
   t
 
 let path t = t.path
 
 let format t = t.format
 
+let error t = Mutex.protect t.lock (fun () -> t.error)
+
 (* one event = one line = one buffered write + flush, so a crash can lose
    at most a partial final line — which [read_jsonl] tolerates on re-read *)
 let write_json t j =
-  Mutex.lock t.lock;
-  if not t.closed then begin
-    (match t.format with
-    | Jsonl ->
-        output_string t.oc (Json.to_string j);
-        output_char t.oc '\n'
-    | Chrome ->
-        if t.chrome_events > 0 then output_string t.oc ",\n";
-        t.chrome_events <- t.chrome_events + 1;
-        output_string t.oc (Json.to_string j));
-    flush t.oc
-  end;
-  Mutex.unlock t.lock
+  Mutex.protect t.lock (fun () ->
+      if not t.closed then
+        guarded t (fun () ->
+            (match t.format with
+            | Jsonl ->
+                output_string t.oc (Json.to_string j);
+                output_char t.oc '\n'
+            | Chrome ->
+                if t.chrome_events > 0 then output_string t.oc ",\n";
+                t.chrome_events <- t.chrome_events + 1;
+                output_string t.oc (Json.to_string j));
+            flush t.oc))
 
 let chrome_event (e : Span.event) =
   Json.Obj
@@ -77,26 +91,21 @@ let write_event t phase (e : Span.event) =
   | Chrome, Span.Opened -> () (* complete ("X") events are close-time only *)
 
 let close t =
-  Mutex.lock t.lock;
-  if not t.closed then begin
-    t.closed <- true;
-    if t.format = Chrome then output_string t.oc "\n]\n";
-    (try flush t.oc with Sys_error _ -> ());
-    try close_out t.oc with Sys_error _ -> ()
-  end;
-  Mutex.unlock t.lock
+  Mutex.protect t.lock (fun () ->
+      if not t.closed then begin
+        t.closed <- true;
+        guarded t (fun () ->
+            if t.format = Chrome then output_string t.oc "\n]\n";
+            close_out t.oc);
+        close_out_noerr t.oc
+      end)
 
 (* ---------- re-reading ---------- *)
 
 type reread = { lines : Json.t list; truncated : bool }
 
 let read_jsonl ~path =
-  let text =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+  let text = In_channel.with_open_bin path In_channel.input_all in
   let complete, last =
     match String.rindex_opt text '\n' with
     | None -> ("", text)

@@ -3,9 +3,10 @@
     [write_file] writes the full contents to a process-unique temporary
     sibling and renames it over the target, so a crash (or an injected
     fault) at any instant leaves either the old file or the new one on
-    disk — never a torn mixture.  Every persistent artefact of the flow
-    ([.tbl] tables, checkpoints, telemetry sinks) goes through this
-    pattern.
+    disk — never a torn mixture.  Every persistent artefact goes through
+    this pattern: [.tbl] tables, checkpoints, the Verilog-A module, lint
+    baselines and SARIF reports, the bench's JSON.  The telemetry stream
+    is the exception: it appends by design, one flushed line per event.
 
     Durability, not just atomicity: the temporary is [fsync]ed before the
     rename (the data must be on disk before the name points at it) and the

@@ -132,6 +132,40 @@ let test_device_value_lint () =
   Alcotest.(check bool) "N005 zero resistor" true (has_code "N005" diags);
   Alcotest.(check bool) "N007 sub-minimum L" true (has_code "N007" diags)
 
+(* a NaN's text does not depend on its sign bit: [%g] prints [-. nan] as
+   "-nan" on x86-64 glibc and "nan" elsewhere *)
+let test_nan_value_text () =
+  let message ~w ~ohms ~farads =
+    let c = Circuit.create () in
+    Circuit.add_mosfet c ~name:"M1" ~d:"a" ~g:"a" ~s:"0" ~b:"0"
+      ~model:Tech.c35.Tech.nmos ~w ~l:1e-6;
+    Circuit.add_resistor c ~name:"R1" "a" "0" ohms;
+    Circuit.add_capacitor c ~name:"C1" "a" "0" farads;
+    List.map
+      (fun d -> (d.Diagnostic.code, d.Diagnostic.message))
+      (List.filter
+         (fun d -> List.mem d.Diagnostic.code [ "N004"; "N005"; "N006" ])
+         (Diagnostic.sort (Netlist_lint.check c)))
+  in
+  let want =
+    [
+      ("N004", "MOSFET M1 has non-finite geometry (w=nan m, l=1e-06 m)");
+      ("N005", "resistor R1 has non-finite resistance nan Ohm");
+      ("N006", "capacitor C1 has non-finite capacitance nan F");
+    ]
+  in
+  Alcotest.(check (list (pair string string))) "nan" want
+    (message ~w:nan ~ohms:nan ~farads:nan);
+  Alcotest.(check (list (pair string string))) "-. nan" want
+    (message ~w:(-.nan) ~ohms:(-.nan) ~farads:(-.nan));
+  Alcotest.(check (list (pair string string))) "infinities keep their sign"
+    [
+      ("N004", "MOSFET M1 has non-finite geometry (w=-inf m, l=1e-06 m)");
+      ("N005", "resistor R1 has non-finite resistance inf Ohm");
+      ("N006", "capacitor C1 has non-finite capacitance -inf F");
+    ]
+    (message ~w:neg_infinity ~ohms:infinity ~farads:neg_infinity)
+
 let test_symmetric_pair_lint () =
   let c = Circuit.create () in
   Circuit.add_vsource c ~name:"VDD" "vdd" "0" 3.3;
@@ -410,6 +444,8 @@ let suites =
         Alcotest.test_case "clean circuit, clean lint" `Quick
           test_clean_circuit_clean_lint;
         Alcotest.test_case "device value checks" `Quick test_device_value_lint;
+        Alcotest.test_case "NaN text ignores its sign" `Quick
+          test_nan_value_text;
         Alcotest.test_case "symmetric pairs" `Quick test_symmetric_pair_lint;
         Alcotest.test_case "OTA testbench lints clean" `Quick
           test_ota_testbench_lints_clean;

@@ -10,6 +10,7 @@ module Span = Yield_obs.Span
 module Sampler = Yield_obs.Sampler
 module Sink = Yield_obs.Sink
 module Stream = Yield_obs.Stream
+module Obs = Yield_obs.Obs
 module Montecarlo = Yield_process.Montecarlo
 module Pool = Yield_exec.Pool
 module Rng = Yield_stats.Rng
@@ -18,26 +19,43 @@ let check_float ?(eps = 1e-9) what expected actual =
   if Float.abs (expected -. actual) > eps *. (1. +. Float.abs expected) then
     Alcotest.failf "%s: expected %.10g, got %.10g" what expected actual
 
+let with_temp suffix f =
+  let path = Filename.temp_file "yieldlab_t_obs" suffix in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
 (* ---------- spans ---------- *)
 
-let events_named name =
-  List.filter (fun (e : Span.event) -> e.Span.name = name) (Span.events ())
+(* [f]'s result and the spans that closed while it ran, on any domain, as
+   a listener saw them: Span itself keeps no event *)
+let recording f =
+  let lock = Mutex.create () and closed = ref [] in
+  let id =
+    Span.subscribe (fun phase e ->
+        if phase = Span.Closed then
+          Mutex.protect lock (fun () -> closed := e :: !closed))
+  in
+  let v = Fun.protect ~finally:(fun () -> Span.unsubscribe id) f in
+  (v, List.rev !closed)
+
+let named name = List.filter (fun (e : Span.event) -> e.Span.name = name)
 
 let test_span_nesting () =
-  Span.clear ();
-  let v =
-    Span.with_ ~name:"t.outer" (fun () ->
-        let a = Span.with_ ~name:"t.inner" (fun () -> 20) in
-        let b = Span.with_ ~name:"t.inner" (fun () -> 22) in
-        a + b)
+  let v, events =
+    recording (fun () ->
+        Span.with_ ~name:"t.outer" (fun () ->
+            let a = Span.with_ ~name:"t.inner" (fun () -> 20) in
+            let b = Span.with_ ~name:"t.inner" (fun () -> 22) in
+            a + b))
   in
   Alcotest.(check int) "value through spans" 42 v;
   let outer =
-    match events_named "t.outer" with
+    match named "t.outer" events with
     | [ e ] -> e
     | es -> Alcotest.failf "expected 1 outer event, got %d" (List.length es)
   in
-  let inners = events_named "t.inner" in
+  let inners = named "t.inner" events in
   Alcotest.(check int) "two inner events" 2 (List.length inners);
   Alcotest.(check int) "outer at depth 0" 0 outer.Span.depth;
   List.iter
@@ -52,23 +70,27 @@ let test_span_nesting () =
     inners
 
 let test_span_survives_exception () =
-  Span.clear ();
-  (try
-     Span.with_ ~name:"t.raises" (fun () -> failwith "boom")
-   with Failure _ -> ());
+  let (), events =
+    recording (fun () ->
+        try Span.with_ ~name:"t.raises" (fun () -> failwith "boom")
+        with Failure _ -> ())
+  in
   Alcotest.(check int) "event recorded despite raise" 1
-    (List.length (events_named "t.raises"))
+    (List.length (named "t.raises" events))
 
 let test_span_merges_domains () =
-  Span.clear ();
-  let domains =
-    Array.init 3 (fun i ->
-        Domain.spawn (fun () ->
-            Span.with_ ~name:"t.domain" (fun () -> ignore (Sys.opaque_identity i))))
+  let (), events =
+    recording (fun () ->
+        let domains =
+          Array.init 3 (fun i ->
+              Domain.spawn (fun () ->
+                  Span.with_ ~name:"t.domain" (fun () ->
+                      ignore (Sys.opaque_identity i))))
+        in
+        Array.iter Domain.join domains;
+        Span.with_ ~name:"t.domain" (fun () -> ()))
   in
-  Array.iter Domain.join domains;
-  Span.with_ ~name:"t.domain" (fun () -> ());
-  let es = events_named "t.domain" in
+  let es = named "t.domain" events in
   Alcotest.(check int) "events from every domain survive the join" 4
     (List.length es);
   let tids = List.sort_uniq compare (List.map (fun e -> e.Span.tid) es) in
@@ -189,6 +211,8 @@ let test_json_roundtrip () =
   (* second round trip is a fixpoint *)
   Alcotest.(check string) "fixpoint" text (Json.to_string (Json.parse text))
 
+(* a Chrome stream's elements are complete trace events, one per span
+   close *)
 let test_chrome_trace_roundtrip () =
   let events =
     [
@@ -196,102 +220,85 @@ let test_chrome_trace_roundtrip () =
       { Span.name = "beta"; ts_us = 20.; dur_us = 4.; tid = 3; depth = 1; key = 2 };
     ]
   in
-  let text = Json.to_string (Sink.chrome_trace_of_events events) in
-  match Json.parse text with
-  | Json.List items ->
-      Alcotest.(check int) "one trace event per span" 2 (List.length items);
-      List.iter2
-        (fun (e : Span.event) item ->
-          let get k = Option.get (Json.member k item) in
-          Alcotest.(check string) "name" e.Span.name
-            (Option.get (Json.string_value (get "name")));
-          Alcotest.(check string) "complete event" "X"
-            (Option.get (Json.string_value (get "ph")));
-          check_float "ts" e.Span.ts_us
-            (Option.get (Json.number_value (get "ts")));
-          check_float "dur" e.Span.dur_us
-            (Option.get (Json.number_value (get "dur")));
-          check_float "pid" 1. (Option.get (Json.number_value (get "pid")));
-          check_float "tid" (float_of_int e.Span.tid)
-            (Option.get (Json.number_value (get "tid"))))
-        events items
-  | _ -> Alcotest.fail "chrome trace is not a JSON array"
-
-let test_jsonl_roundtrip () =
-  let h = Metrics.histogram "t.jsonl.hist" in
-  for i = 1 to 10 do
-    Metrics.observe h (float_of_int i)
-  done;
-  Metrics.add (Metrics.counter "t.jsonl.counter") 7;
-  let spans =
-    [
-      {
-        Span.name = "t.jsonl.span";
-        ts_us = 1.;
-        dur_us = 2.;
-        tid = 0;
-        depth = 0;
-        key = 0;
-      };
-    ]
-  in
-  let text = Sink.jsonl_of ~spans (Metrics.snapshot ()) in
-  let lines =
-    String.split_on_char '\n' text |> List.filter (fun l -> l <> "")
-  in
-  Alcotest.(check bool) "several lines" true (List.length lines >= 3);
-  let parsed = List.map Json.parse lines in
-  let of_type ty name =
-    List.find_opt
-      (fun j ->
-        Json.member "type" j = Some (Json.String ty)
-        && Json.member "name" j = Some (Json.String name))
-      parsed
-  in
-  (match of_type "counter" "t.jsonl.counter" with
-  | Some j ->
-      Alcotest.(check bool) "counter value present" true
-        (match Json.member "value" j with Some (Json.Int v) -> v >= 7 | _ -> false)
-  | None -> Alcotest.fail "counter line missing");
-  (match of_type "histogram" "t.jsonl.hist" with
-  | Some j ->
+  with_temp ".json" (fun path ->
+      let s = Stream.create ~path () in
       List.iter
-        (fun field ->
-          Alcotest.(check bool) (field ^ " present") true
-            (Option.is_some (Json.member field j)))
-        [ "count"; "sum"; "mean"; "min"; "max"; "p50"; "p90"; "p95"; "p99" ]
-  | None -> Alcotest.fail "histogram line missing");
-  match of_type "span" "t.jsonl.span" with
-  | Some _ -> ()
-  | None -> Alcotest.fail "span line missing"
+        (fun e ->
+          Stream.write_event s Span.Opened e;
+          Stream.write_event s Span.Closed e)
+        events;
+      Stream.close s;
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      (match Json.parse text with
+      | Json.List items ->
+          Alcotest.(check int) "one trace event per span" 2 (List.length items);
+          List.iter2
+            (fun (e : Span.event) item ->
+              let get k = Option.get (Json.member k item) in
+              Alcotest.(check string) "name" e.Span.name
+                (Option.get (Json.string_value (get "name")));
+              Alcotest.(check string) "complete event" "X"
+                (Option.get (Json.string_value (get "ph")));
+              check_float "ts" e.Span.ts_us
+                (Option.get (Json.number_value (get "ts")));
+              check_float "dur" e.Span.dur_us
+                (Option.get (Json.number_value (get "dur")));
+              check_float "pid" 1. (Option.get (Json.number_value (get "pid")));
+              check_float "tid" (float_of_int e.Span.tid)
+                (Option.get (Json.number_value (get "tid"))))
+            events items
+      | _ -> Alcotest.fail "chrome trace is not a JSON array");
+      (* a snapshot line is not a trace event: a Chrome stream takes none *)
+      match Obs.start_stream ~snapshot_every_s:1. ~path () with
+      | () ->
+          Obs.stop_stream ();
+          Alcotest.fail "a Chrome stream accepted snapshots"
+      | exception Invalid_argument _ ->
+          Alcotest.(check bool) "nothing armed" false (Obs.stream_active ()))
 
-(* ---------- span ring, bus and keys ---------- *)
+(* a JSONL stream holds a line per span close and ends with a line per
+   counter and histogram *)
+let test_jsonl_roundtrip () =
+  with_temp ".jsonl" (fun path ->
+      Obs.start_stream ~path ();
+      Fun.protect ~finally:Obs.stop_stream (fun () ->
+          let h = Metrics.histogram "t.jsonl.hist" in
+          for i = 1 to 10 do
+            Metrics.observe h (float_of_int i)
+          done;
+          Metrics.add (Metrics.counter "t.jsonl.counter") 7;
+          Span.with_ ~name:"t.jsonl.span" (fun () -> ()));
+      let lines = (Stream.read_jsonl ~path).Stream.lines in
+      Alcotest.(check bool) "several lines" true (List.length lines >= 3);
+      let of_type ty name =
+        List.find_opt
+          (fun j ->
+            Json.member "type" j = Some (Json.String ty)
+            && Json.member "name" j = Some (Json.String name))
+          lines
+      in
+      (match of_type "counter" "t.jsonl.counter" with
+      | Some j ->
+          Alcotest.(check bool) "counter value present" true
+            (match Json.member "value" j with
+            | Some (Json.Int v) -> v >= 7
+            | _ -> false)
+      | None -> Alcotest.fail "counter line missing");
+      (match of_type "histogram" "t.jsonl.hist" with
+      | Some j ->
+          List.iter
+            (fun field ->
+              Alcotest.(check bool) (field ^ " present") true
+                (Option.is_some (Json.member field j)))
+            [ "count"; "sum"; "mean"; "min"; "max"; "p50"; "p90"; "p95"; "p99" ]
+      | None -> Alcotest.fail "histogram line missing");
+      match of_type "span" "t.jsonl.span" with
+      | Some _ -> ()
+      | None -> Alcotest.fail "span line missing")
 
-let test_ring_bounds_memory () =
-  Span.clear ();
-  let saved = Span.ring_capacity () in
-  Span.set_ring_capacity 8;
-  Fun.protect
-    ~finally:(fun () -> Span.set_ring_capacity saved)
-    (fun () ->
-      for _ = 1 to 100 do
-        Span.with_ ~name:"t.ring" (fun () -> ())
-      done;
-      Alcotest.(check int) "window holds exactly the capacity" 8
-        (List.length (Span.events ()));
-      Alcotest.(check int) "the rest were rotated out" 92 (Span.dropped ());
-      (* the window is the most recent events, in start order *)
-      let es = events_named "t.ring" in
-      Alcotest.(check bool) "window sorted by start" true
-        (List.sort
-           (fun (a : Span.event) b -> Float.compare a.Span.ts_us b.Span.ts_us)
-           es
-        = es);
-      Span.clear ();
-      Alcotest.(check int) "clear resets the drop count" 0 (Span.dropped ()))
+(* ---------- span bus and keys ---------- *)
 
 let test_bus_sees_open_and_close () =
-  Span.clear ();
   let seen = ref [] in
   let id =
     Span.subscribe (fun phase (e : Span.event) ->
@@ -377,28 +384,24 @@ let test_sampler_is_a_pure_function () =
       Alcotest.(check (list bool)) "domain-independent" forward from_domain)
 
 let test_sampled_out_spans_still_feed_metrics () =
-  Span.clear ();
   with_sampler "t.thin=0" (fun () ->
       let h = Metrics.histogram "span.t.thin" in
       let n0 = Histogram.count h in
-      for _ = 1 to 5 do
-        Span.with_ ~name:"t.thin" (fun () -> ())
-      done;
-      Alcotest.(check int) "no events in the ring" 0
-        (List.length (events_named "t.thin"));
+      let (), events =
+        recording (fun () ->
+            for _ = 1 to 5 do
+              Span.with_ ~name:"t.thin" (fun () -> ())
+            done)
+      in
+      Alcotest.(check int) "no event reaches the listeners" 0
+        (List.length (named "t.thin" events));
       Alcotest.(check int) "but every span observed in the histogram" 5
         (Histogram.count h - n0))
 
 (* ---------- streaming sink ---------- *)
 
-let temp_path suffix =
-  Filename.temp_file "yieldlab_t_obs" suffix
-
 let test_stream_jsonl_roundtrip () =
-  let path = temp_path ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
+  with_temp ".jsonl" (fun path ->
       let s = Stream.create ~path () in
       Alcotest.(check bool) "jsonl by extension" true
         (Stream.format s = Stream.Jsonl);
@@ -433,10 +436,7 @@ let test_stream_jsonl_roundtrip () =
         events back)
 
 let test_stream_tolerates_truncated_tail () =
-  let path = temp_path ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
+  with_temp ".jsonl" (fun path ->
       let s = Stream.create ~path () in
       Stream.write_json s (Json.Obj [ ("type", Json.String "counter") ]);
       Stream.write_json s (Json.Obj [ ("type", Json.String "counter") ]);
@@ -451,10 +451,7 @@ let test_stream_tolerates_truncated_tail () =
       Alcotest.(check int) "complete lines survive" 1 (List.length r.Stream.lines))
 
 let test_stream_chrome_crash_loadable () =
-  let path = temp_path ".json" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
+  with_temp ".json" (fun path ->
       let s = Stream.create ~path () in
       Alcotest.(check bool) "chrome by extension" true
         (Stream.format s = Stream.Chrome);
@@ -475,6 +472,42 @@ let test_stream_chrome_crash_loadable () =
       | Json.List items ->
           Alcotest.(check int) "closed file parses as-is" 2 (List.length items)
       | _ -> Alcotest.fail "closed file is not an array")
+
+(* a full disk stops the stream, never its writer: every write and the
+   close return, the first failure is kept, and stopping the facade's
+   stream names the path and the cause *)
+let test_stream_write_failure () =
+  let full = "/dev/full" in
+  if Sys.file_exists full then begin
+    let s = Stream.create ~path:full () in
+    let e =
+      {
+        Span.name = "t.full";
+        ts_us = 1.;
+        dur_us = 2.;
+        tid = 0;
+        depth = 0;
+        key = 0;
+      }
+    in
+    Stream.write_event s Span.Opened e;
+    Stream.write_event s Span.Closed e;
+    Stream.close s;
+    Stream.close s;
+    Alcotest.(check bool) "the failed write is reported" true
+      (Option.is_some (Stream.error s));
+    Obs.start_stream ~path:full ();
+    let v = Span.with_ ~name:"t.full" (fun () -> 42) in
+    Alcotest.(check int) "the span's work goes on" 42 v;
+    (match Obs.stop_stream () with
+    | () -> Alcotest.fail "stop_stream hid the failed write"
+    | exception Sys_error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S names the path" msg)
+          true
+          (String.starts_with ~prefix:(full ^ ": ") msg));
+    Alcotest.(check bool) "the stream is stopped" false (Obs.stream_active ())
+  end
 
 (* ---------- instrumented Monte Carlo ---------- *)
 
@@ -539,9 +572,8 @@ let suites =
         Alcotest.test_case "chrome trace" `Quick test_chrome_trace_roundtrip;
         Alcotest.test_case "jsonl" `Quick test_jsonl_roundtrip;
       ] );
-    ( "obs.ring",
+    ( "obs.bus",
       [
-        Alcotest.test_case "bounded memory" `Quick test_ring_bounds_memory;
         Alcotest.test_case "bus open/close" `Quick test_bus_sees_open_and_close;
         Alcotest.test_case "key sequences" `Quick test_span_key_sequences;
       ] );
@@ -561,6 +593,7 @@ let suites =
           test_stream_tolerates_truncated_tail;
         Alcotest.test_case "chrome crash-loadable" `Quick
           test_stream_chrome_crash_loadable;
+        Alcotest.test_case "write failure" `Quick test_stream_write_failure;
       ] );
     ( "obs.montecarlo",
       [

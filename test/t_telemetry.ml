@@ -1,6 +1,6 @@
 (* End-to-end tests of the streaming telemetry path and the perf-regression
-   gate: a reduced-scale flow streamed to disk with a deliberately tiny span
-   ring (bounded memory, complete on-disk log), jobs-independence of the
+   gate: a reduced-scale flow streamed to disk (every span its listeners saw
+   is on disk, with the final metric lines), jobs-independence of the
    sampling decisions, and the Perf_gate tolerance/identity rules. *)
 
 module Json = Yield_obs.Json
@@ -18,14 +18,6 @@ module Montecarlo = Yield_process.Montecarlo
 module Pool = Yield_exec.Pool
 module Rng = Yield_stats.Rng
 
-let temp_path suffix = Filename.temp_file "yieldlab_t_telemetry" suffix
-
-let with_temp suffix f =
-  let path = temp_path suffix in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
-
 (* the t_core smoke configuration: the whole flow in a few seconds *)
 let smoke_config =
   {
@@ -39,43 +31,30 @@ let smoke_config =
 
 let span_id (e : Span.event) = (e.Span.name, e.Span.key, e.Span.ts_us)
 
-(* ---------- streamed flow: bounded window, complete log ---------- *)
+let with_temp = T_obs.with_temp
 
-let test_flow_stream_bounded_and_complete () =
+let recording = T_obs.recording
+
+(* ---------- streamed flow: the complete log ---------- *)
+
+let test_flow_stream_complete () =
   with_temp ".jsonl" (fun path ->
-      let saved = Span.ring_capacity () in
-      Span.set_ring_capacity 8;
-      Fun.protect
-        ~finally:(fun () ->
-          Obs.stop_stream ();
-          Span.set_ring_capacity saved)
-        (fun () ->
+      Fun.protect ~finally:Obs.stop_stream (fun () ->
           Obs.start_stream ~snapshot_every_s:0.001 ~path ();
           Alcotest.(check bool) "stream active" true (Obs.stream_active ());
-          ignore (Flow.run smoke_config);
-          let window = Span.events () in
-          Alcotest.(check bool)
-            (Printf.sprintf "window bounded: %d <= 8" (List.length window))
-            true
-            (List.length window <= 8);
-          Alcotest.(check bool) "a smoke flow overflows an 8-event ring" true
-            (Span.dropped () > 0);
+          let _, closed = recording (fun () -> Flow.run smoke_config) in
           Obs.stop_stream ();
           Alcotest.(check bool) "stream stopped" false (Obs.stream_active ());
           let r = Stream.read_jsonl ~path in
           Alcotest.(check bool) "clean shutdown, no truncation" false
             r.Stream.truncated;
           let streamed = Stream.spans_of_lines r.Stream.lines in
-          Alcotest.(check bool) "every rotated-out event is on disk" true
-            (List.length streamed >= List.length window + Span.dropped ());
-          (* the in-memory window is a subset of the stream *)
-          let streamed_ids = List.map span_id streamed in
-          List.iter
-            (fun e ->
-              if not (List.mem (span_id e) streamed_ids) then
-                Alcotest.failf "ring event %s missing from the stream"
-                  e.Span.name)
-            window;
+          (* the stream holds every span the run closed, and only those *)
+          let sort l = List.sort compare (List.map span_id l) in
+          Alcotest.(check int) "one line per closed span" (List.length closed)
+            (List.length streamed);
+          Alcotest.(check bool) "the spans the listeners saw" true
+            (sort closed = sort streamed);
           (* flow stage spans reached the file *)
           List.iter
             (fun stage ->
@@ -112,75 +91,38 @@ let test_flow_stream_bounded_and_complete () =
                     (Json.member "value" j = Some (Json.Int v)))
             snap.Metrics.counters))
 
-(* the exit-time sink and the stream describe the same spans when the ring
-   is large enough to hold them all *)
-let test_stream_matches_exit_sink () =
-  with_temp ".jsonl" (fun path ->
-      Span.clear ();
-      Obs.stop_stream ();
-      Obs.start_stream ~path ();
-      Fun.protect ~finally:Obs.stop_stream (fun () ->
-          for i = 0 to 19 do
-            Span.with_ ~name:"t.match" ~key:i (fun () ->
-                Span.with_ ~name:"t.match.inner" (fun () -> ()))
-          done;
-          Obs.stop_stream ();
-          let streamed =
-            Stream.spans_of_lines (Stream.read_jsonl ~path).Stream.lines
-          in
-          let window = Span.events () in
-          Alcotest.(check int) "same event count" (List.length window)
-            (List.length streamed);
-          let sort l =
-            List.sort compare (List.map span_id l)
-          in
-          Alcotest.(check bool) "same span set" true
-            (sort window = sort streamed)))
-
 (* ---------- sampling is independent of the jobs count ---------- *)
 
+(* the keys of the kept mc.batch spans, and the kept exec.worker spans *)
 let kept_mc_keys ~jobs =
-  Span.clear ();
   Span.reset_keys ();
-  let lock = Mutex.create () in
-  let keys = ref [] in
-  let sub =
-    Span.subscribe (fun phase (e : Span.event) ->
-        if phase = Span.Closed && e.Span.name = "mc.batch" then begin
-          Mutex.lock lock;
-          keys := e.Span.key :: !keys;
-          Mutex.unlock lock
-        end)
+  let (), closed =
+    recording (fun () ->
+        Pool.with_pool ~jobs (fun pool ->
+            for batch = 0 to 29 do
+              ignore
+                (Montecarlo.run ~pool ~samples:8
+                   ~rng:(Rng.create (100 + batch)) (fun r ->
+                     Some (Rng.float r))) [@warning "-5"]
+            done))
   in
-  Fun.protect
-    ~finally:(fun () -> Span.unsubscribe sub)
-    (fun () ->
-      Pool.with_pool ~jobs (fun pool ->
-          for batch = 0 to 29 do
-            ignore
-              (Montecarlo.run ~pool ~samples:8
-                 ~rng:(Rng.create (100 + batch)) (fun r ->
-                   Some (Rng.float r))) [@warning "-5"]
-          done);
-      List.sort compare !keys)
+  let key (e : Span.event) = e.Span.key in
+  ( List.sort compare (List.map key (T_obs.named "mc.batch" closed)),
+    List.length (T_obs.named "exec.worker" closed) )
 
 let test_sampling_identical_across_jobs () =
   (match Sampler.configure "mc.batch=0.4;exec.*=0" with
   | Ok () -> ()
   | Error e -> Alcotest.failf "spec rejected: %s" e);
   Fun.protect ~finally:Sampler.clear (fun () ->
-      let serial = kept_mc_keys ~jobs:1 in
-      let parallel = kept_mc_keys ~jobs:4 in
+      let serial, _ = kept_mc_keys ~jobs:1 in
+      let parallel, workers = kept_mc_keys ~jobs:4 in
       Alcotest.(check bool) "sampling thinned the batches" true
         (List.length serial < 30 && List.length serial > 0);
       Alcotest.(check (list int)) "identical kept set at jobs 1 and 4" serial
         parallel;
       (* exec.worker fully sampled out even at jobs 4 *)
-      Alcotest.(check int) "exec.worker suppressed" 0
-        (List.length
-           (List.filter
-              (fun (e : Span.event) -> e.Span.name = "exec.worker")
-              (Span.events ()))))
+      Alcotest.(check int) "exec.worker suppressed" 0 workers)
 
 (* ---------- periodic snapshots ---------- *)
 
@@ -213,8 +155,7 @@ let test_snapshot_deltas () =
               first delta is then value-relative, but the second is exact *)
         Option.is_some (delta_of first));
       Alcotest.(check bool) "second snapshot carries only the increment" true
-        (delta_of second = Some (Json.Int 2));
-      Alcotest.(check int) "two emissions counted" 2 (Snapshot.emitted snap)
+        (delta_of second = Some (Json.Int 2))
   | l -> Alcotest.failf "expected 2 snapshots, got %d" (List.length l)
 
 (* ---------- the perf-regression gate ---------- *)
@@ -498,9 +439,19 @@ let test_telemetry_settings () =
       check_refused "--snapshot-every 0"
         [ ("--snapshot-every", "0") ]
         (global_settings ~flags:[ ("snapshot_every", "0") ] ());
-      (* an interval without a stream would never be written *)
-      set "YIELDLAB_TRACE_STREAM" "";
+      (* an interval without a JSONL stream would never be written: a
+         Chrome array holds trace events only *)
       set "YIELDLAB_SNAPSHOT_EVERY" "2.5";
+      set "YIELDLAB_TRACE_STREAM" "/tmp/t.json";
+      check_refused "snapshot with a Chrome stream"
+        [ ("YIELDLAB_SNAPSHOT_EVERY", "2.5") ]
+        (global_settings ());
+      check_refused "--snapshot-every with a Chrome stream"
+        [ ("--snapshot-every", "2.5") ]
+        (global_settings
+           ~flags:[ ("trace_stream", "t.json"); ("snapshot_every", "2.5") ]
+           ());
+      set "YIELDLAB_TRACE_STREAM" "";
       check_refused "snapshot without a stream"
         [ ("YIELDLAB_SNAPSHOT_EVERY", "2.5") ]
         (global_settings ());
@@ -597,10 +548,8 @@ let suites =
   [
     ( "telemetry.stream",
       [
-        Alcotest.test_case "flow: bounded window, complete log" `Slow
-          test_flow_stream_bounded_and_complete;
-        Alcotest.test_case "stream matches exit sink" `Quick
-          test_stream_matches_exit_sink;
+        Alcotest.test_case "flow: complete log" `Slow
+          test_flow_stream_complete;
         Alcotest.test_case "snapshot deltas" `Quick test_snapshot_deltas;
       ] );
     ( "telemetry.sampling",
