@@ -25,6 +25,12 @@ module Json = Yield_obs.Json
 module Metrics = Yield_obs.Metrics
 module Atomic_io = Yield_resilience.Atomic_io
 
+(* the size of a section's own sampling: [paper] at the paper's scale,
+   [fast] under YIELDLAB_FAST *)
+let at_scale ctx ~paper ~fast =
+  if Config.scale_name ctx.Experiments.config = "paper-scale" then paper
+  else fast
+
 (* ------------------------------------------------------------------ *)
 (* Machine-readable record of the flow run: stage timings, simulation
    counts and the instrument snapshot, so the perf trajectory is diffable
@@ -104,19 +110,13 @@ let prescreen_ab ctx =
    (dense) run, so this records the seam's per-sample cost next to it
    without perturbing the gate. *)
 let solver_ab ctx =
-  (* a fresh functor instantiation, like Flow's: the wrapper
-     Miller_testbench module deliberately hides the session API *)
-  let module Mtb = Yield_circuits.Testbench.Make (Yield_circuits.Miller) in
+  let module Mtb = Yield_circuits.Miller_testbench in
   let module Clock = Yield_obs.Clock in
   print_string
     (Report.section "Solver A/B: dense vs csr Monte Carlo sessions (miller)");
   let spec = ctx.Experiments.config.Config.variation in
   let params = Yield_circuits.Miller.default_params in
-  let samples =
-    match Config.scale_name ctx.Experiments.config with
-    | "paper-scale" -> 200
-    | _ -> 50
-  in
+  let samples = at_scale ctx ~paper:200 ~fast:50 in
   let run backend =
     let session = Mtb.session ~solver:backend params in
     (* one warm sample so csr's first-factor cost is not billed per sample *)
@@ -140,17 +140,12 @@ let solver_ab ctx =
     Array.iteri
       (fun i rd ->
         match (rd, rs_c.(i)) with
-        | Some (d : Yield_circuits.Testbench.perf), Some c ->
-            let rel a b =
-              Float.abs (a -. b) /. Float.max 1e-9 (Float.abs a)
-            in
+        | Some (d : Tb.perf), Some c ->
+            let rel a b = Float.abs (a -. b) /. Float.max 1e-9 (Float.abs a) in
             worst :=
               Float.max !worst
-                (Float.max
-                   (rel d.Yield_circuits.Testbench.gain_db
-                      c.Yield_circuits.Testbench.gain_db)
-                   (rel d.Yield_circuits.Testbench.phase_margin_deg
-                      c.Yield_circuits.Testbench.phase_margin_deg))
+                (Float.max (rel d.Tb.gain_db c.Tb.gain_db)
+                   (rel d.Tb.phase_margin_deg c.Tb.phase_margin_deg))
         | None, None -> ()
         | Some _, None | None, Some _ -> worst := Float.infinity)
       rs_d;
@@ -279,32 +274,34 @@ let ablation_interpolation ctx =
         end)
     [ "3E"; "2E"; "1E"; "ME" ]
 
-let ablation_variation_scaling ctx =
-  (* how the Table 2 spreads scale with the process-variation magnitude *)
-  print_string (Report.section "Ablation: variation-model scaling");
+(* the sizing the variation ablations study: the Table 3 design, or the
+   front's first point when the spec has none *)
+let ablation_design ctx =
   let design =
     match Flow.design_for_spec ctx.Experiments.flow ctx.Experiments.spec with
     | Ok plan -> plan.Yield_target.proposal.Macromodel.design
     | Error _ -> (Perf_model.points ctx.Experiments.flow.Flow.perf_model).(0)
   in
-  let params = Ota.params_of_array design.Perf_model.params in
+  Ota.params_of_array design.Perf_model.params
+
+let ablation_variation_scaling ctx =
+  (* how the Table 2 spreads scale with the process-variation magnitude *)
+  print_string (Report.section "Ablation: variation-model scaling");
+  let params = ablation_design ctx in
   let conditions = ctx.Experiments.config.Config.conditions in
   let nominal = Tb.evaluate ~conditions params in
   match nominal with
   | None -> print_endline "nominal evaluation failed"
   | Some nom ->
-      let samples =
-        match Config.scale_name ctx.Experiments.config with
-        | "paper-scale" -> 200
-        | _ -> 40
-      in
+      let session = Tb.session ~conditions params in
+      let samples = at_scale ctx ~paper:200 ~fast:40 in
       List.iter
         (fun k ->
           let spec = Variation.scale_spec k Variation.default_spec in
           let rng = Rng.create 13 in
           let { Yield_process.Montecarlo.results; _ } =
             Yield_process.Montecarlo.run ~samples ~rng (fun r ->
-                Tb.evaluate_sampled ~conditions ~spec ~rng:r params)
+                Tb.evaluate_in_session session ~spec ~rng:r)
           in
           let gains = Array.map (fun r -> r.Tb.gain_db) results in
           let pms = Array.map (fun r -> r.Tb.phase_margin_deg) results in
@@ -348,12 +345,12 @@ let extended_characterisation ctx =
       | None -> print_endline "noise analysis failed");
       (* which process component drives the gain spread *)
       let spec = ctx.Experiments.config.Config.variation in
+      let session =
+        Tb.session ~conditions:ctx.Experiments.config.Config.conditions params
+      in
       let eval draw =
-        Option.map
-          (fun p -> p.Tb.gain_db)
-          (Tb.evaluate_with_draw
-             ~conditions:ctx.Experiments.config.Config.conditions ~spec ~draw
-             params)
+        Option.map (fun p -> p.Tb.gain_db)
+          (Tb.evaluate_with_draw session ~spec ~draw)
       in
       (match Yield_process.Sensitivity.analyse ~spec ~eval with
       | Error e -> print_endline ("sensitivity failed: " ^ e)
@@ -371,12 +368,7 @@ let extended_characterisation ctx =
    model: 5 deterministic corner evaluations vs 200 statistical samples. *)
 let ablation_corners_vs_mc ctx =
   print_string (Report.section "Ablation: corner envelope vs Monte Carlo spread");
-  let design =
-    match Flow.design_for_spec ctx.Experiments.flow ctx.Experiments.spec with
-    | Ok plan -> plan.Yield_target.proposal.Macromodel.design
-    | Error _ -> (Perf_model.points ctx.Experiments.flow.Flow.perf_model).(0)
-  in
-  let params = Ota.params_of_array design.Perf_model.params in
+  let params = ablation_design ctx in
   let conditions = ctx.Experiments.config.Config.conditions in
   let spec = ctx.Experiments.config.Config.variation in
   match Tb.evaluate ~conditions params with
@@ -397,15 +389,12 @@ let ablation_corners_vs_mc ctx =
       in
       let corner_pct = 100. *. corner_dev /. nominal.Tb.gain_db in
       (* Monte Carlo 3-sigma spread *)
-      let samples =
-        match Config.scale_name ctx.Experiments.config with
-        | "paper-scale" -> 200
-        | _ -> 40
-      in
+      let samples = at_scale ctx ~paper:200 ~fast:40 in
       let rng = Rng.create 37 in
+      let session = Tb.session ~conditions params in
       let { Yield_process.Montecarlo.results = rs; _ } =
         Yield_process.Montecarlo.run ~samples ~rng (fun r ->
-            Tb.evaluate_sampled ~conditions ~spec ~rng:r params)
+            Tb.evaluate_in_session session ~spec ~rng:r)
       in
       let gains = Array.map (fun r -> r.Tb.gain_db) rs in
       let mc_pct =
@@ -434,11 +423,7 @@ let model_accuracy_sweep ctx =
   let glo, ghi = Perf_model.gain_range flow.Flow.perf_model in
   let vlo, vhi = Var_model.gain_domain flow.Flow.var_model in
   let lo = Float.max glo vlo and hi = Float.min ghi vhi in
-  let samples =
-    match Config.scale_name ctx.Experiments.config with
-    | "paper-scale" -> 100
-    | _ -> 24
-  in
+  let samples = at_scale ctx ~paper:100 ~fast:24 in
   let fractions = [ 0.15; 0.35; 0.55; 0.75; 0.9 ] in
   Printf.printf
     "spec sweep over gain %.1f..%.1f dB; %d-sample MC verification each\n" lo hi
@@ -522,11 +507,7 @@ let ablation_three_objectives ctx =
           end
       end
   in
-  let pop, gens =
-    match Config.scale_name ctx.Experiments.config with
-    | "paper-scale" -> (40, 30)
-    | _ -> (16, 10)
-  in
+  let pop, gens = at_scale ctx ~paper:(40, 30) ~fast:(16, 10) in
   let result =
     Wbga.run
       ~config:{ Ga.default_config with Ga.population_size = pop; generations = gens }
@@ -557,25 +538,12 @@ let generalisation_miller ctx =
     (Report.section "Generalisation: the flow on a two-stage Miller OTA");
   let module Miller = Yield_circuits.Miller in
   let module Mtb = Yield_circuits.Miller_testbench in
-  let module Gtb = Yield_circuits.Testbench in
   let conditions = Mtb.conditions in
-  let evaluate params =
-    match Mtb.evaluate ~conditions (Miller.params_of_array params) with
-    | Some p when Gtb.feasible conditions p -> Some (Gtb.objectives p)
-    | Some _ | None -> None
-  in
-  let pop, gens =
-    match Config.scale_name ctx.Experiments.config with
-    | "paper-scale" -> (60, 40)
-    | _ -> (24, 12)
-  in
+  let pop, gens = at_scale ctx ~paper:(60, 40) ~fast:(24, 12) in
   let result =
-    Wbga.run
+    Flow.Miller_flow.optimise
       ~config:{ Ga.default_config with Ga.population_size = pop; generations = gens }
-      ~param_ranges:Miller.param_ranges
-      ~objectives:
-        [| { Wbga.name = "gain"; maximise = true }; { Wbga.name = "pm"; maximise = true } |]
-      ~rng:(Rng.create 17) ~evaluate ()
+      ~conditions ~rng:(Rng.create 17) ()
   in
   Printf.printf "%d evaluations, %d infeasible, front %d\n"
     result.Wbga.evaluations result.Wbga.failures (Array.length result.Wbga.front);
@@ -588,25 +556,23 @@ let generalisation_miller ctx =
     result.Wbga.front;
   (* variation spreads on a handful of front designs *)
   if n > 0 then begin
-    let samples =
-      match Config.scale_name ctx.Experiments.config with
-      | "paper-scale" -> 60
-      | _ -> 20
-    in
+    let samples = at_scale ctx ~paper:60 ~fast:20 in
     let rng = Rng.create 23 in
     let picks = [ 0; n / 2; n - 1 ] |> List.sort_uniq compare in
     List.iter
       (fun i ->
         let e = result.Wbga.front.(i) in
-        let params = Miller.params_of_array e.Wbga.params in
+        let session =
+          Mtb.session ~conditions (Miller.params_of_array e.Wbga.params)
+        in
         let { Yield_process.Montecarlo.results = rs; _ } =
           Yield_process.Montecarlo.run ~samples ~rng (fun r ->
-              Mtb.evaluate_sampled ~conditions
-                ~spec:ctx.Experiments.config.Config.variation ~rng:r params)
+              Mtb.evaluate_in_session session
+                ~spec:ctx.Experiments.config.Config.variation ~rng:r)
         in
         if Array.length rs > 4 then begin
-          let gains = Array.map (fun r -> r.Gtb.gain_db) rs in
-          let pms = Array.map (fun r -> r.Gtb.phase_margin_deg) rs in
+          let gains = Array.map (fun r -> r.Tb.gain_db) rs in
+          let pms = Array.map (fun r -> r.Tb.phase_margin_deg) rs in
           Printf.printf
             "  front #%d: gain %.2f dB (dGain %.2f %%), pm %.2f deg (dPM %.2f %%)\n"
             (i + 1) e.Wbga.objectives.(0)
@@ -677,7 +643,7 @@ let read_json path =
     Printf.eprintf "bench: %s: %s\n" path reason;
     exit 2
   in
-  match In_channel.with_open_text path In_channel.input_all with
+  match Atomic_io.read_file ~path with
   | exception Sys_error msg ->
       (* Sys_error names the file itself: keep only its reason *)
       let prefix = path ^ ": " in

@@ -130,14 +130,6 @@ let with_obs scope opts flags run =
   match Config.resolve ~scope ~flags (Config.base ()) with
   | Error diags -> run (Error diags)
   | Ok config ->
-      let tel = config.Config.telemetry in
-      (try
-         Obs.ensure_telemetry ?trace_stream:tel.Config.trace_stream
-           ?span_sample:tel.Config.span_sample
-           ?snapshot_every_s:tel.Config.snapshot_every_s ()
-       with Sys_error msg ->
-         Printf.eprintf "yieldlab: cannot open the trace stream: %s\n" msg;
-         exit 1);
       (match opts.fault_spec with
       | None -> ()
       | Some spec -> begin
@@ -159,6 +151,16 @@ let with_obs scope opts flags run =
               Printf.eprintf "yieldlab: bad --fault-spec: %s\n" msg;
               exit 2
         end);
+      (* after the fault spec: opening the stream truncates its file, which
+         a refused spec must leave as it was *)
+      let tel = config.Config.telemetry in
+      (try
+         Obs.ensure_telemetry ?trace_stream:tel.Config.trace_stream
+           ?span_sample:tel.Config.span_sample
+           ?snapshot_every_s:tel.Config.snapshot_every_s ()
+       with Sys_error msg ->
+         Printf.eprintf "yieldlab: cannot open the trace stream: %s\n" msg;
+         exit 1);
       let stop () =
         if opts.verbose then prerr_string (Obs.summary ());
         (* a stream write that failed stopped the stream, not the run: the
@@ -325,10 +327,11 @@ let corners_cmd =
 let mc params samples seed min_gain min_pm (config : Config.t) =
   with_positive [ ("--samples", samples) ] @@ fun () ->
   let rng = Rng.create seed in
+  let session = Tb.session params in
   let outcome =
     Yield_exec.Pool.with_pool ~jobs:config.jobs (fun pool ->
         Montecarlo.run ~pool ~samples ~rng (fun r ->
-            Tb.evaluate_sampled ~spec:Variation.default_spec ~rng:r params))
+            Tb.evaluate_in_session session ~spec:Variation.default_spec ~rng:r))
   in
   let results = outcome.Montecarlo.results in
   if Array.length results = 0 then begin
@@ -398,21 +401,10 @@ let optimize population generations seed out (settings : Config.t) =
   let config =
     { Ga.default_config with Ga.population_size = population; generations }
   in
-  let conditions = Tb.default_conditions in
-  let evaluate params =
-    match Tb.evaluate ~conditions (Ota.params_of_array params) with
-    | Some p when Tb.feasible conditions p -> Some (Tb.objectives p)
-    | Some _ | None -> None
-  in
   let result =
     Yield_exec.Pool.with_pool ~jobs:settings.jobs (fun pool ->
-        Wbga.run ~config ~pool ~param_ranges:Ota.param_ranges
-          ~objectives:
-            [|
-              { Wbga.name = "gain"; maximise = true };
-              { Wbga.name = "pm"; maximise = true };
-            |]
-          ~rng:(Rng.create seed) ~evaluate ())
+        Flow.Ota_flow.optimise ~pool ~config
+          ~conditions:Tb.default_conditions ~rng:(Rng.create seed) ())
   in
   Printf.printf "%d evaluations, %d infeasible, front %d\n"
     result.Wbga.evaluations result.Wbga.failures
@@ -485,7 +477,7 @@ let topology_term =
   let topology = function
     | `Ota -> ((module Flow.Ota_flow : Flow.S), Tb.default_conditions)
     | `Miller ->
-        ( (module Flow.Make (Yield_circuits.Miller) : Flow.S),
+        ( (module Flow.Miller_flow : Flow.S),
           Yield_circuits.Miller_testbench.conditions )
   in
   Term.(
@@ -733,16 +725,12 @@ let sensitivity params =
           results;
         0
   in
-  let gain_eval draw =
-    Option.map (fun p -> p.Tb.gain_db) (Tb.evaluate_with_draw ~spec ~draw params)
+  let session = Tb.session params in
+  let eval field draw =
+    Option.map field (Tb.evaluate_with_draw session ~spec ~draw)
   in
-  let pm_eval draw =
-    Option.map
-      (fun p -> p.Tb.phase_margin_deg)
-      (Tb.evaluate_with_draw ~spec ~draw params)
-  in
-  let a = run "gain" gain_eval in
-  let b = run "phase margin" pm_eval in
+  let a = run "gain" (eval (fun p -> p.Tb.gain_db)) in
+  let b = run "phase margin" (eval (fun p -> p.Tb.phase_margin_deg)) in
   if a = 0 && b = 0 then 0 else 1
 
 let sensitivity_cmd =

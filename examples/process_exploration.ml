@@ -33,9 +33,10 @@ let () =
   (* 2. Monte Carlo: the statistical distribution and a gain histogram *)
   print_endline "\n--- Monte Carlo (200 samples) ---";
   let rng = Rng.create 41 in
+  let session = Tb.session params in
   let { Montecarlo.results; _ } =
     Montecarlo.run ~samples:200 ~rng (fun r ->
-        Tb.evaluate_sampled ~spec:Variation.default_spec ~rng:r params)
+        Tb.evaluate_in_session session ~spec:Variation.default_spec ~rng:r)
   in
   let gains = Array.map (fun p -> p.Tb.gain_db) results in
   let s = Summary.of_array gains in
@@ -73,7 +74,7 @@ let () =
           let rng = Rng.create 7 in
           let { Montecarlo.results = rs; _ } =
             Montecarlo.run ~samples:80 ~rng (fun r ->
-                Tb.evaluate_sampled ~spec ~rng:r params)
+                Tb.evaluate_in_session session ~spec ~rng:r)
           in
           let gains = Array.map (fun p -> p.Tb.gain_db) rs in
           Printf.printf "sigma x%-4.2g  dGain %5.2f %%\n" k

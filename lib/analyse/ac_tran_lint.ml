@@ -1,5 +1,6 @@
 module Circuit = Yield_spice.Circuit
 module Device = Yield_spice.Device
+module Topology = Yield_spice.Topology
 
 let diag = Diagnostic.make
 
@@ -63,19 +64,6 @@ let signal_edges circuit =
 
 (* ---------- interval time-constant bounds ---------- *)
 
-(* union-find for merging vsource-tied nodes into one dynamic component *)
-let rec uf_find parent i =
-  let p = parent.(i) in
-  if p = i then i
-  else begin
-    parent.(i) <- parent.(p);
-    uf_find parent parent.(i)
-  end
-
-let uf_union parent a b =
-  let ra = uf_find parent a and rb = uf_find parent b in
-  if ra <> rb then parent.(ra) <- rb
-
 (* Per-component RC/gm-C time-constant enclosures.
 
    Each non-ground node accumulates an interval of capacitance-to-anywhere
@@ -120,7 +108,7 @@ let time_constants circuit =
             acc conds n1 g;
             acc conds n2 g
           end
-      | Device.Vsource { npos; nneg; _ } -> uf_union parent npos nneg
+      | Device.Vsource { npos; nneg; _ } -> Topology.union parent npos nneg
       | Device.Mosfet { w; l; _ } when not (Yield_spice.Mosfet.valid_geometry w l)
         ->
           ()
@@ -140,10 +128,10 @@ let time_constants circuit =
           acc conds s gch
       | Device.Isource _ | Device.Vccs _ -> ())
     (Circuit.devices circuit);
-  let ground_root = uf_find parent Device.ground in
+  let ground_root = Topology.find parent Device.ground in
   let comp_c = Hashtbl.create 8 and comp_g = Hashtbl.create 8 in
   for node = 1 to n - 1 do
-    let root = uf_find parent node in
+    let root = Topology.find parent node in
     if root <> ground_root then begin
       let get tbl = Option.value (Hashtbl.find_opt tbl root) ~default:czero in
       Hashtbl.replace comp_c root (Interval.add (get comp_c) caps.(node));

@@ -67,20 +67,16 @@ let response_of_circuit ?sys ?freqs circuit ~out =
 
 (* Each builder's circuits share one topology whatever their values, so
    each gets one solver session, compiled by its first caller and shared
-   across domains (a lost race costs one extra compile) *)
-let cached (cell : Mna.sys option Atomic.t) circuit =
-  match Atomic.get cell with
-  | Some sys -> sys
-  | None ->
-      let sys = Mna.sys circuit in
-      if Atomic.compare_and_set cell None (Some sys) then sys
-      else Option.value (Atomic.get cell) ~default:sys
+   across domains *)
+let sessions : ([ `Behavioural | `Transistor ] * Mna.sys) list Atomic.t =
+  Atomic.make []
 
-let behavioural_sys = Atomic.make None
+let session kind circuit =
+  Testbench.cached sessions kind (fun _ circuit -> Mna.sys circuit) circuit
 
 let response ?freqs amp caps =
   let circuit, out = build amp caps in
-  response_of_circuit ~sys:(cached behavioural_sys circuit) ?freqs circuit ~out
+  response_of_circuit ~sys:(session `Behavioural circuit) ?freqs circuit ~out
 
 let build_transistor ?(tech = Yield_process.Tech.c35) ?(vcm = 1.65) ota_params
     caps =
@@ -97,11 +93,9 @@ let build_transistor ?(tech = Yield_process.Tech.c35) ?(vcm = 1.65) ota_params
   Circuit.nodeset c (Circuit.node c "out") vcm;
   (c, "out")
 
-let transistor_sys = Atomic.make None
-
 let response_transistor ?freqs ?tech ?vcm ota_params caps =
   let circuit, out = build_transistor ?tech ?vcm ota_params caps in
-  response_of_circuit ~sys:(cached transistor_sys circuit) ?freqs circuit ~out
+  response_of_circuit ~sys:(session `Transistor circuit) ?freqs circuit ~out
 
 type check = {
   passband_margin_db : float;

@@ -1,40 +1,5 @@
-(* The paper's §4 characterisation of the symmetrical OTA: the generic
-   testbench machinery instantiated for {!Ota}, with the record types
-   re-exported so downstream modules can build conditions directly. *)
+(* Testbench's records, with their fields, and measurements, then its
+   testbenches for the OTA *)
 
-module Tech = Yield_process.Tech
-
-type conditions = Testbench.conditions = {
-  tech : Tech.t;
-  vcm : float;
-  load_cap : float;
-  f_lo : float;
-  f_hi : float;
-  points_per_decade : int;
-  min_unity_gain_hz : float;
-}
-
-let default_conditions = Testbench.default_conditions
-
-type perf = Testbench.perf = {
-  gain_db : float;
-  phase_margin_deg : float;
-  unity_gain_hz : float;
-  f3db_hz : float;
-  rout_est : float;
-}
-
-type step_perf = Testbench.step_perf = {
-  slew_v_per_us : float;
-  settling_1pct_s : float option;
-  overshoot_pct : float;
-  final_error_v : float;
-}
-
-let perf_of_bode = Testbench.perf_of_bode
-
-let feasible = Testbench.feasible
-
-let objectives = Testbench.objectives
-
+include Testbench
 include Testbench.Make (Ota)

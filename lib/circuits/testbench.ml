@@ -137,21 +137,70 @@ let rec publish cache key v =
       if Atomic.compare_and_set cache cur ((key, v) :: cur) then v
       else publish cache key v
 
+let cached cache key make x =
+  match List.assoc_opt key (Atomic.get cache) with
+  | Some v -> v
+  | None -> publish cache key (make key x)
+
 (* one grid per distinct (f_lo, f_hi, points_per_decade): every
    evaluation under one set of conditions sweeps the same array, which
    nothing writes *)
 let grids : ((float * float * int) * float array) list Atomic.t = Atomic.make []
 
 let freqs_of c =
-  let key = (c.f_lo, c.f_hi, c.points_per_decade) in
-  match List.assoc_opt key (Atomic.get grids) with
-  | Some freqs -> freqs
-  | None ->
-      publish grids key
-        (Ac.default_freqs ~per_decade:c.points_per_decade ~f_lo:c.f_lo
-           ~f_hi:c.f_hi ())
+  cached grids (c.f_lo, c.f_hi, c.points_per_decade)
+    (fun (f_lo, f_hi, per_decade) () ->
+      Ac.default_freqs ~per_decade ~f_lo ~f_hi ())
+    ()
+
+module type S = sig
+  type params
+
+  val build : ?conditions:conditions -> params -> Circuit.t * string
+
+  val bode_of_circuit : ?conditions:conditions -> Circuit.t -> Ac.bode option
+
+  val bode : ?conditions:conditions -> params -> Ac.bode option
+
+  val evaluate : ?conditions:conditions -> params -> perf option
+
+  type session
+
+  val session :
+    ?conditions:conditions -> ?solver:Linsys.backend -> params -> session
+
+  val session_circuit : session -> Circuit.t
+
+  val session_sys : session -> Mna.sys
+
+  val session_solver_name : session -> string
+
+  val evaluate_in_session :
+    session -> spec:Variation.spec -> rng:Yield_stats.Rng.t -> perf option
+
+  val evaluate_with_draw :
+    session -> spec:Variation.spec -> draw:Variation.global_draw -> perf option
+
+  val cmrr_db : ?conditions:conditions -> params -> float option
+
+  val psrr_db : ?conditions:conditions -> params -> float option
+
+  val input_referred_noise :
+    ?conditions:conditions -> ?flicker:Noise.flicker -> params ->
+    ((float * float) array * float) option
+
+  val step_response :
+    ?conditions:conditions -> ?amplitude:float -> ?t_stop:float -> ?dt:float ->
+    params -> (float array * float array) option
+
+  val step_perf :
+    ?conditions:conditions -> ?amplitude:float -> ?t_stop:float -> ?dt:float ->
+    params -> step_perf option
+end
 
 module Make (A : Amplifier.S) = struct
+  type params = A.params
+
   (* Variant testbenches.  [stimulus] selects where the unit AC source is
      applied; the DC arrangement never changes, so all variants share the
      same operating point by construction. *)
@@ -216,17 +265,10 @@ module Make (A : Amplifier.S) = struct
   let sys_cache : (Linsys.backend * Mna.sys) list Atomic.t = Atomic.make []
 
   let cached_sys backend circuit =
-    match List.assoc_opt backend (Atomic.get sys_cache) with
-    | Some s -> s
-    | None -> publish sys_cache backend (Mna.sys ~backend circuit)
+    cached sys_cache backend (fun backend c -> Mna.sys ~backend c) circuit
 
   (* the dense sessions of the CMRR and PSRR variants, one per stimulus *)
   let variant_cache : (stimulus * Mna.sys) list Atomic.t = Atomic.make []
-
-  let variant_sys stimulus circuit =
-    match List.assoc_opt stimulus (Atomic.get variant_cache) with
-    | Some s -> s
-    | None -> publish variant_cache stimulus (Mna.sys circuit)
 
   (* csr samples start at the nominal operating point, solved once here;
      dense samples keep the nodeset start, so dense stays the bit-exact
@@ -293,11 +335,7 @@ module Make (A : Amplifier.S) = struct
   let evaluate_in_session s ~spec ~rng =
     sample s (Variation.overrides spec rng (session_circuit s))
 
-  let evaluate_sampled ?conditions ~spec ~rng params =
-    evaluate_in_session (session ?conditions params) ~spec ~rng
-
-  let evaluate_with_draw ?conditions ~spec ~draw params =
-    let s = session ?conditions params in
+  let evaluate_with_draw s ~spec ~draw =
     let no_mismatch =
       { spec with Variation.mismatch = Variation.zero_spec.Variation.mismatch }
     in
@@ -310,7 +348,9 @@ module Make (A : Amplifier.S) = struct
      session *)
   let low_freq_gain_db conditions params stimulus =
     let circuit = build_variant conditions params stimulus in
-    let sys = variant_sys stimulus circuit in
+    let sys =
+      cached variant_cache stimulus (fun _ circuit -> Mna.sys circuit) circuit
+    in
     match Dcop.solve_with_retry ~sys circuit with
     | Error _ -> None
     | Ok op ->
@@ -318,19 +358,17 @@ module Make (A : Amplifier.S) = struct
         let b = Ac.transfer_by_name ~sys circuit op ~out:"out" ~freqs in
         Some (Measure.dc_gain_db b)
 
-  let cmrr_db ?(conditions = default_conditions) params =
+  (* the differential gain over the gain under [stimulus] *)
+  let rejection_db conditions params stimulus =
     let adm = low_freq_gain_db conditions params Differential in
-    let acm = low_freq_gain_db conditions params Common_mode in
-    match (adm, acm) with
-    | Some adm, Some acm -> Some (adm -. acm)
-    | _ -> None
+    let a = low_freq_gain_db conditions params stimulus in
+    match (adm, a) with Some adm, Some a -> Some (adm -. a) | _ -> None
+
+  let cmrr_db ?(conditions = default_conditions) params =
+    rejection_db conditions params Common_mode
 
   let psrr_db ?(conditions = default_conditions) params =
-    let adm = low_freq_gain_db conditions params Differential in
-    let avdd = low_freq_gain_db conditions params Supply in
-    match (adm, avdd) with
-    | Some adm, Some avdd -> Some (adm -. avdd)
-    | _ -> None
+    rejection_db conditions params Supply
 
   let input_referred_noise ?(conditions = default_conditions) ?flicker params =
     let circuit, _ = build ~conditions params in

@@ -3,8 +3,9 @@
     The measurement conditions, performance records and extraction logic are
     topology-independent; {!Make} instantiates the testbenches (open-loop AC,
     common-mode/supply variants, unity-gain follower transient, noise) for
-    any {!Amplifier.S}.  {!Ota_testbench} is [Make (Ota)] plus the paper's
-    defaults; {!Miller_testbench} is [Make (Miller)]. *)
+    any {!Amplifier.S}, as a module of signature {!S}.  {!Ota_testbench} is
+    [Make (Ota)] plus the paper's defaults; {!Miller_testbench} is
+    [Make (Miller)] plus the Miller stage's conditions. *)
 
 type conditions = {
   tech : Yield_process.Tech.t;
@@ -82,11 +83,22 @@ val freqs_of : conditions -> float array
     not be written.
     @raise Invalid_argument as {!Yield_spice.Ac.default_freqs}. *)
 
-module Make (A : Amplifier.S) : sig
-  val build : ?conditions:conditions -> A.params -> Yield_spice.Circuit.t * string
+val cached : ('k * 'v) list Atomic.t -> 'k -> ('k -> 'a -> 'v) -> 'a -> 'v
+(** [cached cache key make x]: the value under [key] in the compare-and-set
+    list [cache], [make key x] published by its first caller (a racing
+    domain's own is dropped).  With a closed [make], a hit allocates
+    nothing.  The per-topology solver sessions and sweep grids live here. *)
+
+(** What {!Make} gives for one amplifier: its testbenches, evaluations and
+    Monte Carlo sessions.  {!Ota_testbench} and {!Miller_testbench} are
+    this signature for the paper's two circuits. *)
+module type S = sig
+  type params
+
+  val build : ?conditions:conditions -> params -> Yield_spice.Circuit.t * string
   (** Open-loop testbench (DC feedback through a large resistor, AC ground
-      through a large capacitor on the inverting input) and the output node
-      name. *)
+      through a large capacitor on the inverting input: the standard
+      Spectre loop-breaking arrangement) and the output node name. *)
 
   val bode_of_circuit :
     ?conditions:conditions -> Yield_spice.Circuit.t ->
@@ -96,9 +108,10 @@ module Make (A : Amplifier.S) : sig
       [Circuit.map_devices] image of one): it solves in the functor's
       cached dense session. *)
 
-  val bode : ?conditions:conditions -> A.params -> Yield_spice.Ac.bode option
+  val bode : ?conditions:conditions -> params -> Yield_spice.Ac.bode option
+  (** Full open-loop transfer function; [None] if the DC solve fails. *)
 
-  val evaluate : ?conditions:conditions -> A.params -> perf option
+  val evaluate : ?conditions:conditions -> params -> perf option
   (** DC + AC + extraction in the cached dense session; [None] on any
       failure.  The optimiser's objective function.  The AC sweep stops
       at {!sweep_stop}, so it returns the bits {!perf_of_bode} gives on
@@ -114,25 +127,17 @@ module Make (A : Amplifier.S) : sig
       OTA) an evaluation allocates its [perf] and a few hundred words of
       bookkeeping. *)
 
-  val evaluate_sampled :
-    ?conditions:conditions -> spec:Yield_process.Variation.spec ->
-    rng:Yield_stats.Rng.t -> A.params -> perf option
-  (** One Monte Carlo draw of process variation and mismatch applied to
-      every transistor: {!evaluate_in_session} on a fresh dense {!session}
-      of these params.  It patches device models per sample and does not
-      rebuild the circuit. *)
-
   type session
-  (** One testbench instantiation pinned to a front point: the built
-      circuit plus a compiled {!Yield_spice.Mna.sys} solver session.  The
-      session is compiled once per solver backend and cached for the
-      functor's lifetime (every open-loop testbench of one amplifier shares
-      a topology); sessions are immutable and safe to share across
-      domains. *)
+  (** One testbench instantiation pinned to a design: the built circuit
+      plus a compiled {!Yield_spice.Mna.sys} solver session.  The session
+      is compiled once per solver backend and cached for the functor's
+      lifetime (every open-loop testbench of one amplifier shares a
+      topology); sessions are immutable and safe to share across domains.
+      Every Monte Carlo sample of a design goes through one. *)
 
   val session :
     ?conditions:conditions -> ?solver:Yield_numeric.Linsys.backend ->
-    A.params -> session
+    params -> session
   (** Build the open-loop testbench once for these parameters.  [solver]
       defaults to [Dense].
 
@@ -155,7 +160,8 @@ module Make (A : Amplifier.S) : sig
   val evaluate_in_session :
     session -> spec:Yield_process.Variation.spec ->
     rng:Yield_stats.Rng.t -> perf option
-  (** One Monte Carlo sample through the session: draws
+  (** One Monte Carlo draw of process variation and mismatch applied to
+      every transistor, through the session: draws
       {!Yield_process.Variation.overrides} and patches device models
       per-sample instead of rebuilding the circuit.  Under the dense
       solver it is bit-identical to solving a
@@ -167,34 +173,43 @@ module Make (A : Amplifier.S) : sig
       with the same bits as {!perf_of_bode} of the full sweep. *)
 
   val evaluate_with_draw :
-    ?conditions:conditions -> spec:Yield_process.Variation.spec ->
-    draw:Yield_process.Variation.global_draw -> A.params -> perf option
+    session -> spec:Yield_process.Variation.spec ->
+    draw:Yield_process.Variation.global_draw -> perf option
   (** Deterministic evaluation under a specific global draw, mismatch
-      disabled (sensitivity analysis hook): a dense session sample through
+      disabled: the hook for sensitivity analysis and corner-style
+      studies.  A session sample through
       {!Yield_process.Variation.overrides_with_draw}. *)
 
-  val cmrr_db : ?conditions:conditions -> A.params -> float option
-  (** Low-frequency common-mode rejection: differential gain over the gain
-      when both inputs move together. *)
+  val cmrr_db : ?conditions:conditions -> params -> float option
+  (** Common-mode rejection at the low-frequency end: the differential
+      testbench's gain over the gain measured when both inputs move
+      together (the AC-grounding capacitor's far terminal is driven
+      instead of grounded, so the loop-breaking arrangement is
+      identical). *)
 
-  val psrr_db : ?conditions:conditions -> A.params -> float option
-  (** Low-frequency positive-supply rejection. *)
+  val psrr_db : ?conditions:conditions -> params -> float option
+  (** Positive-supply rejection at the low-frequency end: differential
+      gain over the supply-to-output gain. *)
 
   val input_referred_noise :
-    ?conditions:conditions -> ?flicker:Yield_spice.Noise.flicker -> A.params ->
+    ?conditions:conditions -> ?flicker:Yield_spice.Noise.flicker -> params ->
     ((float * float) array * float) option
   (** Input-referred noise PSD across the sweep and the integrated RMS from
       [f_lo] to the unity-gain frequency. *)
 
   val step_response :
     ?conditions:conditions -> ?amplitude:float -> ?t_stop:float -> ?dt:float ->
-    A.params -> (float array * float array) option
-  (** Unity-gain follower step response: (times, output voltage). *)
+    params -> (float array * float array) option
+  (** Unity-gain follower step response: the output follows an
+      [amplitude]-volt input step (default 0.5 V around the common mode).
+      Returns (times, output voltage); [None] if the transient fails. *)
 
   val step_perf :
     ?conditions:conditions -> ?amplitude:float -> ?t_stop:float -> ?dt:float ->
-    A.params -> step_perf option
+    params -> step_perf option
   (** Slew rate, 1 % settling time and overshoot extracted from
       {!step_response}.  A negative [amplitude] is a falling step.
       @raise Invalid_argument when [amplitude] is zero or not finite. *)
 end
+
+module Make (A : Amplifier.S) : S with type params = A.params

@@ -46,11 +46,12 @@ let fitness config ~sims rng params =
       (neg_infinity, 0.)
   | Some nominal ->
       incr sims;
+      let session = Tb.session ~conditions:config.conditions params in
       let { Montecarlo.results; _ } =
         Montecarlo.run ~samples:config.inner_mc ~rng (fun sample_rng ->
             incr sims;
-            Tb.evaluate_sampled ~conditions:config.conditions
-              ~spec:config.variation ~rng:sample_rng params)
+            Tb.evaluate_in_session session ~spec:config.variation
+              ~rng:sample_rng)
       in
       let pass =
         Array.fold_left

@@ -250,8 +250,25 @@ let store_stage ckpt ~key to_json v =
   | None -> ()
   | Some c -> Checkpoint.store c ~key (to_json v)
 
+(* a finished stage: restored from the checkpoint when it holds one under
+   [key], else computed and stored there *)
+let checkpointed ckpt ~log ~key ~name ~decode ~encode compute =
+  match load_stage ckpt ~key decode with
+  | Some v ->
+      log (Printf.sprintf "flow: %s restored from checkpoint" name);
+      v
+  | None ->
+      let v = compute () in
+      store_stage ckpt ~key encode v;
+      v
+
 module type S = sig
   type params
+
+  val optimise :
+    ?pool:Pool.t -> ?checkpoint:(Wbga.snapshot -> unit) ->
+    ?resume:Wbga.snapshot -> config:Yield_ga.Ga.config ->
+    conditions:Gtb.conditions -> rng:Rng.t -> unit -> Wbga.result
 
   val run :
     ?log:(string -> unit) -> ?preflight:bool -> ?checkpoint_dir:string ->
@@ -269,6 +286,32 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
   type params = A.params
 
   module T = Gtb.Make (A)
+
+  let optimise ?pool ?checkpoint ?resume ~config ~conditions ~rng () =
+    let evaluate params =
+      match T.evaluate ~conditions (A.params_of_array params) with
+      | Some perf when Gtb.feasible conditions perf -> Some (Gtb.objectives perf)
+      | Some _ | None -> None
+    in
+    Wbga.run ~config ?pool ?checkpoint ?resume ~param_ranges:A.param_ranges
+      ~objectives:
+        [|
+          { Wbga.name = "gain"; maximise = true };
+          { Wbga.name = "pm"; maximise = true };
+        |]
+      ~rng ~evaluate ()
+
+  (* one design's Monte Carlo batch, batch-first: one testbench
+     instantiation, each sample only patching device models (bit-identical
+     to rebuilding under the dense default).  The compiled session is
+     immutable, so the pool's domains share it. *)
+  let sample_design ~pool ~samples ~rng (config : Config.t) params =
+    let session =
+      T.session ~conditions:config.Config.conditions
+        ~solver:config.Config.solver params
+    in
+    Montecarlo.run ~pool ~samples ~rng (fun rng ->
+        T.evaluate_in_session session ~spec:config.Config.variation ~rng)
 
   let fingerprint config = Config.fingerprint ~amplifier:A.name config
 
@@ -365,38 +408,27 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
       log (Printf.sprintf "flow: domain pool with %d jobs" (Pool.jobs pool));
     let build () =
       (* --- step 1-2: netlist generation + WBGA optimisation --- *)
-      let evaluate params =
-        match T.evaluate ~conditions (A.params_of_array params) with
-        | Some perf when Gtb.feasible conditions perf ->
-            Some (Gtb.objectives perf)
-        | Some _ | None -> None
-      in
-      let rng = Rng.create config.Config.seed in
       log
         (Printf.sprintf "flow: WBGA %d x %d"
            config.Config.ga.Yield_ga.Ga.population_size
            config.Config.ga.Yield_ga.Ga.generations);
       let wbga, wbga_s =
         Span.timed ~name:"flow.wbga" (fun () ->
-            match
-              load_stage ckpt ~key:"wbga.result" (fun j ->
-                  Result.to_option (Wbga.result_of_json j))
-            with
-            | Some r ->
-                log "flow: WBGA stage restored from checkpoint";
-                r
-            | None ->
-                let wbga_resume =
+            checkpointed ckpt ~log ~key:"wbga.result" ~name:"WBGA stage"
+              ~decode:(fun j -> Result.to_option (Wbga.result_of_json j))
+              ~encode:Wbga.result_to_json
+              (fun () ->
+                let resume =
                   load_stage ckpt ~key:"wbga.state" (fun j ->
                       Result.to_option (Wbga.snapshot_of_json j))
                 in
-                (match wbga_resume with
+                (match resume with
                 | Some s ->
                     log
                       (Printf.sprintf "flow: WBGA resuming at generation %d"
                          s.Wbga.ga.Yield_ga.Ga.next_generation)
                 | None -> ());
-                let on_generation =
+                let checkpoint =
                   Option.map
                     (fun c s ->
                       Checkpoint.store c ~key:"wbga.state"
@@ -404,19 +436,8 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
                       Fault.raise_if fp_wbga_gen)
                     ckpt
                 in
-                let r =
-                  Wbga.run ~config:config.Config.ga ~pool
-                    ?checkpoint:on_generation
-                    ?resume:wbga_resume ~param_ranges:A.param_ranges
-                    ~objectives:
-                      [|
-                        { Wbga.name = "gain"; maximise = true };
-                        { Wbga.name = "pm"; maximise = true };
-                      |]
-                    ~rng ~evaluate ()
-                in
-                store_stage ckpt ~key:"wbga.result" Wbga.result_to_json r;
-                r)
+                optimise ~pool ?checkpoint ?resume ~config:config.Config.ga
+                  ~conditions ~rng:(Rng.create config.Config.seed) ()))
       in
       optimisation_s := wbga_s;
       log
@@ -429,14 +450,10 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
          for the auxiliary columns (rout, fu) --- *)
       let front_points =
         Span.with_ ~name:"flow.front-resim" (fun () ->
-            match
-              load_stage ckpt ~key:"front"
-                (decode_opt (Codec.to_array perf_point_of_json))
-            with
-            | Some points ->
-                log "flow: front re-simulation restored from checkpoint";
-                points
-            | None ->
+            checkpointed ckpt ~log ~key:"front" ~name:"front re-simulation"
+              ~decode:(decode_opt (Codec.to_array perf_point_of_json))
+              ~encode:(Codec.array perf_point_to_json)
+              (fun () ->
                 let entries = wbga.Wbga.front in
                 let n = Array.length entries in
                 Metrics.add c_front_sims n;
@@ -447,26 +464,20 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
                       T.evaluate ~conditions
                         (A.params_of_array entries.(i).Wbga.params))
                 in
-                let points =
-                  Array.to_list (Array.map2 (fun e p -> (e, p)) entries perfs)
-                  |> List.filter_map (fun ((e : Wbga.entry), perf) ->
-                         match perf with
-                         | Some perf ->
-                             Some
-                               {
-                                 Perf_model.gain_db = perf.Gtb.gain_db;
-                                 pm_deg = perf.Gtb.phase_margin_deg;
-                                 params = e.Wbga.params;
-                                 rout = perf.Gtb.rout_est;
-                                 unity_gain_hz = perf.Gtb.unity_gain_hz;
-                               }
-                         | None -> None)
-                  |> Array.of_list
-                in
-                store_stage ckpt ~key:"front"
-                  (Codec.array perf_point_to_json)
-                  points;
-                points)
+                Array.to_list (Array.map2 (fun e p -> (e, p)) entries perfs)
+                |> List.filter_map (fun ((e : Wbga.entry), perf) ->
+                       match perf with
+                       | Some perf ->
+                           Some
+                             {
+                               Perf_model.gain_db = perf.Gtb.gain_db;
+                               pm_deg = perf.Gtb.phase_margin_deg;
+                               params = e.Wbga.params;
+                               rout = perf.Gtb.rout_est;
+                               unity_gain_hz = perf.Gtb.unity_gain_hz;
+                             }
+                       | None -> None)
+                |> Array.of_list))
       in
       (* --- step 4: variation model: Monte Carlo on (a stride of) the
          front --- *)
@@ -555,72 +566,52 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
                     Some config.Config.mc_samples
               end
             in
+            (* the variation point of front point [i] from its batch of
+               [samples] *)
+            let mc_point i (p : Perf_model.point) params samples =
+              let outcome =
+                sample_design ~pool ~samples ~rng:mc_rng config params
+              in
+              let results = outcome.Montecarlo.results in
+              if Array.length results >= Config_lint.min_valid_mc_samples
+              then begin
+                let gains = Array.map (fun r -> r.Gtb.gain_db) results in
+                let pms = Array.map (fun r -> r.Gtb.phase_margin_deg) results in
+                var_points :=
+                  {
+                    Var_model.gain_db = p.Perf_model.gain_db;
+                    pm_deg = p.Perf_model.pm_deg;
+                    dgain_pct =
+                      Montecarlo.spread_pct gains ~nominal:p.Perf_model.gain_db;
+                    dpm_pct =
+                      Montecarlo.spread_pct pms ~nominal:p.Perf_model.pm_deg;
+                    mc_samples = Array.length results;
+                  }
+                  :: !var_points
+              end
+              else begin
+                (* too few valid samples to estimate a spread: drop the
+                   point and keep going rather than poisoning the model or
+                   crashing the flow *)
+                Metrics.incr c_degraded;
+                log
+                  (Printf.sprintf
+                     "flow: degraded front point %d (gain %.1f dB): %d/%d \
+                      MC samples failed, %d valid — variation point skipped"
+                     i p.Perf_model.gain_db outcome.Montecarlo.failed
+                     outcome.Montecarlo.attempted (Array.length results))
+              end
+            in
             for i = start_i to Array.length front_points - 1 do
               if i mod stride = 0 then begin
                 let p = front_points.(i) in
                 let params = A.params_of_array p.Perf_model.params in
-                match prescreen_budget i p params with
-                | None -> begin
-                    (* provably outside spec: yield 0 with the enclosure as
-                       provenance (logged above); no variation point, no MC *)
-                    store_stage ckpt ~key:"mc.state" mc_state_to_json
-                      {
-                        next_i = i + 1;
-                        done_points = List.rev !var_points;
-                        mc_rng = Rng.save mc_rng;
-                      };
-                    Fault.raise_if fp_mc_point
-                  end
-                | Some samples ->
-                (* batch-first: one testbench instantiation per front point;
-                   each sample only patches device models (bit-identical to
-                   rebuilding under the dense default).  The compiled
-                   session is immutable, so sharing it across the pool's
-                   domains is safe. *)
-                let session =
-                  T.session ~conditions ~solver:config.Config.solver params
-                in
-                let outcome =
-                  Montecarlo.run ~pool ~samples ~rng:mc_rng
-                    (fun sample_rng ->
-                      T.evaluate_in_session session
-                        ~spec:config.Config.variation ~rng:sample_rng)
-                in
-                let results = outcome.Montecarlo.results in
-                if Array.length results >= Config_lint.min_valid_mc_samples
-                then begin
-                  let gains = Array.map (fun r -> r.Gtb.gain_db) results in
-                  let pms =
-                    Array.map (fun r -> r.Gtb.phase_margin_deg) results
-                  in
-                  let dgain =
-                    Montecarlo.spread_pct gains ~nominal:p.Perf_model.gain_db
-                  in
-                  let dpm =
-                    Montecarlo.spread_pct pms ~nominal:p.Perf_model.pm_deg
-                  in
-                  var_points :=
-                    {
-                      Var_model.gain_db = p.Perf_model.gain_db;
-                      pm_deg = p.Perf_model.pm_deg;
-                      dgain_pct = dgain;
-                      dpm_pct = dpm;
-                      mc_samples = Array.length results;
-                    }
-                    :: !var_points
-                end
-                else begin
-                  (* too few valid samples to estimate a spread: drop the
-                     point and keep going rather than poisoning the model
-                     or crashing the flow *)
-                  Metrics.incr c_degraded;
-                  log
-                    (Printf.sprintf
-                       "flow: degraded front point %d (gain %.1f dB): %d/%d \
-                        MC samples failed, %d valid — variation point skipped"
-                       i p.Perf_model.gain_db outcome.Montecarlo.failed
-                       outcome.Montecarlo.attempted (Array.length results))
-                end;
+                (match prescreen_budget i p params with
+                | Some samples -> mc_point i p params samples
+                | None ->
+                    (* provably outside spec (logged above): no MC and no
+                       variation point *)
+                    ());
                 store_stage ckpt ~key:"mc.state" mc_state_to_json
                   {
                     next_i = i + 1;
@@ -710,18 +701,12 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
     match T.evaluate ~conditions params with
     | None -> Error "verify_design: nominal evaluation failed"
     | Some nominal ->
-        let rng = Rng.create seed in
-        let session =
-          T.session ~conditions ~solver:t.config.Config.solver params
-        in
         let outcome =
           (* a transient pool: verification runs outside Flow.run, so the
              run's own pool is already shut down *)
           Pool.with_pool ~jobs:t.config.Config.jobs (fun pool ->
-              Montecarlo.run ~pool ~samples ~rng
-                (fun sample_rng ->
-                  T.evaluate_in_session session
-                    ~spec:t.config.Config.variation ~rng:sample_rng))
+              sample_design ~pool ~samples ~rng:(Rng.create seed) t.config
+                params)
         in
         let results = outcome.Montecarlo.results in
         if Array.length results = 0 then
@@ -741,6 +726,8 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
 end
 
 module Ota_flow = Make (Ota)
+
+module Miller_flow = Make (Yield_circuits.Miller)
 
 let run = Ota_flow.run
 

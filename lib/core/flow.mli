@@ -162,6 +162,17 @@ val lint_models :
 module type S = sig
   type params
 
+  val optimise :
+    ?pool:Yield_exec.Pool.t -> ?checkpoint:(Yield_ga.Wbga.snapshot -> unit) ->
+    ?resume:Yield_ga.Wbga.snapshot -> config:Yield_ga.Ga.config ->
+    conditions:Yield_circuits.Testbench.conditions -> rng:Yield_stats.Rng.t ->
+    unit -> Yield_ga.Wbga.result
+  (** The optimisation stage of {!run}: the WBGA over the amplifier's
+      parameters, each individual one nominal evaluation under [conditions]
+      scored on gain and phase margin (both maximised), infeasible when it
+      fails to simulate or fails eq. 1 ({!Yield_circuits.Testbench.feasible}).
+      [pool], [checkpoint] and [resume] are {!Yield_ga.Wbga.run}'s. *)
+
   val run :
     ?log:(string -> unit) -> ?preflight:bool -> ?checkpoint_dir:string ->
     ?resume:bool -> Config.t -> t
@@ -182,3 +193,7 @@ end
 module Make (A : Yield_circuits.Amplifier.S) : S with type params = A.params
 
 module Ota_flow : S with type params = Yield_circuits.Ota.params
+
+module Miller_flow : S with type params = Yield_circuits.Miller.params
+(** The two-stage Miller OTA's flow; run it under
+    {!Yield_circuits.Miller_testbench.conditions}. *)

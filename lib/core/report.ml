@@ -24,8 +24,7 @@ let table ~header rows =
   in
   String.concat "\n" ((render header :: rule :: List.map render rows) @ [ "" ])
 
-let float_cell ?(decimals = 2) v =
-  if Float.is_nan v then "n/a" else Printf.sprintf "%.*f" decimals v
+let float_cell v = if Float.is_nan v then "n/a" else Printf.sprintf "%.2f" v
 
 let si v =
   if v = 0. then "0"

@@ -83,8 +83,9 @@ let ensure_telemetry ?trace_stream ?span_sample ?snapshot_every_s () =
       match Sampler.configure spec with
       | Ok () -> ()
       | Error msg ->
-          Printf.eprintf "warning: ignoring span-sample spec %S: %s\n%!" spec
-            msg)
+          invalid_arg
+            (Printf.sprintf "Obs.ensure_telemetry: span-sample spec %S: %s"
+               spec msg))
   | _ -> ());
   match trace_stream with
   | Some path when not (stream_active ()) ->

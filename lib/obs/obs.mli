@@ -39,9 +39,9 @@ val ensure_telemetry :
     configured when no spec is installed, the stream only started when
     none is active — so the first caller (the CLI, with its resolved
     settings) stays in charge when [Flow.run] arms the same config again.
-    A malformed [span_sample] spec (from a config built without
-    [Config.resolve], which refuses it) warns on stderr instead of
-    raising; the stream raises as {!start_stream} does. *)
+    The stream raises as {!start_stream} does.
+    @raise Invalid_argument on a malformed [span_sample] spec (a config
+    built without [Config.resolve], which refuses it with C008). *)
 
 val summary : unit -> string
 (** Human-readable dump of the current counters and histograms. *)

@@ -45,7 +45,7 @@ let sockaddr = function
 
 let domain = function Unix_sock _ -> Unix.PF_UNIX | Tcp _ -> Unix.PF_INET
 
-let listen ?(backlog = 128) t =
+let listen t =
   unlink t;
   let fd = Unix.socket (domain t) Unix.SOCK_STREAM 0 in
   (try
@@ -53,7 +53,7 @@ let listen ?(backlog = 128) t =
      | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
      | Unix_sock _ -> ());
      Unix.bind fd (sockaddr t);
-     Unix.listen fd backlog
+     Unix.listen fd 128
    with e ->
      Unix.close fd;
      raise e);

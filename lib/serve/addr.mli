@@ -12,8 +12,8 @@ val parse : string -> (t, string) result
 val to_string : t -> string
 (** Round-trips through {!parse}. *)
 
-val listen : ?backlog:int -> t -> Unix.file_descr
-(** Bind and listen (default backlog 128).  A stale Unix-socket file left
+val listen : t -> Unix.file_descr
+(** Bind and listen (backlog 128).  A stale Unix-socket file left
     by a killed server is unlinked first; TCP listeners set [SO_REUSEADDR].
     @raise Unix.Unix_error when the address cannot be bound. *)
 

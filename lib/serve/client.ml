@@ -2,11 +2,11 @@ module Json = Yield_obs.Json
 
 type t = { fd : Unix.file_descr; inbuf : Buffer.t; mutable eof : bool }
 
-let connect ?(timeout_s = 5.) addr =
+let connect addr =
   let fd = Addr.connect addr in
   (* SO_RCVTIMEO is not settable on every socket family/platform combo;
      a client without a receive timeout still works, it just blocks *)
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout_s
+  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.
    with Unix.Unix_error _ | Invalid_argument _ -> ());
   { fd; inbuf = Buffer.create 256; eof = false }
 

@@ -7,9 +7,9 @@
 
 type t
 
-val connect : ?timeout_s:float -> Addr.t -> t
-(** Blocking connect; [timeout_s] (default 5 s) bounds every subsequent
-    receive via [SO_RCVTIMEO].
+val connect : Addr.t -> t
+(** Blocking connect; every subsequent receive is bounded at 5 s
+    ([SO_RCVTIMEO]).
     @raise Unix.Unix_error when nothing is listening. *)
 
 val close : t -> unit

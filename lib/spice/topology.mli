@@ -24,6 +24,13 @@ type issue =
 
 val issue_to_string : issue -> string
 
+val find : int array -> int -> int
+(** [find parent i]: the root of [i]'s set in the union-find forest
+    [parent] (a root is its own parent), halving the path on the way. *)
+
+val union : int array -> int -> int -> unit
+(** [union parent a b] merges the sets of [a] and [b]. *)
+
 val dc_issues : Circuit.t -> issue list
 (** All structural singularities, in deterministic order: voltage-source
     loops in device order, then unreachable nodes in node order.  Only nodes

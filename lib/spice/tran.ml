@@ -1,16 +1,11 @@
 module Linsys = Yield_numeric.Linsys
 
-type options = {
-  t_stop : float;
-  dt : float;
-  max_newton : int;
-  vtol : float;
-}
+type options = { t_stop : float; dt : float }
 
-let options ?(max_newton = 60) ?(vtol = 1e-7) ~t_stop ~dt () =
+let options ~t_stop ~dt () =
   if t_stop <= 0. || dt <= 0. then invalid_arg "Tran.options: non-positive times";
   if dt > t_stop then invalid_arg "Tran.options: dt exceeds t_stop";
-  { t_stop; dt; max_newton; vtol }
+  { t_stop; dt }
 
 type t = {
   times : float array;
@@ -97,13 +92,14 @@ let run ?sys ?models options circuit =
       let times = Array.make (n_steps + 1) 0. in
       let solutions = Array.make (n_steps + 1) [||] in
       solutions.(0) <- op0.Dcop.x;
-      (* every time point is one run of the DC Newton loop: up to
-         [max_newton + 1] factorisations, node steps clamped at 0.5 V *)
+      (* every time point is one run of the DC Newton loop: up to 61
+         factorisations, converged at a 1e-7 V step, node steps clamped at
+         0.5 V *)
       let newton =
         {
           Dcop.default_options with
-          max_iterations = options.max_newton + 1;
-          vtol = options.vtol;
+          max_iterations = 61;
+          vtol = 1e-7;
           max_step = 0.5;
         }
       in

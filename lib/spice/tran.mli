@@ -10,11 +10,11 @@
 type options = {
   t_stop : float;  (** end time, s *)
   dt : float;  (** fixed step, s *)
-  max_newton : int;  (** per-step Newton iterations (default 60) *)
-  vtol : float;  (** Newton voltage tolerance (default 1e-7) *)
 }
+(** Each time point runs at most 61 Newton iterations to a 1e-7 V
+    tolerance. *)
 
-val options : ?max_newton:int -> ?vtol:float -> t_stop:float -> dt:float -> unit -> options
+val options : t_stop:float -> dt:float -> unit -> options
 (** @raise Invalid_argument for non-positive times. *)
 
 type t = {

@@ -18,8 +18,11 @@ let distance2 a b =
     a;
   !acc
 
-let create ?(control = Control.default_axis) ?(min_spacing = 1e-3) ~inputs
-    ~columns () =
+(* consecutive knots closer than this share of the total arc length are
+   decimated *)
+let min_spacing = 1e-3
+
+let create ?(control = Control.default_axis) ~inputs ~columns () =
   let n = Array.length inputs in
   if n < 2 then invalid_arg "Curve.create: need at least two points";
   let k = Array.length inputs.(0) in

@@ -11,14 +11,13 @@ type t
 
 val create :
   ?control:Control.axis ->
-  ?min_spacing:float ->
   inputs:float array array ->
   columns:(string * float array) list ->
   unit -> t
 (** [inputs] is an [n x k] array of sample coordinates ordered along the
     curve; each column has [n] values.  Consecutive duplicate points are
-    merged, and points closer than [min_spacing] (relative to the total arc
-    length, default 1e-3) are decimated — near-coincident knots make
+    merged, and points closer than 1e-3 of the total arc length are
+    decimated — near-coincident knots make
     higher-degree splines ring.  The first and last points are always kept.
     @raise Invalid_argument on shape mismatch or fewer than two distinct
     points. *)

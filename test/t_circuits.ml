@@ -123,12 +123,14 @@ let test_feasibility_constraint () =
   in
   Alcotest.(check bool) "strict infeasible" false (Tb.feasible strict perf)
 
-let test_evaluate_sampled_differs () =
+let test_session_sample_differs () =
   let rng = Rng.create 3 in
   let nominal = Option.get (Tb.evaluate Ota.default_params) in
   let sampled =
     Option.get
-      (Tb.evaluate_sampled ~spec:Variation.default_spec ~rng Ota.default_params)
+      (Tb.evaluate_in_session
+         (Tb.session Ota.default_params)
+         ~spec:Variation.default_spec ~rng)
   in
   Alcotest.(check bool) "sampled moves" true
     (sampled.Tb.gain_db <> nominal.Tb.gain_db);
@@ -849,7 +851,7 @@ let suites =
         Alcotest.test_case "pm vs mirror factor" `Quick
           test_bigger_mirror_factor_lowers_pm;
         Alcotest.test_case "feasibility" `Quick test_feasibility_constraint;
-        Alcotest.test_case "sampled evaluation" `Quick test_evaluate_sampled_differs;
+        Alcotest.test_case "sampled evaluation" `Quick test_session_sample_differs;
         Alcotest.test_case "objectives order" `Quick test_objectives_order;
         Alcotest.test_case "perf_of_bode in one pass" `Quick
           test_perf_of_bode_one_pass;

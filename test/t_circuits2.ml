@@ -63,10 +63,10 @@ let test_miller_compensation_tradeoff () =
 
 let test_miller_mc_sampling () =
   let rng = Rng.create 3 in
-  match
-    Mtb.evaluate_sampled ~conditions:miller_conditions
-      ~spec:Variation.default_spec ~rng Miller.default_params
-  with
+  let session =
+    Mtb.session ~conditions:miller_conditions Miller.default_params
+  in
+  match Mtb.evaluate_in_session session ~spec:Variation.default_spec ~rng with
   | None -> Alcotest.fail "sampled evaluation failed"
   | Some p ->
       Alcotest.(check bool) "gain close to nominal" true

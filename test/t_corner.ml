@@ -323,6 +323,52 @@ let test_diagnostics_rendering () =
   Alcotest.(check bool) "no Y-code" true
     (List.for_all (fun d -> d.Diagnostic.code.[0] = 'D') dcodes)
 
+(* Every field of a report, floats as %h: the golden reports print six
+   digits, so a moved enclosure bit shows here only *)
+let report_text (r : CL.report) =
+  let itv (i : I.t) = Printf.sprintf "[%h, %h]" i.I.lo i.I.hi in
+  let opt = function None -> "none" | Some i -> itv i in
+  let e = r.CL.enclosure in
+  String.concat "\n"
+    ([
+       CL.verdict_to_string r.CL.verdict;
+       opt e.CL.gain_db;
+       opt e.CL.unity_gain_hz;
+       opt e.CL.pm_deg;
+       string_of_bool r.CL.dc_verified;
+     ]
+    @ List.map
+        (fun (d : CL.device_proof) ->
+          Printf.sprintf "%s %b %s" d.CL.device d.CL.proved d.CL.detail)
+        r.CL.devices
+    @ List.map (fun (a, b) -> itv a ^ " x " ^ itv b) r.CL.slices
+    @ r.CL.notes)
+
+(* the default OTA and Miller testbenches at k = 0.5 against a 60 dB gain
+   window (the prescreen fixture's setting): each report's bits *)
+let test_report_bits () =
+  let window = { CL.min_gain_db = 60.; min_pm_deg = 0. } in
+  let freqs = Tb.freqs_of Tb.default_conditions in
+  List.iter
+    (fun (name, (circuit, out), verdict, digest) ->
+      let r = CL.analyse_circuit ~k_sigma:0.5 ~window ~freqs ~out circuit in
+      Alcotest.(check string) (name ^ " verdict")
+        (CL.verdict_to_string verdict)
+        (CL.verdict_to_string r.CL.verdict);
+      Alcotest.(check int) (name ^ " slices") 4 (List.length r.CL.slices);
+      Alcotest.(check string) (name ^ " report digest") digest
+        (Digest.to_hex (Digest.string (report_text r))))
+    [
+      ( "ota",
+        Ota_tb.build Ota.default_params,
+        CL.Provably_fail,
+        "1c1d68c18ff9e959845a1ca957a61a8e" );
+      ( "miller",
+        Miller_tb.build Miller.default_params,
+        CL.Provably_pass,
+        "cf0bf67718e185fe0cff00967d470e4b" );
+    ]
+
 let suites =
   [
     ( "corner-interval-ops",
@@ -348,5 +394,6 @@ let suites =
           test_passive_deck_has_no_dcodes;
         Alcotest.test_case "diagnostics rendering" `Quick
           test_diagnostics_rendering;
+        Alcotest.test_case "report bits" `Quick test_report_bits;
       ] );
   ]

@@ -62,10 +62,9 @@ let test_sensitivity_linear_model () =
 
 let test_sensitivity_on_ota_gain () =
   let spec = Variation.default_spec in
+  let session = Tb.session Ota.default_params in
   let eval draw =
-    Option.map
-      (fun p -> p.Tb.gain_db)
-      (Tb.evaluate_with_draw ~spec ~draw Ota.default_params)
+    Option.map (fun p -> p.Tb.gain_db) (Tb.evaluate_with_draw session ~spec ~draw)
   in
   match Sensitivity.analyse ~spec ~eval with
   | Error e -> Alcotest.fail e

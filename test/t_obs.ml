@@ -345,6 +345,15 @@ let test_sampler_spec_parsing () =
         (Result.is_error (Sampler.parse bad)))
     [ "mc.batch"; "mc.batch=2"; "mc.batch=-0.5"; "=0.5"; "mc.batch=x" ]
 
+(* a malformed spec reaching telemetry arming is refused, as the
+   settings registry refuses it (C008): never a warning and a run on *)
+let test_ensure_telemetry_refuses_bad_spec () =
+  Sampler.clear ();
+  match Obs.ensure_telemetry ~span_sample:"mc.batch=2" () with
+  | () -> Alcotest.fail "a malformed span-sample spec was accepted"
+  | exception Invalid_argument _ ->
+      Alcotest.(check bool) "no sampler installed" false (Sampler.active ())
+
 let test_sampler_rates_and_precedence () =
   with_sampler "t.samp.always=1;t.samp.never=0;t.samp.*=0.5" (fun () ->
       for key = 0 to 99 do
@@ -580,6 +589,8 @@ let suites =
     ( "obs.sampler",
       [
         Alcotest.test_case "spec parsing" `Quick test_sampler_spec_parsing;
+        Alcotest.test_case "bad spec refused by arming" `Quick
+          test_ensure_telemetry_refuses_bad_spec;
         Alcotest.test_case "rates and precedence" `Quick
           test_sampler_rates_and_precedence;
         Alcotest.test_case "pure function" `Quick test_sampler_is_a_pure_function;

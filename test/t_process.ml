@@ -156,13 +156,13 @@ let test_mc_parallel_matches_serial () =
 
 let test_mc_parallel_circuit_evaluation () =
   (* the real workload: perturbed circuit evaluations across domains *)
-  let params = Yield_circuits.Ota.default_params in
+  let module Tb = Yield_circuits.Ota_testbench in
+  let session = Tb.session Yield_circuits.Ota.default_params in
   let spec = Variation.default_spec in
   let eval r =
     Option.map
-      (fun (p : Yield_circuits.Ota_testbench.perf) ->
-        p.Yield_circuits.Ota_testbench.gain_db)
-      (Yield_circuits.Ota_testbench.evaluate_sampled ~spec ~rng:r params)
+      (fun (p : Tb.perf) -> p.Tb.gain_db)
+      (Tb.evaluate_in_session session ~spec ~rng:r)
   in
   let serial = Montecarlo.run ~samples:8 ~rng:(Rng.create 9) eval in
   let parallel =
