@@ -195,27 +195,67 @@ let obs_cmd ?(scope = Config.Global) info term =
 
 let um = 1e-6
 
-let param_term =
-  let doc name = Arg.info [ name ] ~docv:"UM" ~doc:(name ^ " in micrometres") in
-  let dim name default =
-    Arg.(value & opt float default & doc name)
+(* One topology's design flags, one per dimension in micrometres, with
+   its defaults.  A value that is not finite or lies outside the
+   dimension's Table 1 range is refused (C008, one line naming the flag
+   and its range), never clamped and never left to the device model to
+   reject: the term answers the design or the refusals. *)
+let design_term (type p)
+    (module A : Yield_circuits.Amplifier.S with type params = p) defaults =
+  let dim i (r : Yield_ga.Genome.range) =
+    (* the range's bounds in micrometres: * 1e6 is exact on Table 1's *)
+    let lo = r.Yield_ga.Genome.lo *. 1e6 and hi = r.Yield_ga.Genome.hi *. 1e6 in
+    let name = r.Yield_ga.Genome.name in
+    let flag = "--" ^ name in
+    let given =
+      Arg.(
+        value & opt float defaults.(i)
+        & info [ name ] ~docv:"UM"
+            ~doc:(Printf.sprintf "%s in micrometres, within [%g, %g]" name lo hi))
+    in
+    let check v =
+      if lo <= v && v <= hi then Ok (v *. um)
+      else
+        Error
+          (Config_lint.malformed_setting ~setting:flag ~value:(Printf.sprintf "%g" v)
+             ~expected:(Printf.sprintf "a dimension in [%g, %g] um (Table 1)" lo hi))
+    in
+    Term.(const check $ given)
   in
-  let combine w1 l1 w2 l2 w3 l3 w4 l4 =
-    Ota.clamp_params
-      {
-        Ota.w1 = w1 *. um;
-        l1 = l1 *. um;
-        w2 = w2 *. um;
-        l2 = l2 *. um;
-        w3 = w3 *. um;
-        l3 = l3 *. um;
-        w4 = w4 *. um;
-        l4 = l4 *. um;
-      }
+  let dims =
+    Array.fold_right
+      (fun t acc -> Term.(const List.cons $ t $ acc))
+      (Array.mapi dim A.param_ranges) (Term.const [])
   in
   Term.(
-    const combine $ dim "w1" 30. $ dim "l1" 1. $ dim "w2" 30. $ dim "l2" 1.
-    $ dim "w3" 30. $ dim "l3" 1. $ dim "w4" 30. $ dim "l4" 1.)
+    const (fun dims ->
+        match List.filter_map (function Error d -> Some d | Ok _ -> None) dims with
+        | [] ->
+            Ok
+              (A.params_of_array
+                 (Array.of_list (List.filter_map Result.to_option dims)))
+        | refused -> Error refused)
+    $ dims)
+
+let param_term = design_term (module Ota) [| 30.; 1.; 30.; 1.; 30.; 1.; 30.; 1. |]
+
+(* [run] of a design its flags gave, or their refusal, exit 2 *)
+let with_design design run =
+  match design with Ok params -> run params | Error diags -> refuse_settings diags
+
+(* a gain or phase-margin spec given that no yield can be read against
+   (not finite, or not above zero) is refused before any simulation or
+   table read: one C008 line per flag *)
+let spec_refusals ~min_gain ~min_pm =
+  List.filter_map
+    (fun (flag, v, what, unit) ->
+      match v with
+      | Some v when not (Float.is_finite v && v > 0.) ->
+          Some
+            (Config_lint.malformed_setting ~setting:flag ~value:(Printf.sprintf "%g" v)
+               ~expected:(Printf.sprintf "a finite %s in (0, inf) %s" what unit))
+      | Some _ | None -> None)
+    [ ("--min-gain", min_gain, "gain", "dB"); ("--min-pm", min_pm, "phase margin", "deg") ]
 
 let seed_term =
   Arg.(value & opt int 2008 & info [ "seed" ] ~docv:"N" ~doc:"random seed")
@@ -256,7 +296,9 @@ let ota_eval_cmd =
   in
   obs_cmd
     (Cmd.info "ota-eval" ~doc:"evaluate one OTA sizing at transistor level")
-    Term.(const (fun p n _ -> ota_eval p n) $ param_term $ netlist_flag)
+    Term.(
+      const (fun p n _ -> with_design p (fun p -> ota_eval p n))
+      $ param_term $ netlist_flag)
 
 (* ---------- miller-eval ---------- *)
 
@@ -275,29 +317,13 @@ let miller_eval params =
       1
 
 let miller_param_term =
-  let doc name = Arg.info [ name ] ~docv:"UM" ~doc:(name ^ " in micrometres") in
-  let dim name default = Arg.(value & opt float default & doc name) in
-  let combine w1 l1 w2 l2 w3 l3 w4 l4 =
-    {
-      Yield_circuits.Miller.w1 = w1 *. um;
-      l1 = l1 *. um;
-      w2 = w2 *. um;
-      l2 = l2 *. um;
-      w3 = w3 *. um;
-      l3 = l3 *. um;
-      w4 = w4 *. um;
-      l4 = l4 *. um;
-    }
-  in
-  Term.(
-    const combine $ dim "w1" 20. $ dim "l1" 1. $ dim "w2" 60. $ dim "l2" 0.5
-    $ dim "w3" 30. $ dim "l3" 1. $ dim "w4" 30. $ dim "l4" 1.)
+  design_term (module Yield_circuits.Miller) [| 20.; 1.; 60.; 0.5; 30.; 1.; 30.; 1. |]
 
 let miller_eval_cmd =
   obs_cmd
     (Cmd.info "miller-eval"
        ~doc:"evaluate a two-stage Miller OTA sizing at transistor level")
-    Term.(const (fun p _ -> miller_eval p) $ miller_param_term)
+    Term.(const (fun p _ -> with_design p miller_eval) $ miller_param_term)
 
 (* ---------- corners ---------- *)
 
@@ -320,11 +346,14 @@ let corners params =
 let corners_cmd =
   obs_cmd
     (Cmd.info "corners" ~doc:"evaluate a design across process corners")
-    Term.(const (fun p _ -> corners p) $ param_term)
+    Term.(const (fun p _ -> with_design p corners) $ param_term)
 
 (* ---------- mc ---------- *)
 
 let mc params samples seed min_gain min_pm (config : Config.t) =
+  match spec_refusals ~min_gain ~min_pm with
+  | _ :: _ as refused -> refuse_settings refused
+  | [] ->
   with_positive [ ("--samples", samples) ] @@ fun () ->
   let rng = Rng.create seed in
   let session = Tb.session params in
@@ -390,7 +419,9 @@ let mc_cmd =
   obs_cmd
     (Cmd.info "mc" ~doc:"Monte Carlo analysis of one design")
     Term.(
-      const mc $ param_term $ samples_term 200 $ seed_term $ gain $ pm)
+      const (fun p n seed g pm config ->
+          with_design p (fun p -> mc p n seed g pm config))
+      $ param_term $ samples_term 200 $ seed_term $ gain $ pm)
 
 (* ---------- optimize ---------- *)
 
@@ -576,6 +607,9 @@ let no_preflight_term =
 
 let design tables_dir min_gain min_pm no_preflight =
   let spec = { Yield_target.min_gain_db = min_gain; min_pm_deg = min_pm } in
+  match spec_refusals ~min_gain:(Some min_gain) ~min_pm:(Some min_pm) with
+  | _ :: _ as refused -> refuse_settings refused
+  | [] ->
   if (not no_preflight) && not (model_preflight ~spec ~tables_dir ()) then 2
   else
   match Flow.load_models ~dir:tables_dir ~control:"3E" with
@@ -679,7 +713,7 @@ let step_cmd =
   in
   obs_cmd
     (Cmd.info "step" ~doc:"unity-gain follower step response (transient)")
-    Term.(const (fun p a _ -> step p a) $ param_term $ amplitude)
+    Term.(const (fun p a _ -> with_design p (fun p -> step p a)) $ param_term $ amplitude)
 
 (* ---------- noise ---------- *)
 
@@ -702,7 +736,7 @@ let noise params =
 let noise_cmd =
   obs_cmd
     (Cmd.info "noise" ~doc:"input-referred noise of a design")
-    Term.(const (fun p _ -> noise p) $ param_term)
+    Term.(const (fun p _ -> with_design p noise) $ param_term)
 
 (* ---------- sensitivity ---------- *)
 
@@ -736,7 +770,7 @@ let sensitivity params =
 let sensitivity_cmd =
   obs_cmd
     (Cmd.info "sensitivity" ~doc:"global-variation sensitivity of a design")
-    Term.(const (fun p _ -> sensitivity p) $ param_term)
+    Term.(const (fun p _ -> with_design p sensitivity) $ param_term)
 
 (* ---------- export-va ---------- *)
 

@@ -51,20 +51,6 @@ let default_params =
     l4 = 1e-6;
   }
 
-let clamp_params p =
-  let w x = Float.max w_min (Float.min w_max x) in
-  let l x = Float.max l_min (Float.min l_max x) in
-  {
-    w1 = w p.w1;
-    l1 = l p.l1;
-    w2 = w p.w2;
-    l2 = l p.l2;
-    w3 = w p.w3;
-    l3 = l p.l3;
-    w4 = w p.w4;
-    l4 = l p.l4;
-  }
-
 let mirror_factor p = p.w2 /. p.l2 /. (p.w1 /. p.l1)
 
 let input_pair_w = 30e-6

@@ -49,9 +49,6 @@ val name : string
 val default_params : params
 (** A sensible mid-range starting design. *)
 
-val clamp_params : params -> params
-(** Clip every dimension into the Table 1 ranges. *)
-
 val mirror_factor : params -> float
 (** [B = (w2/l2) / (w1/l1)]. *)
 

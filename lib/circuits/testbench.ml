@@ -105,42 +105,52 @@ let perf_of_bode conditions (b : Ac.bode) =
    their values: until the 0 dB pair is seen it can still be (k, k+1),
    which needs k+2; until the -3 dB pair is seen it can still be
    (k, k+1), which needs k+1.  Each magnitude is computed here, once, into
-   the response the extraction reads. *)
-let sweep_stop () =
-  let unity = ref (-1) and f3 = ref (-1) in
-  fun (r : Mna.response) k ->
-    Measure.set_magnitude_db r k;
-    let mags = r.Mna.mag_db in
-    let m = mags.(k) in
-    if k = 0 then if Float.is_finite m then 2 else 0
-    else begin
-      let prev = mags.(k - 1) and level = mags.(0) -. 3. in
-      if !unity < 0 && prev >= 0. && m < 0. then unity := k - 1;
-      if !f3 < 0 && prev >= level && m < level then f3 := k - 1;
-      if !unity < 0 then 2
-      else if !f3 < 0 then 1
-      else Stdlib.max 0 (!unity + 2 - k)
-    end
+   the response the extraction reads.  The first index of each pair seen
+   so far (-1 before) is kept in the response's marks, 0 for the 0 dB
+   pair and 1 for the -3 dB one, so the rule is one closed function. *)
+let sweep_stop (r : Mna.response) k =
+  Measure.set_magnitude_db r k;
+  let mags = r.Mna.mag_db and marks = r.Mna.marks in
+  let m = mags.(k) in
+  if k = 0 then begin
+    marks.(0) <- -1;
+    marks.(1) <- -1;
+    if Float.is_finite m then 2 else 0
+  end
+  else begin
+    let prev = mags.(k - 1) and level = mags.(0) -. 3. in
+    if marks.(0) < 0 && prev >= 0. && m < 0. then marks.(0) <- k - 1;
+    if marks.(1) < 0 && prev >= level && m < level then marks.(1) <- k - 1;
+    if marks.(0) < 0 then 2
+    else if marks.(1) < 0 then 1
+    else Stdlib.max 0 (marks.(0) + 2 - k)
+  end
 
 let feasible conditions p =
   p.phase_margin_deg > 0. && p.unity_gain_hz >= conditions.min_unity_gain_hz
 
 let objectives p = [| p.gain_db; p.phase_margin_deg |]
 
+(* the value under [key] ([compare], as List.assoc, so a NaN key finds
+   itself), without the option List.assoc_opt would allocate *)
+let rec find key = function
+  | [] -> raise_notrace Not_found
+  | (k, v) :: rest -> if compare k key = 0 then v else find key rest
+
 (* [v] under [key] in the compare-and-set list [cache], unless a racing
    domain published one first: the published value either way *)
 let rec publish cache key v =
   let cur = Atomic.get cache in
-  match List.assoc_opt key cur with
-  | Some existing -> existing
-  | None ->
+  match find key cur with
+  | existing -> existing
+  | exception Not_found ->
       if Atomic.compare_and_set cache cur ((key, v) :: cur) then v
       else publish cache key v
 
 let cached cache key make x =
-  match List.assoc_opt key (Atomic.get cache) with
-  | Some v -> v
-  | None -> publish cache key (make key x)
+  match find key (Atomic.get cache) with
+  | v -> v
+  | exception Not_found -> publish cache key (make key x)
 
 (* one grid per distinct (f_lo, f_hi, points_per_decade): every
    evaluation under one set of conditions sweeps the same array, which
@@ -236,7 +246,7 @@ module Make (A : Amplifier.S) = struct
   let build ?(conditions = default_conditions) params =
     (build_variant conditions params Differential, "out")
 
-  (* ---------- sessions ----------
+  (* ---------- sessions and the template ----------
 
      All open-loop testbenches of one amplifier and one stimulus share a
      single topology (same nodes, same device order) whatever the params
@@ -248,20 +258,6 @@ module Make (A : Amplifier.S) = struct
      sweep's pivot-path plan by compare-and-set); the caches themselves
      are CAS lists (a lost race costs one extra compile). *)
 
-  (* A session pins one front point: its circuit, the topology's compiled
-     sys and where each sample's Newton begins.  A [Warm] session begins
-     at its nominal operating point, a [Cold] one at the nodeset guess.
-     Two constructors rather than an optional field keep a cold session
-     the size it always was. *)
-  type session =
-    | Cold of { conditions : conditions; circuit : Circuit.t; sys : Mna.sys }
-    | Warm of {
-        conditions : conditions;
-        circuit : Circuit.t;
-        sys : Mna.sys;
-        start : Yield_numeric.Vec.t;  (* never written: Newton copies it *)
-      }
-
   let sys_cache : (Linsys.backend * Mna.sys) list Atomic.t = Atomic.make []
 
   let cached_sys backend circuit =
@@ -270,19 +266,126 @@ module Make (A : Amplifier.S) = struct
   (* the dense sessions of the CMRR and PSRR variants, one per stimulus *)
   let variant_cache : (stimulus * Mna.sys) list Atomic.t = Atomic.make []
 
+  (* device [di]'s W and L at [2 di] and [2 di + 1], 0 for a device that
+     is not a MOSFET *)
+  let geometry_of devices =
+    let g = Array.make (2 * Array.length devices) 0. in
+    Array.iteri
+      (fun di dev ->
+        match dev with
+        | Device.Mosfet { w; l; _ } ->
+            g.(2 * di) <- w;
+            g.(2 * di + 1) <- l
+        | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
+        | Device.Isource _ | Device.Vccs _ ->
+            ())
+      devices;
+    g
+
+  (* everything of a circuit but its MOSFETs' sizes *)
+  let unsized circuit =
+    ( Array.map
+        (function
+          | Device.Mosfet m -> Device.Mosfet { m with w = 0.; l = 0. }
+          | ( Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
+            | Device.Isource _ | Device.Vccs _ ) as dev ->
+              dev)
+        (Circuit.devices circuit),
+      Circuit.nodesets circuit )
+
+  (* The testbench built at the default design, and which design
+     parameter each of its MOSFETs' W and L is, read off [A.add] by
+     building it once more with each parameter moved alone.  An entry
+     that moves with parameter [k] must be that parameter's value, in
+     both builds; one that moves with none is fixed (-1).  A topology
+     whose parameters move anything else, or size a device any other
+     way, is refused here, before any evaluation. *)
+  let sizing conditions =
+    let refuse what = invalid_arg ("Testbench: " ^ A.name ^ " " ^ what) in
+    let base = A.params_to_array A.default_params in
+    let template = build_variant conditions A.default_params Differential in
+    let own = geometry_of (Circuit.devices template) in
+    let sized_by = Array.make (Array.length own) (-1) in
+    Array.iteri
+      (fun k v ->
+        let moved = Array.copy base in
+        moved.(k) <- v *. 1.5;
+        let c = build_variant conditions (A.params_of_array moved) Differential in
+        if compare (unsized c) (unsized template) <> 0 then
+          refuse ("changes more than MOSFET sizes with " ^ A.param_names.(k));
+        Array.iteri
+          (fun j x ->
+            if x <> own.(j) then
+              if x = moved.(k) && own.(j) = v && sized_by.(j) < 0 then sized_by.(j) <- k
+              else refuse (Printf.sprintf "sizes device %d by no single design parameter" (j / 2)))
+          (geometry_of (Circuit.devices c)))
+      base;
+    (template, sized_by)
+
+  (* One open-loop testbench per set of conditions, built once at the
+     default design and shared, read-only, by every domain: its circuit
+     and dense sys, the output node, the sweep grid and its extraction,
+     and the design parameter each MOSFET's W and L is ([sizing]).  An
+     evaluation passes its design vector to the assembly ({!Mna.sizes})
+     instead of rebuilding the circuit. *)
+  type template = {
+    circuit : Circuit.t;
+    sys : Mna.sys;
+    out : Device.node;
+    freqs : float array;
+    extract_perf : Mna.response -> int -> perf option;
+    sized_by : int array;
+  }
+
+  let templates : (conditions * template) list Atomic.t = Atomic.make []
+
+  let make_template conditions () =
+    (* [sizing] read its devices, so their array is cached before the
+       template is shared *)
+    let circuit, sized_by = sizing conditions in
+    let freqs = freqs_of conditions in
+    {
+      circuit;
+      sys = cached_sys Linsys.Dense circuit;
+      out = Circuit.node circuit "out";
+      freqs;
+      extract_perf = extract conditions ~freqs;
+      sized_by;
+    }
+
+  (* [make_template] is named, not a lambda here: inside the functor a
+     lambda would close over its values, one closure per lookup *)
+  let template conditions = cached templates conditions make_template ()
+
+  (* A session pins one front point: its circuit, the topology's compiled
+     sys and where each sample's Newton begins.  A [Warm] session begins
+     at its nominal operating point, a [Cold] one at the nodeset guess.
+     Two constructors rather than an optional field keep a cold session
+     the size it always was.  Its template gives the output, grid and
+     extraction. *)
+  type session =
+    | Cold of { t : template; circuit : Circuit.t; sys : Mna.sys }
+    | Warm of {
+        t : template;
+        circuit : Circuit.t;
+        sys : Mna.sys;
+        start : Yield_numeric.Vec.t;  (* never written: Newton copies it *)
+      }
+
   (* csr samples start at the nominal operating point, solved once here;
      dense samples keep the nodeset start, so dense stays the bit-exact
      reference.  A failed nominal solve leaves the nodeset start. *)
   let session ?(conditions = default_conditions) ?(solver = Linsys.Dense)
       params =
+    let t = template conditions in
     let circuit, _ = build ~conditions params in
     let sys = cached_sys solver circuit in
     match solver with
-    | Linsys.Dense -> Cold { conditions; circuit; sys }
+    | Linsys.Dense -> Cold { t; circuit; sys }
     | Linsys.Csr -> (
         match Dcop.solve ~sys circuit with
-        | Ok op -> Warm { conditions; circuit; sys; start = op.Dcop.x }
-        | Error _ -> Cold { conditions; circuit; sys })
+        | Ok op -> Warm { t; circuit; sys; start = op.Dcop.x }
+        | Error _ -> Cold { t; circuit; sys })
 
   let session_circuit (Cold { circuit; _ } | Warm { circuit; _ }) = circuit
 
@@ -303,13 +406,12 @@ module Make (A : Amplifier.S) = struct
      workspace's solution, stopped one point past the last one the
      extraction reads, and the extraction, all in the borrowed
      workspaces *)
-  let open_loop_perf ~sys ?start ?models conditions circuit =
-    let freqs = freqs_of conditions and out = Circuit.node circuit "out" in
+  let open_loop_perf t ~sys ?start ?models ?sizes circuit =
     match
-      Dcop.with_solution ?start ~sys ?models circuit (fun x _ ->
-          Ac.sweep ~sys ~stop:(sweep_stop ()) circuit
-            (Mna.Solution (models, x))
-            ~out ~freqs (extract conditions ~freqs))
+      Dcop.with_solution ?start ~sys ?models ?sizes circuit (fun x _ ->
+          Ac.sweep ~sys ~stop:sweep_stop circuit
+            (Mna.Solution { models; sizes; x })
+            ~out:t.out ~freqs:t.freqs t.extract_perf)
     with
     | Ok perf -> perf
     | Error _ -> None
@@ -321,16 +423,18 @@ module Make (A : Amplifier.S) = struct
     let circuit, _ = build ~conditions params in
     bode_of_circuit ~conditions circuit
 
+  (* the template, sized for [params] at assembly *)
   let evaluate ?(conditions = default_conditions) params =
-    let circuit, _ = build ~conditions params in
-    open_loop_perf ~sys:(cached_sys Linsys.Dense circuit) conditions circuit
+    let t = template conditions in
+    open_loop_perf t ~sys:t.sys
+      ~sizes:{ Mna.design = A.params_to_array params; at = t.sized_by }
+      t.circuit
 
   let sample s models =
     match s with
-    | Cold { conditions; circuit; sys } ->
-        open_loop_perf ~sys ~models conditions circuit
-    | Warm { conditions; circuit; sys; start } ->
-        open_loop_perf ~sys ~start ~models conditions circuit
+    | Cold { t; circuit; sys } -> open_loop_perf t ~sys ~models circuit
+    | Warm { t; circuit; sys; start } ->
+        open_loop_perf t ~sys ~start ~models circuit
 
   let evaluate_in_session s ~spec ~rng =
     sample s (Variation.overrides spec rng (session_circuit s))

@@ -51,9 +51,11 @@ val perf_of_bode : conditions -> Yield_spice.Ac.bode -> perf option
     bode, with every magnitude computed first.
     @raise Invalid_argument on an empty bode. *)
 
-val sweep_stop : unit -> Yield_spice.Mna.response -> int -> int
-(** A fresh stop rule for {!Yield_spice.Ac.sweep}'s [stop], for one
-    sweep.  After point [k] it writes that point's magnitude into the
+val sweep_stop : Yield_spice.Mna.response -> int -> int
+(** The stop rule for {!Yield_spice.Ac.sweep}'s [stop].  It keeps what
+    it has seen of a sweep in the response's [marks], which it sets at
+    point 0, so it is one closed function and a sweep that uses it
+    allocates nothing for it.  After point [k] it writes that point's magnitude into the
     response ({!Yield_spice.Measure.set_magnitude_db}), where the
     extraction reads it back, and answers the number of further points
     {!perf_of_bode} needs whatever their values: [0] after point 0 when
@@ -118,14 +120,22 @@ module type S = sig
       the full {!bode}, usually without factoring the last fifth of the
       frequencies.
 
-      It builds no operating point and no bode: the DC answer stays in
-      the borrowed DC workspace ({!Yield_spice.Dcop.with_solution}), the
-      AC assembly evaluates each MOSFET's small-signal model at it
-      ({!Yield_spice.Mna.Solution}), and the response, its magnitudes and
-      phases stay in the AC workspace, where the extraction reads them.
-      So beyond rebuilding its testbench (about 630 words on the default
-      OTA) an evaluation allocates its [perf] and a few hundred words of
-      bookkeeping. *)
+      It builds no testbench, no operating point and no bode.  The
+      functor keeps one testbench per [conditions], built at the default
+      design and published by compare-and-set like {!freqs_of}'s grids,
+      read-only and shared across domains; an evaluation passes its
+      design's W and L to the assembly ({!Yield_spice.Mna.sizes}), so it
+      solves the floats a circuit built for [params] holds.  The DC
+      answer stays in the borrowed DC workspace
+      ({!Yield_spice.Dcop.with_solution}), the AC assembly evaluates each
+      MOSFET's small-signal model at it ({!Yield_spice.Mna.Solution}),
+      and the response, its magnitudes and phases stay in the AC
+      workspace, where the extraction reads them.  A converged
+      evaluation allocates its [perf], its sizes and a few dozen words
+      of arguments and boxed measurements, under 128 words.
+      @raise Invalid_argument when the amplifier sizes a MOSFET by
+      anything but one design parameter ([A.add] is read once per
+      [conditions], at the first evaluation). *)
 
   type session
   (** One testbench instantiation pinned to a design: the built circuit

@@ -464,7 +464,17 @@ type cwork = {
   bi : float array;
   l0 : lane;
   l1 : lane;
+  (* the sweep [csweep] last began, which its point solver solves: the
+     grid, the output's permuted column and the response arrays *)
+  mutable sfreqs : float array;
+  mutable spos : int;
+  mutable sre : float array;
+  mutable sim : float array;
+  (* that point solver, made by the first sweep *)
+  mutable spoint : int -> int -> int;
 }
+
+let no_point _ _ = invalid_arg "Csr: a point before any sweep"
 
 let lane m n =
   let vec k = Array.make k 0. in
@@ -480,6 +490,11 @@ let cwork sym =
     bi = Array.make n 0.;
     l0 = lane m n;
     l1 = lane m n;
+    sfreqs = [||];
+    spos = -1;
+    sre = [||];
+    sim = [||];
+    spoint = no_point;
   }
 
 let gvalues w = w.gv
@@ -807,6 +822,15 @@ let sweep_two w freqs pos ~re ~im k k' =
   response_at a pos ~re ~im k;
   response_at b pos ~re ~im k'
 
+(* a point of the sweep [csweep] stored in [w] *)
+let point w k k' =
+  let freqs = w.sfreqs and pos = w.spos and re = w.sre and im = w.sim in
+  if k' < 0 then sweep_one w freqs pos ~re ~im k
+  else sweep_two w freqs pos ~re ~im k k';
+  0
+
+(* the sweep's arguments wait in the workspace, and its point solver is
+   the one the first sweep made: beginning a sweep allocates nothing *)
 let csweep w b ~freqs ~out ~re ~im =
   let s = w.csym in
   if Array.length b <> s.n then invalid_arg "Csr.csweep: dimension mismatch";
@@ -817,8 +841,9 @@ let csweep w b ~freqs ~out ~re ~im =
   for i = 0 to s.n - 1 do
     if s.colperm.(i) = out then pos := i
   done;
-  let pos = !pos in
-  fun k k' ->
-    if k' < 0 then sweep_one w freqs pos ~re ~im k
-    else sweep_two w freqs pos ~re ~im k k';
-    0
+  if w.spoint == no_point then w.spoint <- (fun k k' -> point w k k');
+  w.sfreqs <- freqs;
+  w.spos <- !pos;
+  w.sre <- re;
+  w.sim <- im;
+  w.spoint

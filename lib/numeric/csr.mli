@@ -125,7 +125,9 @@ val csweep :
     entry [out] of a {!cfactor} solve at that [omega] holds, and raises
     what a {!cfactor} at [freqs.(k)] and then one at [freqs.(k')] would
     raise first.  A negative [out] factors without solving and writes
-    zeros.  A point allocates nothing.  The
+    zeros.  A point allocates nothing, and neither does [csweep] after
+    the first on [w]: its arguments wait in [w], and the point solver is
+    [w]'s own, which each [csweep] retargets.  The
     point solver shares [w] with {!cfactor}: it stays valid until the next
     [csweep] or [cfactor] on [w] or a solve of the latter.
     @raise Invalid_argument if [b] is not of size n or [out >= n].

@@ -34,8 +34,8 @@
     by compare-and-set); {!val-real} / {!val-complex} allocate a mutable
     numeric workspace, which one domain uses at a time.  Who allocates
     one: the simulator's [Mna.sys] keeps the workspaces its DC solves and
-    AC transfers use on a compare-and-set free list, and each call
-    borrows one and gives it back, so a worker allocates one per system
+    AC transfers use on a shelf with compare-and-set busy flags, and each
+    call borrows one and gives it back, so a worker allocates one per system
     it solves in, not one per call; the transient and noise engines, the
     corner proof and the tests allocate their own.  A workspace keeps no
     result between calls: [reset] / [creset] zero the assembled values
@@ -153,7 +153,9 @@ type complex_sys = {
           a pair through one pass while both frequencies pick the same
           pivots.  Back substitution stops at [out].  A negative [out]
           factors without solving and writes zeros.  A point allocates
-          nothing.  The point solver reads
+          nothing, and neither does [sweep] after a workspace's first:
+          the arguments wait in the workspace, and the point solver it
+          returns is the workspace's own.  The point solver reads
           G and C at every point; dense checks their structure when
           [sweep] is called, so they must not change between a [sweep]
           and its points.  It shares the workspace with [factor]: each is

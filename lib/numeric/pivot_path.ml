@@ -217,7 +217,20 @@ type work = {
   mutable structure : Bytes.t;
   (* [factor]'s pencil and scratch, made by the first [factor] *)
   mutable solver : (Cmat.t * Cmat.work) option;
+  (* the sweep [sweep] last began, which [point] solves: its right-hand
+     side, grid, output and response arrays, and whether the plan
+     applies to its G and C *)
+  mutable rhs : Complex.t array;
+  mutable freqs : float array;
+  mutable out : int;
+  mutable re : float array;
+  mutable im : float array;
+  mutable planned : bool;
+  (* its point solver, made by the first sweep *)
+  mutable point : int -> int -> int;
 }
+
+let no_point _ _ = invalid_arg "Pivot_path: a point before any sweep"
 
 let work plan =
   let n = plan.n in
@@ -231,6 +244,13 @@ let work plan =
     grown = fell_back;
     structure = Bytes.empty;
     solver = None;
+    rhs = [||];
+    freqs = [||];
+    out = -1;
+    re = [||];
+    im = [||];
+    planned = false;
+    point = no_point;
   }
 
 let gvalues w = w.g
@@ -553,31 +573,43 @@ let finish (l : lane) out ~re ~im k =
   Cmat.entry_into l.buf out ~re ~im k;
   if l.last == fell_back then 1 else 0
 
+(* a point of the sweep [sweep] stored in [w] *)
+let point w k k' =
+  let sh = shape w.plan and planned = w.planned and rhs = w.rhs in
+  let freqs = w.freqs and out = w.out and re = w.re and im = w.im in
+  let a = w.a and b = w.b in
+  let ma = load w sh a planned (2. *. Float.pi *. freqs.(k)) in
+  load_rhs a rhs;
+  if k' < 0 then begin
+    run1_from w sh a ma;
+    finish a out ~re ~im k
+  end
+  else begin
+    let mb = load w sh b planned (2. *. Float.pi *. freqs.(k')) in
+    load_rhs b rhs;
+    if ma = 0 && mb = 0 then run2 w sh a b sh.root
+    else begin
+      run1_from w sh a ma;
+      run1_from w sh b mb
+    end;
+    let ga = finish a out ~re ~im k in
+    ga + finish b out ~re ~im k'
+  end
+
+(* the sweep's arguments wait in the workspace, and its point solver is
+   the one the first sweep made: beginning a sweep allocates nothing *)
 let sweep w rhs ~freqs ~out ~re ~im =
   let n = w.plan.n in
   if Array.length rhs <> n then invalid_arg "Pivot_path.sweep: dimension mismatch";
   if out >= n then invalid_arg "Pivot_path.sweep: output outside the system";
-  let sh = shape w.plan in
-  let planned = fits sh w.g w.c in
-  fun k k' ->
-    let a = w.a and b = w.b in
-    let ma = load w sh a planned (2. *. Float.pi *. freqs.(k)) in
-    load_rhs a rhs;
-    if k' < 0 then begin
-      run1_from w sh a ma;
-      finish a out ~re ~im k
-    end
-    else begin
-      let mb = load w sh b planned (2. *. Float.pi *. freqs.(k')) in
-      load_rhs b rhs;
-      if ma = 0 && mb = 0 then run2 w sh a b sh.root
-      else begin
-        run1_from w sh a ma;
-        run1_from w sh b mb
-      end;
-      let ga = finish a out ~re ~im k in
-      ga + finish b out ~re ~im k'
-    end
+  if w.point == no_point then w.point <- (fun k k' -> point w k k');
+  w.planned <- fits (shape w.plan) w.g w.c;
+  w.rhs <- rhs;
+  w.freqs <- freqs;
+  w.out <- out;
+  w.re <- re;
+  w.im <- im;
+  w.point
 
 let factor w ~omega =
   let n = w.plan.n in

@@ -62,6 +62,8 @@ val sweep :
     dense.  Each point writes entry [out] of the solution at [freqs.(k)]
     with the bits of {!Cmat.solve_entry} on the pencil [factor] builds,
     and returns the number of its frequencies that ran {!Cmat.eliminate}
-    for some step instead of the plan.
+    for some step instead of the plan.  The sweep's arguments wait in
+    [w] and the point solver is [w]'s own, made by its first sweep, so
+    beginning a sweep allocates nothing; each sweep on [w] retargets it.
     @raise Invalid_argument if [rhs] is not of size n or [out >= n].
     @raise Lu.Singular on breakdown *)

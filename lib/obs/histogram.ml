@@ -1,12 +1,19 @@
 type t = {
   mutable count : int;
-  mutable sum : float;
-  mutable vmin : float;
-  mutable vmax : float;
+  moments : float array;
+      (** the sum, min and max: in a float array, so that updating them
+          boxes no float *)
   store : float array;  (** reservoir; the first [stored] cells are live *)
   mutable lcg : int;  (** deterministic replacement stream *)
   lock : Mutex.t;
 }
+
+(* the slots of [moments] *)
+let i_sum = 0
+
+let i_min = 1
+
+let i_max = 2
 
 type summary = {
   count : int;
@@ -24,20 +31,21 @@ let create ?(capacity = 2048) () =
   if capacity <= 0 then invalid_arg "Histogram.create: capacity <= 0";
   {
     count = 0;
-    sum = 0.;
-    vmin = infinity;
-    vmax = neg_infinity;
+    moments = [| 0.; infinity; neg_infinity |];
     store = Array.make capacity 0.;
     lcg = 0x2545F49;
     lock = Mutex.create ();
   }
 
-let observe t v =
+(* inlined into both entry points, so an int observation's float is
+   never boxed *)
+let[@inline] record t v =
   Mutex.lock t.lock;
   t.count <- t.count + 1;
-  t.sum <- t.sum +. v;
-  if v < t.vmin then t.vmin <- v;
-  if v > t.vmax then t.vmax <- v;
+  let m = t.moments in
+  m.(i_sum) <- m.(i_sum) +. v;
+  if v < m.(i_min) then m.(i_min) <- v;
+  if v > m.(i_max) then m.(i_max) <- v;
   let cap = Array.length t.store in
   if t.count <= cap then t.store.(t.count - 1) <- v
   else begin
@@ -47,6 +55,10 @@ let observe t v =
     if j < cap then t.store.(j) <- v
   end;
   Mutex.unlock t.lock
+
+let observe t v = record t v
+
+let observe_int t n = record t (float_of_int n)
 
 let count t =
   Mutex.lock t.lock;
@@ -59,7 +71,8 @@ let snapshot t =
   Mutex.lock t.lock;
   let stored = Stdlib.min t.count (Array.length t.store) in
   let values = Array.sub t.store 0 stored in
-  let count = t.count and sum = t.sum and vmin = t.vmin and vmax = t.vmax in
+  let m = t.moments in
+  let count = t.count and sum = m.(i_sum) and vmin = m.(i_min) and vmax = m.(i_max) in
   Mutex.unlock t.lock;
   (count, sum, vmin, vmax, values)
 
@@ -113,7 +126,7 @@ let quantile t q =
 let reset t =
   Mutex.lock t.lock;
   t.count <- 0;
-  t.sum <- 0.;
-  t.vmin <- infinity;
-  t.vmax <- neg_infinity;
+  t.moments.(i_sum) <- 0.;
+  t.moments.(i_min) <- infinity;
+  t.moments.(i_max) <- neg_infinity;
   Mutex.unlock t.lock

@@ -24,6 +24,10 @@ val create : ?capacity:int -> unit -> t
 
 val observe : t -> float -> unit
 
+val observe_int : t -> int -> unit
+(** [observe_int t n] is [observe t (float_of_int n)], with nothing
+    allocated: a count observed from another unit crosses as an int. *)
+
 val count : t -> int
 
 val summarize : t -> summary

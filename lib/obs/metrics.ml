@@ -36,6 +36,8 @@ let histogram ?capacity name =
 
 let observe h v = Histogram.observe h v
 
+let observe_int h n = Histogram.observe_int h n
+
 type snapshot = {
   counters : (string * int) list;
   histograms : (string * Histogram.summary) list;

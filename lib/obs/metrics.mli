@@ -26,6 +26,10 @@ val histogram : ?capacity:int -> string -> Histogram.t
 
 val observe : Histogram.t -> float -> unit
 
+val observe_int : Histogram.t -> int -> unit
+(** {!observe} of a count, which allocates nothing: the hot paths record
+    their iteration and attempt counts this way. *)
+
 type snapshot = {
   counters : (string * int) list;  (** sorted by name *)
   histograms : (string * Histogram.summary) list;  (** sorted by name *)

@@ -45,3 +45,17 @@ val with_retries :
     identity above still holds) and additionally into
     [retry.<name>.deadline_stopped].  The first attempt always runs;
     callers enforce admission deadlines themselves. *)
+
+val settle :
+  ?deadline_s:float -> policy -> attempt:int -> started_s:float ->
+  classification option -> bool
+(** [settle p ~attempt ~started_s failure] is the decision {!with_retries}
+    takes after each attempt, for a caller that runs its own attempt loop
+    without a closure: it records how attempt [attempt] ended ([None]: it
+    succeeded; [Some c]: it failed with class [c]) into the policy's
+    counters and histogram exactly as {!with_retries} does, and answers
+    whether another attempt should run.  [started_s] is when the attempt
+    began, on the {!Yield_obs.Clock.now_s} timebase; only a [deadline_s]
+    reads it, so a caller without one may pass [0.].  A success allocates
+    nothing, and neither does {!with_retries} around an [f] whose first
+    attempt succeeds without a deadline. *)

@@ -30,37 +30,42 @@ let never_stop _ _ = max_int
    two at a time.  Each frequency is its own factorisation, so the swept
    prefix is what the full sweep would have computed, and two promised
    points can be factored together.  Returns the swept count; the
-   counters hear of a sweep only when it [counted]. *)
-let sweep_points ~stop ~counted (r : Mna.response) point n =
-  (* the last point the rule needs once it has seen point [k]; it may
-     not fall short of [promised], the last point it needed before *)
-  let consult k promised =
-    let need = stop r k in
-    let last = if need >= n - 1 - k then n - 1 else k + need in
-    if last < promised then
-      invalid_arg "Ac.transfer: the stop rule gave up a point it had promised";
-    last
-  in
-  let rec sweep k last pairs generic =
-    if k > last then begin
-      if counted then begin
-        Metrics.add points k;
-        Metrics.add paired pairs;
-        Metrics.add dense_generic generic
-      end;
-      k
-    end
-    else if k < last then begin
-      let g = point k (k + 1) in
-      let last = consult k last in
-      sweep (k + 2) (consult (k + 1) last) (pairs + 2) (generic + g)
-    end
-    else begin
-      let g = point k (-1) in
-      sweep (k + 1) (consult k last) pairs (generic + g)
-    end
-  in
-  if n = 0 then 0 else sweep 0 0 0 0
+   counters hear of a sweep only when it [counted].  Top-level functions
+   of their arguments, so the loop allocates no closure. *)
+
+(* the last point the rule needs once it has seen point [k]; it may not
+   fall short of [promised], the last point it needed before *)
+let consult stop (r : Mna.response) n k promised =
+  let need = stop r k in
+  let last = if need >= n - 1 - k then n - 1 else k + need in
+  if last < promised then
+    invalid_arg "Ac.transfer: the stop rule gave up a point it had promised";
+  last
+
+let rec sweep_from stop counted r point n k last pairs generic =
+  if k > last then begin
+    if counted then begin
+      Metrics.add points k;
+      Metrics.add paired pairs;
+      Metrics.add dense_generic generic
+    end;
+    k
+  end
+  else if k < last then begin
+    let g = point k (k + 1) in
+    let last = consult stop r n k last in
+    sweep_from stop counted r point n (k + 2)
+      (consult stop r n (k + 1) last)
+      (pairs + 2) (generic + g)
+  end
+  else begin
+    let g = point k (-1) in
+    sweep_from stop counted r point n (k + 1) (consult stop r n k last) pairs
+      (generic + g)
+  end
+
+let sweep_points ~stop ~counted r point n =
+  if n = 0 then 0 else sweep_from stop counted r point n 0 0 0 0
 
 (* what a faulted sweep answers at every point: NaN, nothing factored *)
 let nan_point (r : Mna.response) k k' =
@@ -71,6 +76,26 @@ let nan_point (r : Mna.response) k k' =
     r.Mna.im.(k') <- nan
   end;
   0
+
+(* the sweep in the borrowed workspace [w], and [k] of its response *)
+let sweep_in (w : Mna.ac_work) ~faulted ~stop circuit layout src ~out ~freqs k
+    =
+  let r = w.Mna.points and n = Array.length freqs in
+  Mna.reserve r n;
+  let swept =
+    if faulted then sweep_points ~stop ~counted:false r (nan_point r) n
+    else begin
+      Mna.assemble_ac w circuit layout src;
+      (* the ground's unknown is -1: factored, never solved, answered
+         zero *)
+      let point =
+        w.Mna.cs.Linsys.sweep w.Mna.crhs ~freqs ~out:(out - 1) ~re:r.Mna.re
+          ~im:r.Mna.im
+      in
+      sweep_points ~stop ~counted:true r point n
+    end
+  in
+  k r swept
 
 let sweep ?sys ?(stop = never_stop) circuit src ~out ~freqs k =
   let faulted = Fault.fire fp_solve in
@@ -86,25 +111,18 @@ let sweep ?sys ?(stop = never_stop) circuit src ~out ~freqs k =
      | issue :: _ -> raise (Singular (Topology.issue_to_string issue)));
   (* the compiled session is shared across domains; the pencil, its
      elimination buffers and the response are borrowed from it for the
-     call *)
-  let layout = Mna.sys_layout sys in
-  Mna.with_ac sys (fun w ->
-      let r = w.Mna.points and n = Array.length freqs in
-      Mna.reserve r n;
-      let swept =
-        if faulted then sweep_points ~stop ~counted:false r (nan_point r) n
-        else begin
-          Mna.assemble_ac w circuit layout src;
-          (* the ground's unknown is -1: factored, never solved, answered
-             zero *)
-          let point =
-            w.Mna.cs.Linsys.sweep w.Mna.crhs ~freqs ~out:(out - 1) ~re:r.Mna.re
-              ~im:r.Mna.im
-          in
-          sweep_points ~stop ~counted:true r point n
-        end
-      in
-      k r swept)
+     call, without a closure *)
+  let w = Mna.borrow_ac sys in
+  match
+    sweep_in w ~faulted ~stop circuit (Mna.sys_layout sys) src ~out ~freqs k
+  with
+  | v ->
+      Mna.return_ac w;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Mna.return_ac w;
+      Printexc.raise_with_backtrace e bt
 
 let transfer ?sys ?stop circuit op ~out ~freqs =
   sweep ?sys ?stop circuit

@@ -24,8 +24,11 @@ val sweep :
     [k r swept] while the workspace is still borrowed: the response of
     point [i] is [r.re.(i)] + j [r.im.(i)] for every [i < swept].  [r]
     belongs to the workspace, so [k] reads it and must not keep it.  A
-    point writes its response into [r] and allocates nothing, so neither
-    does the sweep, once the workspace has room for the grid.
+    point writes its response into [r] and allocates nothing, and the
+    borrowing, the loop and the backend's point solver need no closure,
+    so once the workspace has room for the grid a sweep allocates only
+    the right-hand side's entry of each source with an AC magnitude
+    (one complex record) and what [stop] and [k] allocate.
 
     The sweep asks [stop r k] after point [k] how many further points it
     needs, whatever their values; the rule reads [r.re.(k)] and

@@ -29,12 +29,13 @@ val classify_error : error -> Yield_resilience.Retry.classification
 
 val iterate :
   Mna.dc_work -> options -> n_nodes:int -> x0:Yield_numeric.Vec.t ->
-  (Yield_numeric.Vec.t -> unit) -> int
+  (Mna.dc_work -> Yield_numeric.Vec.t -> unit) -> int
 (** [iterate w options ~n_nodes ~x0 assemble] is one damped-Newton run
     in the borrowed workspace [w] ({!Mna.with_dc}), the loop every solve
     of {!solve} and every time point of {!Tran} runs.  It starts at [x0]
-    (which may be [w.x] itself) and iterates in [w.x]: [assemble x] writes
-    the system linearised at [x] into [w.rs] and [w.rhs], the solution
+    (which may be [w.x] itself) and iterates in [w.x]: [assemble w x]
+    writes the system linearised at [x] into [w.rs] and [w.rhs] (a DC
+    solve passes {!Mna.assemble_dc}, which needs no closure), the solution
     goes to [w.x_new], and each of the first [n_nodes] unknowns moves by
     at most [options.max_step].  The run converges when every unknown's
     Newton step is below [options.vtol], and fails on a singular system, a
@@ -106,20 +107,25 @@ val solve_with_retry :
 
 val with_solution :
   ?options:options -> ?budget_s:float -> ?start:Yield_numeric.Vec.t ->
-  ?sys:Mna.sys -> ?models:Mna.models -> Circuit.t ->
+  ?sys:Mna.sys -> ?models:Mna.models -> ?sizes:Mna.sizes -> Circuit.t ->
   (Yield_numeric.Vec.t -> int -> 'a) -> ('a, error) result
 (** [with_solution ... circuit k] is {!solve_with_retry} without the
     operating point: the same attempts, retries, fault checks and
     counters, and on success [Ok (k x iterations)], where [x] is the
     converged unknown vector in the DC workspace borrowed from [sys]
-    ({!Mna.with_dc}) and [iterations] the result's [iterations].  [x] is
+    ({!Mna.borrow_dc}) and [iterations] the result's [iterations].  [x] is
     the workspace's: [k] reads it while the workspace is still borrowed
     (a testbench evaluation assembles its AC system from it,
-    {!Mna.Solution}) and must neither keep nor write it.  Beyond what [k]
-    allocates, a converged call allocates only the retry and homotopy
-    bookkeeping (closures, the attempt list, boxed metric values), about
-    100 words on the Miller: no copy of [x] and no [mos_ops], which take
-    400 more.
+    {!Mna.Solution}) and must neither keep nor write it.  [sizes] gives
+    the MOSFETs the evaluation's W and L at every assembly
+    ({!Mna.sizes}), so a template circuit solves as one built with them.
+
+    A call whose first attempt converges in its Newton stage, without
+    [budget_s], allocates nothing but its [Ok] and what [k] allocates:
+    the homotopy chain, the retry loop ({!Yield_resilience.Retry.settle})
+    and the borrowing are closure-free, the counts reach their
+    histograms as ints and no clock is read.  The fallbacks, retries and
+    failures may allocate.
     {!solve_with_retry} is this with [k] building the {!t}. *)
 
 val voltage : t -> Device.node -> float

@@ -54,6 +54,22 @@ let dc_gain_db b =
   if Array.length b.Ac.response = 0 then invalid_arg "Measure.dc_gain_db: empty";
   magnitude_db b.Ac.response.(0)
 
+(* the first downward crossing from point [i] on; top-level, so a
+   measurement allocates no closure *)
+let rec scan_crossing ~n ~xs ~ys ~level ~log_x i =
+  if i >= n - 1 then None
+  else if ys.(i) >= level && ys.(i + 1) < level then begin
+    let y0 = ys.(i) and y1 = ys.(i + 1) in
+    if y0 = y1 then Some xs.(i)
+    else begin
+      let t = (y0 -. level) /. (y0 -. y1) in
+      if log_x then
+        Some (exp (log xs.(i) +. (t *. (log xs.(i + 1) -. log xs.(i)))))
+      else Some (xs.(i) +. (t *. (xs.(i + 1) -. xs.(i))))
+    end
+  end
+  else scan_crossing ~n ~xs ~ys ~level ~log_x (i + 1)
+
 let crossing ?n ~xs ~ys ~level ?(log_x = true) () =
   (* the points it reads: the first [n], or the whole of [xs], which [ys]
      must then match *)
@@ -68,29 +84,20 @@ let crossing ?n ~xs ~ys ~level ?(log_x = true) () =
           invalid_arg "Measure.crossing: prefix beyond the arrays";
         n
   in
-  let rec scan i =
-    if i >= n - 1 then None
-    else if ys.(i) >= level && ys.(i + 1) < level then begin
-      let y0 = ys.(i) and y1 = ys.(i + 1) in
-      if y0 = y1 then Some xs.(i)
-      else begin
-        let t = (y0 -. level) /. (y0 -. y1) in
-        if log_x then
-          Some (exp (log xs.(i) +. (t *. (log xs.(i + 1) -. log xs.(i)))))
-        else Some (xs.(i) +. (t *. (xs.(i + 1) -. xs.(i))))
-      end
-    end
-    else scan (i + 1)
-  in
-  scan 0
+  scan_crossing ~n ~xs ~ys ~level ~log_x 0
 
 let interp_at ?n ~xs ~ys x ~log_x =
   let n = match n with None -> Array.length xs | Some n -> n in
   if x <= xs.(0) then ys.(0)
   else if x >= xs.(n - 1) then ys.(n - 1)
   else begin
-    let rec find i = if xs.(i + 1) >= x then i else find (i + 1) in
-    let i = find 0 in
+    (* the first segment ending at or past [x], in a loop: a recursive
+       function would box [x] at every step *)
+    let i = ref 0 in
+    while not (xs.(!i + 1) >= x) do
+      incr i
+    done;
+    let i = !i in
     let t =
       if log_x then (log x -. log xs.(i)) /. (log xs.(i + 1) -. log xs.(i))
       else (x -. xs.(i)) /. (xs.(i + 1) -. xs.(i))

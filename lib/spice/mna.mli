@@ -34,6 +34,17 @@ val model_override : models option -> int -> Mosfet.model -> Mosfet.model
 (** [model_override models di nominal] resolves the effective model of
     device index [di]. *)
 
+type sizes = { design : float array; at : int array }
+(** Per-evaluation MOSFET geometry: a design vector and, indexed by
+    device like {!models}, where in it device [di]'s W and L are:
+    [design.(at.(2 * di))] and [design.(at.(2 * di + 1))], in place of
+    its record's, where those indices are not -1 (entries of other
+    devices are not read).  A testbench template passes each design this
+    way, at assembly, instead of rebuilding its circuit; the assembly
+    reads the two from the vector ({!Mosfet.linearise_at},
+    {!Mosfet.small_signal_at}), so the floats are those of a circuit
+    built with them and none is boxed. *)
+
 (** {1 Solver sessions}
 
     A [sys] pairs a layout with a compiled {!Yield_numeric.Linsys} system,
@@ -43,7 +54,7 @@ val model_override : models option -> int -> Mosfet.model -> Mosfet.model
     structural issues ({!Topology.dc_issues} and {!Topology.ac_issues}),
     computed once when it is built, which {!Dcop.solve} and {!Ac.transfer}
     read instead of re-running the checks per call.  A [sys] is safe to
-    share across domains.  Its only mutable parts are two free lists of
+    share across domains.  Its only mutable parts are two shelves of
     numeric workspaces, which {!Dcop.solve}, {!Tran.run} and
     {!Ac.transfer} borrow from ({!with_dc}, {!with_ac}) by
     compare-and-set; other callers allocate their own with {!sys_real} /
@@ -110,14 +121,15 @@ val sys_solver_name : sys -> string
 (** {1 Borrowed workspaces}
 
     A [sys] keeps the workspaces its solves and transfers have used on a
-    free list, and lends them out again: a call borrows one for its
-    duration and gives it back when it returns or raises.  Borrowing is a
-    compare-and-set, so two domains never hold one workspace; a borrower
-    that finds the list empty (the first call, a domain racing another,
-    or a call nested inside one that holds the workspace) allocates its
-    own, and gives that back too.  So the list never holds more
-    workspaces than were ever borrowed at once, and it is collected with
-    its [sys].  No setting sizes it.
+    shelf, and lends them out again: a call borrows one for its duration
+    and gives it back when it returns or raises.  Borrowing is a
+    compare-and-set on the workspace's busy flag, so two domains never
+    hold one workspace; a borrower that finds none free (the first call,
+    a domain racing another, or a call nested inside one that holds the
+    workspace) allocates its own and shelves it.  So the shelf never
+    holds more workspaces than were ever borrowed at once, and it is
+    collected with its [sys].  No setting sizes it.  Borrowing a shelved
+    workspace and giving it back allocate nothing.
 
     Reuse is invisible: every user writes what it reads before reading
     it (an assembly resets the system and zero-fills its right-hand side,
@@ -131,16 +143,28 @@ type dc_work = private {
   x : Yield_numeric.Vec.t;  (** Newton's iterate *)
   x0 : Yield_numeric.Vec.t;  (** Newton's starting guess *)
   x_new : Yield_numeric.Vec.t;  (** the linearised system's solution *)
+  layout : layout;  (** the layout of the [sys] it belongs to *)
+  mutable circuit : Circuit.t;  (** what {!assemble_dc} linearises ({!aim_dc}) *)
+  mutable models : models option;
+  mutable sizes : sizes option;
+  mutable source_scale : float;
+  mutable gmin : float;
+  busy : bool Atomic.t;  (** set while a call holds it *)
 }
 (** A DC solve's workspace: the system and every vector a damped Newton
-    run writes, all of the system's size, so that an iteration allocates
-    nothing.  The vectors' contents belong to the borrower. *)
+    run writes, all of the system's size, and the circuit, overrides and
+    homotopy point its assembly linearises, so that an iteration
+    allocates nothing and a Newton loop needs no closure.  The contents
+    belong to the borrower. *)
 
 type response = {
   mutable re : float array;  (** the real part of point k's response *)
   mutable im : float array;  (** its imaginary part *)
   mutable mag_db : float array;  (** its magnitude in dB, where a measurement wrote it *)
   mutable phase_deg : float array;  (** its phase, where a measurement wrote it *)
+  marks : int array;
+      (** two ints a stop rule keeps between the points of one sweep; the
+          rule sets them at point 0 *)
 }
 (** A sweep's points, indexed by frequency: what a sweep writes
     ([re], [im]) and what the measurements on it write ([mag_db],
@@ -161,6 +185,7 @@ type ac_work = private {
       (** the {!Mosfet.buffer} each MOSFET's small-signal model is
           evaluated in *)
   points : response;  (** where {!Ac.sweep} leaves the response *)
+  ac_busy : bool Atomic.t;  (** set while a call holds it *)
 }
 (** An AC transfer's workspace.  The assembly, the sweep and the
     measurements of one transfer all write into it, so a sweep allocates
@@ -168,11 +193,23 @@ type ac_work = private {
 
 val with_dc : sys -> (dc_work -> 'a) -> 'a
 (** [with_dc sys f] is [f w] for a DC workspace [w] of [sys] borrowed for
-    the call (see above); [w] goes back on the list when [f] returns or
+    the call (see above); [w] goes back on the shelf when [f] returns or
     raises. *)
 
 val with_ac : sys -> (ac_work -> 'a) -> 'a
 (** {!with_dc} for an AC workspace. *)
+
+val borrow_dc : sys -> dc_work
+(** {!with_dc} without the closure: a DC workspace of [sys], held until
+    {!return_dc}, which the borrower must call however it leaves,
+    exception or not. *)
+
+val return_dc : dc_work -> unit
+
+val borrow_ac : sys -> ac_work
+(** {!borrow_dc} for an AC workspace. *)
+
+val return_ac : ac_work -> unit
 
 (** {1 Assembly}
 
@@ -198,13 +235,21 @@ val assemble_dc_into :
     @raise Invalid_argument when the workspace is not of the [sys] whose
     layout this is, or the circuit has another device count. *)
 
-val assemble_dc :
-  dc_work -> ?models:models -> Circuit.t -> layout -> x:Yield_numeric.Vec.t ->
+val aim_dc :
+  dc_work -> ?models:models -> ?sizes:sizes -> Circuit.t ->
   source_scale:float -> gmin:float -> unit
-(** {!assemble_dc_into} into a borrowed workspace: the system into its
+(** [aim_dc w circuit ~source_scale ~gmin] sets what {!assemble_dc}
+    linearises in [w]: [circuit] (of the workspace's [sys]) under
+    [models] and [sizes], at that source scaling and [gmin].  Allocates
+    nothing. *)
+
+val assemble_dc : dc_work -> Yield_numeric.Vec.t -> unit
+(** [assemble_dc w x] is {!assemble_dc_into} of what {!aim_dc} set,
+    linearised at [x], into the borrowed workspace: the system into its
     [rs] and the right-hand side into its [rhs], each MOSFET evaluated in
     its [scratch].  Allocates nothing.  [x] may be the workspace's own
-    [x].
+    [x].  A top-level function of the workspace, so a Newton loop takes
+    it without a closure ({!Dcop.iterate}).
     @raise Invalid_argument as {!assemble_dc_into}. *)
 
 val stamp_device_dc :
@@ -231,11 +276,16 @@ type small_signal =
   | Operating_points of (string -> Mosfet.op)
       (** each MOSFET's [gm], [gds], [gmb], [cgs], [cgd], [cdb] and [csb]
           read from its operating point, looked up by name *)
-  | Solution of models option * Yield_numeric.Vec.t
-      (** each MOSFET's small-signal model evaluated at the DC solution,
-          under the sample's models ({!Mosfet.small_signal} on the bias
-          {!mos_operating_point} gives it): the floats of the operating
-          point's fields, with no operating point built *)
+  | Solution of {
+      models : models option;
+      sizes : sizes option;
+      x : Yield_numeric.Vec.t;
+    }
+      (** each MOSFET's small-signal model evaluated at the DC solution
+          [x], under the sample's models and the evaluation's sizes
+          ({!Mosfet.small_signal} on the bias {!mos_operating_point} gives
+          it): the floats of the operating point's fields, with no
+          operating point built *)
 (** Where the AC assembly takes each MOSFET's seven small-signal values
     from.  A testbench evaluation passes the DC workspace's solution
     straight to the assembly ([Solution]); {!Dcop.t}'s [mos_ops] are for

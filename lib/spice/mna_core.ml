@@ -64,6 +64,30 @@ let model_override models di default =
   | None -> default
   | Some arr -> ( match arr.(di) with Some m -> m | None -> default)
 
+(* Per-evaluation MOSFET geometry: a design vector and, by device index
+   like [models], where device [di]'s W and L are in it,
+   [design.(at.(2 * di))] and [design.(at.(2 * di + 1))], -1 for a
+   dimension its record keeps.  A testbench template passes each design
+   this way instead of rebuilding its circuit. *)
+type sizes = { design : float array; at : int array }
+
+(* [eval model ~w ~l buf] of device [di] under [sizes], with [eval_at]
+   reading both dimensions from the design vector when it holds both, so
+   that neither is boxed; a device with one dimension sized and one kept
+   passes its floats boxed *)
+let[@inline] sized eval eval_at (model : Mosfet.model) sizes di ~w ~l buf =
+  match sizes with
+  | None -> eval model ~w ~l buf
+  | Some { design; at } ->
+      let w_at = at.(2 * di) and l_at = at.((2 * di) + 1) in
+      if w_at >= 0 && l_at >= 0 then eval_at model design ~w_at ~l_at buf
+      else if w_at < 0 && l_at < 0 then eval model ~w ~l buf
+      else
+        eval model
+          ~w:(if w_at >= 0 then design.(w_at) else w)
+          ~l:(if l_at >= 0 then design.(l_at) else l)
+          buf
+
 (* ---------- the stamps each device writes, per topology ---------- *)
 
 (* Device [dev]'s matrix stamps in the order the assembly writes them:
@@ -208,6 +232,15 @@ type dc_work = {
   x : Vec.t;
   x0 : Vec.t;
   x_new : Vec.t;
+  layout : layout;
+  (* what [assemble_dc] linearises, as [aim_dc] last set it: a Newton
+     loop passes the assembly without a closure *)
+  mutable circuit : Circuit.t;
+  mutable models : models option;
+  mutable sizes : sizes option;
+  mutable source_scale : float;
+  mutable gmin : float;
+  busy : bool Atomic.t;
 }
 
 (* A sweep's points, by frequency index: the response's two parts, which
@@ -218,6 +251,7 @@ type response = {
   mutable im : float array;
   mutable mag_db : float array;
   mutable phase_deg : float array;
+  marks : int array;
 }
 
 let response n =
@@ -226,6 +260,7 @@ let response n =
     im = Array.make n 0.;
     mag_db = Array.make n 0.;
     phase_deg = Array.make n 0.;
+    marks = Array.make 2 0;
   }
 
 let reserve r n =
@@ -244,18 +279,19 @@ type ac_work = {
   crhs : Complex.t array;
   ss : float array;
   points : response;
+  ac_busy : bool Atomic.t;
 }
 
 (* the structural prechecks depend on the topology alone, like the
-   pattern, so they run here once instead of in every solve; [dc_free]
-   and [ac_free] hold the workspaces no call has borrowed *)
+   pattern, so they run here once instead of in every solve; [dc_shelf]
+   and [ac_shelf] hold every workspace a call has borrowed *)
 type sys = {
   sys_layout : layout;
   compiled : Linsys.t;
   dc_issues : Topology.issue list;
   ac_issues : Topology.issue list;
-  dc_free : dc_work list Atomic.t;
-  ac_free : ac_work list Atomic.t;
+  dc_shelf : dc_work array Atomic.t;
+  ac_shelf : ac_work array Atomic.t;
 }
 
 let sys ?(backend = Linsys.Dense) circuit =
@@ -278,8 +314,8 @@ let sys ?(backend = Linsys.Dense) circuit =
     compiled;
     dc_issues = Topology.dc_issues circuit;
     ac_issues = Topology.ac_issues circuit;
-    dc_free = Atomic.make [];
-    ac_free = Atomic.make [];
+    dc_shelf = Atomic.make [||];
+    ac_shelf = Atomic.make [||];
   }
 
 let default_sys given circuit =
@@ -299,6 +335,10 @@ let sys_solver_name s = Linsys.name s.compiled
 
 (* ---------- borrowed workspaces ---------- *)
 
+(* what a workspace's DC assembly linearises before its first [aim_dc] *)
+let unaimed = Circuit.create ()
+
+(* made busy: its maker is its first borrower *)
 let dc_work s =
   let n = s.sys_layout.size in
   {
@@ -308,6 +348,13 @@ let dc_work s =
     x = Vec.create n;
     x0 = Vec.create n;
     x_new = Vec.create n;
+    layout = s.sys_layout;
+    circuit = unaimed;
+    models = None;
+    sizes = None;
+    source_scale = 1.;
+    gmin = 0.;
+    busy = Atomic.make true;
   }
 
 let ac_work s =
@@ -316,41 +363,66 @@ let ac_work s =
     crhs = Array.make s.sys_layout.size Complex.zero;
     ss = Mosfet.buffer ();
     points = response 0;
+    ac_busy = Atomic.make true;
   }
 
-(* A free list of one sys's workspaces.  A borrower pops one by
-   compare-and-set, or makes its own when the list is empty, and pushes
-   it back after the call: two domains never hold one workspace, a nested
-   borrower makes its own, and the list never holds more workspaces than
-   were out at once.  A push conses a fresh cell, so a pop that read a
-   cell another domain has since popped fails its compare-and-set. *)
-let rec take free make s =
-  match Atomic.get free with
-  | [] -> make s
-  | w :: rest as cur ->
-      if Atomic.compare_and_set free cur rest then w else take free make s
+let dc_busy (w : dc_work) = w.busy
 
-let rec give free w =
-  let cur = Atomic.get free in
-  if not (Atomic.compare_and_set free cur (w :: cur)) then give free w
+let ac_busy (w : ac_work) = w.ac_busy
+
+(* A shelf of one sys's workspaces: every workspace ever made for it,
+   each with a busy flag.  A borrower claims the first free one by
+   compare-and-set on its flag, or makes its own and shelves it when
+   none is free; giving one back clears its flag.  Two domains never
+   hold one workspace, a nested borrower makes its own, and the shelf
+   never holds more workspaces than were out at once.  Claiming and
+   giving back allocate nothing: the functions are top-level, and no
+   list cell is consed. *)
+let rec claim busy ws i =
+  if i = Array.length ws then -1
+  else if Atomic.compare_and_set (busy ws.(i)) false true then i
+  else claim busy ws (i + 1)
+
+let rec shelve shelf w =
+  let cur = Atomic.get shelf in
+  if not (Atomic.compare_and_set shelf cur (Array.append cur [| w |])) then
+    shelve shelf w
+
+let lend busy make shelf s =
+  let ws = Atomic.get shelf in
+  let i = claim busy ws 0 in
+  if i >= 0 then ws.(i)
+  else begin
+    let w = make s in
+    shelve shelf w;
+    w
+  end
+
+let borrow_dc s = lend dc_busy dc_work s.dc_shelf s
+
+let return_dc w = Atomic.set w.busy false
+
+let borrow_ac s = lend ac_busy ac_work s.ac_shelf s
+
+let return_ac w = Atomic.set w.ac_busy false
 
 (* Every user of a workspace writes what it reads before reading it, so
    one left by a call that raised is as good as a fresh one: it goes back
-   on the list either way. *)
-let borrowing free make s f =
-  let w = take free make s in
+   on the shelf either way. *)
+let borrowing borrow give s f =
+  let w = borrow s in
   match f w with
   | r ->
-      give free w;
+      give w;
       r
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      give free w;
+      give w;
       Printexc.raise_with_backtrace e bt
 
-let with_dc s f = borrowing s.dc_free dc_work s f
+let with_dc s f = borrowing borrow_dc return_dc s f
 
-let with_ac s f = borrowing s.ac_free ac_work s f
+let with_ac s f = borrowing borrow_ac return_ac s f
 
 (* ---------- the replay ---------- *)
 
@@ -370,14 +442,14 @@ let bound l owner =
 (* A MOSFET's Newton linearisation at [x]: its conductive stamps and the
    equivalent current it injects.  The bias and the model's results pass
    through [buf] (a Mosfet.buffer), so no float crosses a call boxed. *)
-let mosfet_dc v rhs buf (sl : int array) x ~(model : Mosfet.model) ~w ~l ~d ~g
-    ~s ~b =
+let mosfet_dc v rhs buf (sl : int array) x ~(model : Mosfet.model) ~sizes ~di
+    ~w ~l ~d ~g ~s ~b =
   let vd = voltage x d and vg = voltage x g and vs = voltage x s and vb = voltage x b in
   let p = model.polarity in
   buf.(0) <- polar p vg vs;
   buf.(1) <- polar p vd vs;
   buf.(2) <- polar p vb vs;
-  Mosfet.linearise model ~w ~l buf;
+  sized Mosfet.linearise Mosfet.linearise_at model sizes di ~w ~l buf;
   let ids_eff = drain_current p buf.(3) in
   let gm = buf.(4) and gds = buf.(5) and gmb = buf.(6) in
   stamp_mos_g v sl ~gm ~gds ~gmb;
@@ -390,12 +462,12 @@ let mosfet_dc v rhs buf (sl : int array) x ~(model : Mosfet.model) ~w ~l ~d ~g
 
 (* device [di]'s DC matrix stamps, plus a MOSFET's linearisation current;
    the independent sources' right-hand-side values are the caller's *)
-let device_dc v rhs buf p models x di dev =
+let device_dc v rhs buf p models sizes x di dev =
   let sl = p.slots.(di) in
   match dev with
   | Device.Mosfet { d; g; s; b; model; w; l; _ } ->
       let model = model_override models di model in
-      mosfet_dc v rhs buf sl x ~model ~w ~l ~d ~g ~s ~b
+      mosfet_dc v rhs buf sl x ~model ~sizes ~di ~w ~l ~d ~g ~s ~b
   | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
   | Device.Isource _ | Device.Vccs _ ->
       stamp_linear_dc v sl dev
@@ -409,8 +481,8 @@ let devices_of p circuit =
 (* the one DC assembly: the system into [rs], the right-hand side into
    [rhs] (zero-filled first, to the +0 of a fresh vector), each MOSFET
    evaluated in [buf] *)
-let assemble_dc_rhs (rs : Linsys.real) ?models circuit l ~x ~source_scale
-    ~gmin ~buf rhs =
+let assemble_dc_rhs (rs : Linsys.real) ?models ?sizes circuit l ~x
+    ~source_scale ~gmin ~buf rhs =
   let p = bound l rs.Linsys.owner in
   let devices = devices_of p circuit in
   rs.Linsys.reset ();
@@ -419,7 +491,7 @@ let assemble_dc_rhs (rs : Linsys.real) ?models circuit l ~x ~source_scale
   stamp_diag v p.diag gmin;
   for di = 0 to Array.length devices - 1 do
     let dev = devices.(di) in
-    device_dc v rhs buf p models x di dev;
+    device_dc v rhs buf p models sizes x di dev;
     source_dc rhs ~branch:p.branch.(di) dev ~scale:source_scale
   done
 
@@ -429,14 +501,23 @@ let assemble_dc_into rs ?models circuit l ~x ~source_scale ~gmin =
     ~buf:(Mosfet.buffer ()) rhs;
   rhs
 
-let assemble_dc w ?models circuit l ~x ~source_scale ~gmin =
-  assemble_dc_rhs w.rs ?models circuit l ~x ~source_scale ~gmin ~buf:w.scratch
-    w.rhs
+(* the floats are stored as they come, boxed, and passed on as they are
+   read: no store or read boxes one *)
+let aim_dc w ?models ?sizes circuit ~source_scale ~gmin =
+  w.circuit <- circuit;
+  w.models <- models;
+  w.sizes <- sizes;
+  w.source_scale <- source_scale;
+  w.gmin <- gmin
+
+let assemble_dc w x =
+  assemble_dc_rhs w.rs ?models:w.models ?sizes:w.sizes w.circuit w.layout ~x
+    ~source_scale:w.source_scale ~gmin:w.gmin ~buf:w.scratch w.rhs
 
 let stamp_device_dc (rs : Linsys.real) l ?models circuit di ~x ~scratch rhs =
   let p = bound l rs.Linsys.owner in
   let devices = devices_of p circuit in
-  device_dc rs.Linsys.values rhs scratch p models x di devices.(di)
+  device_dc rs.Linsys.values rhs scratch p models None x di devices.(di)
 
 let stamp_capacitance (rs : Linsys.real) l di ~group c =
   let p = bound l rs.Linsys.owner in
@@ -473,12 +554,29 @@ let mos_operating_points ?models circuit ~x =
   done;
   !acc
 
-let complex_of_real negate a = { Complex.re = (if negate then -.a else a); im = 0. }
+(* The AC right-hand side's entries, with the floats Complex.add and a
+   fresh record give, but no record allocated for an entry that keeps
+   the bits it had: a source with no AC magnitude costs nothing. *)
+let zero_pos = { Complex.re = 0.; im = 0. }
+
+let zero_neg = { Complex.re = -0.; im = 0. }
+
+let[@inline] same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let complex_of_real negate a =
+  let re = if negate then -.a else a in
+  if same_bits re 0. then zero_pos
+  else if same_bits re (-0.) then zero_neg
+  else { Complex.re; im = 0. }
+
+let add_complex (z : Complex.t) (a : Complex.t) =
+  let re = z.re +. a.re and im = z.im +. a.im in
+  if same_bits re z.re && same_bits im z.im then z else { Complex.re; im }
 
 (* where the AC assembly takes each MOSFET's small-signal model from *)
 type small_signal =
   | Operating_points of (string -> Mosfet.op)
-  | Solution of models option * Vec.t
+  | Solution of { models : models option; sizes : sizes option; x : Vec.t }
 
 (* the one AC assembly: the pencil into [cs], the right-hand side into
    [rhs] (filled with zeros first, as a fresh one); a MOSFET's seven
@@ -493,7 +591,7 @@ let assemble_ac_rhs (cs : Linsys.complex_sys) circuit l ~buf src rhs =
   for di = 0 to Array.length devices - 1 do
     let sl = p.slots.(di) and dev = devices.(di) in
     stamp_linear_ac gv cv sl dev;
-    source_ac ~lift:complex_of_real ~add:Complex.add rhs ~branch:p.branch.(di)
+    source_ac ~lift:complex_of_real ~add:add_complex rhs ~branch:p.branch.(di)
       dev;
     match dev with
     | Device.Mosfet { name; d; g; s; b; model; w; l = len } -> (
@@ -502,10 +600,11 @@ let assemble_ac_rhs (cs : Linsys.complex_sys) circuit l ~buf src rhs =
             let op : Mosfet.op = ops name in
             stamp_mos_g gv sl ~gm:op.gm ~gds:op.gds ~gmb:op.gmb;
             stamp_mos_c cv sl ~cgs:op.cgs ~cgd:op.cgd ~cdb:op.cdb ~csb:op.csb
-        | Solution (models, x) ->
+        | Solution { models; sizes; x } ->
             let model = model_override models di model in
             set_bias buf model.polarity x ~d ~g ~s ~b;
-            Mosfet.small_signal model ~w ~l:len buf;
+            sized Mosfet.small_signal Mosfet.small_signal_at model sizes di ~w
+              ~l:len buf;
             stamp_mos_g gv sl ~gm:buf.(4) ~gds:buf.(5) ~gmb:buf.(6);
             stamp_mos_c cv sl ~cgs:buf.(0) ~cgd:buf.(1) ~cdb:buf.(2)
               ~csb:buf.(2))

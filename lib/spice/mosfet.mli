@@ -100,6 +100,11 @@ val small_signal : model -> w:float -> l:float -> float array -> unit
     this plus the record.
     @raise Invalid_argument as {!linearise}. *)
 
+val small_signal_at :
+  model -> float array -> w_at:int -> l_at:int -> float array -> unit
+(** {!small_signal} with the geometry read from [design.(w_at)] and
+    [design.(l_at)], as {!linearise_at}. *)
+
 val linearise : model -> w:float -> l:float -> float array -> unit
 (** [linearise m ~w ~l buf] reads the NMOS-convention, source-referenced
     bias [vgs], [vds], [vbs] from [buf.(0)], [buf.(1)], [buf.(2)] and
@@ -112,6 +117,15 @@ val linearise : model -> w:float -> l:float -> float array -> unit
     proof's lambda partial).
     @raise Invalid_argument unless [w] and [l] are finite and positive, or
     when [buf] holds fewer than 9 floats. *)
+
+val linearise_at :
+  model -> float array -> w_at:int -> l_at:int -> float array -> unit
+(** [linearise_at m design ~w_at ~l_at buf] is
+    [linearise m ~w:design.(w_at) ~l:design.(l_at) buf] with the
+    geometry never boxed: how the assembly evaluates a MOSFET whose W and
+    L are entries of an evaluation's design vector ({!Mna.sizes}) rather
+    than its device record's.
+    @raise Invalid_argument as {!linearise}. *)
 
 (** {1 Scalar helpers}
 

@@ -17,7 +17,8 @@ let with_deltas m ~dvth ~dkp_rel ~dlambda_rel =
   with_deltas_in [| dvth; dkp_rel; dlambda_rel |] m
 
 (* NaN and the infinities fail too *)
-let valid_geometry w l = Float.is_finite w && w > 0. && Float.is_finite l && l > 0.
+let[@inline] valid_geometry w l =
+  Float.is_finite w && w > 0. && Float.is_finite l && l > 0.
 
 (* [linearise] reads vgs, vds, vbs and writes ids, gm, gds, gmb, vth,
    vdsat *)
@@ -35,6 +36,10 @@ let[@inline] evaluate m ~w ~l buf =
   ekv_into m ~vth0:m.vth0 ~kp:m.kp ~lambda0:m.lambda0 ~w ~l buf
 
 let linearise m ~w ~l buf = ignore (evaluate m ~w ~l buf : bool)
+
+(* the geometry read where [evaluate] is inlined, so it is never boxed *)
+let linearise_at m (design : float array) ~w_at ~l_at buf =
+  ignore (evaluate m ~w:design.(w_at) ~l:design.(l_at) buf : bool)
 
 (* [evaluate], the region and the Meyer capacitances at the bias in
    buf.(0), buf.(1), buf.(2): ids .. vdsat land in buf.(3) .. buf.(8) as
@@ -57,6 +62,9 @@ let[@inline] small_signal_into m ~w ~l buf =
   region
 
 let small_signal m ~w ~l buf = ignore (small_signal_into m ~w ~l buf : region)
+
+let small_signal_at m (design : float array) ~w_at ~l_at buf =
+  ignore (small_signal_into m ~w:design.(w_at) ~l:design.(l_at) buf : region)
 
 let eval_with buf m ~w ~l ~vgs ~vds ~vbs =
   buf.(0) <- vgs;

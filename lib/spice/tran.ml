@@ -177,8 +177,8 @@ let run ?sys ?models options circuit =
               let t = float_of_int n *. h and first = n = 1 in
               let x_prev = solutions.(n - 1) in
               let factored =
-                Dcop.iterate w newton ~n_nodes ~x0:x_prev
-                  (assemble w ~first ~x_prev t)
+                Dcop.iterate w newton ~n_nodes ~x0:x_prev (fun w x ->
+                    assemble w ~first ~x_prev t x)
               in
               if factored <= 0 then Error (Step_failed { time = t })
               else begin

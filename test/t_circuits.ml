@@ -36,11 +36,6 @@ let test_param_ranges_match_table1 () =
       end)
     Ota.param_ranges
 
-let test_clamp_params () =
-  let p = Ota.clamp_params { Ota.default_params with Ota.w1 = 1.; l1 = 0. } in
-  check_float "w clamped" Ota.w_max p.Ota.w1;
-  check_float "l clamped" Ota.l_min p.Ota.l1
-
 let test_mirror_factor () =
   let p = { Ota.default_params with Ota.w2 = 60e-6; l2 = 1e-6; w1 = 30e-6; l1 = 1e-6 } in
   check_float "B" 2. (Ota.mirror_factor p)
@@ -246,7 +241,7 @@ let test_perf_of_bode_one_pass () =
    more points it needs, and no answer may end the sweep before a point
    an earlier answer asked for *)
 let stopped_prefix (b : Ac.bode) =
-  let stop = Gtb.sweep_stop () in
+  let stop = Gtb.sweep_stop in
   let n = Array.length b.Ac.response in
   let r = Yield_spice.Mna.response n in
   let rec go k promised =
@@ -799,7 +794,7 @@ let test_paired_sweep_circuits () =
                 (fun freqs ->
                   List.iter
                     (fun stopped ->
-                      let stop () = if stopped then Some (Gtb.sweep_stop ()) else None in
+                      let stop () = if stopped then Some Gtb.sweep_stop else None in
                       let what =
                         Printf.sprintf "%s %s out %d, %d points%s" name
                           (Linsys.backend_name backend) out (Array.length freqs)
@@ -839,7 +834,6 @@ let suites =
       [
         Alcotest.test_case "param roundtrip" `Quick test_param_roundtrip;
         Alcotest.test_case "table 1 ranges" `Quick test_param_ranges_match_table1;
-        Alcotest.test_case "clamp" `Quick test_clamp_params;
         Alcotest.test_case "mirror factor" `Quick test_mirror_factor;
         Alcotest.test_case "bias point" `Quick test_ota_bias_point;
         Alcotest.test_case "no cutoff devices" `Quick test_ota_no_cutoff_devices;

@@ -1881,12 +1881,12 @@ let op_words (op : Dcop.t) =
   in
   Array.length op.Dcop.x + 1 + 5 + 2 + ops
 
-(* Beyond its answer, a solve allocates the homotopy chain's closures and
-   its attempt list, a metric's boxed float, the one buffer every MOSFET's
-   operating point is evaluated in (10 words) and the free-list cell that
-   gives the workspace back (3): about 70 words, whatever the
-   iterations. *)
-let dc_overhead = 96.
+(* Beyond its answer, a solve allocates the one buffer every MOSFET's
+   operating point is evaluated in (10 words) and its borrowing closure:
+   about 20 words, whatever the iterations.  The homotopy chain's
+   closures, its attempt list and boxed metric values, and the free-list
+   cell that gave the workspace back took about 70 more. *)
+let dc_overhead = 32.
 
 (* The words of a transfer's bode: the record, the response array of
    the swept points, 3 words a swept response and, for a stopped sweep,
@@ -1895,18 +1895,11 @@ let bode_words ~grid (b : Ac.bode) =
   let swept = Array.length b.Ac.response in
   3 + (swept + 1) + (3 * swept) + if swept < grid then swept + 1 else 0
 
-(* Beyond its bode, a transfer allocates its sweep's closures, the
-   sources' complex right-hand-side entries and the free-list cell: about
-   80 words, whatever the points. *)
-let ac_overhead = 96.
-
-(* One evaluation of the default OTA sizing rebuilds its testbench (about
-   630 words) and allocates its perf and the bookkeeping of its retry,
-   homotopy and sweep, about 950 words: its operating point, response,
-   magnitudes and phases stay in the borrowed workspaces.  Building the
-   operating point and the bode and extracting from fresh magnitude and
-   phase arrays, as it did before, takes about 1,950. *)
-let evaluate_bound = 1100.
+(* Beyond its bode, a transfer allocates its operating-point lookup and
+   bode-building closures and the AC source's complex right-hand-side
+   entry: about 25 words, whatever the points.  The sweep's closures, the
+   zero entries' records and the free-list cell took about 55 more. *)
+let ac_overhead = 32.
 
 let check_dc_words name sys ?start ?models circuit =
   let solve () = Dcop.solve ~sys ?start ?models circuit in
@@ -1925,7 +1918,7 @@ let check_dc_words name sys ?start ?models circuit =
 let check_ac_words name sys circuit op ~stopped =
   let freqs = Gtb.freqs_of Gtb.default_conditions in
   let transfer () =
-    let stop = if stopped then Gtb.sweep_stop () else fun _ _ -> max_int in
+    let stop = if stopped then Gtb.sweep_stop else fun _ _ -> max_int in
     allocated (fun () -> Ac.transfer_by_name ~sys ~stop circuit op ~out:"out" ~freqs)
   in
   ignore (transfer ());
@@ -1964,16 +1957,6 @@ let test_solves_allocate_answers () =
       check_ac_words (name ^ " full sweep") sys circuit op ~stopped:false;
       check_ac_words (name ^ " stopped sweep") sys circuit op ~stopped:true)
     [ Linsys.Dense; Linsys.Csr ]
-
-let test_evaluate_allocation () =
-  let params = Yield_circuits.Ota.default_params in
-  ignore (Ota_tb.evaluate params);
-  ignore (Ota_tb.evaluate params);
-  let words, perf = allocated (fun () -> Ota_tb.evaluate params) in
-  if perf = None then Alcotest.fail "the default sizing failed";
-  if words > evaluate_bound then
-    Alcotest.failf "an evaluation allocated %g words, the bound is %g" words
-      evaluate_bound
 
 let check_bits name a b =
   if not (same_bits a b) then Alcotest.failf "%s: %h <> %h" name a b
@@ -2060,17 +2043,50 @@ let test_overrides_allocation () =
     220.
 
 (* A csr Miller session sample, its stream split off as the Monte Carlo
-   does: the split (7 words), the overrides (about 210), the retry,
-   homotopy and sweep bookkeeping and the perf, about 460 words.  Its
+   does: the split (7 words), the overrides (about 210), the perf and the
+   arguments of its DC, sweep and extraction, about 270 words.  Its
    operating point, response, magnitudes and phases stay in the borrowed
-   workspaces; building them cost about 1,150 words more. *)
+   workspaces, and a converged DC solve and the sweep keep their
+   bookkeeping there: the retry and homotopy closures, the attempt list
+   and the sweep's closures took about 180 words more, building the
+   operating point and the bode about 1,150. *)
 let test_session_sample_allocation () =
   let s = Miller_tb.session ~solver:Linsys.Csr Yield_circuits.Miller.default_params in
   let rng = Rng.create 2008 in
   check_words "a csr miller session sample"
     (fun () ->
       Miller_tb.evaluate_in_session s ~spec:Variation.default_spec ~rng:(Rng.split rng))
-    600.
+    360.
+
+(* An evaluation sizes its topology's one template at assembly: it
+   allocates its perf, its sizes (the design vector and the record that
+   pairs it with the template's index map, 12 words) and a few dozen
+   words of arguments and boxed measurements, about 64 words.
+   Rebuilding the testbench took about 630 words more, and the DC and
+   sweep bookkeeping about 250. *)
+let test_evaluate_allocation () =
+  check_words "an ota evaluation"
+    (fun () -> Ota_tb.evaluate Yield_circuits.Ota.default_params)
+    128.;
+  check_words "a miller evaluation"
+    (fun () -> Miller_tb.evaluate Yield_circuits.Miller.default_params)
+    128.
+
+(* A DC solve whose Newton stage converges, with a unit continuation,
+   allocates its [Ok] and nothing else: the homotopy chain and the retry
+   loop are closure-free, the workspace is borrowed without a list cell,
+   and the counts reach their histograms as ints.  It used to take about
+   100 words of that bookkeeping. *)
+let test_with_solution_allocation () =
+  List.iter
+    (fun backend ->
+      let circuit, _ = Ota_tb.build Yield_circuits.Ota.default_params in
+      let sys = Mna.sys ~backend circuit in
+      check_words
+        (Linsys.backend_name backend ^ " Dcop.with_solution")
+        (fun () -> Dcop.with_solution ~sys circuit (fun _ _ -> ()))
+        16.)
+    [ Linsys.Dense; Linsys.Csr ]
 
 (* The evaluation path leaves its operating point in the DC workspace and
    its response and magnitudes in the AC workspace; it must give the bits
@@ -2092,18 +2108,26 @@ module Path_bits (A : Yield_circuits.Amplifier.S) = struct
         Gtb.perf_of_bode Gtb.default_conditions
           (Ac.transfer_by_name ~sys circuit op ~out:"out" ~freqs)
 
+  (* the reference of a circuit built for [p], in a fresh sys *)
+  let fresh p =
+    let circuit, _ = T.build p in
+    reference ~sys:(Mna.sys circuit) circuit
+
+  (* [n] designs drawn uniformly across the topology's ranges *)
+  let designs seed n =
+    let module Genome = Yield_ga.Genome in
+    let enc = Genome.encoding A.param_ranges ~n_weights:0 in
+    let rng = Rng.create seed in
+    Array.init n (fun _ -> A.params_of_array (Genome.params enc (Genome.random enc rng)))
+
   let check name =
     let measured = ref 0 in
     List.iter
       (fun k ->
         let p = scaled A.params_to_array A.params_of_array A.default_params k in
-        let circuit, _ = T.build p in
         let got = T.evaluate p in
         if got <> None then incr measured;
-        check_perf_bits
-          (Printf.sprintf "%s evaluate x%g" name k)
-          (reference ~sys:(Mna.sys circuit) circuit)
-          got)
+        check_perf_bits (Printf.sprintf "%s evaluate x%g" name k) (fresh p) got)
       [ 1.; 0.6; 1.7; 2.5 ];
     List.iter
       (fun solver ->
@@ -2139,6 +2163,59 @@ let test_workspace_path_bits () =
   O.check "ota";
   M.check "miller"
 
+(* Every evaluation sizes one shared template at assembly; each must give
+   the bits of a circuit built for its design.  32 seeded designs per
+   topology, evaluated in interleaved order (OTA, Miller, OTA again, one
+   design after another) and from a two-domain pool with the topologies
+   mixed, so a template that carried one design's sizes or state into
+   the next would fail. *)
+(* A design that moves more than its MOSFETs' sizes cannot be passed to
+   the assembly as sizes: a Miller whose w1 also sets a load capacitor is
+   refused at its first evaluation, never evaluated with the template's
+   capacitor. *)
+module Cap_sized = struct
+  include Yield_circuits.Miller
+
+  let add circuit ~prefix ~tech ~params ~inp ~inn ~out ~vdd ~vss =
+    Yield_circuits.Miller.add circuit ~prefix ~tech ~params ~inp ~inn ~out ~vdd ~vss;
+    Circuit.add_capacitor circuit ~name:(prefix ^ "CX") out "0"
+      (params.Yield_circuits.Miller.w1 *. 1e-7)
+end
+
+let test_template_refuses_other_design () =
+  let module T = Gtb.Make (Cap_sized) in
+  match T.evaluate Yield_circuits.Miller.default_params with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a capacitor sized by w1 was evaluated from the template"
+
+let test_template_path_bits () =
+  let module O = Path_bits (Yield_circuits.Ota) in
+  let module M = Path_bits (Yield_circuits.Miller) in
+  let n = 32 in
+  let ota = O.designs 2008 n and miller = M.designs 2009 n in
+  let ota_ref = Array.map O.fresh ota and miller_ref = Array.map M.fresh miller in
+  let measured = Array.fold_left (fun k p -> if p = None then k else k + 1) 0 in
+  Alcotest.(check bool) "most designs measured" true
+    (measured ota_ref > n / 2 && measured miller_ref > n / 2);
+  for i = 0 to n - 1 do
+    check_perf_bits (Printf.sprintf "ota design %d" i) ota_ref.(i) (O.T.evaluate ota.(i));
+    check_perf_bits (Printf.sprintf "miller design %d" i) miller_ref.(i)
+      (M.T.evaluate miller.(i));
+    check_perf_bits (Printf.sprintf "ota design %d again" i) ota_ref.(i)
+      (O.T.evaluate ota.(i))
+  done;
+  let mixed =
+    Pool.with_pool ~jobs:2 (fun pool ->
+        Pool.map pool ~n:(2 * n) (fun j ->
+            if j mod 2 = 0 then O.T.evaluate ota.(j / 2) else M.T.evaluate miller.(j / 2)))
+  in
+  Array.iteri
+    (fun j got ->
+      let i = j / 2 in
+      if j mod 2 = 0 then check_perf_bits (Printf.sprintf "ota design %d, jobs 2" i) ota_ref.(i) got
+      else check_perf_bits (Printf.sprintf "miller design %d, jobs 2" i) miller_ref.(i) got)
+    mixed
+
 (* Transfers that alternate between the OTA's and the Miller's systems,
    over several sizings each, full and stopped, each against the same
    call in a fresh sys, whose workspaces are fresh. *)
@@ -2172,7 +2249,7 @@ let test_reuse_alternating () =
               List.iter
                 (fun stopped ->
                   let transfer sys =
-                    let stop = if stopped then Gtb.sweep_stop () else fun _ _ -> max_int in
+                    let stop = if stopped then Gtb.sweep_stop else fun _ _ -> max_int in
                     Ac.transfer_by_name ~sys ~stop circuit op ~out:"out" ~freqs
                   in
                   check_bode_bits
@@ -2329,6 +2406,8 @@ let suites =
           test_solves_allocate_answers;
         Alcotest.test_case "an evaluation allocates its answer" `Quick
           test_evaluate_allocation;
+        Alcotest.test_case "a converged DC solve allocates its answer" `Quick
+          test_with_solution_allocation;
         Alcotest.test_case "draws allocate only their result" `Quick
           test_draws_allocate_results;
         Alcotest.test_case "overrides allocate only the models" `Quick
@@ -2337,6 +2416,10 @@ let suites =
           test_session_sample_allocation;
         Alcotest.test_case "workspace path = perf_of_bode of transfer" `Quick
           test_workspace_path_bits;
+        Alcotest.test_case "template evaluations = fresh circuits" `Quick
+          test_template_path_bits;
+        Alcotest.test_case "template refuses a design beyond sizes" `Quick
+          test_template_refuses_other_design;
         Alcotest.test_case "reused workspaces: ota and miller alternate" `Quick
           test_reuse_alternating;
         Alcotest.test_case "reused workspaces: after a failure" `Quick
