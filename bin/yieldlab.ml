@@ -193,8 +193,6 @@ let obs_cmd ?(scope = Config.Global) info term =
 
 (* ---------- shared arguments ---------- *)
 
-let um = 1e-6
-
 (* One topology's design flags, one per dimension in micrometres, with
    its defaults.  A value that is not finite or lies outside the
    dimension's Table 1 range is refused (C008, one line naming the flag
@@ -214,7 +212,9 @@ let design_term (type p)
             ~doc:(Printf.sprintf "%s in micrometres, within [%g, %g]" name lo hi))
     in
     let check v =
-      if lo <= v && v <= hi then Ok (v *. um)
+      (* / 1e6, not * 1e-6: exact on every Table 1 bound and default, so
+         [--w1=10] is the range's 1e-05 m, not one ulp below it *)
+      if lo <= v && v <= hi then Ok (v /. 1e6)
       else
         Error
           (Config_lint.malformed_setting ~setting:flag ~value:(Printf.sprintf "%g" v)

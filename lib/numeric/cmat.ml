@@ -1,6 +1,10 @@
 (* Complex matrices are stored as two flat row-major float arrays (re, im):
    cheaper than an array of boxed Complex.t records. *)
 
+(* [a.!(i)]: [eliminate] and [back_substitute] index a [work] unchecked;
+   its buffers are n*n and n long by construction (the type is private) *)
+open Unchecked
+
 type t = { rows : int; cols : int; re : float array; im : float array }
 
 let create rows cols =
@@ -45,7 +49,7 @@ let mul_vec m v =
       done;
       { Complex.re = !re; im = !im })
 
-let[@inline] mag2 re im p = (re.(p) *. re.(p)) +. (im.(p) *. im.(p))
+let[@inline] mag2 re im p = (re.!(p) *. re.!(p)) +. (im.!(p) *. im.!(p))
 
 type work = {
   re : float array;
@@ -98,51 +102,51 @@ let eliminate w ~skip_zeros ~from =
     if !best <> k then begin
       let rb = !best * n in
       for j = 0 to n - 1 do
-        let tr = re.(rk + j) and ti = im.(rk + j) in
-        re.(rk + j) <- re.(rb + j);
-        im.(rk + j) <- im.(rb + j);
-        re.(rb + j) <- tr;
-        im.(rb + j) <- ti
+        let tr = re.!(rk + j) and ti = im.!(rk + j) in
+        re.!(rk + j) <- re.!(rb + j);
+        im.!(rk + j) <- im.!(rb + j);
+        re.!(rb + j) <- tr;
+        im.!(rb + j) <- ti
       done;
-      let tr = xr.(k) and ti = xi.(k) in
-      xr.(k) <- xr.(!best);
-      xi.(k) <- xi.(!best);
-      xr.(!best) <- tr;
-      xi.(!best) <- ti
+      let tr = xr.!(k) and ti = xi.!(k) in
+      xr.!(k) <- xr.!(!best);
+      xi.!(k) <- xi.!(!best);
+      xr.!(!best) <- tr;
+      xi.!(!best) <- ti
     end;
-    let pr = re.(rk + k) and pi = im.(rk + k) in
+    let pr = re.!(rk + k) and pi = im.!(rk + k) in
     let pmag = (pr *. pr) +. (pi *. pi) in
     let nnz = ref 0 in
     for j = k + 1 to n - 1 do
-      if (not skip_zeros) || re.(rk + j) <> 0. || im.(rk + j) <> 0. then begin
-        nz.(!nnz) <- j;
+      if (not skip_zeros) || re.!(rk + j) <> 0. || im.!(rk + j) <> 0. then begin
+        nz.!(!nnz) <- j;
         incr nnz
       end
     done;
     for i = k + 1 to n - 1 do
       let ri = i * n in
-      let ar = re.(ri + k) and ai = im.(ri + k) in
+      let ar = re.!(ri + k) and ai = im.!(ri + k) in
       if ar <> 0. || ai <> 0. then begin
         (* factor = a / pivot *)
         let fr = ((ar *. pr) +. (ai *. pi)) /. pmag in
         let fi = ((ai *. pr) -. (ar *. pi)) /. pmag in
-        re.(ri + k) <- 0.;
-        im.(ri + k) <- 0.;
+        re.!(ri + k) <- 0.;
+        im.!(ri + k) <- 0.;
         if Float.is_finite fr && Float.is_finite fi then
           for t = 0 to !nnz - 1 do
-            let j = nz.(t) in
-            let ur = re.(rk + j) and ui = im.(rk + j) in
-            re.(ri + j) <- re.(ri + j) -. ((fr *. ur) -. (fi *. ui));
-            im.(ri + j) <- im.(ri + j) -. ((fr *. ui) +. (fi *. ur))
+            let j = nz.!(t) in
+            let ur = re.!(rk + j) and ui = im.!(rk + j) in
+            re.!(ri + j) <- re.!(ri + j) -. ((fr *. ur) -. (fi *. ui));
+            im.!(ri + j) <- im.!(ri + j) -. ((fr *. ui) +. (fi *. ur))
           done
         else
           for j = k + 1 to n - 1 do
-            let ur = re.(rk + j) and ui = im.(rk + j) in
-            re.(ri + j) <- re.(ri + j) -. ((fr *. ur) -. (fi *. ui));
-            im.(ri + j) <- im.(ri + j) -. ((fr *. ui) +. (fi *. ur))
+            let ur = re.!(rk + j) and ui = im.!(rk + j) in
+            re.!(ri + j) <- re.!(ri + j) -. ((fr *. ur) -. (fi *. ui));
+            im.!(ri + j) <- im.!(ri + j) -. ((fr *. ui) +. (fi *. ur))
           done;
-        xr.(i) <- xr.(i) -. ((fr *. xr.(k)) -. (fi *. xi.(k)));
-        xi.(i) <- xi.(i) -. ((fr *. xi.(k)) +. (fi *. xr.(k)))
+        xr.!(i) <- xr.!(i) -. ((fr *. xr.!(k)) -. (fi *. xi.!(k)));
+        xi.!(i) <- xi.!(i) -. ((fr *. xi.!(k)) +. (fi *. xr.!(k)))
       end
     done
   done
@@ -154,15 +158,15 @@ let back_substitute w lo =
   let n = Array.length xr in
   for i = n - 1 downto lo do
     let ri = i * n in
-    let sr = ref xr.(i) and si = ref xi.(i) in
+    let sr = ref xr.!(i) and si = ref xi.!(i) in
     for j = i + 1 to n - 1 do
-      sr := !sr -. ((re.(ri + j) *. xr.(j)) -. (im.(ri + j) *. xi.(j)));
-      si := !si -. ((re.(ri + j) *. xi.(j)) +. (im.(ri + j) *. xr.(j)))
+      sr := !sr -. ((re.!(ri + j) *. xr.!(j)) -. (im.!(ri + j) *. xi.!(j)));
+      si := !si -. ((re.!(ri + j) *. xi.!(j)) +. (im.!(ri + j) *. xr.!(j)))
     done;
-    let pr = re.(ri + i) and pi = im.(ri + i) in
+    let pr = re.!(ri + i) and pi = im.!(ri + i) in
     let pmag = (pr *. pr) +. (pi *. pi) in
-    xr.(i) <- ((!sr *. pr) +. (!si *. pi)) /. pmag;
-    xi.(i) <- ((!si *. pr) -. (!sr *. pi)) /. pmag
+    xr.!(i) <- ((!sr *. pr) +. (!si *. pi)) /. pmag;
+    xi.!(i) <- ((!si *. pr) -. (!sr *. pi)) /. pmag
   done
 
 let entry_into w k ~re ~im j =

@@ -16,6 +16,11 @@
    accuracy partial pivoting would have bought on the diagonally-weak MNA
    systems this solves. *)
 
+(* [a.!(i)]: the kernels below read and write the workspace and the
+   schedule unchecked, each index proven once ([validate], the workspace
+   sizes); the caller's arrays keep [a.(i)] *)
+open Unchecked
+
 module ISet = Set.Make (Int)
 
 let pivot_floor = 1e-300
@@ -190,6 +195,42 @@ let compile ~n ~f_rowptr ~f_cols ~f_diag =
   done;
   (l_piv, u_ptr, u_tgt, u_src)
 
+(* The kernels follow the schedule without a bounds check, so every index
+   it holds is proven in range here, once: each row's slots and each
+   pair's run lie inside their arrays, and every slot, column and
+   permutation entry inside [0, m) or [0, n).  The workspaces are sized
+   from [n] and [m], so nothing a kernel reads or writes through the
+   schedule falls outside them. *)
+let validate s =
+  let n = s.n and m = Array.length s.f_cols and pairs = Array.length s.u_tgt in
+  let check ok what = if not ok then invalid_arg ("Csr.analyse: schedule broken: " ^ what) in
+  let rises a last =
+    let ok = ref (a.(0) = 0 && a.(Array.length a - 1) = last) in
+    for i = 1 to Array.length a - 1 do
+      if a.(i) < a.(i - 1) then ok := false
+    done;
+    !ok
+  in
+  let within hi a = Array.for_all (fun v -> 0 <= v && v < hi) a in
+  check (Array.length s.f_rowptr = n + 1 && rises s.f_rowptr m) "f_rowptr";
+  check (Array.length s.f_diag = n) "f_diag";
+  for i = 0 to n - 1 do
+    check (s.f_rowptr.(i) <= s.f_diag.(i) && s.f_diag.(i) < s.f_rowptr.(i + 1)) "f_diag"
+  done;
+  check (Array.length s.l_piv = m) "l_piv";
+  for i = 0 to n - 1 do
+    for idx = s.f_rowptr.(i) to s.f_diag.(i) - 1 do
+      check (0 <= s.l_piv.(idx) && s.l_piv.(idx) < m) "l_piv"
+    done
+  done;
+  check (Array.length s.u_ptr = m + 1 && rises s.u_ptr pairs) "u_ptr";
+  check (Array.length s.u_src = pairs && within m s.u_tgt && within m s.u_src) "u_tgt/u_src";
+  check (Array.length s.o_slots = Array.length s.o_cols && within m s.o_slots) "o_slots";
+  check (within n s.f_cols && within n s.o_cols) "columns";
+  check (Array.length s.rowperm = n && within n s.rowperm) "rowperm";
+  check (Array.length s.colperm = n && within n s.colperm) "colperm";
+  s
+
 let analyse ?strong_rows ~n rows =
   let strong_rows = Option.value strong_rows ~default:rows in
   if Array.length rows <> n then invalid_arg "Csr.analyse: ragged pattern";
@@ -300,21 +341,22 @@ let analyse ?strong_rows ~n rows =
       done
     done;
     let l_piv, u_ptr, u_tgt, u_src = compile ~n ~f_rowptr ~f_cols ~f_diag in
-    {
-      n;
-      rowperm;
-      colperm;
-      f_rowptr;
-      f_cols;
-      f_diag;
-      o_rowptr;
-      o_cols;
-      o_slots;
-      l_piv;
-      u_ptr;
-      u_tgt;
-      u_src;
-    }
+    validate
+      {
+        n;
+        rowperm;
+        colperm;
+        f_rowptr;
+        f_cols;
+        f_diag;
+        o_rowptr;
+        o_cols;
+        o_slots;
+        l_piv;
+        u_ptr;
+        u_tgt;
+        u_src;
+      }
   end
 
 (* value slot of original entry (i, j): a search of row i of the original
@@ -371,16 +413,16 @@ let refactor w =
   let luv = w.luv in
   Array.blit w.values 0 luv 0 (Array.length luv);
   for i = 0 to s.n - 1 do
-    for idx = rp.(i) to diag.(i) - 1 do
-      let lik = luv.(idx) /. luv.(piv.(idx)) in
-      luv.(idx) <- lik;
+    for idx = rp.!(i) to diag.!(i) - 1 do
+      let lik = luv.!(idx) /. luv.!(piv.!(idx)) in
+      luv.!(idx) <- lik;
       if lik <> 0. then
-        for p = up.(idx) to up.(idx + 1) - 1 do
-          let t = tgt.(p) in
-          luv.(t) <- luv.(t) -. (lik *. luv.(src.(p)))
+        for p = up.!(idx) to up.!(idx + 1) - 1 do
+          let t = tgt.!(p) in
+          luv.!(t) <- luv.!(t) -. (lik *. luv.!(src.!(p)))
         done
     done;
-    if Float.abs luv.(diag.(i)) < pivot_floor then raise (Lu.Singular i)
+    if Float.abs luv.!(diag.!(i)) < pivot_floor then raise (Lu.Singular i)
   done
 
 (* one triangular solve of the factored system; [y] is in permuted row
@@ -391,18 +433,18 @@ let lu_apply w y =
   let rp = s.f_rowptr and cols = s.f_cols and diag = s.f_diag in
   let luv = w.luv in
   for i = 0 to n - 1 do
-    let acc = ref y.(i) in
-    for idx = rp.(i) to diag.(i) - 1 do
-      acc := !acc -. (luv.(idx) *. y.(cols.(idx)))
+    let acc = ref y.!(i) in
+    for idx = rp.!(i) to diag.!(i) - 1 do
+      acc := !acc -. (luv.!(idx) *. y.!(cols.!(idx)))
     done;
-    y.(i) <- !acc
+    y.!(i) <- !acc
   done;
   for i = n - 1 downto 0 do
-    let acc = ref y.(i) in
-    for idx = diag.(i) + 1 to rp.(i + 1) - 1 do
-      acc := !acc -. (luv.(idx) *. y.(cols.(idx)))
+    let acc = ref y.!(i) in
+    for idx = diag.!(i) + 1 to rp.!(i + 1) - 1 do
+      acc := !acc -. (luv.!(idx) *. y.!(cols.!(idx)))
     done;
-    y.(i) <- !acc /. luv.(diag.(i))
+    y.!(i) <- !acc /. luv.!(diag.!(i))
   done
 
 let rsolve_into w b x =
@@ -413,24 +455,24 @@ let rsolve_into w b x =
   refactor w;
   let y = w.y and r = w.r in
   for i = 0 to n - 1 do
-    y.(i) <- b.(s.rowperm.(i))
+    y.!(i) <- b.(s.rowperm.!(i))
   done;
   lu_apply w y;
   (* one refinement step against the assembled (unfactored) values: recovers
      the accuracy numeric pivoting would have provided *)
   for i = 0 to n - 1 do
-    let acc = ref b.(s.rowperm.(i)) in
-    for idx = s.f_rowptr.(i) to s.f_rowptr.(i + 1) - 1 do
-      acc := !acc -. (w.values.(idx) *. y.(s.f_cols.(idx)))
+    let acc = ref b.(s.rowperm.!(i)) in
+    for idx = s.f_rowptr.!(i) to s.f_rowptr.!(i + 1) - 1 do
+      acc := !acc -. (w.values.!(idx) *. y.!(s.f_cols.!(idx)))
     done;
-    r.(i) <- !acc
+    r.!(i) <- !acc
   done;
   lu_apply w r;
   for i = 0 to n - 1 do
-    y.(i) <- y.(i) +. r.(i)
+    y.!(i) <- y.!(i) +. r.!(i)
   done;
   for i = 0 to n - 1 do
-    x.(s.colperm.(i)) <- y.(i)
+    x.(s.colperm.!(i)) <- y.!(i)
   done
 
 let rsolve w b =
@@ -519,22 +561,22 @@ let cadd_c w i j v =
 let[@inline] load_pencil w l omega =
   let gv = w.gv and cv = w.cv and lre = l.lre and lim = l.lim in
   for k = 0 to Array.length lre - 1 do
-    lre.(k) <- gv.(k);
-    lim.(k) <- omega *. cv.(k)
+    lre.!(k) <- gv.!(k);
+    lim.!(k) <- omega *. cv.!(k)
   done
 
 (* one L entry's row update: the pairs [lo] .. [hi] of the schedule, by
    the multiplier (fr, fi) *)
 let[@inline] update lre lim (tgt : int array) (src : int array) fr fi lo hi =
   for p = lo to hi do
-    let t = tgt.(p) and q = src.(p) in
-    let ur = lre.(q) and ui = lim.(q) in
-    lre.(t) <- lre.(t) -. ((fr *. ur) -. (fi *. ui));
-    lim.(t) <- lim.(t) -. ((fr *. ui) +. (fi *. ur))
+    let t = tgt.!(p) and q = src.!(p) in
+    let ur = lre.!(q) and ui = lim.!(q) in
+    lre.!(t) <- lre.!(t) -. ((fr *. ur) -. (fi *. ui));
+    lim.!(t) <- lim.!(t) -. ((fr *. ui) +. (fi *. ur))
   done
 
 let[@inline] pivot_vanishes lre lim d =
-  (lre.(d) *. lre.(d)) +. (lim.(d) *. lim.(d)) < cpivot_floor
+  (lre.!(d) *. lre.!(d)) +. (lim.!(d) *. lim.!(d)) < cpivot_floor
 
 (* factor lane [l] in place by replaying the compiled elimination.
    @raise Lu.Singular on a vanishing pivot *)
@@ -543,18 +585,18 @@ let celim s l =
   let piv = s.l_piv and up = s.u_ptr and tgt = s.u_tgt and src = s.u_src in
   let lre = l.lre and lim = l.lim in
   for i = 0 to s.n - 1 do
-    for idx = rp.(i) to diag.(i) - 1 do
-      let kk = piv.(idx) in
-      let pr = lre.(kk) and pi = lim.(kk) in
+    for idx = rp.!(i) to diag.!(i) - 1 do
+      let kk = piv.!(idx) in
+      let pr = lre.!(kk) and pi = lim.!(kk) in
       let pmag = (pr *. pr) +. (pi *. pi) in
-      let ar = lre.(idx) and ai = lim.(idx) in
+      let ar = lre.!(idx) and ai = lim.!(idx) in
       let fr = ((ar *. pr) +. (ai *. pi)) /. pmag in
       let fi = ((ai *. pr) -. (ar *. pi)) /. pmag in
-      lre.(idx) <- fr;
-      lim.(idx) <- fi;
-      if fr <> 0. || fi <> 0. then update lre lim tgt src fr fi up.(idx) (up.(idx + 1) - 1)
+      lre.!(idx) <- fr;
+      lim.!(idx) <- fi;
+      if fr <> 0. || fi <> 0. then update lre lim tgt src fr fi up.!(idx) (up.!(idx + 1) - 1)
     done;
-    if pivot_vanishes lre lim diag.(i) then raise (Lu.Singular i)
+    if pivot_vanishes lre lim diag.!(i) then raise (Lu.Singular i)
   done
 
 (* Factor lanes [a] and [b] in one replay of the compiled elimination.
@@ -570,39 +612,39 @@ let celim2 s a b =
   let are = a.lre and aim = a.lim and bre = b.lre and bim = b.lim in
   let broken = ref (-1) in
   for i = 0 to s.n - 1 do
-    for idx = rp.(i) to diag.(i) - 1 do
-      let kk = piv.(idx) in
-      let pr = are.(kk) and pi = aim.(kk) in
+    for idx = rp.!(i) to diag.!(i) - 1 do
+      let kk = piv.!(idx) in
+      let pr = are.!(kk) and pi = aim.!(kk) in
       let pmag = (pr *. pr) +. (pi *. pi) in
-      let ar = are.(idx) and ai = aim.(idx) in
+      let ar = are.!(idx) and ai = aim.!(idx) in
       let fr = ((ar *. pr) +. (ai *. pi)) /. pmag in
       let fi = ((ai *. pr) -. (ar *. pi)) /. pmag in
-      are.(idx) <- fr;
-      aim.(idx) <- fi;
-      let qr = bre.(kk) and qi = bim.(kk) in
+      are.!(idx) <- fr;
+      aim.!(idx) <- fi;
+      let qr = bre.!(kk) and qi = bim.!(kk) in
       let qmag = (qr *. qr) +. (qi *. qi) in
-      let cr = bre.(idx) and ci = bim.(idx) in
+      let cr = bre.!(idx) and ci = bim.!(idx) in
       let gr = ((cr *. qr) +. (ci *. qi)) /. qmag in
       let gi = ((ci *. qr) -. (cr *. qi)) /. qmag in
-      bre.(idx) <- gr;
-      bim.(idx) <- gi;
-      let lo = up.(idx) and hi = up.(idx + 1) - 1 in
+      bre.!(idx) <- gr;
+      bim.!(idx) <- gi;
+      let lo = up.!(idx) and hi = up.!(idx + 1) - 1 in
       let on_a = fr <> 0. || fi <> 0. and on_b = gr <> 0. || gi <> 0. in
       if on_a && on_b then
         for p = lo to hi do
-          let t = tgt.(p) and q = src.(p) in
-          let ur = are.(q) and ui = aim.(q) in
-          are.(t) <- are.(t) -. ((fr *. ur) -. (fi *. ui));
-          aim.(t) <- aim.(t) -. ((fr *. ui) +. (fi *. ur));
-          let vr = bre.(q) and vi = bim.(q) in
-          bre.(t) <- bre.(t) -. ((gr *. vr) -. (gi *. vi));
-          bim.(t) <- bim.(t) -. ((gr *. vi) +. (gi *. vr))
+          let t = tgt.!(p) and q = src.!(p) in
+          let ur = are.!(q) and ui = aim.!(q) in
+          are.!(t) <- are.!(t) -. ((fr *. ur) -. (fi *. ui));
+          aim.!(t) <- aim.!(t) -. ((fr *. ui) +. (fi *. ur));
+          let vr = bre.!(q) and vi = bim.!(q) in
+          bre.!(t) <- bre.!(t) -. ((gr *. vr) -. (gi *. vi));
+          bim.!(t) <- bim.!(t) -. ((gr *. vi) +. (gi *. vr))
         done
       else if on_a then update are aim tgt src fr fi lo hi
       else if on_b then update bre bim tgt src gr gi lo hi
     done;
-    if pivot_vanishes are aim diag.(i) then raise (Lu.Singular i);
-    if !broken < 0 && pivot_vanishes bre bim diag.(i) then broken := i
+    if pivot_vanishes are aim diag.!(i) then raise (Lu.Singular i);
+    if !broken < 0 && pivot_vanishes bre bim diag.!(i) then broken := i
   done;
   if !broken >= 0 then raise (Lu.Singular !broken)
 
@@ -615,28 +657,28 @@ let clu_apply s l yr yi lo =
   let rp = s.f_rowptr and cols = s.f_cols and diag = s.f_diag in
   let lre = l.lre and lim = l.lim in
   for i = 0 to n - 1 do
-    let ar = ref yr.(i) and ai = ref yi.(i) in
-    for idx = rp.(i) to diag.(i) - 1 do
-      let j = cols.(idx) in
-      let lr = lre.(idx) and li = lim.(idx) in
-      ar := !ar -. ((lr *. yr.(j)) -. (li *. yi.(j)));
-      ai := !ai -. ((lr *. yi.(j)) +. (li *. yr.(j)))
+    let ar = ref yr.!(i) and ai = ref yi.!(i) in
+    for idx = rp.!(i) to diag.!(i) - 1 do
+      let j = cols.!(idx) in
+      let lr = lre.!(idx) and li = lim.!(idx) in
+      ar := !ar -. ((lr *. yr.!(j)) -. (li *. yi.!(j)));
+      ai := !ai -. ((lr *. yi.!(j)) +. (li *. yr.!(j)))
     done;
-    yr.(i) <- !ar;
-    yi.(i) <- !ai
+    yr.!(i) <- !ar;
+    yi.!(i) <- !ai
   done;
   for i = n - 1 downto lo do
-    let ar = ref yr.(i) and ai = ref yi.(i) in
-    for idx = diag.(i) + 1 to rp.(i + 1) - 1 do
-      let j = cols.(idx) in
-      let ur = lre.(idx) and ui = lim.(idx) in
-      ar := !ar -. ((ur *. yr.(j)) -. (ui *. yi.(j)));
-      ai := !ai -. ((ur *. yi.(j)) +. (ui *. yr.(j)))
+    let ar = ref yr.!(i) and ai = ref yi.!(i) in
+    for idx = diag.!(i) + 1 to rp.!(i + 1) - 1 do
+      let j = cols.!(idx) in
+      let ur = lre.!(idx) and ui = lim.!(idx) in
+      ar := !ar -. ((ur *. yr.!(j)) -. (ui *. yi.!(j)));
+      ai := !ai -. ((ur *. yi.!(j)) +. (ui *. yr.!(j)))
     done;
-    let pr = lre.(diag.(i)) and pi = lim.(diag.(i)) in
+    let pr = lre.!(diag.!(i)) and pi = lim.!(diag.!(i)) in
     let pmag = (pr *. pr) +. (pi *. pi) in
-    yr.(i) <- ((!ar *. pr) +. (!ai *. pi)) /. pmag;
-    yi.(i) <- ((!ai *. pr) -. (!ar *. pi)) /. pmag
+    yr.!(i) <- ((!ar *. pr) +. (!ai *. pi)) /. pmag;
+    yi.!(i) <- ((!ai *. pr) -. (!ar *. pi)) /. pmag
   done
 
 (* [clu_apply] on lane a's (xr, xi) and lane b's (zr, zi) in one pass,
@@ -647,52 +689,52 @@ let clu_apply2 s lo a (xr : float array) (xi : float array) b (zr : float array)
   let rp = s.f_rowptr and cols = s.f_cols and diag = s.f_diag in
   let are = a.lre and aim = a.lim and bre = b.lre and bim = b.lim in
   for i = 0 to n - 1 do
-    let ar = ref xr.(i) and ai = ref xi.(i) in
-    let cr = ref zr.(i) and ci = ref zi.(i) in
-    for idx = rp.(i) to diag.(i) - 1 do
-      let j = cols.(idx) in
-      let lr = are.(idx) and li = aim.(idx) in
-      ar := !ar -. ((lr *. xr.(j)) -. (li *. xi.(j)));
-      ai := !ai -. ((lr *. xi.(j)) +. (li *. xr.(j)));
-      let mr = bre.(idx) and mi = bim.(idx) in
-      cr := !cr -. ((mr *. zr.(j)) -. (mi *. zi.(j)));
-      ci := !ci -. ((mr *. zi.(j)) +. (mi *. zr.(j)))
+    let ar = ref xr.!(i) and ai = ref xi.!(i) in
+    let cr = ref zr.!(i) and ci = ref zi.!(i) in
+    for idx = rp.!(i) to diag.!(i) - 1 do
+      let j = cols.!(idx) in
+      let lr = are.!(idx) and li = aim.!(idx) in
+      ar := !ar -. ((lr *. xr.!(j)) -. (li *. xi.!(j)));
+      ai := !ai -. ((lr *. xi.!(j)) +. (li *. xr.!(j)));
+      let mr = bre.!(idx) and mi = bim.!(idx) in
+      cr := !cr -. ((mr *. zr.!(j)) -. (mi *. zi.!(j)));
+      ci := !ci -. ((mr *. zi.!(j)) +. (mi *. zr.!(j)))
     done;
-    xr.(i) <- !ar;
-    xi.(i) <- !ai;
-    zr.(i) <- !cr;
-    zi.(i) <- !ci
+    xr.!(i) <- !ar;
+    xi.!(i) <- !ai;
+    zr.!(i) <- !cr;
+    zi.!(i) <- !ci
   done;
   for i = n - 1 downto lo do
-    let ar = ref xr.(i) and ai = ref xi.(i) in
-    let cr = ref zr.(i) and ci = ref zi.(i) in
-    for idx = diag.(i) + 1 to rp.(i + 1) - 1 do
-      let j = cols.(idx) in
-      let ur = are.(idx) and ui = aim.(idx) in
-      ar := !ar -. ((ur *. xr.(j)) -. (ui *. xi.(j)));
-      ai := !ai -. ((ur *. xi.(j)) +. (ui *. xr.(j)));
-      let vr = bre.(idx) and vi = bim.(idx) in
-      cr := !cr -. ((vr *. zr.(j)) -. (vi *. zi.(j)));
-      ci := !ci -. ((vr *. zi.(j)) +. (vi *. zr.(j)))
+    let ar = ref xr.!(i) and ai = ref xi.!(i) in
+    let cr = ref zr.!(i) and ci = ref zi.!(i) in
+    for idx = diag.!(i) + 1 to rp.!(i + 1) - 1 do
+      let j = cols.!(idx) in
+      let ur = are.!(idx) and ui = aim.!(idx) in
+      ar := !ar -. ((ur *. xr.!(j)) -. (ui *. xi.!(j)));
+      ai := !ai -. ((ur *. xi.!(j)) +. (ui *. xr.!(j)));
+      let vr = bre.!(idx) and vi = bim.!(idx) in
+      cr := !cr -. ((vr *. zr.!(j)) -. (vi *. zi.!(j)));
+      ci := !ci -. ((vr *. zi.!(j)) +. (vi *. zr.!(j)))
     done;
-    let d = diag.(i) in
-    let pr = are.(d) and pi = aim.(d) in
+    let d = diag.!(i) in
+    let pr = are.!(d) and pi = aim.!(d) in
     let pmag = (pr *. pr) +. (pi *. pi) in
-    xr.(i) <- ((!ar *. pr) +. (!ai *. pi)) /. pmag;
-    xi.(i) <- ((!ai *. pr) -. (!ar *. pi)) /. pmag;
-    let qr = bre.(d) and qi = bim.(d) in
+    xr.!(i) <- ((!ar *. pr) +. (!ai *. pi)) /. pmag;
+    xi.!(i) <- ((!ai *. pr) -. (!ar *. pi)) /. pmag;
+    let qr = bre.!(d) and qi = bim.!(d) in
     let qmag = (qr *. qr) +. (qi *. qi) in
-    zr.(i) <- ((!cr *. qr) +. (!ci *. qi)) /. qmag;
-    zi.(i) <- ((!ci *. qr) -. (!cr *. qi)) /. qmag
+    zr.!(i) <- ((!cr *. qr) +. (!ci *. qi)) /. qmag;
+    zi.!(i) <- ((!ci *. qr) -. (!cr *. qi)) /. qmag
   done
 
 (* the right-hand side, row-permuted, into [br]/[bi] *)
 let load_rhs w b =
   let s = w.csym in
   for i = 0 to s.n - 1 do
-    let z = b.(s.rowperm.(i)) in
-    w.br.(i) <- z.Complex.re;
-    w.bi.(i) <- z.Complex.im
+    let z = b.(s.rowperm.!(i)) in
+    w.br.!(i) <- z.Complex.re;
+    w.bi.!(i) <- z.Complex.im
   done
 
 (* one refinement step's residual against the assembled G + j omega C,
@@ -703,15 +745,15 @@ let[@inline] residual w l omega =
   let gv = w.gv and cv = w.cv in
   let yr = l.yr and yi = l.yi in
   for i = 0 to s.n - 1 do
-    let ar = ref w.br.(i) and ai = ref w.bi.(i) in
-    for idx = rp.(i) to rp.(i + 1) - 1 do
-      let j = cols.(idx) in
-      let mr = gv.(idx) and mi = omega *. cv.(idx) in
-      ar := !ar -. ((mr *. yr.(j)) -. (mi *. yi.(j)));
-      ai := !ai -. ((mr *. yi.(j)) +. (mi *. yr.(j)))
+    let ar = ref w.br.!(i) and ai = ref w.bi.!(i) in
+    for idx = rp.!(i) to rp.!(i + 1) - 1 do
+      let j = cols.!(idx) in
+      let mr = gv.!(idx) and mi = omega *. cv.!(idx) in
+      ar := !ar -. ((mr *. yr.!(j)) -. (mi *. yi.!(j)));
+      ai := !ai -. ((mr *. yi.!(j)) +. (mi *. yr.!(j)))
     done;
-    l.rr.(i) <- !ar;
-    l.ri.(i) <- !ai
+    l.rr.!(i) <- !ar;
+    l.ri.!(i) <- !ai
   done
 
 (* [residual] for lanes a and b in one pass over the assembled values *)
@@ -721,22 +763,22 @@ let[@inline] residual2 w a oa b ob =
   let gv = w.gv and cv = w.cv in
   let xr = a.yr and xi = a.yi and zr = b.yr and zi = b.yi in
   for i = 0 to s.n - 1 do
-    let ar = ref w.br.(i) and ai = ref w.bi.(i) in
-    let cr = ref w.br.(i) and ci = ref w.bi.(i) in
-    for idx = rp.(i) to rp.(i + 1) - 1 do
-      let j = cols.(idx) in
-      let g = gv.(idx) and c = cv.(idx) in
+    let ar = ref w.br.!(i) and ai = ref w.bi.!(i) in
+    let cr = ref w.br.!(i) and ci = ref w.bi.!(i) in
+    for idx = rp.!(i) to rp.!(i + 1) - 1 do
+      let j = cols.!(idx) in
+      let g = gv.!(idx) and c = cv.!(idx) in
       let mi = oa *. c in
-      ar := !ar -. ((g *. xr.(j)) -. (mi *. xi.(j)));
-      ai := !ai -. ((g *. xi.(j)) +. (mi *. xr.(j)));
+      ar := !ar -. ((g *. xr.!(j)) -. (mi *. xi.!(j)));
+      ai := !ai -. ((g *. xi.!(j)) +. (mi *. xr.!(j)));
       let ni = ob *. c in
-      cr := !cr -. ((g *. zr.(j)) -. (ni *. zi.(j)));
-      ci := !ci -. ((g *. zi.(j)) +. (ni *. zr.(j)))
+      cr := !cr -. ((g *. zr.!(j)) -. (ni *. zi.!(j)));
+      ci := !ci -. ((g *. zi.!(j)) +. (ni *. zr.!(j)))
     done;
-    a.rr.(i) <- !ar;
-    a.ri.(i) <- !ai;
-    b.rr.(i) <- !cr;
-    b.ri.(i) <- !ci
+    a.rr.!(i) <- !ar;
+    a.ri.!(i) <- !ai;
+    b.rr.!(i) <- !cr;
+    b.ri.!(i) <- !ci
   done
 
 (* solve the factored lane [l] for the loaded right-hand side, then one
@@ -746,8 +788,8 @@ let[@inline] residual2 w a oa b ob =
 let[@inline] solve_loaded w l omega lo =
   let s = w.csym in
   for i = 0 to s.n - 1 do
-    l.yr.(i) <- w.br.(i);
-    l.yi.(i) <- w.bi.(i)
+    l.yr.!(i) <- w.br.!(i);
+    l.yi.!(i) <- w.bi.!(i)
   done;
   clu_apply s l l.yr l.yi 0;
   residual w l omega;
@@ -786,8 +828,8 @@ let[@inline] response_at l pos ~re ~im k =
     im.(k) <- 0.
   end
   else begin
-    re.(k) <- l.yr.(pos) +. l.rr.(pos);
-    im.(k) <- l.yi.(pos) +. l.ri.(pos)
+    re.(k) <- l.yr.!(pos) +. l.rr.!(pos);
+    im.(k) <- l.yi.!(pos) +. l.ri.!(pos)
   end
 
 (* frequency [k] alone, in lane 0: [cfactor]'s elimination and solve,
@@ -810,10 +852,10 @@ let sweep_two w freqs pos ~re ~im k k' =
   celim2 s a b;
   if pos >= 0 then begin
     for i = 0 to s.n - 1 do
-      a.yr.(i) <- w.br.(i);
-      a.yi.(i) <- w.bi.(i);
-      b.yr.(i) <- w.br.(i);
-      b.yi.(i) <- w.bi.(i)
+      a.yr.!(i) <- w.br.!(i);
+      a.yi.!(i) <- w.bi.!(i);
+      b.yr.!(i) <- w.br.!(i);
+      b.yi.!(i) <- w.bi.!(i)
     done;
     clu_apply2 s 0 a a.yr a.yi b b.yr b.yi;
     residual2 w a oa b ob;

@@ -1,3 +1,8 @@
+(* [a.!(i)]: [factor_into] and [solve_into] index their own n*n factor
+   and permutation unchecked (the type is abstract); [b] and [x] keep
+   [a.(i)] *)
+open Unchecked
+
 exception Singular of int
 
 (* Doolittle LU with partial pivoting, stored packed in one matrix: the unit
@@ -23,14 +28,14 @@ let factor_into f ~skip_zeros m =
   let a = f.lu.Mat.data and perm = f.perm and nz = f.nz in
   Array.blit m.Mat.data 0 a 0 (n * n);
   for i = 0 to n - 1 do
-    perm.(i) <- i
+    perm.!(i) <- i
   done;
   let swaps = ref 0 in
   for k = 0 to n - 1 do
     (* choose the pivot row *)
-    let best = ref k and best_mag = ref (Float.abs a.((k * n) + k)) in
+    let best = ref k and best_mag = ref (Float.abs a.!((k * n) + k)) in
     for i = k + 1 to n - 1 do
-      let mag = Float.abs a.((i * n) + k) in
+      let mag = Float.abs a.!((i * n) + k) in
       if mag > !best_mag then begin
         best := i;
         best_mag := mag
@@ -40,37 +45,37 @@ let factor_into f ~skip_zeros m =
     let rk = k * n in
     if !best <> k then begin
       incr swaps;
-      let tmp = perm.(k) in
-      perm.(k) <- perm.(!best);
-      perm.(!best) <- tmp;
+      let tmp = perm.!(k) in
+      perm.!(k) <- perm.!(!best);
+      perm.!(!best) <- tmp;
       let rb = !best * n in
       for j = 0 to n - 1 do
-        let t = a.(rk + j) in
-        a.(rk + j) <- a.(rb + j);
-        a.(rb + j) <- t
+        let t = a.!(rk + j) in
+        a.!(rk + j) <- a.!(rb + j);
+        a.!(rb + j) <- t
       done
     end;
-    let pivot = a.(rk + k) in
+    let pivot = a.!(rk + k) in
     let nnz = ref 0 in
     for j = k + 1 to n - 1 do
-      if (not skip_zeros) || a.(rk + j) <> 0. then begin
-        nz.(!nnz) <- j;
+      if (not skip_zeros) || a.!(rk + j) <> 0. then begin
+        nz.!(!nnz) <- j;
         incr nnz
       end
     done;
     for i = k + 1 to n - 1 do
       let ri = i * n in
-      let factor = a.(ri + k) /. pivot in
-      a.(ri + k) <- factor;
+      let factor = a.!(ri + k) /. pivot in
+      a.!(ri + k) <- factor;
       if factor <> 0. then
         if Float.is_finite factor then
           for t = 0 to !nnz - 1 do
-            let j = nz.(t) in
-            a.(ri + j) <- a.(ri + j) -. (factor *. a.(rk + j))
+            let j = nz.!(t) in
+            a.!(ri + j) <- a.!(ri + j) -. (factor *. a.!(rk + j))
           done
         else
           for j = k + 1 to n - 1 do
-            a.(ri + j) <- a.(ri + j) -. (factor *. a.(rk + j))
+            a.!(ri + j) <- a.!(ri + j) -. (factor *. a.!(rk + j))
           done
     done
   done;
@@ -91,14 +96,14 @@ let solve_into f b x =
   let a = f.lu.Mat.data and perm = f.perm in
   (* apply the permutation *)
   for i = 0 to n - 1 do
-    x.(i) <- b.(perm.(i))
+    x.(i) <- b.(perm.!(i))
   done;
   (* forward substitution: L y = P b *)
   for i = 1 to n - 1 do
     let ri = i * n in
     let acc = ref x.(i) in
     for j = 0 to i - 1 do
-      acc := !acc -. (a.(ri + j) *. x.(j))
+      acc := !acc -. (a.!(ri + j) *. x.(j))
     done;
     x.(i) <- !acc
   done;
@@ -107,9 +112,9 @@ let solve_into f b x =
     let ri = i * n in
     let acc = ref x.(i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (a.(ri + j) *. x.(j))
+      acc := !acc -. (a.!(ri + j) *. x.(j))
     done;
-    x.(i) <- !acc /. a.(ri + i)
+    x.(i) <- !acc /. a.!(ri + i)
   done
 
 let solve f b =

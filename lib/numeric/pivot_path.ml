@@ -47,6 +47,12 @@
    b, so [Lu.Singular] names the row a point-by-point sweep raises
    first. *)
 
+(* [a.!(i)]: the kernels read and write the lane buffers, G and C
+   unchecked; every index is a node's, from [select] over [0, n) or
+   [0, n*n), and every buffer is n*n or n long.  The caller's arrays keep
+   [a.(i)] *)
+open Unchecked
+
 (* Cmat's pivot test *)
 let pivot_floor = 1e-280
 
@@ -320,7 +326,7 @@ let[@inline] child w sh node p =
 
 (* ---------- the kernels ---------- *)
 
-let[@inline] mag2 re im p = (re.(p) *. re.(p)) +. (im.(p) *. im.(p))
+let[@inline] mag2 re im p = (re.!(p) *. re.!(p)) +. (im.!(p) *. im.!(p))
 
 let[@inline] finite x = x -. x = 0.
 
@@ -331,7 +337,7 @@ let generic (l : lane) ~skip_zeros from = Cmat.eliminate l.buf ~skip_zeros ~from
 let[@inline] search re im n k cands =
   let best = ref k and best_mag = ref (mag2 re im ((k * n) + k)) in
   for q = 0 to Array.length cands - 1 do
-    let i = cands.(q) in
+    let i = cands.!(q) in
     let mag = mag2 re im ((i * n) + k) in
     if mag > !best_mag then begin
       best := i;
@@ -344,55 +350,55 @@ let[@inline] search re im n k cands =
 let[@inline] swap_rows (b : Cmat.work) n k p cols =
   let re = b.re and im = b.im and rk = k * n and rp = p * n in
   for q = 0 to Array.length cols - 1 do
-    let j = cols.(q) in
-    let tr = re.(rk + j) and ti = im.(rk + j) in
-    re.(rk + j) <- re.(rp + j);
-    im.(rk + j) <- im.(rp + j);
-    re.(rp + j) <- tr;
-    im.(rp + j) <- ti
+    let j = cols.!(q) in
+    let tr = re.!(rk + j) and ti = im.!(rk + j) in
+    re.!(rk + j) <- re.!(rp + j);
+    im.!(rk + j) <- im.!(rp + j);
+    re.!(rp + j) <- tr;
+    im.!(rp + j) <- ti
   done;
   let xr = b.xr and xi = b.xi in
-  let tr = xr.(k) and ti = xi.(k) in
-  xr.(k) <- xr.(p);
-  xi.(k) <- xi.(p);
-  xr.(p) <- tr;
-  xi.(p) <- ti
+  let tr = xr.!(k) and ti = xi.!(k) in
+  xr.!(k) <- xr.!(p);
+  xi.!(k) <- xi.!(p);
+  xr.!(p) <- tr;
+  xi.!(p) <- ti
 
 (* Cmat's elimination of row i by pivot row k, multiplier (fr, fi): over
    the structural columns [upat] for a finite multiplier, over every
    column > k otherwise *)
 let[@inline] eliminate_row (b : Cmat.work) n k i upat fr fi =
   let re = b.re and im = b.im and rk = k * n and ri = i * n in
-  re.(ri + k) <- 0.;
-  im.(ri + k) <- 0.;
+  re.!(ri + k) <- 0.;
+  im.!(ri + k) <- 0.;
   if finite fr && finite fi then
     for u = 0 to Array.length upat - 1 do
-      let j = upat.(u) in
-      let ur = re.(rk + j) and ui = im.(rk + j) in
-      re.(ri + j) <- re.(ri + j) -. ((fr *. ur) -. (fi *. ui));
-      im.(ri + j) <- im.(ri + j) -. ((fr *. ui) +. (fi *. ur))
+      let j = upat.!(u) in
+      let ur = re.!(rk + j) and ui = im.!(rk + j) in
+      re.!(ri + j) <- re.!(ri + j) -. ((fr *. ur) -. (fi *. ui));
+      im.!(ri + j) <- im.!(ri + j) -. ((fr *. ui) +. (fi *. ur))
     done
   else
     for j = k + 1 to n - 1 do
-      let ur = re.(rk + j) and ui = im.(rk + j) in
-      re.(ri + j) <- re.(ri + j) -. ((fr *. ur) -. (fi *. ui));
-      im.(ri + j) <- im.(ri + j) -. ((fr *. ui) +. (fi *. ur))
+      let ur = re.!(rk + j) and ui = im.!(rk + j) in
+      re.!(ri + j) <- re.!(ri + j) -. ((fr *. ur) -. (fi *. ui));
+      im.!(ri + j) <- im.!(ri + j) -. ((fr *. ui) +. (fi *. ur))
     done;
   let xr = b.xr and xi = b.xi in
-  xr.(i) <- xr.(i) -. ((fr *. xr.(k)) -. (fi *. xi.(k)));
-  xi.(i) <- xi.(i) -. ((fr *. xi.(k)) +. (fi *. xr.(k)))
+  xr.!(i) <- xr.!(i) -. ((fr *. xr.!(k)) -. (fi *. xi.!(k)));
+  xi.!(i) <- xi.!(i) -. ((fr *. xi.!(k)) +. (fi *. xr.!(k)))
 
 (* step k of one lane along [ch]; false when a multiplier was not finite *)
 let step1 (b : Cmat.work) n k ch =
   if ch.pivot <> k then swap_rows b n k ch.pivot ch.swap;
   let re = b.re and im = b.im in
-  let pr = re.((k * n) + k) and pi = im.((k * n) + k) in
+  let pr = re.!((k * n) + k) and pi = im.!((k * n) + k) in
   let pmag = (pr *. pr) +. (pi *. pi) in
   let upat = ch.upat and elim = ch.elim in
   let ok = ref true in
   for e = 0 to Array.length elim - 1 do
-    let i = elim.(e) in
-    let ar = re.((i * n) + k) and ai = im.((i * n) + k) in
+    let i = elim.!(e) in
+    let ar = re.!((i * n) + k) and ai = im.!((i * n) + k) in
     if ar <> 0. || ai <> 0. then begin
       let fr = ((ar *. pr) +. (ai *. pi)) /. pmag in
       let fi = ((ai *. pr) -. (ar *. pi)) /. pmag in
@@ -413,40 +419,40 @@ let step2 (a : Cmat.work) (b : Cmat.work) n k ch =
   let are = a.re and aim = a.im and axr = a.xr and axi = a.xi in
   let bre = b.re and bim = b.im and bxr = b.xr and bxi = b.xi in
   let rk = k * n in
-  let pr = are.(rk + k) and pi = aim.(rk + k) in
+  let pr = are.!(rk + k) and pi = aim.!(rk + k) in
   let pmag = (pr *. pr) +. (pi *. pi) in
-  let qr = bre.(rk + k) and qi = bim.(rk + k) in
+  let qr = bre.!(rk + k) and qi = bim.!(rk + k) in
   let qmag = (qr *. qr) +. (qi *. qi) in
   let upat = ch.upat and elim = ch.elim in
   let broken = ref 0 in
   for e = 0 to Array.length elim - 1 do
-    let i = elim.(e) in
+    let i = elim.!(e) in
     let ri = i * n in
-    let ar = are.(ri + k) and ai = aim.(ri + k) in
-    let cr = bre.(ri + k) and ci = bim.(ri + k) in
+    let ar = are.!(ri + k) and ai = aim.!(ri + k) in
+    let cr = bre.!(ri + k) and ci = bim.!(ri + k) in
     let on_a = ar <> 0. || ai <> 0. and on_b = cr <> 0. || ci <> 0. in
     let fr = ((ar *. pr) +. (ai *. pi)) /. pmag in
     let fi = ((ai *. pr) -. (ar *. pi)) /. pmag in
     let gr = ((cr *. qr) +. (ci *. qi)) /. qmag in
     let gi = ((ci *. qr) -. (cr *. qi)) /. qmag in
     if on_a && on_b && finite fr && finite fi && finite gr && finite gi then begin
-      are.(ri + k) <- 0.;
-      aim.(ri + k) <- 0.;
-      bre.(ri + k) <- 0.;
-      bim.(ri + k) <- 0.;
+      are.!(ri + k) <- 0.;
+      aim.!(ri + k) <- 0.;
+      bre.!(ri + k) <- 0.;
+      bim.!(ri + k) <- 0.;
       for u = 0 to Array.length upat - 1 do
-        let j = upat.(u) in
-        let ur = are.(rk + j) and ui = aim.(rk + j) in
-        are.(ri + j) <- are.(ri + j) -. ((fr *. ur) -. (fi *. ui));
-        aim.(ri + j) <- aim.(ri + j) -. ((fr *. ui) +. (fi *. ur));
-        let vr = bre.(rk + j) and vi = bim.(rk + j) in
-        bre.(ri + j) <- bre.(ri + j) -. ((gr *. vr) -. (gi *. vi));
-        bim.(ri + j) <- bim.(ri + j) -. ((gr *. vi) +. (gi *. vr))
+        let j = upat.!(u) in
+        let ur = are.!(rk + j) and ui = aim.!(rk + j) in
+        are.!(ri + j) <- are.!(ri + j) -. ((fr *. ur) -. (fi *. ui));
+        aim.!(ri + j) <- aim.!(ri + j) -. ((fr *. ui) +. (fi *. ur));
+        let vr = bre.!(rk + j) and vi = bim.!(rk + j) in
+        bre.!(ri + j) <- bre.!(ri + j) -. ((gr *. vr) -. (gi *. vi));
+        bim.!(ri + j) <- bim.!(ri + j) -. ((gr *. vi) +. (gi *. vr))
       done;
-      axr.(i) <- axr.(i) -. ((fr *. axr.(k)) -. (fi *. axi.(k)));
-      axi.(i) <- axi.(i) -. ((fr *. axi.(k)) +. (fi *. axr.(k)));
-      bxr.(i) <- bxr.(i) -. ((gr *. bxr.(k)) -. (gi *. bxi.(k)));
-      bxi.(i) <- bxi.(i) -. ((gr *. bxi.(k)) +. (gi *. bxr.(k)))
+      axr.!(i) <- axr.!(i) -. ((fr *. axr.!(k)) -. (fi *. axi.!(k)));
+      axi.!(i) <- axi.!(i) -. ((fr *. axi.!(k)) +. (fi *. axr.!(k)));
+      bxr.!(i) <- bxr.!(i) -. ((gr *. bxr.!(k)) -. (gi *. bxi.!(k)));
+      bxi.!(i) <- bxi.!(i) -. ((gr *. bxi.!(k)) +. (gi *. bxr.!(k)))
     end
     else begin
       if on_a then begin
@@ -506,7 +512,7 @@ let fits sh g c =
   let inside = sh.inside in
   let ok = ref true in
   for s = 0 to Array.length g - 1 do
-    let gv = g.(s) and cv = c.(s) in
+    let gv = g.!(s) and cv = c.!(s) in
     if Bytes.unsafe_get inside s <> '\000' then begin
       if (gv = 0. && 1. /. gv < 0.) || (cv = 0. && 1. /. cv < 0.) then ok := false
     end
@@ -519,10 +525,10 @@ let fits sh g c =
 let[@inline] pencil (re : float array) (im : float array) g c omega =
   let exact = ref (omega > 0.) in
   for s = 0 to Array.length re - 1 do
-    re.(s) <- g.(s);
-    let v = omega *. c.(s) in
-    im.(s) <- v;
-    if v = 0. && c.(s) <> 0. then exact := false
+    re.!(s) <- g.!(s);
+    let v = omega *. c.!(s) in
+    im.!(s) <- v;
+    if v = 0. && c.!(s) <> 0. then exact := false
   done;
   !exact
 
@@ -539,18 +545,18 @@ let[@inline] load w sh (l : lane) planned omega =
     else begin
       let d = last.dirty in
       for q = 0 to Array.length d - 1 do
-        re.(d.(q)) <- 0.;
-        im.(d.(q)) <- 0.
+        re.!(d.!(q)) <- 0.;
+        im.!(d.!(q)) <- 0.
       done
     end;
     let g = w.g and c = w.c and slots = sh.slots in
     let exact = ref true in
     for q = 0 to Array.length slots - 1 do
-      let s = slots.(q) in
-      re.(s) <- g.(s);
-      let v = omega *. c.(s) in
-      im.(s) <- v;
-      if v = 0. && c.(s) <> 0. then exact := false
+      let s = slots.!(q) in
+      re.!(s) <- g.!(s);
+      let v = omega *. c.!(s) in
+      im.!(s) <- v;
+      if v = 0. && c.!(s) <> 0. then exact := false
     done;
     if !exact then 0 else 2
   end
@@ -560,8 +566,8 @@ let[@inline] load w sh (l : lane) planned omega =
 let load_rhs (l : lane) (rhs : Complex.t array) =
   let xr = l.buf.xr and xi = l.buf.xi in
   for i = 0 to Array.length xr - 1 do
-    xr.(i) <- rhs.(i).Complex.re;
-    xi.(i) <- rhs.(i).Complex.im
+    xr.!(i) <- rhs.(i).Complex.re;
+    xi.!(i) <- rhs.(i).Complex.im
   done
 
 let run1_from w sh l mode =

@@ -1368,8 +1368,80 @@ let test_out_of_range_stamps () =
         (fun (i, j) -> try rs.Linsys.add i j 1. with Invalid_argument _ -> ())
         bad;
       let x = rs.Linsys.solve [| 1.; 2.; 3. |] in
-      Alcotest.(check (array (float 0.))) (Linsys.name c ^ " solve") [| 1.; 2.; 3. |] x)
-    [ Linsys.Dense; Linsys.Csr ]
+      Alcotest.(check (array (float 0.))) (Linsys.name c ^ " solve") [| 1.; 2.; 3. |] x;
+      (* the kernels index their own buffers unchecked, but every index a
+         caller supplies stays checked: a sweep point off the grid, a
+         response shorter than the grid, a right-hand side or solution of
+         the wrong size all raise, and the workspaces then answer the bits
+         of fresh ones *)
+      let raises what f =
+        match f () with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.failf "%s %s accepted" (Linsys.name c) what
+      in
+      let assemble (rs : Linsys.real) (cs : Linsys.complex_sys) =
+        rs.Linsys.reset ();
+        cs.Linsys.creset ();
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            let g = if i = j then float (i + 2) else 0.5 /. float (i + j + 1) in
+            rs.Linsys.add i j g;
+            cs.Linsys.add_g i j g;
+            cs.Linsys.add_c i j (1e-9 *. float (1 + ((i + (2 * j)) mod 3)))
+          done
+        done
+      in
+      let freqs = [| 1e3; 1e5; 1e7; 1e9 |] and out = n - 1 in
+      let rhs = Array.init n (fun i -> { Complex.re = float (i + 1); im = 0. }) in
+      let b = [| 1.; 2.; 3. |] in
+      let sweep (cs : Linsys.complex_sys) =
+        let re = Array.make 4 Float.nan and im = Array.make 4 Float.nan in
+        let point = cs.Linsys.sweep rhs ~freqs ~out ~re ~im in
+        ignore (point 0 1);
+        ignore (point 2 (-1));
+        ignore (point 3 (-1));
+        Array.map Int64.bits_of_float (Array.append re im)
+      in
+      assemble rs cs;
+      (* responses longer than the grid, so that only the grid can refuse *)
+      let long = Array.make 6 0. in
+      let point = cs.Linsys.sweep rhs ~freqs ~out ~re:long ~im:(Array.copy long) in
+      raises "a point past the grid" (fun () -> point 4 (-1));
+      raises "a paired point past the grid" (fun () -> point 0 4);
+      raises "a pair's first point past the grid" (fun () -> point 5 0);
+      let re = Array.make 4 0. and im = Array.make 4 0. and short = Array.make 3 0. in
+      let point = cs.Linsys.sweep rhs ~freqs ~out ~re:short ~im in
+      raises "a real response shorter than the grid" (fun () -> point 3 (-1));
+      let point = cs.Linsys.sweep rhs ~freqs ~out ~re ~im:short in
+      raises "an imaginary response shorter than the grid" (fun () -> point 2 3);
+      raises "a short sweep right-hand side" (fun () ->
+          cs.Linsys.sweep [| Complex.one |] ~freqs ~out ~re ~im);
+      raises "a long factor right-hand side" (fun () ->
+          cs.Linsys.factor ~omega:1e3 (Array.make (n + 1) Complex.one));
+      let x = Array.make n 0. in
+      raises "a short solve_into right-hand side" (fun () -> rs.Linsys.solve_into [| 1. |] x);
+      raises "a long solve_into solution" (fun () ->
+          rs.Linsys.solve_into b (Array.make (n + 1) 0.));
+      raises "a short solve right-hand side" (fun () -> rs.Linsys.solve [| 1.; 2. |]);
+      let fresh_rs = Linsys.real c and fresh_cs = Linsys.complex c in
+      assemble fresh_rs fresh_cs;
+      Alcotest.(check (array int64))
+        (Linsys.name c ^ " sweep after the refusals")
+        (sweep fresh_cs) (sweep cs);
+      rs.Linsys.solve_into b x;
+      Alcotest.(check (array int64))
+        (Linsys.name c ^ " solve after the refusals")
+        (Array.map Int64.bits_of_float (fresh_rs.Linsys.solve b))
+        (Array.map Int64.bits_of_float x))
+    [ Linsys.Dense; Linsys.Csr ];
+  (* [Cmat.entry_into] writes the caller's response arrays checked *)
+  let w = Cmat.work n in
+  List.iter
+    (fun (k, j) ->
+      match Cmat.entry_into w k ~re:(Array.make 2 0.) ~im:(Array.make 4 0.) j with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "Cmat.entry_into %d into column %d accepted" k j)
+    [ (0, 2); (0, 3); (0, -1); (-1, 2); (-1, -1); (n, 0) ]
 
 (* ---------- circuit-level dense <-> csr equivalence ---------- *)
 
