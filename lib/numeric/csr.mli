@@ -37,7 +37,9 @@ val analyse : ?strong_rows:int array array -> n:int -> int array array -> symbol
     row-wise subset of [rows].
     @raise Lu.Singular if the pattern is structurally singular.
     @raise Invalid_argument if an update of the compiled elimination would
-    land outside the filled pattern, which means the analysis is broken. *)
+    land outside the filled pattern, or an index of the compiled schedule
+    lies outside its range (the kernels follow it without a bounds
+    check), which means the analysis is broken. *)
 
 val size : symbolic -> int
 
