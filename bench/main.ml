@@ -350,7 +350,7 @@ let extended_characterisation ctx =
       in
       let eval draw =
         Option.map (fun p -> p.Tb.gain_db)
-          (Tb.evaluate_with_draw session ~spec ~draw)
+          (Tb.evaluate_with_draw session ~draw)
       in
       (match Yield_process.Sensitivity.analyse ~spec ~eval with
       | Error e -> print_endline ("sensitivity failed: " ^ e)

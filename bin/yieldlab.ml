@@ -761,7 +761,7 @@ let sensitivity params =
   in
   let session = Tb.session params in
   let eval field draw =
-    Option.map field (Tb.evaluate_with_draw session ~spec ~draw)
+    Option.map field (Tb.evaluate_with_draw session ~draw)
   in
   let a = run "gain" (eval (fun p -> p.Tb.gain_db)) in
   let b = run "phase margin" (eval (fun p -> p.Tb.phase_margin_deg)) in

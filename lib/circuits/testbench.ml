@@ -126,6 +126,24 @@ let sweep_stop (r : Mna.response) k =
     else Stdlib.max 0 (marks.(0) + 2 - k)
   end
 
+(* [w] back on its shelf, and [e] raised on *)
+let give_back_models w e =
+  let bt = Printexc.get_raw_backtrace () in
+  Mna.return_models w;
+  Printexc.raise_with_backtrace e bt
+
+(* the stop rule as the optional argument [Ac.sweep] takes, built once *)
+let stop_rule = Some sweep_stop
+
+(* The end of every evaluation and session sample, once its DC solve
+   converged in [w]: the sweep from the workspace's solution, stopped one
+   point past the last one the extraction reads, and the extraction, all
+   in the borrowed workspaces.  A template or session applies it to its
+   own arguments once, so a call builds no closure. *)
+let sweep_solution ~sys circuit ~out ~freqs extract_perf w _iterations =
+  Ac.sweep ~sys ?stop:stop_rule circuit (Mna.Solution w) ~out ~freqs
+    extract_perf
+
 let feasible conditions p =
   p.phase_margin_deg > 0. && p.unity_gain_hz >= conditions.min_unity_gain_hz
 
@@ -188,8 +206,7 @@ module type S = sig
   val evaluate_in_session :
     session -> spec:Variation.spec -> rng:Yield_stats.Rng.t -> perf option
 
-  val evaluate_with_draw :
-    session -> spec:Variation.spec -> draw:Variation.global_draw -> perf option
+  val evaluate_with_draw : session -> draw:Variation.global_draw -> perf option
 
   val cmrr_db : ?conditions:conditions -> params -> float option
 
@@ -325,9 +342,10 @@ module Make (A : Amplifier.S) = struct
   (* One open-loop testbench per set of conditions, built once at the
      default design and shared, read-only, by every domain: its circuit
      and dense sys, the output node, the sweep grid and its extraction,
-     and the design parameter each MOSFET's W and L is ([sizing]).  An
-     evaluation passes its design vector to the assembly ({!Mna.sizes})
-     instead of rebuilding the circuit. *)
+     the design parameter each MOSFET's W and L is ([sizing]), and the
+     end of its evaluations ({!sweep_solution}).  An evaluation passes its
+     design vector to the assembly ({!Mna.sizes}) instead of rebuilding
+     the circuit. *)
   type template = {
     circuit : Circuit.t;
     sys : Mna.sys;
@@ -335,6 +353,7 @@ module Make (A : Amplifier.S) = struct
     freqs : float array;
     extract_perf : Mna.response -> int -> perf option;
     sized_by : int array;
+    finish : Mna.dc_work -> int -> perf option;
   }
 
   let templates : (conditions * template) list Atomic.t = Atomic.make []
@@ -344,13 +363,17 @@ module Make (A : Amplifier.S) = struct
        template is shared *)
     let circuit, sized_by = sizing conditions in
     let freqs = freqs_of conditions in
+    let sys = cached_sys Linsys.Dense circuit in
+    let out = Circuit.node circuit "out" in
+    let extract_perf = extract conditions ~freqs in
     {
       circuit;
-      sys = cached_sys Linsys.Dense circuit;
-      out = Circuit.node circuit "out";
+      sys;
+      out;
       freqs;
-      extract_perf = extract conditions ~freqs;
+      extract_perf;
       sized_by;
+      finish = sweep_solution ~sys circuit ~out ~freqs extract_perf;
     }
 
   (* [make_template] is named, not a lambda here: inside the functor a
@@ -358,19 +381,16 @@ module Make (A : Amplifier.S) = struct
   let template conditions = cached templates conditions make_template ()
 
   (* A session pins one front point: its circuit, the topology's compiled
-     sys and where each sample's Newton begins.  A [Warm] session begins
-     at its nominal operating point, a [Cold] one at the nodeset guess.
-     Two constructors rather than an optional field keep a cold session
-     the size it always was.  Its template gives the output, grid and
-     extraction. *)
-  type session =
-    | Cold of { t : template; circuit : Circuit.t; sys : Mna.sys }
-    | Warm of {
-        t : template;
-        circuit : Circuit.t;
-        sys : Mna.sys;
-        start : Yield_numeric.Vec.t;  (* never written: Newton copies it *)
-      }
+     sys, where each sample's Newton begins (a csr session's nominal
+     operating point, never written: Newton copies it) and the end of its
+     samples, which sweeps in its sys.  Each is built once, so a sample
+     passes them on without allocating. *)
+  type session = {
+    circuit : Circuit.t;
+    sys : Mna.sys;
+    start : Yield_numeric.Vec.t option;
+    finish : Mna.dc_work -> int -> perf option;
+  }
 
   (* csr samples start at the nominal operating point, solved once here;
      dense samples keep the nodeset start, so dense stays the bit-exact
@@ -380,18 +400,27 @@ module Make (A : Amplifier.S) = struct
     let t = template conditions in
     let circuit, _ = build ~conditions params in
     let sys = cached_sys solver circuit in
-    match solver with
-    | Linsys.Dense -> Cold { t; circuit; sys }
-    | Linsys.Csr -> (
-        match Dcop.solve ~sys circuit with
-        | Ok op -> Warm { t; circuit; sys; start = op.Dcop.x }
-        | Error _ -> Cold { t; circuit; sys })
+    let start =
+      match solver with
+      | Linsys.Dense -> None
+      | Linsys.Csr -> (
+          match Dcop.solve ~sys circuit with
+          | Ok op -> Some op.Dcop.x
+          | Error _ -> None)
+    in
+    {
+      circuit;
+      sys;
+      start;
+      finish =
+        sweep_solution ~sys circuit ~out:t.out ~freqs:t.freqs t.extract_perf;
+    }
 
-  let session_circuit (Cold { circuit; _ } | Warm { circuit; _ }) = circuit
+  let session_circuit s = s.circuit
 
-  let session_sys (Cold { sys; _ } | Warm { sys; _ }) = sys
+  let session_sys s = s.sys
 
-  let session_solver_name s = Mna.sys_solver_name (session_sys s)
+  let session_solver_name s = Mna.sys_solver_name s.sys
 
   (* DC + the full AC sweep of one open-loop circuit in [sys] *)
   let open_loop_bode ~sys conditions circuit =
@@ -402,17 +431,10 @@ module Make (A : Amplifier.S) = struct
           (Ac.transfer_by_name ~sys circuit op ~out:"out"
              ~freqs:(freqs_of conditions))
 
-  (* every evaluation and session sample: DC, the sweep from the DC
-     workspace's solution, stopped one point past the last one the
-     extraction reads, and the extraction, all in the borrowed
-     workspaces *)
-  let open_loop_perf t ~sys ?start ?models ?sizes circuit =
-    match
-      Dcop.with_solution ?start ~sys ?models ?sizes circuit (fun x _ ->
-          Ac.sweep ~sys ~stop:sweep_stop circuit
-            (Mna.Solution { models; sizes; x })
-            ~out:t.out ~freqs:t.freqs t.extract_perf)
-    with
+  (* every evaluation and session sample: DC, then [finish] in the
+     borrowed DC workspace *)
+  let open_loop_perf ~sys ?start ?models ?sizes circuit finish =
+    match Dcop.with_solution ?start ~sys ?models ?sizes circuit finish with
     | Ok perf -> perf
     | Error _ -> None
 
@@ -426,27 +448,38 @@ module Make (A : Amplifier.S) = struct
   (* the template, sized for [params] at assembly *)
   let evaluate ?(conditions = default_conditions) params =
     let t = template conditions in
-    open_loop_perf t ~sys:t.sys
+    open_loop_perf ~sys:t.sys
       ~sizes:{ Mna.design = A.params_to_array params; at = t.sized_by }
-      t.circuit
+      t.circuit t.finish
 
   let sample s models =
-    match s with
-    | Cold { t; circuit; sys } -> open_loop_perf t ~sys ~models circuit
-    | Warm { t; circuit; sys; start } ->
-        open_loop_perf t ~sys ~start ~models circuit
+    open_loop_perf ~sys:s.sys ?start:s.start ~models s.circuit s.finish
 
+  (* A sample's models are drawn into a buffer borrowed from the
+     session's sys, which goes back on its shelf however the sample
+     ends. *)
   let evaluate_in_session s ~spec ~rng =
-    sample s (Variation.overrides spec rng (session_circuit s))
+    let mw = Mna.borrow_models (session_sys s) in
+    match
+      Variation.draw_into spec rng (session_circuit s) mw.Mna.models;
+      sample s mw.Mna.models
+    with
+    | perf ->
+        Mna.return_models mw;
+        perf
+    | exception e -> give_back_models mw e
 
-  let evaluate_with_draw s ~spec ~draw =
-    let no_mismatch =
-      { spec with Variation.mismatch = Variation.zero_spec.Variation.mismatch }
-    in
-    (* the rng is only consulted for mismatch, which is zeroed *)
-    let rng = Yield_stats.Rng.create 0 in
-    sample s
-      (Variation.overrides_with_draw no_mismatch draw rng (session_circuit s))
+  (* the global draw alone: no mismatch, so no stream *)
+  let evaluate_with_draw s ~draw =
+    let mw = Mna.borrow_models (session_sys s) in
+    match
+      Variation.global_into draw (session_circuit s) mw.Mna.models;
+      sample s mw.Mna.models
+    with
+    | perf ->
+        Mna.return_models mw;
+        perf
+    | exception e -> give_back_models mw e
 
   (* the common-mode variant rewires CBIG, so each stimulus gets its own
      session *)

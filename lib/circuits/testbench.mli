@@ -171,9 +171,11 @@ module type S = sig
     session -> spec:Yield_process.Variation.spec ->
     rng:Yield_stats.Rng.t -> perf option
   (** One Monte Carlo draw of process variation and mismatch applied to
-      every transistor, through the session: draws
-      {!Yield_process.Variation.overrides} and patches device models
-      per-sample instead of rebuilding the circuit.  Under the dense
+      every transistor, through the session: it borrows a models buffer
+      from the session's sys ({!Yield_spice.Mna.borrow_models}), draws
+      the sample into it ({!Yield_process.Variation.draw_into}) and
+      assembles every MOSFET from it, instead of rebuilding the circuit
+      or building a model record.  Under the dense
       solver it is bit-identical to solving a
       {!Yield_process.Variation.perturb_circuit} rebuild at equal RNG
       state.  Under csr its Newton starts at the session's nominal
@@ -183,12 +185,12 @@ module type S = sig
       with the same bits as {!perf_of_bode} of the full sweep. *)
 
   val evaluate_with_draw :
-    session -> spec:Yield_process.Variation.spec ->
-    draw:Yield_process.Variation.global_draw -> perf option
+    session -> draw:Yield_process.Variation.global_draw -> perf option
   (** Deterministic evaluation under a specific global draw, mismatch
       disabled: the hook for sensitivity analysis and corner-style
-      studies.  A session sample through
-      {!Yield_process.Variation.overrides_with_draw}. *)
+      studies.  A session sample whose buffer
+      {!Yield_process.Variation.global_into} wrote, so it reads no random
+      stream. *)
 
   val cmrr_db : ?conditions:conditions -> params -> float option
   (** Common-mode rejection at the low-frequency end: the differential

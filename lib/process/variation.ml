@@ -137,30 +137,33 @@ let[@inline] mismatch_sigma_beta spec polarity ~w ~l =
   in
   ab /. sqrt (w *. l)
 
-(* One device's perturbed model, its deltas passed through [d]
-   ({!Mosfet.with_deltas_in}'s buffer, [d.(2)] already the draw's lambda
-   delta), so that it allocates only the model: the global draw of the
-   device's polarity plus a threshold, then a beta mismatch deviate. *)
-let[@inline] perturb_into d spec draw rng ~w ~l (model : Mosfet.model) =
-  let p = model.Mosfet.polarity in
-  let sigma_vth = mismatch_sigma_vth spec p ~w ~l in
-  let sigma_beta = mismatch_sigma_beta spec p ~w ~l in
-  Rng.gaussian_into rng d 0;
-  let dvth_global =
-    match p with Mosfet.Nmos -> draw.dvth_n | Mosfet.Pmos -> draw.dvth_p
-  in
-  d.(0) <- dvth_global +. scaled sigma_vth d.(0);
-  Rng.gaussian_into rng d 1;
-  let dkp_global =
-    match p with Mosfet.Nmos -> draw.dkp_rel_n | Mosfet.Pmos -> draw.dkp_rel_p
-  in
-  d.(1) <- dkp_global +. scaled sigma_beta d.(1);
-  Mosfet.with_deltas_in d model
+(* One device's varied parameters, drawn into [p.(at)] .. [p.(at + 2)]
+   ({!Mosfet.apply_deltas}'s buffer): the global draw of the device's
+   polarity plus a threshold, then a beta mismatch deviate, and the
+   draw's lambda.  Each deviate goes through [p], so no float crosses a
+   call boxed and nothing is allocated. *)
+let[@inline] perturb_into (p : float array) at spec ~dvth_global ~dkp_global
+    ~dlambda_rel rng ~w ~l (model : Mosfet.model) =
+  let pol = model.Mosfet.polarity in
+  let sigma_vth = mismatch_sigma_vth spec pol ~w ~l in
+  let sigma_beta = mismatch_sigma_beta spec pol ~w ~l in
+  Rng.gaussian_into rng p at;
+  p.(at) <- dvth_global +. scaled sigma_vth p.(at);
+  Rng.gaussian_into rng p (at + 1);
+  p.(at + 1) <- dkp_global +. scaled sigma_beta p.(at + 1);
+  p.(at + 2) <- dlambda_rel;
+  Mosfet.apply_deltas model p ~at
 
-let deltas draw = [| 0.; 0.; draw.dlambda_rel |]
-
-let perturb_model spec draw rng ~w ~l model =
-  perturb_into (deltas draw) spec draw rng ~w ~l model
+let perturb_model spec draw rng ~w ~l (model : Mosfet.model) =
+  let p = Array.make 3 0. in
+  (match model.Mosfet.polarity with
+  | Mosfet.Nmos ->
+      perturb_into p 0 spec ~dvth_global:draw.dvth_n ~dkp_global:draw.dkp_rel_n
+        ~dlambda_rel:draw.dlambda_rel rng ~w ~l model
+  | Mosfet.Pmos ->
+      perturb_into p 0 spec ~dvth_global:draw.dvth_p ~dkp_global:draw.dkp_rel_p
+        ~dlambda_rel:draw.dlambda_rel rng ~w ~l model);
+  Mosfet.with_params model p ~at:0
 
 let perturb_circuit spec rng circuit =
   let draw = draw_global spec rng in
@@ -173,31 +176,79 @@ let perturb_circuit spec rng circuit =
       | Device.Isource _ | Device.Vccs _ ->
           dev)
 
-(* ---------- batch-first per-sample overrides ----------
+(* ---------- per-sample models in a buffer ----------
 
    [Circuit.map_devices] applies its function through [List.rev_map] over
    the reversed device list, i.e. in REVERSE device-array order (index
-   n-1 down to 0).  The overrides builders below must consume mismatch
-   deviates in exactly that order so that the per-sample patching path is
-   bit-identical to the historical full-rebuild path. *)
+   n-1 down to 0).  The draws below consume mismatch deviates in exactly
+   that order so that a sample's models are bit-identical to the
+   historical full-rebuild path. *)
 
-let overrides_with_draw spec draw rng circuit =
+let fits fn circuit (models : Yield_spice.Mna.models) =
   let devices = Circuit.devices circuit in
-  let n = Array.length devices in
-  let out : Yield_spice.Mna.models = Array.make n None in
-  let d = deltas draw in
-  for di = n - 1 downto 0 do
+  if Array.length models < 3 * Array.length devices then
+    invalid_arg ("Variation." ^ fn ^ ": a buffer of fewer than 3 floats a device");
+  devices
+
+(* The global deviates, lambda first and vth_n last (the order the
+   pinned tables were sampled in), each through slot 0 of [p] and kept
+   in a local float, so that none is boxed; then every MOSFET's. *)
+let draw_into spec rng circuit (p : Yield_spice.Mna.models) =
+  let devices = fits "draw_into" circuit p in
+  (* a circuit without devices still draws its five globals *)
+  let slot = if Array.length p > 0 then p else Array.make 1 0. in
+  let g = spec.global in
+  Rng.gaussian_into rng slot 0;
+  let dlambda_rel = scaled g.sigma_lambda_rel slot.(0) in
+  Rng.gaussian_into rng slot 0;
+  let dkp_rel_p = scaled g.sigma_kp_rel_p slot.(0) in
+  Rng.gaussian_into rng slot 0;
+  let dkp_rel_n = scaled g.sigma_kp_rel_n slot.(0) in
+  Rng.gaussian_into rng slot 0;
+  let dvth_p = scaled g.sigma_vth_p slot.(0) in
+  Rng.gaussian_into rng slot 0;
+  let dvth_n = scaled g.sigma_vth_n slot.(0) in
+  for di = Array.length devices - 1 downto 0 do
     match devices.(di) with
-    | Device.Mosfet m ->
-        out.(di) <- Some (perturb_into d spec draw rng ~w:m.w ~l:m.l m.model)
+    | Device.Mosfet { model; w; l; _ } -> (
+        match model.Mosfet.polarity with
+        | Mosfet.Nmos ->
+            perturb_into p (3 * di) spec ~dvth_global:dvth_n
+              ~dkp_global:dkp_rel_n ~dlambda_rel rng ~w ~l model
+        | Mosfet.Pmos ->
+            perturb_into p (3 * di) spec ~dvth_global:dvth_p
+              ~dkp_global:dkp_rel_p ~dlambda_rel rng ~w ~l model)
     | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
     | Device.Isource _ | Device.Vccs _ ->
         ()
-  done;
-  out
+  done
+
+let fresh circuit = Array.make (3 * Array.length (Circuit.devices circuit)) 0.
 
 let overrides spec rng circuit =
-  overrides_with_draw spec (draw_global spec rng) rng circuit
+  let p = fresh circuit in
+  draw_into spec rng circuit p;
+  p
+
+let global_into draw circuit (p : Yield_spice.Mna.models) =
+  let devices = fits "global_into" circuit p in
+  for di = Array.length devices - 1 downto 0 do
+    match devices.(di) with
+    | Device.Mosfet { model; _ } ->
+        let at = 3 * di in
+        (match model.Mosfet.polarity with
+        | Mosfet.Nmos ->
+            p.(at) <- draw.dvth_n;
+            p.(at + 1) <- draw.dkp_rel_n
+        | Mosfet.Pmos ->
+            p.(at) <- draw.dvth_p;
+            p.(at + 1) <- draw.dkp_rel_p);
+        p.(at + 2) <- draw.dlambda_rel;
+        Mosfet.apply_deltas model p ~at
+    | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
+    | Device.Isource _ | Device.Vccs _ ->
+        ()
+  done
 
 let overrides_gen spec z circuit =
   let g = spec.global in
@@ -217,9 +268,8 @@ let overrides_gen spec z circuit =
     }
   in
   let devices = Circuit.devices circuit in
-  let n = Array.length devices in
-  let out : Yield_spice.Mna.models = Array.make n None in
-  for di = n - 1 downto 0 do
+  let p = fresh circuit in
+  for di = Array.length devices - 1 downto 0 do
     match devices.(di) with
     | Device.Mosfet m ->
         let dvth_global, dkp_global =
@@ -233,30 +283,31 @@ let overrides_gen spec z circuit =
         let sigma_beta =
           mismatch_sigma_beta spec m.model.Mosfet.polarity ~w:m.w ~l:m.l
         in
+        let at = 3 * di in
         let dvth = dvth_global +. (z () *. sigma_vth) in
         let dkp_rel = dkp_global +. (z () *. sigma_beta) in
-        out.(di) <-
-          Some
-            (Mosfet.with_deltas m.model ~dvth ~dkp_rel
-               ~dlambda_rel:draw.dlambda_rel)
+        p.(at) <- dvth;
+        p.(at + 1) <- dkp_rel;
+        p.(at + 2) <- draw.dlambda_rel;
+        Mosfet.apply_deltas m.model p ~at
     | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
     | Device.Isource _ | Device.Vccs _ ->
         ()
   done;
-  out
+  p
 
 let apply_overrides circuit (models : Yield_spice.Mna.models) =
   let n = Array.length (Circuit.devices circuit) in
+  ignore (fits "apply_overrides" circuit models : Device.t array);
   (* map_devices visits devices in reverse array order; walk the index
      alongside it *)
   let di = ref n in
   Circuit.map_devices circuit (fun dev ->
       decr di;
       match dev with
-      | Device.Mosfet m -> (
-          match models.(!di) with
-          | Some model -> Device.Mosfet { m with model }
-          | None -> dev)
+      | Device.Mosfet m ->
+          Device.Mosfet
+            { m with model = Mosfet.with_params m.model models ~at:(3 * !di) }
       | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
       | Device.Isource _ | Device.Vccs _ ->
           dev)

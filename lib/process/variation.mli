@@ -82,28 +82,46 @@ val perturb_circuit :
 (** One Monte Carlo instance of the circuit: draws a global sample, then an
     independent mismatch for every MOSFET.  The input circuit is unchanged. *)
 
-(** {1 Batch-first per-sample overrides}
+(** {1 Per-sample models in a buffer}
 
     The Monte Carlo inner loop instantiates a circuit once per front point
-    and patches device models per sample ({!Yield_spice.Mna.models})
-    instead of rebuilding the circuit.  The builders below consume random
-    deviates in exactly the order the historical rebuild path
-    ({!perturb_circuit} through [Circuit.map_devices]) did — reverse
-    device-array order — so patching is bit-identical to rebuilding
+    and gives each sample its own models in a flat buffer
+    ({!Yield_spice.Mna.models}: device [di]'s varied [vth0], [kp] and
+    [lambda0] at [3 di], [3 di + 1] and [3 di + 2]) instead of rebuilding
+    the circuit or building a model record.  A session sample borrows the
+    buffer from its solver session ({!Yield_spice.Mna.borrow_models}) and
+    draws into it with {!draw_into}, which allocates nothing.  The draws
+    below consume random deviates in exactly the order the historical
+    rebuild path ({!perturb_circuit} through [Circuit.map_devices]) did —
+    the five globals lambda first and vth_n last, then each MOSFET's
+    threshold and beta deviates in reverse device-array order — and compute
+    the same floats ({!Yield_spice.Mosfet.apply_deltas}), so a sample
+    assembled from the buffer is bit-identical to the rebuilt circuit
     (test-pinned). *)
+
+val draw_into :
+  spec -> Yield_stats.Rng.t -> Yield_spice.Circuit.t -> Yield_spice.Mna.models ->
+  unit
+(** [draw_into spec rng circuit models] draws one Monte Carlo sample into
+    [models]: a global draw, then an independent mismatch for every
+    MOSFET, writing each MOSFET's three slots (the others are left as
+    they were).  It consumes the deviates of {!perturb_circuit} and
+    allocates nothing (a circuit without devices aside).
+    @raise Invalid_argument when [models] holds fewer than 3 floats a
+    device. *)
 
 val overrides :
   spec -> Yield_stats.Rng.t -> Yield_spice.Circuit.t -> Yield_spice.Mna.models
-(** One Monte Carlo sample as a per-device model override array: draws a
-    global sample, then an independent mismatch for every MOSFET.  Consumes
-    the same deviates as {!perturb_circuit}; feeding the result to
-    {!apply_overrides} reproduces its output exactly. *)
+(** {!draw_into} a fresh buffer of 3 floats a device (the slots of
+    devices that are not MOSFETs read 0).  Feeding the result to
+    {!apply_overrides} reproduces {!perturb_circuit}'s output exactly. *)
 
-val overrides_with_draw :
-  spec -> global_draw -> Yield_stats.Rng.t -> Yield_spice.Circuit.t ->
-  Yield_spice.Mna.models
-(** Like {!overrides} but with an externally supplied global draw;
-    mismatch is still drawn from [rng]. *)
+val global_into :
+  global_draw -> Yield_spice.Circuit.t -> Yield_spice.Mna.models -> unit
+(** [global_into draw circuit models] writes each MOSFET's models under
+    the global [draw] alone, with no mismatch and no random stream: how
+    {!Sensitivity} evaluates a draw placed at chosen sigmas.
+    @raise Invalid_argument as {!draw_into}. *)
 
 val overrides_gen :
   spec -> (unit -> float) -> Yield_spice.Circuit.t -> Yield_spice.Mna.models
@@ -113,11 +131,14 @@ val overrides_gen :
     in the order {!perturb_circuit} visits devices (reverse device-array
     order).  The hook for truncated or quasi-random sampling — the
     corner-soundness property tests draw deviates conditioned to the
-    ±k·sigma box this way.  (Replaces the retired [perturb_circuit_gen];
-    compose with {!apply_overrides} for a full circuit.) *)
+    ±k·sigma box this way.  (Compose with {!apply_overrides} for a full
+    circuit.) *)
 
 val apply_overrides :
   Yield_spice.Circuit.t -> Yield_spice.Mna.models -> Yield_spice.Circuit.t
-(** Bake an override array into a fresh circuit (the input is unchanged).
+(** Bake a buffer into a fresh circuit (the input is unchanged): each
+    MOSFET's model rebuilt from its three slots
+    ({!Yield_spice.Mosfet.with_params}).
     [apply_overrides c (overrides spec rng c)] is bit-identical to
-    [perturb_circuit spec rng c] at equal RNG state. *)
+    [perturb_circuit spec rng c] at equal RNG state.
+    @raise Invalid_argument as {!draw_into}. *)

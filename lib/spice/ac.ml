@@ -97,9 +97,8 @@ let sweep_in (w : Mna.ac_work) ~faulted ~stop circuit layout src ~out ~freqs k
   in
   k r swept
 
-let sweep ?sys ?(stop = never_stop) circuit src ~out ~freqs k =
+let sweep ~sys ?(stop = never_stop) circuit src ~out ~freqs k =
   let faulted = Fault.fire fp_solve in
-  let sys = Mna.default_sys sys circuit in
   (* mirror of the Dcop.solve structural pre-check: a node the AC matrix
      cannot constrain at any frequency makes [G + jwC] singular
      independent of device values, so fail loudly instead of returning
@@ -125,7 +124,7 @@ let sweep ?sys ?(stop = never_stop) circuit src ~out ~freqs k =
       Printexc.raise_with_backtrace e bt
 
 let transfer ?sys ?stop circuit op ~out ~freqs =
-  sweep ?sys ?stop circuit
+  sweep ~sys:(Mna.default_sys sys circuit) ?stop circuit
     (Mna.Operating_points (Dcop.mos_op op))
     ~out ~freqs
     (fun r swept ->

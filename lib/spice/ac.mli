@@ -12,15 +12,15 @@ exception Singular of string
     {!Dcop.solve} pre-check. *)
 
 val sweep :
-  ?sys:Mna.sys -> ?stop:(Mna.response -> int -> int) -> Circuit.t ->
+  sys:Mna.sys -> ?stop:(Mna.response -> int -> int) -> Circuit.t ->
   Mna.small_signal -> out:Device.node -> freqs:float array ->
   (Mna.response -> int -> 'a) -> 'a
-(** [sweep ?sys ?stop circuit src ~out ~freqs k] is the AC analysis: the
+(** [sweep ~sys ?stop circuit src ~out ~freqs k] is the AC analysis: the
     small-signal system of [circuit], its MOSFETs' values taken from
     [src] ({!Mna.small_signal}), swept in frequency order, observed at
     node [out] and driven by the AC magnitudes declared on the circuit's
     independent sources.  It runs in an AC workspace borrowed from [sys]
-    (without [sys], a dense session built for the call) and answers
+    and answers
     [k r swept] while the workspace is still borrowed: the response of
     point [i] is [r.re.(i)] + j [r.im.(i)] for every [i < swept].  [r]
     belongs to the workspace, so [k] reads it and must not keep it.  A

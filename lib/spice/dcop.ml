@@ -249,12 +249,15 @@ let attempt w ~options ?x0_jitter ?start ?models ?sizes sys circuit =
       chain w ~options ?x0_jitter ?start ?models ?sizes circuit
         (Mna.sys_layout sys)
 
-let checked_sys ?start sys circuit =
-  let sys = Mna.default_sys sys circuit in
-  (match start with
+let check_start ?start sys =
+  match start with
   | Some start when Array.length start <> Mna.size (Mna.sys_layout sys) ->
       invalid_arg "Dcop.solve: start is not of the system's size"
-  | Some _ | None -> ());
+  | Some _ | None -> ()
+
+let checked_sys ?start sys circuit =
+  let sys = Mna.default_sys sys circuit in
+  check_start ?start sys;
   sys
 
 (* the operating point of a converged attempt: the answer copied out of
@@ -335,9 +338,9 @@ let give_back w e =
   Mna.return_dc w;
   Printexc.raise_with_backtrace e bt
 
-let with_solution ?(options = default_options) ?budget_s ?start ?sys ?models
+let with_solution ?(options = default_options) ?budget_s ?start ~sys ?models
     ?sizes circuit k =
-  let sys = checked_sys ?start sys circuit in
+  check_start ?start sys;
   let w = Mna.borrow_dc sys in
   match
     retried w ~options ?deadline_s:(deadline budget_s) ?start ?models ?sizes
@@ -345,7 +348,7 @@ let with_solution ?(options = default_options) ?budget_s ?start ?sys ?models
   with
   | exception e -> give_back w e
   | code when code > 0 -> (
-      match k w.Mna.x code with
+      match k w code with
       | exception e -> give_back w e
       | v ->
           Mna.return_dc w;

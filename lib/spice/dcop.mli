@@ -107,15 +107,16 @@ val solve_with_retry :
 
 val with_solution :
   ?options:options -> ?budget_s:float -> ?start:Yield_numeric.Vec.t ->
-  ?sys:Mna.sys -> ?models:Mna.models -> ?sizes:Mna.sizes -> Circuit.t ->
-  (Yield_numeric.Vec.t -> int -> 'a) -> ('a, error) result
-(** [with_solution ... circuit k] is {!solve_with_retry} without the
-    operating point: the same attempts, retries, fault checks and
-    counters, and on success [Ok (k x iterations)], where [x] is the
-    converged unknown vector in the DC workspace borrowed from [sys]
-    ({!Mna.borrow_dc}) and [iterations] the result's [iterations].  [x] is
-    the workspace's: [k] reads it while the workspace is still borrowed
-    (a testbench evaluation assembles its AC system from it,
+  sys:Mna.sys -> ?models:Mna.models -> ?sizes:Mna.sizes -> Circuit.t ->
+  (Mna.dc_work -> int -> 'a) -> ('a, error) result
+(** [with_solution ... ~sys circuit k] is {!solve_with_retry} in [sys]
+    without the operating point: the same attempts, retries, fault
+    checks and counters, and on success [Ok (k w iterations)], where [w]
+    is the DC workspace borrowed from [sys] ({!Mna.borrow_dc}), holding
+    the converged unknown vector in [w.x] and the circuit, models and
+    sizes it solved as its aim ({!Mna.aim_dc}), and [iterations] the
+    result's [iterations].  [w] is borrowed: [k] reads it while the call
+    holds it (a testbench evaluation assembles its AC system from it,
     {!Mna.Solution}) and must neither keep nor write it.  [sizes] gives
     the MOSFETs the evaluation's W and L at every assembly
     ({!Mna.sizes}), so a template circuit solves as one built with them.

@@ -20,19 +20,27 @@ val branch_index : layout -> string -> int
 val voltage : Yield_numeric.Vec.t -> Device.node -> float
 (** Node voltage under the layout convention; ground reads 0. *)
 
-(** {1 Per-sample model overrides}
+(** {1 Per-sample models}
 
-    The batch-first Monte Carlo loop instantiates a circuit once per front
-    point and patches device models per sample instead of rebuilding the
-    circuit.  [models.(di)] (indexed by position in [Circuit.devices])
-    replaces the MOSFET model of that device when [Some]; [None] slots — and
-    an absent array — mean the nominal model baked into the circuit. *)
+    The Monte Carlo loop instantiates a circuit once per front point and
+    gives each sample its own MOSFET models without rebuilding the
+    circuit or building a model record.  A sample varies three parameters
+    of each MOSFET's model, [vth0], [kp] and [lambda0], and keeps them in
+    one flat buffer: device [di]'s (its position in [Circuit.devices]) at
+    [models.(3 * di)], [models.(3 * di + 1)] and [models.(3 * di + 2)];
+    the slots of other devices are not read.  Every assembly that takes
+    [?models] evaluates each MOSFET with its model's other fields and
+    these three ({!Mosfet.linearise_varied}, {!Mosfet.small_signal_varied}),
+    which read them inside the inlined device equations, as {!sizes}
+    passes W and L, so no float crosses a call boxed.  So the floats are
+    those of a circuit built with {!Mosfet.with_params} of each model.
+    Without [?models] every MOSFET has its own model.
 
-type models = Mosfet.model option array
+    A Monte Carlo sample does not allocate its buffer: it borrows one from
+    its {!sys} ({!borrow_models}) and draws into it in place
+    ([Yield_process.Variation.draw_into]). *)
 
-val model_override : models option -> int -> Mosfet.model -> Mosfet.model
-(** [model_override models di nominal] resolves the effective model of
-    device index [di]. *)
+type models = float array
 
 type sizes = { design : float array; at : int array }
 (** Per-evaluation MOSFET geometry: a design vector and, indexed by
@@ -54,11 +62,12 @@ type sizes = { design : float array; at : int array }
     structural issues ({!Topology.dc_issues} and {!Topology.ac_issues}),
     computed once when it is built, which {!Dcop.solve} and {!Ac.transfer}
     read instead of re-running the checks per call.  A [sys] is safe to
-    share across domains.  Its only mutable parts are two shelves of
+    share across domains.  Its only mutable parts are its shelves of
     numeric workspaces, which {!Dcop.solve}, {!Tran.run} and
     {!Ac.transfer} borrow from ({!with_dc}, {!with_ac}) by
-    compare-and-set; other callers allocate their own with {!sys_real} /
-    {!sys_complex}. *)
+    compare-and-set, and of Monte Carlo samples' {!models} buffers
+    ({!borrow_models}); other callers allocate their own with
+    {!sys_real} / {!sys_complex}. *)
 
 type sys
 
@@ -211,6 +220,23 @@ val borrow_ac : sys -> ac_work
 
 val return_ac : ac_work -> unit
 
+type model_work = private {
+  models : models;
+      (** three floats a device of the [sys]'s topology, their contents
+          the borrower's *)
+  models_busy : bool Atomic.t;  (** set while a call holds it *)
+}
+(** A sample's {!models}, lent like a workspace: a Monte Carlo sample
+    draws its models into the buffer and assembles from it while it holds
+    it. *)
+
+val borrow_models : sys -> model_work
+(** {!borrow_dc} for a {!models} buffer, held until {!return_models}.
+    Like the workspaces, a buffer is never lent to two borrowers at once,
+    and borrowing a shelved one allocates nothing. *)
+
+val return_models : model_work -> unit
+
 (** {1 Assembly}
 
     Every assembly replays the {!sys}'s stamp plan: it adds each stamp's
@@ -276,18 +302,14 @@ type small_signal =
   | Operating_points of (string -> Mosfet.op)
       (** each MOSFET's [gm], [gds], [gmb], [cgs], [cgd], [cdb] and [csb]
           read from its operating point, looked up by name *)
-  | Solution of {
-      models : models option;
-      sizes : sizes option;
-      x : Yield_numeric.Vec.t;
-    }
-      (** each MOSFET's small-signal model evaluated at the DC solution
-          [x], under the sample's models and the evaluation's sizes
-          ({!Mosfet.small_signal} on the bias {!mos_operating_point} gives
-          it): the floats of the operating point's fields, with no
+  | Solution of dc_work
+      (** each MOSFET's small-signal model evaluated at the DC workspace's
+          [x], under the models and sizes of its last {!aim_dc} (those a
+          converged solve linearised), the bias {!mos_operating_point}
+          gives it: the floats of the operating point's fields, with no
           operating point built *)
 (** Where the AC assembly takes each MOSFET's seven small-signal values
-    from.  A testbench evaluation passes the DC workspace's solution
+    from.  A testbench evaluation passes the DC workspace it solved in
     straight to the assembly ([Solution]); {!Dcop.t}'s [mos_ops] are for
     callers that keep an operating point. *)
 

@@ -52,17 +52,13 @@ let branch_index l name = Hashtbl.find l.branches name
 
 let[@inline] voltage x n = if n = Device.ground then 0. else x.(n - 1)
 
-(* Per-sample model overrides: [models.(di)] replaces the MOSFET model of
-   device index [di] (position in [Circuit.devices]) when set.  [None] (or
-   a [None] slot) means the nominal model baked into the circuit — this is
-   the batch-first Monte Carlo patching path, which must apply the exact
-   model the full-rebuild path would have baked in. *)
-type models = Mosfet.model option array
-
-let model_override models di default =
-  match models with
-  | None -> default
-  | Some arr -> ( match arr.(di) with Some m -> m | None -> default)
+(* A sample's models: each MOSFET's vth0, kp and lambda0, device [di]'s
+   at [3 di], [3 di + 1] and [3 di + 2] (the Monte Carlo draws them
+   there), in place of its model's.  The assembly hands the buffer to
+   Mosfet's [_varied] entry points, which read the three floats inside
+   the inlined device equations: no model record is built and no float
+   boxed. *)
+type models = float array
 
 (* Per-evaluation MOSFET geometry: a design vector and, by device index
    like [models], where device [di]'s W and L are in it,
@@ -71,22 +67,31 @@ let model_override models di default =
    this way instead of rebuilding its circuit. *)
 type sizes = { design : float array; at : int array }
 
-(* [eval model ~w ~l buf] of device [di] under [sizes], with [eval_at]
-   reading both dimensions from the design vector when it holds both, so
-   that neither is boxed; a device with one dimension sized and one kept
-   passes its floats boxed *)
-let[@inline] sized eval eval_at (model : Mosfet.model) sizes di ~w ~l buf =
+(* dimension [k] (0 for W, 1 for L) of device [di] under [sizes]: its
+   record's [own], or the design vector's entry, boxed on its way on *)
+let[@inline] dimension sizes di k own =
   match sizes with
-  | None -> eval model ~w ~l buf
+  | None -> own
   | Some { design; at } ->
-      let w_at = at.(2 * di) and l_at = at.((2 * di) + 1) in
-      if w_at >= 0 && l_at >= 0 then eval_at model design ~w_at ~l_at buf
-      else if w_at < 0 && l_at < 0 then eval model ~w ~l buf
-      else
-        eval model
-          ~w:(if w_at >= 0 then design.(w_at) else w)
-          ~l:(if l_at >= 0 then design.(l_at) else l)
-          buf
+      let i = at.((2 * di) + k) in
+      if i >= 0 then design.(i) else own
+
+(* [eval model ~w ~l buf] of device [di] under [models] and [sizes].
+   Under a sample's models [varied] reads the device's parameters from
+   the buffer; otherwise [eval_at] reads both dimensions from the design
+   vector when it holds both, so that neither is boxed.  A device with
+   one dimension sized and one kept, or sized under a sample's models
+   (no sample path sizes its devices), passes its dimensions boxed. *)
+let[@inline] evaluated eval eval_at varied (model : Mosfet.model) models sizes
+    di ~w ~l buf =
+  match (models, sizes) with
+  | None, Some { design; at } when at.(2 * di) >= 0 && at.((2 * di) + 1) >= 0 ->
+      eval_at model design ~w_at:at.(2 * di) ~l_at:at.((2 * di) + 1) buf
+  | None, _ ->
+      eval model ~w:(dimension sizes di 0 w) ~l:(dimension sizes di 1 l) buf
+  | Some p, _ ->
+      varied model p ~at:(3 * di) ~w:(dimension sizes di 0 w)
+        ~l:(dimension sizes di 1 l) buf
 
 (* ---------- the stamps each device writes, per topology ---------- *)
 
@@ -282,9 +287,13 @@ type ac_work = {
   ac_busy : bool Atomic.t;
 }
 
+(* a sample's models, lent like a workspace *)
+type model_work = { models : models; models_busy : bool Atomic.t }
+
 (* the structural prechecks depend on the topology alone, like the
-   pattern, so they run here once instead of in every solve; [dc_shelf]
-   and [ac_shelf] hold every workspace a call has borrowed *)
+   pattern, so they run here once instead of in every solve; [dc_shelf],
+   [ac_shelf] and [models_shelf] hold every workspace and buffer a call
+   has borrowed *)
 type sys = {
   sys_layout : layout;
   compiled : Linsys.t;
@@ -292,6 +301,7 @@ type sys = {
   ac_issues : Topology.issue list;
   dc_shelf : dc_work array Atomic.t;
   ac_shelf : ac_work array Atomic.t;
+  models_shelf : model_work array Atomic.t;
 }
 
 let sys ?(backend = Linsys.Dense) circuit =
@@ -316,6 +326,7 @@ let sys ?(backend = Linsys.Dense) circuit =
     ac_issues = Topology.ac_issues circuit;
     dc_shelf = Atomic.make [||];
     ac_shelf = Atomic.make [||];
+    models_shelf = Atomic.make [||];
   }
 
 let default_sys given circuit =
@@ -366,9 +377,18 @@ let ac_work s =
     ac_busy = Atomic.make true;
   }
 
+(* three floats a device of the sys's topology *)
+let model_work s =
+  {
+    models = Array.make (3 * Array.length s.sys_layout.plan.slots) 0.;
+    models_busy = Atomic.make true;
+  }
+
 let dc_busy (w : dc_work) = w.busy
 
 let ac_busy (w : ac_work) = w.ac_busy
+
+let models_busy w = w.models_busy
 
 (* A shelf of one sys's workspaces: every workspace ever made for it,
    each with a busy flag.  A borrower claims the first free one by
@@ -406,6 +426,10 @@ let borrow_ac s = lend ac_busy ac_work s.ac_shelf s
 
 let return_ac w = Atomic.set w.ac_busy false
 
+let borrow_models s = lend models_busy model_work s.models_shelf s
+
+let return_models w = Atomic.set w.models_busy false
+
 (* Every user of a workspace writes what it reads before reading it, so
    one left by a call that raised is as good as a fresh one: it goes back
    on the shelf either way. *)
@@ -442,14 +466,15 @@ let bound l owner =
 (* A MOSFET's Newton linearisation at [x]: its conductive stamps and the
    equivalent current it injects.  The bias and the model's results pass
    through [buf] (a Mosfet.buffer), so no float crosses a call boxed. *)
-let mosfet_dc v rhs buf (sl : int array) x ~(model : Mosfet.model) ~sizes ~di
-    ~w ~l ~d ~g ~s ~b =
+let mosfet_dc v rhs buf (sl : int array) x ~(model : Mosfet.model) ~models
+    ~sizes ~di ~w ~l ~d ~g ~s ~b =
   let vd = voltage x d and vg = voltage x g and vs = voltage x s and vb = voltage x b in
   let p = model.polarity in
   buf.(0) <- polar p vg vs;
   buf.(1) <- polar p vd vs;
   buf.(2) <- polar p vb vs;
-  sized Mosfet.linearise Mosfet.linearise_at model sizes di ~w ~l buf;
+  evaluated Mosfet.linearise Mosfet.linearise_at Mosfet.linearise_varied model
+    models sizes di ~w ~l buf;
   let ids_eff = drain_current p buf.(3) in
   let gm = buf.(4) and gds = buf.(5) and gmb = buf.(6) in
   stamp_mos_g v sl ~gm ~gds ~gmb;
@@ -466,8 +491,7 @@ let device_dc v rhs buf p models sizes x di dev =
   let sl = p.slots.(di) in
   match dev with
   | Device.Mosfet { d; g; s; b; model; w; l; _ } ->
-      let model = model_override models di model in
-      mosfet_dc v rhs buf sl x ~model ~sizes ~di ~w ~l ~d ~g ~s ~b
+      mosfet_dc v rhs buf sl x ~model ~models ~sizes ~di ~w ~l ~d ~g ~s ~b
   | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
   | Device.Isource _ | Device.Vccs _ ->
       stamp_linear_dc v sl dev
@@ -531,11 +555,16 @@ let[@inline] set_bias buf (p : Mosfet.polarity) x ~d ~g ~s ~b =
   buf.(1) <- polar p (voltage x d) vs;
   buf.(2) <- polar p (voltage x b) vs
 
-let op_with buf (model : Mosfet.model) ~w ~l ~d ~g ~s ~b x =
+(* device [di]'s operating point, under [models] when given *)
+let op_with buf models di (model : Mosfet.model) ~w ~l ~d ~g ~s ~b x =
   set_bias buf model.polarity x ~d ~g ~s ~b;
-  Mosfet.eval_with buf model ~w ~l ~vgs:buf.(0) ~vds:buf.(1) ~vbs:buf.(2)
+  let vgs = buf.(0) and vds = buf.(1) and vbs = buf.(2) in
+  match models with
+  | None -> Mosfet.eval_with buf model ~w ~l ~vgs ~vds ~vbs
+  | Some p -> Mosfet.eval_varied_with buf model p ~at:(3 * di) ~w ~l ~vgs ~vds ~vbs
+
 let mos_operating_point model ~w ~l ~d ~g ~s ~b x =
-  op_with (Mosfet.buffer ()) model ~w ~l ~d ~g ~s ~b x
+  op_with (Mosfet.buffer ()) None 0 model ~w ~l ~d ~g ~s ~b x
 
 (* built back to front, so that the list comes out in device order
    without a reversed copy; every device evaluates in one buffer *)
@@ -546,8 +575,7 @@ let mos_operating_points ?models circuit ~x =
   for di = Array.length devices - 1 downto 0 do
     match devices.(di) with
     | Device.Mosfet { name; d; g; s; b; model; w; l } ->
-        let model = model_override models di model in
-        acc := (name, op_with buf model ~w ~l ~d ~g ~s ~b x) :: !acc
+        acc := (name, op_with buf models di model ~w ~l ~d ~g ~s ~b x) :: !acc
     | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
     | Device.Isource _ | Device.Vccs _ ->
         ()
@@ -576,7 +604,7 @@ let add_complex (z : Complex.t) (a : Complex.t) =
 (* where the AC assembly takes each MOSFET's small-signal model from *)
 type small_signal =
   | Operating_points of (string -> Mosfet.op)
-  | Solution of { models : models option; sizes : sizes option; x : Vec.t }
+  | Solution of dc_work
 
 (* the one AC assembly: the pencil into [cs], the right-hand side into
    [rhs] (filled with zeros first, as a fresh one); a MOSFET's seven
@@ -600,11 +628,10 @@ let assemble_ac_rhs (cs : Linsys.complex_sys) circuit l ~buf src rhs =
             let op : Mosfet.op = ops name in
             stamp_mos_g gv sl ~gm:op.gm ~gds:op.gds ~gmb:op.gmb;
             stamp_mos_c cv sl ~cgs:op.cgs ~cgd:op.cgd ~cdb:op.cdb ~csb:op.csb
-        | Solution { models; sizes; x } ->
-            let model = model_override models di model in
+        | Solution { models; sizes; x; _ } ->
             set_bias buf model.polarity x ~d ~g ~s ~b;
-            sized Mosfet.small_signal Mosfet.small_signal_at model sizes di ~w
-              ~l:len buf;
+            evaluated Mosfet.small_signal Mosfet.small_signal_at
+              Mosfet.small_signal_varied model models sizes di ~w ~l:len buf;
             stamp_mos_g gv sl ~gm:buf.(4) ~gds:buf.(5) ~gmb:buf.(6);
             stamp_mos_c cv sl ~cgs:buf.(0) ~cgd:buf.(1) ~cdb:buf.(2)
               ~csb:buf.(2))

@@ -127,6 +127,49 @@ val linearise_at :
     than its device record's.
     @raise Invalid_argument as {!linearise}. *)
 
+(** {1 Process parameters in a buffer}
+
+    A Monte Carlo sample varies three parameters of each device's model:
+    [vth0], [kp] and [lambda0].  It keeps them in a flat float buffer,
+    three consecutive floats from some index [at] ({!Mna.models}), and
+    the entry points below read them there, inside the inlined device
+    equations, so that no parameter is boxed on its way in and no model
+    record is built. *)
+
+val apply_deltas : model -> float array -> at:int -> unit
+(** [apply_deltas m p ~at] replaces the deltas [dvth], [dkp_rel] and
+    [dlambda_rel] at [p.(at)], [p.(at + 1)] and [p.(at + 2)] with the
+    [vth0], [kp] and [lambda0] of [m] perturbed by them: the floats of
+    {!with_deltas}.  It allocates nothing.
+    @raise Invalid_argument when [p] has no room at [at]. *)
+
+val with_params : model -> float array -> at:int -> model
+(** [with_params m p ~at] is [m] with [vth0], [kp] and [lambda0] read
+    from [p.(at)], [p.(at + 1)] and [p.(at + 2)]: the record a buffer's
+    parameters stand for, for the callers that want one.
+    @raise Invalid_argument when [p] has no room at [at]. *)
+
+val linearise_varied :
+  model -> float array -> at:int -> w:float -> l:float -> float array -> unit
+(** [linearise_varied m p ~at ~w ~l buf] is
+    [linearise (with_params m p ~at) ~w ~l buf] without the record: how
+    the assembly evaluates a MOSFET under a sample's models.
+    @raise Invalid_argument as {!linearise} or {!with_params}. *)
+
+val eval_varied_with :
+  float array -> model -> float array -> at:int -> w:float -> l:float ->
+  vgs:float -> vds:float -> vbs:float -> op
+(** [eval_varied_with buf m p ~at ...] is
+    [eval_with buf (with_params m p ~at) ...] without the model record: the
+    operating point of a MOSFET under a sample's models.
+    @raise Invalid_argument as {!eval_with} or {!with_params}. *)
+
+val small_signal_varied :
+  model -> float array -> at:int -> w:float -> l:float -> float array -> unit
+(** [small_signal_varied m p ~at ~w ~l buf] is
+    [small_signal (with_params m p ~at) ~w ~l buf] without the record.
+    @raise Invalid_argument as {!linearise_varied}. *)
+
 (** {1 Scalar helpers}
 
     The transcendental functions the device equations call: overflow-safe
@@ -140,11 +183,6 @@ val sigmoid : float -> float
 val with_deltas : model -> dvth:float -> dkp_rel:float -> dlambda_rel:float -> model
 (** [with_deltas m ~dvth ~dkp_rel ~dlambda_rel] is [m] with threshold shifted
     by [dvth] volts, [kp] scaled by [1 + dkp_rel] and [lambda0] scaled by
-    [1 + dlambda_rel]; the hook used by process-variation sampling. *)
-
-val with_deltas_in : float array -> model -> model
-(** [with_deltas_in d m] is [with_deltas m ~dvth:d.(0) ~dkp_rel:d.(1)
-    ~dlambda_rel:d.(2)], with no delta boxed on its way in: it allocates
-    only the model it returns (14 words and the 3 new floats).  The Monte
-    Carlo sampler writes each device's deltas into one buffer.
-    {!with_deltas} is this on a fresh buffer. *)
+    [1 + dlambda_rel]: {!apply_deltas} and {!with_params} on a fresh
+    buffer.  The corner analyses shift models this way; a Monte Carlo
+    sample keeps its parameters in a buffer instead. *)

@@ -32,11 +32,11 @@ type source = {
   src_kind : [ `Thermal | `Flicker ];
 }
 
-let collect_sources ?models flicker circuit (op : Dcop.t) =
+let collect_sources flicker circuit (op : Dcop.t) =
   let four_kt = 4. *. boltzmann *. temperature in
   let acc = ref [] in
-  Array.iteri
-    (fun di dev ->
+  Array.iter
+    (fun dev ->
       match dev with
       | Device.Resistor { name; n1; n2; ohms; _ } ->
           acc :=
@@ -49,7 +49,6 @@ let collect_sources ?models flicker circuit (op : Dcop.t) =
             }
             :: !acc
       | Device.Mosfet { name; d; s; model; w; l; _ } ->
-          let model = Mna.model_override models di model in
           let mos = Dcop.mos_op op name in
           let gm = mos.Mosfet.gm in
           let thermal = four_kt *. (2. /. 3.) *. gm in
@@ -85,13 +84,12 @@ let collect_sources ?models flicker circuit (op : Dcop.t) =
     (Circuit.devices circuit);
   List.rev !acc
 
-let output_noise ?(flicker = default_flicker) ?sys ?models circuit op ~out
-    ~freqs =
+let output_noise ?(flicker = default_flicker) ?sys circuit op ~out ~freqs =
   let sys = Mna.default_sys sys circuit in
   let layout = Mna.sys_layout sys and cs = Mna.sys_complex sys in
   let ops name = Dcop.mos_op op name in
   let _ = Mna.assemble_ac_into cs circuit layout ~ops in
-  let sources = collect_sources ?models flicker circuit op in
+  let sources = collect_sources flicker circuit op in
   let size = Mna.size layout in
   Array.map
     (fun freq ->

@@ -26,14 +26,15 @@ type point = {
 }
 
 val output_noise :
-  ?flicker:flicker -> ?sys:Mna.sys -> ?models:Mna.models -> Circuit.t ->
+  ?flicker:flicker -> ?sys:Mna.sys -> Circuit.t ->
   Dcop.t -> out:Device.node -> freqs:float array -> point array
 (** Output-referred noise spectral density at each frequency.  [sys] is
     the {!Mna.sys} solver session of the circuit's topology; without it the
-    call builds a dense one for itself.  [models] applies per-sample
-    MOSFET model overrides (they set the flicker polarity/Cox scaling —
-    the small-signal network itself comes from the operating points in the
-    {!Dcop.t}). *)
+    call builds a dense one for itself.  The small-signal network and each
+    MOSFET's thermal noise come from the operating points in the
+    {!Dcop.t}, so a sample's noise is that of its solve ({!Dcop.solve}
+    [?models]); the flicker scaling reads each model's polarity and Cox,
+    which no sample varies. *)
 
 val input_referred :
   point array -> gain:Ac.bode -> (float * float) array

@@ -161,7 +161,11 @@ let run ?sys ?models options circuit =
               slots.(di);
             match dev with
             | Device.Mosfet { d; g; s; b; model; w; l; name = _ } ->
-                let model = Mna.model_override models di model in
+                let model =
+                  match models with
+                  | None -> model
+                  | Some p -> Mosfet.with_params model p ~at:(3 * di)
+                in
                 refresh_mos_slots slots.(di)
                   (Mna.mos_operating_point model ~w ~l ~d ~g ~s ~b x)
             | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _

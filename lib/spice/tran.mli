@@ -33,8 +33,8 @@ val run :
 (** Solves the DC operating point (waveform values at t = 0), then
     integrates to [t_stop], all in one {!Mna.sys} solver session: [sys]
     when given (it must have the circuit's topology), else a dense one
-    built once for the run.  [models] applies per-sample MOSFET model
-    overrides (see {!Mna.models}). *)
+    built once for the run.  [models] gives the MOSFETs a sample's
+    models (see {!Mna.models}). *)
 
 val voltage : t -> Device.node -> float array
 (** Waveform of one node voltage across all time points. *)

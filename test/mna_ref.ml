@@ -182,7 +182,14 @@ let assemble_dc_into (rs : Linsys.real) ?models circuit layout ~x
       | Device.Vccs { out_p; out_n; in_p; in_n; gm; _ } ->
           stamp_gm_into add out_p out_n in_p in_n gm
       | Device.Mosfet { d; g; s; b; model; w; l; _ } ->
-          let model = Mna.model_override models di model in
+          (* a sample's models as the record they stand for *)
+          let model =
+            match models with
+            | None -> model
+            | Some (p : Mna.models) ->
+                let at = 3 * di in
+                { model with Mosfet.vth0 = p.(at); kp = p.(at + 1); lambda0 = p.(at + 2) }
+          in
           stamp_mosfet_dc_into add rhs ~x ~d ~g ~s ~b ~model ~w ~l)
     (Circuit.devices circuit);
   rhs

@@ -64,7 +64,7 @@ let test_sensitivity_on_ota_gain () =
   let spec = Variation.default_spec in
   let session = Tb.session Ota.default_params in
   let eval draw =
-    Option.map (fun p -> p.Tb.gain_db) (Tb.evaluate_with_draw session ~spec ~draw)
+    Option.map (fun p -> p.Tb.gain_db) (Tb.evaluate_with_draw session ~draw)
   in
   match Sensitivity.analyse ~spec ~eval with
   | Error e -> Alcotest.fail e
@@ -74,6 +74,52 @@ let test_sensitivity_on_ota_gain () =
       let lambda = List.find (fun r -> r.Sensitivity.component = Sensitivity.Lambda) results in
       Alcotest.(check bool) "lambda is a major contributor" true
         (lambda.Sensitivity.variance_share > 0.3)
+
+(* The bits of every field of [evaluate_with_draw] at the nominal draw
+   and each global component at -3, -1, +1 and +3 sigma, on the default
+   OTA and Miller, dense and csr sessions: the path [yieldlab
+   sensitivity] takes, which stages.t prints to 4 digits only.  The
+   digest was recorded when the draw still went through per-device
+   model records and a throwaway mismatch stream. *)
+module Draw_bits (A : Yield_circuits.Amplifier.S) = struct
+  module T = Yield_circuits.Testbench.Make (A)
+
+  let text () =
+    let spec = Variation.default_spec in
+    let b = Buffer.create 4096 in
+    List.iter
+      (fun solver ->
+        let s = T.session ~solver A.default_params in
+        let draw i k =
+          Variation.global_draw_of_normals spec
+            (Array.init Variation.global_dims (fun j -> if j = i then k else 0.))
+        in
+        let draws =
+          Variation.nominal_global
+          :: List.concat_map
+               (fun i -> List.map (draw i) [ -3.; -1.; 1.; 3. ])
+               (List.init Variation.global_dims Fun.id)
+        in
+        List.iter
+          (fun draw ->
+            match T.evaluate_with_draw s ~draw with
+            | None -> Buffer.add_string b "none\n"
+            | Some (p : Yield_circuits.Testbench.perf) ->
+                Printf.bprintf b "%h %h %h %h %h\n" p.gain_db p.phase_margin_deg
+                  p.unity_gain_hz p.f3db_hz p.rout_est)
+          draws)
+      [ Yield_numeric.Linsys.Dense; Yield_numeric.Linsys.Csr ];
+    Buffer.contents b
+end
+
+let test_draw_bits () =
+  let module O = Draw_bits (Ota) in
+  let module M = Draw_bits (Yield_circuits.Miller) in
+  let text = O.text () ^ M.text () in
+  Alcotest.(check bool) "every draw measured" false (contains text "none");
+  Alcotest.(check string) "evaluate_with_draw digest"
+    "d43b9165d040106d424fd4d7e003c84b"
+    (Digest.to_hex (Digest.string text))
 
 (* --- OTA time-domain and rejection measurements --- *)
 
@@ -236,6 +282,7 @@ let suites =
         Alcotest.test_case "global_draw_of_normals" `Quick test_global_draw_of_normals;
         Alcotest.test_case "linear model" `Quick test_sensitivity_linear_model;
         Alcotest.test_case "ota gain drivers" `Slow test_sensitivity_on_ota_gain;
+        Alcotest.test_case "draw bits" `Quick test_draw_bits;
       ] );
     ( "circuits.extended",
       [

@@ -2103,46 +2103,65 @@ let test_draws_allocate_results () =
   check_words "Rng.normal" (fun () -> Rng.normal rng ~mean:0. ~sigma:1.) 2.;
   check_words "Rng.split" (fun () -> Rng.split rng) 8.
 
-(* A sample's overrides on the default Miller allocate the models array
-   (17 words), a [Some] and a perturbed model per MOSFET (22 words, 8
-   MOSFETs) and the global draw (12): no tuple, boxed sigma or boxed
-   delta, about 210 words. *)
-let test_overrides_allocation () =
+(* A sample draws its models in place into a buffer its session's sys
+   lends: the global deviates and each MOSFET's pass through the buffer,
+   so the draw allocates nothing.  Into a fresh buffer (what
+   [Variation.overrides] does) it allocates only the buffer, 3 floats a
+   device: 49 words on the Miller's 16 devices.  An array of per-MOSFET
+   model records took about 210 words (a [Some] and a perturbed model
+   record per MOSFET, 22 words each, the array and the global draw). *)
+let test_draw_allocation () =
   let circuit, _ = Miller_tb.build Yield_circuits.Miller.default_params in
   let rng = Rng.create 2008 in
+  let mw = Mna.borrow_models (Mna.sys circuit) in
+  check_words "Variation.draw_into (miller)"
+    (fun () -> Variation.draw_into Variation.default_spec rng circuit mw.Mna.models)
+    0.;
+  Mna.return_models mw;
   check_words "Variation.overrides (miller)"
     (fun () -> Variation.overrides Variation.default_spec rng circuit)
-    220.
+    64.
 
-(* A csr Miller session sample, its stream split off as the Monte Carlo
-   does: the split (7 words), the overrides (about 210), the perf and the
-   arguments of its DC, sweep and extraction, about 270 words.  Its
-   operating point, response, magnitudes and phases stay in the borrowed
-   workspaces, and a converged DC solve and the sweep keep their
-   bookkeeping there: the retry and homotopy closures, the attempt list
-   and the sweep's closures took about 180 words more, building the
+(* A session sample, its stream split off as the Monte Carlo does,
+   allocates the split (7 words), its perf and [Some] (8), the DC
+   solve's [Ok] and the [Some] of its models (4), the AC source that
+   names the DC workspace (2) and about 20 words of boxed measurements
+   and the AC source's right-hand-side entry: about 42 words on the csr
+   Miller and the dense OTA alike.  Its models are drawn into a buffer
+   borrowed from the session's sys, its operating point, response,
+   magnitudes and phases stay in the borrowed workspaces, and its end
+   (the sweep and the extraction) is a closure its session built once.
+   Per-MOSFET model records took about 210 words more, the closure and
+   optional arguments of its DC solve and sweep about 20, the retry and
+   homotopy closures and the sweep's about 180, and building the
    operating point and the bode about 1,150. *)
 let test_session_sample_allocation () =
-  let s = Miller_tb.session ~solver:Linsys.Csr Yield_circuits.Miller.default_params in
   let rng = Rng.create 2008 in
+  let s = Miller_tb.session ~solver:Linsys.Csr Yield_circuits.Miller.default_params in
   check_words "a csr miller session sample"
     (fun () ->
       Miller_tb.evaluate_in_session s ~spec:Variation.default_spec ~rng:(Rng.split rng))
-    360.
+    64.;
+  let s = Ota_tb.session Yield_circuits.Ota.default_params in
+  check_words "a dense ota session sample"
+    (fun () ->
+      Ota_tb.evaluate_in_session s ~spec:Variation.default_spec ~rng:(Rng.split rng))
+    64.
 
 (* An evaluation sizes its topology's one template at assembly: it
    allocates its perf, its sizes (the design vector and the record that
-   pairs it with the template's index map, 12 words) and a few dozen
-   words of arguments and boxed measurements, about 64 words.
-   Rebuilding the testbench took about 630 words more, and the DC and
-   sweep bookkeeping about 250. *)
+   pairs it with the template's index map, 12 words on the OTA) and
+   about 20 words of boxed measurements and arguments, about 47 words.
+   The closure and optional arguments of its DC solve and sweep took
+   about 17 words more, rebuilding the testbench about 630, and the DC
+   and sweep bookkeeping about 250. *)
 let test_evaluate_allocation () =
   check_words "an ota evaluation"
     (fun () -> Ota_tb.evaluate Yield_circuits.Ota.default_params)
-    128.;
+    64.;
   check_words "a miller evaluation"
     (fun () -> Miller_tb.evaluate Yield_circuits.Miller.default_params)
-    128.
+    64.
 
 (* A DC solve whose Newton stage converges, with a unit continuation,
    allocates its [Ok] and nothing else: the homotopy chain and the retry
@@ -2483,7 +2502,7 @@ let suites =
         Alcotest.test_case "draws allocate only their result" `Quick
           test_draws_allocate_results;
         Alcotest.test_case "overrides allocate only the models" `Quick
-          test_overrides_allocation;
+          test_draw_allocation;
         Alcotest.test_case "a csr session sample allocates its perf" `Quick
           test_session_sample_allocation;
         Alcotest.test_case "workspace path = perf_of_bode of transfer" `Quick
