@@ -105,7 +105,8 @@ let prescreen_ab ctx =
    session per (topology, backend) — the circuit is instantiated and the
    pattern compiled once; csr additionally caches its symbolic
    factorisation — then the same seeded sample stream replays through each
-   backend via Variation.overrides.  Dense is the shipped default and the
+   backend, each sample drawn into its session's borrowed models buffer
+   (Variation.draw_into).  Dense is the shipped default and the
    byte-identity reference; the gated flow's sim_counts come from the main
    (dense) run, so this records the seam's per-sample cost next to it
    without perturbing the gate. *)

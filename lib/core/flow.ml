@@ -302,9 +302,10 @@ module Make (A : Yield_circuits.Amplifier.S) = struct
       ~rng ~evaluate ()
 
   (* one design's Monte Carlo batch, batch-first: one testbench
-     instantiation, each sample only patching device models (bit-identical
-     to rebuilding under the dense default).  The compiled session is
-     immutable, so the pool's domains share it. *)
+     instantiation, each sample only drawing its models into a buffer
+     (bit-identical to rebuilding under the dense default).  The compiled
+     session is shared by the pool's domains: each sample borrows its own
+     buffer and workspaces from it. *)
   let sample_design ~pool ~samples ~rng (config : Config.t) params =
     let session =
       T.session ~conditions:config.Config.conditions

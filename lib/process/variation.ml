@@ -142,27 +142,27 @@ let[@inline] mismatch_sigma_beta spec polarity ~w ~l =
    polarity plus a threshold, then a beta mismatch deviate, and the
    draw's lambda.  Each deviate goes through [p], so no float crosses a
    call boxed and nothing is allocated. *)
-let[@inline] perturb_into (p : float array) at spec ~dvth_global ~dkp_global
-    ~dlambda_rel rng ~w ~l (model : Mosfet.model) =
+let[@inline] perturb_into (p : float array) at spec ~dvth_n ~dvth_p ~dkp_rel_n
+    ~dkp_rel_p ~dlambda_rel rng ~w ~l (model : Mosfet.model) =
   let pol = model.Mosfet.polarity in
   let sigma_vth = mismatch_sigma_vth spec pol ~w ~l in
   let sigma_beta = mismatch_sigma_beta spec pol ~w ~l in
   Rng.gaussian_into rng p at;
+  let dvth_global = match pol with Mosfet.Nmos -> dvth_n | Mosfet.Pmos -> dvth_p in
   p.(at) <- dvth_global +. scaled sigma_vth p.(at);
   Rng.gaussian_into rng p (at + 1);
+  let dkp_global =
+    match pol with Mosfet.Nmos -> dkp_rel_n | Mosfet.Pmos -> dkp_rel_p
+  in
   p.(at + 1) <- dkp_global +. scaled sigma_beta p.(at + 1);
   p.(at + 2) <- dlambda_rel;
   Mosfet.apply_deltas model p ~at
 
-let perturb_model spec draw rng ~w ~l (model : Mosfet.model) =
+let perturb_model spec draw rng ~w ~l model =
   let p = Array.make 3 0. in
-  (match model.Mosfet.polarity with
-  | Mosfet.Nmos ->
-      perturb_into p 0 spec ~dvth_global:draw.dvth_n ~dkp_global:draw.dkp_rel_n
-        ~dlambda_rel:draw.dlambda_rel rng ~w ~l model
-  | Mosfet.Pmos ->
-      perturb_into p 0 spec ~dvth_global:draw.dvth_p ~dkp_global:draw.dkp_rel_p
-        ~dlambda_rel:draw.dlambda_rel rng ~w ~l model);
+  perturb_into p 0 spec ~dvth_n:draw.dvth_n ~dvth_p:draw.dvth_p
+    ~dkp_rel_n:draw.dkp_rel_n ~dkp_rel_p:draw.dkp_rel_p
+    ~dlambda_rel:draw.dlambda_rel rng ~w ~l model;
   Mosfet.with_params model p ~at:0
 
 let perturb_circuit spec rng circuit =
@@ -210,14 +210,9 @@ let draw_into spec rng circuit (p : Yield_spice.Mna.models) =
   let dvth_n = scaled g.sigma_vth_n slot.(0) in
   for di = Array.length devices - 1 downto 0 do
     match devices.(di) with
-    | Device.Mosfet { model; w; l; _ } -> (
-        match model.Mosfet.polarity with
-        | Mosfet.Nmos ->
-            perturb_into p (3 * di) spec ~dvth_global:dvth_n
-              ~dkp_global:dkp_rel_n ~dlambda_rel rng ~w ~l model
-        | Mosfet.Pmos ->
-            perturb_into p (3 * di) spec ~dvth_global:dvth_p
-              ~dkp_global:dkp_rel_p ~dlambda_rel rng ~w ~l model)
+    | Device.Mosfet { model; w; l; _ } ->
+        perturb_into p (3 * di) spec ~dvth_n ~dvth_p ~dkp_rel_n ~dkp_rel_p
+          ~dlambda_rel rng ~w ~l model
     | Device.Resistor _ | Device.Capacitor _ | Device.Vsource _
     | Device.Isource _ | Device.Vccs _ ->
         ()

@@ -68,7 +68,7 @@ type models = float array
 type sizes = { design : float array; at : int array }
 
 (* dimension [k] (0 for W, 1 for L) of device [di] under [sizes]: its
-   record's [own], or the design vector's entry, boxed on its way on *)
+   record's [own], or the design vector's entry, which a call boxes *)
 let[@inline] dimension sizes di k own =
   match sizes with
   | None -> own
